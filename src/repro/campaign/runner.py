@@ -13,26 +13,26 @@ ordinal`` (the same rule ``screen()`` has always used), so an interrupted
 and resumed campaign produces bitwise-identical scores to an uninterrupted
 one, for any shard size or worker count.
 
-Runtime ownership: with ``host_workers > 0`` and ``persistent_pool=True``
-(the default) the campaign owns one
+Runtime ownership: with ``host_workers > 0`` the campaign owns one
 :class:`repro.engine.host_runtime.PersistentHostRuntime` for its whole
 lifetime — worker pool, staged receptor and Eq. 1 warm-up are paid once, and
-each ligand is swapped in through the versioned rebind protocol (with the
-next ligand prefetch-staged while the current one docks). ``dock()``
-receives the runtime through its ``evaluator_factory`` seam and never closes
-it. With ``pipeline_depth > 1`` the runner drives that many ligands'
-metaheuristics concurrently through the shared pool (each on a lease, each
-with its own seed and launch trace), committing results in ordinal order so
-the durability layer cannot tell the difference; depth 1 is bit-for-bit the
-classic serial loop.
+every ligand docks on a lease of that pool (with the next ligand
+prefetch-staged meanwhile). ``dock()`` receives the lease through its
+``evaluator_factory`` seam and never closes the pool. ``pipeline_depth`` is
+how many leases are live at once: that many ligands' metaheuristics run
+concurrently through the shared pool (each with its own seed and launch
+trace), results committing in ordinal order so the durability layer cannot
+tell the difference; depth 1 is one lease in flight. ``host_workers == 0``
+is the plain serial loop every parity test compares against.
 
-Failure policy: per-ligand bounded retry with exponential backoff (a worker
-pool that died is recycled in place by the persistent runtime — workers are
-replaced, the staged receptor and warm-up weights survive — or rebuilt by
-the next ``dock()`` call on the fresh-pool path); a ligand that exhausts its
-attempts is recorded ``failed`` with the exception text and the campaign
-continues past it. ``KeyboardInterrupt``/``SystemExit`` are never swallowed
-— they are the crash the journal exists for.
+Failure policy: per-ligand bounded retry with exponential backoff
+(:func:`dock_with_retry`); a ligand that exhausts its attempts is recorded
+``failed`` with the exception text and the campaign continues past it. A
+worker pool that died is recycled in place by the runtime — workers are
+replaced, the staged receptor and warm-up weights survive — and the docks
+it interrupted are repeated without charging their ligands.
+``KeyboardInterrupt``/``SystemExit`` are never swallowed — they are the
+crash the journal exists for.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Callable
 
 from repro import observability as obs
 from repro.engine.host_runtime import PersistentHostRuntime
-from repro.errors import CampaignError
+from repro.errors import CampaignError, WorkerPoolError
 from repro.hardware.node import NodeSpec
 from repro.metaheuristics.template import MetaheuristicSpec
 from repro.molecules.spots import find_spots
@@ -76,7 +76,13 @@ from repro.observability.flight import (
     flight_recorder,
 )
 
-__all__ = ["CampaignRunner", "CampaignProgress", "campaign_config", "config_hash"]
+__all__ = [
+    "CampaignRunner",
+    "CampaignProgress",
+    "campaign_config",
+    "config_hash",
+    "dock_with_retry",
+]
 
 #: Config keys that affect the science (scores/ranking); the hash covers
 #: exactly these. Execution knobs (host workers, balancing mode, node model)
@@ -175,6 +181,64 @@ def config_hash(config: dict) -> str:
     ).hexdigest()
 
 
+def dock_with_retry(
+    dock_once: Callable[[], object],
+    *,
+    max_attempts: int,
+    backoff_base: float,
+    sleep: Callable[[float], None],
+    **event_tags,
+) -> dict:
+    """The bounded-retry dock loop every node runs, store-free.
+
+    ``dock_once`` docks the ligand once. An exception is charged against
+    the ligand's ``max_attempts`` poison budget — except a
+    :class:`~repro.errors.WorkerPoolError`: the pool died under the dock
+    (killed, possibly, by a co-resident ligand), a fault of the runtime,
+    so the dock is repeated uncharged. Pool deaths are counted on their
+    own and bounded by the same ``max_attempts``, so a ligand that kills
+    its workers every time still ends ``failed``. Each retry leaves a
+    ``dock.retry`` flight event carrying ``event_tags``.
+
+    Returns ``{"ok": True, "result", "wall_s", "attempts"}`` or ``{"ok":
+    False, "exc", "attempts"}``; ``attempts`` is every dock made, charged
+    or not.
+    """
+    delay = backoff_base
+    charged = pool_deaths = 0
+    while True:
+        t0 = time.perf_counter()
+        try:
+            result = dock_once()
+        except WorkerPoolError as exc:
+            pool_deaths += 1
+            obs.counter("campaign.retries.pool_death").inc()
+            failure, exhausted = exc, pool_deaths >= max_attempts
+        except Exception as exc:
+            charged += 1
+            failure, exhausted = exc, charged >= max_attempts
+        else:
+            # One clock read for both the histogram and the stored row —
+            # they must agree.
+            return {
+                "ok": True,
+                "result": result,
+                "wall_s": time.perf_counter() - t0,
+                "attempts": charged + pool_deaths + 1,
+            }
+        if exhausted:
+            return {"ok": False, "exc": failure, "attempts": charged + pool_deaths}
+        obs.counter("campaign.retries").inc()
+        flight_event(
+            "dock.retry",
+            attempt=charged + pool_deaths,
+            error=f"{type(failure).__name__}: {failure}",
+            **event_tags,
+        )
+        sleep(delay)
+        delay *= 2
+
+
 class CampaignRunner:
     """Execute (or continue) one durable screening campaign.
 
@@ -204,7 +268,6 @@ class CampaignRunner:
         host_workers: int = 0,
         parallel_mode: str = "static",
         prune_spots: bool = False,
-        persistent_pool: bool = True,
         pipeline_depth: int = 2,
         autotune=False,
         calibration_file: str | Path | None = None,
@@ -270,11 +333,9 @@ class CampaignRunner:
         self.host_workers = host_workers
         self.parallel_mode = parallel_mode
         self.prune_spots = prune_spots
-        self.persistent_pool = bool(persistent_pool)
         #: Ligands docked concurrently through the shared pool (needs
-        #: ``host_workers > 0`` and the persistent pool). Depth 1 is the
-        #: exact legacy serial loop. An execution knob — never hashed;
-        #: results are bitwise identical at every depth.
+        #: ``host_workers > 0``): the number of live leases. An execution
+        #: knob — never hashed; results are bitwise identical at every depth.
         self.pipeline_depth = int(pipeline_depth)
         self._runtime: PersistentHostRuntime | None = None
         # --- input-aware kernel autotuning -----------------------------
@@ -454,7 +515,7 @@ class CampaignRunner:
         n_streamed = 0
         try:
             try:
-                if self.host_workers > 0 and self.persistent_pool:
+                if self.host_workers > 0:
                     # Campaign-owned runtime: pool spawn, receptor staging
                     # and Eq. 1 warm-up are paid once, every ligand after
                     # the first is a slot rebind.
@@ -503,27 +564,16 @@ class CampaignRunner:
                             for ordinal, ligand, title in titled
                             if ordinal not in already_done
                         ]
-                        if self._runtime is not None and self.pipeline_depth > 1:
+                        if self._runtime is not None:
                             n_failed = self._dock_shard_pipelined(
                                 store, spots, pending, next_first
                             )
-                            session_docked += len(pending)
                         else:
                             n_failed = 0
-                            for pos, (ordinal, ligand, title) in enumerate(pending):
-                                if self._runtime is not None:
-                                    # Double buffer: while this ligand docks,
-                                    # the runtime's stager binds and stages the
-                                    # next one (tail position: the next shard's
-                                    # first) into a free slot bank.
-                                    if pos + 1 < len(pending):
-                                        self._runtime.hint_next(pending[pos + 1][1])
-                                    elif next_first is not None:
-                                        self._runtime.hint_next(next_first)
-                                ok = self._dock_one(store, spots, ordinal, ligand, title)
-                                session_docked += 1
-                                if not ok:
+                            for ordinal, ligand, title in pending:
+                                if not self._dock_one(store, spots, ordinal, ligand, title):
                                     n_failed += 1
+                        session_docked += len(pending)
                         shard_s = time.perf_counter() - shard_t0
                         store.finish_shard(shard.shard_id, shard_s)
                         if self.journal is not None:
@@ -598,66 +648,46 @@ class CampaignRunner:
         ligand: Ligand,
         title: str,
     ) -> bool:
-        """Dock one ligand with bounded retry; returns False if it poisoned."""
+        """Dock one ligand serially, in-process; returns False if it poisoned."""
         store.mark_running(ordinal)
-        factory = (
-            None if self._runtime is None else self._runtime.evaluator_factory
-        )
-        outcome = self._dock_attempts(spots, ordinal, ligand, factory)
+        outcome = self._dock_attempts(spots, ordinal, ligand, None)
         return self._commit_outcome(store, ordinal, title, outcome)
 
     def _dock_attempts(
         self, spots, ordinal: int, ligand: Ligand, evaluator_factory
     ) -> dict:
-        """The bounded-retry dock loop, store-free (safe on a dock thread).
+        """:func:`dock_with_retry` around this campaign's ``dock()`` call.
 
         Returns an outcome dict for :meth:`_commit_outcome`; never touches
-        the store, so the pipelined scheduler can run it concurrently and
-        commit results in ordinal order from the main thread.
+        the store, so the pipelined scheduler can run it on a dock thread
+        and commit results in ordinal order from the main thread.
         """
-        delay = self.backoff_base
-        for attempt in range(1, self.max_attempts + 1):
-            t0 = time.perf_counter()
-            try:
-                result = dock(
-                    self.receptor,
-                    ligand,
-                    spots=spots,
-                    metaheuristic=self.metaheuristic,
-                    scoring=self.scoring,
-                    seed=self.seed + ordinal,
-                    workload_scale=self.workload_scale,
-                    node=self.node,
-                    mode=self.mode,
-                    host_workers=self.host_workers,
-                    parallel_mode=self.parallel_mode,
-                    prune_spots=self.prune_spots,
-                    evaluator_factory=evaluator_factory,
-                    autotune=self._autotune,
-                )
-            except Exception as exc:
-                if attempt >= self.max_attempts:
-                    return {"ok": False, "exc": exc, "attempts": attempt}
-                obs.counter("campaign.retries").inc()
-                flight_event(
-                    "dock.retry",
-                    ordinal=ordinal,
-                    attempt=attempt,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                self._sleep(delay)
-                delay *= 2
-                continue
-            # One clock read for both the histogram and the stored row —
-            # they must agree.
-            wall_s = time.perf_counter() - t0
-            return {
-                "ok": True,
-                "result": result,
-                "wall_s": wall_s,
-                "attempts": attempt,
-            }
-        raise AssertionError("unreachable")  # pragma: no cover
+
+        def dock_once():
+            return dock(
+                self.receptor,
+                ligand,
+                spots=spots,
+                metaheuristic=self.metaheuristic,
+                scoring=self.scoring,
+                seed=self.seed + ordinal,
+                workload_scale=self.workload_scale,
+                node=self.node,
+                mode=self.mode,
+                host_workers=self.host_workers,
+                parallel_mode=self.parallel_mode,
+                prune_spots=self.prune_spots,
+                evaluator_factory=evaluator_factory,
+                autotune=self._autotune,
+            )
+
+        return dock_with_retry(
+            dock_once,
+            max_attempts=self.max_attempts,
+            backoff_base=self.backoff_base,
+            sleep=self._sleep,
+            ordinal=ordinal,
+        )
 
     def _commit_outcome(
         self, store: CampaignStore, ordinal: int, title: str, outcome: dict
@@ -694,10 +724,11 @@ class CampaignRunner:
     ) -> int:
         """Dock one shard's pending ligands depth-at-a-time; commit in order.
 
-        The bounded in-flight scheduler of the docking pipeline: up to
-        ``pipeline_depth`` ligands hold leases on the shared persistent
-        pool, each docking on its own thread, so one ligand's launches
-        fill another's host-side gaps. The main thread does everything
+        The one loop that docks through the runtime: up to
+        ``pipeline_depth`` ligands hold leases on the shared pool, each
+        docking on its own thread, so one ligand's launches fill another's
+        host-side gaps (at depth 1 a single lease is in flight and docks
+        run strictly in ordinal order). The main thread does everything
         stateful — leases (the first one forks the pool), ``mark_running``,
         and ordinal-ordered commits — so journal/store/resume semantics are
         byte-for-byte the serial loop's. Per-ligand seeds and launch
@@ -757,7 +788,7 @@ class CampaignRunner:
         Prefers the per-worker telemetry gauges (they exclude campaign
         overhead: staging, store writes, journal flushes); falls back to
         evaluations / wall-clock when no worker gauge carries a sample —
-        the serial path, or a run without the persistent pool.
+        the serial path.
         """
         rate = 0.0
         for w in range(self.host_workers):

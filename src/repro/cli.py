@@ -58,14 +58,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_host_runtime_args(
-    sub: argparse.ArgumentParser, pool_flag: bool = False
-) -> None:
-    """Flags for the real process-parallel host runtime.
-
-    ``pool_flag`` adds ``--fresh-pool`` for multi-ligand commands, where the
-    worker pool persists across ligands by default.
-    """
+def _add_host_runtime_args(sub: argparse.ArgumentParser) -> None:
+    """Flags for the real process-parallel host runtime."""
     sub.add_argument(
         "--host-workers",
         type=_nonnegative_int,
@@ -94,17 +88,9 @@ def _add_host_runtime_args(
         metavar="D",
         help="co-schedule up to D ligands through the persistent pool so "
         "one ligand's barrier tails overlap another's scoring (default 2; "
-        "1 = strictly serial ligand loop; only affects multi-ligand runs; "
+        "1 = one ligand at a time; only affects multi-ligand runs; "
         "results are bitwise identical at every depth)",
     )
-    if pool_flag:
-        sub.add_argument(
-            "--fresh-pool",
-            action="store_true",
-            help="spawn a fresh worker pool per ligand instead of keeping "
-            "one persistent pool (receptor staging + Eq. 1 warm-up) for the "
-            "whole run; scores are bitwise identical either way",
-        )
 
 
 def _add_autotune_args(sub: argparse.ArgumentParser, refine_flag: bool = False) -> None:
@@ -348,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     scr.add_argument("--scale", type=float, default=0.1)
     scr.add_argument("--seed", type=int, default=0)
     scr.add_argument("--node", choices=("jupiter", "hertz"), default="hertz")
-    _add_host_runtime_args(scr, pool_flag=True)
+    _add_host_runtime_args(scr)
     _add_autotune_args(scr)
     _add_metrics_args(scr)
 
@@ -395,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="docking attempts per ligand before it is recorded as failed",
     )
     _add_campaign_store_args(crun)
-    _add_host_runtime_args(crun, pool_flag=True)
+    _add_host_runtime_args(crun)
     _add_autotune_args(crun, refine_flag=True)
     _add_cluster_args(crun)
     _add_metrics_args(crun)
@@ -415,13 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="D",
         help="co-schedule up to D ligands through the persistent pool for "
-        "the rest of the campaign (default 2; 1 = serial ligand loop)",
-    )
-    cres.add_argument(
-        "--fresh-pool",
-        action="store_true",
-        help="spawn a fresh worker pool per ligand instead of one "
-        "persistent pool for the rest of the campaign",
+        "the rest of the campaign (default 2; 1 = one ligand at a time)",
     )
     cres.add_argument(
         "--journal-batch",
@@ -524,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         "receptor flags are ignored; the store's descriptors win)",
     )
     _add_campaign_store_args(ccoord)
-    _add_host_runtime_args(ccoord, pool_flag=True)
+    _add_host_runtime_args(ccoord)
     _add_autotune_args(ccoord)
     _add_cluster_args(ccoord, nodes_flag=False)
     _add_metrics_args(ccoord)
@@ -799,7 +779,6 @@ def _cmd_screen(args: argparse.Namespace) -> int:
         host_workers=args.host_workers,
         parallel_mode=args.parallel_mode,
         prune_spots=args.prune_spots,
-        persistent_pool=not args.fresh_pool,
         autotune=args.autotune,
         calibration_file=args.calibration_file,
         pipeline_depth=args.pipeline_depth,
@@ -995,7 +974,6 @@ def _new_campaign_runner(
         host_workers=args.host_workers,
         parallel_mode=args.parallel_mode,
         prune_spots=args.prune_spots,
-        persistent_pool=not args.fresh_pool,
         autotune=args.autotune,
         calibration_file=args.calibration_file,
         refine_calibration=getattr(args, "refine_calibration", False),
@@ -1056,7 +1034,6 @@ def _rebuild_campaign_runner(
         host_workers=args.host_workers,
         parallel_mode=args.parallel_mode,
         prune_spots=bool(config["prune_spots"]),
-        persistent_pool=not args.fresh_pool,
         autotune=args.autotune or bool(config.get("autotune", False)),
         calibration_file=args.calibration_file,
         refine_calibration=getattr(args, "refine_calibration", False),

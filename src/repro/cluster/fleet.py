@@ -195,7 +195,6 @@ class ClusterCampaign:
                 "host_workers": runner.host_workers,
                 "parallel_mode": runner.parallel_mode,
                 "prune_spots": runner.prune_spots,
-                "persistent_pool": runner.persistent_pool,
                 "scoring": self._scoring_descriptor,
                 "node": self._node_name,
             },

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro import observability as obs
-from repro.engine.partition import proportional_partition
+from repro.engine.partition import eq1_weights, proportional_partition
 from repro.errors import ClusterError
 
 __all__ = ["node_shares", "partition_shards"]
@@ -27,25 +27,14 @@ __all__ = ["node_shares", "partition_shards"]
 def node_shares(probe_seconds: Mapping[int, float]) -> dict[int, float]:
     """Eq. 1 throughput weights from per-node warm-up probe times.
 
-    ``Percent_i = t_i / t_slowest``; the returned weights are proportional
-    to ``1 / Percent_i`` and sum to 1. Non-positive or non-finite probe
-    times fall back to the slowest measured time (a node whose probe
-    misfired gets the most conservative share, not a crash).
+    :func:`repro.engine.partition.eq1_weights` keyed by node id: weights
+    proportional to ``1 / Percent_i`` that sum to 1, a misfired probe taking
+    the slowest measured time.
     """
     if not probe_seconds:
         raise ClusterError("node_shares needs at least one probe measurement")
     nodes = sorted(probe_seconds)
-    times = np.array([float(probe_seconds[n]) for n in nodes], dtype=np.float64)
-    finite = times[np.isfinite(times) & (times > 0)]
-    if finite.size == 0:
-        # No usable measurement anywhere -> equal shares.
-        weights = np.full(len(nodes), 1.0 / len(nodes))
-    else:
-        slowest = float(finite.max())
-        times = np.where(np.isfinite(times) & (times > 0), times, slowest)
-        percent = times / slowest
-        inv = 1.0 / percent
-        weights = inv / inv.sum()
+    _, weights = eq1_weights([float(probe_seconds[n]) for n in nodes])
     shares = {node: float(w) for node, w in zip(nodes, weights)}
     for node in nodes:
         obs.gauge("cluster.node.probe_seconds", node=node).set(

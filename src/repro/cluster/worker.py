@@ -2,8 +2,10 @@
 
 A worker owns the same execution stack a single-node campaign does — its own
 :class:`~repro.engine.host_runtime.PersistentHostRuntime` (pool spawned
-once, receptor staged once, Eq. 1 warm-up paid once), the same bounded-retry
-dock loop, the same ``seed + ordinal`` seeding rule — and reports each
+once, receptor staged once, Eq. 1 warm-up paid once, each ligand docked on
+a lease of it), the same bounded-retry dock loop
+(:func:`repro.campaign.runner.dock_with_retry`), the same ``seed +
+ordinal`` seeding rule — and reports each
 ligand's outcome to the coordinator as a ``result`` message the moment it is
 docked. The coordinator, not the worker, owns the store: a worker that dies
 mid-shard loses nothing that was already reported.
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import observability as obs
+from repro.campaign.runner import dock_with_retry
 from repro.errors import ClusterError, ConnectionClosed, ProtocolError
 from repro.observability.flight import (
     dump_flight,
@@ -110,7 +113,6 @@ class WorkerNode:
             self.host_workers = int(execution["host_workers"])
             self.parallel_mode = str(execution["parallel_mode"])
             self.prune_spots = bool(execution["prune_spots"])
-            self.persistent_pool = bool(execution["persistent_pool"])
             self.scoring = build_scoring(execution.get("scoring"))
             self.node_spec = _build_node_spec(execution.get("node"))
         except (KeyError, TypeError, ValueError) as exc:
@@ -155,7 +157,7 @@ class WorkerNode:
     # warm-up
     # ------------------------------------------------------------------
     def start_runtime(self) -> None:
-        if self.host_workers > 0 and self.persistent_pool:
+        if self.host_workers > 0:
             from repro.engine.host_runtime import PersistentHostRuntime
 
             self._runtime = PersistentHostRuntime(
@@ -333,72 +335,67 @@ class WorkerNode:
     def _dock_with_retry(
         self, lease: _Lease, ordinal: int, title: str, ligand
     ) -> dict:
-        """Mirror of ``CampaignRunner._dock_one``: same retry, same seeding."""
-        delay = self.backoff_base
+        """Dock one leased ligand and build its ``result`` message.
+
+        Runs under :func:`repro.campaign.runner.dock_with_retry`: same
+        attempts, same backoff, same seeding as a single-node run.
+        """
         tracer = obs.get_telemetry().tracer
-        for attempt in range(1, self.max_attempts + 1):
+        span_id = None
+
+        def dock_once():
+            nonlocal span_id
             t0 = time.perf_counter()
-            span_id = None
-            try:
-                with obs.span(
-                    "cluster.ligand.dock",
-                    ordinal=ordinal,
-                    shard=lease.shard_id,
-                    lease_wait_s=round(max(0.0, t0 - lease.accepted_s), 6),
-                    **self._trace_tags(),
-                ) as dock_tags:
-                    span_id = tracer.current
-                    result = self._dock(ligand, ordinal)
-                    dock_tags["attempt"] = attempt
-            except Exception as exc:
-                if attempt >= self.max_attempts:
-                    self._failed += 1
-                    obs.counter("campaign.ligands.failed").inc()
-                    return {
-                        "kind": "result",
-                        "node": self.node_id,
-                        "shard_id": lease.shard_id,
-                        "ordinal": ordinal,
-                        "title": title,
-                        "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "attempts": attempt,
-                        "sent_s": time.perf_counter(),
-                    }
-                obs.counter("campaign.retries").inc()
-                flight_event(
-                    "dock.retry",
-                    node=self.node_id,
-                    ordinal=ordinal,
-                    attempt=attempt,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                time.sleep(delay)
-                delay *= 2
-                continue
-            wall_s = time.perf_counter() - t0
+            with obs.span(
+                "cluster.ligand.dock",
+                ordinal=ordinal,
+                shard=lease.shard_id,
+                lease_wait_s=round(max(0.0, t0 - lease.accepted_s), 6),
+                **self._trace_tags(),
+            ):
+                span_id = tracer.current
+                return self._dock(ligand, ordinal)
+
+        outcome = dock_with_retry(
+            dock_once,
+            max_attempts=self.max_attempts,
+            backoff_base=self.backoff_base,
+            sleep=time.sleep,
+            node=self.node_id,
+            ordinal=ordinal,
+        )
+        message = {
+            "kind": "result",
+            "node": self.node_id,
+            "shard_id": lease.shard_id,
+            "ordinal": ordinal,
+            "title": title,
+            "ok": outcome["ok"],
+            "attempts": outcome["attempts"],
+        }
+        if outcome["ok"]:
+            result, wall_s = outcome["result"], outcome["wall_s"]
             self._done += 1
             obs.counter("campaign.ligands.done").inc()
             obs.histogram("campaign.dock.seconds").observe(wall_s)
-            return {
-                "kind": "result",
-                "node": self.node_id,
-                "shard_id": lease.shard_id,
-                "ordinal": ordinal,
-                "title": title,
-                "ok": True,
-                "score": float(result.best_score),
-                "spot_index": int(result.best.spot_index),
-                "evaluations": int(result.evaluations),
-                "wall_seconds": float(wall_s),
-                "simulated_seconds": float(result.simulated_seconds),
-                "attempts": attempt,
-                # sent_s/span let the coordinator compute wire time and
-                # correlate its commit span with this dock (node-local id).
-                "sent_s": time.perf_counter(),
-                "span": span_id,
-            }
-        raise AssertionError("unreachable")  # pragma: no cover
+            message.update(
+                score=float(result.best_score),
+                spot_index=int(result.best.spot_index),
+                evaluations=int(result.evaluations),
+                wall_seconds=float(wall_s),
+                simulated_seconds=float(result.simulated_seconds),
+                # lets the coordinator correlate its commit span with this
+                # dock (node-local id)
+                span=span_id,
+            )
+        else:
+            exc = outcome["exc"]
+            self._failed += 1
+            obs.counter("campaign.ligands.failed").inc()
+            message["error"] = f"{type(exc).__name__}: {exc}"
+        # sent_s lets the coordinator compute wire time.
+        message["sent_s"] = time.perf_counter()
+        return message
 
     # ------------------------------------------------------------------
     # liveness + farewell

@@ -29,28 +29,30 @@ chunk grid for plain scorers, whole per-spot groups for spot-aware scorers —
 and workers rebuild the scorer from the staged arrays, so every chunk's
 arithmetic is identical to its serial counterpart.
 
-**Persistence** — the paper runs warm-up once and reuses the shares for the
-whole screening; a campaign should likewise pay for pool spawn, receptor
-staging and warm-up once, not per ligand. With ``persistent=True`` the
-evaluator keeps the receptor-side arrays in the long-lived
-:class:`SharedArrayStage` and routes the ligand-varying arrays through
-``slot_banks`` :class:`LigandSlotStage` banks (two by default — the classic
-double buffer: ligand *i+1* staged while *i* docks). Each bind bumps a
-version and every task carries the versioned rebind message, so workers
-swap scorers lazily in place — no process churn, no receptor restage, and
-the Eq. 1 weights survive until an explicit re-measure.
+**One launch path** — the paper runs warm-up once and reuses the shares for
+the whole screening; a campaign likewise pays for pool spawn, receptor
+staging and warm-up once. Receptor-side arrays live in the long-lived
+:class:`SharedArrayStage`; the ligand-varying arrays go through
+``slot_banks`` :class:`LigandSlotStage` banks, each resident ligand owning
+one bank under a versioned :class:`_LigandBinding`. Every task carries its
+binding's rebind message, so workers swap scorers lazily in place (a small
+cache keyed by version, evicting versions the message no longer lists as
+live) — no process churn, no receptor restage, and the Eq. 1 weights
+survive until an explicit re-measure. A launch is always the ticketed pair
+:meth:`ParallelSpotEvaluator.submit` / :meth:`~ParallelSpotEvaluator.harvest`
+against one binding; a dead worker :meth:`~ParallelSpotEvaluator.recycle`-s
+the pool in place and surfaces as a retryable
+:class:`~repro.errors.WorkerPoolError`.
 
-**Docking pipeline** — with more than two banks, several ligands can be
-*resident at once*: :meth:`ParallelSpotEvaluator.stage_ligand` /
-:meth:`~ParallelSpotEvaluator.bind_ligand` hand out independent
-:class:`_LigandBinding` versions, and :meth:`~ParallelSpotEvaluator.submit`
-/ :meth:`~ParallelSpotEvaluator.harvest` split the old synchronous
-``evaluate()`` barrier into a ticketed pair, so one ligand's poses fill the
-queue while another ligand's metaheuristic does host-side bookkeeping.
-Workers key a small scorer cache by version and evict entries the rebind
-message no longer lists as live. :class:`PersistentHostRuntime` packages
-all of it into the campaign-facing lifecycle
-(``acquire``/``lease``/``hint_next``/``evaluator_factory``).
+**Lifecycle** — :class:`PersistentHostRuntime` is the campaign-facing owner:
+:meth:`~PersistentHostRuntime.lease` binds a ligand (the first call spawns
+the pool) and returns a :class:`LigandLease`; its ``evaluator_factory`` is
+the ``dock()`` seam, routing that ligand's launches through submit/harvest
+with a private launch trace; :meth:`LigandLease.release` frees the bank.
+Pipeline depth is nothing but how many leases are live at once — depth 1 is
+one lease in flight, and ``acquire()`` is the single-resident convenience
+over the same call. A one-shot ``dock(host_workers=N)`` builds a bare
+:class:`ParallelSpotEvaluator` around its one ligand and closes it on exit.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ from scipy.spatial import cKDTree
 
 from repro import observability as obs
 from repro.constants import DEFAULT_SEED, FLOAT_DTYPE
-from repro.errors import ScoringError
+from repro.engine.partition import eq1_weights
+from repro.errors import ScoringError, WorkerPoolError
 from repro.observability.flight import flight_event
 from repro.metaheuristics.evaluation import EvaluationStats, LaunchRecord
 from repro.molecules.transforms import normalize_quaternion
@@ -295,31 +298,26 @@ def _attach(handle: ArrayHandle) -> np.ndarray:
 def stage_scorer(
     scorer: BoundScorer,
     stage: SharedArrayStage,
-    ligand_stage: LigandSlotStage | None = None,
-    receptor_cache: dict[str, ArrayHandle] | None = None,
+    ligand_stage: LigandSlotStage,
+    receptor_cache: dict[str, ArrayHandle],
     _role: str = "",
 ) -> dict:
     """Describe ``scorer`` as a pickle-small spec with shared-memory handles.
 
-    The heavy per-complex arrays (receptor coordinates, σ²/4ε tables,
-    per-spot subsets) go through ``stage``; workers rebuild an equivalent
-    scorer with :func:`rebuild_scorer`. Scorer types without a dedicated
-    stager fall back to pickling the whole object (correct, just not
-    zero-copy).
-
-    ``ligand_stage``/``receptor_cache`` enable the persistent split: arrays
-    that change per ligand (ligand coordinates, the ligand×receptor σ²/4ε
-    pair tables, pruned subsets) are rewritten into reusable slots, while
-    receptor-side arrays (coordinates, KD-tree input, spot geometry) are
-    staged once and their handles cached for every later rebind. The
-    receptor, spots and scoring must stay fixed for the cache's lifetime —
-    the caller's contract, checked here only by shape/dtype.
+    Workers rebuild an equivalent scorer with :func:`rebuild_scorer`. The
+    heavy per-complex arrays are split by lifetime: arrays that change per
+    ligand (ligand coordinates, the ligand×receptor σ²/4ε pair tables,
+    pruned subsets) are rewritten into ``ligand_stage``'s reusable slots,
+    while receptor-side arrays (coordinates, KD-tree input, spot geometry)
+    go through ``stage`` once, their handles kept in ``receptor_cache`` for
+    every later ligand. The receptor, spots and scoring must stay fixed for
+    the cache's lifetime — the caller's contract, checked here only by
+    shape/dtype. Scorer types without a dedicated stager fall back to
+    pickling the whole object (correct, just not zero-copy).
     """
 
     def fixed(role: str, array: np.ndarray) -> ArrayHandle:
         role = _role + role
-        if receptor_cache is None:
-            return stage.stage(array)
         handle = receptor_cache.get(role)
         if handle is not None:
             if handle.shape != tuple(array.shape) or handle.dtype != str(array.dtype):
@@ -335,8 +333,6 @@ def stage_scorer(
         return handle
 
     def varying(role: str, array: np.ndarray) -> ArrayHandle:
-        if ligand_stage is None:
-            return stage.stage(array)
         return ligand_stage.restage(_role + role, array)
 
     if isinstance(scorer, BoundSpotPruned):
@@ -529,37 +525,42 @@ def _worker_init(spec, claim, ready, slots, warm) -> None:
         scorer = rebuild_scorer(spec)
         _WORKER.update(scorer=scorer, version=0, scorers={0: scorer})
     if warm is not None and scorer is not None:
-        translations, quaternions, repeats = warm
-        scorer.score(translations, quaternions)  # page in tables, warm BLAS
-        measured = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            scorer.score(translations, quaternions)
-            measured.append(time.perf_counter() - t0)
-        slots[index] = float(np.mean(measured))
+        slots[index] = _time_warmup(scorer, warm)
     if ready is not None:
         with ready.get_lock():
             ready.value += 1
+
+
+def _time_warmup(scorer: BoundScorer, warm) -> float:
+    """Mean seconds of one warm-up launch: this worker's Eq. 1 measurement."""
+    translations, quaternions, repeats = warm
+    scorer.score(translations, quaternions)  # page in tables, warm BLAS
+    measured = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        scorer.score(translations, quaternions)
+        measured.append(time.perf_counter() - t0)
+    return float(np.mean(measured))
 
 
 def _worker_rebind(
     version: int,
     spec: dict,
     retired: tuple[str, ...],
-    live: tuple[int, ...] | None = None,
+    live: tuple[int, ...],
 ) -> None:
     """Swap a ligand's scorer in place (worker side).
 
-    Scorers are cached by slot version: under the docking pipeline several
-    ligands are live at once and consecutive tasks ping-pong between their
-    versions, so a switch back to a version this worker already built is a
-    dict lookup, not a rebuild. A first-seen version rebuilds from the spec
-    — receptor-side handles hit the attachment cache, so only the small
-    ligand views are re-made. ``live`` (when present) names every version
-    still bound in the parent; cached scorers outside it are evicted, and
-    attachments for retired (outgrown) slot segments are dropped. The
-    cumulative retired list makes this correct for workers that skipped
-    intermediate versions or were recycled in with no scorer at all.
+    Scorers are cached by slot version: several ligands can be live at once
+    and consecutive tasks ping-pong between their versions, so a switch back
+    to a version this worker already built is a dict lookup, not a rebuild.
+    A first-seen version rebuilds from the spec — receptor-side handles hit
+    the attachment cache, so only the small ligand views are re-made.
+    ``live`` names every version still bound in the parent; cached scorers
+    outside it are evicted, and attachments for retired (outgrown) slot
+    segments are dropped. The cumulative retired list makes this correct for
+    workers that skipped intermediate versions or were recycled in with no
+    scorer at all.
     """
     scorers = _WORKER.setdefault("scorers", {})
     scorer = scorers.get(version)
@@ -567,9 +568,8 @@ def _worker_rebind(
         scorer = rebuild_scorer(spec)
         scorers[version] = scorer
     _WORKER.update(scorer=scorer, version=version)
-    if live is not None:
-        for stale in [v for v in scorers if v != version and v not in live]:
-            del scorers[stale]
+    for stale in [v for v in scorers if v != version and v not in live]:
+        del scorers[stale]
     cache = _WORKER.setdefault("segments", {})
     for name in retired:
         shm = cache.pop(name, None)
@@ -581,7 +581,7 @@ def _worker_rebind(
 
 
 def _measure_task(rebind, warm, timeout_s: float) -> int:
-    """Re-run the Eq. 1 measurement on a live worker (persistent runtime).
+    """Re-run the Eq. 1 measurement on a live worker.
 
     Submitted once per worker, like :func:`_barrier_task`: after timing,
     each worker blocks until every sibling has reported, which pins exactly
@@ -590,26 +590,11 @@ def _measure_task(rebind, warm, timeout_s: float) -> int:
     """
     if _WORKER.get("version") != rebind[0]:
         _worker_rebind(*rebind)
-    scorer = _WORKER["scorer"]
-    index = _WORKER["index"]
-    translations, quaternions, repeats = warm
-    scorer.score(translations, quaternions)
-    measured = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        scorer.score(translations, quaternions)
-        measured.append(time.perf_counter() - t0)
-    _WORKER["slots"][index] = float(np.mean(measured))
+    _WORKER["slots"][_WORKER["index"]] = _time_warmup(_WORKER["scorer"], warm)
     ready = _WORKER["ready"]
     with ready.get_lock():
         ready.value += 1
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        with ready.get_lock():
-            if int(ready.value) >= _WORKER["n_workers"]:
-                break
-        time.sleep(0.002)
-    return index
+    return _barrier_task(timeout_s)
 
 
 def _barrier_task(timeout_s: float) -> int:
@@ -637,11 +622,11 @@ _POSE_COUNT_EDGES: tuple[float, ...] = tuple(float(4**k) for k in range(10))
 
 def _run_tasks(
     tasks: list[tuple[str, int, np.ndarray, np.ndarray]],
-    rebind: tuple[int, dict, tuple[str, ...], tuple[int, ...]] | None = None,
+    rebind: tuple[int, dict, tuple[str, ...], tuple[int, ...]],
 ) -> tuple[list[np.ndarray], dict | None]:
     """Score this worker's share of a launch: a list of (mode, spot, t, q).
 
-    ``rebind`` is the persistent runtime's versioned rebind message
+    ``rebind`` is the launch's versioned rebind message
     ``(version, spec, retired_segment_names, live_versions)``; a worker
     whose current scorer is a different version switches (or rebuilds) in
     place before scoring — see :func:`_worker_rebind`. Rebuilding is pure
@@ -656,7 +641,7 @@ def _run_tasks(
     with or without it.
     """
     started_s = time.monotonic()
-    if rebind is not None and _WORKER.get("version") != rebind[0]:
+    if _WORKER.get("version") != rebind[0]:
         _worker_rebind(*rebind)
     scorer = _WORKER["scorer"]
     index = _WORKER["index"]
@@ -734,13 +719,12 @@ class _LigandBinding:
     The pipeline's unit of residency: :meth:`ParallelSpotEvaluator.bind_ligand`
     mints one per staged ligand, every :meth:`~ParallelSpotEvaluator.submit`
     names one, and :meth:`~ParallelSpotEvaluator.release_binding` frees its
-    bank for the next ligand. ``spec`` is ``None`` only for the
-    non-persistent evaluator's synthetic binding (no banks, no rebind).
+    bank for the next ligand.
     """
 
     version: int
     bank: int
-    spec: dict | None
+    spec: dict
     scorer: BoundScorer
 
 
@@ -754,15 +738,16 @@ class LaunchTicket:
     """
 
     __slots__ = (
-        "binding", "n", "kind", "epoch", "out", "pending", "n_jobs",
+        "binding", "n", "pool", "out", "pending", "n_jobs",
         "span", "span_tags", "done", "registered",
     )
 
-    def __init__(self, binding: _LigandBinding, n: int, kind: str, epoch: int) -> None:
+    def __init__(
+        self, binding: _LigandBinding, n: int, pool: ProcessPoolExecutor
+    ) -> None:
         self.binding = binding
         self.n = n
-        self.kind = kind
-        self.epoch = epoch
+        self.pool = pool  # the pool generation the launch was queued on
         self.out: np.ndarray | None = None
         self.pending: list = []  # (jobs_bucket, submit_s, Future) triples
         self.n_jobs = 0
@@ -796,19 +781,17 @@ class ParallelSpotEvaluator:
         is still fully spawned up front.
     warmup_poses, warmup_repeats:
         Size of the Eq. 1 measurement.
-    persistent:
-        Keep the pool ligand-swappable: ligand-varying arrays go through
-        reusable :class:`LigandSlotStage` banks and :meth:`rebind` (or the
-        pipeline's :meth:`bind_ligand`) swaps a new ligand in without
-        touching the pool, the staged receptor, or the warm-up weights. A
-        crashed pool is then :meth:`recycle`-d instead of closed.
     slot_banks:
-        Number of ligand slot banks (persistent only, ≥ 2). Two is the
+        Number of ligand slot banks (≥ 2). ``scorer``'s ligand takes bank 0
+        as the construction-time :attr:`binding`; :meth:`stage_ligand` /
+        :meth:`bind_ligand` make further ligands resident without touching
+        the pool, the staged receptor, or the warm-up weights. Two is the
         classic double buffer; a depth-``D`` docking pipeline wants
         ``D + 1`` so D ligands are resident while the next one stages.
 
-    Use as a context manager, or call :meth:`close`; shared segments are
-    unlinked on close and on worker-pool failure.
+    A crashed pool is :meth:`recycle`-d in place and the launch raises a
+    retryable :class:`~repro.errors.WorkerPoolError`. Use as a context
+    manager, or call :meth:`close`, which unlinks every shared segment.
     """
 
     def __init__(
@@ -819,14 +802,13 @@ class ParallelSpotEvaluator:
         warmup: bool = True,
         warmup_poses: int = DEFAULT_WARMUP_POSES,
         warmup_repeats: int = DEFAULT_WARMUP_REPEATS,
-        persistent: bool = False,
         slot_banks: int = 2,
     ) -> None:
         if n_workers < 1:
             raise ScoringError(f"n_workers must be >= 1, got {n_workers}")
         if mode not in ("static", "dynamic"):
             raise ScoringError(f"mode must be 'static' or 'dynamic', got {mode!r}")
-        if persistent and slot_banks < 2:
+        if slot_banks < 2:
             raise ScoringError(f"slot_banks must be >= 2, got {slot_banks}")
         if "fork" not in mp.get_all_start_methods():  # pragma: no cover
             raise ScoringError(
@@ -836,28 +818,21 @@ class ParallelSpotEvaluator:
         self.scorer = scorer
         self.n_workers = int(n_workers)
         self.mode = mode
-        self.persistent = bool(persistent)
         self.stats = EvaluationStats()
         self._stage = SharedArrayStage()
-        self._banks: list[LigandSlotStage] | None = (
-            [LigandSlotStage(f"b{i}x") for i in range(int(slot_banks))]
-            if self.persistent
-            else None
-        )
-        self._receptor_cache: dict[str, ArrayHandle] | None = (
-            {} if self.persistent else None
-        )
+        self._banks = [LigandSlotStage(f"b{i}x") for i in range(int(slot_banks))]
+        self._receptor_cache: dict[str, ArrayHandle] = {}
         self._version = 0
         # Bank/binding bookkeeping and the in-flight launch map share one
         # condition: bank release notifies blocked reservations.
         self._lock = threading.Condition()
         self._bank_free: list[bool] = [False] + [True] * (int(slot_banks) - 1)
         self._bindings: dict[int, _LigandBinding] = {}
-        self._active: _LigandBinding | None = None
         self._inflight: dict[int, int] = {}  # binding version -> live tickets
         self._idle_mark: float | None = None
-        self._pool_epoch = 0
-        self._recycle_lock = threading.Lock()
+        # Held for the whole of a recycle (and by close), so a submit that
+        # finds no pool can tell "respawning" from "closed" by waiting on it.
+        self._recycle_lock = threading.RLock()
         self._obs_lock = threading.Lock()  # serializes telemetry merges
         self._drift_poses = np.zeros(self.n_workers)
         self._pool: ProcessPoolExecutor | None = None
@@ -865,17 +840,13 @@ class ParallelSpotEvaluator:
             spec = stage_scorer(
                 scorer,
                 self._stage,
-                ligand_stage=self._banks[0] if self.persistent else None,
+                ligand_stage=self._banks[0],
                 receptor_cache=self._receptor_cache,
             )
-            self._active = _LigandBinding(
-                version=0,
-                bank=0 if self.persistent else -1,
-                spec=spec if self.persistent else None,
-                scorer=scorer,
-            )
-            if self.persistent:
-                self._bindings[0] = self._active
+            #: The construction-time ligand's binding: what :meth:`evaluate`
+            #: scores, and the first lease of a campaign runtime.
+            self.binding = _LigandBinding(version=0, bank=0, spec=spec, scorer=scorer)
+            self._bindings[0] = self.binding
             ctx = mp.get_context("fork")
             self._ctx = ctx
             self._claim = ctx.Value("q", 0)
@@ -884,13 +855,16 @@ class ParallelSpotEvaluator:
             self._warm = (
                 self._warmup_batch(warmup_poses, warmup_repeats) if warmup else None
             )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=ctx,
-                initializer=_worker_init,
-                initargs=(spec, self._claim, self._ready, self._slots, self._warm),
+            with obs.span(
+                "host.warmup", workers=self.n_workers, mode=self.mode, timed=warmup
+            ):
+                t0 = time.perf_counter()
+                self._pool = self._start_pool(spec, self._warm)
+                elapsed = time.perf_counter() - t0
+            obs.counter("host.warmups").inc()
+            self.warmup_result = self._reduce_warmup(
+                np.array(self._slots[:], dtype=np.float64), elapsed, timed=warmup
             )
-            self.warmup_result = self._spawn_and_warm(self._slots, timed=warmup)
             self.weights = self.warmup_result.weights
             self._idle_mark = time.monotonic()
         except BaseException:
@@ -910,38 +884,42 @@ class ParallelSpotEvaluator:
         quaternions = normalize_quaternion(rng.normal(size=(n_poses, 4)))
         return translations, quaternions, int(repeats)
 
-    def _spawn_and_warm(self, slots, timed: bool) -> HostWarmupResult:
-        """Force-spawn all workers via blocking barriers; reduce Eq. 1."""
-        with obs.span(
-            "host.warmup", workers=self.n_workers, mode=self.mode, timed=timed
-        ):
-            t0 = time.perf_counter()
+    def _start_pool(self, spec: dict | None, warm) -> ProcessPoolExecutor:
+        """Spawn every worker, blocking until all have initialised.
+
+        One barrier task per worker forces the executor to actually start
+        all ``n`` processes. ``spec``/``warm`` go to :func:`_worker_init`:
+        the first pool rebuilds the scorer and times the Eq. 1 warm-up,
+        a recycled one (``None``/``None``) comes up uninitialised.
+        """
+        pool = ProcessPoolExecutor(
+            max_workers=self.n_workers,
+            mp_context=self._ctx,
+            initializer=_worker_init,
+            initargs=(spec, self._claim, self._ready, self._slots, warm),
+        )
+        try:
             barriers = [
-                self._pool.submit(_barrier_task, _WARMUP_TIMEOUT_S)
+                pool.submit(_barrier_task, _WARMUP_TIMEOUT_S)
                 for _ in range(self.n_workers)
             ]
-            try:
-                for future in barriers:
-                    future.result(timeout=_WARMUP_TIMEOUT_S)
-            except BrokenProcessPool as exc:
-                raise ScoringError(
-                    f"host worker pool died during warm-up: {exc}"
-                ) from exc
-            elapsed = time.perf_counter() - t0
-        obs.counter("host.warmups").inc()
-        return self._reduce_warmup(np.array(slots[:], dtype=np.float64), elapsed, timed)
+            for future in barriers:
+                future.result(timeout=_WARMUP_TIMEOUT_S)
+        except BrokenProcessPool as exc:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise ScoringError(f"host worker pool died while starting: {exc}") from exc
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
+        return pool
 
     def _reduce_warmup(
         self, measured: np.ndarray, elapsed: float, timed: bool
     ) -> HostWarmupResult:
         """Turn per-worker timings into Eq. 1 shares; publish the decision."""
-        if not timed or not np.all(measured > 0.0):
-            # untimed pool (or a straggler hit the barrier timeout): fall
-            # back to the homogeneous assumption
-            measured = np.ones(self.n_workers)
-        percent = measured / measured.max()
-        weights = 1.0 / percent
-        weights /= weights.sum()
+        if not timed:
+            measured = np.ones(self.n_workers)  # the homogeneous assumption
+        percent, weights = eq1_weights(measured)
         # The Eq. 1 share decision, with its inputs, on the record: what the
         # warm-up measured, the Percent reduction, and the share each worker
         # was assigned as a consequence.
@@ -995,17 +973,25 @@ class ParallelSpotEvaluator:
         jobs.append(_Job(mode="plain", spot=run_spot, rows=np.arange(run_lo, n)))
         return jobs
 
-    def _assign(self, jobs: list[_Job]) -> list[list[_Job]]:
-        """LPT-pack jobs onto workers weighted by measured throughput."""
-        order = sorted(range(len(jobs)), key=lambda i: (-jobs[i].rows.size, jobs[i].spot))
+    def _buckets(self, jobs: list[_Job]) -> list[list[_Job]]:
+        """One launch's tasks: jobs in LPT order, grouped by balancing mode.
+
+        ``static`` packs them onto workers weighted by measured throughput
+        (one task per worker); ``dynamic`` keeps one task per job, largest
+        first, for whichever worker frees up first to steal. The modes
+        differ in this grouping only.
+        """
+        lpt = sorted(jobs, key=lambda job: (-job.rows.size, job.spot))
+        if self.mode == "dynamic":
+            return [[job] for job in lpt]
         loads = np.zeros(self.n_workers)
         buckets: list[list[_Job]] = [[] for _ in range(self.n_workers)]
-        for i in order:
-            finish = (loads + jobs[i].rows.size) / self.weights
+        for job in lpt:
+            finish = (loads + job.rows.size) / self.weights
             worker = int(np.argmin(finish))
-            buckets[worker].append(jobs[i])
-            loads[worker] += jobs[i].rows.size
-        return buckets
+            buckets[worker].append(job)
+            loads[worker] += job.rows.size
+        return [bucket for bucket in buckets if bucket]
 
     # ------------------------------------------------------------------
     # evaluation
@@ -1020,8 +1006,8 @@ class ParallelSpotEvaluator:
         """Score one launch across the pool; record it like the serial path.
 
         The synchronous barrier form: ``harvest(submit(...))`` against the
-        active binding. The docking pipeline keeps the two halves apart so
-        another ligand's poses can fill the gap.
+        construction-time :attr:`binding`. A pipeline keeps the two halves
+        apart so another ligand's poses can fill the gap.
         """
         return self.harvest(self.submit(spot_ids, translations, quaternions, kind))
 
@@ -1038,17 +1024,14 @@ class ParallelSpotEvaluator:
         """Queue one launch without blocking; returns its :class:`LaunchTicket`.
 
         ``binding`` selects which resident ligand the poses belong to
-        (default: the active one); ``stats`` the launch trace to record
-        into (default: the evaluator's own — per-ligand pipelines pass
+        (default: the construction-time one); ``stats`` the launch trace to
+        record into (default: the evaluator's own — per-ligand leases pass
         their own so traces stay bitwise identical to a serial run's).
         """
-        if self._pool is None:
-            raise ScoringError("parallel evaluator is closed")
+        pool = self._live_pool()
         if binding is None:
-            binding = self._active
-        if binding is None:
-            raise ScoringError("no active ligand binding (was it released?)")
-        if self.persistent and self._bindings.get(binding.version) is not binding:
+            binding = self.binding
+        if self._bindings.get(binding.version) is not binding:
             raise ScoringError(
                 f"launch submitted against released ligand binding v{binding.version}"
             )
@@ -1072,7 +1055,7 @@ class ParallelSpotEvaluator:
             )
         )
         n = int(translations.shape[0])
-        ticket = LaunchTicket(binding=binding, n=n, kind=kind, epoch=self._pool_epoch)
+        ticket = LaunchTicket(binding=binding, n=n, pool=pool)
         if n == 0:
             ticket.out = np.empty(0, dtype=FLOAT_DTYPE)
             ticket.done = True
@@ -1086,39 +1069,25 @@ class ParallelSpotEvaluator:
             obs.histogram("host.job.poses", edges=_POSE_COUNT_EDGES).observe(
                 job.rows.size
             )
-        rebind = self._binding_message(binding) if self.persistent else None
+        rebind = self._binding_message(binding)
         span = obs.span("host.launch", mode=self.mode, kind=kind, poses=n)
         ticket.span = span
         ticket.span_tags = span.__enter__()
         try:
-            if self.mode == "static":
-                for bucket in self._assign(jobs):
-                    if not bucket:
-                        continue
-                    tasks = [
-                        (job.mode, job.spot, translations[job.rows], quaternions[job.rows])
-                        for job in bucket
-                    ]
-                    submit_s = time.monotonic()
-                    ticket.pending.append(
-                        (bucket, submit_s, self._pool.submit(_run_tasks, tasks, rebind))
-                    )
-            else:  # dynamic: one task per job, largest first, stolen freely
-                order = sorted(
-                    range(len(jobs)), key=lambda i: (-jobs[i].rows.size, jobs[i].spot)
+            for bucket in self._buckets(jobs):
+                tasks = [
+                    (job.mode, job.spot, translations[job.rows], quaternions[job.rows])
+                    for job in bucket
+                ]
+                submit_s = time.monotonic()
+                ticket.pending.append(
+                    (bucket, submit_s, pool.submit(_run_tasks, tasks, rebind))
                 )
-                for i in order:
-                    job = jobs[i]
-                    task = (job.mode, job.spot, translations[job.rows], quaternions[job.rows])
-                    submit_s = time.monotonic()
-                    ticket.pending.append(
-                        ([job], submit_s, self._pool.submit(_run_tasks, [task], rebind))
-                    )
         except (BrokenProcessPool, RuntimeError) as exc:
             # RuntimeError: pool shut down under us (a sibling ticket's
             # recycle); both resolve the same way.
             self._finish_ticket(ticket)
-            self._pool_failure(ticket.epoch, exc)
+            self._pool_failure(ticket.pool, exc)
         except BaseException:
             self._finish_ticket(ticket)
             raise
@@ -1135,6 +1104,21 @@ class ParallelSpotEvaluator:
             ticket.registered = True
         return ticket
 
+    def _live_pool(self) -> ProcessPoolExecutor:
+        """The worker pool, lock-free while it is healthy.
+
+        No pool means either a sibling launch's recycle is respawning the
+        workers — wait it out, the caller is not at fault — or the
+        evaluator is closed.
+        """
+        pool = self._pool
+        if pool is None:
+            with self._recycle_lock:
+                pool = self._pool
+            if pool is None:
+                raise ScoringError("parallel evaluator is closed")
+        return pool
+
     def poll(self, ticket: LaunchTicket) -> bool:
         """True once ``ticket``'s futures are all settled (harvest won't block)."""
         return ticket.done or all(future.done() for _, _, future in ticket.pending)
@@ -1145,7 +1129,7 @@ class ParallelSpotEvaluator:
         Folds the workers' telemetry snapshots into this process's session
         and closes the ticket's launch span. Harvest from the thread that
         submitted. Idempotent on success; a pool crash recycles the workers
-        (persistent) and raises a retryable :class:`ScoringError`.
+        and raises a retryable :class:`~repro.errors.WorkerPoolError`.
         """
         if ticket.done:
             if ticket.out is None:
@@ -1169,7 +1153,7 @@ class ParallelSpotEvaluator:
         except (BrokenProcessPool, CancelledError) as exc:
             ticket.out = None
             self._finish_ticket(ticket)
-            self._pool_failure(ticket.epoch, exc)
+            self._pool_failure(ticket.pool, exc)
         except BaseException:
             ticket.out = None
             self._finish_ticket(ticket)
@@ -1198,23 +1182,17 @@ class ParallelSpotEvaluator:
             span, ticket.span = ticket.span, None
             span.__exit__(None, None, None)
 
-    def _pool_failure(self, epoch: int, exc: BaseException) -> None:
-        """Shared crash path: recycle (persistent) or close, raise retryable.
+    def _pool_failure(self, pool: ProcessPoolExecutor, exc: BaseException) -> None:
+        """Shared crash path: recycle the dead pool, raise retryable.
 
-        ``epoch`` is the pool generation the failed ticket was submitted
-        against; with several tickets in flight only the first to notice
-        recycles — the rest see the bumped epoch and just re-raise.
+        ``pool`` is the generation the failed ticket was queued on; with
+        several tickets in flight only the first to notice recycles — the
+        rest find it already replaced and just raise.
         """
-        if not self.persistent:
-            self.close()
-            raise ScoringError(
-                f"host worker pool crashed mid-launch ({exc}); shared-memory "
-                "segments have been released"
-            ) from exc
         with self._recycle_lock:
-            if self._pool_epoch == epoch and self._pool is not None:
+            if self._pool is pool:
                 self.recycle()
-        raise ScoringError(
+        raise WorkerPoolError(
             f"host worker pool crashed mid-launch ({exc}); workers "
             "recycled — the staged receptor and Eq. 1 weights survive, "
             "retry the launch"
@@ -1247,7 +1225,7 @@ class ParallelSpotEvaluator:
                 tasks_by_worker[worker] = tasks_by_worker.get(worker, 0) + 1
                 if worker < self._drift_poses.size:
                     # feeds share_drift(): observed pose share vs the Eq. 1
-                    # plan, the persistent runtime's re-measure trigger
+                    # plan, the campaign runtime's re-measure trigger
                     self._drift_poses[worker] += stat["poses"]
                 if stat["busy_s"] > 0:
                     obs.gauge("host.worker.poses_per_s", worker=worker).set(
@@ -1263,17 +1241,8 @@ class ParallelSpotEvaluator:
             return 0
 
     # ------------------------------------------------------------------
-    # persistent rebind protocol: versioned ligand bindings over slot banks
+    # rebind protocol: versioned ligand bindings over slot banks
     # ------------------------------------------------------------------
-    def reset_stats(self) -> None:
-        """Start a fresh launch trace (the persistent runtime calls this per dock)."""
-        self.stats = EvaluationStats()
-
-    @property
-    def active_binding(self) -> _LigandBinding | None:
-        """The binding :meth:`evaluate` scores against (legacy single-ligand path)."""
-        return self._active
-
     @property
     def inflight_launches(self) -> int:
         """Live (submitted, unharvested) tickets across every binding."""
@@ -1311,8 +1280,6 @@ class ParallelSpotEvaluator:
         prefetch thread's case — a miss, not an error). An unwanted spec
         must go back through :meth:`discard_staged` or its bank leaks.
         """
-        if not self.persistent:
-            raise ScoringError("stage_ligand requires persistent=True")
         bank = self._reserve_bank(blocking=blocking)
         if bank is None:
             return None
@@ -1342,16 +1309,13 @@ class ParallelSpotEvaluator:
                 self._lock.notify_all()
 
     def bind_ligand(self, scorer: BoundScorer, spec: dict) -> _LigandBinding:
-        """Mint a live binding for a staged ligand (pipeline path).
+        """Mint a live binding for a staged ligand.
 
         The binding is *additional*: nothing else is released, so up to
         ``slot_banks`` ligands can be resident at once. Pair every bind
         with a :meth:`release_binding` or the pipeline runs out of banks.
         """
-        if not self.persistent:
-            raise ScoringError("bind_ligand requires persistent=True")
-        if self._pool is None:
-            raise ScoringError("parallel evaluator is closed")
+        self._live_pool()
         bank = spec.get("_slot_bank")
         if bank is None:
             raise ScoringError("bind_ligand needs a spec from stage_ligand")
@@ -1368,10 +1332,8 @@ class ParallelSpotEvaluator:
         """Retire a binding and free its bank for the next ligand. Idempotent."""
         with self._lock:
             live = self._bindings.pop(binding.version, None)
-            if live is not None and 0 <= binding.bank < len(self._bank_free):
+            if live is not None:
                 self._bank_free[binding.bank] = True
-            if self._active is binding:
-                self._active = None
             self._lock.notify_all()
 
     def _binding_message(self, binding: _LigandBinding) -> tuple:
@@ -1389,39 +1351,6 @@ class ParallelSpotEvaluator:
             live = tuple(sorted(self._bindings))
         return (binding.version, binding.spec, retired, live)
 
-    # -- legacy double-buffer surface (depth-1 campaigns, existing tests) --
-    def stage_inactive(self, scorer: BoundScorer) -> dict:
-        """Stage ``scorer``'s ligand arrays into a free (inactive) slot bank.
-
-        The double-buffer half the campaign's prefetch thread runs —
-        ligand *i+1* staged while *i* docks; pair with :meth:`activate`,
-        or call :meth:`rebind` to do both synchronously.
-        """
-        if not self.persistent:
-            raise ScoringError("stage_inactive requires persistent=True")
-        return self.stage_ligand(scorer)
-
-    def activate(self, scorer: BoundScorer, spec: dict) -> None:
-        """Swap the staged bank in as the single active ligand.
-
-        Call only between launches. Workers learn about the swap lazily:
-        every task carries the versioned rebind message, so a stale (or
-        freshly recycled) worker rebuilds before scoring.
-        """
-        if not self.persistent:
-            raise ScoringError("activate requires persistent=True")
-        if self._pool is None:
-            raise ScoringError("parallel evaluator is closed")
-        old, self._active = self._active, self.bind_ligand(scorer, spec)
-        if old is not None:
-            self.release_binding(old)
-        self.scorer = scorer
-        self.reset_stats()
-
-    def rebind(self, scorer: BoundScorer) -> None:
-        """Swap a new ligand in without touching pool, receptor, or warm-up."""
-        self.activate(scorer, self.stage_inactive(scorer))
-
     def share_drift(self) -> float:
         """Max |observed pose share − Eq. 1 weight| since the last measurement.
 
@@ -1434,26 +1363,22 @@ class ParallelSpotEvaluator:
             return 0.0
         return float(np.max(np.abs(self._drift_poses / total - self.weights)))
 
-    def remeasure(self) -> HostWarmupResult:
-        """Re-run the Eq. 1 warm-up on the live pool (persistent runtime).
+    def remeasure(self, binding: _LigandBinding) -> HostWarmupResult:
+        """Re-run the Eq. 1 warm-up on the live pool, scoring ``binding``.
 
         Uses the same deterministic receptor-box poses as the initial
-        warm-up but the *current* ligand's scorer, so the refreshed weights
+        warm-up but a *current* ligand's scorer, so the refreshed weights
         reflect today's arithmetic, not ligand 0's. Call only between
-        launches.
+        launches. Finding the pool dead recycles it and keeps the previous
+        weights.
         """
-        if not self.persistent:
-            raise ScoringError("remeasure requires persistent=True")
-        if self._pool is None:
-            raise ScoringError("parallel evaluator is closed")
-        if self._active is None:
-            raise ScoringError("remeasure needs an active binding")
+        pool = self._live_pool()
         with self._lock:
             if self._inflight:
                 raise ScoringError(
                     "remeasure requires an idle pool (launches are in flight)"
                 )
-        rebind = self._binding_message(self._active)
+        rebind = self._binding_message(binding)
         warm = self._warm if self._warm is not None else self._warmup_batch(
             DEFAULT_WARMUP_POSES, DEFAULT_WARMUP_REPEATS
         )
@@ -1461,19 +1386,19 @@ class ParallelSpotEvaluator:
             t0 = time.perf_counter()
             with self._ready.get_lock():
                 self._ready.value = 0
-            futures = [
-                self._pool.submit(_measure_task, rebind, warm, _WARMUP_TIMEOUT_S)
-                for _ in range(self.n_workers)
-            ]
             try:
+                futures = [
+                    pool.submit(_measure_task, rebind, warm, _WARMUP_TIMEOUT_S)
+                    for _ in range(self.n_workers)
+                ]
                 for future in futures:
                     future.result(timeout=_WARMUP_TIMEOUT_S)
-            except BrokenProcessPool as exc:
+            except BrokenProcessPool:
+                # A worker died and no launch noticed (a sibling absorbed its
+                # share, or it died idle). Measuring is optional and runs
+                # outside any retry loop: respawn, keep the previous weights.
                 self.recycle()
-                raise ScoringError(
-                    f"host worker pool died during re-measure ({exc}); workers "
-                    "recycled, previous Eq. 1 weights kept"
-                ) from exc
+                return self.warmup_result
             elapsed = time.perf_counter() - t0
         self.warmup_result = self._reduce_warmup(
             np.array(self._slots[:], dtype=np.float64), elapsed, timed=True
@@ -1488,40 +1413,27 @@ class ParallelSpotEvaluator:
 
         The poisoned-ligand crash path: the broken pool is torn down, the
         shared counters reset, and fresh workers are spawned *uninitialised*
-        (``spec=None`` — no restage, no warm-up). Each new worker rebuilds
+        (no restage, no warm-up). Each new worker rebuilds
         its scorer lazily from the first rebind message it sees; the Eq. 1
         weights survive unchanged (the hardware didn't change, the ligand
-        did).
+        did). ``_pool`` is ``None`` for the duration, under
+        ``_recycle_lock`` — :meth:`_live_pool` waits on that lock rather
+        than mistake the window for a closed evaluator.
         """
-        if not self.persistent:
-            raise ScoringError("recycle requires persistent=True")
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        with self._claim.get_lock():
-            self._claim.value = 0
-        with self._ready.get_lock():
-            self._ready.value = 0
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            mp_context=self._ctx,
-            initializer=_worker_init,
-            initargs=(None, self._claim, self._ready, self._slots, None),
-        )
-        barriers = [
-            self._pool.submit(_barrier_task, _WARMUP_TIMEOUT_S)
-            for _ in range(self.n_workers)
-        ]
-        try:
-            for future in barriers:
-                future.result(timeout=_WARMUP_TIMEOUT_S)
-        except BrokenProcessPool as exc:
-            self.close()
-            raise ScoringError(
-                f"host worker pool could not be recycled: {exc}"
-            ) from exc
+        with self._recycle_lock:
+            pool, self._pool = self._pool, None
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+            with self._claim.get_lock():
+                self._claim.value = 0
+            with self._ready.get_lock():
+                self._ready.value = 0
+            try:
+                self._pool = self._start_pool(None, None)
+            except ScoringError:
+                self.close()
+                raise
         with self._lock:
-            self._pool_epoch += 1
             self._idle_mark = time.monotonic()
         obs.counter("host.pool.recycles").inc()
 
@@ -1530,21 +1442,20 @@ class ParallelSpotEvaluator:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Shut the pool down and unlink every shared segment. Idempotent."""
-        pool, self._pool = self._pool, None
+        with self._recycle_lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
         self._stage.close()
-        if self._banks is not None:
-            for bank in self._banks:
-                bank.close()
+        for bank in self._banks:
+            bank.close()
 
     @property
     def segment_names(self) -> tuple[str, ...]:
         """Shared-memory segment names owned by this evaluator."""
         names = self._stage.segment_names
-        if self._banks is not None:
-            for bank in self._banks:
-                names += bank.segment_names
+        for bank in self._banks:
+            names += bank.segment_names
         return names
 
     def __enter__(self) -> "ParallelSpotEvaluator":
@@ -1597,7 +1508,7 @@ class _BindingEvaluator:
 
 
 class LigandLease:
-    """One ligand's residency in the docking pipeline (see ``lease()``).
+    """One ligand's residency on the shared pool (see ``lease()``).
 
     Holds the ligand's :class:`_LigandBinding` between :meth:`PersistentHostRuntime.lease`
     and :meth:`release`; :meth:`evaluator_factory` is the ``dock()`` seam for
@@ -1618,7 +1529,7 @@ class LigandLease:
         if ligand is not self.ligand:
             raise ScoringError(
                 "ligand lease was taken for a different ligand "
-                "(one lease per pipelined dock)"
+                "(one lease per docked ligand)"
             )
         return _BindingEvaluator(self.runtime.evaluator, self.binding)
 
@@ -1636,32 +1547,30 @@ class LigandLease:
 class PersistentHostRuntime:
     """One pool, one receptor, many ligands: the campaign's host runtime.
 
-    Owns a ``persistent`` :class:`ParallelSpotEvaluator` for the lifetime of
-    a screening campaign and exposes the pieces the screening layers need:
+    Owns one :class:`ParallelSpotEvaluator` for the lifetime of a screening
+    campaign and exposes the pieces the screening layers need:
 
-    * :meth:`acquire` — rebind the pool to a ligand (lazily creating pool +
-      receptor staging + Eq. 1 warm-up on the first call) and hand back the
-      evaluator with a fresh launch trace.
-    * :meth:`lease` — the docking pipeline's concurrent sibling of
-      ``acquire``: bind a ligand as one of up to ``pipeline_depth``
-      simultaneous residents and get a :class:`LigandLease` whose
+    * :meth:`lease` — bind a ligand as one of up to ``pipeline_depth``
+      simultaneous residents (lazily creating pool + receptor staging +
+      Eq. 1 warm-up on the first call) and get a :class:`LigandLease` whose
       ``evaluator_factory`` scores only that ligand. Leases from different
       threads share the pool; their launches interleave freely.
-    * :meth:`hint_next` — name ligand *i+1* before docking *i*; a
-      single-thread stager binds it and stages it into a free slot
-      bank while the pool scores, so the next :meth:`acquire`/:meth:`lease`
-      is a swap.
-    * :meth:`evaluator_factory` — the ``dock(evaluator_factory=...)`` seam:
-      validates receptor/spots and delegates to :meth:`acquire`.
+    * :meth:`hint_next` — name ligand *i+1* before leasing *i*; a
+      single-thread stager binds it and stages it into a free slot bank
+      while the pool scores, so the next :meth:`lease` is a swap.
+    * :meth:`acquire` / :meth:`evaluator_factory` — the single-resident
+      form for callers that dock one ligand at a time: each acquire
+      releases the previous one's lease and takes a new one.
 
     Warm-up reuse policy: the Eq. 1 measurement from pool start is reused
     for every ligand (``host.warmup.reuses``); it is re-run after
-    ``remeasure_interval`` rebinds, or early when the observed per-worker
+    ``remeasure_interval`` leases, or early when the observed per-worker
     pose share drifts more than ``drift_threshold`` from the plan
     (``host.warmup.remeasures``). A poisoned ligand that kills a worker
     recycles the pool (``host.pool.recycles``) without restaging the
-    receptor or dropping the weights; the raised :class:`ScoringError`
-    flows into the campaign's existing retry machinery.
+    receptor or dropping the weights; the raised
+    :class:`~repro.errors.WorkerPoolError` flows into the campaign's retry
+    loop, which repeats the dock without charging the ligand.
     """
 
     def __init__(
@@ -1709,18 +1618,17 @@ class PersistentHostRuntime:
         self.remeasure_interval = int(remeasure_interval)
         self.drift_threshold = float(drift_threshold)
         #: How many ligands may be resident at once (slot banks = depth + 1,
-        #: so one more can stage while ``depth`` dock). Depth 1 is the
-        #: legacy serial campaign: one active ligand, double-buffered.
+        #: so one more can stage while ``depth`` dock).
         self.pipeline_depth = int(pipeline_depth)
         self.ligands_bound = 0
         self._evaluator: ParallelSpotEvaluator | None = None
-        self._active_ligand = None
+        self._acquired: LigandLease | None = None
         self._next_hint = None
         self._pending = None  # (hinted ligand, Future[(scorer, spec)])
         self._since_measure = 0
         self._closed = False
         self._live_leases = 0
-        # Serializes lease/acquire bookkeeping; the stager thread and dock
+        # Serializes lease bookkeeping; the stager thread and dock
         # threads contend on it only for pointer-sized state, never scoring.
         self._lease_lock = threading.RLock()
         self._stager = (
@@ -1733,7 +1641,7 @@ class PersistentHostRuntime:
     # ------------------------------------------------------------------
     @property
     def evaluator(self) -> ParallelSpotEvaluator | None:
-        """The owned evaluator, or ``None`` before the first acquire."""
+        """The owned evaluator, or ``None`` before the first lease."""
         return self._evaluator
 
     def _bind(self, ligand) -> BoundScorer:
@@ -1746,17 +1654,6 @@ class PersistentHostRuntime:
         if self.prune_spots:
             scorer = prune_bound(scorer, self.spots)
         return scorer
-
-    def _make_evaluator(self, scorer: BoundScorer) -> ParallelSpotEvaluator:
-        """First bind: spawn the pool (banks sized for the pipeline depth)."""
-        return ParallelSpotEvaluator(
-            scorer,
-            n_workers=self.n_workers,
-            mode=self.mode,
-            warmup=self.warmup,
-            persistent=True,
-            slot_banks=self.pipeline_depth + 1,
-        )
 
     def _bind_and_stage(self, ligand):
         """Stager-thread job: bind + stage into a free slot bank.
@@ -1810,94 +1707,55 @@ class PersistentHostRuntime:
     def hint_next(self, ligand) -> None:
         """Name the ligand expected after the current one.
 
-        The prefetch itself starts at the end of the next :meth:`acquire`
-        (never before: the inactive bank belongs to the in-flight acquire
-        until it swaps banks).
+        The prefetch itself starts at the end of the next :meth:`lease`
+        (never before: until then the free bank may be the one that lease
+        is about to take).
         """
         self._next_hint = ligand
 
-    def acquire(self, ligand) -> ParallelSpotEvaluator:
-        """Rebind the pool to ``ligand`` and return the evaluator.
+    def acquire(self, ligand) -> _BindingEvaluator:
+        """The single-resident :meth:`lease`: one ligand at a time.
 
-        First call pays the full cost (pool spawn, receptor staging, Eq. 1
-        warm-up); every later call restages only the ligand-varying slots —
-        or just swaps banks when the prefetch already staged this ligand.
-        Re-acquiring the active ligand (a campaign retry) restages nothing.
+        Releases the previous acquire's lease, takes one for ``ligand`` and
+        returns its evaluator with a fresh launch trace. Re-acquiring the
+        resident ligand (a retry) keeps its lease and restages nothing.
         """
-        if self._closed:
-            raise ScoringError("persistent host runtime is closed")
-        if self._live_leases:
-            raise ScoringError(
-                "acquire() cannot run while pipeline leases are live "
-                "(use lease() for every concurrent ligand)"
-            )
-        if self._evaluator is not None and self._active_ligand is ligand:
-            self._evaluator.reset_stats()
-            obs.counter("host.pool.reuses").inc()
-            self._kick_prefetch(ligand)
-            return self._evaluator
-        prefetched = self._take_prefetched(ligand)
-        if self._evaluator is None:
-            scorer = prefetched[0] if prefetched is not None else self._bind(ligand)
-            self._evaluator = self._make_evaluator(scorer)
-            self._active_ligand = ligand
-            self.ligands_bound = 1
-            self._since_measure = 0
-            self._kick_prefetch(ligand)
-            return self._evaluator
-        t0 = time.perf_counter()
-        if prefetched is not None:
-            scorer, spec = prefetched
-            if spec is None:  # prefetch bound the ligand but found no free bank
-                spec = self._evaluator.stage_ligand(scorer)
-            self._evaluator.activate(scorer, spec)
-        else:
-            self._evaluator.rebind(self._bind(ligand))
-        rebind_s = time.perf_counter() - t0
-        obs.histogram("host.rebind.seconds").observe(rebind_s)
-        flight_event(
-            "pool.rebind",
-            prefetched=prefetched is not None,
-            seconds=round(rebind_s, 6),
-        )
-        self._active_ligand = ligand
-        self.ligands_bound += 1
-        self._since_measure += 1
-        if self.warmup and (
-            self._since_measure >= self.remeasure_interval
-            or self._evaluator.share_drift() > self.drift_threshold
-        ):
-            self._evaluator.remeasure()
-            self._since_measure = 0
-        else:
-            obs.counter("host.warmup.reuses").inc()
-        self._kick_prefetch(ligand)
-        return self._evaluator
+        held = self._acquired
+        if held is None or held.ligand is not ligand:
+            if held is not None:
+                self._acquired = None
+                held.release()
+            self._acquired = held = self.lease(ligand)
+        return _BindingEvaluator(self._evaluator, held.binding)
 
     def lease(self, ligand) -> "LigandLease":
-        """Bind ``ligand`` as one of the pipeline's concurrent residents.
+        """Bind ``ligand`` as one of the pool's concurrent residents.
 
-        The pipelined sibling of :meth:`acquire`: up to ``pipeline_depth``
-        leases are live at once, each scoring through its own
-        :class:`_LigandBinding`, so one ligand's launches fill another's
-        host-side gaps. Take leases from the owning (main) thread — the
-        first one forks the worker pool — then dock each lease on its own
-        thread and :meth:`LigandLease.release` it when the ligand commits.
-        The Eq. 1 re-measure triggers (interval / drift) run at the first
-        lease after the pipeline drains, when the pool is briefly idle.
+        Up to ``pipeline_depth`` leases are live at once, each scoring
+        through its own :class:`_LigandBinding`, so one ligand's launches
+        fill another's host-side gaps. The first call pays the full cost
+        (pool spawn, receptor staging, Eq. 1 warm-up); every later one
+        restages only the ligand-varying slots — or just swaps banks when
+        the prefetch already staged this ligand. Take leases from the
+        owning (main) thread — the first one forks the worker pool — dock
+        each lease on any thread and :meth:`LigandLease.release` it when
+        the ligand commits. The Eq. 1 re-measure triggers (interval /
+        drift) run at the first lease after the pool drains.
         """
         if self._closed:
             raise ScoringError("persistent host runtime is closed")
         with self._lease_lock:
             if self._evaluator is None:
-                scorer = self._bind(ligand)
-                self._evaluator = self._make_evaluator(scorer)
-                binding = self._evaluator.active_binding
-                self._active_ligand = ligand
-                self.ligands_bound = 1
-                self._since_measure = 0
+                # First lease: spawn the pool, banks sized for the depth.
+                self._evaluator = ParallelSpotEvaluator(
+                    self._bind(ligand),
+                    n_workers=self.n_workers,
+                    mode=self.mode,
+                    warmup=self.warmup,
+                    slot_banks=self.pipeline_depth + 1,
+                )
+                binding = self._evaluator.binding
             else:
-                self._active_ligand = None  # leases supersede the acquire pointer
                 staged = self._take_prefetched(ligand)
                 t0 = time.perf_counter()
                 if staged is not None:
@@ -1908,7 +1766,6 @@ class PersistentHostRuntime:
                     scorer = self._bind(ligand)
                     spec = self._evaluator.stage_ligand(scorer)
                 binding = self._evaluator.bind_ligand(scorer, spec)
-                self._evaluator._active = binding  # re-measure target
                 rebind_s = time.perf_counter() - t0
                 obs.histogram("host.rebind.seconds").observe(rebind_s)
                 flight_event(
@@ -1916,7 +1773,6 @@ class PersistentHostRuntime:
                     prefetched=staged is not None,
                     seconds=round(rebind_s, 6),
                 )
-                self.ligands_bound += 1
                 self._since_measure += 1
                 if (
                     self.warmup
@@ -1927,10 +1783,11 @@ class PersistentHostRuntime:
                         or self._evaluator.share_drift() > self.drift_threshold
                     )
                 ):
-                    self._evaluator.remeasure()
+                    self._evaluator.remeasure(binding)
                     self._since_measure = 0
                 else:
                     obs.counter("host.warmup.reuses").inc()
+            self.ligands_bound += 1
             self._live_leases += 1
             lease = LigandLease(self, ligand, binding)
             self._kick_prefetch(ligand)
@@ -1959,12 +1816,12 @@ class PersistentHostRuntime:
                 f"dock() was called with {theirs}"
             )
 
-    def evaluator_factory(self, receptor, ligand, spots) -> ParallelSpotEvaluator:
-        """The ``dock(evaluator_factory=...)`` seam.
+    def evaluator_factory(self, receptor, ligand, spots) -> _BindingEvaluator:
+        """The ``dock(evaluator_factory=...)`` seam over :meth:`acquire`.
 
         Validates that dock was called for the receptor/spots this runtime
-        staged, then rebinds the pool to ``ligand``. The evaluator stays
-        owned by the runtime — ``dock()`` must not close it.
+        staged. The pool stays owned by the runtime — ``dock()`` must not
+        close it.
         """
         self._validate_complex(receptor, spots)
         return self.acquire(ligand)
@@ -1978,7 +1835,7 @@ class PersistentHostRuntime:
             stager.shutdown(wait=True, cancel_futures=True)
         self._pending = None
         self._next_hint = None
-        self._active_ligand = None
+        self._acquired = None
         evaluator, self._evaluator = self._evaluator, None
         if evaluator is not None:
             evaluator.close()

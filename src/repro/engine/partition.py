@@ -1,7 +1,8 @@
 """Work partitioners: how many conformations each device gets.
 
 Algorithm 2 splits the candidate set equally; the heterogeneous algorithm
-(§3.3) splits proportionally to the warm-up speeds. Both partitioners
+(§3.3) splits proportionally to the warm-up speeds — :func:`eq1_weights`
+turns measured times into those speeds. Both partitioners
 guarantee exact conservation (shares sum to the total) via largest-remainder
 rounding, and can optionally round shares to whole thread-blocks (the
 granularity at which conformations are actually shipped to a device).
@@ -13,7 +14,7 @@ import numpy as np
 
 from repro.errors import SchedulingError
 
-__all__ = ["equal_partition", "proportional_partition"]
+__all__ = ["eq1_weights", "equal_partition", "proportional_partition"]
 
 
 def equal_partition(total: int, n_parts: int) -> np.ndarray:
@@ -30,6 +31,30 @@ def equal_partition(total: int, n_parts: int) -> np.ndarray:
     shares = np.full(n_parts, base, dtype=np.int64)
     shares[:extra] += 1
     return shares
+
+
+def eq1_weights(times) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. 1: ``Percent = t / t_slowest``; shares ∝ ``1 / Percent``.
+
+    Returns ``(percent, weights)`` for a 1-D sequence of measured times;
+    ``percent`` is 1.0 for the slowest part and ``weights`` sum to 1. The one
+    place the formula lives: simulated devices, host worker processes and
+    fleet nodes all reduce their warm-up measurements here.
+
+    A non-positive or non-finite entry (a probe that misfired, a worker that
+    never reported) takes the slowest usable time — the most conservative
+    share, not a crash; with no usable entry at all the shares are equal.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise SchedulingError("Eq. 1 needs a non-empty 1-D array of times")
+    usable = np.isfinite(times) & (times > 0)
+    if not usable.any():
+        return np.ones(times.size), np.full(times.size, 1.0 / times.size)
+    slowest = float(times[usable].max())
+    percent = np.where(usable, times, slowest) / slowest
+    inv = 1.0 / percent
+    return percent, inv / inv.sum()
 
 
 def proportional_partition(

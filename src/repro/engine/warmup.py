@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import observability as obs
+from repro.engine.partition import eq1_weights
 from repro.errors import SchedulingError
 from repro.hardware.cuda import KernelConfig
 from repro.hardware.perf_model import DEFAULT_PARAMS, PerfModelParams, gpu_launch_time
@@ -119,10 +120,7 @@ def run_warmup(
         samples = samples * np.clip(factors, 0.5, 1.5)
     measured = samples.mean(axis=0)
 
-    slowest = float(measured.max())
-    percent = measured / slowest
-    inv = 1.0 / percent
-    weights = inv / inv.sum()
+    percent, weights = eq1_weights(measured)
     # Devices run concurrently; each iteration ends at the slowest device
     # (the omp reduction in the paper), so elapsed = iterations × max.
     elapsed = float(samples.max(axis=1).sum())

@@ -27,6 +27,14 @@ class ScoringError(ReproError):
     """Scoring-function evaluation failure."""
 
 
+class WorkerPoolError(ScoringError):
+    """The host worker pool died under a launch and was recycled.
+
+    A fault of the runtime, not of the ligand being scored: retry loops
+    repeat the dock without charging the ligand's poison budget.
+    """
+
+
 class MetaheuristicError(ReproError):
     """Invalid metaheuristic configuration or template misuse."""
 

@@ -101,9 +101,10 @@ def dock(
     mode:
         Execution mode for the timing replay.
     host_workers:
-        When > 0, score on this many real worker processes
-        (:class:`repro.engine.host_runtime.ParallelSpotEvaluator`). Results
-        are bitwise identical to the serial path for the same ``seed``.
+        When > 0, score on this many real worker processes: a one-shot
+        :class:`repro.engine.host_runtime.ParallelSpotEvaluator` built for
+        this ligand and closed on exit. Results are bitwise identical to
+        the serial path for the same ``seed``.
     parallel_mode:
         ``"static"`` (warm-up-weighted shares) or ``"dynamic"``
         (work-stealing spot queue); only used with ``host_workers > 0``.
@@ -114,7 +115,7 @@ def dock(
     evaluator_factory:
         Externally-owned runtime seam: a callable ``(receptor, ligand,
         spots) -> Evaluator`` (e.g.
-        :meth:`repro.engine.host_runtime.PersistentHostRuntime.evaluator_factory`).
+        :meth:`repro.engine.host_runtime.LigandLease.evaluator_factory`).
         When given it takes precedence over ``scoring``/``host_workers``/
         ``parallel_mode``/``prune_spots``/``autotune`` — binding and pooling
         belong to the owner — and the evaluator is *not* closed here; its
@@ -177,9 +178,8 @@ def dock(
             "vs.dock", metaheuristic=spec.name, host_workers=host_workers
         ):
             result = run_metaheuristic(spec, ctx)
-        # Read the launch trace before any close: an externally-owned
-        # evaluator may be rebound to the next ligand the moment this
-        # returns, and an owned one is closed in the finally below.
+        # Read the launch trace before the owned evaluator is closed in
+        # the finally below.
         evaluations = evaluator.stats.n_conformations
         launches = evaluator.stats.launches
         obs.counter("vs.dock.evaluations").inc(evaluations)

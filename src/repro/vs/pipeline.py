@@ -51,10 +51,6 @@ class PipelineConfig:
     parallel_mode:
         ``"static"`` or ``"dynamic"`` host scheduling (with
         ``host_workers > 0``).
-    persistent_pool:
-        Keep one pool/receptor-staging/warm-up across a whole
-        :meth:`VirtualScreeningPipeline.screen` library (default); False
-        builds a fresh evaluator per ligand.
     autotune:
         Input-aware kernel selection (:mod:`repro.scoring.autotune`):
         pick ``(variant, chunk_size)`` per complex-size cell from a
@@ -72,7 +68,7 @@ class PipelineConfig:
         Ligands co-scheduled through the persistent pool during
         :meth:`VirtualScreeningPipeline.screen` (default 2): one ligand's
         barrier tails and host bookkeeping overlap another's scoring.
-        Depth 1 restores the strictly serial ligand loop. Purely an
+        Depth 1 docks one ligand at a time. Purely an
         execution knob — rankings are bitwise identical at every depth.
     """
 
@@ -83,7 +79,6 @@ class PipelineConfig:
     seed: int = 0
     host_workers: int = 0
     parallel_mode: str = "static"
-    persistent_pool: bool = True
     autotune: bool = False
     calibration_file: str | None = None
     nodes: int = 0
@@ -190,7 +185,6 @@ class VirtualScreeningPipeline:
             mode=self.config.mode,
             host_workers=self.config.host_workers,
             parallel_mode=self.config.parallel_mode,
-            persistent_pool=self.config.persistent_pool,
             autotune=self.config.autotune,
             calibration_file=self.config.calibration_file,
             nodes=self.config.nodes,

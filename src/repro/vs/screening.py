@@ -55,7 +55,6 @@ def screen(
     host_workers: int = 0,
     parallel_mode: str = "static",
     prune_spots: bool = False,
-    persistent_pool: bool = True,
     autotune=False,
     calibration_file: str | None = None,
     nodes: int = 0,
@@ -71,11 +70,8 @@ def screen(
     ``parallel_mode``/``prune_spots`` pass through to
     :func:`repro.vs.docking.dock` — real process-parallel scoring with
     bitwise-identical rankings. With ``host_workers > 0`` the worker pool,
-    staged receptor and Eq. 1 warm-up persist across the whole library
-    (``persistent_pool=True``, the default: each ligand is a slot rebind,
-    not a pool spawn); ``persistent_pool=False`` restores the
-    fresh-evaluator-per-ligand path — scores are bitwise identical either
-    way.
+    staged receptor and Eq. 1 warm-up persist across the whole library:
+    each ligand is a lease on the one pool, not a pool spawn.
 
     ``autotune`` (with ``calibration_file``, or a ready-made
     :class:`~repro.scoring.autotune.AutotuneController`) turns on
@@ -89,7 +85,7 @@ def screen(
     host-side Select/Combine/Include gaps are filled with another ligand's
     poses. Per-ligand launch sequences and seeds are untouched, so the
     ranking is bitwise identical at every depth; ``pipeline_depth=1``
-    restores the strictly serial ligand loop.
+    docks one ligand at a time.
 
     ``nodes >= 2`` distributes the screen over a local fleet of worker-node
     processes (:mod:`repro.cluster`): ligands ship inline over the lease
@@ -129,7 +125,6 @@ def screen(
         host_workers=host_workers,
         parallel_mode=parallel_mode,
         prune_spots=prune_spots,
-        persistent_pool=persistent_pool,
         autotune=autotune,
         calibration_file=calibration_file,
         max_attempts=1,

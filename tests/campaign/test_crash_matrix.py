@@ -2,7 +2,7 @@
 
 Unlike the exception-injection tests in ``test_runner.py``, these kill an
 actual campaign *process* with ``SIGKILL`` — no finally blocks, no flushes,
-no close — across the worker-count × pool-mode matrix, with a batched
+no close — across the worker-count × pipeline-depth matrix, with a batched
 journal so group-commit loss is part of the crash surface. The bar: resume
 docks only the missing ligands, the final store is complete, and its
 science digest is bitwise identical to a serial SQLite run of the same
@@ -33,8 +33,8 @@ from repro.campaign import CampaignRunner, SyntheticSource
 from repro.molecules.synthetic import generate_receptor
 from repro.vs.docking import dock as real_dock
 
-kill_at, store, workers, persistent = (
-    int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1",
+kill_at, store, workers, depth = (
+    int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4]),
 )
 state = {{"calls": 0}}
 
@@ -58,13 +58,13 @@ CampaignRunner(
     shard_size=2,
     node=None,
     host_workers=workers,
-    persistent_pool=persistent,
+    pipeline_depth=depth,
     backoff_base=0.0,
 ).run()
 """.format(src=SRC, n_ligands=N_LIGANDS, seed=SEED)
 
 
-def make_runner(store_path, backend="columnar", workers=0, persistent=True):
+def make_runner(store_path, backend="columnar", workers=0, depth=2):
     from repro.molecules.synthetic import generate_receptor
 
     return CampaignRunner(
@@ -79,7 +79,7 @@ def make_runner(store_path, backend="columnar", workers=0, persistent=True):
         shard_size=2,
         node=None,
         host_workers=workers,
-        persistent_pool=persistent,
+        pipeline_depth=depth,
         backoff_base=0.0,
     )
 
@@ -103,13 +103,13 @@ class ResumeSpy:
         return real_dock(receptor, ligand, **kwargs)
 
 
-def sigkill_campaign(store_path, kill_at, workers, persistent):
+def sigkill_campaign(store_path, kill_at, workers, depth):
     script = store_path.parent / "kill_child.py"
     script.write_text(CHILD_SCRIPT)
     proc = subprocess.run(
         [
             sys.executable, str(script), str(kill_at), str(store_path),
-            str(workers), "1" if persistent else "0",
+            str(workers), str(depth),
         ],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -121,22 +121,22 @@ def sigkill_campaign(store_path, kill_at, workers, persistent):
 
 
 @pytest.mark.parametrize(
-    "workers,persistent,kill_at",
+    "workers,depth,kill_at",
     [
-        (0, True, 4),
-        (1, True, 3),
-        (1, False, 5),
-        (4, True, 4),
-        (4, False, 3),
+        (0, 2, 4),
+        (1, 2, 3),
+        (1, 1, 5),
+        (4, 4, 4),
+        (4, 1, 3),
     ],
-    ids=["w0", "w1-persistent", "w1-fresh", "w4-persistent", "w4-fresh"],
+    ids=["w0", "w1-d2", "w1-d1", "w4-d4", "w4-d1"],
 )
 def test_sigkill_mid_shard_resumes_bitwise(
-    tmp_path, monkeypatch, serial_sqlite, workers, persistent, kill_at
+    tmp_path, monkeypatch, serial_sqlite, workers, depth, kill_at
 ):
     expected_digest, expected_ranking = serial_sqlite
     store_path = tmp_path / "killed.col"
-    sigkill_campaign(store_path, kill_at, workers, persistent)
+    sigkill_campaign(store_path, kill_at, workers, depth)
 
     # The store survived the kill in a resumable state: everything the
     # child committed is durable, nothing after the kill exists.
@@ -146,9 +146,7 @@ def test_sigkill_mid_shard_resumes_bitwise(
 
     spy = ResumeSpy()
     monkeypatch.setattr(runner_mod, "dock", spy)
-    with make_runner(
-        store_path, workers=workers, persistent=persistent
-    ).resume() as store:
+    with make_runner(store_path, workers=workers, depth=depth).resume() as store:
         assert store.is_complete()
         counts = store.counts()
         assert counts["done"] == N_LIGANDS and counts["failed"] == 0

@@ -1,19 +1,21 @@
-"""Docking-pipeline campaign correctness (``pipeline_depth > 1``).
+"""Docking-pipeline campaign correctness (``pipeline_depth`` = live leases).
 
 The contract under test: co-scheduling D ligands through one persistent
 pool is *purely* an execution optimisation. The science digest — every
 ordinal's score, spot, and evaluation count, byte for byte — must be
-identical at any depth, any worker count, fresh or persistent pool, and
-through a kill-mid-shard resume. Depth 1 must not merely agree on results:
-it must take today's exact serial code path (main thread, ordinal order,
-non-interleaved launch sequence).
+identical at any depth, any worker count, static or dynamic shares, through
+a worker death and through a kill-mid-shard resume. Depth 1 is the same
+pooled loop with one lease in flight: strict ordinal order, non-interleaved
+launch sequence.
 """
 
+import os
 import threading
 
 import pytest
 
 import repro.campaign.runner as runner_mod
+from repro import observability as obs
 from repro.campaign import CampaignRunner, SyntheticSource
 from repro.vs.docking import dock as real_dock
 
@@ -45,29 +47,62 @@ def serial_digest(receptor, tmp_path_factory):
         return store.science_digest()
 
 
-# Fresh-pool at 0 workers is the serial path twice over; skip the duplicate.
+# The serial loop reads no parallel_mode; one (static) row per depth there.
 MATRIX = [
-    (depth, workers, persistent)
+    (depth, workers, static)
     for depth in (1, 2, 4)
     for workers in (0, 1, 4)
-    for persistent in (True, False)
-    if not (workers == 0 and not persistent)
+    for static in (True, False)
+    if not (workers == 0 and not static)
 ]
 
 
-@pytest.mark.parametrize("depth,workers,persistent", MATRIX)
+@pytest.mark.parametrize("depth,workers,static", MATRIX)
 def test_science_digest_parity_matrix(
-    receptor, tmp_path, serial_digest, depth, workers, persistent
+    receptor, tmp_path, serial_digest, depth, workers, static
 ):
     with make_runner(
         receptor,
         tmp_path,
         host_workers=workers,
-        persistent_pool=persistent,
+        parallel_mode="static" if static else "dynamic",
         pipeline_depth=depth,
     ).run() as store:
         assert store.science_digest() == serial_digest
         assert store.counts()["done"] == N_LIGANDS
+
+
+@pytest.mark.parametrize("workers", (1, 4))
+@pytest.mark.parametrize("depth", (1, 2, 4))
+def test_worker_death_parity(
+    receptor, tmp_path, serial_digest, monkeypatch, depth, workers
+):
+    # One ligand's dock kills a worker under it. The pool death is the
+    # runtime's fault: nobody's max_attempts budget pays for it — not the
+    # victim's, not a co-resident ligand's — so even a 2-attempt budget with
+    # no backoff ends with nothing failed, at every depth.
+    warmups = obs.counter("host.warmups").value
+    recycles = obs.counter("host.pool.recycles").value
+    runner = make_runner(
+        receptor, tmp_path, host_workers=workers, pipeline_depth=depth,
+        max_attempts=2,
+    )
+    killed = []
+
+    def sabotage(receptor_arg, ligand, **kwargs):
+        if kwargs["seed"] - SEED == 2 and not killed:
+            killed.append(True)
+            runner._runtime.evaluator._pool.submit(os._exit, 1)
+        return real_dock(receptor_arg, ligand, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "dock", sabotage)
+    with runner.run() as store:
+        counts = store.counts()
+        assert counts["done"] == N_LIGANDS and counts["failed"] == 0
+        assert store.science_digest() == serial_digest
+    assert killed  # the sabotage actually fired
+    assert obs.counter("host.pool.recycles").value == recycles + 1
+    assert obs.counter("host.warmups").value == warmups + 1
 
 
 def test_kill_mid_shard_then_resume_at_depth_4(
@@ -106,7 +141,7 @@ def test_depth_1_runs_exact_legacy_serial_path(receptor, tmp_path, monkeypatch):
     order = []
 
     def tracing(receptor_arg, ligand, **kwargs):
-        order.append((kwargs["seed"] - SEED, threading.current_thread().name))
+        order.append(kwargs["seed"] - SEED)
         return real_dock(receptor_arg, ligand, **kwargs)
 
     monkeypatch.setattr(runner_mod, "dock", tracing)
@@ -114,10 +149,8 @@ def test_depth_1_runs_exact_legacy_serial_path(receptor, tmp_path, monkeypatch):
         receptor, tmp_path, host_workers=2, pipeline_depth=1
     ).run() as store:
         assert store.counts()["done"] == N_LIGANDS
-    # Depth 1 is the legacy loop, not a one-lane pipeline: every dock runs
-    # on the main thread, strictly in ordinal order.
-    assert [ordinal for ordinal, _ in order] == list(range(N_LIGANDS))
-    assert all(name == "MainThread" for _, name in order)
+    # One lease in flight: docks run strictly in ordinal order.
+    assert order == list(range(N_LIGANDS))
 
 
 def test_depth_1_launch_sequence_is_not_interleaved(receptor, tmp_path, monkeypatch):
@@ -135,7 +168,7 @@ def test_depth_1_launch_sequence_is_not_interleaved(receptor, tmp_path, monkeypa
     with make_runner(receptor, tmp_path, host_workers=2, pipeline_depth=1).run():
         pass
     assert versions  # the spy actually saw the campaign's launches
-    # Legacy sequence: each ligand's launches form one contiguous block —
+    # One lease in flight: each ligand's launches form one contiguous block —
     # no other ligand's launch ever lands inside it.
     block_starts = [
         v for i, v in enumerate(versions) if i == 0 or versions[i - 1] != v
@@ -151,8 +184,6 @@ def test_pipeline_depth_validation(receptor, tmp_path):
 
 
 def test_pipelined_campaign_emits_overlap_telemetry(receptor, tmp_path):
-    from repro import observability as obs
-
     # The tracer is session-global: only look at spans this run appends.
     seen = len(obs.get_telemetry().snapshot()["spans"])
     with make_runner(

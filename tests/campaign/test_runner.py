@@ -134,37 +134,29 @@ def test_kill_mid_shard_then_resume_is_bitwise_identical(
         assert ranking(store) == expected
 
 
-def test_persistent_pool_matches_fresh_pool_and_serial_bitwise(receptor, tmp_path):
-    # One pool reused across the campaign, a fresh pool per ligand, and the
-    # plain serial path must agree on every float.
+def test_pooled_campaign_matches_serial_bitwise(receptor, tmp_path):
+    # One pool leased ligand by ligand across the campaign and the plain
+    # serial path must agree on every float.
     warmups = obs.counter("host.warmups").value
     with make_runner(
-        receptor, tmp_path, name="persistent.sqlite", host_workers=2
+        receptor, tmp_path, name="pooled.sqlite", host_workers=2
     ).run() as store:
-        persistent = ranking(store)
+        pooled = ranking(store)
     # The whole campaign paid exactly one pool spawn + receptor staging.
     assert obs.counter("host.warmups").value == warmups + 1
-    with make_runner(
-        receptor, tmp_path, name="fresh.sqlite", host_workers=2,
-        persistent_pool=False,
-    ).run() as store:
-        fresh = ranking(store)
     with make_runner(receptor, tmp_path, name="serial.sqlite").run() as store:
         serial = ranking(store)
-    assert persistent == fresh == serial
+    assert pooled == serial
 
 
-def test_kill_mid_shard_resume_with_persistent_pool_matches_fresh(
+def test_kill_mid_shard_resume_with_pool_matches_serial(
     receptor, tmp_path, monkeypatch
 ):
-    # Fresh-pool-per-ligand reference ranking.
-    with make_runner(
-        receptor, tmp_path, name="fresh.sqlite", host_workers=2,
-        persistent_pool=False,
-    ).run() as store:
+    # Serial reference ranking.
+    with make_runner(receptor, tmp_path, name="serial.sqlite").run() as store:
         expected = ranking(store)
 
-    # Kill a persistent-pool campaign mid-shard...
+    # Kill a pooled campaign mid-shard...
     spy = DockSpy(interrupt_before_call=4)
     monkeypatch.setattr(runner_mod, "dock", spy)
     runner = make_runner(
@@ -175,8 +167,8 @@ def test_kill_mid_shard_resume_with_persistent_pool_matches_fresh(
     assert spy.ordinals == [0, 1, 2]
     assert runner._runtime is None  # the crash path closed the pool
 
-    # ...and resume with a persistent pool: only ordinals 3 and 4 are
-    # docked, and the ranking is bitwise identical to the fresh-pool run.
+    # ...and resume on a new pool: only ordinals 3 and 4 are docked, and
+    # the ranking is bitwise identical to the serial run.
     resume_spy = DockSpy()
     monkeypatch.setattr(runner_mod, "dock", resume_spy)
     with make_runner(

@@ -33,6 +33,14 @@ def test_all_bad_probes_give_equal_shares():
     assert shares == pytest.approx({0: 0.5, 1: 0.5})
 
 
+def test_node_shares_are_eq1_weights_bitwise():
+    from repro.engine.partition import eq1_weights
+
+    probes = {3: 0.7, 0: 1.9, 1: math.nan, 2: 0.31}
+    _, weights = eq1_weights([probes[n] for n in sorted(probes)])
+    assert list(node_shares(probes).values()) == list(weights)
+
+
 def test_no_probes_is_an_error():
     with pytest.raises(ClusterError, match="at least one probe"):
         node_shares({})

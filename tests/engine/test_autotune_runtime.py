@@ -2,9 +2,9 @@
 
 The acceptance matrix for the determinism invariant: the batched scorer —
 selected by hand or by a calibration table — produces bitwise-identical
-scores across serial, static/dynamic multi-worker, and persistent/fresh
-pool execution, because every path cuts pose blocks on the same absolute
-chunk grid.
+scores across serial, static/dynamic multi-worker, and campaign-leased /
+one-shot ``dock()`` pool execution, because every path cuts pose blocks on
+the same absolute chunk grid.
 """
 
 import json
@@ -15,6 +15,7 @@ import pytest
 
 from repro import observability as obs
 from repro.engine.host_runtime import (
+    LigandSlotStage,
     SharedArrayStage,
     rebuild_scorer,
     stage_scorer,
@@ -23,6 +24,7 @@ from repro.molecules.synthetic import generate_ligand, generate_receptor
 from repro.scoring.autotune import CalibrationCell, CalibrationTable
 from repro.scoring.batched import BatchedLJScoring, BoundBatchedLJ
 from repro.scoring.lennard_jones import LennardJonesScoring
+from repro.vs.docking import dock
 from repro.vs.screening import screen
 
 
@@ -32,9 +34,9 @@ from repro.vs.screening import screen
 def test_stage_rebuild_batched_round_trip_bitwise(receptor, ligand, pose_batch):
     scorer = BatchedLJScoring(chunk_size=5).bind(receptor, ligand)
     t, q = pose_batch
-    stage = SharedArrayStage()
+    stage, slots = SharedArrayStage(), LigandSlotStage()
     try:
-        spec = stage_scorer(scorer, stage)
+        spec = stage_scorer(scorer, stage, slots, {})
         assert spec["kind"] == "batched", "batched scorers stage structurally"
         assert spec["chunk_size"] == 5, "the tuned chunk size rides the spec"
         rebuilt = rebuild_scorer(spec)
@@ -43,6 +45,7 @@ def test_stage_rebuild_batched_round_trip_bitwise(receptor, ligand, pose_batch):
         assert np.array_equal(rebuilt.score(t, q), scorer.score(t, q))
     finally:
         stage.close()
+        slots.close()
 
 
 # ----------------------------------------------------------------------
@@ -51,7 +54,9 @@ def test_stage_rebuild_batched_round_trip_bitwise(receptor, ligand, pose_batch):
 @pytest.fixture(scope="module")
 def parity_complexes():
     receptor = generate_receptor(150, seed=5, title="autotune parity receptor")
-    ligands = [generate_ligand(8 + i, seed=40 + i) for i in range(3)]
+    ligands = [
+        generate_ligand(8 + i, seed=40 + i, title=f"L{i}") for i in range(3)
+    ]
     return receptor, ligands
 
 
@@ -62,20 +67,27 @@ def _entries(report):
     ]
 
 
-def _run_batched(receptor, ligands, workers, mode, persistent):
-    report = screen(
-        receptor,
-        ligands,
+def _run_batched(receptor, ligands, workers, mode, campaign):
+    """The library by title: through ``screen()`` (every ligand a lease on
+    one pool) or, ``campaign=False``, one one-shot ``dock()`` per ligand."""
+    knobs = dict(
         n_spots=2,
         metaheuristic="M1",
         scoring=BatchedLJScoring(),
-        seed=9,
         workload_scale=0.02,
         host_workers=workers,
         parallel_mode=mode,
-        persistent_pool=persistent,
     )
-    return _entries(report)
+    if campaign:
+        return sorted(_entries(screen(receptor, ligands, seed=9, **knobs)))
+    results = [
+        dock(receptor, ligand, seed=9 + i, **knobs)
+        for i, ligand in enumerate(ligands)
+    ]
+    return sorted(
+        (r.ligand.title, r.best_score, r.best.spot_index, r.evaluations)
+        for r in results
+    )
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +97,7 @@ def serial_batched_entries(parity_complexes):
 
 
 @pytest.mark.parametrize(
-    "workers,mode,persistent",
+    "workers,mode,campaign",
     [
         (1, "static", True),
         (4, "static", True),
@@ -95,17 +107,17 @@ def serial_batched_entries(parity_complexes):
     ],
 )
 def test_batched_parallel_matches_serial_bitwise(
-    parity_complexes, serial_batched_entries, workers, mode, persistent
+    parity_complexes, serial_batched_entries, workers, mode, campaign
 ):
     receptor, ligands = parity_complexes
-    got = _run_batched(receptor, ligands, workers, mode, persistent)
+    got = _run_batched(receptor, ligands, workers, mode, campaign)
     assert len(got) == len(serial_batched_entries) == len(ligands)
     for a, b in zip(got, serial_batched_entries):
         assert a[0] == b[0] and a[2] == b[2] and a[3] == b[3]
         assert math.isfinite(a[1])
         assert a[1] == b[1], (
             f"batched score drifted: {a} vs serial {b} "
-            f"(workers={workers} mode={mode} persistent={persistent})"
+            f"(workers={workers} mode={mode} campaign={campaign})"
         )
 
 

@@ -3,7 +3,8 @@
 The headline contract: :class:`ParallelSpotEvaluator` returns *bitwise*
 identical energies to :class:`SerialEvaluator` for any worker count or
 balancing mode, and never leaks shared-memory segments — not on close, not
-when a worker dies mid-flight.
+when a worker dies mid-flight. Campaign-side, every pooled ligand is a
+:class:`LigandLease` on one :class:`PersistentHostRuntime`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from repro import observability as obs
 from repro.engine.host_runtime import (
     ParallelSpotEvaluator,
     PersistentHostRuntime,
+    LigandSlotStage,
     SharedArrayStage,
     rebuild_scorer,
     stage_scorer,
 )
-from repro.errors import ScoringError
+from repro.errors import ScoringError, WorkerPoolError
 from repro.metaheuristics.evaluation import SerialEvaluator
 from repro.scoring.cutoff import CutoffLennardJonesScoring
 from repro.scoring.lennard_jones import LennardJonesScoring
@@ -129,17 +131,37 @@ def test_close_unlinks_segments_and_is_idempotent(fast_scorer):
         ev.evaluate(np.zeros(1, dtype=np.int64), np.zeros((1, 3)), np.zeros((1, 4)))
 
 
-def test_worker_crash_releases_segments(fast_scorer, launch):
+def test_worker_crash_releases_segments(receptor, ligand, spots, launch, monkeypatch):
+    """One-shot ``dock(host_workers=N)``: a dead worker surfaces as a
+    retryable error and the segments are unlinked when ``dock()`` exits."""
+    import repro.vs.docking as docking_mod
+
     spot_ids, t, q = launch
-    ev = ParallelSpotEvaluator(fast_scorer, n_workers=2)
-    names = ev.segment_names
-    # Kill the pool out from under the evaluator (simulates a worker dying).
-    ev._pool.submit(os._exit, 1)
-    with pytest.raises(ScoringError, match="crashed"):
-        for _ in range(50):  # the pool breaks within a launch or two
-            ev.evaluate(spot_ids, t, q)
-    _assert_no_segments(names)
-    assert ev._pool is None  # evaluator closed itself
+    seen = {}
+
+    def crashing_search(spec, ctx):
+        ev = ctx.evaluator
+        seen["names"] = ev.segment_names
+        serial = SerialEvaluator(ev.scorer).evaluate(spot_ids, t, q)
+        # Kill the pool out from under the evaluator (a worker dying).
+        ev._pool.submit(os._exit, 1)
+        with pytest.raises(WorkerPoolError, match="crashed") as crash:
+            for _ in range(50):  # the pool breaks within a launch or two
+                ev.evaluate(spot_ids, t, q)
+        # Recycled in place, not closed: the staged arrays are still there
+        # and the retried launch is bitwise the serial answer.
+        for name in seen["names"]:
+            shared_memory.SharedMemory(name=name).close()
+        assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
+        seen["evaluator"] = ev
+        raise crash.value  # what a real search would have let through
+
+    monkeypatch.setattr(docking_mod, "run_metaheuristic", crashing_search)
+    with pytest.raises(ScoringError, match="retry the launch"):
+        docking_mod.dock(receptor, ligand, spots=spots, host_workers=2)
+    assert seen["names"]
+    _assert_no_segments(seen["names"])
+    assert seen["evaluator"]._pool is None  # dock()'s finally closed it
 
 
 def test_constructor_validation(fast_scorer):
@@ -161,9 +183,9 @@ def test_stage_rebuild_round_trip_bitwise(receptor, ligand, spots, pose_batch, k
             CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand), spots
         )
     t, q = pose_batch
-    stage = SharedArrayStage()
+    stage, slots = SharedArrayStage(), LigandSlotStage()
     try:
-        spec = stage_scorer(scorer, stage)
+        spec = stage_scorer(scorer, stage, slots, {})
         rebuilt = rebuild_scorer(spec)
         assert np.array_equal(rebuilt.score(t, q), scorer.score(t, q))
         if kind == "pruned":
@@ -173,11 +195,12 @@ def test_stage_rebuild_round_trip_bitwise(receptor, ligand, spots, pose_batch, k
             )
     finally:
         stage.close()
+        slots.close()
     _assert_no_segments(stage.segment_names)
 
 
 # ----------------------------------------------------------------------
-# persistent campaign runtime: rebind protocol, recycle, warm-up reuse
+# campaign runtime: leases over the rebind protocol, recycle, warm-up reuse
 # ----------------------------------------------------------------------
 
 
@@ -191,32 +214,28 @@ def _ligands(sizes, base_seed=50):
     return [generate_ligand(n, seed=base_seed + n) for n in sizes]
 
 
-def test_persistent_rebind_matches_serial_across_ligands(receptor, launch):
+def test_persistent_rebind_matches_serial_across_ligands(receptor, spots, launch):
     # 40 atoms after 14 forces the ligand slot bank to outgrow and retire
     # its original segments mid-campaign.
     ligands = _ligands((14, 18, 40))
     spot_ids, t, q = launch
     warmups = obs.counter("host.warmups").value
     reuses = obs.counter("host.pool.reuses").value
-    ev = ParallelSpotEvaluator(
-        _cutoff(receptor, ligands[0]), n_workers=2, persistent=True
-    )
-    names = ()
-    try:
-        receptor_segments = ev._stage.segment_names
-        for i, lig in enumerate(ligands):
-            scorer = _cutoff(receptor, lig)
-            if i:
-                ev.rebind(scorer)
-            serial = SerialEvaluator(scorer).evaluate(spot_ids, t, q)
+    with PersistentHostRuntime(receptor, spots, n_workers=2, prefetch=False) as rt:
+        receptor_segments = None
+        for lig in ligands:
+            lease = rt.lease(lig)
+            ev = lease.evaluator_factory(receptor, lig, spots)
+            serial = SerialEvaluator(_cutoff(receptor, lig)).evaluate(spot_ids, t, q)
             assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
             # The receptor tables are staged once and never move.
-            assert ev._stage.segment_names == receptor_segments
+            if receptor_segments is None:
+                receptor_segments = rt.evaluator._stage.segment_names
+            assert rt.evaluator._stage.segment_names == receptor_segments
+            lease.release()
         assert obs.counter("host.warmups").value == warmups + 1
         assert obs.counter("host.pool.reuses").value == reuses + 2
-        names = ev.segment_names
-    finally:
-        ev.close()
+        names = rt.evaluator.segment_names
     _assert_no_segments(names)
 
 
@@ -226,7 +245,7 @@ def test_worker_crash_recycles_pool_and_keeps_receptor(receptor, ligand, launch)
     serial = SerialEvaluator(scorer).evaluate(spot_ids, t, q)
     recycles = obs.counter("host.pool.recycles").value
     warmups = obs.counter("host.warmups").value
-    ev = ParallelSpotEvaluator(scorer, n_workers=2, persistent=True)
+    ev = ParallelSpotEvaluator(scorer, n_workers=2)
     try:
         names = ev.segment_names
         ev._pool.submit(os._exit, 1)
@@ -239,12 +258,35 @@ def test_worker_crash_recycles_pool_and_keeps_receptor(receptor, ligand, launch)
         assert obs.counter("host.pool.recycles").value == recycles + 1
         # ...and the fresh workers rebuild lazily from the rebind message —
         # no restage, no new warm-up, bitwise-identical energies.
-        ev.reset_stats()
         assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
         assert obs.counter("host.warmups").value == warmups + 1
     finally:
         ev.close()
     _assert_no_segments(names)
+
+
+def test_remeasure_on_a_dead_pool_recycles_and_keeps_weights(fast_scorer, launch):
+    # A worker can die with no launch noticing (its sibling absorbs the
+    # work); the next re-measure is then the first to touch the dead pool.
+    # It runs on the campaign's main thread, outside any retry loop, so it
+    # must heal the pool rather than raise.
+    import time
+
+    spot_ids, t, q = launch
+    serial = SerialEvaluator(fast_scorer).evaluate(spot_ids, t, q)
+    recycles = obs.counter("host.pool.recycles").value
+    with ParallelSpotEvaluator(fast_scorer, n_workers=2) as ev:
+        before = ev.warmup_result
+        dead = ev._pool
+        dead.submit(os._exit, 1)
+        deadline = time.monotonic() + 30.0
+        while not dead._broken:
+            assert time.monotonic() < deadline, "pool never noticed the death"
+            time.sleep(0.001)
+        assert ev.remeasure(ev.binding) is before
+        assert ev._pool is not dead
+        assert obs.counter("host.pool.recycles").value == recycles + 1
+        assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
 
 
 def test_persistent_runtime_reuses_then_remeasures_warmup(receptor, spots, launch):
@@ -261,11 +303,13 @@ def test_persistent_runtime_reuses_then_remeasures_warmup(receptor, spots, launc
         prefetch=False,
     ) as rt:
         for lig in ligands:
-            ev = rt.acquire(lig)
+            lease = rt.lease(lig)
+            ev = lease.evaluator_factory(receptor, lig, spots)
             serial = SerialEvaluator(rt._bind(lig)).evaluate(spot_ids, t, q)
             assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
+            lease.release()
         assert rt.ligands_bound == len(ligands)
-    # Ligand 0 pays the initial warm-up; rebinds 1 and 2 reuse it; rebind 3
+    # Ligand 0 pays the initial warm-up; leases 1 and 2 reuse it; lease 3
     # hits the interval and re-measures.
     assert obs.counter("host.warmup.reuses").value == reuses + 2
     assert obs.counter("host.warmup.remeasures").value == remeasures + 1
@@ -279,11 +323,13 @@ def test_persistent_runtime_prefetch_stages_next_ligand(receptor, spots, launch)
         for i, lig in enumerate(ligands):
             if i + 1 < len(ligands):
                 rt.hint_next(ligands[i + 1])
-            ev = rt.acquire(lig)
+            lease = rt.lease(lig)
+            ev = lease.evaluator_factory(receptor, lig, spots)
             serial = SerialEvaluator(rt._bind(lig)).evaluate(spot_ids, t, q)
             assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
+            lease.release()
     # Ligands 1 and 2 were bound + staged by the stager thread while their
-    # predecessors were active.
+    # predecessors held the pool.
     assert obs.counter("host.prefetch.hits").value == hits + 2
 
 
@@ -291,13 +337,17 @@ def test_persistent_runtime_same_ligand_reacquire_restages_nothing(
     receptor, spots, ligand, launch
 ):
     spot_ids, t, q = launch
+    reuses = obs.counter("host.pool.reuses").value
     with PersistentHostRuntime(receptor, spots, n_workers=1, prefetch=False) as rt:
         first = rt.acquire(ligand)
         first.evaluate(spot_ids, t, q)
         assert first.stats.n_launches == 1
-        again = rt.acquire(ligand)  # a campaign retry of the active ligand
-        assert again is first
-        assert again.stats.n_launches == 0  # fresh trace for the retry
+        pool, binding = rt.evaluator, rt.evaluator.binding
+        again = rt.acquire(ligand)  # a campaign retry of the resident ligand
+        # Same pool, same lease, same staged bank — nothing was rebound...
+        assert rt.evaluator is pool and again._binding is binding
+        assert obs.counter("host.pool.reuses").value == reuses
+        assert again.stats.n_launches == 0  # ...only the trace is fresh
         assert rt.ligands_bound == 1
     with pytest.raises(ScoringError, match="closed"):
         rt.acquire(ligand)
@@ -393,7 +443,7 @@ def test_harvest_is_idempotent(fast_scorer, launch):
 def test_persistent_evaluator_rejects_single_slot_bank(receptor, ligand):
     with pytest.raises(ScoringError, match="slot_banks"):
         ParallelSpotEvaluator(
-            _cutoff(receptor, ligand), n_workers=1, persistent=True, slot_banks=1
+            _cutoff(receptor, ligand), n_workers=1, slot_banks=1
         )
 
 

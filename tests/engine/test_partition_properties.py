@@ -8,7 +8,11 @@ runs), so the suite degrades without losing the invariants.
 import numpy as np
 import pytest
 
-from repro.engine.partition import equal_partition, proportional_partition
+from repro.engine.partition import (
+    eq1_weights,
+    equal_partition,
+    proportional_partition,
+)
 from repro.engine.warmup import run_warmup
 from repro.hardware.node import hertz, jupiter
 from repro.scoring.base import OPS_PER_LJ_PAIR
@@ -137,11 +141,13 @@ def check_warmup_properties(gpus, iterations, poses):
     result = run_warmup(
         gpus, FLOPS, iterations=iterations, poses_per_device=poses, noise=0.0
     )
-    measured, percent, weights = (
-        result.measured_times,
-        result.percent,
-        result.weights,
-    )
+    measured = result.measured_times
+    # The one Eq. 1: the warm-up publishes exactly what eq1_weights computes
+    # (as do the host runtime's workers and the fleet's nodes), so the
+    # structure checked below is checked for every caller.
+    percent, weights = eq1_weights(measured)
+    assert np.array_equal(result.percent, percent)
+    assert np.array_equal(result.weights, weights)
     assert percent.max() == pytest.approx(1.0), "slowest device anchors Eq. 1"
     assert np.all(percent > 0) and np.all(percent <= 1.0 + 1e-12)
     assert weights.sum() == pytest.approx(1.0), "shares are a distribution"
