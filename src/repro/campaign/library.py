@@ -292,7 +292,9 @@ class SmilesSource:
         self.atoms_range = (int(lo), int(hi))
 
     def _entries(self) -> Iterator[tuple[str, str]]:
-        with open(self.path, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a spreadsheet export's leading BOM is not part of the
+        # first SMILES (it would change that ligand's content-hash seed).
+        with open(self.path, "r", encoding="utf-8-sig") as handle:
             for line in handle:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -302,7 +304,8 @@ class SmilesSource:
                 title = parts[1].strip() if len(parts) > 1 else smiles
                 yield smiles, title
 
-    def __iter__(self) -> Iterator[Ligand]:
+    def _unique_entries(self) -> Iterator[tuple[str, str]]:
+        """``_entries`` minus dedup-dropped lines: position == ordinal."""
         seen: set[bytes] = set()
         for smiles, title in self._entries():
             if self.dedup:
@@ -310,7 +313,33 @@ class SmilesSource:
                 if key in seen:
                     continue
                 seen.add(key)
+            yield smiles, title
+
+    def __iter__(self) -> Iterator[Ligand]:
+        for smiles, title in self._unique_entries():
             yield _line_ligand(smiles, title, self.seed, self.atoms_range)
+
+    def ligands_at(self, ordinals: Iterable[int]) -> dict[int, Ligand]:
+        """Build only the ligands at ``ordinals`` (one scan of the file).
+
+        The lines before the largest wanted ordinal are parsed and deduped
+        but never synthesised, so a fleet worker's lease costs
+        ``len(ordinals)`` ligand builds, not ``max(ordinals)``. Ordinals
+        past the end of the library are absent from the result.
+        """
+        wanted = set(ordinals)
+        out: dict[int, Ligand] = {}
+        if not wanted:
+            return out
+        last = max(wanted)
+        for ordinal, (smiles, title) in enumerate(self._unique_entries()):
+            if ordinal in wanted:
+                out[ordinal] = _line_ligand(
+                    smiles, title, self.seed, self.atoms_range
+                )
+            if ordinal >= last:
+                break
+        return out
 
     def descriptor(self) -> dict:
         return {
@@ -353,7 +382,7 @@ class CsvSource(SmilesSource):
     def _entries(self) -> Iterator[tuple[str, str]]:
         import csv
 
-        with open(self.path, "r", encoding="utf-8", newline="") as handle:
+        with open(self.path, "r", encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -510,23 +539,29 @@ def materialize_ordinals(
     """Fetch specific ligands by global ordinal.
 
     Random-access sources (:meth:`SyntheticSource.ligand_at`) jump straight
-    to each ordinal; streaming sources are scanned once up to the largest
-    requested ordinal. Worker nodes use this to materialise a lease's
-    ligands locally instead of shipping them over the wire.
+    to each ordinal; line-file sources (:meth:`SmilesSource.ligands_at`)
+    scan their file once and build only the requested lines; any other
+    streaming source is iterated up to the largest requested ordinal.
+    Worker nodes use this to materialise a lease's ligands locally instead
+    of shipping them over the wire.
     """
     wanted = set(ordinals)
     if not wanted:
         return {}
-    out: dict[int, Ligand] = {}
     ligand_at = getattr(source, "ligand_at", None)
     if callable(ligand_at):
         return {ordinal: ligand_at(ordinal) for ordinal in sorted(wanted)}
-    last = max(wanted)
-    for ordinal, ligand in enumerate(source):
-        if ordinal in wanted:
-            out[ordinal] = ligand
-        if ordinal >= last:
-            break
+    ligands_at = getattr(source, "ligands_at", None)
+    if callable(ligands_at):
+        out = ligands_at(wanted)
+    else:
+        out = {}
+        last = max(wanted)
+        for ordinal, ligand in enumerate(source):
+            if ordinal in wanted:
+                out[ordinal] = ligand
+            if ordinal >= last:
+                break
     missing = wanted - set(out)
     if missing:
         raise CampaignError(

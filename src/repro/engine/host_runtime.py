@@ -70,7 +70,6 @@ from multiprocessing import resource_tracker, shared_memory
 from secrets import token_hex
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro import observability as obs
 from repro.constants import DEFAULT_SEED, FLOAT_DTYPE
@@ -458,6 +457,8 @@ def rebuild_scorer(spec: dict) -> BoundScorer:
         trees = _WORKER.setdefault("trees", {})
         tree = trees.get(spec["tree_coords"].name)
         if tree is None:
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(scorer._tree_coords)
             trees[spec["tree_coords"].name] = tree
         scorer._tree = tree

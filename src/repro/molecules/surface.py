@@ -11,7 +11,6 @@ not. A KD-tree makes this ``O(n log n)``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.errors import MoleculeError
 from repro.molecules.structures import Molecule
@@ -62,6 +61,8 @@ def surface_mask(
         raise MoleculeError(
             f"threshold_fraction must be in (0, 1], got {threshold_fraction}"
         )
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(molecule.coords)
     # query_ball_point counts include the atom itself; subtract one.
     counts = (

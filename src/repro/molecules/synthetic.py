@@ -27,6 +27,8 @@ is what the paper's evaluation exercises.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.constants import FLOAT_DTYPE, default_rng
@@ -217,29 +219,34 @@ def generate_ligand(
     coords = np.zeros((n_atoms, 3), dtype=FLOAT_DTYPE)
     radii = np.array([get_element(s).covalent_radius for s in elements])
 
+    # Ligand generation is most of a library-ingest pass, so the attempt
+    # loop calls the ufuncs ``np.linalg.norm`` / ``np.all`` would run, in
+    # their order (dot, sqrt; multiply, add.reduce, sqrt): stored campaigns
+    # key on these bytes, and tests/molecules/test_synthetic.py holds the
+    # wrapper form as the bitwise reference.
     for i in range(1, n_atoms):
-        placed = False
+        radius = radii[i]
+        limits = radii[:i] + radius + 0.5
+        grown = coords[:i]
         for _ in range(64):
             parent = int(rng.integers(0, i))
-            bond = radii[i] + radii[parent]
+            bond = radius + radii[parent]
             direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
+            direction /= math.sqrt(direction.dot(direction))
             candidate = coords[parent] + bond * direction
             # Keep the bond graph a tree: the new atom must bond *only* to
             # its parent. Reject placements within geometric bonding range
             # (covalent sum + tolerance) of any other atom — that is what
             # gives the generated molecules drug-like topology (n−1 bonds,
             # several rotatable bonds) instead of fused clusters.
-            d = np.linalg.norm(coords[:i] - candidate, axis=1)
-            limits = radii[:i] + radii[i] + 0.5
+            diff = grown - candidate
+            d = np.sqrt(np.add.reduce(diff * diff, axis=1))
             d[parent] = np.inf  # the bonded parent is allowed to be close
-            if np.all(d >= limits):
-                placed = True
+            if (d >= limits).all():
                 break
         # When no clash-free placement is found within the attempt budget,
         # the last candidate is accepted: one extra contact does not break
         # the LJ landscape and connectivity is preserved either way.
-        del placed
         coords[i] = candidate
 
     charges = rng.normal(0.0, 0.15, size=n_atoms).astype(FLOAT_DTYPE)

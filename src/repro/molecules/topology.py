@@ -10,13 +10,16 @@ sum of covalent radii plus a tolerance — and analysed with :mod:`networkx`.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.errors import MoleculeError
 from repro.molecules.elements import get_element
 from repro.molecules.structures import Molecule
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "infer_bonds",
@@ -40,6 +43,8 @@ def infer_bonds(molecule: Molecule, tolerance: float = BOND_TOLERANCE) -> list[t
     with the maximum possible bond length as search radius, so it is
     near-linear in atom count.
     """
+    from scipy.spatial import cKDTree
+
     if tolerance < 0:
         raise MoleculeError(f"tolerance must be >= 0, got {tolerance}")
     radii = np.array(
@@ -60,6 +65,8 @@ def infer_bonds(molecule: Molecule, tolerance: float = BOND_TOLERANCE) -> list[t
 
 def bond_graph(molecule: Molecule, tolerance: float = BOND_TOLERANCE) -> nx.Graph:
     """The molecule as an undirected graph (nodes carry ``element``)."""
+    import networkx as nx
+
     graph = nx.Graph()
     for i in range(molecule.n_atoms):
         graph.add_node(i, element=str(molecule.elements[i]))
@@ -69,18 +76,24 @@ def bond_graph(molecule: Molecule, tolerance: float = BOND_TOLERANCE) -> nx.Grap
 
 def is_connected(molecule: Molecule) -> bool:
     """True when the bond graph is a single connected component."""
+    import networkx as nx
+
     graph = bond_graph(molecule)
     return nx.is_connected(graph) if graph.number_of_nodes() > 0 else False
 
 
 def connected_components(molecule: Molecule) -> list[set[int]]:
     """Atom-index sets of the bond graph's components (largest first)."""
+    import networkx as nx
+
     graph = bond_graph(molecule)
     return sorted(nx.connected_components(graph), key=len, reverse=True)
 
 
 def ring_atoms(molecule: Molecule) -> set[int]:
     """Atoms that belong to at least one ring (cycle basis union)."""
+    import networkx as nx
+
     graph = bond_graph(molecule)
     atoms: set[int] = set()
     for cycle in nx.cycle_basis(graph):
@@ -95,6 +108,8 @@ def rotatable_bonds(molecule: Molecule) -> list[tuple[int, int]]:
     fragments with at least two atoms (rotating a terminal atom is a
     no-op), i.e. bridge edges between non-terminal atoms outside rings.
     """
+    import networkx as nx
+
     graph = bond_graph(molecule)
     in_ring = ring_atoms(molecule)
     bridges = set(nx.bridges(graph)) if graph.number_of_edges() else set()
@@ -110,6 +125,8 @@ def rotatable_bonds(molecule: Molecule) -> list[tuple[int, int]]:
 
 def topology_summary(molecule: Molecule) -> dict[str, int | bool]:
     """Descriptor bundle for reports: bonds, rings, rotatables, connectivity."""
+    import networkx as nx
+
     graph = bond_graph(molecule)
     return {
         "n_atoms": molecule.n_atoms,

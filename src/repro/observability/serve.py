@@ -25,11 +25,13 @@ import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ObservabilityError
 from repro.observability.export import snapshot_to_prometheus
+
+if TYPE_CHECKING:
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 __all__ = ["MetricsServer", "CampaignHealth"]
 
@@ -137,44 +139,55 @@ class CampaignHealth:
         return _json_safe(doc)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Serves /metrics and /healthz from the owning server's callables."""
+def _handler_class() -> type[BaseHTTPRequestHandler]:
+    """The request handler, built when a server starts.
 
-    server_version = "repro-vs-metrics/1"
+    :mod:`http.server` (and the :mod:`ssl` it pulls in) loads here, not
+    at import: most processes that import the observability package
+    never serve a scrape.
+    """
+    from http.server import BaseHTTPRequestHandler
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        try:
-            if path == "/metrics":
-                body = snapshot_to_prometheus(self.server.snapshot_fn())
-                self._reply(200, _METRICS_CONTENT_TYPE, body.encode("utf-8"))
-            elif path == "/healthz":
-                health_fn = self.server.health_fn
-                doc = health_fn() if health_fn is not None else {"status": "ok"}
+    class _Handler(BaseHTTPRequestHandler):
+        """Serves /metrics and /healthz from the owning server's callables."""
+
+        server_version = "repro-vs-metrics/1"
+
+        def do_GET(self) -> None:  # noqa: N802 - http.server API
+            path = self.path.split("?", 1)[0]
+            try:
+                if path == "/metrics":
+                    body = snapshot_to_prometheus(self.server.snapshot_fn())
+                    self._reply(200, _METRICS_CONTENT_TYPE, body.encode("utf-8"))
+                elif path == "/healthz":
+                    health_fn = self.server.health_fn
+                    doc = health_fn() if health_fn is not None else {"status": "ok"}
+                    self._reply(
+                        200,
+                        "application/json",
+                        json.dumps(_json_safe(doc), sort_keys=True).encode("utf-8"),
+                    )
+                else:
+                    self._reply(404, "text/plain; charset=utf-8", b"not found\n")
+            except Exception as exc:  # a scrape must never kill the server
                 self._reply(
-                    200,
-                    "application/json",
-                    json.dumps(_json_safe(doc), sort_keys=True).encode("utf-8"),
+                    500, "text/plain; charset=utf-8", f"error: {exc}\n".encode("utf-8")
                 )
-            else:
-                self._reply(404, "text/plain; charset=utf-8", b"not found\n")
-        except Exception as exc:  # a scrape must never kill the server
-            self._reply(
-                500, "text/plain; charset=utf-8", f"error: {exc}\n".encode("utf-8")
-            )
 
-    def _reply(self, code: int, content_type: str, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):  # impatient scraper
+        def _reply(self, code: int, content_type: str, body: bytes) -> None:
+            self.send_response(code)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            try:
+                self.wfile.write(body)
+            except (BrokenPipeError, ConnectionResetError):  # impatient scraper
+                pass
+
+        def log_message(self, fmt, *args) -> None:  # silence per-request noise
             pass
 
-    def log_message(self, fmt, *args) -> None:  # silence per-request noise
-        pass
+    return _Handler
 
 
 class MetricsServer:
@@ -234,11 +247,14 @@ class MetricsServer:
         """
         if self._server is not None:
             return self
+        from http.server import ThreadingHTTPServer
+
+        handler = _handler_class()
         delay = self._BIND_BACKOFF_S
         for attempt in range(1, self._BIND_ATTEMPTS + 1):
             try:
                 server = ThreadingHTTPServer(
-                    (self.host, self._requested_port), _Handler
+                    (self.host, self._requested_port), handler
                 )
                 break
             except OSError as exc:

@@ -30,7 +30,6 @@ paper's CUDA kernels use — which is ~3× faster on the host.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.constants import DEFAULT_CUTOFF, FLOAT_DTYPE
 from repro.errors import ScoringError
@@ -144,6 +143,8 @@ class BoundCutoffLennardJones(BoundScorer):
         # gathered supersets are identical wherever the scorer is rebuilt
         # (e.g. in host-runtime worker processes), even on the float32 path.
         self._tree_coords = np.ascontiguousarray(receptor.coords, dtype=np.float64)
+        from scipy.spatial import cKDTree
+
         self._tree = cKDTree(self._tree_coords)
 
     def _score_chunk(

@@ -36,9 +36,9 @@ sweeps everything; pruning only accelerates the Python host math.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.constants import DEFAULT_CUTOFF, FLOAT_DTYPE
 from repro.errors import ScoringError
@@ -51,6 +51,9 @@ from repro.scoring.base import (
 )
 from repro.scoring.cutoff import GATHER_SLACK, BoundCutoffLennardJones
 from repro.scoring.lennard_jones import BoundLennardJones, lj_energy_sum_inplace
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = ["spot_prune_indices", "prune_bound", "BoundSpotPruned", "SpotPrunedScoring"]
 
@@ -378,6 +381,8 @@ class BoundSpotPruned(BoundScorer):
             return view
         idx = self.subsets[spot]
         if self.mode == "cutoff":
+            from scipy.spatial import cKDTree
+
             view = _SpotView(idx=idx, tree=cKDTree(self._tree_coords[idx]))
         else:
             rec = np.ascontiguousarray(self.inner.receptor_coords[idx])

@@ -135,3 +135,76 @@ def test_materialize_ordinals_scans_stream_once(smi_path):
     assert picked[0].title == "ethanol" and picked[2].title == "benzene"
     with pytest.raises(CampaignError, match="library ended"):
         materialize_ordinals(source, [99])
+
+
+def _same_ligand(a, b):
+    return (
+        a.coords.tobytes() == b.coords.tobytes()
+        and a.charges.tobytes() == b.charges.tobytes()
+        and list(a.elements) == list(b.elements)
+        and a.title == b.title
+    )
+
+
+def _write_library(path, n_lines, duplicate_every=None):
+    """One line per title; every ``duplicate_every``-th line repeats line 0."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(n_lines):
+            repeat = duplicate_every and i and i % duplicate_every == 0
+            handle.write(f"{'C' * (4 + i % 9)}N mol-{0 if repeat else i}\n")
+
+
+@pytest.mark.parametrize("duplicate_every", [None, 7])
+@pytest.mark.parametrize("reader", ["smiles", "csv"])
+def test_materialize_ordinals_builds_only_the_wanted_lines(
+    tmp_path, monkeypatch, reader, duplicate_every
+):
+    from repro.campaign import library
+
+    smi = tmp_path / "lib.smi"
+    _write_library(smi, 120, duplicate_every)
+    if reader == "smiles":
+        source = SmilesSource(smi, seed=5)
+    else:
+        rows = [line.split() for line in smi.read_text().splitlines()]
+        csv_path = tmp_path / "lib.csv"
+        csv_path.write_text(
+            "smiles,title\n" + "".join(f"{s},{t}\n" for s, t in rows)
+        )
+        source = CsvSource(csv_path, seed=5)
+    everything = list(source)
+    ordinals = [90, 3, 95]
+
+    calls = []
+    real = library.generate_ligand
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(library, "generate_ligand", counting)
+    picked = materialize_ordinals(source, ordinals)
+    assert len(calls) == len(ordinals)
+    assert sorted(picked) == sorted(ordinals)
+    for ordinal in ordinals:
+        assert _same_ligand(picked[ordinal], everything[ordinal]), ordinal
+    with pytest.raises(CampaignError, match="library ended"):
+        materialize_ordinals(source, [len(everything)])
+
+
+@pytest.mark.parametrize("reader", ["smiles", "csv"])
+def test_utf8_bom_does_not_change_the_library(tmp_path, reader):
+    # The BOM lands on whatever the file starts with: the first SMILES, or
+    # the first header cell — here the ``smiles`` column itself.
+    text = SMI.split("\n", 1)[1] if reader == "smiles" else (
+        "smiles,title\nCCO,ethanol\nCC(=O)O,acetic-acid\nc1ccccc1,\n"
+    )
+    cls = SmilesSource if reader == "smiles" else CsvSource
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    want, got = list(cls(plain, seed=3)), list(cls(bom, seed=3))
+    assert len(want) == len(got) > 0
+    for a, b in zip(want, got):
+        assert _same_ligand(a, b), a.title

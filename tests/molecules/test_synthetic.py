@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import FLOAT_DTYPE, default_rng
 from repro.errors import MoleculeError
 from repro.molecules.elements import get_element
+from repro.molecules.structures import Ligand
 from repro.molecules.synthetic import (
     LIGAND_HEAVY_COMPOSITION,
     PROTEIN_HEAVY_COMPOSITION,
+    _sample_elements,
     generate_ligand,
     generate_receptor,
 )
@@ -120,3 +123,55 @@ def test_ligand_generation_never_produces_invalid_structures(n, seed):
     lig = generate_ligand(n, seed=seed)
     assert lig.n_atoms == n
     assert np.all(np.isfinite(lig.coords))
+
+
+def _generate_ligand_reference(n_atoms, seed, title="synthetic ligand"):
+    """``generate_ligand`` as it stood before its attempt loop called the
+    ufuncs directly — frozen here as the bitwise reference."""
+    rng = default_rng(seed)
+    elements = _sample_elements(rng, n_atoms, LIGAND_HEAVY_COMPOSITION)
+    coords = np.zeros((n_atoms, 3), dtype=FLOAT_DTYPE)
+    radii = np.array([get_element(s).covalent_radius for s in elements])
+    for i in range(1, n_atoms):
+        for _ in range(64):
+            parent = int(rng.integers(0, i))
+            bond = radii[i] + radii[parent]
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            candidate = coords[parent] + bond * direction
+            d = np.linalg.norm(coords[:i] - candidate, axis=1)
+            limits = radii[:i] + radii[i] + 0.5
+            d[parent] = np.inf
+            if np.all(d >= limits):
+                break
+        coords[i] = candidate
+    charges = rng.normal(0.0, 0.15, size=n_atoms).astype(FLOAT_DTYPE)
+    charges -= charges.mean()
+    return Ligand(
+        coords=coords,
+        elements=elements,
+        charges=charges,
+        names=[f"{sym}{i + 1}" for i, sym in enumerate(elements)],
+        residues=["LIG"] * n_atoms,
+        residue_indices=np.ones(n_atoms, dtype=np.int64),
+        title=title,
+    ).centered()
+
+
+def test_generate_ligand_is_bitwise_the_reference():
+    # Every ligand of every stored campaign is keyed by these bytes.
+    cases = [(n, seed) for n in (1, 2, 3) for seed in range(20)]
+    cases += [(4 + k % 61, 1000 + k) for k in range(1800)]
+    # The perf ledger's dock libraries: generate_ligand(atoms, seed * 100003 + i).
+    cases += [
+        (atoms, seed * 100003 + i)
+        for seed in (7, 8, 11)
+        for i, atoms in enumerate((16, 18, 20, 22, 26, 28, 30, 32) * 8)
+    ]
+    assert len(cases) >= 2000
+    for n_atoms, seed in cases:
+        got = generate_ligand(n_atoms, seed=seed, title="T")
+        want = _generate_ligand_reference(n_atoms, seed, title="T")
+        assert got.coords.tobytes() == want.coords.tobytes(), (n_atoms, seed)
+        assert got.charges.tobytes() == want.charges.tobytes(), (n_atoms, seed)
+        assert list(got.elements) == list(want.elements), (n_atoms, seed)
