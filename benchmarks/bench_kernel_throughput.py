@@ -3,9 +3,19 @@
 The Python counterpart of the paper's kernel engineering: one complex, one
 pose batch, every scorer variant timed on it — dense, tiled, cutoff (both
 precisions), soft-core, and the fused batched-pose kernel
-(:mod:`repro.scoring.batched`). Per variant the artifact records
+(:mod:`repro.scoring.batched`). The batch is laid out like a real launch:
+spot-major, equally many in-box poses for each of :data:`N_SPOTS` surface
+spots, scored the way the evaluators do (``score_spots`` for spot-aware
+scorers, ``score`` otherwise); the artifact states the layout. Per variant
+it records
 
 * ``poses_per_s`` / ``mpairs_per_s`` — whole-batch throughput,
+* ``peak_scratch_mb`` — peak of the allocations one launch on a freshly
+  bound scorer makes, in MiB, from :mod:`tracemalloc` (NumPy reports its
+  buffers to it),
+* ``oracle_max_err`` / ``oracle_ok`` — worst deviation from a float64
+  all-pairs direct-difference oracle (:func:`oracle_scores`), in units of
+  the tolerance tests/scoring already holds that precision to,
 * ``score_one_us`` — the single-pose fast path (``score_one`` calls the
   chunk kernel directly),
 * ``score_one_batch_path_us`` — the old round-trip through ``score`` with a
@@ -30,11 +40,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
+from repro.constants import DEFAULT_CUTOFF, MIN_PAIR_DISTANCE
+from repro.molecules.forcefield import default_forcefield
+from repro.molecules.spots import find_spots
 from repro.molecules.synthetic import generate_ligand, generate_receptor
-from repro.molecules.transforms import random_quaternion
+from repro.molecules.transforms import apply_poses, random_quaternion
 from repro.scoring.autotune import CalibrationCell, CalibrationTable, KernelSelector
 from repro.scoring.batched import BatchedLJScoring
 from repro.scoring.cutoff import CutoffLennardJonesScoring
@@ -50,16 +64,26 @@ SMOKE_CASES = [("smoke", 1000, 32, 96)]
 
 REPEATS = 3
 SCORE_ONE_ITERS = 100
+#: Spots the pose batch is spread over, spot-major.
+N_SPOTS = 8
 
-#: name -> (factory, numerics family or None)
+#: name -> (factory, numerics family or None, oracle column)
 VARIANTS = {
-    "dense-f64": (lambda: LennardJonesScoring(), "exact"),
-    "tiled-f64": (lambda: TiledLennardJonesScoring(), "exact"),
-    "batched-f64": (lambda: BatchedLJScoring(), "exact"),
-    "cutoff-f64": (lambda: CutoffLennardJonesScoring(), None),
-    "cutoff-f32": (lambda: CutoffLennardJonesScoring(dtype=np.float32), None),
-    "softcore-f64": (lambda: SoftcoreLJScoring(), None),
+    "dense-f64": (lambda: LennardJonesScoring(), "exact", "lj"),
+    "tiled-f64": (lambda: TiledLennardJonesScoring(), "exact", "lj"),
+    "batched-f64": (lambda: BatchedLJScoring(), "exact", "lj"),
+    "cutoff-f64": (lambda: CutoffLennardJonesScoring(), None, "lj-cutoff"),
+    "cutoff-f32": (
+        lambda: CutoffLennardJonesScoring(dtype=np.float32), None, "lj-cutoff"
+    ),
+    "softcore-f64": (lambda: SoftcoreLJScoring(), None, "softcore"),
 }
+
+#: precision -> (rtol, atol, |oracle| ceiling), as tests/scoring has them:
+#: 1e-8 for float64 kernels (test_batched, against the pure-Python
+#: reference), 5e-2 / 1e-2 on poses that are not clashed for the float32
+#: path (test_cutoff).
+ORACLE_TOLERANCE = {"f64": (1e-8, 0.0, np.inf), "f32": (5e-2, 1e-2, 1e3)}
 
 
 def _time_best(fn, repeats=REPEATS):
@@ -71,27 +95,88 @@ def _time_best(fn, repeats=REPEATS):
     return best
 
 
+def oracle_scores(receptor, ligand, translations, quaternions, alpha):
+    """{column: scores} from float64 direct differences, one pose at a time.
+
+    No GEMM, no gather, no chunking: every receptor-ligand pair's distance
+    is a subtraction, so none of the kernels' shortcuts can hide here.
+    ``alpha`` is the soft-core scorer's own.
+    """
+    sigma, epsilon = default_forcefield().pair_tables(
+        [str(e) for e in ligand.elements], [str(e) for e in receptor.elements]
+    )
+    posed = apply_poses(
+        ligand.coords - ligand.coords.mean(axis=0), translations, quaternions
+    )
+    out = {column: np.empty(len(posed)) for column in ("lj", "lj-cutoff", "softcore")}
+    for i, atoms in enumerate(posed):
+        delta = atoms[:, None, :] - receptor.coords[None, :, :]
+        r2 = np.einsum("arj,arj->ar", delta, delta)
+        s6 = (sigma * sigma / np.maximum(r2, MIN_PAIR_DISTANCE**2)) ** 3
+        lj = 4.0 * epsilon * (s6 * s6 - s6)
+        out["lj"][i] = lj.sum()
+        out["lj-cutoff"][i] = lj[r2 <= DEFAULT_CUTOFF**2].sum()
+        u = sigma**6 / (alpha * sigma**6 + r2**3)
+        out["softcore"][i] = (4.0 * epsilon * (u * u - u)).sum()
+    return out
+
+
+def oracle_error(scores, oracle, rtol, atol, ceiling):
+    """Worst ``|score - oracle|`` in units of its tolerance (<= 1 passes)."""
+    rows = np.abs(oracle) < ceiling
+    return float(
+        np.max(np.abs(scores[rows] - oracle[rows]) / (atol + rtol * np.abs(oracle[rows])))
+    )
+
+
 def bench_case(name, n_rec, n_lig, poses, seed=41):
     receptor = generate_receptor(n_rec, seed=seed, title=name)
     ligand = generate_ligand(n_lig, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
-    center = receptor.coords.mean(axis=0)
-    translations = center[None, :] + rng.normal(0, 6.0, (poses, 3))
+    spots = find_spots(receptor, N_SPOTS)
+    per_spot = poses // len(spots)
+    poses = per_spot * len(spots)
+    spot_ids = np.repeat([s.index for s in spots], per_spot)
+    translations = np.repeat([s.center for s in spots], per_spot, axis=0)
+    translations += rng.uniform(-1.0, 1.0, (poses, 3)) * np.repeat(
+        [s.radius for s in spots], per_spot
+    )[:, None]
     quaternions = random_quaternion(rng, poses)
     pairs = poses * n_rec * n_lig
+    oracle = oracle_scores(
+        receptor, ligand, translations, quaternions, SoftcoreLJScoring().alpha
+    )
 
     case = {
         "case": name,
         "receptor_atoms": n_rec,
         "ligand_atoms": n_lig,
         "poses": poses,
+        "layout": (
+            f"spot-major: {len(spots)} spots x {per_spot} poses, translations "
+            "uniform in each spot's search box"
+        ),
         "variants": {},
     }
     exact_cells = []
-    for vname, (factory, family) in VARIANTS.items():
+    for vname, (factory, family, column) in VARIANTS.items():
         scorer = factory().bind(receptor, ligand)
-        scorer.score(translations[:8], quaternions[:8])  # warm caches/scratch
-        batch_s = _time_best(lambda: scorer.score(translations, quaternions))
+
+        def launch(scorer=scorer):
+            if scorer.supports_spot_scoring:
+                return scorer.score_spots(spot_ids, translations, quaternions)
+            return scorer.score(translations, quaternions)
+
+        # First launch on the fresh scorer: its scratch is still to allocate.
+        tracemalloc.start()
+        held = tracemalloc.get_traced_memory()[0]
+        scores = launch()
+        peak_scratch = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.stop()
+        oracle_err = oracle_error(
+            scores, oracle[column], *ORACLE_TOLERANCE[vname[-3:]]
+        )
+        batch_s = _time_best(launch)
 
         def one_fast():
             for i in range(SCORE_ONE_ITERS):
@@ -109,6 +194,9 @@ def bench_case(name, n_rec, n_lig, poses, seed=41):
         case["variants"][vname] = {
             "poses_per_s": poses / batch_s,
             "mpairs_per_s": pairs / batch_s / 1e6,
+            "peak_scratch_mb": peak_scratch / 2**20,
+            "oracle_max_err": oracle_err,
+            "oracle_ok": oracle_err <= 1.0,
             "score_one_us": fast_s * 1e6,
             "score_one_batch_path_us": slow_s * 1e6,
             "score_one_fastpath_speedup": slow_s / fast_s,
@@ -167,14 +255,17 @@ def _report(artifact):
             f"{case['case']}: {case['receptor_atoms']}x{case['ligand_atoms']} "
             f"atoms, {case['poses']} poses"
         )
+        lines.append(f"  {case['layout']}")
         lines.append(
             f"  {'variant':<13s} {'poses/s':>10s} {'Mpairs/s':>10s} "
+            f"{'scratch MiB':>11s} {'oracle':>7s} "
             f"{'one (us)':>9s} {'one-batch':>10s} {'fast x':>7s}"
         )
         for vname, v in case["variants"].items():
             lines.append(
                 f"  {vname:<13s} {v['poses_per_s']:10.0f} "
-                f"{v['mpairs_per_s']:10.1f} {v['score_one_us']:9.1f} "
+                f"{v['mpairs_per_s']:10.1f} {v['peak_scratch_mb']:11.2f} "
+                f"{v['oracle_max_err']:7.1e} {v['score_one_us']:9.1f} "
                 f"{v['score_one_batch_path_us']:10.1f} "
                 f"{v['score_one_fastpath_speedup']:7.2f}"
             )
@@ -204,6 +295,7 @@ def test_kernel_throughput_smoke(benchmark, tmp_path):
         assert set(case["variants"]) == set(VARIANTS)
         for v in case["variants"].values():
             assert v["poses_per_s"] > 0
+            assert v["oracle_ok"], v
             # The fast path must never be slower than the batch round-trip
             # by more than timing noise.
             assert v["score_one_fastpath_speedup"] > 0.8, v

@@ -78,7 +78,7 @@ from repro.errors import ScoringError, WorkerPoolError
 from repro.observability.flight import flight_event
 from repro.metaheuristics.evaluation import EvaluationStats, LaunchRecord
 from repro.molecules.transforms import normalize_quaternion
-from repro.scoring.base import BoundScorer
+from repro.scoring.base import BoundScorer, spot_groups
 from repro.scoring.batched import BoundBatchedLJ
 from repro.scoring.cutoff import BoundCutoffLennardJones, CutoffLennardJonesScoring
 from repro.scoring.lennard_jones import BoundLennardJones
@@ -117,6 +117,19 @@ DEFAULT_REMEASURE_INTERVAL: int = 64
 #: Persistent runtime: re-measure early when any worker's observed pose
 #: share drifts this far (absolute) from its Eq. 1 weight.
 DEFAULT_DRIFT_THRESHOLD: float = 0.25
+
+#: Least modelled work (receptor × ligand × pose pairs) in one job of a
+#: spot-aware scorer: 59 poses on a 1,500 × 24 complex, the grain the plain
+#: path's chunk-grid jobs have for float32
+#: (:data:`repro.scoring.base.CHUNK_BUDGET_BYTES` / 4). Sending part of a
+#: launch to a second worker costs a fixed ~1.5 ms of CPU (pickle, wake-up,
+#: telemetry merge). Measured on that complex, 8 spots, two workers, ms per
+#: launch as one job -> a job per spot group: at 48 poses 8.4 -> 6.3 with the
+#: pool to itself but 4.8 -> 5.8 beside another ligand's launch, +19% CPU
+#: either way; from 96 poses up 33-44% faster alone, and within 3% (wall and
+#: CPU) beside another launch. So the grain sits between 48 and 96 poses;
+#: what it gives up is the alone-in-the-pool gain of launches below it.
+_MIN_JOB_PAIRS: int = 2 * 1024 * 1024
 
 #: Headroom factor when sizing a reusable ligand slot, so ligands a little
 #: larger than the last one reuse the segment instead of retiring it.
@@ -307,7 +320,7 @@ def stage_scorer(
     heavy per-complex arrays are split by lifetime: arrays that change per
     ligand (ligand coordinates, the ligand×receptor σ²/4ε pair tables,
     pruned subsets) are rewritten into ``ligand_stage``'s reusable slots,
-    while receptor-side arrays (coordinates, KD-tree input, spot geometry)
+    while receptor-side arrays (coordinates, spot geometry)
     go through ``stage`` once, their handles kept in ``receptor_cache`` for
     every later ligand. The receptor, spots and scoring must stay fixed for
     the cache's lifetime — the caller's contract, checked here only by
@@ -367,7 +380,6 @@ def stage_scorer(
             "chunk_size": scorer.chunk_size,
             "dtype": str(scorer.dtype),
             "receptor_coords": fixed("receptor_coords", scorer.receptor_coords),
-            "tree_coords": fixed("tree_coords", scorer._tree_coords),
             "sigma2": varying("sigma2", scorer._sigma2),
             "epsilon4": varying("epsilon4", scorer._epsilon4),
             "ligand_coords": varying("ligand_coords", scorer.ligand_coords),
@@ -447,21 +459,9 @@ def rebuild_scorer(spec: dict) -> BoundScorer:
         scorer.dtype = np.dtype(spec["dtype"])
         scorer.ligand_coords = _attach(spec["ligand_coords"])
         scorer.receptor_coords = _attach(spec["receptor_coords"])
-        scorer._tree_coords = _attach(spec["tree_coords"])
         scorer._sigma2 = _attach(spec["sigma2"])
         scorer._epsilon4 = _attach(spec["epsilon4"])
-        # Same float64 input data as the parent's tree ⇒ identical gathers.
-        # Cached by segment name: the persistent runtime stages the tree
-        # coordinates once per campaign, so each worker builds this exactly
-        # once and every ligand rebind reuses it.
-        trees = _WORKER.setdefault("trees", {})
-        tree = trees.get(spec["tree_coords"].name)
-        if tree is None:
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(scorer._tree_coords)
-            trees[spec["tree_coords"].name] = tree
-        scorer._tree = tree
+        scorer._scratch = threading.local()  # buffers built on first score
         return scorer
     if kind == "batched":
         scorer = BoundBatchedLJ.__new__(BoundBatchedLJ)
@@ -622,10 +622,13 @@ _POSE_COUNT_EDGES: tuple[float, ...] = tuple(float(4**k) for k in range(10))
 
 
 def _run_tasks(
-    tasks: list[tuple[str, int, np.ndarray, np.ndarray]],
+    tasks: list[tuple[np.ndarray | None, np.ndarray, np.ndarray]],
     rebind: tuple[int, dict, tuple[str, ...], tuple[int, ...]],
 ) -> tuple[list[np.ndarray], dict | None]:
-    """Score this worker's share of a launch: a list of (mode, spot, t, q).
+    """Score this worker's share of a launch: a list of (spot ids, t, q).
+
+    Jobs of a spot-aware scorer carry their poses' spot ids and go through
+    ``score_spots``; plain jobs carry ``None`` and go through ``score``.
 
     ``rebind`` is the launch's versioned rebind message
     ``(version, spec, retired_segment_names, live_versions)``; a worker
@@ -660,13 +663,12 @@ def _run_tasks(
         else contextlib.nullcontext({})
     )
     with batch_span as batch_tags:
-        for mode, spot, translations, quaternions in tasks:
+        for ids, translations, quaternions in tasks:
             t0 = time.perf_counter()
-            if mode == "spot":
-                ids = np.full(translations.shape[0], spot, dtype=np.int64)
-                out.append(scorer.score_spots(ids, translations, quaternions))
-            else:
+            if ids is None:
                 out.append(scorer.score(translations, quaternions))
+            else:
+                out.append(scorer.score_spots(ids, translations, quaternions))
             if local is not None:
                 n_poses += translations.shape[0]
                 task_s = time.perf_counter() - t0
@@ -706,10 +708,9 @@ class HostWarmupResult:
 
 @dataclass(frozen=True)
 class _Job:
-    """One indivisible unit of a launch: a contiguous slice or a spot group."""
+    """One indivisible unit of a launch: a grid-aligned slice or whole spot groups."""
 
-    mode: str  # "plain" (grid-aligned range) or "spot" (whole spot group)
-    spot: int
+    spot: int  # first spot id of the job: the deterministic LPT tie-break
     rows: np.ndarray  # positions in the launch's pose batch
 
 
@@ -939,26 +940,26 @@ class ParallelSpotEvaluator:
     def _plan(self, spot_ids: np.ndarray, scorer: BoundScorer) -> list[_Job]:
         """Split one launch along serial-equivalent boundaries.
 
-        Spot-aware scorers group by spot serially, so the job unit is the
-        whole per-spot group. Plain scorers chunk the flat batch, so jobs
-        are runs of *whole* chunks from the serial chunk grid (ranges stay
-        grid-aligned: a worker rechunking its range reproduces exactly the
-        chunks the serial loop would have computed).
+        Spot-aware scorers group by spot serially, so a job is a run of
+        *whole* spot groups — as many as it takes to reach
+        :data:`_MIN_JOB_PAIRS` of modelled work, so a launch too small to
+        repay a second task's round trip stays one job. Plain scorers chunk
+        the flat batch, so jobs are runs of *whole* chunks from the serial
+        chunk grid (ranges stay grid-aligned: a worker rechunking its range
+        reproduces exactly the chunks the serial loop would have computed).
         """
         n = spot_ids.shape[0]
         if scorer.supports_spot_scoring:
-            order = np.argsort(spot_ids, kind="stable")
-            sorted_ids = spot_ids[order]
+            order, groups = spot_groups(spot_ids)
+            grain = -(-_MIN_JOB_PAIRS // scorer.n_pairs)  # poses, rounded up
             jobs = []
-            start = 0
-            while start < n:
-                end = int(
-                    np.searchsorted(sorted_ids, sorted_ids[start], side="right")
-                )
-                jobs.append(
-                    _Job(mode="spot", spot=int(sorted_ids[start]), rows=order[start:end])
-                )
-                start = end
+            job_spot = None  # first spot of the job being grown
+            for spot, lo, hi in groups:
+                if job_spot is None:
+                    job_spot, job_lo = spot, lo
+                if hi - job_lo >= grain or hi == n:
+                    jobs.append(_Job(spot=job_spot, rows=order[job_lo:hi]))
+                    job_spot = None
             return jobs
         chunk = scorer.chunk_size
         jobs = []
@@ -967,11 +968,9 @@ class ParallelSpotEvaluator:
         for lo in range(chunk, n, chunk):
             spot = int(spot_ids[lo])
             if spot != run_spot:
-                jobs.append(
-                    _Job(mode="plain", spot=run_spot, rows=np.arange(run_lo, lo))
-                )
+                jobs.append(_Job(spot=run_spot, rows=np.arange(run_lo, lo)))
                 run_lo, run_spot = lo, spot
-        jobs.append(_Job(mode="plain", spot=run_spot, rows=np.arange(run_lo, n)))
+        jobs.append(_Job(spot=run_spot, rows=np.arange(run_lo, n)))
         return jobs
 
     def _buckets(self, jobs: list[_Job]) -> list[list[_Job]]:
@@ -1075,9 +1074,14 @@ class ParallelSpotEvaluator:
         ticket.span = span
         ticket.span_tags = span.__enter__()
         try:
+            spot_aware = binding.scorer.supports_spot_scoring
             for bucket in self._buckets(jobs):
                 tasks = [
-                    (job.mode, job.spot, translations[job.rows], quaternions[job.rows])
+                    (
+                        spot_ids[job.rows] if spot_aware else None,
+                        translations[job.rows],
+                        quaternions[job.rows],
+                    )
                     for job in bucket
                 ]
                 submit_s = time.monotonic()

@@ -67,7 +67,7 @@ from repro.scoring.batched import (
     BatchedLJScoring,
     batched_chunk_size,
 )
-from repro.scoring.cutoff import CutoffLennardJonesScoring
+from repro.scoring.cutoff import CutoffLennardJonesScoring, cutoff_tile_size
 from repro.scoring.lennard_jones import LennardJonesScoring
 from repro.scoring.tiled import TiledLennardJonesScoring
 
@@ -311,11 +311,12 @@ def variant_candidates(
             ("lennard-jones-batched", min(2 * batched, BATCHED_MAX_CHUNK_SIZE)),
         ]
     elif family in ("cutoff-float32", "cutoff-float64"):
+        # The cutoff kernel tiles by its own rule, not the shared 8 MiB one.
         itemsize = 4 if family == "cutoff-float32" else 8
-        auto = auto_chunk_size(receptor_atoms, ligand_atoms, itemsize)
+        tile = cutoff_tile_size(receptor_atoms, ligand_atoms, itemsize)
         out = [
-            ("lennard-jones-cutoff", auto),
-            ("lennard-jones-cutoff", min(2 * auto, MAX_CHUNK_SIZE)),
+            ("lennard-jones-cutoff", tile),
+            ("lennard-jones-cutoff", min(2 * tile, MAX_CHUNK_SIZE)),
         ]
     else:
         raise ScoringError(f"unknown calibration family {family!r}")

@@ -2,7 +2,7 @@
 
 A :class:`ScoringFunction` is a *factory*: :meth:`ScoringFunction.bind`
 precomputes everything that depends only on the (receptor, ligand) pair —
-mixed LJ parameter tables, KD-trees, grids — and returns a
+mixed LJ parameter tables, grids — and returns a
 :class:`BoundScorer` whose :meth:`BoundScorer.score` evaluates batches of
 poses. This mirrors the CUDA structure in the paper: per-complex constants
 are staged once on the device, then scoring kernels are launched repeatedly
@@ -34,7 +34,9 @@ __all__ = [
     "get_scoring",
     "available_scorings",
     "auto_chunk_size",
+    "check_poses",
     "check_spot_ids",
+    "spot_groups",
     "OPS_PER_LJ_PAIR",
     "CHUNK_BUDGET_BYTES",
     "MIN_CHUNK_SIZE",
@@ -47,8 +49,11 @@ __all__ = [
 OPS_PER_LJ_PAIR: int = 18
 
 #: Target size of the per-chunk pair matrix (the ``(poses, n_lig, n_rec)``
-#: scratch that dominates the dense scorers' peak memory). 8 MiB keeps the
-#: working set inside L2/L3 on typical hosts while still filling the GEMM.
+#: scratch that dominates peak memory) of the dense, tiled, soft-core and
+#: batched scorers. 8 MiB is the block alone: with the elementwise
+#: temporaries beside it a dense chunk's working set measured ~20 MB, an L3
+#: size, chosen to fill the GEMM. The cutoff scorer — the default — does not
+#: use it: it tiles by :data:`repro.scoring.cutoff.TILE_BUDGET_BYTES`.
 CHUNK_BUDGET_BYTES: int = 8 * 1024 * 1024
 
 #: Chunk-size clamp: below this the GEMM degenerates into tiny matmuls …
@@ -76,6 +81,24 @@ def auto_chunk_size(
     return int(np.clip(budget_bytes // pair_bytes, MIN_CHUNK_SIZE, MAX_CHUNK_SIZE))
 
 
+def check_poses(
+    translations: np.ndarray, quaternions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a pose batch; return it as ``(n, 3)`` / ``(n, 4)`` float arrays."""
+    translations = np.asarray(translations, dtype=FLOAT_DTYPE)
+    quaternions = np.asarray(quaternions, dtype=FLOAT_DTYPE)
+    if translations.ndim != 2 or translations.shape[1] != 3:
+        raise ScoringError(
+            f"translations must have shape (n, 3), got {translations.shape}"
+        )
+    if quaternions.shape != (translations.shape[0], 4):
+        raise ScoringError(
+            "quaternions must have shape "
+            f"({translations.shape[0]}, 4), got {quaternions.shape}"
+        )
+    return translations, quaternions
+
+
 def check_spot_ids(spot_ids: np.ndarray, n_poses: int) -> np.ndarray:
     """Validate one spot id per pose; return the ids as an int64 array.
 
@@ -94,6 +117,25 @@ def check_spot_ids(spot_ids: np.ndarray, n_poses: int) -> np.ndarray:
             "exactly one spot id per pose is required"
         )
     return spot_ids
+
+
+def spot_groups(spot_ids: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Group a batch by spot id: ``(order, [(spot, lo, hi), ...])``.
+
+    ``order[lo:hi]`` are the batch positions of one spot's poses, in batch
+    order (the sort is stable); groups come in ascending spot id. Interleaved
+    ids therefore form the same groups as a spot-major batch.
+    """
+    n = spot_ids.shape[0]
+    order = np.argsort(spot_ids, kind="stable")
+    if n == 0:
+        return order, []
+    sorted_ids = spot_ids[order]
+    edges = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
+    return order, [
+        (int(sorted_ids[lo]), int(lo), int(hi))
+        for lo, hi in zip((0, *edges), (*edges, n))
+    ]
 
 
 def non_finite_error(out: np.ndarray, batch_shape: tuple[int, ...]) -> ScoringError:
@@ -165,17 +207,7 @@ class BoundScorer(ABC):
         numpy.ndarray
             ``(n_poses,)`` scores in kcal/mol.
         """
-        translations = np.asarray(translations, dtype=FLOAT_DTYPE)
-        quaternions = np.asarray(quaternions, dtype=FLOAT_DTYPE)
-        if translations.ndim != 2 or translations.shape[1] != 3:
-            raise ScoringError(
-                f"translations must have shape (n, 3), got {translations.shape}"
-            )
-        if quaternions.shape != (translations.shape[0], 4):
-            raise ScoringError(
-                "quaternions must have shape "
-                f"({translations.shape[0]}, 4), got {quaternions.shape}"
-            )
+        translations, quaternions = check_poses(translations, quaternions)
         n = translations.shape[0]
         if n == 0:
             return np.empty(0, dtype=FLOAT_DTYPE)

@@ -36,7 +36,6 @@ sweeps everything; pruning only accelerates the Python host math.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,14 +45,13 @@ from repro.molecules.spots import Spot
 from repro.scoring.base import (
     BoundScorer,
     ScoringFunction,
+    check_poses,
     check_spot_ids,
     non_finite_error,
+    spot_groups,
 )
-from repro.scoring.cutoff import GATHER_SLACK, BoundCutoffLennardJones
+from repro.scoring.cutoff import GATHER_SLACK, BoundCutoffLennardJones, tile_bounds
 from repro.scoring.lennard_jones import BoundLennardJones, lj_energy_sum_inplace
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 __all__ = ["spot_prune_indices", "prune_bound", "BoundSpotPruned", "SpotPrunedScoring"]
 
@@ -96,9 +94,8 @@ class _SpotView:
     """Lazily built per-spot scoring state (one per spot actually scored)."""
 
     idx: np.ndarray  # sorted global receptor-atom indices
-    tree: cKDTree | None = None  # cutoff mode: KD-tree over the subset
-    rec: np.ndarray | None = None  # dense mode: subset coords
-    rec_sq: np.ndarray | None = None
+    rec: np.ndarray  # subset coords
+    rec_sq: np.ndarray | None = None  # dense mode only, like the tables
     sigma2: np.ndarray | None = None
     epsilon4: np.ndarray | None = None
 
@@ -156,11 +153,7 @@ class BoundSpotPruned(BoundScorer):
         #: far beyond their translation.
         self.lig_extent = float(np.linalg.norm(self.ligand_coords, axis=1).max())
         self.margin = self.lig_extent + self.prune_cutoff + GATHER_SLACK
-        tree_coords = (
-            inner._tree_coords if self.mode == "cutoff" else inner.receptor_coords
-        )
-        self._tree_coords = np.asarray(tree_coords, dtype=np.float64)
-        self.subsets = spot_prune_indices(self._tree_coords, spots, self.margin)
+        self.subsets = spot_prune_indices(self.receptor.coords, spots, self.margin)
         order = sorted(self.subsets)
         by_index = {s.index: s for s in spots}
         self.spot_indices = np.asarray(order, dtype=np.int64)
@@ -200,9 +193,6 @@ class BoundSpotPruned(BoundScorer):
         self.prune_cutoff = float(prune_cutoff)
         self.lig_extent = float(lig_extent)
         self.margin = float(margin)
-        self._tree_coords = (
-            inner._tree_coords if mode == "cutoff" else inner.receptor_coords
-        )
         self.subsets = subsets
         self.spot_indices = np.asarray(spot_indices, dtype=np.int64)
         self.spot_centers = np.asarray(spot_centers, dtype=np.float64)
@@ -272,38 +262,29 @@ class BoundSpotPruned(BoundScorer):
         against its subset. Out-of-box or unknown-spot poses fall back to the
         unpruned inner scorer.
         """
-        translations = np.asarray(translations, dtype=FLOAT_DTYPE)
-        quaternions = np.asarray(quaternions, dtype=FLOAT_DTYPE)
-        if translations.ndim != 2 or translations.shape[1] != 3:
-            raise ScoringError(
-                f"translations must have shape (n, 3), got {translations.shape}"
-            )
-        if quaternions.shape != (translations.shape[0], 4):
-            raise ScoringError(
-                "quaternions must have shape "
-                f"({translations.shape[0]}, 4), got {quaternions.shape}"
-            )
+        translations, quaternions = check_poses(translations, quaternions)
         n = translations.shape[0]
         spot_ids = check_spot_ids(spot_ids, n)
         if n == 0:
             return np.empty(0, dtype=FLOAT_DTYPE)
         out = np.empty(n, dtype=FLOAT_DTYPE)
-        order = np.argsort(spot_ids, kind="stable")
-        sorted_ids = spot_ids[order]
-        start = 0
-        while start < n:
-            end = int(np.searchsorted(sorted_ids, sorted_ids[start], side="right"))
-            rows = order[start:end]
+        posed = self.posed_ligand_coords(translations, quaternions)
+        order, groups = spot_groups(spot_ids)
+        for spot, lo, hi in groups:
+            rows = order[lo:hi]
             out[rows] = self._score_group(
-                int(sorted_ids[start]), translations[rows], quaternions[rows]
+                spot, translations[rows], quaternions[rows], posed[rows]
             )
-            start = end
         if not np.all(np.isfinite(out)):
             raise non_finite_error(out, translations.shape)
         return out
 
     def _score_group(
-        self, spot: int, translations: np.ndarray, quaternions: np.ndarray
+        self,
+        spot: int,
+        translations: np.ndarray,
+        quaternions: np.ndarray,
+        posed: np.ndarray,
     ) -> np.ndarray:
         row = self._spot_row.get(spot)
         if row is None:
@@ -315,51 +296,34 @@ class BoundSpotPruned(BoundScorer):
             axis=1,
         )
         if in_box.all():
-            return self._score_pruned(spot, translations, quaternions)
+            return self._score_pruned(spot, posed)
         out = np.empty(translations.shape[0], dtype=FLOAT_DTYPE)
         outside = ~in_box
         self._charge(int(outside.sum()), self.receptor.n_atoms)
         out[outside] = self.inner.score(translations[outside], quaternions[outside])
         if in_box.any():
-            out[in_box] = self._score_pruned(
-                spot, translations[in_box], quaternions[in_box]
-            )
+            out[in_box] = self._score_pruned(spot, posed[in_box])
         return out
 
-    def _score_pruned(
-        self, spot: int, translations: np.ndarray, quaternions: np.ndarray
-    ) -> np.ndarray:
+    def _score_pruned(self, spot: int, posed: np.ndarray) -> np.ndarray:
         view = self._view(spot)
-        n = translations.shape[0]
+        n = posed.shape[0]
         out = np.empty(n, dtype=FLOAT_DTYPE)
-        for lo in range(0, n, self.chunk_size):
-            hi = min(lo + self.chunk_size, n)
-            out[lo:hi] = self._score_pruned_chunk(
-                view, translations[lo:hi], quaternions[lo:hi]
-            )
+        # In cutoff mode these are the inner scorer's own tiles, so its gathers
+        # bound ours; dense-mode chunking is invisible either way.
+        for lo, hi in tile_bounds(n, self.chunk_size):
+            out[lo:hi] = self._score_pruned_chunk(view, posed[lo:hi])
         return out
 
-    def _score_pruned_chunk(
-        self, view: _SpotView, translations: np.ndarray, quaternions: np.ndarray
-    ) -> np.ndarray:
-        posed = self.posed_ligand_coords(translations, quaternions)
+    def _score_pruned_chunk(self, view: _SpotView, posed: np.ndarray) -> np.ndarray:
         if self.mode == "cutoff":
-            # Gather the union of per-pose reach balls over the spot subset:
-            # tighter than one chunk-wide ball, and still a superset of every
-            # within-cutoff pair, so the canonical reduction is bitwise
-            # unchanged.
-            reach = self.lig_extent + self.inner.cutoff + GATHER_SLACK
-            hits = view.tree.query_ball_point(translations, reach)
-            local = np.unique(
-                np.concatenate([np.asarray(h, dtype=np.int64) for h in hits])
-                if len(hits)
-                else np.empty(0, dtype=np.int64)
-            )
-            self._charge(posed.shape[0], int(local.size))
-            if local.size == 0:
-                return np.zeros(posed.shape[0], dtype=FLOAT_DTYPE)
-            idx = view.idx[local]  # ascending: view.idx sorted, local sorted
-            return self.inner._score_gathered(posed, idx).astype(FLOAT_DTYPE)
+            # The cutoff scorer's own tile gather, restricted to the spot
+            # subset: never more atoms than the unpruned path touches, and
+            # still a superset of every within-cutoff pair, so the canonical
+            # reduction is bitwise unchanged.
+            idx = self.inner._gather(posed, view.idx, view.rec)
+            self._charge(posed.shape[0], int(idx.size))
+            return self.inner._score_gathered(posed, idx)
         # dense mode: full subset, no per-chunk gather
         self._charge(posed.shape[0], int(view.idx.size))
         if view.idx.size == 0:
@@ -380,12 +344,10 @@ class BoundSpotPruned(BoundScorer):
         if view is not None:
             return view
         idx = self.subsets[spot]
+        rec = np.ascontiguousarray(self.inner.receptor_coords[idx])
         if self.mode == "cutoff":
-            from scipy.spatial import cKDTree
-
-            view = _SpotView(idx=idx, tree=cKDTree(self._tree_coords[idx]))
+            view = _SpotView(idx=idx, rec=rec)
         else:
-            rec = np.ascontiguousarray(self.inner.receptor_coords[idx])
             view = _SpotView(
                 idx=idx,
                 rec=rec,

@@ -72,6 +72,27 @@ def test_science_digest_parity_matrix(
         assert store.counts()["done"] == N_LIGANDS
 
 
+@pytest.mark.parametrize("depth,workers", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_science_digest_parity_with_a_job_per_spot_group(
+    receptor, tmp_path, serial_digest, monkeypatch, depth, workers
+):
+    # The matrix's launches are far below the planner's job grain, so each is
+    # one job. Shrink the grain so every spot group travels alone, the way a
+    # paper-scale launch is split, and the digest must still not move.
+    import repro.engine.host_runtime as host_runtime
+
+    monkeypatch.setattr(host_runtime, "_MIN_JOB_PAIRS", 1)
+    jobs = obs.histogram("host.job.poses", edges=host_runtime._POSE_COUNT_EDGES)
+    launches = obs.counter("host.launches", mode="static")
+    jobs_before, launches_before = jobs.count, launches.value
+    with make_runner(
+        receptor, tmp_path, host_workers=workers, pipeline_depth=depth
+    ).run() as store:
+        assert store.science_digest() == serial_digest
+        assert store.counts()["done"] == N_LIGANDS
+    assert jobs.count - jobs_before == 2 * (launches.value - launches_before) > 0
+
+
 @pytest.mark.parametrize("workers", (1, 4))
 @pytest.mark.parametrize("depth", (1, 2, 4))
 def test_worker_death_parity(

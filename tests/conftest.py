@@ -30,6 +30,14 @@ def spots(receptor):
 
 
 @pytest.fixture(scope="session")
+def dock_shape():
+    """The perf ledger's dock shape: 1,500-atom receptor, 24-atom ligand,
+    8 spots (session-cached; treat as immutable)."""
+    big = generate_receptor(1500, seed=7, title="ledger receptor")
+    return big, generate_ligand(24, seed=8, title="ledger ligand"), find_spots(big, 8)
+
+
+@pytest.fixture(scope="session")
 def dense_scorer(receptor, ligand):
     """Exact double-precision dense LJ scorer."""
     return LennardJonesScoring().bind(receptor, ligand)

@@ -15,6 +15,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+import repro.engine.host_runtime as host_runtime
 from repro import observability as obs
 from repro.engine.host_runtime import (
     ParallelSpotEvaluator,
@@ -52,6 +53,14 @@ def launch(spots, rng):
     )
 
 
+@pytest.fixture()
+def job_per_spot_group(monkeypatch):
+    """These launches are far below the planner's default job grain (one job
+    each); shrink it so every spot group is a job of its own — the split a
+    paper-scale launch gets."""
+    monkeypatch.setattr(host_runtime, "_MIN_JOB_PAIRS", 1)
+
+
 def _assert_no_segments(names):
     for name in names:
         with pytest.raises(FileNotFoundError):
@@ -79,6 +88,80 @@ def test_parallel_pruned_matches_serial_bitwise(
     serial = SerialEvaluator(scorer).evaluate(spot_ids, t, q)
     with ParallelSpotEvaluator(scorer, n_workers=2, mode=mode) as ev:
         parallel = ev.evaluate(spot_ids, t, q)
+    assert np.array_equal(parallel, serial)
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+@pytest.mark.parametrize("pruned", [False, True])
+def test_parallel_matches_serial_bitwise_with_a_job_per_spot_group(
+    receptor, ligand, spots, launch, mode, pruned, job_per_spot_group
+):
+    scorer = CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand)
+    if pruned:
+        scorer = prune_bound(scorer, spots)
+    spot_ids, t, q = launch
+    serial = SerialEvaluator(scorer).evaluate(spot_ids, t, q)
+    jobs = obs.histogram("host.job.poses", edges=host_runtime._POSE_COUNT_EDGES)
+    before = jobs.count
+    with ParallelSpotEvaluator(scorer, n_workers=2, mode=mode) as ev:
+        parallel = ev.evaluate(spot_ids, t, q)
+    assert np.array_equal(parallel, serial)
+    assert jobs.count - before == len(spots)
+
+
+def test_plan_jobs_are_runs_of_whole_spot_groups(fast_scorer, launch, monkeypatch):
+    """The default cutoff scorer is spot-aware: its jobs partition the launch,
+    never split a spot group, and grow to the grain before a new one starts."""
+    spot_ids, _, _ = launch
+    assert fast_scorer.supports_spot_scoring
+    groups = {int(s): set(np.flatnonzero(spot_ids == s)) for s in np.unique(spot_ids)}
+    with ParallelSpotEvaluator(fast_scorer, n_workers=2, warmup=False) as ev:
+        plans = {}
+        for poses in (1, 6, 8, 10**6):
+            monkeypatch.setattr(
+                host_runtime, "_MIN_JOB_PAIRS", poses * fast_scorer.n_pairs
+            )
+            jobs = plans[poses] = ev._plan(spot_ids, fast_scorer)
+            rows = np.concatenate([job.rows for job in jobs])
+            assert sorted(rows) == list(range(spot_ids.size))  # a partition
+            for job in jobs:
+                inside = set(job.rows.tolist())
+                touched = {int(s) for s in spot_ids[job.rows]}
+                assert inside == set().union(*(groups[s] for s in touched))
+                assert job.spot == min(touched)
+            # Every job but the last reached the grain.
+            assert all(job.rows.size >= poses for job in jobs[:-1])
+    # Group sizes are 7, 5, 5, 5 (spot 0 is visited twice in the launch).
+    assert [job.rows.size for job in plans[1]] == [7, 5, 5, 5]
+    assert [job.rows.size for job in plans[6]] == [7, 10, 5]
+    assert [job.rows.size for job in plans[8]] == [12, 10]
+    assert [job.rows.size for job in plans[10**6]] == [22]
+    # The repeat visits to spot 0 ride in its job: the group is whole.
+    assert set(plans[1][0].rows.tolist()) == groups[int(spot_ids[0])]
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+def test_paper_scale_launch_splits_at_the_default_grain(dock_shape, rng, pruned):
+    """No patched grain: 8 spots x 32 poses on the ledger's 1,500 x 24 complex
+    is above it, so the launch travels as runs of whole spot groups — and
+    scores what the serial path scores, bit for bit."""
+    from repro.molecules.transforms import random_quaternion
+
+    receptor, ligand, spots = dock_shape
+    scorer = CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand)
+    if pruned:
+        scorer = prune_bound(scorer, spots)
+    spot_ids = np.arange(32 * len(spots)) % len(spots)  # interleaved
+    centers = np.stack([s.center for s in spots])[spot_ids]
+    t = centers + rng.uniform(-2.0, 2.0, size=centers.shape)
+    q = random_quaternion(rng, spot_ids.size)
+    serial = SerialEvaluator(scorer).evaluate(spot_ids, t, q)
+    with ParallelSpotEvaluator(scorer, n_workers=2, warmup=False) as ev:
+        jobs = ev._plan(spot_ids, scorer)
+        parallel = ev.evaluate(spot_ids, t, q)
+    grain = -(-host_runtime._MIN_JOB_PAIRS // scorer.n_pairs)
+    assert 32 < grain <= 64  # two 32-pose groups make a job
+    assert [job.rows.size for job in jobs] == [64, 64, 64, 64]
     assert np.array_equal(parallel, serial)
 
 

@@ -126,6 +126,44 @@ def test_variant_candidates_cover_all_exact_kernels():
         variant_candidates("fantasy", 300, 18)
 
 
+@pytest.mark.parametrize("family, itemsize", [("cutoff-float32", 4), ("cutoff-float64", 8)])
+def test_cutoff_candidates_follow_the_kernels_tile_rule(family, itemsize):
+    """The sweep offers the sizes the cutoff kernel picks (tile, 2 x tile),
+    not the shared 8 MiB chunk it no longer uses."""
+    from repro.scoring.base import auto_chunk_size
+    from repro.scoring.cutoff import cutoff_tile_size
+
+    tile = cutoff_tile_size(1500, 24, itemsize)
+    assert variant_candidates(family, 1500, 24) == [
+        ("lennard-jones-cutoff", tile),
+        ("lennard-jones-cutoff", 2 * tile),
+    ]
+    assert auto_chunk_size(1500, 24, itemsize) not in (tile, 2 * tile)
+    bound = CutoffLennardJonesScoring(dtype=f"float{8 * itemsize}").bind(
+        *_tiny_complex()
+    )
+    assert bound.chunk_size == cutoff_tile_size(
+        bound.receptor.n_atoms, bound.ligand.n_atoms, itemsize
+    )
+
+
+def test_table_naming_another_chunk_size_still_loads_and_wins(table, tmp_path):
+    """A calibration recorded before the tile rule names chunk 256 for the
+    cutoff family: it still loads, and the explicit size overrides the rule."""
+    loaded = CalibrationTable.load(table.save(tmp_path / "old.json"))
+    tuned = AutotuneController(loaded).resolve(
+        CutoffLennardJonesScoring(dtype=np.float32), 300, 18, 0
+    )
+    assert tuned.chunk_size == 256
+    assert tuned.bind(*_tiny_complex()).chunk_size == 256
+
+
+def _tiny_complex():
+    from repro.molecules.synthetic import generate_ligand, generate_receptor
+
+    return generate_receptor(60, seed=1), generate_ligand(8, seed=2)
+
+
 # ----------------------------------------------------------------------
 # Selection
 # ----------------------------------------------------------------------

@@ -117,6 +117,16 @@ def test_pruned_score_spots_rejects_mismatched_spot_ids(
         )
 
 
+def test_spot_groups_are_stable_and_ascending():
+    from repro.scoring.base import spot_groups
+
+    order, groups = spot_groups(np.array([7, 2, 7, 2, 9, 7]))
+    assert groups == [(2, 0, 2), (7, 2, 5), (9, 5, 6)]
+    assert order.tolist() == [1, 3, 0, 2, 5, 4]  # batch order inside a group
+    order, groups = spot_groups(np.empty(0, dtype=np.int64))
+    assert order.size == 0 and groups == []
+
+
 def test_chunking_is_invisible(receptor, ligand, pose_batch):
     """Different chunk sizes give identical dense results."""
     translations, quaternions = pose_batch
@@ -165,13 +175,29 @@ def test_auto_chunk_size_budget_formula():
 
 
 def test_auto_chunk_size_is_default_for_bound_scorers(receptor, ligand):
-    from repro.scoring.base import auto_chunk_size
-    from repro.scoring.cutoff import CutoffLennardJonesScoring
-
-    bound = CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand)
-    assert bound.chunk_size == auto_chunk_size(
-        receptor.n_atoms, ligand.n_atoms, itemsize=4
+    """Dense scorers size chunks from the shared 8 MiB rule; the cutoff
+    kernel tiles by its own, smaller budget (tile x pair bytes <= budget,
+    clamped to the shared floor)."""
+    from repro.scoring.base import MIN_CHUNK_SIZE, auto_chunk_size
+    from repro.scoring.cutoff import (
+        TILE_BUDGET_BYTES,
+        CutoffLennardJonesScoring,
+        cutoff_tile_size,
     )
+
+    dense = LennardJonesScoring().bind(receptor, ligand)
+    assert dense.chunk_size == auto_chunk_size(
+        receptor.n_atoms, ligand.n_atoms, itemsize=8
+    )
+    bound = CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand)
+    pair_bytes = receptor.n_atoms * ligand.n_atoms * 4
+    assert bound.chunk_size == cutoff_tile_size(receptor.n_atoms, ligand.n_atoms, 4)
+    assert bound.chunk_size * pair_bytes <= TILE_BUDGET_BYTES
+    assert (bound.chunk_size + 1) * pair_bytes > TILE_BUDGET_BYTES
+    # The ledger's dock shape: a 6-pose spot group is one tile.
+    assert cutoff_tile_size(1500, 24, 4) == 7
+    # A pose's pair block over a quarter of the budget clamps at the floor.
+    assert cutoff_tile_size(1500, 32, 8) == MIN_CHUNK_SIZE
     explicit = CutoffLennardJonesScoring(dtype=np.float32, chunk_size=7).bind(
         receptor, ligand
     )

@@ -90,6 +90,30 @@ def test_pair_stats_and_prune_ratio(receptor, ligand, spots, rng):
     assert pruned.pairs_dense == 0 and pruned.pairs_evaluated == 0
 
 
+def test_pruned_never_touches_more_pairs_than_the_default_path(dock_shape, rng):
+    """On the ledger's dock shape (1,500 x 24 atoms, 8 spots x 6 poses) the
+    pruned gathers are the default tile gathers restricted to the spot
+    subsets: same bits, and never more pairs."""
+    receptor, ligand, spots = dock_shape
+    plain = CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand)
+    pruned = prune_bound(
+        CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand), spots
+    )
+    spot_ids, t, q = _spot_batch(spots, rng)
+    default_pairs = 0
+    score_gathered = plain._score_gathered
+
+    def counting(posed, idx):
+        nonlocal default_pairs
+        default_pairs += posed.shape[0] * posed.shape[1] * idx.size
+        return score_gathered(posed, idx)
+
+    plain._score_gathered = counting
+    expected = plain.score_spots(spot_ids, t, q)
+    assert np.array_equal(pruned.score_spots(spot_ids, t, q), expected)
+    assert 0 < pruned.pairs_evaluated <= default_pairs < pruned.pairs_dense
+
+
 def test_flops_per_pose_stays_full_dense(receptor, ligand, spots):
     pruned = prune_bound(
         CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand), spots
