@@ -387,13 +387,6 @@ class CampaignRunner:
         self.cluster = cluster
         self.cluster_spawn = True  # False = serve remote workers only (CLI)
         self.fleet = None  # set by execute_fleet; tests reach processes here
-        # A runner docks in this process or forks the nodes that do, so the
-        # KD-tree library (~0.25 s, imported where it is used) loads while
-        # the campaign is being set up: run()/resume() and every span, ETA
-        # and layer budget taken around them time docking, not an import,
-        # and forked nodes share its pages instead of importing it again.
-        import scipy.spatial  # noqa: F401
-
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import MoleculeError
 from repro.molecules.elements import get_element
+from repro.molecules.neighbors import neighbor_pairs
 from repro.molecules.structures import Molecule
 
 if TYPE_CHECKING:
@@ -39,20 +40,17 @@ BOND_TOLERANCE: float = 0.45
 def infer_bonds(molecule: Molecule, tolerance: float = BOND_TOLERANCE) -> list[tuple[int, int]]:
     """Geometric bond inference.
 
-    Returns sorted ``(i, j)`` index pairs with ``i < j``. Uses a KD-tree
-    with the maximum possible bond length as search radius, so it is
-    near-linear in atom count.
+    Returns sorted ``(i, j)`` index pairs with ``i < j``. Candidates come
+    from one neighbour search at the maximum possible bond length; each is
+    then held to its own elements' limit.
     """
-    from scipy.spatial import cKDTree
-
     if tolerance < 0:
         raise MoleculeError(f"tolerance must be >= 0, got {tolerance}")
     radii = np.array(
         [get_element(str(e)).covalent_radius for e in molecule.elements]
     )
     max_bond = 2.0 * radii.max() + tolerance
-    tree = cKDTree(molecule.coords)
-    pairs = tree.query_pairs(max_bond, output_type="ndarray")
+    pairs = neighbor_pairs(molecule.coords, max_bond)
     if pairs.size == 0:
         return []
     d = np.linalg.norm(

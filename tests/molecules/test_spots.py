@@ -84,3 +84,19 @@ def test_farthest_point_sample_is_deterministic(rng):
     a = farthest_point_sample(pts, 7)
     b = farthest_point_sample(pts, 7)
     np.testing.assert_array_equal(a, b)
+
+
+def test_spots_on_the_perf_ledger_receptor_are_pinned():
+    """Anchors and centres captured while ``surface_mask`` counted with
+    ``scipy.spatial.cKDTree``: the neighbour search must not move a spot."""
+    spots = find_spots(generate_receptor(1500, seed=7), 8)
+    assert [s.anchor_atom for s in spots] == [0, 920, 191, 1261, 1480, 1440, 1195, 816]
+    centres = np.stack([s.center for s in spots])
+    assert centres.tobytes().hex() == (
+        "fdcfd1203bed1d4064f15e94a9af1840667fe542b86a06402e03998db31023c0"
+        "1dbc8a72cbc323c0bad71fbe1043ef3f85179bdb756317c0b9b1b6d68f662940"
+        "b69c8c4db5a425c025717911d4aaf43f9a8255bbf78d27408cd25db8bcbb3240"
+        "22b1c67918e42140c8b457170ee82cc08a1f0ffa306c0240cdd2904147433440"
+        "c837a8bfe45ec0bf5cb7e6b6c4491e40277b1e5ce4e325c08067517f09842340"
+        "a6d60cca285b13405f2e7812d11ef5bfd6169b97f182efbfd3c2d714d58c2dc0"
+    )

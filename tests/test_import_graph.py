@@ -1,9 +1,11 @@
 """Import-graph guard: what a process loads before (and without) docking.
 
-``scipy.spatial`` and ``networkx`` cost ~0.4 s and ~45 MB to import, which
-every CLI call, fleet worker and coordinator pays if a module pulls them in
-at its top level. Each case runs in a fresh interpreter and asserts on
-``sys.modules`` — never on seconds — so it holds on any machine.
+``networkx`` costs ~0.15 s and ~17 MB to import, which every CLI call, fleet
+worker and coordinator pays if a module pulls it in at its top level, and
+SciPy (~0.26 s, ~27 MB) is not a dependency of ``src/`` at all: the one
+class it was used for is :mod:`repro.molecules.neighbors` now. Each case
+runs in a fresh interpreter and asserts on ``sys.modules`` — never on
+seconds — so it holds on any machine.
 """
 
 import json
@@ -15,9 +17,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: A process that never docks must have loaded none of these.
-WATCHED = ("scipy", "scipy.spatial", "networkx", "http.server", "ssl")
+WATCHED = ("networkx", "http.server", "ssl")
 
-_REPORT = f"import json, sys; print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))"
+#: ...and no process running ``src/`` loads any ``scipy*`` module, docking or not.
+_REPORT = (
+    "import json, sys; print(json.dumps("
+    f"[m for m in {WATCHED!r} if m in sys.modules]"
+    " + sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+)
 
 
 def loaded_after(body: str, cwd) -> set[str]:
@@ -34,12 +41,15 @@ def loaded_after(body: str, cwd) -> set[str]:
 
 
 def test_no_module_imports_scipy_or_networkx_at_top_level():
-    # Unindented = module level; use sites import inside the function.
-    top_level = re.compile(r"^(import|from) (scipy|networkx)\b", re.MULTILINE)
+    # networkx: unindented = module level; use sites import inside the function.
+    # scipy: nowhere, indented or not.
+    forbidden = re.compile(
+        r"^(import|from) networkx\b|^[ \t]*(import|from) scipy\b", re.MULTILINE
+    )
     offenders = [
         str(path.relative_to(SRC))
         for path in sorted(SRC.rglob("*.py"))
-        if top_level.search(path.read_text(encoding="utf-8"))
+        if forbidden.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
 
@@ -88,23 +98,22 @@ ligand = generate_ligand(10, seed=4)
 """
 
 
-def test_find_spots_is_where_scipy_spatial_loads(tmp_path):
+def test_find_spots_loads_no_scipy(tmp_path):
     body = DOCK_SETUP + "from repro.molecules.spots import find_spots\n"
-    assert loaded_after(body, tmp_path) == set()
-    loaded = loaded_after(body + "find_spots(receptor, 2)", tmp_path)
-    assert "scipy.spatial" in loaded
-    assert "networkx" not in loaded
+    assert loaded_after(body + "find_spots(receptor, 2)", tmp_path) == set()
 
 
-def test_a_campaign_runner_loads_scipy_spatial_when_built_not_when_run(tmp_path):
-    # run() is what spans, ETAs and the perf ledger's layer budget time.
+def test_a_campaign_runner_built_and_run_loads_no_scipy(tmp_path):
     body = DOCK_SETUP + (
         "from repro.campaign import CampaignRunner, ListSource\n"
-        "CampaignRunner(receptor, ListSource([ligand]), store_path=':memory:')\n"
+        "runner = CampaignRunner(\n"
+        "    receptor, ListSource([ligand, generate_ligand(12, seed=5)]),\n"
+        "    store_path=':memory:', n_spots=2, metaheuristic='M1', workload_scale=0.02,\n"
+        ")\n"
     )
-    loaded = loaded_after(body, tmp_path)
-    assert "scipy.spatial" in loaded
-    assert "networkx" not in loaded
+    assert loaded_after(body, tmp_path) == set()
+    ran = body + "assert runner.run().counts()['done'] == 2\n"
+    assert loaded_after(ran, tmp_path) == set()
 
 
 def test_rigid_dock_never_loads_networkx(tmp_path):
@@ -112,9 +121,24 @@ def test_rigid_dock_never_loads_networkx(tmp_path):
         "from repro.vs.docking import dock\n"
         "dock(receptor, ligand, n_spots=2, metaheuristic='M1', workload_scale=0.02)\n"
     )
-    loaded = loaded_after(body, tmp_path)
-    assert "scipy.spatial" in loaded
-    assert "networkx" not in loaded
+    assert loaded_after(body, tmp_path) == set()
+
+
+def test_a_fleet_node_sets_up_its_spots_without_scipy(tmp_path):
+    # The config frame a coordinator sends, handed to a node in this process.
+    body = DOCK_SETUP + (
+        "import socket\n"
+        "from repro.campaign import CampaignRunner, ListSource\n"
+        "from repro.cluster import ClusterCampaign, WorkerNode\n"
+        "from repro.cluster.protocol import Channel\n"
+        "runner = CampaignRunner(receptor, ListSource([ligand]), store_path=':memory:', n_spots=2)\n"
+        "config = ClusterCampaign(runner, nodes=2)._config_base()\n"
+        "ours, theirs = socket.socketpair()\n"
+        "node = WorkerNode(Channel(ours), {**config, 'kind': 'config', 'node': 0})\n"
+        "assert len(node.spots) == 2\n"
+        "ours.close(); theirs.close()\n"
+    )
+    assert loaded_after(body, tmp_path) == set()
 
 
 def test_bond_graph_is_where_networkx_loads(tmp_path):
