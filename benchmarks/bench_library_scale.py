@@ -191,8 +191,10 @@ def test_library_scale_smoke(benchmark, tmp_path):
             f"{case['bytes_per_ligand']:.1f} B/ligand exceeds the "
             f"{MAX_BYTES_PER_LIGAND:.1f} B gate"
         )
-    # A 4x larger library must not cost anywhere near 4x the memory.
-    assert artifact["rss_flatness"] < 1.5, (
+    # A 4x larger library must cost (nearly) no more memory: a merge holds
+    # column blocks, not rows (1.22 with the row-at-a-time merge, 1.02-1.06
+    # since).
+    assert artifact["rss_flatness"] < 1.1, (
         f"ingest RSS grew {artifact['rss_flatness']:.2f}x with library size"
     )
     assert artifact["reader"]["unique_ligands"] < artifact["reader"]["lines"]

@@ -1,37 +1,41 @@
 """Columnar append-only result store for million-ligand campaigns.
 
-The SQLite :class:`~repro.campaign.store.CampaignStore` upserts row-at-a-time
-and costs ~2 MB per 1k ligands — at 10^6–10^7 ligands the store, not the
-kernels, is the bottleneck. :class:`ColumnarStore` is a drop-in backend with
-the same interface and the same crash/resume semantics, built for scale:
+A drop-in for the SQLite :class:`~repro.campaign.store.CampaignStore` (same
+interface, same crash/resume semantics, same ~78 B per ligand on disk) whose
+sealed data moves as NumPy columns instead of B-tree rows:
 
-* **Append-only CRC-framed logs** for in-flight shards. Every record is a
-  fixed header (magic, kind, payload length, CRC32) plus payload, so a torn
-  tail from a SIGKILL is *detected and physically truncated* on open, while
-  corruption anywhere before the tail raises — exactly the journal's
-  durability contract, applied to the result stream.
-* **Sealed columnar segments**. When a shard finishes, its rows are frozen
-  into an immutable segment file: fixed-width numeric column arrays
-  (ordinal/status/score/spot/…) plus varlen string heaps per row group,
-  CRC-protected, ~80 bytes per ligand instead of SQLite's ~2 KB.
-* **A manifest** (atomic tmp+fsync+rename) naming the live segments. Segment
-  files not in the manifest are crash debris and are deleted on open.
-* **Tiered compaction**: once the segment count reaches ``compact_fanin``,
-  the adjacent run with the fewest rows is stream-merged into one segment,
-  group by group — memory stays O(row group), the manifest stays small.
-* **An incrementally maintained top-K index** persisted beside the manifest
-  and loaded via ``mmap``; stamped with the manifest generation so a stale
-  index is detected and lazily rebuilt rather than trusted.
+* **Append-only CRC-framed logs** for in-flight shards: fixed header (magic,
+  kind, length, CRC32) plus payload. A torn tail from a SIGKILL is detected
+  and truncated on open; corruption before the tail raises.
+* **Sealed columnar segments**: a finished shard is frozen into an immutable
+  file of row groups (fixed-width column arrays plus string heaps, CRC'd).
+* **A manifest** (tmp+fsync+rename) naming the live segments; segment files
+  it does not name are crash debris and are deleted on open.
+* **Compaction**: at ``compact_fanin`` segments the adjacent run with the
+  fewest rows is merged, so the count stays below the fan-in. With a segment
+  per shard that run is the whole store (200 shards: 13 merges, 6.9x write
+  amplification).
+* **A top-K index** beside the manifest, maintained incrementally, stamped
+  with the manifest generation and rebuilt when stale.
 
-Durability model (mirrors SQLite WAL + ``synchronous=NORMAL``): active-log
-appends are write+flush (a process crash loses at most the torn tail — the
-ligand simply re-docks on resume); segment, manifest, and meta writes are
-tmp+fsync+rename (rare, one per shard seal). The store is the authoritative
-record — the journal's shard markers only corroborate it.
+Rows (9-field lists) exist only in the overlay (in-flight shards, late
+updates), in a sealed group being patched with an overlay row, in the
+row-streaming readers (``science_rows``, ``iter_results``, exports) and for
+the k winners of ``top``. Seal, compaction, re-seal, the ``top(k)`` scan and
+the index rebuild move decoded groups (dicts of column arrays): a merge
+holds its input blocks and nothing more. Resident memory is the overlay plus
+an LRU of 8 decoded groups (<= 8 x ``group_rows`` x ~80 B = 42 MB).
+
+Durability (as SQLite WAL + ``synchronous=NORMAL``): log appends are
+write+flush (a crash loses at most the torn tail, and that ligand re-docks);
+segment, manifest and meta writes are tmp+fsync+rename, one per shard seal.
+The store is the authoritative record; the journal only corroborates it.
+See ``docs/architecture.md`` ("Result store backends") for measurements.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import heapq
@@ -162,29 +166,29 @@ _TRAILER = struct.Struct("<QII")  # footer offset, footer length, footer CRC32
 # Per-row presence flags (NULL-ability mirrors the SQLite schema).
 _F_SCORE, _F_SPOT, _F_EVALS, _F_WALL, _F_SIM, _F_ERROR = 1, 2, 4, 8, 16, 32
 
-_SEG_NAME = re.compile(r"^seg-(\d+)\.col$")
+#: Fixed-width columns in block order; title and error offsets + heap follow.
+_FIXED_COLUMNS = (
+    ("ordinals", "<i8"), ("status", "u1"), ("flags", "u1"), ("score", "<f8"),
+    ("spot", "<i8"), ("evals", "<i8"), ("wall", "<f8"), ("sim", "<f8"),
+    ("attempts", "<i8"),
+)
+
 _ACTIVE_NAME = re.compile(r"^shard-(\d+)\.log$")
 
 
-def _encode_group(items: list[tuple[int, list]]) -> tuple[bytes, dict]:
-    """Encode ``[(ordinal, row), ...]`` (ascending) as one columnar block."""
+def _encode_group(items: list[tuple[int, list]]) -> dict:
+    """``[(ordinal, row), ...]`` (ascending) as one decoded group of columns."""
     n = len(items)
-    ordinals = np.fromiter((o for o, _ in items), dtype="<i8", count=n)
-    status = np.zeros(n, dtype="u1")
-    flags = np.zeros(n, dtype="u1")
-    score = np.zeros(n, dtype="<f8")
-    spot = np.zeros(n, dtype="<i8")
-    evals = np.zeros(n, dtype="<i8")
-    wall = np.zeros(n, dtype="<f8")
-    sim = np.zeros(n, dtype="<f8")
-    attempts = np.zeros(n, dtype="<i8")
+    group = {name: np.zeros(n, dtype=dtype) for name, dtype in _FIXED_COLUMNS}
+    group["ordinals"] = np.fromiter((o for o, _ in items), dtype="<i8", count=n)
+    status, flags, attempts = group["status"], group["flags"], group["attempts"]
+    score, spot, evals = group["score"], group["spot"], group["evals"]
+    wall, sim = group["wall"], group["sim"]
     title_offsets = np.zeros(n + 1, dtype="<u4")
     error_offsets = np.zeros(n + 1, dtype="<u4")
     title_heap = bytearray()
     error_heap = bytearray()
-    counts = {name: 0 for name in _STATUSES}
     for i, (_, row) in enumerate(items):
-        counts[row[_STATUS]] += 1
         status[i] = _STATUS_CODE[row[_STATUS]]
         fl = 0
         if row[_SCORE] is not None:
@@ -210,64 +214,28 @@ def _encode_group(items: list[tuple[int, list]]) -> tuple[bytes, dict]:
             error_heap += row[_ERROR].encode("utf-8")
         error_offsets[i + 1] = len(error_heap)
         flags[i] = fl
-    block = b"".join(
-        (
-            ordinals.tobytes(),
-            status.tobytes(),
-            flags.tobytes(),
-            score.tobytes(),
-            spot.tobytes(),
-            evals.tobytes(),
-            wall.tobytes(),
-            sim.tobytes(),
-            attempts.tobytes(),
-            title_offsets.tobytes(),
-            bytes(title_heap),
-            error_offsets.tobytes(),
-            bytes(error_heap),
-        )
+    group.update(
+        title_offsets=title_offsets, title_heap=title_heap,
+        error_offsets=error_offsets, error_heap=error_heap,
     )
-    meta = {
-        "rows": n,
-        "lo": int(ordinals[0]),
-        "hi": int(ordinals[-1]),
-        "crc": zlib.crc32(block),
-        "title_heap": len(title_heap),
-        "error_heap": len(error_heap),
-        "counts": counts,
-    }
-    return block, meta
+    return group
 
 
 def _decode_group(block: bytes, meta: dict) -> dict:
     if zlib.crc32(block) != meta["crc"]:
         raise CampaignError("segment row group failed its CRC check")
     n = int(meta["rows"])
+    group: dict = {}
     offset = 0
-
-    def take(dtype: str, count: int, width: int):
-        nonlocal offset
-        array = np.frombuffer(block, dtype=dtype, count=count, offset=offset)
-        offset += count * width
-        return array
-
-    group = {
-        "ordinals": take("<i8", n, 8),
-        "status": take("u1", n, 1),
-        "flags": take("u1", n, 1),
-        "score": take("<f8", n, 8),
-        "spot": take("<i8", n, 8),
-        "evals": take("<i8", n, 8),
-        "wall": take("<f8", n, 8),
-        "sim": take("<f8", n, 8),
-        "attempts": take("<i8", n, 8),
-        "title_offsets": take("<u4", n + 1, 4),
-    }
-    group["title_heap"] = block[offset : offset + meta["title_heap"]]
-    offset += meta["title_heap"]
-    group["error_offsets"] = np.frombuffer(block, dtype="<u4", count=n + 1, offset=offset)
-    offset += (n + 1) * 4
-    group["error_heap"] = block[offset : offset + meta["error_heap"]]
+    for name, dtype in _FIXED_COLUMNS:
+        group[name] = np.frombuffer(block, dtype=dtype, count=n, offset=offset)
+        offset += group[name].nbytes
+    for name in ("title", "error"):
+        offsets = np.frombuffer(block, dtype="<u4", count=n + 1, offset=offset)
+        offset += offsets.nbytes
+        group[name + "_offsets"] = offsets
+        group[name + "_heap"] = block[offset : offset + meta[name + "_heap"]]
+        offset += meta[name + "_heap"]
     return group
 
 
@@ -324,6 +292,38 @@ def _merge_rows(seg_iter, overlay: list[tuple[int, list]]):
     while oi < len(overlay):
         yield overlay[oi]
         oi += 1
+
+
+def _rows_of(group: dict) -> Iterator[tuple[int, list]]:
+    ordinals = group["ordinals"]
+    for i in range(len(ordinals)):
+        yield int(ordinals[i]), _group_row(group, i)
+
+
+def _fold(groups, overlay: list[tuple[int, list]], insert: bool, folded: list[int]):
+    """Decoded groups with sorted ``overlay`` items merged in (overlay wins).
+
+    Only a group an overlay ordinal falls into is rebuilt from rows. With
+    ``insert`` ordinals the groups lack are added (re-seal); without it they
+    stay in the overlay (compaction). Merged ordinals go to ``folded``.
+    """
+    oi = 0
+    for group in groups:
+        ordinals = group["ordinals"]
+        start = oi
+        while oi < len(overlay) and overlay[oi][0] <= ordinals[-1]:
+            oi += 1
+        items = overlay[start:oi]
+        if items and not insert:
+            sealed = np.isin([ordinal for ordinal, _ in items], ordinals)
+            items = [item for item, hit in zip(items, sealed) if hit]
+        if items:
+            folded.extend(ordinal for ordinal, _ in items)
+            group = _encode_group(list(_merge_rows(_rows_of(group), items)))
+        yield group
+    if insert and oi < len(overlay):
+        folded.extend(ordinal for ordinal, _ in overlay[oi:])
+        yield _encode_group(overlay[oi:])
 
 
 # ---------------------------------------------------------------------------
@@ -808,16 +808,17 @@ class ColumnarStore:
             for entry in self._segments:
                 if entry["hi"] < start or entry["lo"] >= stop:
                     continue
-                for meta, group in self._iter_groups(entry):
+                for index, meta in enumerate(self._footer(entry)["groups"]):
                     if meta["hi"] < start or meta["lo"] >= stop:
                         continue
+                    _, group = self._load_group(entry, index)
                     ordinals = group["ordinals"]
                     mask = (
                         (ordinals >= start)
                         & (ordinals < stop)
                         & (group["status"] == _DONE_CODE)
                     )
-                    done.update(int(o) for o in ordinals[mask])
+                    done.update(ordinals[mask].tolist())
             for ordinal, row in self._active_rows.items():
                 if start <= ordinal < stop:
                     if row[_STATUS] == "done":
@@ -875,16 +876,21 @@ class ColumnarStore:
             self._groups.move_to_end(key)
         return meta, group
 
-    def _iter_groups(self, entry: dict) -> Iterator[tuple[dict, dict]]:
-        footer = self._footer(entry)
-        for index in range(len(footer["groups"])):
-            yield self._load_group(entry, index)
+    def _read_groups(self, entries) -> Iterator[dict]:
+        """Every decoded group of ``entries`` in order, past the group LRU.
 
-    def _iter_segment_rows(self, entry: dict) -> Iterator[tuple[int, list]]:
-        for _, group in self._iter_groups(entry):
-            ordinals = group["ordinals"]
-            for i in range(len(ordinals)):
-                yield int(ordinals[i]), _group_row(group, i)
+        Scans and merges touch a block once, so they neither fill nor reorder
+        the point-lookup cache: a cached group is used as is, any other is
+        read and CRC-checked but not kept.
+        """
+        for entry in entries:
+            with open(self._segment_path(entry), "rb") as handle:
+                for index, meta in enumerate(self._footer(entry)["groups"]):
+                    group = self._groups.get((entry["seq"], index))
+                    if group is None:
+                        handle.seek(meta["offset"])
+                        group = _decode_group(handle.read(meta["nbytes"]), meta)
+                    yield group
 
     def _covering_segment(self, lo: int, hi: int) -> dict | None:
         """The manifest segment fully covering ``[lo, hi]``, if any.
@@ -938,52 +944,94 @@ class ColumnarStore:
             json.dumps(self._manifest, sort_keys=True).encode("utf-8"),
         )
 
-    def _write_segment_file(self, rows_iter) -> dict | None:
-        """Stream rows into ``seg-<seq>.col``; returns the manifest entry."""
+    def _write_segment(self, groups) -> dict:
+        """Stream decoded groups into ``seg-<seq>.col``; returns its entry.
+
+        An output group is a run of slices of input groups, written column
+        by column straight from the input arrays under a running CRC
+        (offsets rebased): nothing is concatenated.
+        """
         seq = int(self._manifest["next_seq"])
         name = f"seg-{seq:08d}.col"
         path = self.root / "segments" / name
         tmp = path.with_name(name + ".tmp")
-        groups: list[dict] = []
-        counts = {status: 0 for status in _STATUSES}
-        rows = 0
-        buffer: list[tuple[int, list]] = []
+        metas: list[dict] = []
+        pending: list[tuple[dict, int, int]] = []  # (input group, row a, row b)
         with open(tmp, "wb") as handle:
             handle.write(_SEG_MAGIC)
             offset = len(_SEG_MAGIC)
 
             def flush_group():
-                nonlocal offset, rows
-                block, meta = _encode_group(buffer)
-                meta["offset"] = offset
-                meta["nbytes"] = len(block)
-                handle.write(block)
-                offset += len(block)
-                for status, n in meta["counts"].items():
-                    counts[status] += n
-                rows += meta["rows"]
-                groups.append(meta)
-                buffer.clear()
+                nonlocal offset
+                crc = size = 0
 
-            for item in rows_iter:
-                buffer.append(item)
-                if len(buffer) >= self._group_rows:
-                    flush_group()
-            if buffer:
+                def emit(chunk):
+                    nonlocal crc, size
+                    view = memoryview(chunk)
+                    handle.write(view)
+                    crc = zlib.crc32(view, crc)
+                    size += view.nbytes
+
+                for column, _ in _FIXED_COLUMNS:
+                    for group, a, b in pending:
+                        emit(group[column][a:b])
+                heap_bytes = {}
+                for column in ("title", "error"):
+                    emit(bytes(4))  # offsets[0]
+                    base = 0
+                    for group, a, b in pending:
+                        offsets = group[column + "_offsets"]
+                        rebased = offsets[a + 1 : b + 1] - offsets[a] + np.uint32(base)
+                        emit(rebased.astype("<u4", copy=False))
+                        base += int(offsets[b]) - int(offsets[a])
+                    for group, a, b in pending:
+                        offsets = group[column + "_offsets"]
+                        emit(memoryview(group[column + "_heap"])[offsets[a] : offsets[b]])
+                    heap_bytes[column] = base
+                tally = sum(
+                    np.bincount(group["status"][a:b], minlength=len(_STATUSES))
+                    for group, a, b in pending
+                )
+                first, last = pending[0], pending[-1]
+                metas.append(
+                    {
+                        "rows": sum(b - a for _, a, b in pending),
+                        "lo": int(first[0]["ordinals"][first[1]]),
+                        "hi": int(last[0]["ordinals"][last[2] - 1]),
+                        "crc": crc,
+                        "title_heap": heap_bytes["title"],
+                        "error_heap": heap_bytes["error"],
+                        "counts": dict(zip(_STATUSES, tally.tolist())),
+                        "offset": offset,
+                        "nbytes": size,
+                    }
+                )
+                offset += size
+                pending.clear()
+
+            room = self._group_rows
+            for group in groups:
+                a, n = 0, len(group["ordinals"])
+                while a < n:
+                    b = min(n, a + room)
+                    pending.append((group, a, b))
+                    room -= b - a
+                    a = b
+                    if not room:
+                        flush_group()
+                        room = self._group_rows
+            if pending:
                 flush_group()
-            if not groups:
-                handle.close()
-                tmp.unlink()
-                return None
-            footer = json.dumps(
-                {
-                    "groups": groups,
-                    "rows": rows,
-                    "lo": groups[0]["lo"],
-                    "hi": groups[-1]["hi"],
-                    "counts": counts,
-                }
-            ).encode("utf-8")
+            entry = {
+                "rows": sum(meta["rows"] for meta in metas),
+                "lo": metas[0]["lo"],
+                "hi": metas[-1]["hi"],
+                "counts": {
+                    status: sum(meta["counts"][status] for meta in metas)
+                    for status in _STATUSES
+                },
+            }
+            footer = json.dumps({"groups": metas, **entry}).encode("utf-8")
             handle.write(footer)
             handle.write(_TRAILER.pack(offset, len(footer), zlib.crc32(footer)))
             handle.write(_SEG_END)
@@ -991,22 +1039,12 @@ class ColumnarStore:
             os.fsync(handle.fileno())
         os.replace(tmp, path)
         self._manifest["next_seq"] = seq + 1
-        return {
-            "name": name,
-            "seq": seq,
-            "lo": groups[0]["lo"],
-            "hi": groups[-1]["hi"],
-            "rows": rows,
-            "counts": counts,
-            "nbytes": path.stat().st_size,
-        }
+        return {"name": name, "seq": seq, "nbytes": path.stat().st_size, **entry}
 
     def _insert_entry(self, entry: dict) -> None:
-        position = 0
-        while position < len(self._segments) and (
-            self._segments[position]["lo"] < entry["lo"]
-        ):
-            position += 1
+        position = bisect.bisect_left(
+            self._segments, entry["lo"], key=lambda other: other["lo"]
+        )
         self._segments.insert(position, entry)
 
     def _invalidate_segment(self, entry: dict) -> None:
@@ -1032,24 +1070,16 @@ class ColumnarStore:
             for ordinal, row in self._active_rows.items()
             if fold_lo <= ordinal <= fold_hi
         )
-        if covering is None and not overlay:
+        if not overlay:  # already sealed, or an empty shard
             if shard_id is not None:
                 self._drop_active_log(shard_id)
             return
-        if covering is not None:
-            if not overlay:
-                # Already sealed and nothing new: just drop the leftover log.
-                if shard_id is not None:
-                    self._drop_active_log(shard_id)
-                return
-            rows_iter = _merge_rows(self._iter_segment_rows(covering), overlay)
-        else:
-            rows_iter = iter(overlay)
-        entry = self._write_segment_file(rows_iter)
+        sealed = () if covering is None else self._read_groups([covering])
+        folded: list[int] = []
+        entry = self._write_segment(_fold(sealed, overlay, True, folded))
         if covering is not None:
             self._segments.remove(covering)
-        if entry is not None:
-            self._insert_entry(entry)
+        self._insert_entry(entry)
         self._manifest["generation"] = int(self._manifest["generation"]) + 1
         self._write_manifest()
         if covering is not None:
@@ -1057,7 +1087,7 @@ class ColumnarStore:
             old = self._segment_path(covering)
             if old.exists():
                 old.unlink()
-        for ordinal, _ in overlay:
+        for ordinal in folded:
             self._active_rows.pop(ordinal, None)
         if shard_id is not None:
             self._drop_active_log(shard_id)
@@ -1129,9 +1159,8 @@ class ColumnarStore:
     def _maybe_compact(self) -> None:
         """Merge the adjacent run of segments with the fewest rows.
 
-        Triggered once the manifest holds ``compact_fanin`` segments; the
-        merge streams group by group, so memory stays O(group_rows) no matter
-        how large the inputs are.
+        Triggered once the manifest holds ``compact_fanin`` segments; memory
+        stays one output group's worth of input blocks however large they are.
         """
         fanin = self._compact_fanin
         if len(self._segments) < fanin:
@@ -1145,23 +1174,16 @@ class ColumnarStore:
             if window < best_total:
                 best_start, best_total = i, window
         run = self._segments[best_start : best_start + fanin]
+        lo, hi = run[0]["lo"], run[-1]["hi"]
+        overlay = sorted(
+            item for item in self._active_rows.items() if lo <= item[0] <= hi
+        )
         folded: list[int] = []
-
-        def merged_rows():
-            for ordinal, row in chain.from_iterable(
-                self._iter_segment_rows(entry) for entry in run
-            ):
-                overlay_row = self._active_rows.get(ordinal)
-                if overlay_row is not None:
-                    folded.append(ordinal)
-                    yield ordinal, overlay_row
-                else:
-                    yield ordinal, row
-
-        entry = self._write_segment_file(merged_rows())
+        entry = self._write_segment(
+            _fold(self._read_groups(run), overlay, False, folded)
+        )
         del self._segments[best_start : best_start + fanin]
-        if entry is not None:
-            self._insert_entry(entry)
+        self._insert_entry(entry)
         self._manifest["generation"] = int(self._manifest["generation"]) + 1
         self._write_manifest()
         for old in run:
@@ -1333,20 +1355,42 @@ class ColumnarStore:
         if generation != int(self._manifest["generation"]):
             self._topk_dirty = bool(self._segments)
             return
-        heap = []
-        for i in range(count):
-            score, ordinal = _TOPK_ENTRY.unpack_from(body, i * _TOPK_ENTRY.size)
-            heap.append((-score, -ordinal))
+        entries = np.frombuffer(body, dtype=[("score", "<f8"), ("ordinal", "<i8")])
+        heap = list(zip((-entries["score"]).tolist(), (-entries["ordinal"]).tolist()))
         heapq.heapify(heap)
         self._topk_heap = heap
         self._topk_saturated = count >= capacity
 
+    def _rank(self, k: int) -> list[tuple[float, int]]:
+        """The ``k`` best ``(score, ordinal)`` of done rows, from columns alone.
+
+        Overlay rows shadow their sealed versions; ties break by ordinal.
+        """
+        overlay = self._active_rows
+        live = [
+            (row[_SCORE], ordinal)
+            for ordinal, row in overlay.items()
+            if row[_STATUS] == "done" and row[_SCORE] is not None
+        ]
+        scores = np.array([score for score, _ in live], dtype="<f8")
+        ordinals = np.array([ordinal for _, ordinal in live], dtype="<i8")
+        shadow = np.fromiter(overlay, dtype="<i8", count=len(overlay))
+        for group in self._read_groups(self._segments):
+            keep = (group["status"] == _DONE_CODE) & (group["flags"] & _F_SCORE != 0)
+            keep &= ~np.isin(group["ordinals"], shadow)
+            scores = np.concatenate((scores, group["score"][keep]))
+            ordinals = np.concatenate((ordinals, group["ordinals"][keep]))
+            order = np.lexsort((ordinals, scores))[:k]
+            scores, ordinals = scores[order], ordinals[order]
+        order = np.lexsort((ordinals, scores))[:k]  # overlay-only stores
+        return list(zip(scores[order].tolist(), ordinals[order].tolist()))
+
     def _rebuild_topk(self) -> None:
-        self._topk_heap = []
-        self._topk_saturated = False
-        for ordinal, row in self._iter_logical():
-            if row[_STATUS] == "done" and row[_SCORE] is not None:
-                self._topk_push(row[_SCORE], ordinal)
+        capacity = self._topk_capacity
+        best = self._rank(capacity + 1)
+        self._topk_saturated = len(best) > capacity
+        self._topk_heap = [(-score, -ordinal) for score, ordinal in best[:capacity]]
+        heapq.heapify(self._topk_heap)
         self._topk_dirty = False
 
     # ------------------------------------------------------------------
@@ -1370,10 +1414,10 @@ class ColumnarStore:
         """
         with self._lock:
             overlay = sorted(self._active_rows.items())
-            seg_stream = chain.from_iterable(
-                self._iter_segment_rows(entry) for entry in self._segments
+            sealed = chain.from_iterable(
+                map(_rows_of, self._read_groups(self._segments))
             )
-            yield from _merge_rows(seg_stream, overlay)
+            yield from _merge_rows(sealed, overlay)
 
     def _top_row(self, ordinal: int, row: list) -> dict:
         return {
@@ -1389,9 +1433,8 @@ class ColumnarStore:
     def top(self, k: int = 10) -> list[dict]:
         """The ``k`` best completed ligands, ascending score.
 
-        Served by the incrementally maintained top-K index; a stale or
-        overflowed index falls back to a streaming full scan (and the index
-        rebuilds itself on the way).
+        Served by the top-K index; a stale or overflowed index falls back to
+        a scan of the score columns (only the ``k`` winners are decoded).
         """
         if k < 1:
             raise CampaignError(f"k must be >= 1, got {k}")
@@ -1416,16 +1459,9 @@ class ColumnarStore:
                 if len(validated) == k:
                     break
             if len(validated) < k and (self._topk_saturated or k > self._topk_capacity):
-                best = heapq.nsmallest(
-                    k,
-                    (
-                        (row[_SCORE], ordinal, row)
-                        for ordinal, row in self._iter_logical()
-                        if row[_STATUS] == "done" and row[_SCORE] is not None
-                    ),
-                    key=lambda item: (item[0], item[1]),
-                )
-                return [self._top_row(ordinal, row) for _, ordinal, row in best]
+                best = [ordinal for _, ordinal in self._rank(k)]
+                rows = {ordinal: self._lookup(ordinal) for ordinal in sorted(best)}
+                return [self._top_row(ordinal, rows[ordinal]) for ordinal in best]
             return [self._top_row(ordinal, row) for ordinal, row in validated]
 
     def science_rows(self) -> Iterator[tuple]:
