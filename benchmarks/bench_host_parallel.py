@@ -3,7 +3,7 @@
 Times one fixed pose workload through :class:`SerialEvaluator` and through
 :class:`ParallelSpotEvaluator` at several worker counts, on 2BSM- and
 2BXG-scale synthetic complexes, and writes a JSON artifact with speedup,
-parallel efficiency, the per-spot prune ratio, and a bitwise-equality flag.
+parallel efficiency, and a bitwise-equality flag.
 
 Pool construction and warm-up are excluded from the timed region — the pool
 is persistent across a screening run, so its one-off cost amortises away.
@@ -37,7 +37,6 @@ from repro.molecules.spots import find_spots
 from repro.molecules.synthetic import generate_ligand, generate_receptor
 from repro.molecules.transforms import random_quaternion
 from repro.scoring.cutoff import CutoffLennardJonesScoring
-from repro.scoring.pruned import prune_bound
 
 #: (name, receptor atoms, ligand atoms) — Table 5 scale and a smoke scale.
 FULL_CASES = [("2BSM", 3264, 45), ("2BXG", 8609, 32)]
@@ -72,14 +71,11 @@ def bench_case(name, n_rec, n_lig, n_poses, worker_counts, repeats=3, seed=0):
     receptor = generate_receptor(n_rec, seed=seed + 1, title=name)
     ligand = generate_ligand(n_lig, seed=seed + 2)
     spots = find_spots(receptor, 8)
-    scorer = prune_bound(
-        CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand), spots
-    )
+    scorer = CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand)
     spot_ids, t, q = _workload(receptor, spots, n_poses, seed=seed)
 
     serial = SerialEvaluator(scorer)
     serial_s, expected = _time(lambda: serial.evaluate(spot_ids, t, q), repeats)
-    prune_ratio = scorer.prune_ratio
 
     runs = []
     for n_workers in worker_counts:
@@ -101,7 +97,6 @@ def bench_case(name, n_rec, n_lig, n_poses, worker_counts, repeats=3, seed=0):
         "ligand_atoms": n_lig,
         "poses": n_poses,
         "serial_seconds": serial_s,
-        "prune_ratio": prune_ratio,
         "parallel": runs,
     }
 
@@ -136,8 +131,7 @@ def _report(artifact):
     for case in artifact["cases"]:
         lines.append(
             f"{case['case']}: {case['receptor_atoms']}x{case['ligand_atoms']} atoms, "
-            f"{case['poses']} poses, serial {case['serial_seconds'] * 1e3:.1f} ms, "
-            f"prune ratio {case['prune_ratio']:.2f}x"
+            f"{case['poses']} poses, serial {case['serial_seconds'] * 1e3:.1f} ms"
         )
         for run in case["parallel"]:
             lines.append(
@@ -162,7 +156,6 @@ def test_host_parallel_smoke(benchmark, tmp_path):
     emit("Host runtime — process-parallel smoke", _report(artifact))
     assert load_bench_artifact(out)["benchmark"] == "host_parallel"
     for case in artifact["cases"]:
-        assert case["prune_ratio"] >= 1.0
         for run in case["parallel"]:
             assert run["bitwise_equal"], "parallel energies must match serial bitwise"
 

@@ -2,11 +2,11 @@
 
 A :class:`CampaignRunner` wraps the existing :func:`repro.vs.docking.dock`
 machinery (including the PR 1 process-parallel host runtime via
-``host_workers``/``parallel_mode``/``prune_spots``) with the durability
-layer: every completed ligand is committed to the :class:`CampaignStore`
-before the next one starts, shard boundaries are journalled write-ahead, and
-:meth:`resume` reconciles journal and store to continue exactly where a
-crash, SIGKILL, or Ctrl-C left off.
+``host_workers``/``parallel_mode``) with the durability layer: every
+completed ligand is committed to the :class:`CampaignStore` before the next
+one starts, shard boundaries are journalled write-ahead, and :meth:`resume`
+reconciles journal and store to continue exactly where a crash, SIGKILL, or
+Ctrl-C left off.
 
 Determinism: ligand ``ordinal`` is always docked with seed ``seed +
 ordinal`` (the same rule ``screen()`` has always used), so an interrupted
@@ -90,8 +90,9 @@ __all__ = [
 #: either way. Autotuning is hashed by the *content* of its calibration
 #: table, not the file path: a different table selects different kernels
 #: (low-order bits move with the GEMM shape), so a resume must replay the
-#: same selections; with autotune off both keys are omitted, keeping hashes
-#: of pre-autotune stores valid.
+#: same selections; with autotune off both keys are left out of the config
+#: record and ``config.get`` hashes them as ``null``, which is what stores
+#: written before autotune existed hashed.
 HASHED_KEYS = (
     "receptor_hash",
     "library",
@@ -101,7 +102,6 @@ HASHED_KEYS = (
     "seed",
     "workload_scale",
     "shard_size",
-    "prune_spots",
     "autotune",
     "calibration_hash",
 )
@@ -134,7 +134,6 @@ def campaign_config(
     seed: int,
     workload_scale: float,
     shard_size: int,
-    prune_spots: bool,
     node: NodeSpec | None,
     mode: str,
     receptor_descriptor: dict | None = None,
@@ -162,12 +161,11 @@ def campaign_config(
         "seed": int(seed),
         "workload_scale": float(workload_scale),
         "shard_size": int(shard_size),
-        "prune_spots": bool(prune_spots),
         "node": None if node is None else node.name,
         "mode": mode,
     }
     if autotune:
-        # Omitted entirely when off, so pre-autotune store hashes stay valid.
+        # Left out when off (hashed as null), so pre-autotune hashes hold.
         config["autotune"] = True
         config["calibration_hash"] = calibration_hash
     return config
@@ -175,7 +173,12 @@ def campaign_config(
 
 def config_hash(config: dict) -> str:
     """Hash the result-affecting subset of a campaign config."""
-    hashed = {key: config.get(key) for key in HASHED_KEYS}
+    hashed = {
+        **{key: config.get(key) for key in HASHED_KEYS},
+        # The removed per-spot pruning option, off by default: every store
+        # written without it hashed this, and keeps its hash.
+        "prune_spots": False,
+    }
     return hashlib.sha256(
         json.dumps(hashed, sort_keys=True).encode()
     ).hexdigest()
@@ -267,7 +270,6 @@ class CampaignRunner:
         mode: str = "gpu-heterogeneous",
         host_workers: int = 0,
         parallel_mode: str = "static",
-        prune_spots: bool = False,
         pipeline_depth: int = 2,
         autotune=False,
         calibration_file: str | Path | None = None,
@@ -332,7 +334,6 @@ class CampaignRunner:
         self.mode = mode
         self.host_workers = host_workers
         self.parallel_mode = parallel_mode
-        self.prune_spots = prune_spots
         #: Ligands docked concurrently through the shared pool (needs
         #: ``host_workers > 0``): the number of live leases. An execution
         #: knob — never hashed; results are bitwise identical at every depth.
@@ -363,7 +364,7 @@ class CampaignRunner:
                 table = CalibrationTable.load(self.calibration_file)
             except Exception as exc:
                 raise CampaignError(str(exc)) from exc
-            self._autotune = AutotuneController(table, prune_spots=bool(prune_spots))
+            self._autotune = AutotuneController(table)
         self.autotune = self._autotune is not None
         if self._autotune is not None:
             calibration_hash = hashlib.sha256(
@@ -401,7 +402,6 @@ class CampaignRunner:
             seed=seed,
             workload_scale=workload_scale,
             shard_size=shard_size,
-            prune_spots=prune_spots,
             node=node,
             mode=mode,
             receptor_descriptor=receptor_descriptor,
@@ -452,8 +452,8 @@ class CampaignRunner:
                         f"config hash {store.config_hash[:12]}… but resume was "
                         f"given {self.config_hash[:12]}…. Receptor, library, "
                         "seed, spots, metaheuristic, scoring, workload scale, "
-                        "shard size, pruning and autotune calibration must "
-                        "all match the original run."
+                        "shard size and autotune calibration must all match "
+                        "the original run."
                     )
                 state = (
                     self.journal.replay() if self.journal is not None else None
@@ -525,7 +525,6 @@ class CampaignRunner:
                         n_workers=self.host_workers,
                         mode=self.parallel_mode,
                         scoring=self.scoring,
-                        prune_spots=self.prune_spots,
                         autotune=self._autotune,
                         pipeline_depth=self.pipeline_depth,
                     )
@@ -676,7 +675,6 @@ class CampaignRunner:
                 mode=self.mode,
                 host_workers=self.host_workers,
                 parallel_mode=self.parallel_mode,
-                prune_spots=self.prune_spots,
                 evaluator_factory=evaluator_factory,
                 autotune=self._autotune,
             )

@@ -76,12 +76,6 @@ def _add_host_runtime_args(sub: argparse.ArgumentParser) -> None:
         "dynamic = work-stealing spot queue",
     )
     sub.add_argument(
-        "--prune-spots",
-        action="store_true",
-        help="score each spot against its active-site receptor subset "
-        "(exact for the default cutoff scoring)",
-    )
-    sub.add_argument(
         "--pipeline-depth",
         type=_positive_int,
         default=2,
@@ -741,7 +735,6 @@ def _cmd_dock(args: argparse.Namespace) -> int:
         node=node,
         host_workers=args.host_workers,
         parallel_mode=args.parallel_mode,
-        prune_spots=args.prune_spots,
         autotune=args.autotune,
         calibration_file=args.calibration_file,
     )
@@ -778,7 +771,6 @@ def _cmd_screen(args: argparse.Namespace) -> int:
         node=node,
         host_workers=args.host_workers,
         parallel_mode=args.parallel_mode,
-        prune_spots=args.prune_spots,
         autotune=args.autotune,
         calibration_file=args.calibration_file,
         pipeline_depth=args.pipeline_depth,
@@ -973,7 +965,6 @@ def _new_campaign_runner(
         node=_campaign_node(args.node),
         host_workers=args.host_workers,
         parallel_mode=args.parallel_mode,
-        prune_spots=args.prune_spots,
         autotune=args.autotune,
         calibration_file=args.calibration_file,
         refine_calibration=getattr(args, "refine_calibration", False),
@@ -1033,7 +1024,6 @@ def _rebuild_campaign_runner(
         mode=str(config.get("mode", "gpu-heterogeneous")),
         host_workers=args.host_workers,
         parallel_mode=args.parallel_mode,
-        prune_spots=bool(config["prune_spots"]),
         autotune=args.autotune or bool(config.get("autotune", False)),
         calibration_file=args.calibration_file,
         refine_calibration=getattr(args, "refine_calibration", False),

@@ -194,7 +194,6 @@ class ClusterCampaign:
             "execution": {
                 "host_workers": runner.host_workers,
                 "parallel_mode": runner.parallel_mode,
-                "prune_spots": runner.prune_spots,
                 "scoring": self._scoring_descriptor,
                 "node": self._node_name,
             },

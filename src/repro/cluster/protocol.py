@@ -69,8 +69,9 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible wire change; ``hello`` carries it and the
-#: coordinator refuses mismatched workers.
-PROTOCOL_VERSION: int = 1
+#: coordinator refuses mismatched workers. 2: the per-spot pruning field
+#: left ``config.execution`` (a v1 worker reads it unconditionally).
+PROTOCOL_VERSION: int = 2
 
 #: Every legal ``kind`` value (either direction).
 MESSAGE_KINDS: frozenset[str] = frozenset(

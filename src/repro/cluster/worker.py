@@ -112,7 +112,6 @@ class WorkerNode:
             self.backoff_base = float(campaign["backoff_base"])
             self.host_workers = int(execution["host_workers"])
             self.parallel_mode = str(execution["parallel_mode"])
-            self.prune_spots = bool(execution["prune_spots"])
             self.scoring = build_scoring(execution.get("scoring"))
             self.node_spec = _build_node_spec(execution.get("node"))
         except (KeyError, TypeError, ValueError) as exc:
@@ -135,10 +134,7 @@ class WorkerNode:
         if calibration is not None:
             from repro.scoring.autotune import AutotuneController, CalibrationTable
 
-            self._autotune = AutotuneController(
-                CalibrationTable.from_json(calibration),
-                prune_spots=self.prune_spots,
-            )
+            self._autotune = AutotuneController(CalibrationTable.from_json(calibration))
         self._source = None  # built lazily from the library descriptor
         self._runtime = None
         self._leases: deque[_Lease] = deque()
@@ -166,7 +162,6 @@ class WorkerNode:
                 n_workers=self.host_workers,
                 mode=self.parallel_mode,
                 scoring=self.scoring,
-                prune_spots=self.prune_spots,
                 autotune=self._autotune,
             )
 
@@ -325,7 +320,6 @@ class WorkerNode:
             mode=self.mode,
             host_workers=self.host_workers,
             parallel_mode=self.parallel_mode,
-            prune_spots=self.prune_spots,
             evaluator_factory=(
                 None if self._runtime is None else self._runtime.evaluator_factory
             ),

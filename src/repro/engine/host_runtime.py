@@ -82,7 +82,6 @@ from repro.scoring.base import BoundScorer, spot_groups
 from repro.scoring.batched import BoundBatchedLJ
 from repro.scoring.cutoff import BoundCutoffLennardJones, CutoffLennardJonesScoring
 from repro.scoring.lennard_jones import BoundLennardJones
-from repro.scoring.pruned import BoundSpotPruned, prune_bound
 
 __all__ = [
     "ArrayHandle",
@@ -312,65 +311,38 @@ def stage_scorer(
     stage: SharedArrayStage,
     ligand_stage: LigandSlotStage,
     receptor_cache: dict[str, ArrayHandle],
-    _role: str = "",
 ) -> dict:
     """Describe ``scorer`` as a pickle-small spec with shared-memory handles.
 
     Workers rebuild an equivalent scorer with :func:`rebuild_scorer`. The
     heavy per-complex arrays are split by lifetime: arrays that change per
-    ligand (ligand coordinates, the ligand×receptor σ²/4ε pair tables,
-    pruned subsets) are rewritten into ``ligand_stage``'s reusable slots,
-    while receptor-side arrays (coordinates, spot geometry)
-    go through ``stage`` once, their handles kept in ``receptor_cache`` for
-    every later ligand. The receptor, spots and scoring must stay fixed for
-    the cache's lifetime — the caller's contract, checked here only by
-    shape/dtype. Scorer types without a dedicated stager fall back to
+    ligand (ligand coordinates, the ligand×receptor σ²/4ε pair tables) are
+    rewritten into ``ligand_stage``'s reusable slots, while receptor-side
+    arrays (coordinates, their squared norms) go through ``stage`` once,
+    their handles kept in ``receptor_cache`` for every later ligand. The
+    receptor and scoring must stay fixed for the cache's lifetime — the
+    caller's contract, checked here only by shape/dtype. Nothing staged
+    depends on spots. Scorer types without a dedicated stager fall back to
     pickling the whole object (correct, just not zero-copy).
     """
 
     def fixed(role: str, array: np.ndarray) -> ArrayHandle:
-        role = _role + role
         handle = receptor_cache.get(role)
         if handle is not None:
             if handle.shape != tuple(array.shape) or handle.dtype != str(array.dtype):
                 raise ScoringError(
                     f"persistent rebind changed a receptor-side array ({role}: "
                     f"{handle.shape}/{handle.dtype} -> {tuple(array.shape)}/"
-                    f"{array.dtype}); receptor, spots and scoring must stay "
-                    "fixed for the lifetime of the runtime"
+                    f"{array.dtype}); receptor and scoring must stay fixed "
+                    "for the lifetime of the runtime"
                 )
             return handle
         handle = stage.stage(array)
         receptor_cache[role] = handle
         return handle
 
-    def varying(role: str, array: np.ndarray) -> ArrayHandle:
-        return ligand_stage.restage(_role + role, array)
+    varying = ligand_stage.restage
 
-    if isinstance(scorer, BoundSpotPruned):
-        subset_offsets = np.zeros(len(scorer.spot_indices) + 1, dtype=np.int64)
-        ordered = [scorer.subsets[int(s)] for s in scorer.spot_indices]
-        np.cumsum([idx.size for idx in ordered], out=subset_offsets[1:])
-        subset_data = (
-            np.concatenate(ordered) if ordered else np.empty(0, dtype=np.int64)
-        )
-        # Spot geometry and the spot index set are receptor+spots facts; the
-        # subsets are not — their margin includes the ligand's extent.
-        return {
-            "kind": "pruned",
-            "inner": stage_scorer(
-                scorer.inner, stage, ligand_stage, receptor_cache, _role + "i."
-            ),
-            "mode": scorer.mode,
-            "prune_cutoff": scorer.prune_cutoff,
-            "lig_extent": scorer.lig_extent,
-            "margin": scorer.margin,
-            "spot_indices": fixed("spot_indices", scorer.spot_indices),
-            "spot_centers": fixed("spot_centers", scorer.spot_centers),
-            "spot_radii": fixed("spot_radii", scorer.spot_radii),
-            "subset_data": varying("subset_data", subset_data),
-            "subset_offsets": varying("subset_offsets", subset_offsets),
-        }
     if isinstance(scorer, BoundCutoffLennardJones):
         return {
             "kind": "cutoff",
@@ -430,26 +402,6 @@ def rebuild_scorer(spec: dict) -> BoundScorer:
     kind = spec["kind"]
     if kind == "pickle":
         return pickle.loads(spec["blob"])
-    if kind == "pruned":
-        inner = rebuild_scorer(spec["inner"])
-        spot_indices = _attach(spec["spot_indices"])
-        subset_data = _attach(spec["subset_data"])
-        subset_offsets = _attach(spec["subset_offsets"])
-        subsets = {
-            int(s): subset_data[subset_offsets[i] : subset_offsets[i + 1]]
-            for i, s in enumerate(spot_indices)
-        }
-        return BoundSpotPruned._from_parts(
-            inner,
-            mode=spec["mode"],
-            prune_cutoff=spec["prune_cutoff"],
-            lig_extent=spec["lig_extent"],
-            margin=spec["margin"],
-            subsets=subsets,
-            spot_indices=spot_indices,
-            spot_centers=_attach(spec["spot_centers"]),
-            spot_radii=_attach(spec["spot_radii"]),
-        )
     if kind == "cutoff":
         scorer = BoundCutoffLennardJones.__new__(BoundCutoffLennardJones)
         scorer.receptor = _StagedMolecule(spec["n_receptor"])
@@ -1586,7 +1538,6 @@ class PersistentHostRuntime:
         n_workers: int,
         mode: str = "static",
         scoring=None,
-        prune_spots: bool = False,
         warmup: bool = True,
         remeasure_interval: int = DEFAULT_REMEASURE_INTERVAL,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
@@ -1613,7 +1564,6 @@ class PersistentHostRuntime:
             if scoring is not None
             else CutoffLennardJonesScoring(dtype=np.float32)
         )
-        self.prune_spots = bool(prune_spots)
         #: Optional :class:`repro.scoring.autotune.AutotuneController`; when
         #: set, every ligand bind resolves (variant, chunk_size) through it,
         #: and the tuned scorer flows through staging/rebind to the workers
@@ -1655,10 +1605,7 @@ class PersistentHostRuntime:
             scoring = self.autotune.resolve(
                 scoring, self.receptor.n_atoms, ligand.n_atoms, self.n_workers
             )
-        scorer = scoring.bind(self.receptor, ligand)
-        if self.prune_spots:
-            scorer = prune_bound(scorer, self.spots)
-        return scorer
+        return scoring.bind(self.receptor, ligand)
 
     def _bind_and_stage(self, ligand):
         """Stager-thread job: bind + stage into a free slot bank.

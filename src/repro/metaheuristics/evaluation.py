@@ -114,8 +114,8 @@ class SerialEvaluator:
                 n_receptor_atoms=self.scorer.receptor.n_atoms,
             )
         )
-        # Spot-aware scorers (per-spot receptor pruning) exploit the spot
-        # tags; plain scorers ignore them via the base passthrough.
+        # Spot-aware scorers (the cutoff scorer's spot-aligned tiles) exploit
+        # the spot tags; plain scorers ignore them via the base passthrough.
         if self.scorer.supports_spot_scoring:
             return self.scorer.score_spots(spot_ids, translations, quaternions)
         return self.scorer.score(translations, quaternions)

@@ -24,12 +24,6 @@ from repro.scoring.batched import (
     BoundBatchedLJ,
     batched_chunk_size,
 )
-from repro.scoring.pruned import (
-    BoundSpotPruned,
-    SpotPrunedScoring,
-    prune_bound,
-    spot_prune_indices,
-)
 from repro.scoring.composite import BoundComposite, CompositeScoring, make_lj_coulomb
 from repro.scoring.coulomb import BoundCoulomb, CoulombScoring
 from repro.scoring.cutoff import BoundCutoffLennardJones, CutoffLennardJonesScoring
@@ -64,7 +58,6 @@ __all__ = [
     "BoundReferenceLJ",
     "BoundScorer",
     "BoundSoftcoreLJ",
-    "BoundSpotPruned",
     "BoundTiledLennardJones",
     "CalibrationCell",
     "CalibrationTable",
@@ -78,7 +71,6 @@ __all__ = [
     "ReferenceLJScoring",
     "ScoringFunction",
     "SoftcoreLJScoring",
-    "SpotPrunedScoring",
     "TiledLennardJonesScoring",
     "auto_chunk_size",
     "available_scorings",
@@ -87,9 +79,7 @@ __all__ = [
     "get_scoring",
     "lj_energy_from_r2",
     "make_lj_coulomb",
-    "prune_bound",
     "register_scoring",
     "run_calibration_sweep",
     "scoring_family",
-    "spot_prune_indices",
 ]

@@ -81,7 +81,6 @@ __all__ = [
     "scoring_family",
     "variant_candidates",
     "run_calibration_sweep",
-    "PRUNABLE_VARIANTS",
 ]
 
 CALIBRATION_FORMAT_VERSION = 1
@@ -96,10 +95,6 @@ DEFAULT_PATIENCE = 3
 
 #: EWMA smoothing for observed poses/s.
 EWMA_ALPHA = 0.3
-
-#: Variants :func:`repro.scoring.pruned.prune_bound` can wrap. With
-#: ``prune_spots`` enabled the selector restricts itself to these.
-PRUNABLE_VARIANTS = frozenset({"lennard-jones", "lennard-jones-cutoff"})
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +204,6 @@ class CalibrationTable:
         receptor_atoms: int,
         ligand_atoms: int,
         worker_count: int,
-        allowed_variants: frozenset[str] | None = None,
     ) -> tuple[CalibrationCell | None, bool]:
         """Best cell for the features: ``(cell, exact_feature_match)``.
 
@@ -220,12 +214,7 @@ class CalibrationTable:
         same cell, which is what makes selection reproducible.
         """
         features = (int(receptor_atoms), int(ligand_atoms), int(worker_count))
-        candidates = [
-            c
-            for c in self.cells
-            if c.family == family
-            and (allowed_variants is None or c.variant in allowed_variants)
-        ]
+        candidates = [c for c in self.cells if c.family == family]
         if not candidates:
             return None, False
         # Log-feature distance: sizes span orders of magnitude, so a ratio
@@ -303,10 +292,11 @@ def variant_candidates(
     auto = auto_chunk_size(receptor_atoms, ligand_atoms, itemsize)
     if family == "exact":
         batched = batched_chunk_size(receptor_atoms, ligand_atoms, itemsize)
+        # lennard-jones-tiled is not measured: a Python loop over 128-atom
+        # tiles reads 0.36x dense; a table that names it still loads.
         out = [
             ("lennard-jones", auto),
             ("lennard-jones", min(2 * auto, MAX_CHUNK_SIZE)),
-            ("lennard-jones-tiled", auto),
             ("lennard-jones-batched", batched),
             ("lennard-jones-batched", min(2 * batched, BATCHED_MAX_CHUNK_SIZE)),
         ]
@@ -354,10 +344,9 @@ class KernelSelector:
         receptor_atoms: int,
         ligand_atoms: int,
         worker_count: int,
-        allowed_variants: frozenset[str] | None = None,
     ) -> Selection | None:
         cell, exact = self.table.lookup(
-            family, receptor_atoms, ligand_atoms, worker_count, allowed_variants
+            family, receptor_atoms, ligand_atoms, worker_count
         )
         if cell is None:
             return None
@@ -381,12 +370,10 @@ class AutotuneController:
     def __init__(
         self,
         table: CalibrationTable,
-        prune_spots: bool = False,
         margin: float = DEFAULT_MARGIN,
         patience: int = DEFAULT_PATIENCE,
     ) -> None:
         self.selector = KernelSelector(table)
-        self.prune_spots = bool(prune_spots)
         self.margin = float(margin)
         self.patience = int(patience)
         self._lock = Lock()
@@ -418,15 +405,12 @@ class AutotuneController:
         if family is None:
             obs.counter("autotune.cell_misses").inc()
             return scoring
-        allowed = PRUNABLE_VARIANTS if self.prune_spots else None
         key = (family, int(receptor_atoms), int(ligand_atoms), int(worker_count))
         with self._lock:
             if key in self._pinned:
                 selection = self._pinned[key]
             else:
-                selection = self.selector.select(
-                    family, *key[1:], allowed_variants=allowed
-                )
+                selection = self.selector.select(family, *key[1:])
                 self._pinned[key] = selection
                 if selection is None or not selection.exact_cell:
                     obs.counter("autotune.cell_misses").inc()

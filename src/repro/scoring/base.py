@@ -164,8 +164,9 @@ class BoundScorer(ABC):
     chunk_size: int = 32
 
     #: True for scorers whose :meth:`score_spots` exploits the spot ids of a
-    #: batch (e.g. per-spot receptor pruning). Evaluators check this flag
-    #: and route through :meth:`score_spots` when set.
+    #: batch (the cutoff scorer cuts its tiles inside spot groups).
+    #: Evaluators check this flag and route through :meth:`score_spots`
+    #: when set.
     supports_spot_scoring: bool = False
 
     def __init__(self, receptor: Receptor, ligand: Ligand) -> None:
@@ -228,8 +229,8 @@ class BoundScorer(ABC):
         """Score a batch whose poses are tagged with global spot indices.
 
         The base implementation ignores the spot ids for scoring (scorers
-        with ``supports_spot_scoring = True`` override this to use per-spot
-        precomputation), but still validates that there is exactly one id
+        with ``supports_spot_scoring = True`` override this to tile by
+        spot), but still validates that there is exactly one id
         per pose — a mismatch is a caller bookkeeping bug, not something to
         broadcast away.
         """

@@ -34,9 +34,8 @@ within-cutoff pairs — not on how the batch was tiled, which spot ids it
 carried, nor on how large a receptor superset a tile gathered — which is
 what lets :meth:`~BoundCutoffLennardJones.score`,
 :meth:`~BoundCutoffLennardJones.score_spots` and ``score_one`` agree bit for
-bit, and the per-spot pruned scorer (:mod:`repro.scoring.pruned`) and the
-process-parallel host runtime (:mod:`repro.engine.host_runtime`) reproduce
-serial results *bitwise*.
+bit, and the process-parallel host runtime
+(:mod:`repro.engine.host_runtime`) reproduce serial results *bitwise*.
 
 ``dtype=float32`` selects the single-precision path — the same precision the
 paper's CUDA kernels use — which is ~3× faster on the host.
@@ -255,21 +254,14 @@ class BoundCutoffLennardJones(BoundScorer):
     def _score_posed_chunk(self, posed: np.ndarray) -> np.ndarray:
         return self._score_gathered(posed, self._gather(posed))
 
-    def _gather(
-        self,
-        posed: np.ndarray,
-        within: np.ndarray | None = None,
-        within_coords: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _gather(self, posed: np.ndarray) -> np.ndarray:
         """Ascending receptor indices inside one tile's reach.
 
         The reach is the bounding sphere of the tile's ligand atoms grown by
         ``cutoff + GATHER_SLACK``, tested by brute force on the staged
         coordinates: a few thousand squared distances cost less than a
         KD-tree query returning a Python list, and any superset of the
-        within-cutoff atoms gives the same energies. ``within`` (ascending
-        indices, with their coordinates) restricts the candidates — the
-        per-spot pruned scorer passes its precomputed subsets.
+        within-cutoff atoms gives the same energies.
         """
         atoms = posed.reshape(-1, 3)
         center = atoms.mean(axis=0)
@@ -284,12 +276,10 @@ class BoundCutoffLennardJones(BoundScorer):
                 "poses of one tile; check the batch's translations and "
                 "quaternions for NaN/inf"
             )
-        coords = self.receptor_coords if within is None else within_coords
-        offsets = coords - center.astype(self.dtype)
-        inside = np.flatnonzero(
+        offsets = self.receptor_coords - center.astype(self.dtype)
+        return np.flatnonzero(
             np.einsum("ij,ij->i", offsets, offsets) <= self.dtype.type(reach * reach)
         )
-        return inside if within is None else within[inside]
 
     def _tile_scratch(
         self, rows: int, m: int
@@ -322,8 +312,7 @@ class BoundCutoffLennardJones(BoundScorer):
 
         The canonical reduction makes the result bitwise independent of the
         subset, provided ``idx`` covers every within-cutoff receptor atom of
-        every pose — the per-spot pruned scorer calls this with gathers
-        restricted to its own subsets.
+        every pose.
         """
         p, a, _ = posed.shape
         m = idx.size

@@ -23,7 +23,6 @@ from repro.molecules.spots import Spot, find_spots
 from repro.molecules.structures import Ligand, Receptor
 from repro.scoring.base import ScoringFunction
 from repro.scoring.cutoff import CutoffLennardJonesScoring
-from repro.scoring.pruned import prune_bound
 from repro.vs.results import DockingResult
 
 __all__ = ["dock"]
@@ -35,7 +34,7 @@ def _resolve_spec(metaheuristic: str | MetaheuristicSpec, workload_scale: float)
     return make_preset(metaheuristic, workload_scale)
 
 
-def _resolve_autotune(autotune, calibration_file, prune_spots):
+def _resolve_autotune(autotune, calibration_file):
     """Normalise the (autotune, calibration_file) inputs to a controller."""
     from repro.scoring.autotune import AutotuneController
 
@@ -49,7 +48,7 @@ def _resolve_autotune(autotune, calibration_file, prune_spots):
                 "autotune=True needs a calibration_file "
                 "(write one with `repro-vs calibrate`)"
             )
-        return AutotuneController.from_file(calibration_file, prune_spots=prune_spots)
+        return AutotuneController.from_file(calibration_file)
     raise ReproError(
         f"autotune must be a bool or AutotuneController, got {type(autotune).__name__}"
     )
@@ -68,7 +67,6 @@ def dock(
     mode: str = "gpu-heterogeneous",
     host_workers: int = 0,
     parallel_mode: str = "static",
-    prune_spots: bool = False,
     evaluator_factory=None,
     autotune=None,
     calibration_file=None,
@@ -108,19 +106,14 @@ def dock(
     parallel_mode:
         ``"static"`` (warm-up-weighted shares) or ``"dynamic"``
         (work-stealing spot queue); only used with ``host_workers > 0``.
-    prune_spots:
-        Wrap the scorer with per-spot receptor pruning
-        (:mod:`repro.scoring.pruned`): exact for the default cutoff scoring,
-        bounded-error for dense LJ.
     evaluator_factory:
         Externally-owned runtime seam: a callable ``(receptor, ligand,
         spots) -> Evaluator`` (e.g.
         :meth:`repro.engine.host_runtime.LigandLease.evaluator_factory`).
         When given it takes precedence over ``scoring``/``host_workers``/
-        ``parallel_mode``/``prune_spots``/``autotune`` — binding and pooling
-        belong to the owner — and the evaluator is *not* closed here; its
-        lifecycle stays with the caller (a campaign keeps one pool across
-        ligands).
+        ``parallel_mode``/``autotune`` — binding and pooling belong to the
+        owner — and the evaluator is *not* closed here; its lifecycle stays
+        with the caller (a campaign keeps one pool across ligands).
     autotune:
         Input-aware kernel selection (:mod:`repro.scoring.autotune`).
         ``True`` loads ``calibration_file`` into a fresh controller; an
@@ -152,14 +145,12 @@ def dock(
         scoring = (
             scoring if scoring is not None else CutoffLennardJonesScoring(dtype=np.float32)
         )
-        controller = _resolve_autotune(autotune, calibration_file, prune_spots)
+        controller = _resolve_autotune(autotune, calibration_file)
         if controller is not None:
             scoring = controller.resolve(
                 scoring, receptor.n_atoms, ligand.n_atoms, host_workers
             )
         scorer = scoring.bind(receptor, ligand)
-        if prune_spots:
-            scorer = prune_bound(scorer, spots)
         if host_workers > 0:
             evaluator = ParallelSpotEvaluator(
                 scorer, n_workers=host_workers, mode=parallel_mode

@@ -54,7 +54,6 @@ def screen(
     mode: str = "gpu-heterogeneous",
     host_workers: int = 0,
     parallel_mode: str = "static",
-    prune_spots: bool = False,
     autotune=False,
     calibration_file: str | None = None,
     nodes: int = 0,
@@ -67,11 +66,11 @@ def screen(
     ``seed + i``); the report ranks ligands by their best score. When a
     ``node`` is supplied, per-ligand simulated times land on each entry and
     their finite sum in ``report.simulated_seconds``. ``host_workers``/
-    ``parallel_mode``/``prune_spots`` pass through to
-    :func:`repro.vs.docking.dock` — real process-parallel scoring with
-    bitwise-identical rankings. With ``host_workers > 0`` the worker pool,
-    staged receptor and Eq. 1 warm-up persist across the whole library:
-    each ligand is a lease on the one pool, not a pool spawn.
+    ``parallel_mode`` pass through to :func:`repro.vs.docking.dock` — real
+    process-parallel scoring with bitwise-identical rankings. With
+    ``host_workers > 0`` the worker pool, staged receptor and Eq. 1 warm-up
+    persist across the whole library: each ligand is a lease on the one
+    pool, not a pool spawn.
 
     ``autotune`` (with ``calibration_file``, or a ready-made
     :class:`~repro.scoring.autotune.AutotuneController`) turns on
@@ -124,7 +123,6 @@ def screen(
         mode=mode,
         host_workers=host_workers,
         parallel_mode=parallel_mode,
-        prune_spots=prune_spots,
         autotune=autotune,
         calibration_file=calibration_file,
         max_attempts=1,

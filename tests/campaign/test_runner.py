@@ -8,6 +8,8 @@ final ranking is bitwise identical to an uninterrupted run — including under
 the real process-parallel host runtime (1 and 4 workers).
 """
 
+import hashlib
+import json
 import math
 import os
 
@@ -15,8 +17,15 @@ import pytest
 
 import repro.campaign.runner as runner_mod
 from repro import observability as obs
-from repro.campaign import CampaignRunner, SyntheticSource
+from repro.campaign import (
+    CampaignRunner,
+    SyntheticSource,
+    campaign_config,
+    config_hash,
+    open_store,
+)
 from repro.errors import CampaignError
+from repro.molecules.structures import Receptor
 from repro.vs.docking import dock as real_dock
 from repro.vs.screening import screen, synthetic_library
 
@@ -303,6 +312,66 @@ def test_resume_config_mismatch_rejected(receptor, tmp_path):
         make_runner(receptor, tmp_path, seed=SEED + 1).resume()
     with pytest.raises(CampaignError, match="config mismatch"):
         make_runner(receptor, tmp_path, n_spots=3).resume()
+
+
+def parent_config_hash(config, prune_spots):
+    """``config_hash`` as commit bdbb2c9 computed it: the last commit with
+    per-spot pruning, where ``prune_spots`` was a hashed config key."""
+    hashed = {key: config.get(key) for key in runner_mod.HASHED_KEYS}
+    hashed["prune_spots"] = prune_spots
+    return hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
+
+
+def test_config_hash_is_the_one_stores_were_written_with():
+    """Both constants were printed by bdbb2c9 for this config, with
+    ``prune_spots=False`` and ``True``."""
+    receptor = Receptor(
+        [[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.5, 0.25]], ["C", "N", "O"]
+    )
+    config = campaign_config(
+        receptor,
+        SyntheticSource(7, atoms_range=(8, 12), seed=2),
+        n_spots=2,
+        metaheuristic="M1",
+        scoring=None,
+        seed=11,
+        workload_scale=0.05,
+        shard_size=2,
+        node=None,
+        mode="gpu-heterogeneous",
+    )
+    assert "prune_spots" not in config
+    unpruned = "decb7ab2bf236172debc07e12fc382cab1ef55b47d474356a22808c2efca5941"
+    pruned = "0b19fe542b34027d383497e0a2080dbfdf7937f539f4a1a8bdafd845fff87398"
+    assert config_hash(config) == parent_config_hash(config, False) == unpruned
+    assert parent_config_hash(config, True) == pruned
+
+
+def test_resume_of_a_store_written_while_pruning_was_an_option(
+    receptor, tmp_path, monkeypatch
+):
+    with make_runner(receptor, tmp_path, name="ref.sqlite").run() as store:
+        expected = store.science_digest()
+    with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+        patch.setattr(runner_mod, "dock", DockSpy(interrupt_before_call=4))
+        make_runner(receptor, tmp_path).run()
+
+    def rewrite_as_parent(prune_spots):
+        with open_store(tmp_path / "c.sqlite") as store:
+            config = {**store.config, "prune_spots": prune_spots}
+            store._set_meta("config", json.dumps(config, sort_keys=True))
+            store._set_meta("config_hash", parent_config_hash(config, prune_spots))
+
+    # Written with the flag: refused, to be finished by the version that wrote it.
+    rewrite_as_parent(True)
+    with pytest.raises(CampaignError, match="config mismatch"):
+        make_runner(receptor, tmp_path).resume()
+    # Written without it, as every store the flag's default made: same hash.
+    rewrite_as_parent(False)
+    with make_runner(receptor, tmp_path).resume() as store:
+        assert store.config["prune_spots"] is False
+        assert store.is_complete()
+        assert store.science_digest() == expected
 
 
 def test_runner_validation(receptor, tmp_path):

@@ -106,6 +106,33 @@ def test_channel_send_recv_and_close(pair):
         ch_b.recv()
 
 
+def test_hello_from_another_protocol_version_is_turned_away(pair):
+    """A v1 worker reads a config field that no longer exists, so the
+    coordinator answers its hello with shutdown and never registers it."""
+    from repro.cluster import PROTOCOL_VERSION, ClusterConfig
+    from repro.cluster.coordinator import Coordinator
+
+    coordinator = Coordinator(
+        None,
+        store=None,
+        journal=None,
+        tasks=[],
+        config_base={},
+        cluster=ClusterConfig(),
+        expected_nodes=1,
+    )
+    a, b = pair
+    worker = Channel(b, timeout=5.0)
+    assert PROTOCOL_VERSION == 2
+    worker.send({"kind": "hello", "protocol": 1, "pid": 1})
+    coordinator._serve_connection(Channel(a, timeout=5.0))
+    reply = worker.recv()
+    assert (reply["kind"], reply["reason"]) == ("shutdown", "protocol mismatch")
+    with pytest.raises(ConnectionClosed):
+        worker.recv()
+    assert coordinator.summary()["nodes"] == 0 and coordinator.node_table() == ()
+
+
 def test_connect_failure_names_the_address():
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))  # bound but never listening -> refused

@@ -29,7 +29,6 @@ from repro.errors import ScoringError, WorkerPoolError
 from repro.metaheuristics.evaluation import SerialEvaluator
 from repro.scoring.cutoff import CutoffLennardJonesScoring
 from repro.scoring.lennard_jones import LennardJonesScoring
-from repro.scoring.pruned import prune_bound
 
 
 @pytest.fixture()
@@ -78,27 +77,10 @@ def test_parallel_matches_serial_bitwise(fast_scorer, launch, n_workers, mode):
 
 
 @pytest.mark.parametrize("mode", ["static", "dynamic"])
-def test_parallel_pruned_matches_serial_bitwise(
-    receptor, ligand, spots, launch, mode
-):
-    scorer = prune_bound(
-        CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand), spots
-    )
-    spot_ids, t, q = launch
-    serial = SerialEvaluator(scorer).evaluate(spot_ids, t, q)
-    with ParallelSpotEvaluator(scorer, n_workers=2, mode=mode) as ev:
-        parallel = ev.evaluate(spot_ids, t, q)
-    assert np.array_equal(parallel, serial)
-
-
-@pytest.mark.parametrize("mode", ["static", "dynamic"])
-@pytest.mark.parametrize("pruned", [False, True])
 def test_parallel_matches_serial_bitwise_with_a_job_per_spot_group(
-    receptor, ligand, spots, launch, mode, pruned, job_per_spot_group
+    receptor, ligand, spots, launch, mode, job_per_spot_group
 ):
     scorer = CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand)
-    if pruned:
-        scorer = prune_bound(scorer, spots)
     spot_ids, t, q = launch
     serial = SerialEvaluator(scorer).evaluate(spot_ids, t, q)
     jobs = obs.histogram("host.job.poses", edges=host_runtime._POSE_COUNT_EDGES)
@@ -140,8 +122,7 @@ def test_plan_jobs_are_runs_of_whole_spot_groups(fast_scorer, launch, monkeypatc
     assert set(plans[1][0].rows.tolist()) == groups[int(spot_ids[0])]
 
 
-@pytest.mark.parametrize("pruned", [False, True])
-def test_paper_scale_launch_splits_at_the_default_grain(dock_shape, rng, pruned):
+def test_paper_scale_launch_splits_at_the_default_grain(dock_shape, rng):
     """No patched grain: 8 spots x 32 poses on the ledger's 1,500 x 24 complex
     is above it, so the launch travels as runs of whole spot groups — and
     scores what the serial path scores, bit for bit."""
@@ -149,8 +130,6 @@ def test_paper_scale_launch_splits_at_the_default_grain(dock_shape, rng, pruned)
 
     receptor, ligand, spots = dock_shape
     scorer = CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand)
-    if pruned:
-        scorer = prune_bound(scorer, spots)
     spot_ids = np.arange(32 * len(spots)) % len(spots)  # interleaved
     centers = np.stack([s.center for s in spots])[spot_ids]
     t = centers + rng.uniform(-2.0, 2.0, size=centers.shape)
@@ -254,28 +233,24 @@ def test_constructor_validation(fast_scorer):
         ParallelSpotEvaluator(fast_scorer, n_workers=1, mode="nope")
 
 
-@pytest.mark.parametrize("kind", ["cutoff", "dense", "pruned"])
+@pytest.mark.parametrize("kind", ["cutoff", "dense"])
 def test_stage_rebuild_round_trip_bitwise(receptor, ligand, spots, pose_batch, kind):
     """stage_scorer -> rebuild_scorer reproduces the scorer bitwise in-process."""
     if kind == "cutoff":
         scorer = CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand)
-    elif kind == "dense":
-        scorer = LennardJonesScoring().bind(receptor, ligand)
     else:
-        scorer = prune_bound(
-            CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand), spots
-        )
+        scorer = LennardJonesScoring().bind(receptor, ligand)
     t, q = pose_batch
     stage, slots = SharedArrayStage(), LigandSlotStage()
     try:
         spec = stage_scorer(scorer, stage, slots, {})
         rebuilt = rebuild_scorer(spec)
         assert np.array_equal(rebuilt.score(t, q), scorer.score(t, q))
-        if kind == "pruned":
-            sid = np.asarray([s.index for s in spots] * 3, dtype=np.int64)
-            assert np.array_equal(
-                rebuilt.score_spots(sid, t, q), scorer.score_spots(sid, t, q)
-            )
+        # pose_batch is spot-major, three poses per spot.
+        sid = np.repeat([s.index for s in spots], 3)
+        assert np.array_equal(
+            rebuilt.score_spots(sid, t, q), scorer.score_spots(sid, t, q)
+        )
     finally:
         stage.close()
         slots.close()
@@ -488,7 +463,6 @@ def test_dock_parity_with_host_workers(receptor, ligand):
         seed=7,
         workload_scale=0.05,
         host_workers=2,
-        prune_spots=True,
     )
     assert parallel.best_score == serial.best_score
     assert parallel.best.spot_index == serial.best.spot_index

@@ -1,5 +1,7 @@
 """Evaluator accounting tests."""
 
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,29 @@ def test_serial_evaluator_scores_match_scorer(fast_scorer, pose_batch):
     spot_ids = np.zeros(len(translations), dtype=int)
     scores = ev.evaluate(spot_ids, translations, quaternions)
     np.testing.assert_allclose(scores, fast_scorer.score(translations, quaternions))
+
+
+def test_serial_evaluator_dispatches_to_score_spots(
+    fast_scorer, dense_scorer, pose_batch, monkeypatch
+):
+    """A spot-aware scorer gets the batch's spot ids through ``score_spots``;
+    a plain one is scored through ``score`` and never sees them."""
+    translations, quaternions = pose_batch
+    spot_ids = np.arange(len(translations)) % 4
+    assert fast_scorer.supports_spot_scoring and not dense_scorer.supports_spot_scoring
+    for scorer in (fast_scorer, dense_scorer):
+        for name in ("score", "score_spots"):
+            monkeypatch.setattr(scorer, name, Mock(wraps=getattr(scorer, name)))
+
+    scores = SerialEvaluator(fast_scorer).evaluate(spot_ids, translations, quaternions)
+    fast_scorer.score_spots.assert_called_once()
+    assert fast_scorer.score_spots.call_args.args[0] is spot_ids
+    fast_scorer.score.assert_not_called()
+    assert np.array_equal(scores, fast_scorer.score(translations, quaternions))
+
+    SerialEvaluator(dense_scorer).evaluate(spot_ids, translations, quaternions)
+    dense_scorer.score.assert_called_once()
+    dense_scorer.score_spots.assert_not_called()
 
 
 def test_launch_records_accumulate(fast_scorer, rng):

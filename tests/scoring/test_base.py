@@ -97,26 +97,6 @@ def test_score_spots_rejects_mismatched_spot_ids(dense_scorer, pose_batch):
     assert ok.shape == (n,)
 
 
-def test_pruned_score_spots_rejects_mismatched_spot_ids(
-    receptor, ligand, spots, pose_batch
-):
-    """The pruned scorer shares the same validation (and error wording)."""
-    from repro.scoring.cutoff import CutoffLennardJonesScoring
-    from repro.scoring.pruned import prune_bound
-
-    pruned = prune_bound(
-        CutoffLennardJonesScoring(dtype=np.float32).bind(receptor, ligand), spots
-    )
-    translations, quaternions = pose_batch
-    n = translations.shape[0]
-    with pytest.raises(ScoringError, match="spot ids"):
-        pruned.score_spots(
-            np.full(n - 1, spots[0].index, dtype=np.int64),
-            translations,
-            quaternions,
-        )
-
-
 def test_spot_groups_are_stable_and_ascending():
     from repro.scoring.base import spot_groups
 
