@@ -137,7 +137,7 @@ def run_benchmark(smoke=False, out_path=None):
         "benchmark": "library_scale",
         "cases": cases,
         "reader": reader_case(min(sizes)),
-        # Normalised headline metrics the regression gate tracks.
+        # Normalised headline metrics.
         "ligands_per_second": largest["ligands_per_second"],
         "bytes_per_ligand": max(c["bytes_per_ligand"] for c in cases),
         # Peak RSS of the biggest ingest over the smallest: ~1.0 == flat.

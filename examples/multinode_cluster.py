@@ -1,47 +1,29 @@
-"""Future work (§6): scale the screening to a message-passing cluster of
-heterogeneous nodes.
+"""Future work (§6): screen a library over a message-passing fleet of worker
+nodes (two local processes talking over sockets) and check the ranking is the
+single-process one.
 
 Run:
     python examples/multinode_cluster.py
 """
 
-from repro.engine import ClusterSpec, simulate_cluster_run
-from repro.experiments import analytic_trace, get_dataset
-from repro.hardware import hertz, jupiter
+from repro.molecules import generate_receptor
+from repro.vs import screen, synthetic_library
 
 
 def main() -> None:
-    dataset = get_dataset("2BXG")
-    trace = analytic_trace(
-        "M4", dataset.n_spots, dataset.receptor_atoms, dataset.ligand_atoms
-    )
-    payload = (dataset.receptor_atoms + dataset.ligand_atoms) * 5 * 4  # bytes
+    receptor = generate_receptor(600, seed=21, title="fleet target")
+    library = synthetic_library(8, atoms_range=(12, 20), seed=22)
+    settings = dict(n_spots=4, metaheuristic="M1", workload_scale=0.05, seed=3)
 
-    print(f"workload: M4 over {dataset.n_spots} spots of PDB:{dataset.name} "
-          f"({sum(r.n_conformations for r in trace):,} conformations)\n")
-    print(f"{'cluster':28s} {'compute':>9s} {'comm':>9s} {'total':>9s} "
-          f"{'speed-up':>9s} {'balance':>8s}")
+    local = screen(receptor, library, nodes=0, **settings)
+    fleet = screen(receptor, library, nodes=2, **settings)
 
-    baseline = None
-    for label, nodes in (
-        ("1x Jupiter", (jupiter(),)),
-        ("1x Jupiter + 1x Hertz", (jupiter(), hertz())),
-        ("2x Jupiter + 2x Hertz", (jupiter(), jupiter(), hertz(), hertz())),
-        ("4x Jupiter + 4x Hertz", (jupiter(),) * 4 + (hertz(),) * 4),
-    ):
-        cluster = ClusterSpec(name=label, nodes=nodes)
-        timing = simulate_cluster_run(cluster, trace, dataset.n_spots, payload)
-        if baseline is None:
-            baseline = timing.total_s
-        comm = timing.broadcast_s + timing.gather_s
-        print(
-            f"{label:28s} {timing.compute_s:8.1f}s {comm * 1e3:8.2f}ms "
-            f"{timing.total_s:8.1f}s {baseline / timing.total_s:8.2f}x "
-            f"{timing.balance:8.3f}"
-        )
-
-    print("\nspot-level decomposition keeps communication to two collectives;")
-    print("the workload scales to the cluster as the paper's future work expects.")
+    print(fleet.to_text())
+    ranking = [(e.ligand_title, e.best_score, e.best_spot) for e in fleet.ranked()]
+    assert ranking == [
+        (e.ligand_title, e.best_score, e.best_spot) for e in local.ranked()
+    ], "fleet ranking differs from the single-process ranking"
+    print("\n2-node fleet ranking is bitwise identical to the single-process run")
 
 
 if __name__ == "__main__":

@@ -79,6 +79,7 @@ _K_FAILURE = 4
 _K_SHARD_START = 5
 _K_SHARD_FINISH = 6
 
+_ORDINAL = struct.Struct("<q")  # what every row record (kinds 1-4) starts with
 _REGISTER = struct.Struct("<q")
 _RUNNING = struct.Struct("<q")
 _RESULT = struct.Struct("<qdqqddq")  # ordinal, score, spot, evals, wall, sim, attempts
@@ -354,6 +355,7 @@ class ColumnarStore:
         self._shards: dict[int, dict] = {}
         self._open_ranges: dict[int, tuple[int, int]] = {}
         self._active_rows: dict[int, list] = {}
+        self._orphaned: set[int] = set()  # ordinals with a record in orphan.log
         self._counts = {name: 0 for name in _STATUSES}
         self._handles: dict[tuple, object] = {}
         self._footers: dict[int, dict] = {}
@@ -552,20 +554,48 @@ class ColumnarStore:
             self._handles[key] = handle
         return handle
 
-    def _drop_active_log(self, shard_id: int) -> None:
-        key = ("shard", shard_id)
+    def _close_log(self, key: tuple) -> Path:
+        """Close ``key``'s append handle (if open); returns the log's path."""
         handle = self._handles.pop(key, None)
         if handle is not None:
             handle.close()
-        path = self._log_path(key)
-        if path.exists():
-            path.unlink()
+        return self._log_path(key)
+
+    def _drop_active_log(self, shard_id: int) -> None:
+        self._close_log(("shard", shard_id)).unlink(missing_ok=True)
 
     def _log_key_for(self, ordinal: int) -> tuple:
+        """The log a write to ``ordinal`` goes to (noted when it is orphan.log)."""
         for shard_id, (start, stop) in self._open_ranges.items():
             if start <= ordinal < stop:
                 return ("shard", shard_id)
+        self._orphaned.add(ordinal)
         return ("orphan",)
+
+    def _trim_orphan_log(self, folded: list[int]) -> None:
+        """Drop the orphan.log records of ordinals just folded into a segment.
+
+        The log is replayed over the segments on every open, so a record left
+        behind would shadow whatever the ordinal's own shard seals later.
+        Runs after the manifest publish; a store without late updates never
+        gets past the first line.
+        """
+        if self._orphaned.isdisjoint(folded):
+            return
+        self._orphaned.difference_update(folded)
+        path = self._close_log(("orphan",))
+        if not self._orphaned:
+            path.unlink(missing_ok=True)
+            return
+        records, _ = _scan_frames(path.read_bytes(), str(path))
+        _atomic_write(
+            path,
+            b"".join(
+                _pack_frame(kind, payload)
+                for kind, payload in records
+                if _ORDINAL.unpack_from(payload)[0] in self._orphaned
+            ),
+        )
 
     def _append(self, key: tuple, frames: bytes) -> None:
         handle = self._handle(key)
@@ -720,7 +750,6 @@ class ColumnarStore:
             self._open_ranges.pop(shard_id, None)
             self._seal_range(shard["start"], shard["stop"], shard_id=shard_id)
             self._schedule_compaction()
-            self._update_gauges()
 
     def finished_shards(self) -> set[int]:
         """IDs of shards whose every ligand is recorded."""
@@ -1089,10 +1118,10 @@ class ColumnarStore:
                 old.unlink()
         for ordinal in folded:
             self._active_rows.pop(ordinal, None)
+        self._trim_orphan_log(folded)
         if shard_id is not None:
             self._drop_active_log(shard_id)
         self._write_topk()
-        obs.counter("campaign.store.seals").inc()
 
     def _schedule_compaction(self) -> None:
         """Kick tiered compaction onto the background thread (caller holds lock).
@@ -1193,6 +1222,7 @@ class ColumnarStore:
                 path.unlink()
         for ordinal in folded:
             self._active_rows.pop(ordinal, None)
+        self._trim_orphan_log(folded)
         self._write_topk()
         obs.counter("campaign.store.compactions").inc()
         flight_event(
@@ -1202,19 +1232,10 @@ class ColumnarStore:
             segments_after=len(self._segments),
         )
 
-    def _update_gauges(self) -> None:
-        obs.gauge("campaign.store.segments").set(len(self._segments))
-        sealed_rows = sum(entry["rows"] for entry in self._segments)
-        if sealed_rows:
-            sealed_bytes = sum(entry.get("nbytes", 0) for entry in self._segments)
-            obs.gauge("campaign.store.bytes_per_ligand").set(
-                sealed_bytes / sealed_rows
-            )
-
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def _replay_log(self, path: Path) -> None:
+    def _replay_log(self, path: Path) -> list[tuple[int, bytes]]:
         """Replay one CRC-framed log, truncating a torn tail in place."""
         data = path.read_bytes()
         records, clean = _scan_frames(data, str(path))
@@ -1223,6 +1244,7 @@ class ColumnarStore:
                 handle.truncate(clean)
         for kind, payload in records:
             self._apply_record(kind, payload)
+        return records
 
     def _recover(self) -> None:
         root = self.root
@@ -1276,6 +1298,15 @@ class ColumnarStore:
                         self._shards[shard_id]["status"] = "done"
                         self._shards[shard_id]["wall"] = wall
                         self._open_ranges.pop(shard_id, None)
+        # Orphan log before the shard logs: a late update is only written
+        # while its ordinal's shard is closed (log dropped by the seal), so a
+        # shard log on disk belongs to a reclaim that started afterwards.
+        orphan = root / "active" / "orphan.log"
+        if orphan.exists():
+            self._orphaned = {
+                _ORDINAL.unpack_from(payload)[0]
+                for _, payload in self._replay_log(orphan)
+            }
         # Active per-shard logs: replay running shards; re-seal shards that
         # finished in shards.log but crashed before their manifest publish;
         # drop logs whose rows are already sealed.
@@ -1300,11 +1331,6 @@ class ColumnarStore:
         for shard_id in reseal:
             shard = self._shards[shard_id]
             self._seal_range(shard["start"], shard["stop"], shard_id=shard_id)
-        # Orphan log last: its records postdate the shard logs they shadow.
-        orphan = root / "active" / "orphan.log"
-        if orphan.exists():
-            self._replay_log(orphan)
-        self._update_gauges()
 
     # ------------------------------------------------------------------
     # top-K index

@@ -16,8 +16,6 @@ Subcommands:
   behind an HTTP scrape endpoint (``serve``).
 * ``calibrate`` — sweep the scoring kernel variants over a grid of complex
   sizes and write the calibration table that ``--autotune`` consumes.
-* ``bench`` — benchmark artifact tooling (``compare``: regression-gate two
-  ``BENCH_*.json`` artifact sets).
 * ``tables`` — regenerate the paper's Tables 6–9 (simulated seconds).
 * ``devices`` — list the modelled hardware (Tables 1–3).
 """
@@ -219,8 +217,15 @@ def _add_metrics_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_campaign_store_args(sub: argparse.ArgumentParser) -> None:
-    """Store-backend and journal-batching flags for campaign-starting commands."""
+def _add_campaign_definition_args(sub: argparse.ArgumentParser) -> None:
+    """What a campaign *is* — store, receptor, library, search, sharding —
+    shared by ``campaign run`` and ``cluster coordinator``."""
+    sub.add_argument(
+        "--store",
+        required=True,
+        help="campaign store path (SQLite file, or a directory with "
+        "--store-backend columnar)",
+    )
     sub.add_argument(
         "--store-backend",
         choices=("sqlite", "columnar"),
@@ -228,6 +233,51 @@ def _add_campaign_store_args(sub: argparse.ArgumentParser) -> None:
         help="result store layout: sqlite = one database file, columnar = "
         "append-only sharded directory built for million-ligand libraries",
     )
+    sub.add_argument("--receptor-pdb", help="receptor PDB file (default: synthetic)")
+    sub.add_argument("--receptor-atoms", type=_positive_int, default=1000)
+    sub.add_argument(
+        "--library-dir",
+        help="directory of ligand PDB files (default: synthetic library)",
+    )
+    sub.add_argument(
+        "--library-smiles",
+        metavar="PATH",
+        help="line-delimited SMILES file streamed with bounded memory "
+        "(overrides --library-dir and the synthetic library)",
+    )
+    sub.add_argument(
+        "--library-csv",
+        metavar="PATH",
+        help="CSV file with smiles/title columns, streamed with bounded "
+        "memory (overrides --library-dir and the synthetic library)",
+    )
+    sub.add_argument(
+        "--ligands", type=_positive_int, default=16, help="synthetic library size"
+    )
+    sub.add_argument("--atoms-min", type=_positive_int, default=20)
+    sub.add_argument("--atoms-max", type=_positive_int, default=50)
+    sub.add_argument("--spots", type=_positive_int, default=8)
+    sub.add_argument("--metaheuristic", default="M2")
+    sub.add_argument("--scale", type=float, default=0.1)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--shard-size",
+        type=_positive_int,
+        default=32,
+        metavar="N",
+        help="ligands per durable shard (checkpoint granularity)",
+    )
+    sub.add_argument("--node", choices=("jupiter", "hertz", "none"), default="hertz")
+    sub.add_argument(
+        "--max-attempts",
+        type=_positive_int,
+        default=3,
+        help="docking attempts per ligand before it is recorded as failed",
+    )
+
+
+def _add_journal_args(sub: argparse.ArgumentParser) -> None:
+    """Journal group-commit flags for every command that writes a campaign."""
     sub.add_argument(
         "--journal-batch",
         type=_positive_int,
@@ -243,22 +293,6 @@ def _add_campaign_store_args(sub: argparse.ArgumentParser) -> None:
         metavar="S",
         help="flush a partially filled journal batch after S seconds "
         "(default 0 = only on --journal-batch boundaries)",
-    )
-
-
-def _add_campaign_library_args(sub: argparse.ArgumentParser) -> None:
-    """Streaming line-delimited library flags shared by run/coordinator."""
-    sub.add_argument(
-        "--library-smiles",
-        metavar="PATH",
-        help="line-delimited SMILES file streamed with bounded memory "
-        "(overrides --library-dir and the synthetic library)",
-    )
-    sub.add_argument(
-        "--library-csv",
-        metavar="PATH",
-        help="CSV file with smiles/title columns, streamed with bounded "
-        "memory (overrides --library-dir and the synthetic library)",
     )
 
 
@@ -338,43 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     csub = camp.add_subparsers(dest="campaign_command", required=True)
 
     crun = csub.add_parser("run", help="start a new campaign")
-    crun.add_argument(
-        "--store",
-        required=True,
-        help="campaign store path (SQLite file, or a directory with "
-        "--store-backend columnar)",
-    )
-    crun.add_argument("--receptor-pdb", help="receptor PDB file (default: synthetic)")
-    crun.add_argument("--receptor-atoms", type=_positive_int, default=1000)
-    crun.add_argument(
-        "--library-dir",
-        help="directory of ligand PDB files (default: synthetic library)",
-    )
-    _add_campaign_library_args(crun)
-    crun.add_argument(
-        "--ligands", type=_positive_int, default=16, help="synthetic library size"
-    )
-    crun.add_argument("--atoms-min", type=_positive_int, default=20)
-    crun.add_argument("--atoms-max", type=_positive_int, default=50)
-    crun.add_argument("--spots", type=_positive_int, default=8)
-    crun.add_argument("--metaheuristic", default="M2")
-    crun.add_argument("--scale", type=float, default=0.1)
-    crun.add_argument("--seed", type=int, default=0)
-    crun.add_argument(
-        "--shard-size",
-        type=_positive_int,
-        default=32,
-        metavar="N",
-        help="ligands per durable shard (checkpoint granularity)",
-    )
-    crun.add_argument("--node", choices=("jupiter", "hertz", "none"), default="hertz")
-    crun.add_argument(
-        "--max-attempts",
-        type=_positive_int,
-        default=3,
-        help="docking attempts per ligand before it is recorded as failed",
-    )
-    _add_campaign_store_args(crun)
+    _add_campaign_definition_args(crun)
+    _add_journal_args(crun)
     _add_host_runtime_args(crun)
     _add_autotune_args(crun, refine_flag=True)
     _add_cluster_args(crun)
@@ -387,30 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     cres.add_argument("--store", required=True)
     cres.add_argument("--max-attempts", type=_positive_int, default=3)
     # Execution knobs may change between run and resume — scores cannot.
-    cres.add_argument("--host-workers", type=_nonnegative_int, default=0, metavar="N")
-    cres.add_argument("--parallel-mode", choices=("static", "dynamic"), default="static")
-    cres.add_argument(
-        "--pipeline-depth",
-        type=_positive_int,
-        default=2,
-        metavar="D",
-        help="co-schedule up to D ligands through the persistent pool for "
-        "the rest of the campaign (default 2; 1 = one ligand at a time)",
-    )
-    cres.add_argument(
-        "--journal-batch",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="group-commit the shard journal every N records (default 1)",
-    )
-    cres.add_argument(
-        "--journal-batch-seconds",
-        type=_nonnegative_float,
-        default=0.0,
-        metavar="S",
-        help="flush a partially filled journal batch after S seconds",
-    )
+    _add_host_runtime_args(cres)
+    _add_journal_args(cres)
     # Autotuned campaigns are score-affecting config: resuming one needs
     # the same calibration file so the config hash matches the store.
     _add_autotune_args(cres, refine_flag=True)
@@ -461,43 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker nodes that must dial in before shards are partitioned",
     )
-    ccoord.add_argument(
-        "--store",
-        required=True,
-        help="campaign store path (SQLite file, or a directory with "
-        "--store-backend columnar)",
-    )
-    ccoord.add_argument("--receptor-pdb", help="receptor PDB file (default: synthetic)")
-    ccoord.add_argument("--receptor-atoms", type=_positive_int, default=1000)
-    ccoord.add_argument(
-        "--library-dir",
-        help="directory of ligand PDB files (default: synthetic library)",
-    )
-    _add_campaign_library_args(ccoord)
-    ccoord.add_argument(
-        "--ligands", type=_positive_int, default=16, help="synthetic library size"
-    )
-    ccoord.add_argument("--atoms-min", type=_positive_int, default=20)
-    ccoord.add_argument("--atoms-max", type=_positive_int, default=50)
-    ccoord.add_argument("--spots", type=_positive_int, default=8)
-    ccoord.add_argument("--metaheuristic", default="M2")
-    ccoord.add_argument("--scale", type=float, default=0.1)
-    ccoord.add_argument("--seed", type=int, default=0)
-    ccoord.add_argument(
-        "--shard-size", type=_positive_int, default=32, metavar="N",
-        help="ligands per durable shard (checkpoint granularity)",
-    )
-    ccoord.add_argument(
-        "--node", choices=("jupiter", "hertz", "none"), default="hertz"
-    )
-    ccoord.add_argument("--max-attempts", type=_positive_int, default=3)
+    _add_campaign_definition_args(ccoord)
     ccoord.add_argument(
         "--resume",
         action="store_true",
         help="continue an interrupted campaign from its store (library/"
         "receptor flags are ignored; the store's descriptors win)",
     )
-    _add_campaign_store_args(ccoord)
+    _add_journal_args(ccoord)
     _add_host_runtime_args(ccoord)
     _add_autotune_args(ccoord)
     _add_cluster_args(ccoord, nodes_flag=False)
@@ -620,27 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="serve for S seconds then exit (default: until Ctrl-C)",
-    )
-
-    ben = sub.add_parser("bench", help="benchmark artifact tooling")
-    bsub = ben.add_subparsers(dest="bench_command", required=True)
-    bcmp = bsub.add_parser(
-        "compare",
-        help="diff two BENCH_*.json artifact sets; non-zero exit on regression",
-    )
-    bcmp.add_argument("baseline", help="baseline artifact set (file or directory)")
-    bcmp.add_argument("current", help="current artifact set (file or directory)")
-    bcmp.add_argument(
-        "--threshold",
-        type=_positive_float,
-        default=10.0,
-        metavar="PCT",
-        help="percent a metric may move in its bad direction (default 10)",
-    )
-    bcmp.add_argument(
-        "--report-only",
-        action="store_true",
-        help="print the delta table but always exit 0 (CI trend jobs)",
     )
 
     tab = sub.add_parser("tables", help="regenerate the paper's Tables 6-9")
@@ -928,9 +855,9 @@ def _campaign_inputs(args: argparse.Namespace):
             "n_atoms": args.receptor_atoms,
             "seed": args.seed,
         }
-    if getattr(args, "library_smiles", None):
+    if args.library_smiles:
         source = SmilesSource(args.library_smiles, seed=args.seed + 10)
-    elif getattr(args, "library_csv", None):
+    elif args.library_csv:
         source = CsvSource(args.library_csv, seed=args.seed + 10)
     elif args.library_dir:
         source = PDBDirectorySource(args.library_dir)
@@ -943,6 +870,27 @@ def _campaign_inputs(args: argparse.Namespace):
     return receptor, receptor_descriptor, source
 
 
+def _execution_kwargs(
+    args: argparse.Namespace, progress, nodes: int, cluster
+) -> dict:
+    """CampaignRunner arguments that may differ between run and resume."""
+    return {
+        "store_path": args.store,
+        "journal_batch_records": args.journal_batch,
+        "journal_batch_seconds": args.journal_batch_seconds,
+        "host_workers": args.host_workers,
+        "parallel_mode": args.parallel_mode,
+        "pipeline_depth": args.pipeline_depth,
+        "calibration_file": args.calibration_file,
+        # `cluster coordinator` has no --refine-calibration flag.
+        "refine_calibration": getattr(args, "refine_calibration", False),
+        "max_attempts": args.max_attempts,
+        "progress": progress,
+        "nodes": nodes,
+        "cluster": cluster,
+    }
+
+
 def _new_campaign_runner(
     args: argparse.Namespace, progress=None, *, nodes: int = 0, cluster=None
 ):
@@ -953,27 +901,16 @@ def _new_campaign_runner(
     return CampaignRunner(
         receptor,
         source,
-        store_path=args.store,
-        store_backend=getattr(args, "store_backend", "sqlite"),
-        journal_batch_records=getattr(args, "journal_batch", 1),
-        journal_batch_seconds=getattr(args, "journal_batch_seconds", 0.0),
+        store_backend=args.store_backend,
         n_spots=args.spots,
         metaheuristic=args.metaheuristic,
         seed=args.seed,
         workload_scale=args.scale,
         shard_size=args.shard_size,
         node=_campaign_node(args.node),
-        host_workers=args.host_workers,
-        parallel_mode=args.parallel_mode,
         autotune=args.autotune,
-        calibration_file=args.calibration_file,
-        refine_calibration=getattr(args, "refine_calibration", False),
-        max_attempts=args.max_attempts,
-        progress=progress,
         receptor_descriptor=receptor_descriptor,
-        nodes=nodes,
-        cluster=cluster,
-        pipeline_depth=getattr(args, "pipeline_depth", 2),
+        **_execution_kwargs(args, progress, nodes, cluster),
     )
 
 
@@ -1011,10 +948,7 @@ def _rebuild_campaign_runner(
     return CampaignRunner(
         receptor,
         source,
-        store_path=args.store,
         store_backend=str(config.get("store_backend", "sqlite")),
-        journal_batch_records=getattr(args, "journal_batch", 1),
-        journal_batch_seconds=getattr(args, "journal_batch_seconds", 0.0),
         n_spots=int(config["n_spots"]),
         metaheuristic=str(config["metaheuristic"]),
         seed=int(config["seed"]),
@@ -1022,17 +956,9 @@ def _rebuild_campaign_runner(
         shard_size=int(config["shard_size"]),
         node=_campaign_node(config.get("node")),
         mode=str(config.get("mode", "gpu-heterogeneous")),
-        host_workers=args.host_workers,
-        parallel_mode=args.parallel_mode,
         autotune=args.autotune or bool(config.get("autotune", False)),
-        calibration_file=args.calibration_file,
-        refine_calibration=getattr(args, "refine_calibration", False),
-        max_attempts=args.max_attempts,
-        progress=progress,
         receptor_descriptor=receptor_desc,
-        nodes=nodes,
-        cluster=cluster,
-        pipeline_depth=getattr(args, "pipeline_depth", 2),
+        **_execution_kwargs(args, progress, nodes, cluster),
     )
 
 
@@ -1314,23 +1240,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.observability.regression import compare_sets, format_delta_table
-
-    rows = compare_sets(args.baseline, args.current, threshold_pct=args.threshold)
-    print(format_delta_table(rows, args.threshold))
-    regressions = sum(1 for row in rows if row.status == "regressed")
-    if regressions and args.report_only:
-        print(f"report-only: ignoring {regressions} regression(s)")
-        return 0
-    return 1 if regressions else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    commands = {"compare": _cmd_bench_compare}
-    return commands[args.bench_command](args)
-
-
 def _cmd_tables(args: argparse.Namespace) -> int:
     from repro.experiments.runner import hertz_table, jupiter_table
     from repro.experiments.tables import format_hertz_table, format_jupiter_table
@@ -1448,7 +1357,6 @@ def main(argv: list[str] | None = None) -> int:
         "calibrate": _cmd_calibrate,
         "metrics": _cmd_metrics,
         "doctor": _cmd_doctor,
-        "bench": _cmd_bench,
         "tables": _cmd_tables,
         "devices": _cmd_devices,
         "trace": _cmd_trace,

@@ -319,7 +319,6 @@ class Coordinator:
             node = _NodeState(self._next_id, channel)
             self._next_id += 1
             self._nodes[node.node_id] = node
-            obs.counter("cluster.nodes.connected").inc()
         flight_event("node.connect", node=node.node_id, peer=channel.peer)
         try:
             channel.send(
@@ -591,7 +590,6 @@ class Coordinator:
             # replacement node computes the bitwise-identical row — so the
             # work is kept, just counted as stale.
             self.stale_results += 1
-            obs.counter("cluster.results.stale").inc()
             flight_event("result.stale", node=node.node_id, ordinal=ordinal)
             return
         lease.pending.discard(ordinal)
@@ -618,7 +616,6 @@ class Coordinator:
         self._finished.add(shard_id)
         obs.counter("campaign.shards.done").inc()
         obs.histogram("campaign.shard.seconds").observe(wall)
-        obs.histogram("cluster.lease.seconds").observe(wall)
         flight_event(
             "shard.finish",
             shard=shard_id,
@@ -695,7 +692,6 @@ class Coordinator:
         t0 = time.monotonic()
         node.state = "dead"
         self.node_deaths += 1
-        obs.counter("cluster.node_deaths").inc()
         node.channel.close()
         orphan_leases = list(node.outstanding.values())
         node.outstanding.clear()
@@ -734,7 +730,6 @@ class Coordinator:
                     "survive; the campaign store remains resumable"
                 )
         self.recovery_seconds = time.monotonic() - t0
-        obs.gauge("cluster.recovery.seconds").set(self.recovery_seconds)
         # The bye will never come: fold in whatever telemetry the node
         # shipped in its last heartbeat so its trace lanes survive the kill.
         if node.pending_telemetry is not None:

@@ -229,8 +229,6 @@ class ClusterCampaign:
                     shards=len(tasks),
                     trace=self.trace_id,
                 )
-                obs.gauge("cluster.fleet.nodes").set(self.nodes)
-                obs.gauge("cluster.fleet.shards").set(len(tasks))
                 listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
                 listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 try:

@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro import observability as obs
 from repro.engine.partition import eq1_weights, proportional_partition
 from repro.errors import ClusterError
 
@@ -35,13 +34,7 @@ def node_shares(probe_seconds: Mapping[int, float]) -> dict[int, float]:
         raise ClusterError("node_shares needs at least one probe measurement")
     nodes = sorted(probe_seconds)
     _, weights = eq1_weights([float(probe_seconds[n]) for n in nodes])
-    shares = {node: float(w) for node, w in zip(nodes, weights)}
-    for node in nodes:
-        obs.gauge("cluster.node.probe_seconds", node=node).set(
-            float(probe_seconds[node])
-        )
-        obs.gauge("cluster.node.weight", node=node).set(shares[node])
-    return shares
+    return {node: float(w) for node, w in zip(nodes, weights)}
 
 
 def partition_shards(

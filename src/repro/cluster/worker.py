@@ -251,9 +251,6 @@ class WorkerNode:
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed lease: {exc}") from exc
         lease.accepted_s = time.perf_counter()
-        obs.counter("cluster.worker.leases").inc()
-        if lease.stolen:
-            obs.counter("cluster.worker.leases.stolen").inc()
         flight_event(
             "lease.accept",
             node=self.node_id,

@@ -1,13 +1,6 @@
 """Parallel runtime: schedulers, warm-up, simulated execution, reporting."""
 
 from repro.engine.async_mode import partition_spots_by_weight, simulate_async_trace
-from repro.engine.clock import VirtualClock
-from repro.engine.cluster import (
-    ClusterSpec,
-    ClusterTiming,
-    Interconnect,
-    simulate_cluster_run,
-)
 from repro.engine.device_worker import Job, QueueResult, SimulatedDevice, run_job_queue
 from repro.engine.events import Event, EventLoop
 from repro.engine.executor import (
@@ -24,7 +17,6 @@ from repro.engine.host_runtime import (
     rebuild_scorer,
     stage_scorer,
 )
-from repro.engine.openmp import ThreadedCpuEvaluator
 from repro.engine.partition import equal_partition, proportional_partition
 from repro.engine.reporting import ExecutionReport, TimingBreakdown
 from repro.engine.screening_schedule import (
@@ -47,10 +39,6 @@ from repro.engine.warmup import (
 )
 
 __all__ = [
-    "ClusterSpec",
-    "ClusterTiming",
-    "Interconnect",
-    "simulate_cluster_run",
     "DEFAULT_WARMUP_ITERATIONS",
     "EXECUTION_MODES",
     "DynamicSpotQueueScheduler",
@@ -69,9 +57,7 @@ __all__ = [
     "StaticEqualScheduler",
     "ScreeningSchedule",
     "StaticProportionalScheduler",
-    "ThreadedCpuEvaluator",
     "TimingBreakdown",
-    "VirtualClock",
     "WarmupResult",
     "dump_trace",
     "dumps_trace",

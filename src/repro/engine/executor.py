@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.host_runtime import ParallelSpotEvaluator
 from repro.engine.reporting import ExecutionReport, TimingBreakdown
 from repro.engine.scheduler import (
     DynamicSpotQueueScheduler,
@@ -205,8 +204,6 @@ class MultiGpuExecutor:
         mode: str,
         search_seed: int = 0,
         failures: dict[int, float] | None = None,
-        host_workers: int = 0,
-        host_parallel_mode: str = "static",
     ) -> ExecutionReport:
         """Execute ``spec`` over ``spots`` and time it under ``mode``.
 
@@ -214,29 +211,14 @@ class MultiGpuExecutor:
         is then computed for the requested mode. Identical ``search_seed``
         values therefore give *identical scientific results* across modes —
         the executor-equivalence property the tests pin down.
-
-        ``host_workers > 0`` runs the host math on a real process pool
-        (:class:`repro.engine.host_runtime.ParallelSpotEvaluator`) instead
-        of in-process. The parallel evaluator is bitwise-equivalent to the
-        serial one, so this changes wall-clock only — never results, never
-        the recorded launch trace.
         """
-        if host_workers > 0:
-            evaluator = ParallelSpotEvaluator(
-                scorer, n_workers=host_workers, mode=host_parallel_mode
-            )
-        else:
-            evaluator = SerialEvaluator(scorer)
+        evaluator = SerialEvaluator(scorer)
         ctx = SearchContext(
             spots=spots,
             evaluator=evaluator,
             rng=SpotRngPool(search_seed, [s.index for s in spots]),
         )
-        try:
-            result = run_metaheuristic(spec, ctx)
-        finally:
-            if isinstance(evaluator, ParallelSpotEvaluator):
-                evaluator.close()
+        result = run_metaheuristic(spec, ctx)
         timing, scheduler_name = self.replay(
             evaluator.stats.launches, mode, failures=failures
         )

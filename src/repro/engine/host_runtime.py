@@ -631,7 +631,6 @@ def _run_tasks(
     if local is None:
         return out, None
     local.counter("host.worker.poses", worker=index).inc(n_poses)
-    local.counter("host.worker.tasks", worker=index).inc(len(tasks))
     return out, {
         "telemetry": local.snapshot(),
         "worker": index,
@@ -874,13 +873,9 @@ class ParallelSpotEvaluator:
         if not timed:
             measured = np.ones(self.n_workers)  # the homogeneous assumption
         percent, weights = eq1_weights(measured)
-        # The Eq. 1 share decision, with its inputs, on the record: what the
-        # warm-up measured, the Percent reduction, and the share each worker
-        # was assigned as a consequence.
-        obs.gauge("host.warmup.elapsed_s").set(elapsed)
+        # The Eq. 1 share decision on the record (doctor and the sampler
+        # compare it with the poses each worker actually scored).
         for i in range(self.n_workers):
-            obs.gauge("host.warmup.measured_s", worker=i).set(float(measured[i]))
-            obs.gauge("host.warmup.percent", worker=i).set(float(percent[i]))
             obs.gauge("host.warmup.weight", worker=i).set(float(weights[i]))
         return HostWarmupResult(
             measured_s=measured, percent=percent, weights=weights, elapsed_s=elapsed
@@ -1339,24 +1334,23 @@ class ParallelSpotEvaluator:
         warm = self._warm if self._warm is not None else self._warmup_batch(
             DEFAULT_WARMUP_POSES, DEFAULT_WARMUP_REPEATS
         )
-        with obs.span("host.remeasure", workers=self.n_workers):
-            t0 = time.perf_counter()
-            with self._ready.get_lock():
-                self._ready.value = 0
-            try:
-                futures = [
-                    pool.submit(_measure_task, rebind, warm, _WARMUP_TIMEOUT_S)
-                    for _ in range(self.n_workers)
-                ]
-                for future in futures:
-                    future.result(timeout=_WARMUP_TIMEOUT_S)
-            except BrokenProcessPool:
-                # A worker died and no launch noticed (a sibling absorbed its
-                # share, or it died idle). Measuring is optional and runs
-                # outside any retry loop: respawn, keep the previous weights.
-                self.recycle()
-                return self.warmup_result
-            elapsed = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        with self._ready.get_lock():
+            self._ready.value = 0
+        try:
+            futures = [
+                pool.submit(_measure_task, rebind, warm, _WARMUP_TIMEOUT_S)
+                for _ in range(self.n_workers)
+            ]
+            for future in futures:
+                future.result(timeout=_WARMUP_TIMEOUT_S)
+        except BrokenProcessPool:
+            # A worker died and no launch noticed (a sibling absorbed its
+            # share, or it died idle). Measuring is optional and runs
+            # outside any retry loop: respawn, keep the previous weights.
+            self.recycle()
+            return self.warmup_result
+        elapsed = time.perf_counter() - t0
         self.warmup_result = self._reduce_warmup(
             np.array(self._slots[:], dtype=np.float64), elapsed, timed=True
         )

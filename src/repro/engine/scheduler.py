@@ -19,7 +19,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro import observability as obs
 from repro.engine.partition import equal_partition, proportional_partition
 from repro.errors import SchedulingError
 from repro.hardware.cuda import KernelConfig
@@ -60,26 +59,6 @@ class Scheduler(ABC):
             raise SchedulingError("no devices alive")
         return alive
 
-    def _observe(self, record: LaunchRecord, shares: np.ndarray) -> np.ndarray:
-        """Record the plan decision; returns ``shares`` unchanged.
-
-        Per-scheduler launch/conformation counters plus the plan's balance
-        (largest nonzero share over the ideal equal share — 1.0 is a
-        perfectly even split; the number the paper's Eq. 1 exists to drive
-        down on heterogeneous nodes).
-        """
-        obs.counter("engine.scheduler.plans", scheduler=self.name).inc()
-        obs.counter("engine.scheduler.conformations", scheduler=self.name).inc(
-            record.n_conformations
-        )
-        active = int(np.count_nonzero(shares)) or 1
-        ideal = record.n_conformations / active
-        if ideal > 0:
-            obs.gauge("engine.scheduler.plan_imbalance", scheduler=self.name).set(
-                float(shares.max()) / ideal
-            )
-        return shares
-
 
 class StaticEqualScheduler(Scheduler):
     """Equal split over alive devices (the homogeneous computation)."""
@@ -96,7 +75,7 @@ class StaticEqualScheduler(Scheduler):
         idx = np.flatnonzero(alive)
         shares = np.zeros(len(gpus), dtype=np.int64)
         shares[idx] = equal_partition(record.n_conformations, idx.size)
-        return self._observe(record, shares)
+        return shares
 
 
 class StaticProportionalScheduler(Scheduler):
@@ -136,7 +115,7 @@ class StaticProportionalScheduler(Scheduler):
         shares[idx] = proportional_partition(
             record.n_conformations, self.weights[idx], granularity=self.granularity
         )
-        return self._observe(record, shares)
+        return shares
 
 
 class DynamicSpotQueueScheduler(Scheduler):
@@ -195,4 +174,4 @@ class DynamicSpotQueueScheduler(Scheduler):
             device = int(np.argmin(candidate_finish))
             shares[device] += count
             finish[device] = candidate_finish[device]
-        return self._observe(record, shares)
+        return shares

@@ -124,17 +124,8 @@ def run_warmup(
     # Devices run concurrently; each iteration ends at the slowest device
     # (the omp reduction in the paper), so elapsed = iterations × max.
     elapsed = float(samples.max(axis=1).sum())
-    # Record the Eq. 1 decision with its inputs: what each device measured,
-    # its Percent, and the share it was assigned as a consequence.
-    obs.counter("engine.warmups").inc()
-    obs.gauge("engine.warmup.simulated_elapsed_s").set(elapsed)
+    # The Eq. 1 decision on the record: the share each device was assigned.
     for i, gpu in enumerate(gpus):
-        obs.gauge("engine.warmup.measured_s", device=i, gpu=gpu.name).set(
-            float(measured[i])
-        )
-        obs.gauge("engine.warmup.percent", device=i, gpu=gpu.name).set(
-            float(percent[i])
-        )
         obs.gauge("engine.warmup.weight", device=i, gpu=gpu.name).set(
             float(weights[i])
         )

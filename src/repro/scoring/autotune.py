@@ -517,50 +517,49 @@ def run_calibration_sweep(
     from repro.molecules.transforms import random_quaternion
 
     table = CalibrationTable()
-    with obs.span("autotune.calibrate", cells=len(receptor_atoms) * len(ligand_atoms)):
-        for n_rec in receptor_atoms:
-            receptor = generate_receptor(
-                int(n_rec), seed=seed + int(n_rec), title=f"calib rec {n_rec}"
+    for n_rec in receptor_atoms:
+        receptor = generate_receptor(
+            int(n_rec), seed=seed + int(n_rec), title=f"calib rec {n_rec}"
+        )
+        for n_lig in ligand_atoms:
+            ligand = generate_ligand(
+                int(n_lig), seed=seed + 7919 + int(n_lig), title=f"calib lig {n_lig}"
             )
-            for n_lig in ligand_atoms:
-                ligand = generate_ligand(
-                    int(n_lig), seed=seed + 7919 + int(n_lig), title=f"calib lig {n_lig}"
-                )
-                rng = np.random.default_rng(seed + 104729 + n_rec * 31 + n_lig)
-                center = receptor.coords.mean(axis=0)
-                translations = center[None, :] + rng.normal(0.0, 6.0, (poses, 3))
-                quaternions = random_quaternion(rng, poses)
-                for family in families:
-                    base = _family_base(family)
-                    for variant, chunk in variant_candidates(family, n_rec, n_lig):
-                        cell_template = CalibrationCell(
-                            receptor_atoms=int(n_rec),
-                            ligand_atoms=int(n_lig),
-                            worker_count=0,
-                            family=family,
-                            variant=variant,
-                            chunk_size=int(chunk),
-                            poses_per_s=0.0,
+            rng = np.random.default_rng(seed + 104729 + n_rec * 31 + n_lig)
+            center = receptor.coords.mean(axis=0)
+            translations = center[None, :] + rng.normal(0.0, 6.0, (poses, 3))
+            quaternions = random_quaternion(rng, poses)
+            for family in families:
+                base = _family_base(family)
+                for variant, chunk in variant_candidates(family, n_rec, n_lig):
+                    cell_template = CalibrationCell(
+                        receptor_atoms=int(n_rec),
+                        ligand_atoms=int(n_lig),
+                        worker_count=0,
+                        family=family,
+                        variant=variant,
+                        chunk_size=int(chunk),
+                        poses_per_s=0.0,
+                    )
+                    scorer = build_scoring(cell_template, base).bind(
+                        receptor, ligand
+                    )
+                    for workers in worker_counts:
+                        rate = _measure_throughput(
+                            scorer,
+                            translations,
+                            quaternions,
+                            int(workers),
+                            repeats,
+                            ParallelSpotEvaluator,
                         )
-                        scorer = build_scoring(cell_template, base).bind(
-                            receptor, ligand
+                        table.add(
+                            replace(
+                                cell_template,
+                                worker_count=int(workers),
+                                poses_per_s=rate,
+                            )
                         )
-                        for workers in worker_counts:
-                            rate = _measure_throughput(
-                                scorer,
-                                translations,
-                                quaternions,
-                                int(workers),
-                                repeats,
-                                ParallelSpotEvaluator,
-                            )
-                            table.add(
-                                replace(
-                                    cell_template,
-                                    worker_count=int(workers),
-                                    poses_per_s=rate,
-                                )
-                            )
     return table
 
 

@@ -173,11 +173,9 @@ def dock(
         # the finally below.
         evaluations = evaluator.stats.n_conformations
         launches = evaluator.stats.launches
-        obs.counter("vs.dock.evaluations").inc(evaluations)
     finally:
         if owns_evaluator:
             evaluator.close()
-    obs.counter("vs.docks").inc()
 
     simulated = float("nan")
     if node is not None:

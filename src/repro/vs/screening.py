@@ -132,8 +132,5 @@ def screen(
         pipeline_depth=pipeline_depth,
     )
     with obs.span("vs.screen", host_workers=host_workers, mode=parallel_mode):
-        obs.counter("vs.screen.runs").inc()
         with runner.run() as store:
-            report = store.to_report()
-    obs.counter("vs.screen.ligands").inc(len(report.entries))
-    return report
+            return store.to_report()

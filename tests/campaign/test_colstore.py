@@ -278,20 +278,12 @@ def test_random_late_updates_to_sealed_rows_match_sqlite(tmp_path, group_rows):
     rng = random.Random(20261002 + group_rows)
     sq, co = both_stores(tmp_path, group_rows=group_rows, compact_fanin=3)
     stores = (sq, co)
-    orphaned = set()  # ordinals with a record in orphan.log
     for shard_id in range(12):
         random_shard(rng, stores, shard_id)
         sealed = shard_id * 10
         for _ in range(rng.randrange(6) if sealed else 0):
             ordinal, op = rng.randrange(sealed), rng.randrange(4)
             score = round(rng.uniform(-9.0, -1.0), 6)
-            # Known gap (ROADMAP): orphan.log is replayed last on open, so a
-            # record in it shadows a *later* write the ordinal's own shard
-            # sealed after a reclaim. Reclaims here avoid such ordinals.
-            if op == 3 and ordinal in orphaned:
-                op = 0
-            if op < 2:
-                orphaned.add(ordinal)
             old = ordinal // 10
             for st in stores:
                 if op == 0:
@@ -313,6 +305,32 @@ def test_random_late_updates_to_sealed_rows_match_sqlite(tmp_path, group_rows):
     co.wait_for_compaction()
     assert len(co._segments) < 3
     assert_parity_across_reopen(tmp_path, sq, co, 120)
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "columnar"])
+@pytest.mark.parametrize("reseal", [True, False])
+def test_reclaimed_result_outlives_an_older_late_failure(tmp_path, backend, reseal):
+    # orphan.log holds the late failure of ordinal 0; the reclaim's result is
+    # newer and must win after a reopen, sealed (`reseal`) or still in the
+    # shard's log. Ordinal 5 belongs to no shard: its record has to stay.
+    path = tmp_path / "store"
+    st = create_store(path, CONFIG, "hash-1", backend=backend)
+    st.start_shard(0, 0, 2)
+    for ordinal in (0, 1):
+        st.record_result(ordinal, f"L{ordinal}", -1.0, 0, 8, 0.1, 0.0)
+    st.finish_shard(0, 0.1)
+    st.record_failure(0, "L0", "late", 2)
+    st.record_failure(5, "L5", "late, never sealed", 2)
+    st.start_shard(0, 0, 2)
+    st.record_result(0, "L0", -3.0, 1, 9, 0.1, 0.0)
+    if reseal:
+        st.finish_shard(0, 0.2)
+    assert (st.counts()["done"], st.counts()["failed"]) == (2, 1)
+    st.close()
+    with open_store(path) as reopened:
+        assert (reopened.counts()["done"], reopened.counts()["failed"]) == (2, 1)
+        assert reopened.done_ordinals(0, 6) == {0, 1}
+        assert [r["best_score"] for r in reopened.top(1)] == [-3.0]
 
 
 def test_top_k_column_scan_breaks_ties_like_sqlite(tmp_path):

@@ -1,46 +1,9 @@
-"""Virtual clock and event-loop tests."""
+"""Event-loop tests."""
 
 import pytest
 
-from repro.engine.clock import VirtualClock
 from repro.engine.events import EventLoop
 from repro.errors import SimulationError
-
-
-# ----------------------------------------------------------------------
-# VirtualClock
-# ----------------------------------------------------------------------
-def test_clock_advances():
-    clock = VirtualClock()
-    assert clock.now == 0.0
-    clock.advance(1.5)
-    clock.advance(0.5)
-    assert clock.now == 2.0
-
-
-def test_clock_advance_to():
-    clock = VirtualClock(1.0)
-    clock.advance_to(3.0)
-    assert clock.now == 3.0
-    with pytest.raises(SimulationError):
-        clock.advance_to(2.0)
-
-
-def test_clock_rejects_negative_and_nan():
-    clock = VirtualClock()
-    with pytest.raises(SimulationError):
-        clock.advance(-1.0)
-    with pytest.raises(SimulationError):
-        clock.advance(float("nan"))
-    with pytest.raises(SimulationError):
-        VirtualClock(-1.0)
-
-
-def test_clock_reset():
-    clock = VirtualClock()
-    clock.advance(5.0)
-    clock.reset()
-    assert clock.now == 0.0
 
 
 # ----------------------------------------------------------------------

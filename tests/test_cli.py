@@ -200,36 +200,271 @@ def test_metrics_serve_command_scrapes_snapshot_file(capsys, tmp_path):
     assert scraped["rc"] == 0
 
 
-def test_bench_compare_gate(capsys, tmp_path):
+def test_live_campaign_series_and_trace_through_the_cli(tmp_path):
     import json
 
-    def write(dirname, run_seconds):
-        d = tmp_path / dirname
-        d.mkdir()
-        (d / "BENCH_gate.json").write_text(json.dumps({
-            "format_version": 1,
-            "benchmark": "gate",
-            "host": {},
-            "data": {"run_seconds": run_seconds},
-        }))
-        return str(d)
+    from repro.observability import read_series
 
-    base = write("base", 1.0)
-    same = write("same", 1.0)
-    slow = write("slow", 2.0)
+    store = tmp_path / "live.sqlite"
+    series = tmp_path / "live.series.jsonl"
+    assert main([
+        "campaign", "run", "--store", str(store), "--receptor-atoms", "150",
+        "--ligands", "4", "--shard-size", "2", "--scale", "0.05", "--spots", "2",
+        "--live-metrics", str(series), "--sample-interval", "0.05",
+    ]) == 0
+    records = read_series(series)
+    assert records and records[-1]["reason"] == "final"
 
-    assert main(["bench", "compare", base, same]) == 0
-    out = capsys.readouterr().out
-    assert "0 regressed" in out
+    trace_out = tmp_path / "live.trace.json"
+    assert main([
+        "metrics", "show", f"{store}.metrics.json", "--format", "trace",
+        "--out", str(trace_out),
+    ]) == 0
+    assert json.loads(trace_out.read_text())["traceEvents"]
 
-    assert main(["bench", "compare", base, slow, "--threshold", "25"]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSED" in out and "+100.0%" in out
+
+def test_calibrate_then_autotuned_campaign_through_the_cli(capsys, tmp_path):
+    import json
+
+    table = tmp_path / "calibration.json"
+    assert main([
+        "calibrate", "--out", str(table), "--receptor-atoms", "150",
+        "--ligand-atoms", "16", "--poses", "48", "--repeats", "1",
+    ]) == 0
+    assert json.loads(table.read_text())["cells"]
 
     assert main([
-        "bench", "compare", base, slow, "--threshold", "25", "--report-only",
+        "campaign", "run", "--store", str(tmp_path / "tuned.sqlite"),
+        "--receptor-atoms", "150", "--ligands", "4", "--shard-size", "2",
+        "--scale", "0.05", "--spots", "2",
+        "--autotune", "--calibration-file", str(table),
     ]) == 0
-    assert "report-only" in capsys.readouterr().out
+    assert "campaign complete: 4 done, 0 failed" in capsys.readouterr().out
 
-    assert main(["bench", "compare", base, str(tmp_path / "nope")]) == 2
-    assert "error:" in capsys.readouterr().err
+
+def _flag_table(parser, path=()):
+    """``{subcommand: {flag: (default, type, choices, required, nargs)}}``."""
+    import argparse
+
+    table = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                table.update(_flag_table(child, path + (name,)))
+            continue
+        flag = action.option_strings[-1] if action.option_strings else action.dest
+        table.setdefault(" ".join(path), {})[flag] = (
+            action.default,
+            getattr(action.type, "__name__", None),
+            None if action.choices is None else tuple(action.choices),
+            action.required,
+            action.nargs,
+        )
+    return table
+
+
+def test_flag_table_is_the_pinned_one():
+    """Every subcommand's flags, defaults, types and choices: declaring the
+    campaign flags once must not add, drop, rename or re-default any."""
+    assert _flag_table(build_parser()) == _FLAG_TABLE
+
+
+# Captured from build_parser() at cd1ca3b, less the four `bench compare` rows.
+_FLAG_TABLE = {
+    "calibrate": {
+        "--families": (["exact", "cutoff-float32"], None, ("exact", "cutoff-float32", "cutoff-float64"), False, "+"),
+        "--ligand-atoms": ([16, 32, 48], "_positive_int", None, False, "+"),
+        "--out": (None, None, None, True, None),
+        "--poses": (256, "_positive_int", None, False, None),
+        "--receptor-atoms": ([256, 1000, 3264], "_positive_int", None, False, "+"),
+        "--repeats": (3, "_positive_int", None, False, None),
+        "--seed": (0, "int", None, False, None),
+        "--workers": ([0], "_nonnegative_int", None, False, "+"),
+    },
+    "campaign export": {
+        "--format": ("json", None, ("json", "csv", "report"), False, None),
+        "--out": (None, None, None, True, None),
+        "--store": (None, None, None, True, None),
+    },
+    "campaign resume": {
+        "--autotune": (False, None, None, False, 0),
+        "--calibration-file": (None, None, None, False, None),
+        "--heartbeat-timeout": (5.0, "_positive_float", None, False, None),
+        "--host-workers": (0, "_nonnegative_int", None, False, None),
+        "--journal-batch": (1, "_positive_int", None, False, None),
+        "--journal-batch-seconds": (0.0, "_nonnegative_float", None, False, None),
+        "--lease-window": (2, "_positive_int", None, False, None),
+        "--live-metrics": (None, None, None, False, None),
+        "--max-attempts": (3, "_positive_int", None, False, None),
+        "--metrics-out": (None, None, None, False, None),
+        "--nodes": (0, "_nonnegative_int", None, False, None),
+        "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
+        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--progress": (False, None, None, False, 0),
+        "--refine-calibration": (False, None, None, False, 0),
+        "--sample-interval": (1.0, "_positive_float", None, False, None),
+        "--serve-metrics": (None, "_port", None, False, None),
+        "--store": (None, None, None, True, None),
+    },
+    "campaign run": {
+        "--atoms-max": (50, "_positive_int", None, False, None),
+        "--atoms-min": (20, "_positive_int", None, False, None),
+        "--autotune": (False, None, None, False, 0),
+        "--calibration-file": (None, None, None, False, None),
+        "--heartbeat-timeout": (5.0, "_positive_float", None, False, None),
+        "--host-workers": (0, "_nonnegative_int", None, False, None),
+        "--journal-batch": (1, "_positive_int", None, False, None),
+        "--journal-batch-seconds": (0.0, "_nonnegative_float", None, False, None),
+        "--lease-window": (2, "_positive_int", None, False, None),
+        "--library-csv": (None, None, None, False, None),
+        "--library-dir": (None, None, None, False, None),
+        "--library-smiles": (None, None, None, False, None),
+        "--ligands": (16, "_positive_int", None, False, None),
+        "--live-metrics": (None, None, None, False, None),
+        "--max-attempts": (3, "_positive_int", None, False, None),
+        "--metaheuristic": ("M2", None, None, False, None),
+        "--metrics-out": (None, None, None, False, None),
+        "--node": ("hertz", None, ("jupiter", "hertz", "none"), False, None),
+        "--nodes": (0, "_nonnegative_int", None, False, None),
+        "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
+        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--progress": (False, None, None, False, 0),
+        "--receptor-atoms": (1000, "_positive_int", None, False, None),
+        "--receptor-pdb": (None, None, None, False, None),
+        "--refine-calibration": (False, None, None, False, 0),
+        "--sample-interval": (1.0, "_positive_float", None, False, None),
+        "--scale": (0.1, "float", None, False, None),
+        "--seed": (0, "int", None, False, None),
+        "--serve-metrics": (None, "_port", None, False, None),
+        "--shard-size": (32, "_positive_int", None, False, None),
+        "--spots": (8, "_positive_int", None, False, None),
+        "--store": (None, None, None, True, None),
+        "--store-backend": ("sqlite", None, ("sqlite", "columnar"), False, None),
+    },
+    "campaign status": {
+        "--store": (None, None, None, True, None),
+    },
+    "campaign top": {
+        "--store": (None, None, None, True, None),
+        "--top": (10, "_positive_int", None, False, None),
+    },
+    "cluster coordinator": {
+        "--atoms-max": (50, "_positive_int", None, False, None),
+        "--atoms-min": (20, "_positive_int", None, False, None),
+        "--autotune": (False, None, None, False, 0),
+        "--calibration-file": (None, None, None, False, None),
+        "--expect-nodes": (None, "_positive_int", None, True, None),
+        "--heartbeat-timeout": (5.0, "_positive_float", None, False, None),
+        "--host-workers": (0, "_nonnegative_int", None, False, None),
+        "--journal-batch": (1, "_positive_int", None, False, None),
+        "--journal-batch-seconds": (0.0, "_nonnegative_float", None, False, None),
+        "--lease-window": (2, "_positive_int", None, False, None),
+        "--library-csv": (None, None, None, False, None),
+        "--library-dir": (None, None, None, False, None),
+        "--library-smiles": (None, None, None, False, None),
+        "--ligands": (16, "_positive_int", None, False, None),
+        "--listen": ("127.0.0.1:7641", None, None, False, None),
+        "--live-metrics": (None, None, None, False, None),
+        "--max-attempts": (3, "_positive_int", None, False, None),
+        "--metaheuristic": ("M2", None, None, False, None),
+        "--metrics-out": (None, None, None, False, None),
+        "--node": ("hertz", None, ("jupiter", "hertz", "none"), False, None),
+        "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
+        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--progress": (False, None, None, False, 0),
+        "--receptor-atoms": (1000, "_positive_int", None, False, None),
+        "--receptor-pdb": (None, None, None, False, None),
+        "--resume": (False, None, None, False, 0),
+        "--sample-interval": (1.0, "_positive_float", None, False, None),
+        "--scale": (0.1, "float", None, False, None),
+        "--seed": (0, "int", None, False, None),
+        "--serve-metrics": (None, "_port", None, False, None),
+        "--shard-size": (32, "_positive_int", None, False, None),
+        "--spots": (8, "_positive_int", None, False, None),
+        "--store": (None, None, None, True, None),
+        "--store-backend": ("sqlite", None, ("sqlite", "columnar"), False, None),
+    },
+    "cluster worker": {
+        "--connect": (None, None, None, True, None),
+        "--connect-attempts": (10, "_positive_int", None, False, None),
+        "--connect-backoff": (0.1, "_positive_float", None, False, None),
+    },
+    "dock": {
+        "--autotune": (False, None, None, False, 0),
+        "--calibration-file": (None, None, None, False, None),
+        "--flexible": (False, None, None, False, 0),
+        "--host-workers": (0, "_nonnegative_int", None, False, None),
+        "--ligand-atoms": (32, "int", None, False, None),
+        "--ligand-pdb": (None, None, None, False, None),
+        "--live-metrics": (None, None, None, False, None),
+        "--max-torsions": (6, "int", None, False, None),
+        "--metaheuristic": ("M2", None, None, False, None),
+        "--metrics-out": (None, None, None, False, None),
+        "--node": ("hertz", None, ("jupiter", "hertz"), False, None),
+        "--out-pdb": (None, None, None, False, None),
+        "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
+        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--receptor-atoms": (1000, "int", None, False, None),
+        "--receptor-pdb": (None, None, None, False, None),
+        "--sample-interval": (1.0, "_positive_float", None, False, None),
+        "--scale": (0.25, "float", None, False, None),
+        "--seed": (0, "int", None, False, None),
+        "--spots": (16, "int", None, False, None),
+    },
+    "doctor": {
+        "--json": (False, None, None, False, 0),
+        "--out": (None, None, None, False, None),
+        "--series": (None, None, None, False, None),
+        "--store": (None, None, None, True, None),
+    },
+    "metrics serve": {
+        "--for-seconds": (None, "_positive_float", None, False, None),
+        "--host": ("127.0.0.1", None, None, False, None),
+        "--port": (9464, "_port", None, False, None),
+        "snapshot": (None, None, None, True, None),
+    },
+    "metrics show": {
+        "--format": ("text", None, ("text", "json", "prom", "trace"), False, None),
+        "--out": (None, None, None, False, None),
+        "snapshot": (None, None, None, True, None),
+    },
+    "metrics trace": {
+        "--out": (None, None, None, False, None),
+        "snapshot": (None, None, None, True, None),
+    },
+    "replay": {
+        "--mode": ("gpu-heterogeneous", None, ("openmp", "gpu-homogeneous", "gpu-heterogeneous", "gpu-dynamic"), False, None),
+        "--node": ("hertz", None, ("jupiter", "hertz"), False, None),
+        "--seed": (0, "int", None, False, None),
+        "--trace": (None, None, None, True, None),
+    },
+    "screen": {
+        "--autotune": (False, None, None, False, 0),
+        "--calibration-file": (None, None, None, False, None),
+        "--host-workers": (0, "_nonnegative_int", None, False, None),
+        "--ligands": (8, "int", None, False, None),
+        "--live-metrics": (None, None, None, False, None),
+        "--metaheuristic": ("M2", None, None, False, None),
+        "--metrics-out": (None, None, None, False, None),
+        "--node": ("hertz", None, ("jupiter", "hertz"), False, None),
+        "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
+        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--receptor-atoms": (1000, "int", None, False, None),
+        "--sample-interval": (1.0, "_positive_float", None, False, None),
+        "--scale": (0.1, "float", None, False, None),
+        "--seed": (0, "int", None, False, None),
+        "--spots": (8, "int", None, False, None),
+    },
+    "tables": {
+        "--scale": (1.0, "float", None, False, None),
+        "--table": ("all", None, ("6", "7", "8", "9", "all"), False, None),
+    },
+    "trace": {
+        "--dataset": ("2BSM", None, ("2BSM", "2BXG"), False, None),
+        "--out": (None, None, None, True, None),
+        "--preset": ("M2", None, None, False, None),
+        "--scale": (1.0, "float", None, False, None),
+    },
+}

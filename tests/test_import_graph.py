@@ -8,6 +8,7 @@ runs in a fresh interpreter and asserts on ``sys.modules`` — never on
 seconds — so it holds on any machine.
 """
 
+import ast
 import json
 import re
 import subprocess
@@ -145,3 +146,69 @@ def test_bond_graph_is_where_networkx_loads(tmp_path):
     body = DOCK_SETUP + "from repro.molecules.topology import bond_graph\n"
     assert "networkx" not in loaded_after(body, tmp_path)
     assert "networkx" in loaded_after(body + "bond_graph(ligand)", tmp_path)
+
+
+# ----------------------------------------------------------------------
+# reachability: no module that only its own test imports
+# ----------------------------------------------------------------------
+#: Modules no non-``__init__`` module of ``src/`` imports, each with the file
+#: that needs it: a bench behind an EXPERIMENTS.md row, a documented user
+#: API, or the package ``__init__`` that *uses* it. A module whose only users
+#: are a re-export and its own test belongs in neither list; delete it.
+NEEDED_FROM_OUTSIDE = {
+    "repro.cli": "pyproject.toml",  # the repro-vs console script
+    "repro.engine.async_mode": "benchmarks/bench_ablation_sync_vs_async.py",
+    "repro.engine.screening_schedule": "benchmarks/bench_ablation_screening_schedule.py",
+    "repro.experiments.validation": "benchmarks/bench_validation_robustness.py",
+    "repro.hardware.energy": "benchmarks/bench_ablation_energy.py",
+    "repro.metaheuristics.extra.ant_colony": "examples/metaheuristic_comparison.py",
+    "repro.metaheuristics.extra.differential_evolution": "examples/metaheuristic_comparison.py",
+    "repro.metaheuristics.extra.grasp": "examples/metaheuristic_comparison.py",
+    "repro.metaheuristics.extra.hybrid": "docs/architecture.md",
+    "repro.metaheuristics.extra.tabu": "examples/metaheuristic_comparison.py",
+    "repro.metaheuristics.extra.variable_neighborhood": "examples/metaheuristic_comparison.py",
+    "repro.metaheuristics.multistart": "DESIGN.md",  # §3.3 independent runs
+    "repro.observability.doctor": "src/repro/cli.py",  # repro-vs doctor
+    "repro.observability.serve": "src/repro/cli.py",  # --serve-metrics
+    "repro.observability.spans": "src/repro/observability/__init__.py",
+    "repro.scoring.composite": "benchmarks/bench_futurework_scoring.py",
+    "repro.scoring.gridmap": "benchmarks/bench_futurework_scoring.py",
+    "repro.scoring.hbond": "benchmarks/bench_futurework_scoring.py",
+    "repro.scoring.reference": "tests/scoring/test_lennard_jones.py",  # the oracle
+    "repro.scoring.softcore": "benchmarks/bench_futurework_scoring.py",
+    "repro.vs.analysis": "examples/redocking.py",
+    "repro.vs.pipeline": "examples/quickstart.py",
+    "repro.vs.visualize": "benchmarks/bench_figure1_binding.py",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_every_module_is_imported_by_the_program_or_named_with_its_user():
+    modules = {_module_name(path): path for path in SRC.rglob("*.py")}
+    imported = set()
+    for name, path in modules.items():
+        if path.name == "__init__.py":
+            continue  # a re-export is not a use
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                targets = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            imported.update(t for t in targets if t in modules and t != name)
+    unreached = {
+        name
+        for name, path in modules.items()
+        if path.name != "__init__.py" and name not in imported
+    }
+    assert sorted(unreached - set(NEEDED_FROM_OUTSIDE)) == []
+    assert sorted(set(NEEDED_FROM_OUTSIDE) - unreached) == [], "reached now: drop it"
+    gone = [u for u in NEEDED_FROM_OUTSIDE.values() if not (SRC.parent / u).exists()]
+    assert gone == [], "the named user is gone: does the module still have one?"
