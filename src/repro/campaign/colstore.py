@@ -1,14 +1,22 @@
 """Columnar append-only result store for million-ligand campaigns.
 
 A drop-in for the SQLite :class:`~repro.campaign.store.CampaignStore` (same
-interface, same crash/resume semantics, same ~78 B per ligand on disk) whose
-sealed data moves as NumPy columns instead of B-tree rows:
+interface, same crash/resume semantics, a third of its bytes per ligand on
+disk) whose sealed data moves as NumPy columns instead of B-tree rows:
 
 * **Append-only CRC-framed logs** for in-flight shards: fixed header (magic,
   kind, length, CRC32) plus payload. A torn tail from a SIGKILL is detected
   and truncated on open; corruption before the tail raises.
 * **Sealed columnar segments**: a finished shard is frozen into an immutable
-  file of row groups (fixed-width column arrays plus string heaps, CRC'd).
+  file of row groups (column arrays plus string heaps, CRC'd). Each column of
+  a group is stored at the width its contents need, recorded in the group's
+  footer entry (``layout``): nothing when every value has the same bits (the
+  value sits in the footer) or when the ordinals are ``lo .. lo + rows - 1``,
+  else the narrowest unsigned integer that holds the values (``<i8`` when
+  negative or past 2^32; floats stay ``<f8``). A decoded group always has
+  the ``_FIXED_COLUMNS`` dtypes, so a merge reads any mix of layouts and
+  writes the one its output values need. Nothing is compressed: a block is
+  ``frombuffer``-able as it lies.
 * **A manifest** (tmp+fsync+rename) naming the live segments; segment files
   it does not name are crash debris and are deleted on open.
 * **Compaction**: at ``compact_fanin`` segments the adjacent run with the
@@ -23,7 +31,7 @@ updates), in a sealed group being patched with an overlay row, in the
 row-streaming readers (``science_rows``, ``iter_results``, exports) and for
 the k winners of ``top``. Seal, compaction, re-seal, the ``top(k)`` scan and
 the index rebuild move decoded groups (dicts of column arrays): a merge
-holds its input blocks and nothing more. Resident memory is the overlay plus
+holds its input groups and nothing more. Resident memory is the overlay plus
 an LRU of 8 decoded groups (<= 8 x ``group_rows`` x ~80 B = 42 MB).
 
 Durability (as SQLite WAL + ``synchronous=NORMAL``): log appends are
@@ -61,8 +69,10 @@ from repro.vs.results import ScreeningEntry, ScreeningReport
 
 __all__ = ["ColumnarStore", "COLSTORE_SCHEMA_VERSION"]
 
-#: Bump on any incompatible on-disk layout change; ``open`` refuses mismatches.
-COLSTORE_SCHEMA_VERSION = 1
+#: Bump on any incompatible on-disk layout change. Schema 1 stored every
+#: column at its in-memory width; ``open`` still reads it, and the store says 2
+#: before its first content-sized segment is published (``_write_segment``).
+COLSTORE_SCHEMA_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # record framing (active logs + shards.log)
@@ -167,12 +177,15 @@ _TRAILER = struct.Struct("<QII")  # footer offset, footer length, footer CRC32
 # Per-row presence flags (NULL-ability mirrors the SQLite schema).
 _F_SCORE, _F_SPOT, _F_EVALS, _F_WALL, _F_SIM, _F_ERROR = 1, 2, 4, 8, 16, 32
 
-#: Fixed-width columns in block order; title and error offsets + heap follow.
+#: Per-row columns of a decoded group, in block order; the title and error
+#: offsets (``_OFFSETS``, one entry more than rows) follow, each before its
+#: heap. On disk a column may be narrower or absent: see ``_column_layout``.
 _FIXED_COLUMNS = (
     ("ordinals", "<i8"), ("status", "u1"), ("flags", "u1"), ("score", "<f8"),
     ("spot", "<i8"), ("evals", "<i8"), ("wall", "<f8"), ("sim", "<f8"),
     ("attempts", "<i8"),
 )
+_OFFSETS = "<u4"
 
 _ACTIVE_NAME = re.compile(r"^shard-(\d+)\.log$")
 
@@ -185,8 +198,8 @@ def _encode_group(items: list[tuple[int, list]]) -> dict:
     status, flags, attempts = group["status"], group["flags"], group["attempts"]
     score, spot, evals = group["score"], group["spot"], group["evals"]
     wall, sim = group["wall"], group["sim"]
-    title_offsets = np.zeros(n + 1, dtype="<u4")
-    error_offsets = np.zeros(n + 1, dtype="<u4")
+    title_offsets = np.zeros(n + 1, dtype=_OFFSETS)
+    error_offsets = np.zeros(n + 1, dtype=_OFFSETS)
     title_heap = bytearray()
     error_heap = bytearray()
     for i, (_, row) in enumerate(items):
@@ -222,19 +235,53 @@ def _encode_group(items: list[tuple[int, list]]) -> dict:
     return group
 
 
+def _narrowest(lo: int, hi: int) -> str:
+    """The narrowest little-endian integer dtype that holds ``[lo, hi]``."""
+    if lo < 0 or hi >= 1 << 32:
+        return "<i8"
+    return "u1" if hi < 1 << 8 else "<u2" if hi < 1 << 16 else "<u4"
+
+
+def _column_layout(pieces: list) -> int | str:
+    """How the column made of ``pieces`` is stored in a block.
+
+    An ``int`` when every entry has the same bits: the value itself (a
+    float's through its integer view, so ``-0.0`` is not ``0.0``), kept in the
+    footer with no bytes in the block. Otherwise the dtype written.
+    """
+    is_float = pieces[0].dtype.kind == "f"
+    bits = [piece.view("<i8") if is_float else piece for piece in pieces]
+    lo = min(int(piece.min()) for piece in bits)
+    hi = max(int(piece.max()) for piece in bits)
+    if lo == hi:
+        return lo
+    return "<f8" if is_float else _narrowest(lo, hi)
+
+
 def _decode_group(block: bytes, meta: dict) -> dict:
     if zlib.crc32(block) != meta["crc"]:
         raise CampaignError("segment row group failed its CRC check")
     n = int(meta["rows"])
-    group: dict = {}
+    # ``layout`` names the columns not stored at their in-memory width; a
+    # schema-1 group has none, so every column is.
+    layout = meta.get("layout", {})
     offset = 0
-    for name, dtype in _FIXED_COLUMNS:
-        group[name] = np.frombuffer(block, dtype=dtype, count=n, offset=offset)
-        offset += group[name].nbytes
+
+    def column(name: str, dtype: str, count: int):
+        nonlocal offset
+        spec = layout.get(name, dtype)
+        if spec == "range":
+            return np.arange(meta["lo"], meta["lo"] + count, dtype=dtype)
+        if not isinstance(spec, str):  # constant: a zero-stride view, no memory
+            bits = np.array(spec, dtype="<i8" if dtype == "<f8" else dtype)
+            return np.broadcast_to(bits.view(dtype), count)
+        stored = np.frombuffer(block, dtype=spec, count=count, offset=offset)
+        offset += stored.nbytes
+        return stored.astype(dtype, copy=False)
+
+    group = {name: column(name, dtype, n) for name, dtype in _FIXED_COLUMNS}
     for name in ("title", "error"):
-        offsets = np.frombuffer(block, dtype="<u4", count=n + 1, offset=offset)
-        offset += offsets.nbytes
-        group[name + "_offsets"] = offsets
+        group[name + "_offsets"] = column(name + "_offsets", _OFFSETS, n + 1)
         group[name + "_heap"] = block[offset : offset + meta[name + "_heap"]]
         offset += meta[name + "_heap"]
     return group
@@ -439,10 +486,10 @@ class ColumnarStore:
         except ValueError as exc:
             raise CampaignError(f"{path} is not a campaign store: {exc}") from None
         version = store._meta.get("schema_version")
-        if version != COLSTORE_SCHEMA_VERSION:
+        if version not in (1, COLSTORE_SCHEMA_VERSION):
             raise CampaignError(
-                f"campaign store schema v{version} != supported "
-                f"v{COLSTORE_SCHEMA_VERSION}"
+                f"campaign store schema v{version} is not supported "
+                f"(this build reads v1 and v{COLSTORE_SCHEMA_VERSION})"
             )
         store._recover()
         return store
@@ -978,8 +1025,16 @@ class ColumnarStore:
 
         An output group is a run of slices of input groups, written column
         by column straight from the input arrays under a running CRC
-        (offsets rebased): nothing is concatenated.
+        (offsets rebased): nothing is concatenated. Each column goes out at
+        the width the group's own values need (``_column_layout``), whatever
+        layout its inputs were read from.
         """
+        if self._meta["schema_version"] != COLSTORE_SCHEMA_VERSION:
+            # A schema-1 store: say 2 before a content-sized segment can be
+            # published, so a build that only knows 1 refuses the store
+            # instead of misreading it.
+            self._meta["schema_version"] = COLSTORE_SCHEMA_VERSION
+            self._write_meta()
         seq = int(self._manifest["next_seq"])
         name = f"seg-{seq:08d}.col"
         path = self.root / "segments" / name
@@ -1001,33 +1056,55 @@ class ColumnarStore:
                     crc = zlib.crc32(view, crc)
                     size += view.nbytes
 
-                for column, _ in _FIXED_COLUMNS:
-                    for group, a, b in pending:
-                        emit(group[column][a:b])
+                rows = sum(b - a for _, a, b in pending)
+                first, last = pending[0], pending[-1]
+                lo = int(first[0]["ordinals"][first[1]])
+                hi = int(last[0]["ordinals"][last[2] - 1])
+                layout = {}
+                for column, dtype in _FIXED_COLUMNS:
+                    pieces = [group[column][a:b] for group, a, b in pending]
+                    if column == "ordinals" and hi - lo + 1 == rows:
+                        spec = "range"  # ordinals ascend strictly: no gaps
+                    else:
+                        spec = _column_layout(pieces)
+                    if spec != dtype:
+                        layout[column] = spec
+                    if spec != "range" and isinstance(spec, str):
+                        for piece in pieces:
+                            emit(np.ascontiguousarray(piece, dtype=spec))
                 heap_bytes = {}
                 for column in ("title", "error"):
-                    emit(bytes(4))  # offsets[0]
+                    spans = [
+                        (group[column + "_offsets"], group[column + "_heap"], a, b)
+                        for group, a, b in pending
+                    ]
+                    total = sum(int(offs[b]) - int(offs[a]) for offs, _, a, b in spans)
+                    heap_bytes[column] = total
+                    if not total:  # no heap: every offset is 0
+                        layout[column + "_offsets"] = 0
+                        continue
+                    spec = _narrowest(0, total)
+                    if spec != _OFFSETS:
+                        layout[column + "_offsets"] = spec
+                    emit(bytes(np.dtype(spec).itemsize))  # offsets[0]
                     base = 0
-                    for group, a, b in pending:
-                        offsets = group[column + "_offsets"]
-                        rebased = offsets[a + 1 : b + 1] - offsets[a] + np.uint32(base)
-                        emit(rebased.astype("<u4", copy=False))
-                        base += int(offsets[b]) - int(offsets[a])
-                    for group, a, b in pending:
-                        offsets = group[column + "_offsets"]
-                        emit(memoryview(group[column + "_heap"])[offsets[a] : offsets[b]])
-                    heap_bytes[column] = base
+                    for offs, _, a, b in spans:
+                        rebased = offs[a + 1 : b + 1] - offs[a] + np.uint32(base)
+                        emit(rebased.astype(spec, copy=False))
+                        base += int(offs[b]) - int(offs[a])
+                    for offs, heap, a, b in spans:
+                        emit(memoryview(heap)[offs[a] : offs[b]])
                 tally = sum(
                     np.bincount(group["status"][a:b], minlength=len(_STATUSES))
                     for group, a, b in pending
                 )
-                first, last = pending[0], pending[-1]
                 metas.append(
                     {
-                        "rows": sum(b - a for _, a, b in pending),
-                        "lo": int(first[0]["ordinals"][first[1]]),
-                        "hi": int(last[0]["ordinals"][last[2] - 1]),
+                        "rows": rows,
+                        "lo": lo,
+                        "hi": hi,
                         "crc": crc,
+                        "layout": layout,
                         "title_heap": heap_bytes["title"],
                         "error_heap": heap_bytes["error"],
                         "counts": dict(zip(_STATUSES, tally.tolist())),

@@ -6,11 +6,14 @@ top-K ranking, export bytes — because the columnar store's whole contract
 is "drop-in behind the store interface".
 """
 
+import base64
 import hashlib
 import io
 import json
 import random
+import struct
 import tracemalloc
+import zipfile
 
 import pytest
 
@@ -564,9 +567,12 @@ def test_compaction_and_top_k_scan_build_no_rows(tmp_path, monkeypatch):
         tracemalloc.stop()
     (merged,) = store._segments
     assert merged["rows"] == 32000
-    # The inputs' blocks are all a merge holds (the row-at-a-time merge
-    # peaked near 9x the output) and no row was built.
-    assert peak < 2 * merged["nbytes"], (peak, merged["nbytes"])
+    # The decoded inputs are all a merge holds: ordinals, scores, title
+    # offsets and heaps here (37 B a row), every constant column a
+    # zero-stride view. Schema 1 held its 77 B blocks, the row-at-a-time
+    # merge near 9x that. No row was built.
+    assert merged["nbytes"] < 20 * merged["rows"]
+    assert peak < 48 * merged["rows"], (peak, merged["nbytes"])
     assert calls == []
     # k beyond the index: the scan ranks columns, then decodes the winners.
     k = 600
@@ -610,7 +616,7 @@ def test_scans_and_compaction_leave_the_group_cache_alone(tmp_path, monkeypatch)
     # Uncached blocks are read from disk and CRC-checked by every scan.
     merged = store._segment_path(store._segments[1])
     data = bytearray(merged.read_bytes())
-    data[8 + 24 * 8 + 3] ^= 0x01  # a status byte of the merged group
+    data[8 + 3] ^= 0x01  # a score byte of the merged group
     merged.write_bytes(bytes(data))
     for scan in (store.science_digest, lambda: store.top(6)):
         with pytest.raises(CampaignError, match="CRC"):
@@ -640,7 +646,7 @@ def test_exports_match_sqlite_byte_for_byte(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# on-disk bytes are pinned to the layout schema v1 has always written
+# on-disk bytes: schema 2 pinned, schema 1 still read
 # ----------------------------------------------------------------------
 def store_file_hashes(root):
     """sha256 of every file readers trust: live segments, manifest, index."""
@@ -708,49 +714,244 @@ def golden_store(path, checkpoints):
     return store
 
 
-#: Captured by running ``golden_store`` on the commit before column batches
-#: (4fe5174, row-at-a-time writer): one {file: sha256} map per checkpoint.
+#: One {file: sha256} map per checkpoint of ``golden_store``, captured from the
+#: first schema-2 writer. ``topk.idx`` is byte for byte what schema 1 wrote
+#: (commit 4fe5174, the row-at-a-time writer); segments and the manifest's
+#: ``nbytes`` are not.
 GOLDEN = [
     {  # three shards compacted into one segment, late upserts folded
-        "seg-00000003.col": "a5ee97cc193dcbeddd24d3e6c5f5f22bced6556e88e2dc41d2664dc0adeeba0e",
-        "MANIFEST.json": "798fe1221b1debe94a064510750008ac8e327b58ef885dbbf99bab9b502e78b5",
+        "seg-00000003.col": "43200fc285487d1e7459b9662a0073af69459c2187ac34cae878a7b0d13a1226",
+        "MANIFEST.json": "19e07cad4c16fbc2078a9852386d6d66b15ed92ff7f822b5318676f688e660b7",
         "topk.idx": "a6012ef1c337de192fed4852271d620ae68e8f15bdda40dcc773834c835be1ca",
     },
     {  # re-sealed over the covering segment, ordinal 9 inserted
-        "seg-00000004.col": "e00e840323075b8fda8c642f166ab3a03141678733a20985739924a0f152060f",
-        "MANIFEST.json": "6b1272a56249972b653c226d25fec3b113f927621f29b144224838986b60348d",
+        "seg-00000004.col": "e4c42ea59aff8cac007ae4066468b60ac00bd19c20a369c1d78ce3974c70a1dd",
+        "MANIFEST.json": "bcd2eb9a4903193bd4edd7366fece82557aa22117f074e7f1eb7b009a3b4eb64",
         "topk.idx": "6bc33799acd681392e2233858235459513b3a64c901207852a270c9a7b4bd1ff",
     },
     {  # plus one freshly sealed shard
-        "seg-00000004.col": "e00e840323075b8fda8c642f166ab3a03141678733a20985739924a0f152060f",
-        "seg-00000005.col": "6d1a5f5e7557b0c6811cedf72824e2f57e69a2961ecd295cfdec4b7ba9dfe49a",
-        "MANIFEST.json": "c072e4dfa2ea96499fd73f3610532feda749200e6eb5eae5d1cefc564ab3709b",
+        "seg-00000004.col": "e4c42ea59aff8cac007ae4066468b60ac00bd19c20a369c1d78ce3974c70a1dd",
+        "seg-00000005.col": "eb311b83a6b030fea6e5a07314a8154228fd06dc7fa7b01b9f2c323e568d16a4",
+        "MANIFEST.json": "e4c63f5682faa7f9652bdc91f88513e9038318eddb0769766ed412b52afafcb1",
         "topk.idx": "aa375d53d846fc5bbe80aef25844677009770abd8f726040c503a4766794771b",
     },
     {  # second compaction (over the re-sealed segment) and a fresh shard
-        "seg-00000007.col": "627d7d64291818d1d4e5b10c170d30cb2467e5bcbc463016d1f7098fa644229c",
-        "seg-00000008.col": "0b6e13154789d0d870ee169d68207efc762827225b0f53e253abadbcf16cfeb6",
-        "MANIFEST.json": "b3d9a5fc754192966482f1d86facb35f25ff505c9d602e128cc15aff9f17ded9",
+        "seg-00000007.col": "82c0cae0e9a332ef5ee8e081aefeb90d4921b212e58b3e72a9e9c0a3502d3687",
+        "seg-00000008.col": "58075b15e5c6965c9cae79bbf996aace6a31e7b85bbf7bc5fe65ea7ea9cc105d",
+        "MANIFEST.json": "99ce21a55156e1ce99f77418b8d63500da9f5c0b164abd3df4b6e43c004b6b73",
         "topk.idx": "b50b7027599cbc2658f5921632e32774ae556a49320ba2e84a8aa9303521899e",
     },
 ]
+#: The logical content: what schema 1 gave for the same sequence.
 GOLDEN_DIGEST = "7303436442d4c0b161c47f9fe1fac36e8f2901f4c72a3510d5f220a89dd90083"
 #: ... and after reopening that store and sealing one more shard (a third
-#: compaction, over bytes the old writer produced).
+#: compaction).
 GOLDEN_DIGEST_REOPENED = "ee4af8b031586d73950f5cf8b72c748d5bc1d8c12454c1ea5ae78b788272faf6"
 
 
 def test_on_disk_bytes_match_the_row_at_a_time_writer(tmp_path):
-    assert COLSTORE_SCHEMA_VERSION == 1
+    assert COLSTORE_SCHEMA_VERSION == 2
     checkpoints = []
     store = golden_store(tmp_path / "g.col", checkpoints)
     assert checkpoints == GOLDEN
     assert store.science_digest() == GOLDEN_DIGEST
     store.close()
-    # The files above *are* the old writer's, byte for byte: reopening them
-    # and compacting once more is reading a store the old code wrote.
     with ColumnarStore.open(tmp_path / "g.col") as reopened:
         assert reopened.science_digest() == GOLDEN_DIGEST
         golden_shard(reopened, 6, 42, 49)
         assert [entry["rows"] for entry in reopened._segments] == [49]
         assert reopened.science_digest() == GOLDEN_DIGEST_REOPENED
+
+
+#: ``golden_store``'s directory as the last schema-1 build (8ed80d5) left it:
+#: a zip of meta.json, MANIFEST.json, topk.idx, shards.log and two segments.
+V1_STORE_ZIP = (
+    "UEsDBBQAAAAIAAAAIVwUt9qDrAAAAF0BAAANAAAATUFOSUZFU1QuanNvbm2O0Q6CMAxFf4XsWc0G"
+    "yNBfMcYgVFwCHcKIGsK/24ISiOypp9vuPZ3IAaFOnLEojt5h4wmEl7s08PhiA3kJ6BrCUydS245z"
+    "JzKLQIMf0qNbYgrIiCKCCjAzmBMFRHWLOJLfE94N7/lPYWmSXJiUHMRNWzkevUttIfju+nbAfaEK"
+    "NKfZJ1OwH8zYUVPqmlc015ILLbnQUpNWqH5aQ/6KV/znpaSaeelJK+7P/QdQSwMEFAAAAAgAAAAh"
+    "XF7xovi0AAAAGgEAAAkAAABtZXRhLmpzb249jt0OwjAIhV/F9FovjH+J7+AzNNixrbGjTaEas+zd"
+    "hUW9Ar7D4TC7O4QHUueuGxdyahNBdVvrp5JQ0IQeEuPKqI+DgtlNKDBiq5ElBvPe9uYizyULKzjq"
+    "VDFgkVy9REn4TWAFuBNk2fx0czKuUZfln+NH4NFMVnff8ykOQJ0FUEtJUS4SM/H6lP0MQXwPFEnJ"
+    "QfWh5lZ8zS9bOSmQXB4+gC5GeSs7WyKHESfwT6ys15Tulw9QSwMEFAAAAAgAAAAhXLr/65ZSBAAA"
+    "KRAAABkAAABzZWdtZW50cy9zZWctMDAwMDAwMDcuY29srVhNb9xEGHY2/abppgVKKKXrLuJDqBWe"
+    "GXvXLoidUiqEqAC1EheESMh6kxWLvTgbaAlBAQRX+An9ARzCP1jxCzhyQeqNC4eKA0IIIcbjZ7ye"
+    "WZtsIK8088w7Mx4/fuZ9Z7K5+data2/ccIgFmwPWgPPAQ6q/Vpuv1RuNTiPzXx5L2L2a4fi1DJev"
+    "ZbiI/sLKCtXKyrrAEPgLJqzBX7fKbNxBg2fwE/x7HX2e8hcx74/8OfOLzS9X46kdEeWkKGdEWRLl"
+    "gig3Xn3FcRxZE1lTWTNZuybfJsqt1TjpR2vXkyROrtjDeCO0mR3F0eVeP+qPQvuH7w8X3pnaUeAx"
+    "4PGcp9gR22p06ua7pA35OPvOFzK8ix0rmLkTpq/sfeAA+EHFvMx+hcL3gb91yued5BmqnZnEmjJz"
+    "Z2baEU/WLVm3Ze3LOkifWigpg3BFbEJ4e9hPwu4JLP+AIglcAJ4Czot8qNkNYRrjHxH+lrUj6+UX"
+    "M9/J+6dENsNQWQwcAj8EJlaZ/Q6RVXj/CfzLEP8sz3AJeA54niteptj7EZ/IdCAyHYhMByLTgch0"
+    "eKKklKQDcfR8UOG9CDwNPAN8UBGdm69ZdUsdUPcQ/8q+fSnz+aR/1q3YMPxN4EdWmf1tSD7HsSov"
+    "nZ7bRYw383kmj7KTSVnllsh8IDIfiMwHIvOBBMWn99qStr4lD+Gxh4FngY8Al9QHpFbPs+Q+LgXe"
+    "yfAusuLNyWWhrOo6Uv5t4B3gJ8At4Kfaaod4hoeBR4BHgce4/vYn4T8FfBr4zNSl8V+yhMosoTJL"
+    "qMwSKrOETl0ayh4FngM+BjwPfFyxqM2lelvqVIK+u0YqLCMVFvm4KuSVqfFt4GfG+A7wc633OM/w"
+    "BNdnqyN/weh/1vAvwb/My3Qt+kXelXrLFKAyBahMASpTgAZWhV0AqsPdBl4ENtXbxR1cq3eU3jvP"
+    "jyWOjXgeYh/sq2Mznqu+5wvgl8a8r4Bfa72neIZ1rnXvqKv1tN5vPWfMc+ATXvVH2n7im8n4ZjK+"
+    "mYxvJuOb5fE9wy3AiH7kbDXXknhzuNG8Yr+91Uzij9OWd8luDmLRcERjvS8armisJquixdpEZJff"
+    "DtKxUX80CN9dD1eG6UjaE6bvynvkY/FmNEpX3WoOw6gr+GDhZDOKJl43jkK8qLfSH4Rd4ZBt4cW9"
+    "3kY4Ep4vnOi9O6MwXcx1qBicZuwpxkHOmLiuxxwWeGRvxoRVMSZVjGmRMdUYu8QpcmY+KeVMcplJ"
+    "QWePBq4XMK81g87eQercDoiuNCtnnUtNClozxxf3oe/9H9K61KRCap00IYE7C2uaa00nWlNxdwQ+"
+    "9Sjdm7azb6m9ImtHZ+0FbS1CWn4561xrOtGaOW6rFbSZ6x4Y64LW7r+wDlreLKxZrjUrnh8uIy7z"
+    "nQMMkYLYrDpEKGPMDJF30nUy2mz61Ks+v5j2floIUU231vb2Ln76rIjfn9990/v5pvwHwfXX/wFQ"
+    "SwMEFAAAAAgAAAAhXCQtWf+YAQAA+QMAABkAAABzZWdtZW50cy9zZWctMDAwMDAwMDguY29snVPL"
+    "SsNAFE0juBJ8deHKlvgGF8kkmaaCGFqKCEWhghsRqe20DZSkpikipdCdivoP7vyNfIL+gZ/inclM"
+    "TVK70Atzzzlzb2bOTJLaxXn5rKpqG1IUmxy3OG5z3OEoy3JGXszlpByTb4chw49ShGM7lOKhlsI5"
+    "KRmZlBb1B46PHJ9Sfc9xMV62I7IS4ZjjpL6a1BLifSjVp9tyypcsJSOu52Es0F1hrMFYh1E9OVZ1"
+    "k2XMcoFli+WiNCN2Oe6JXeBSGQmPQoZf5VD0CmcvHF8TK2X5ybKpkxn2bycSJ6DuDJVlLf7YUGn7"
+    "3qDXVw7yl0PF9+4oM/fzStcDolPWcSgrAmv4DaCaibFVNA0TwVTgBF1y3SH1Hm1SYYb4vueLGTrR"
+    "8AZuQJcdKj3iNh23zQv+wHUjpYFqei4BagBt1Z0uadKuESiv1eqTAJQFwr25DwhdTMcWFCeWkbBs"
+    "qMKyoU0sI2RaCBtThjX0T8Pqj2E027BewHHLmolGV3SZyHJh+pYjy3+6L5zcfrTE3/4n/Roqt+81"
+    "9sNXTr8BUEsDBBQAAAAIAAAAIVzaY0b6jQAAALIBAAAKAAAAc2hhcmRzLmxvZ5M6wCrBwMBgeZhl"
+    "JQMaYIfSUgfYBIDUSddLZqgKeBykILodXKefYkTTxYeqO+LKrhmM2HWfPq+cx4SmSxRV96qEoo1M"
+    "2HUTYbeLGOcDVLs/2EN1P1my1YcZzU4ZVN3WH6XkmVF0w+2ec8f6DwuaLmVU3X6cjx+xYNft2bBY"
+    "lhVNlxaq7vszun1Y0XQDAFBLAwQUAAAACAAAACFcOfdmbTkAAAB8AAAACAAAAHRvcGsuaWR4CwoL"
+    "DvEP8DbkZIAANigGgwPeB5gYkMAClwOcyHwGlwMo3AfOBzSR+RecD3Cj6Hc+IAZlfq7gPQ8AUEsB"
+    "AhQDFAAAAAgAAAAhXBS32oOsAAAAXQEAAA0AAAAAAAAAAAAAAIABAAAAAE1BTklGRVNULmpzb25Q"
+    "SwECFAMUAAAACAAAACFcXvGi+LQAAAAaAQAACQAAAAAAAAAAAAAAgAHXAAAAbWV0YS5qc29uUEsB"
+    "AhQDFAAAAAgAAAAhXLr/65ZSBAAAKRAAABkAAAAAAAAAAAAAAIABsgEAAHNlZ21lbnRzL3NlZy0w"
+    "MDAwMDAwNy5jb2xQSwECFAMUAAAACAAAACFcJC1Z/5gBAAD5AwAAGQAAAAAAAAAAAAAAgAE7BgAA"
+    "c2VnbWVudHMvc2VnLTAwMDAwMDA4LmNvbFBLAQIUAxQAAAAIAAAAIVzaY0b6jQAAALIBAAAKAAAA"
+    "AAAAAAAAAACAAQoIAABzaGFyZHMubG9nUEsBAhQDFAAAAAgAAAAhXDn3Zm05AAAAfAAAAAgAAAAA"
+    "AAAAAAAAAIABvwgAAHRvcGsuaWR4UEsFBgAAAAAGAAYAbgEAAB4JAAAAAA=="
+)
+#: What that build answered, on the store as unpacked and after each of the
+#: two steps of ``test_schema_1_store_is_read_and_rewritten``: science digest,
+#: then sha256 of the JSON of ``top(k)`` for k in 1/3/6/7/100, of the JSON of
+#: ``iter_results`` and of the CSV export.
+V1_ANSWERS = {
+    "opened": (
+        GOLDEN_DIGEST,
+        "01b044ece011fa659413b132d1bf669c219a9c2143db0a414943200f04cf410a",
+        "cd4adfd99012bcc883b56726de61c2eab3703e291eeb9a547d6c074b96c8bb41",
+        "29fe4371ad215aed3a8d2d441e0eeac6857ea89431bb1c42b089f9225751bff5",
+    ),
+    "resealed": (
+        "6a39fdcda2978459fe2d1b890196f47fb90703bd813cbb897d482d9af2101a36",
+        "bac1177ab5ab75fd9bfca6322fd9789b92d89f4c9ef534ac716457d1b9d1cecf",
+        "89f50f3295607035ac0f30c1c19dee21ea84e3265ce45f6e0f4c10995153b132",
+        "1a0b18e99a332e35de4cba9aec81265cf1ba5a8abb3ce4c62e2e73ab50581db6",
+    ),
+    "compacted": (
+        "c835c779f4d6f6b4dcc2eb1f055cf5514395fb065b3f139e4267354d1b1d973a",
+        "b6c3aa3e71b0b660bf5978e123c0467f759f2ae5a65189cd2d8033355f5a0cee",
+        "61afff475ce7b2259342fb4ae0796d244f4a95143b0c1ac620ba1d35a68673e4",
+        "de75f7d8e7c561f5129c123dc9f4daa20b0cb722170eac740794bdc67836366d",
+    ),
+}
+
+
+def unpack_v1_store(root):
+    """The schema-1 ``golden_store`` directory, written under ``root``."""
+    with zipfile.ZipFile(io.BytesIO(base64.b64decode(V1_STORE_ZIP))) as archive:
+        archive.extractall(root)
+    (root / "active").mkdir()
+    return root
+
+
+def answers(store):
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    csv_out = io.StringIO()
+    store.export_csv(csv_out)
+    return (
+        store.science_digest(),
+        sha(json.dumps([store.top(k) for k in (1, 3, 6, 7, 100)])),
+        sha(json.dumps(list(store.iter_results()))),
+        sha(csv_out.getvalue()),
+    )
+
+
+def group_schemas(store):
+    """1 or 2 per sealed row group, by whether its footer entry has a layout."""
+    return [
+        2 if "layout" in meta else 1
+        for entry in store._segments
+        for meta in store._footer(entry)["groups"]
+    ]
+
+
+def schema_on_disk(root):
+    return json.loads((root / "meta.json").read_text())["schema_version"]
+
+
+def test_schema_1_store_is_read_and_rewritten(tmp_path):
+    root = unpack_v1_store(tmp_path / "v1.col")
+    with ColumnarStore.open(root) as store:
+        assert answers(store) == V1_ANSWERS["opened"]
+        assert set(group_schemas(store)) == {1}
+    assert schema_on_disk(root) == 1  # reading alone upgrades nothing
+    with ColumnarStore.open(root) as store:
+        # Lease reclaim of shard 5: the re-seal rewrites the segment covering
+        # [35, 41] and leaves the one over [0, 34] as schema 1 wrote it.
+        store.start_shard(5, 35, 42)
+        store.record_result(36, "LIG036", -12.5, 2, 136, 4.5, 18.0, attempts=2)
+        store.finish_shard(5, 1.0)
+        assert schema_on_disk(root) == 2
+        assert group_schemas(store) == [1] * 7 + [2] * 2
+        assert answers(store) == V1_ANSWERS["resealed"]
+    with ColumnarStore.open(root) as store:  # both kinds, through recovery
+        assert answers(store) == V1_ANSWERS["resealed"]
+        golden_shard(store, 6, 42, 49)  # third segment: all three compact
+        assert group_schemas(store) == [2] * 10
+        assert answers(store) == V1_ANSWERS["compacted"]
+    with ColumnarStore.open(root) as store:
+        assert answers(store) == V1_ANSWERS["compacted"]
+
+
+def test_open_refuses_a_newer_schema_and_accepts_both_older(tmp_path):
+    root = unpack_v1_store(tmp_path / "v1.col")
+    meta = json.loads((root / "meta.json").read_text())
+    for version, accepted in ((1, True), (2, True), (3, False), (None, False)):
+        meta["schema_version"] = version
+        (root / "meta.json").write_text(json.dumps(meta))
+        if accepted:
+            ColumnarStore.open(root).close()
+        else:
+            with pytest.raises(CampaignError, match="schema"):
+                ColumnarStore.open(root)
+
+
+def test_column_layout_follows_the_contents(store):
+    """One segment per row shape; the footer says how each column was stored."""
+
+    def seal(items):
+        entry = store._write_segment([colstore._encode_group(items)])
+        (meta,) = store._footer(entry)["groups"]
+        (group,) = store._read_groups([entry])
+        assert repr(list(colstore._rows_of(group))) == repr(items)
+        return meta
+
+    def bits(value):
+        return struct.unpack("<q", struct.pack("<d", value))[0]
+
+    def row(title="T", score=-1.0, spot=0, evals=8, attempts=1, error=None):
+        status = "done" if error is None else "failed"
+        return [title, status, score, spot, evals, 0.25, None, attempts, error]
+
+    # The ledger fixtures' shape: only scores, title offsets and titles vary.
+    meta = seal([(100 + i, row(f"L{i:02d}", -1.0 - i, spot=i % 8)) for i in range(16)])
+    assert meta["layout"] == {
+        "ordinals": "range", "status": 2, "flags": 15, "spot": "u1", "evals": 8,
+        "wall": bits(0.25), "sim": 0, "attempts": 1,
+        "title_offsets": "u1", "error_offsets": 0,
+    }
+    assert meta["nbytes"] == 16 * (8 + 1) + 17 + 16 * 3
+    # Same bits or not: -0.0 beside 0.0 is two values, and a constant -0.0
+    # comes back as -0.0.
+    meta = seal([(0, row(score=-0.0)), (1, row(score=0.0))])
+    assert "score" not in meta["layout"]
+    meta = seal([(0, row(score=-0.0)), (1, row(score=-0.0))])
+    assert meta["layout"]["score"] == bits(-0.0) == -(1 << 63)
+    # Gaps in the ordinals, values below 0 and at 2^32, empty and non-ASCII
+    # errors, a title heap past 64 KiB.
+    meta = seal([
+        (3, row(spot=-1, evals=255, attempts=1 << 32, error="")),
+        (70000, row("µ" * 40000, evals=256, error="±")),
+    ])
+    assert meta["layout"] == {
+        "ordinals": "<u4", "status": 3, "flags": 47, "score": bits(-1.0),
+        "evals": "<u2", "wall": bits(0.25), "sim": 0, "error_offsets": "u1",
+    }
+    assert meta["title_heap"] == 80001 and meta["error_heap"] == 2

@@ -4,20 +4,28 @@ Uses hypothesis when the container provides it; otherwise the same
 properties run over a seeded-random case battery (deterministic across
 runs), mirroring ``tests/engine/test_partition_properties.py``.
 
-The three invariants: (1) sealing + compaction is a pure re-layout — the
+The four invariants: (1) sealing + compaction is a pure re-layout — the
 logical row set is exactly the written row set, at any group size or
 fan-in; (2) the incremental top-K index agrees with a full sort for any
 score stream, at any capacity, including ties; (3) the bounded-memory
-streaming dedup keeps exactly the lines an unbounded in-memory dedup would.
+streaming dedup keeps exactly the lines an unbounded in-memory dedup would;
+(4) a row group read back from its content-sized block is the rows written,
+bit for bit, whatever its columns hold.
 """
 
+import random
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.campaign.colstore import ColumnarStore
+from repro.campaign.colstore import (
+    _STATUSES,
+    ColumnarStore,
+    _encode_group,
+    _rows_of,
+)
 from repro.campaign.library import SmilesSource
 
 try:
@@ -216,3 +224,80 @@ else:
     @pytest.mark.parametrize("titles", _seeded_cases(_draw_titles))
     def test_reader_dedup_matches_in_memory(titles):
         check_reader_dedup(titles)
+
+
+# ----------------------------------------------------------------------
+# (4) content-sized blocks decode to the rows written
+# ----------------------------------------------------------------------
+def draw_rows(rng):
+    """``[(ordinal, row), ...]`` from a ``random.Random``-like source.
+
+    One value maker is drawn per *column*, so constant columns, narrow ones
+    and ones needing all 64 bits each turn up, in any combination.
+    """
+    n = rng.randint(1, 40)
+
+    def column(*makers):
+        make = rng.choice(makers)
+        return [make() for _ in range(n)]
+
+    def integers():
+        return column(
+            lambda: 7,
+            lambda: rng.randint(0, 300),
+            lambda: rng.randint(0, 1 << 33),
+            lambda: rng.randint(-(1 << 40), 1 << 40),
+            lambda: rng.choice((None, 70000)),
+        )
+
+    def floats():
+        return column(
+            lambda: -0.0,
+            lambda: rng.choice((-0.0, 0.0)),
+            lambda: rng.uniform(-50.0, 50.0),
+            lambda: rng.choice((None, 0.25)),
+        )
+
+    base = rng.choice((0, 250, 65530, (1 << 32) - 3, 1 << 40))
+    steps = column(lambda: 1, lambda: rng.randint(1, 3), lambda: rng.randint(1, 1 << 20))
+    ordinals = [base + sum(steps[: i + 1]) for i in range(n)]
+    titles = column(
+        lambda: "", lambda: "T", lambda: "ligand-µ%d" % rng.randint(0, 99),
+        lambda: "x" * 2000,  # 36 of them pass 64 KiB of heap
+    )
+    errors = column(lambda: None, lambda: "", lambda: rng.choice((None, "boom ±", "")))
+    statuses = column(lambda: "done", lambda: rng.choice(_STATUSES))
+    attempts = column(lambda: 1, lambda: rng.randint(0, 300), lambda: rng.randint(0, 1 << 40))
+    fields = zip(
+        titles, statuses, floats(), integers(), integers(), floats(), floats(),
+        attempts, errors,
+    )
+    return [(ordinal, list(row)) for ordinal, row in zip(ordinals, fields)]
+
+
+def check_layout_roundtrip(items, group_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        with ColumnarStore.create(
+            Path(tmp) / "c.col", CONFIG, "h", group_rows=group_rows
+        ) as store:
+            # Two input groups, so output groups are cut from slices of both.
+            cut = len(items) // 2
+            groups = [_encode_group(part) for part in (items[:cut], items[cut:]) if part]
+            entry = store._write_segment(groups)
+            got = [row for group in store._read_groups([entry]) for row in _rows_of(group)]
+    assert repr(got) == repr(items)  # repr tells -0.0 from 0.0
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), group_rows=st.sampled_from((1, 7, 65536)))
+    def test_row_group_layout_roundtrip(rng, group_rows):
+        check_layout_roundtrip(draw_rows(rng), group_rows)
+
+else:
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_row_group_layout_roundtrip(seed):
+        rng = random.Random(20261004 + seed)
+        check_layout_roundtrip(draw_rows(rng), rng.choice((1, 7, 65536)))

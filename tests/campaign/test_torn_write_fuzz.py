@@ -7,6 +7,7 @@ just the ones a lucky crash produces. Corruption that is *not* at the tail
 is a real integrity failure and must raise, never be silently skipped.
 """
 
+import json
 import shutil
 
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from repro.campaign.colstore import ColumnarStore, _FRAME, _pack_frame
 from repro.campaign.journal import CampaignJournal
 from repro.errors import CampaignError
+
+from tests.campaign.test_colstore import GOLDEN_DIGEST, unpack_v1_store
 
 CONFIG = {"receptor_title": "fuzz receptor", "n_spots": 2, "seed": 3}
 
@@ -144,6 +147,45 @@ def test_truncated_segment_trailer_is_detected(tmp_path):
     with pytest.raises(CampaignError, match="corrupt segment"):
         list(store.science_rows())
     store.close()
+
+
+def test_schema_upgrade_torn_at_every_step(tmp_path):
+    # A schema-1 store's first new segment: meta.json.tmp is written and
+    # renamed over meta.json (now schema 2), then the segment is written and
+    # published. A kill anywhere in between leaves a store either schema
+    # opens, with the rows it had, and the upgrade simply happens again.
+    pristine = unpack_v1_store(tmp_path / "pristine")
+    upgraded = clone(pristine, tmp_path / "upgraded")
+    with ColumnarStore.open(upgraded) as store:
+        store.start_shard(6, 42, 45)
+        store.record_result(42, "LIG042", -3.0, 0, 8, 0.1, 0.0)
+        store.finish_shard(6, 0.1)
+        expected = store.science_digest()
+    new_meta = (upgraded / "meta.json").read_bytes()
+    assert json.loads(new_meta)["schema_version"] == 2
+
+    def crashed_during_tmp_write(root, cut):
+        (root / "meta.json.tmp").write_bytes(new_meta[:cut])
+
+    def crashed_before_publish(root, cut):
+        (root / "meta.json").write_bytes(new_meta)
+        segment = next((upgraded / "segments").iterdir()).read_bytes()
+        (root / "segments" / "seg-00000009.col.tmp").write_bytes(segment[:cut])
+
+    for crash in (crashed_during_tmp_write, crashed_before_publish):
+        for cut in (0, 1, len(new_meta) // 2, len(new_meta)):
+            root = clone(pristine, tmp_path / "case")
+            crash(root, cut)
+            with ColumnarStore.open(root) as store:
+                assert store.science_digest() == GOLDEN_DIGEST, (crash.__name__, cut)
+                assert store.finished_shards() == set(range(6))
+                store.start_shard(6, 42, 45)
+                store.record_result(42, "LIG042", -3.0, 0, 8, 0.1, 0.0)
+                store.finish_shard(6, 0.1)
+            assert json.loads((root / "meta.json").read_text())["schema_version"] == 2
+            assert not list(root.rglob("*.tmp"))
+            with ColumnarStore.open(root) as store:
+                assert store.science_digest() == expected
 
 
 # ----------------------------------------------------------------------
