@@ -315,9 +315,13 @@ class SmilesSource:
                 seen.add(key)
             yield smiles, title
 
+    def line_ligand(self, smiles: str, title: str) -> Ligand:
+        """The ligand this library maps one of its lines to."""
+        return _line_ligand(smiles, title, self.seed, self.atoms_range)
+
     def __iter__(self) -> Iterator[Ligand]:
         for smiles, title in self._unique_entries():
-            yield _line_ligand(smiles, title, self.seed, self.atoms_range)
+            yield self.line_ligand(smiles, title)
 
     def ligands_at(self, ordinals: Iterable[int]) -> dict[int, Ligand]:
         """Build only the ligands at ``ordinals`` (one scan of the file).
@@ -334,9 +338,7 @@ class SmilesSource:
         last = max(wanted)
         for ordinal, (smiles, title) in enumerate(self._unique_entries()):
             if ordinal in wanted:
-                out[ordinal] = _line_ligand(
-                    smiles, title, self.seed, self.atoms_range
-                )
+                out[ordinal] = self.line_ligand(smiles, title)
             if ordinal >= last:
                 break
         return out
@@ -439,25 +441,41 @@ class Shard:
 
 
 def iter_shards(
-    source: Iterable[Ligand], shard_size: int
+    source: Iterable[Ligand], shard_size: int, skip: frozenset[int] | set[int] = frozenset()
 ) -> Iterator[tuple[Shard, list[tuple[int, Ligand]]]]:
     """Cut a ligand stream into fixed-size shards, one shard in memory.
 
     Yields ``(shard, [(ordinal, ligand), ...])``; only the current shard's
-    ligands are ever materialised.
+    ligands are ever materialised. A shard whose id is in ``skip`` (finished
+    before a resume) is still yielded, because the plan and
+    :func:`resolve_title` depend on the whole stream, but with ``(ordinal,
+    title)`` items: a line-file source then builds none of its ligands.
     """
     if shard_size < 1:
         raise CampaignError(f"shard_size must be >= 1, got {shard_size}")
-    buffer: list[tuple[int, Ligand]] = []
+    # (smiles, title) lines instead of ligands, where the source has them.
+    lines = source._unique_entries if skip and isinstance(source, SmilesSource) else None
+    buffer: list = []
     start = 0
-    for ordinal, ligand in enumerate(source):
-        buffer.append((ordinal, ligand))
+
+    def cut():
+        shard = Shard(start // shard_size, start, start + len(buffer))
+        if shard.shard_id in skip:
+            items = [entry[1] if lines else entry.title for entry in buffer]
+        elif lines:
+            items = [source.line_ligand(*entry) for entry in buffer]
+        else:
+            items = buffer
+        return shard, list(zip(shard.ordinals(), items))
+
+    for entry in lines() if lines else source:
+        buffer.append(entry)
         if len(buffer) == shard_size:
-            yield Shard(start // shard_size, start, start + len(buffer)), buffer
+            yield cut()
             start += len(buffer)
             buffer = []
     if buffer:
-        yield Shard(start // shard_size, start, start + len(buffer)), buffer
+        yield cut()
 
 
 def resolve_title(title: str, ordinal: int, seen: set[str]) -> str:

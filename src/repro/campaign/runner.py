@@ -531,24 +531,29 @@ class CampaignRunner:
                 # One shard of lookahead so the current shard's tail can
                 # hint the *next* shard's first ligand — without it, every
                 # shard boundary paid a cold rebind (prefetch miss).
-                shards = iter_shards(self.source, self.shard_size)
+                # Finished shards come as titles only (nothing is built
+                # for them), so a resume reaches its first dock without
+                # synthesising the ligands already committed.
+                shards = iter_shards(self.source, self.shard_size, skip=finished)
                 upcoming = next(shards, None)
                 while upcoming is not None:
                     shard, items = upcoming
                     upcoming = next(shards, None)
+                    n_streamed += len(items)
+                    if shard.shard_id in finished:
+                        for ordinal, title in items:
+                            resolve_title(title, ordinal, seen_titles)
+                        obs.counter("campaign.shards.skipped").inc()
+                        continue
                     next_first = (
                         upcoming[1][0][1]
-                        if upcoming is not None and upcoming[1]
+                        if upcoming is not None and upcoming[0].shard_id not in finished
                         else None
                     )
                     titled = [
                         (ordinal, ligand, resolve_title(ligand.title, ordinal, seen_titles))
                         for ordinal, ligand in items
                     ]
-                    n_streamed += len(items)
-                    if shard.shard_id in finished:
-                        obs.counter("campaign.shards.skipped").inc()
-                        continue
                     shard_t0 = time.perf_counter()
                     with obs.span("campaign.shard", shard=shard.shard_id):
                         if self.journal is not None:

@@ -143,6 +143,51 @@ def test_kill_mid_shard_then_resume_is_bitwise_identical(
         assert ranking(store) == expected
 
 
+@pytest.mark.parametrize("dedup", [True, False])
+def test_resume_builds_no_ligand_of_a_finished_shard(
+    receptor, tmp_path, monkeypatch, dedup
+):
+    # Seven lines, titles B and E repeated: five ligands with dedup, seven
+    # (two of them stored as "B#3" and "E#6") without; three shards each way.
+    import repro.campaign.library as library_mod
+    from repro.campaign import SmilesSource
+
+    smi = tmp_path / "lib.smi"
+    smi.write_text("CCO A\nCCN B\nCCC C\nCCCl B\nc1ccccc1 D\nCCBr E\nCCF E\n")
+    n, shard_size = (5, 2) if dedup else (7, 3)
+
+    def smi_runner(name):
+        return CampaignRunner(
+            receptor, SmilesSource(smi, seed=4, dedup=dedup, atoms_range=(8, 12)),
+            store_path=tmp_path / name, n_spots=2, metaheuristic="M1", seed=SEED,
+            workload_scale=0.05, shard_size=shard_size, backoff_base=0.0,
+        )
+
+    with smi_runner("ref.sqlite").run() as store:
+        assert store.counts()["done"] == n
+        expected = store.science_digest()
+
+    # Killed on the first dock of the second shard.
+    monkeypatch.setattr(runner_mod, "dock", DockSpy(interrupt_before_call=shard_size + 1))
+    with pytest.raises(KeyboardInterrupt):
+        smi_runner("kill.sqlite").run()
+    monkeypatch.setattr(runner_mod, "dock", real_dock)
+
+    built = []
+    real_generate = library_mod.generate_ligand
+
+    def spy(n_atoms, **kwargs):
+        built.append(kwargs["title"])
+        return real_generate(n_atoms, **kwargs)
+
+    monkeypatch.setattr(library_mod, "generate_ligand", spy)
+    with smi_runner("kill.sqlite").resume() as store:
+        assert store.science_digest() == expected
+    # Once per ligand of the unfinished shards, none for the finished one.
+    titles = ["A", "B", "C", "D", "E"] if dedup else ["A", "B", "C", "B", "D", "E", "E"]
+    assert built == titles[shard_size:]
+
+
 def test_pooled_campaign_matches_serial_bitwise(receptor, tmp_path):
     # One pool leased ligand by ligand across the campaign and the plain
     # serial path must agree on every float.
