@@ -106,17 +106,34 @@ class ResumeSpy:
 def sigkill_campaign(store_path, kill_at, workers, depth):
     script = store_path.parent / "kill_child.py"
     script.write_text(CHILD_SCRIPT)
-    proc = subprocess.run(
+    shm = Path("/dev/shm")
+    before = set(os.listdir(shm))
+    # Its own session: the SIGKILL orphans the child's pool workers (and the
+    # shared-memory segments they keep mapped), and only a killpg finds them.
+    proc = subprocess.Popen(
         [
             sys.executable, str(script), str(kill_at), str(store_path),
             str(workers), str(depth),
         ],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
-        timeout=300,
+        start_new_session=True,
     )
-    assert proc.returncode == -signal.SIGKILL, (
-        f"child survived the kill (exit {proc.returncode})"
+    try:
+        returncode = proc.wait(timeout=300)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # serial child: nothing outlived it
+        proc.wait()
+        # Nobody is left to unlink what the child staged (its resource
+        # tracker died with the group).
+        for name in set(os.listdir(shm)) - before:
+            if name.startswith(f"repro{proc.pid:x}"):
+                (shm / name).unlink(missing_ok=True)
+    assert returncode == -signal.SIGKILL, (
+        f"child survived the kill (exit {returncode})"
     )
 
 
