@@ -22,8 +22,11 @@ prefetch-staged meanwhile). ``dock()`` receives the lease through its
 how many leases are live at once: that many ligands' metaheuristics run
 concurrently through the shared pool (each with its own seed and launch
 trace), results committing in ordinal order so the durability layer cannot
-tell the difference; depth 1 is one lease in flight. ``host_workers == 0``
-is the plain serial loop every parity test compares against.
+tell the difference; depth 1 is one lease in flight, and the default is one
+lease more than there are workers, so a worker finishing one ligand's launch
+finds another's queued instead of idling through the host-side step.
+``host_workers == 0`` is the plain serial loop every parity test compares
+against.
 
 Failure policy: per-ligand bounded retry with exponential backoff
 (:func:`dock_with_retry`); a ligand that exhausts its attempts is recorded
@@ -270,7 +273,7 @@ class CampaignRunner:
         mode: str = "gpu-heterogeneous",
         host_workers: int = 0,
         parallel_mode: str = "static",
-        pipeline_depth: int = 2,
+        pipeline_depth: int | None = None,
         autotune=False,
         calibration_file: str | Path | None = None,
         refine_calibration: bool = False,
@@ -295,6 +298,8 @@ class CampaignRunner:
             raise CampaignError(f"shard_size must be >= 1, got {shard_size}")
         if max_attempts < 1:
             raise CampaignError(f"max_attempts must be >= 1, got {max_attempts}")
+        if pipeline_depth is None:
+            pipeline_depth = max(2, host_workers + 1)
         if pipeline_depth < 1:
             raise CampaignError(
                 f"pipeline_depth must be >= 1, got {pipeline_depth}"
@@ -335,8 +340,9 @@ class CampaignRunner:
         self.host_workers = host_workers
         self.parallel_mode = parallel_mode
         #: Ligands docked concurrently through the shared pool (needs
-        #: ``host_workers > 0``): the number of live leases. An execution
-        #: knob — never hashed; results are bitwise identical at every depth.
+        #: ``host_workers > 0``): the number of live leases, one more than
+        #: the workers unless given. An execution knob — never hashed;
+        #: results are bitwise identical at every depth.
         self.pipeline_depth = int(pipeline_depth)
         self._runtime: PersistentHostRuntime | None = None
         # --- input-aware kernel autotuning -----------------------------

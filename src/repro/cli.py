@@ -76,12 +76,12 @@ def _add_host_runtime_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--pipeline-depth",
         type=_positive_int,
-        default=2,
+        default=None,
         metavar="D",
         help="co-schedule up to D ligands through the persistent pool so "
-        "one ligand's barrier tails overlap another's scoring (default 2; "
-        "1 = one ligand at a time; only affects multi-ligand runs; "
-        "results are bitwise identical at every depth)",
+        "one ligand's barrier tails overlap another's scoring (default "
+        "host workers + 1; 1 = one ligand at a time; only affects "
+        "multi-ligand runs; results are bitwise identical at every depth)",
     )
 
 

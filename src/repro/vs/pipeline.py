@@ -66,10 +66,11 @@ class PipelineConfig:
         always runs in-process.
     pipeline_depth:
         Ligands co-scheduled through the persistent pool during
-        :meth:`VirtualScreeningPipeline.screen` (default 2): one ligand's
-        barrier tails and host bookkeeping overlap another's scoring.
-        Depth 1 docks one ligand at a time. Purely an
-        execution knob — rankings are bitwise identical at every depth.
+        :meth:`VirtualScreeningPipeline.screen` (default ``None``: one more
+        than the host workers): one ligand's barrier tails and host
+        bookkeeping overlap another's scoring. Depth 1 docks one ligand at a time.
+        Purely an execution knob — rankings are bitwise identical at every
+        depth.
     """
 
     n_spots: int = 16
@@ -82,7 +83,7 @@ class PipelineConfig:
     autotune: bool = False
     calibration_file: str | None = None
     nodes: int = 0
-    pipeline_depth: int = 2
+    pipeline_depth: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_spots < 1:
@@ -107,7 +108,7 @@ class PipelineConfig:
             )
         if self.nodes < 0:
             raise ReproError(f"nodes must be >= 0, got {self.nodes}")
-        if self.pipeline_depth < 1:
+        if self.pipeline_depth is not None and self.pipeline_depth < 1:
             raise ReproError(
                 f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
             )

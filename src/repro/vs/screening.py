@@ -58,7 +58,7 @@ def screen(
     calibration_file: str | None = None,
     nodes: int = 0,
     cluster=None,
-    pipeline_depth: int = 2,
+    pipeline_depth: int | None = None,
 ) -> ScreeningReport:
     """Screen a ligand library against the receptor surface.
 
@@ -79,10 +79,10 @@ def screen(
     pinned ``(variant, chunk_size)``. For a fixed calibration table the
     scores stay bitwise identical to the serial reference path.
 
-    ``pipeline_depth`` (default 2) co-schedules that many ligands through
-    the persistent pool at once: one ligand's generation-barrier tails and
-    host-side Select/Combine/Include gaps are filled with another ligand's
-    poses. Per-ligand launch sequences and seeds are untouched, so the
+    ``pipeline_depth`` (default ``host_workers + 1``) co-schedules that many
+    ligands through the persistent pool at once: one ligand's
+    generation-barrier tails and host-side Select/Combine/Include gaps are
+    filled with another ligand's poses. Per-ligand launch sequences and seeds are untouched, so the
     ranking is bitwise identical at every depth; ``pipeline_depth=1``
     docks one ligand at a time.
 

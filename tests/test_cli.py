@@ -301,7 +301,7 @@ _FLAG_TABLE = {
         "--metrics-out": (None, None, None, False, None),
         "--nodes": (0, "_nonnegative_int", None, False, None),
         "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
-        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--pipeline-depth": (None, "_positive_int", None, False, None),
         "--progress": (False, None, None, False, 0),
         "--refine-calibration": (False, None, None, False, 0),
         "--sample-interval": (1.0, "_positive_float", None, False, None),
@@ -329,7 +329,7 @@ _FLAG_TABLE = {
         "--node": ("hertz", None, ("jupiter", "hertz", "none"), False, None),
         "--nodes": (0, "_nonnegative_int", None, False, None),
         "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
-        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--pipeline-depth": (None, "_positive_int", None, False, None),
         "--progress": (False, None, None, False, 0),
         "--receptor-atoms": (1000, "_positive_int", None, False, None),
         "--receptor-pdb": (None, None, None, False, None),
@@ -372,7 +372,7 @@ _FLAG_TABLE = {
         "--metrics-out": (None, None, None, False, None),
         "--node": ("hertz", None, ("jupiter", "hertz", "none"), False, None),
         "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
-        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--pipeline-depth": (None, "_positive_int", None, False, None),
         "--progress": (False, None, None, False, 0),
         "--receptor-atoms": (1000, "_positive_int", None, False, None),
         "--receptor-pdb": (None, None, None, False, None),
@@ -405,7 +405,7 @@ _FLAG_TABLE = {
         "--node": ("hertz", None, ("jupiter", "hertz"), False, None),
         "--out-pdb": (None, None, None, False, None),
         "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
-        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--pipeline-depth": (None, "_positive_int", None, False, None),
         "--receptor-atoms": (1000, "int", None, False, None),
         "--receptor-pdb": (None, None, None, False, None),
         "--sample-interval": (1.0, "_positive_float", None, False, None),
@@ -450,7 +450,7 @@ _FLAG_TABLE = {
         "--metrics-out": (None, None, None, False, None),
         "--node": ("hertz", None, ("jupiter", "hertz"), False, None),
         "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
-        "--pipeline-depth": (2, "_positive_int", None, False, None),
+        "--pipeline-depth": (None, "_positive_int", None, False, None),
         "--receptor-atoms": (1000, "int", None, False, None),
         "--sample-interval": (1.0, "_positive_float", None, False, None),
         "--scale": (0.1, "float", None, False, None),
