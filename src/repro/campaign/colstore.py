@@ -1062,14 +1062,14 @@ class ColumnarStore:
                 hi = int(last[0]["ordinals"][last[2] - 1])
                 layout = {}
                 for column, dtype in _FIXED_COLUMNS:
-                    pieces = [group[column][a:b] for group, a, b in pending]
                     if column == "ordinals" and hi - lo + 1 == rows:
-                        spec = "range"  # ordinals ascend strictly: no gaps
-                    else:
-                        spec = _column_layout(pieces)
+                        layout[column] = "range"  # they ascend strictly: no gaps
+                        continue
+                    pieces = [group[column][a:b] for group, a, b in pending]
+                    spec = _column_layout(pieces)
                     if spec != dtype:
                         layout[column] = spec
-                    if spec != "range" and isinstance(spec, str):
+                    if isinstance(spec, str):
                         for piece in pieces:
                             emit(np.ascontiguousarray(piece, dtype=spec))
                 heap_bytes = {}

@@ -441,7 +441,9 @@ class Shard:
 
 
 def iter_shards(
-    source: Iterable[Ligand], shard_size: int, skip: frozenset[int] | set[int] = frozenset()
+    source: Iterable[Ligand],
+    shard_size: int,
+    skip: frozenset[int] | set[int] = frozenset(),
 ) -> Iterator[tuple[Shard, list[tuple[int, Ligand]]]]:
     """Cut a ligand stream into fixed-size shards, one shard in memory.
 
@@ -454,7 +456,8 @@ def iter_shards(
     if shard_size < 1:
         raise CampaignError(f"shard_size must be >= 1, got {shard_size}")
     # (smiles, title) lines instead of ligands, where the source has them.
-    lines = source._unique_entries if skip and isinstance(source, SmilesSource) else None
+    lazy = bool(skip) and isinstance(source, SmilesSource)
+    lines = source._unique_entries if lazy else None
     buffer: list = []
     start = 0
 

@@ -68,9 +68,9 @@ class PipelineConfig:
         Ligands co-scheduled through the persistent pool during
         :meth:`VirtualScreeningPipeline.screen` (default ``None``: one more
         than the host workers): one ligand's barrier tails and host
-        bookkeeping overlap another's scoring. Depth 1 docks one ligand at a time.
-        Purely an execution knob — rankings are bitwise identical at every
-        depth.
+        bookkeeping overlap another's scoring. Depth 1 docks one ligand at
+        a time. Purely an execution knob — rankings are bitwise identical
+        at every depth.
     """
 
     n_spots: int = 16

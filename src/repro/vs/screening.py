@@ -82,9 +82,9 @@ def screen(
     ``pipeline_depth`` (default ``host_workers + 1``) co-schedules that many
     ligands through the persistent pool at once: one ligand's
     generation-barrier tails and host-side Select/Combine/Include gaps are
-    filled with another ligand's poses. Per-ligand launch sequences and seeds are untouched, so the
-    ranking is bitwise identical at every depth; ``pipeline_depth=1``
-    docks one ligand at a time.
+    filled with another ligand's poses. Per-ligand launch sequences and
+    seeds are untouched, so the ranking is bitwise identical at every depth;
+    ``pipeline_depth=1`` docks one ligand at a time.
 
     ``nodes >= 2`` distributes the screen over a local fleet of worker-node
     processes (:mod:`repro.cluster`): ligands ship inline over the lease

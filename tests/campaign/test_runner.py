@@ -168,7 +168,8 @@ def test_resume_builds_no_ligand_of_a_finished_shard(
         expected = store.science_digest()
 
     # Killed on the first dock of the second shard.
-    monkeypatch.setattr(runner_mod, "dock", DockSpy(interrupt_before_call=shard_size + 1))
+    killer = DockSpy(interrupt_before_call=shard_size + 1)
+    monkeypatch.setattr(runner_mod, "dock", killer)
     with pytest.raises(KeyboardInterrupt):
         smi_runner("kill.sqlite").run()
     monkeypatch.setattr(runner_mod, "dock", real_dock)

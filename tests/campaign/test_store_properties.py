@@ -259,7 +259,9 @@ def draw_rows(rng):
         )
 
     base = rng.choice((0, 250, 65530, (1 << 32) - 3, 1 << 40))
-    steps = column(lambda: 1, lambda: rng.randint(1, 3), lambda: rng.randint(1, 1 << 20))
+    steps = column(
+        lambda: 1, lambda: rng.randint(1, 3), lambda: rng.randint(1, 1 << 20)
+    )
     ordinals = [base + sum(steps[: i + 1]) for i in range(n)]
     titles = column(
         lambda: "", lambda: "T", lambda: "ligand-µ%d" % rng.randint(0, 99),
@@ -267,7 +269,9 @@ def draw_rows(rng):
     )
     errors = column(lambda: None, lambda: "", lambda: rng.choice((None, "boom ±", "")))
     statuses = column(lambda: "done", lambda: rng.choice(_STATUSES))
-    attempts = column(lambda: 1, lambda: rng.randint(0, 300), lambda: rng.randint(0, 1 << 40))
+    attempts = column(
+        lambda: 1, lambda: rng.randint(0, 300), lambda: rng.randint(0, 1 << 40)
+    )
     fields = zip(
         titles, statuses, floats(), integers(), integers(), floats(), floats(),
         attempts, errors,
@@ -282,16 +286,23 @@ def check_layout_roundtrip(items, group_rows):
         ) as store:
             # Two input groups, so output groups are cut from slices of both.
             cut = len(items) // 2
-            groups = [_encode_group(part) for part in (items[:cut], items[cut:]) if part]
-            entry = store._write_segment(groups)
-            got = [row for group in store._read_groups([entry]) for row in _rows_of(group)]
+            halves = [part for part in (items[:cut], items[cut:]) if part]
+            entry = store._write_segment(map(_encode_group, halves))
+            got = [
+                row
+                for group in store._read_groups([entry])
+                for row in _rows_of(group)
+            ]
     assert repr(got) == repr(items)  # repr tells -0.0 from 0.0
 
 
 if HAVE_HYPOTHESIS:
 
     @settings(max_examples=60, deadline=None)
-    @given(rng=st.randoms(use_true_random=False), group_rows=st.sampled_from((1, 7, 65536)))
+    @given(
+        rng=st.randoms(use_true_random=False),
+        group_rows=st.sampled_from((1, 7, 65536)),
+    )
     def test_row_group_layout_roundtrip(rng, group_rows):
         check_layout_roundtrip(draw_rows(rng), group_rows)
 
