@@ -23,10 +23,7 @@ it records
 * ``score_one_fastpath_speedup`` — their ratio.
 
 Case-level, ``batched_speedup_vs_dense`` is the tentpole number (the
-acceptance bar is >= 1.5x at the mid-size cell), and the case feeds its own
-measurements into a :class:`~repro.scoring.autotune.CalibrationTable` to
-check the selector picks the fastest exact-family kernel from real data —
-the same loop ``repro-vs calibrate`` + ``--autotune`` runs at full scale.
+acceptance bar is >= 1.5x at the mid-size cell).
 
 Run standalone::
 
@@ -49,7 +46,6 @@ from repro.molecules.forcefield import default_forcefield
 from repro.molecules.spots import find_spots
 from repro.molecules.synthetic import generate_ligand, generate_receptor
 from repro.molecules.transforms import apply_poses, random_quaternion
-from repro.scoring.autotune import CalibrationCell, CalibrationTable, KernelSelector
 from repro.scoring.batched import BatchedLJScoring
 from repro.scoring.cutoff import CutoffLennardJonesScoring
 from repro.scoring.lennard_jones import LennardJonesScoring
@@ -67,16 +63,14 @@ SCORE_ONE_ITERS = 100
 #: Spots the pose batch is spread over, spot-major.
 N_SPOTS = 8
 
-#: name -> (factory, numerics family or None, oracle column)
+#: name -> (factory, oracle column)
 VARIANTS = {
-    "dense-f64": (lambda: LennardJonesScoring(), "exact", "lj"),
-    "tiled-f64": (lambda: TiledLennardJonesScoring(), "exact", "lj"),
-    "batched-f64": (lambda: BatchedLJScoring(), "exact", "lj"),
-    "cutoff-f64": (lambda: CutoffLennardJonesScoring(), None, "lj-cutoff"),
-    "cutoff-f32": (
-        lambda: CutoffLennardJonesScoring(dtype=np.float32), None, "lj-cutoff"
-    ),
-    "softcore-f64": (lambda: SoftcoreLJScoring(), None, "softcore"),
+    "dense-f64": (lambda: LennardJonesScoring(), "lj"),
+    "tiled-f64": (lambda: TiledLennardJonesScoring(), "lj"),
+    "batched-f64": (lambda: BatchedLJScoring(), "lj"),
+    "cutoff-f64": (lambda: CutoffLennardJonesScoring(), "lj-cutoff"),
+    "cutoff-f32": (lambda: CutoffLennardJonesScoring(dtype=np.float32), "lj-cutoff"),
+    "softcore-f64": (lambda: SoftcoreLJScoring(), "softcore"),
 }
 
 #: precision -> (rtol, atol, |oracle| ceiling), as tests/scoring has them:
@@ -158,8 +152,7 @@ def bench_case(name, n_rec, n_lig, poses, seed=41):
         ),
         "variants": {},
     }
-    exact_cells = []
-    for vname, (factory, family, column) in VARIANTS.items():
+    for vname, (factory, column) in VARIANTS.items():
         scorer = factory().bind(receptor, ligand)
 
         def launch(scorer=scorer):
@@ -201,37 +194,11 @@ def bench_case(name, n_rec, n_lig, poses, seed=41):
             "score_one_batch_path_us": slow_s * 1e6,
             "score_one_fastpath_speedup": slow_s / fast_s,
         }
-        if family == "exact":
-            variant_name = {
-                "dense-f64": "lennard-jones",
-                "tiled-f64": "lennard-jones-tiled",
-                "batched-f64": "lennard-jones-batched",
-            }[vname]
-            exact_cells.append(
-                CalibrationCell(
-                    receptor_atoms=n_rec,
-                    ligand_atoms=n_lig,
-                    worker_count=0,
-                    family="exact",
-                    variant=variant_name,
-                    chunk_size=scorer.chunk_size,
-                    poses_per_s=poses / batch_s,
-                )
-            )
 
     case["batched_speedup_vs_dense"] = (
         case["variants"]["batched-f64"]["poses_per_s"]
         / case["variants"]["dense-f64"]["poses_per_s"]
     )
-    # Close the autotune loop on real measurements: the selector must pick
-    # whichever exact kernel this very run measured fastest.
-    selection = KernelSelector(CalibrationTable(exact_cells)).select(
-        "exact", n_rec, n_lig, 0
-    )
-    fastest = max(exact_cells, key=lambda c: c.poses_per_s)
-    case["selector_variant"] = selection.variant
-    case["selector_chunk_size"] = selection.chunk_size
-    case["selector_picked_fastest"] = bool(selection.variant == fastest.variant)
     return case
 
 
@@ -269,17 +236,12 @@ def _report(artifact):
                 f"{v['score_one_batch_path_us']:10.1f} "
                 f"{v['score_one_fastpath_speedup']:7.2f}"
             )
-        lines.append(
-            f"  batched vs dense: {case['batched_speedup_vs_dense']:.2f}x; "
-            f"selector picked {case['selector_variant']} "
-            f"(chunk {case['selector_chunk_size']}, "
-            f"fastest={'yes' if case['selector_picked_fastest'] else 'NO'})"
-        )
+        lines.append(f"  batched vs dense: {case['batched_speedup_vs_dense']:.2f}x")
     return "\n".join(lines)
 
 
 def test_kernel_throughput_smoke(benchmark, tmp_path):
-    """CI smoke: batched beats dense and the selector picks it from data."""
+    """CI smoke: every variant passes the oracle and batched beats dense."""
     out = tmp_path / "kernel_throughput.json"
     artifact = benchmark.pedantic(
         lambda: run_benchmark(smoke=True, out_path=str(out)),
@@ -303,7 +265,6 @@ def test_kernel_throughput_smoke(benchmark, tmp_path):
         # a borderline-machine false failure would teach people to ignore
         # the gate. The committed baseline records the real ratio.
         assert case["batched_speedup_vs_dense"] >= 1.3, case
-        assert case["selector_picked_fastest"], case
 
 
 def main(argv=None):

@@ -90,12 +90,7 @@ __all__ = [
 #: Config keys that affect the science (scores/ranking); the hash covers
 #: exactly these. Execution knobs (host workers, balancing mode, node model)
 #: may change freely between run and resume — results are bitwise identical
-#: either way. Autotuning is hashed by the *content* of its calibration
-#: table, not the file path: a different table selects different kernels
-#: (low-order bits move with the GEMM shape), so a resume must replay the
-#: same selections; with autotune off both keys are left out of the config
-#: record and ``config.get`` hashes them as ``null``, which is what stores
-#: written before autotune existed hashed.
+#: either way.
 HASHED_KEYS = (
     "receptor_hash",
     "library",
@@ -105,6 +100,8 @@ HASHED_KEYS = (
     "seed",
     "workload_scale",
     "shard_size",
+    # The removed calibration-table kernel selection: always null now, which
+    # is what every store written without it hashed.
     "autotune",
     "calibration_hash",
 )
@@ -140,8 +137,6 @@ def campaign_config(
     node: NodeSpec | None,
     mode: str,
     receptor_descriptor: dict | None = None,
-    autotune: bool = False,
-    calibration_hash: str | None = None,
 ) -> dict:
     """Build the JSON-serialisable campaign configuration record."""
     spec_name = (
@@ -152,7 +147,7 @@ def campaign_config(
     scoring_name = (
         None if scoring is None else getattr(scoring, "name", type(scoring).__name__)
     )
-    config = {
+    return {
         "schema_version": 1,
         "receptor_hash": receptor_fingerprint(receptor),
         "receptor_title": receptor.title or "receptor",
@@ -167,11 +162,6 @@ def campaign_config(
         "node": None if node is None else node.name,
         "mode": mode,
     }
-    if autotune:
-        # Left out when off (hashed as null), so pre-autotune hashes hold.
-        config["autotune"] = True
-        config["calibration_hash"] = calibration_hash
-    return config
 
 
 def config_hash(config: dict) -> str:
@@ -274,9 +264,6 @@ class CampaignRunner:
         host_workers: int = 0,
         parallel_mode: str = "static",
         pipeline_depth: int | None = None,
-        autotune=False,
-        calibration_file: str | Path | None = None,
-        refine_calibration: bool = False,
         max_attempts: int = 3,
         backoff_base: float = 0.1,
         sleep: Callable[[float], None] = time.sleep,
@@ -345,46 +332,6 @@ class CampaignRunner:
         #: results are bitwise identical at every depth.
         self.pipeline_depth = int(pipeline_depth)
         self._runtime: PersistentHostRuntime | None = None
-        # --- input-aware kernel autotuning -----------------------------
-        # `autotune` is False, True (load `calibration_file`), or a
-        # ready-made AutotuneController (screen()/tests share one). The
-        # controller is built here so the table's content hash can enter
-        # the campaign config before any store is created.
-        from repro.scoring.autotune import AutotuneController, CalibrationTable
-
-        self.calibration_file = (
-            None if calibration_file is None else str(calibration_file)
-        )
-        self.refine_calibration = bool(refine_calibration)
-        self._autotune: AutotuneController | None = None
-        calibration_hash = None
-        if isinstance(autotune, AutotuneController):
-            self._autotune = autotune
-        elif autotune:
-            if self.calibration_file is None:
-                raise CampaignError(
-                    "autotune=True needs a calibration_file "
-                    "(write one with `repro-vs calibrate`)"
-                )
-            try:
-                table = CalibrationTable.load(self.calibration_file)
-            except Exception as exc:
-                raise CampaignError(str(exc)) from exc
-            self._autotune = AutotuneController(table)
-        self.autotune = self._autotune is not None
-        if self._autotune is not None:
-            calibration_hash = hashlib.sha256(
-                json.dumps(
-                    self._autotune.selector.table.to_json(), sort_keys=True
-                ).encode()
-            ).hexdigest()
-        if self.refine_calibration and (
-            not self.autotune or self.calibration_file is None
-        ):
-            raise CampaignError(
-                "refine_calibration needs autotune plus a calibration_file "
-                "to write the refined table back to"
-            )
         # --- distributed execution -------------------------------------
         # nodes >= 2 delegates _execute to the cluster fleet (nodes in
         # {0, 1} keeps the in-process single-node path — a "1-node cluster"
@@ -411,8 +358,6 @@ class CampaignRunner:
             node=node,
             mode=mode,
             receptor_descriptor=receptor_descriptor,
-            autotune=self.autotune,
-            calibration_hash=calibration_hash,
         )
         # Recorded for visibility only: the backend and pipeline depth are
         # execution knobs, deliberately outside HASHED_KEYS — sqlite and
@@ -452,14 +397,19 @@ class CampaignRunner:
         with obs.span("campaign.resume", config=self.config_hash[:12]) as span_tags:
             store = open_store(self.store_path)
             try:
+                if store.config.get("autotune"):
+                    raise CampaignError(
+                        f"store {self.store_path} records autotune: true, but "
+                        "kernel selection by calibration table was removed in "
+                        "this version; the campaign has to be re-run."
+                    )
                 if store.config_hash != self.config_hash:
                     raise CampaignError(
                         "campaign config mismatch: the store was created with "
                         f"config hash {store.config_hash[:12]}… but resume was "
                         f"given {self.config_hash[:12]}…. Receptor, library, "
-                        "seed, spots, metaheuristic, scoring, workload scale, "
-                        "shard size and autotune calibration must all match "
-                        "the original run."
+                        "seed, spots, metaheuristic, scoring, workload scale "
+                        "and shard size must all match the original run."
                     )
                 state = (
                     self.journal.replay() if self.journal is not None else None
@@ -531,7 +481,6 @@ class CampaignRunner:
                         n_workers=self.host_workers,
                         mode=self.parallel_mode,
                         scoring=self.scoring,
-                        autotune=self._autotune,
                         pipeline_depth=self.pipeline_depth,
                     )
                 # One shard of lookahead so the current shard's tail can
@@ -609,14 +558,6 @@ class CampaignRunner:
                 store.mark_complete(n_streamed)
                 if self.journal is not None:
                     self.journal.campaign_finish(n_streamed)
-                if (
-                    self._autotune is not None
-                    and self.refine_calibration
-                    and self.calibration_file is not None
-                ):
-                    # Only on clean completion: a crashed campaign must not
-                    # overwrite the table its resume will be hashed against.
-                    self._autotune.refined_table().save(self.calibration_file)
             except BaseException:
                 # Crash path: everything committed so far is durable; close the
                 # connection so the WAL checkpoints cleanly, then let it fly.
@@ -687,7 +628,6 @@ class CampaignRunner:
                 host_workers=self.host_workers,
                 parallel_mode=self.parallel_mode,
                 evaluator_factory=evaluator_factory,
-                autotune=self._autotune,
             )
 
         return dock_with_retry(
@@ -714,8 +654,6 @@ class CampaignRunner:
         result, wall_s = outcome["result"], outcome["wall_s"]
         obs.counter("campaign.ligands.done").inc()
         obs.histogram("campaign.dock.seconds").observe(wall_s)
-        if self._autotune is not None:
-            self._observe_throughput(result, wall_s)
         store.record_result(
             ordinal,
             title,
@@ -790,25 +728,6 @@ class CampaignRunner:
             for future, lease in inflight.values():
                 lease.release()
         return n_failed
-
-    def _observe_throughput(self, result, wall_s: float) -> None:
-        """Feed measured poses/s back into the autotune controller.
-
-        Prefers the per-worker telemetry gauges (they exclude campaign
-        overhead: staging, store writes, journal flushes); falls back to
-        evaluations / wall-clock when no worker gauge carries a sample —
-        the serial path.
-        """
-        rate = 0.0
-        for w in range(self.host_workers):
-            g = obs.gauge("host.worker.poses_per_s", worker=w)
-            v = float(getattr(g, "value", 0.0) or 0.0)
-            if v > 0.0:
-                rate += v
-        if rate <= 0.0 and wall_s > 0.0:
-            rate = result.evaluations / wall_s
-        if rate > 0.0:
-            self._autotune.observe(rate)
 
     def _emit_progress(
         self,

@@ -14,8 +14,6 @@ Subcommands:
 * ``metrics`` — inspect/convert a telemetry snapshot (``show``: text
   summary, JSON, Prometheus textfile, or Chrome/Perfetto trace), or put it
   behind an HTTP scrape endpoint (``serve``).
-* ``calibrate`` — sweep the scoring kernel variants over a grid of complex
-  sizes and write the calibration table that ``--autotune`` consumes.
 * ``tables`` — regenerate the paper's Tables 6–9 (simulated seconds).
 * ``devices`` — list the modelled hardware (Tables 1–3).
 """
@@ -83,34 +81,6 @@ def _add_host_runtime_args(sub: argparse.ArgumentParser) -> None:
         "host workers + 1; 1 = one ligand at a time; only affects "
         "multi-ligand runs; results are bitwise identical at every depth)",
     )
-
-
-def _add_autotune_args(sub: argparse.ArgumentParser, refine_flag: bool = False) -> None:
-    """Input-aware kernel-selection flags (``repro-vs calibrate`` output).
-
-    ``refine_flag`` adds ``--refine-calibration`` for campaign runs, where
-    online throughput observations can be persisted for the next campaign.
-    """
-    sub.add_argument(
-        "--autotune",
-        action="store_true",
-        help="pick the scoring kernel variant and chunk size per complex "
-        "size from a calibration table (requires --calibration-file); "
-        "scores stay bitwise identical to the serial reference path",
-    )
-    sub.add_argument(
-        "--calibration-file",
-        metavar="PATH",
-        help="calibration table written by `repro-vs calibrate`",
-    )
-    if refine_flag:
-        sub.add_argument(
-            "--refine-calibration",
-            action="store_true",
-            help="on clean completion, write throughput-refined cell "
-            "expectations back to --calibration-file for the next campaign "
-            "(selections never change mid-campaign)",
-        )
 
 
 def _positive_float(text: str) -> float:
@@ -351,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dock.add_argument("--max-torsions", type=int, default=6)
     _add_host_runtime_args(dock)
-    _add_autotune_args(dock)
     _add_metrics_args(dock)
 
     scr = sub.add_parser("screen", help="screen a synthetic ligand library")
@@ -363,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     scr.add_argument("--seed", type=int, default=0)
     scr.add_argument("--node", choices=("jupiter", "hertz"), default="hertz")
     _add_host_runtime_args(scr)
-    _add_autotune_args(scr)
     _add_metrics_args(scr)
 
     camp = sub.add_parser(
@@ -375,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_campaign_definition_args(crun)
     _add_journal_args(crun)
     _add_host_runtime_args(crun)
-    _add_autotune_args(crun, refine_flag=True)
     _add_cluster_args(crun)
     _add_metrics_args(crun)
     _add_campaign_observability_args(crun)
@@ -388,9 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Execution knobs may change between run and resume — scores cannot.
     _add_host_runtime_args(cres)
     _add_journal_args(cres)
-    # Autotuned campaigns are score-affecting config: resuming one needs
-    # the same calibration file so the config hash matches the store.
-    _add_autotune_args(cres, refine_flag=True)
     _add_cluster_args(cres)
     _add_metrics_args(cres)
     _add_campaign_observability_args(cres)
@@ -447,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_journal_args(ccoord)
     _add_host_runtime_args(ccoord)
-    _add_autotune_args(ccoord)
     _add_cluster_args(ccoord, nodes_flag=False)
     _add_metrics_args(ccoord)
     _add_campaign_observability_args(ccoord)
@@ -476,58 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="initial retry backoff in seconds (default 0.1)",
     )
-
-    cal = sub.add_parser(
-        "calibrate",
-        help="measure kernel-variant throughput over a grid of complex "
-        "sizes and write the table that --autotune consumes",
-    )
-    cal.add_argument("--out", required=True, help="calibration table JSON path")
-    cal.add_argument(
-        "--receptor-atoms",
-        type=_positive_int,
-        nargs="+",
-        default=[256, 1000, 3264],
-        metavar="N",
-        help="receptor sizes to sweep (default: 256 1000 3264 — the "
-        "paper's 2BSM/2BXG scale plus a small cell)",
-    )
-    cal.add_argument(
-        "--ligand-atoms",
-        type=_positive_int,
-        nargs="+",
-        default=[16, 32, 48],
-        metavar="N",
-        help="ligand sizes to sweep (default: 16 32 48)",
-    )
-    cal.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        nargs="+",
-        default=[0],
-        metavar="N",
-        help="host worker counts to sweep (0 = serial; default: 0)",
-    )
-    cal.add_argument(
-        "--families",
-        choices=("exact", "cutoff-float32", "cutoff-float64"),
-        nargs="+",
-        default=["exact", "cutoff-float32"],
-        help="numerics families to calibrate (default: exact cutoff-float32)",
-    )
-    cal.add_argument(
-        "--poses",
-        type=_positive_int,
-        default=256,
-        help="poses per timing batch (default 256)",
-    )
-    cal.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=3,
-        help="timing repeats per candidate; best-of is recorded (default 3)",
-    )
-    cal.add_argument("--seed", type=int, default=0)
 
     met = sub.add_parser(
         "metrics", help="inspect or serve telemetry snapshots"
@@ -662,8 +573,6 @@ def _cmd_dock(args: argparse.Namespace) -> int:
         node=node,
         host_workers=args.host_workers,
         parallel_mode=args.parallel_mode,
-        autotune=args.autotune,
-        calibration_file=args.calibration_file,
     )
     print(
         f"best score {result.best_score:.3f} kcal/mol at spot "
@@ -698,8 +607,6 @@ def _cmd_screen(args: argparse.Namespace) -> int:
         node=node,
         host_workers=args.host_workers,
         parallel_mode=args.parallel_mode,
-        autotune=args.autotune,
-        calibration_file=args.calibration_file,
         pipeline_depth=args.pipeline_depth,
     )
     print(report.to_text())
@@ -881,9 +788,6 @@ def _execution_kwargs(
         "host_workers": args.host_workers,
         "parallel_mode": args.parallel_mode,
         "pipeline_depth": args.pipeline_depth,
-        "calibration_file": args.calibration_file,
-        # `cluster coordinator` has no --refine-calibration flag.
-        "refine_calibration": getattr(args, "refine_calibration", False),
         "max_attempts": args.max_attempts,
         "progress": progress,
         "nodes": nodes,
@@ -908,7 +812,6 @@ def _new_campaign_runner(
         workload_scale=args.scale,
         shard_size=args.shard_size,
         node=_campaign_node(args.node),
-        autotune=args.autotune,
         receptor_descriptor=receptor_descriptor,
         **_execution_kwargs(args, progress, nodes, cluster),
     )
@@ -956,7 +859,6 @@ def _rebuild_campaign_runner(
         shard_size=int(config["shard_size"]),
         node=_campaign_node(config.get("node")),
         mode=str(config.get("mode", "gpu-heterogeneous")),
-        autotune=args.autotune or bool(config.get("autotune", False)),
         receptor_descriptor=receptor_desc,
         **_execution_kwargs(args, progress, nodes, cluster),
     )
@@ -1122,38 +1024,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         "worker": _cmd_cluster_worker,
     }
     return commands[args.cluster_command](args)
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.scoring.autotune import run_calibration_sweep
-
-    table = run_calibration_sweep(
-        receptor_atoms=tuple(args.receptor_atoms),
-        ligand_atoms=tuple(args.ligand_atoms),
-        worker_counts=tuple(args.workers),
-        families=tuple(args.families),
-        poses=args.poses,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    table.save(args.out)
-    print(
-        f"calibrated {len(table.cells)} cells "
-        f"({len(args.receptor_atoms)} receptor x {len(args.ligand_atoms)} "
-        f"ligand sizes, workers {args.workers}, "
-        f"families {' '.join(args.families)})"
-    )
-    header = f"{'receptor':>9s} {'ligand':>7s} {'workers':>7s}  {'family':<15s} {'variant':<22s} {'chunk':>6s} {'poses/s':>12s}"
-    print(header)
-    for cell in table.cells:
-        print(
-            f"{cell.receptor_atoms:9d} {cell.ligand_atoms:7d} "
-            f"{cell.worker_count:7d}  {cell.family:<15s} "
-            f"{cell.variant:<22s} {cell.chunk_size:6d} "
-            f"{cell.poses_per_s:12.0f}"
-        )
-    print(f"wrote calibration table to {args.out}")
-    return 0
 
 
 def _cmd_metrics_show(args: argparse.Namespace) -> int:
@@ -1354,7 +1224,6 @@ def main(argv: list[str] | None = None) -> int:
         "screen": _cmd_screen,
         "campaign": _cmd_campaign,
         "cluster": _cmd_cluster,
-        "calibrate": _cmd_calibrate,
         "metrics": _cmd_metrics,
         "doctor": _cmd_doctor,
         "tables": _cmd_tables,

@@ -99,11 +99,6 @@ class ClusterCampaign:
                 "a custom MetaheuristicSpec cannot cross the cluster node "
                 "boundary; use a preset name (M1-M4) or run with nodes=0"
             )
-        if runner.refine_calibration:
-            raise ClusterError(
-                "refine_calibration is not supported with nodes >= 2: worker "
-                "nodes cannot fold their observations into one table safely"
-            )
         self.runner = runner
         self.nodes = int(nodes)
         self.cluster = cluster if cluster is not None else ClusterConfig()
@@ -150,13 +145,15 @@ class ClusterCampaign:
         seen_titles: set[str] = set()
         tasks: list[ShardTask] = []
         n_streamed = 0
-        for shard, items in iter_shards(runner.source, runner.shard_size):
-            titled = [
-                (ordinal, ligand, resolve_title(ligand.title, ordinal, seen_titles))
-                for ordinal, ligand in items
-            ]
+        # Finished shards come as (ordinal, title): none of their ligands
+        # is built just to name it.
+        for shard, items in iter_shards(
+            runner.source, runner.shard_size, skip=finished
+        ):
             n_streamed += len(items)
             if shard.shard_id in finished:
+                for ordinal, title in items:
+                    resolve_title(title, ordinal, seen_titles)
                 obs.counter("campaign.shards.skipped").inc()
                 continue
             tasks.append(
@@ -165,8 +162,12 @@ class ClusterCampaign:
                     start=shard.start,
                     stop=shard.stop,
                     items=tuple(
-                        (ordinal, title, ligand_to_payload(ligand) if ship else None)
-                        for ordinal, ligand, title in titled
+                        (
+                            ordinal,
+                            resolve_title(ligand.title, ordinal, seen_titles),
+                            ligand_to_payload(ligand) if ship else None,
+                        )
+                        for ordinal, ligand in items
                     ),
                 )
             )
@@ -176,11 +177,6 @@ class ClusterCampaign:
         """Everything a worker needs to rebuild the campaign locally."""
         runner = self.runner
         library_kind = runner.config["library"].get("kind")
-        calibration = (
-            None
-            if runner._autotune is None
-            else runner._autotune.selector.table.to_json()
-        )
         return {
             "campaign": {
                 "seed": runner.seed,
@@ -204,7 +200,6 @@ class ClusterCampaign:
                 if library_kind in _DESCRIPTOR_KINDS
                 else None
             ),
-            "calibration": calibration,
             "trace": self.trace_id,
             "flight_dir": (
                 None if self.flight_dir is None else str(self.flight_dir)

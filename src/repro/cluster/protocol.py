@@ -70,8 +70,10 @@ __all__ = [
 
 #: Bumped on any incompatible wire change; ``hello`` carries it and the
 #: coordinator refuses mismatched workers. 2: the per-spot pruning field
-#: left ``config.execution`` (a v1 worker reads it unconditionally).
-PROTOCOL_VERSION: int = 2
+#: left ``config.execution`` (a v1 worker reads it unconditionally). 3: the
+#: kernel-selection table left ``config`` (a v2 coordinator may send one and
+#: a v3 worker would dock without it).
+PROTOCOL_VERSION: int = 3
 
 #: Every legal ``kind`` value (either direction).
 MESSAGE_KINDS: frozenset[str] = frozenset(

@@ -14,7 +14,7 @@ Lifecycle (one TCP channel, messages per :mod:`repro.cluster.protocol`):
 
 1. dial the coordinator (bounded retry), send ``hello``;
 2. receive ``config`` — campaign science settings, execution knobs, the
-   receptor inline, optionally the library descriptor and autotune table;
+   receptor inline, optionally the library descriptor;
 3. dock one warm-up probe ligand, send ``warmup`` with the measured seconds
    (the coordinator's Eq. 1 input — this same dock also warms the pool);
 4. serve: process leased ligands one at a time, interleaving protocol
@@ -102,7 +102,6 @@ class WorkerNode:
             self.cluster = ClusterConfig.from_wire(config_message["cluster"])
             self.receptor = receptor_from_payload(config_message["receptor"])
             self.library = config_message.get("library")
-            calibration = config_message.get("calibration")
             self.seed = int(campaign["seed"])
             self.n_spots = int(campaign["n_spots"])
             self.metaheuristic = str(campaign["metaheuristic"])
@@ -130,11 +129,6 @@ class WorkerNode:
             else Path(flight_dir) / f"node{self.node_id}.flight"
         )
         self._telemetry_shipped_t = 0.0
-        self._autotune = None
-        if calibration is not None:
-            from repro.scoring.autotune import AutotuneController, CalibrationTable
-
-            self._autotune = AutotuneController(CalibrationTable.from_json(calibration))
         self._source = None  # built lazily from the library descriptor
         self._runtime = None
         self._leases: deque[_Lease] = deque()
@@ -162,7 +156,6 @@ class WorkerNode:
                 n_workers=self.host_workers,
                 mode=self.parallel_mode,
                 scoring=self.scoring,
-                autotune=self._autotune,
             )
 
     def probe(self) -> float:
@@ -320,7 +313,6 @@ class WorkerNode:
             evaluator_factory=(
                 None if self._runtime is None else self._runtime.evaluator_factory
             ),
-            autotune=self._autotune,
         )
 
     def _dock_with_retry(

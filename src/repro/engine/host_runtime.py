@@ -357,9 +357,8 @@ def stage_scorer(
             "ligand_coords": varying("ligand_coords", scorer.ligand_coords),
         }
     if isinstance(scorer, BoundBatchedLJ):
-        # The tuned chunk_size rides in the spec, so persistent-pool rebind
-        # messages carry the autotuner's (variant, chunk_size) decision and
-        # workers rebuild exactly the kernel the parent selected.
+        # chunk_size rides in the spec, so workers rebuild exactly the
+        # kernel shape the parent bound.
         return {
             "kind": "batched",
             "n_receptor": scorer.receptor.n_atoms,
@@ -1179,10 +1178,6 @@ class ParallelSpotEvaluator:
                     # feeds share_drift(): observed pose share vs the Eq. 1
                     # plan, the campaign runtime's re-measure trigger
                     self._drift_poses[worker] += stat["poses"]
-                if stat["busy_s"] > 0:
-                    obs.gauge("host.worker.poses_per_s", worker=worker).set(
-                        stat["poses"] / stat["busy_s"]
-                    )
             if self.mode == "dynamic" and self.n_workers > 1:
                 even_share = -(-n_jobs // self.n_workers)  # ceil
                 steals = sum(
@@ -1536,7 +1531,6 @@ class PersistentHostRuntime:
         remeasure_interval: int = DEFAULT_REMEASURE_INTERVAL,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
         prefetch: bool = True,
-        autotune=None,
         pipeline_depth: int = 1,
     ) -> None:
         if n_workers < 1:
@@ -1558,11 +1552,6 @@ class PersistentHostRuntime:
             if scoring is not None
             else CutoffLennardJonesScoring(dtype=np.float32)
         )
-        #: Optional :class:`repro.scoring.autotune.AutotuneController`; when
-        #: set, every ligand bind resolves (variant, chunk_size) through it,
-        #: and the tuned scorer flows through staging/rebind to the workers
-        #: (so the Eq. 1 warm-up measures the tuned kernel too).
-        self.autotune = autotune
         self.warmup = bool(warmup)
         self.remeasure_interval = int(remeasure_interval)
         self.drift_threshold = float(drift_threshold)
@@ -1593,14 +1582,6 @@ class PersistentHostRuntime:
         """The owned evaluator, or ``None`` before the first lease."""
         return self._evaluator
 
-    def _bind(self, ligand) -> BoundScorer:
-        scoring = self.scoring
-        if self.autotune is not None:
-            scoring = self.autotune.resolve(
-                scoring, self.receptor.n_atoms, ligand.n_atoms, self.n_workers
-            )
-        return scoring.bind(self.receptor, ligand)
-
     def _bind_and_stage(self, ligand):
         """Stager-thread job: bind + stage into a free slot bank.
 
@@ -1608,7 +1589,7 @@ class PersistentHostRuntime:
         bindings the prefetch simply skips staging (``spec=None``) rather
         than deadlock the stager behind a dock thread's release.
         """
-        scorer = self._bind(ligand)
+        scorer = self.scoring.bind(self.receptor, ligand)
         return scorer, self._evaluator.stage_ligand(scorer, blocking=False)
 
     def _take_prefetched(self, ligand):
@@ -1694,7 +1675,7 @@ class PersistentHostRuntime:
             if self._evaluator is None:
                 # First lease: spawn the pool, banks sized for the depth.
                 self._evaluator = ParallelSpotEvaluator(
-                    self._bind(ligand),
+                    self.scoring.bind(self.receptor, ligand),
                     n_workers=self.n_workers,
                     mode=self.mode,
                     warmup=self.warmup,
@@ -1709,7 +1690,7 @@ class PersistentHostRuntime:
                     if spec is None:  # bound by the prefetch, banks were full
                         spec = self._evaluator.stage_ligand(scorer)
                 else:
-                    scorer = self._bind(ligand)
+                    scorer = self.scoring.bind(self.receptor, ligand)
                     spec = self._evaluator.stage_ligand(scorer)
                 binding = self._evaluator.bind_ligand(scorer, spec)
                 rebind_s = time.perf_counter() - t0

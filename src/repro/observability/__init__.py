@@ -11,7 +11,7 @@ Usage is one import away from any hot path::
     from repro import observability as obs
 
     obs.counter("campaign.ligands.done").inc()
-    obs.gauge("host.worker.poses_per_s", worker=3).set(1.2e4)
+    obs.gauge("host.warmup.weight", worker=3).set(0.26)
     obs.histogram("campaign.dock.seconds").observe(0.8)
     with obs.span("warmup", workers=4) as tags:
         tags["elapsed_s"] = run()            # late annotation

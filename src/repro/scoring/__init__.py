@@ -1,13 +1,5 @@
 """Scoring functions: the fitness landscape the metaheuristics optimise."""
 
-from repro.scoring.autotune import (
-    AutotuneController,
-    CalibrationCell,
-    CalibrationTable,
-    KernelSelector,
-    run_calibration_sweep,
-    scoring_family,
-)
 from repro.scoring.base import (
     CHUNK_BUDGET_BYTES,
     OPS_PER_LJ_PAIR,
@@ -46,7 +38,6 @@ __all__ = [
     "CHUNK_BUDGET_BYTES",
     "DEFAULT_TILE",
     "OPS_PER_LJ_PAIR",
-    "AutotuneController",
     "BatchedLJScoring",
     "BoundBatchedLJ",
     "BoundComposite",
@@ -59,14 +50,11 @@ __all__ = [
     "BoundScorer",
     "BoundSoftcoreLJ",
     "BoundTiledLennardJones",
-    "CalibrationCell",
-    "CalibrationTable",
     "CompositeScoring",
     "CoulombScoring",
     "CutoffLennardJonesScoring",
     "GridMapScoring",
     "HydrogenBondScoring",
-    "KernelSelector",
     "LennardJonesScoring",
     "ReferenceLJScoring",
     "ScoringFunction",
@@ -80,6 +68,4 @@ __all__ = [
     "lj_energy_from_r2",
     "make_lj_coulomb",
     "register_scoring",
-    "run_calibration_sweep",
-    "scoring_family",
 ]

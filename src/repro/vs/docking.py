@@ -34,26 +34,6 @@ def _resolve_spec(metaheuristic: str | MetaheuristicSpec, workload_scale: float)
     return make_preset(metaheuristic, workload_scale)
 
 
-def _resolve_autotune(autotune, calibration_file):
-    """Normalise the (autotune, calibration_file) inputs to a controller."""
-    from repro.scoring.autotune import AutotuneController
-
-    if autotune is None or autotune is False:
-        return None
-    if isinstance(autotune, AutotuneController):
-        return autotune
-    if autotune is True:
-        if calibration_file is None:
-            raise ReproError(
-                "autotune=True needs a calibration_file "
-                "(write one with `repro-vs calibrate`)"
-            )
-        return AutotuneController.from_file(calibration_file)
-    raise ReproError(
-        f"autotune must be a bool or AutotuneController, got {type(autotune).__name__}"
-    )
-
-
 def dock(
     receptor: Receptor,
     ligand: Ligand,
@@ -68,8 +48,6 @@ def dock(
     host_workers: int = 0,
     parallel_mode: str = "static",
     evaluator_factory=None,
-    autotune=None,
-    calibration_file=None,
 ) -> DockingResult:
     """Dock ``ligand`` against every surface spot of ``receptor``.
 
@@ -111,19 +89,9 @@ def dock(
         spots) -> Evaluator`` (e.g.
         :meth:`repro.engine.host_runtime.LigandLease.evaluator_factory`).
         When given it takes precedence over ``scoring``/``host_workers``/
-        ``parallel_mode``/``autotune`` — binding and pooling belong to the
-        owner — and the evaluator is *not* closed here; its lifecycle stays
-        with the caller (a campaign keeps one pool across ligands).
-    autotune:
-        Input-aware kernel selection (:mod:`repro.scoring.autotune`).
-        ``True`` loads ``calibration_file`` into a fresh controller; an
-        :class:`~repro.scoring.autotune.AutotuneController` instance is
-        used as-is (a campaign shares one across ligands). The selected
-        ``(variant, chunk_size)`` replaces the kernel shape only — physics
-        parameters and the numerics family come from ``scoring``.
-    calibration_file:
-        Path to a ``repro-vs calibrate`` table; required when
-        ``autotune=True``.
+        ``parallel_mode`` — binding and pooling belong to the owner — and
+        the evaluator is *not* closed here; its lifecycle stays with the
+        caller (a campaign keeps one pool across ligands).
 
     Returns
     -------
@@ -145,11 +113,6 @@ def dock(
         scoring = (
             scoring if scoring is not None else CutoffLennardJonesScoring(dtype=np.float32)
         )
-        controller = _resolve_autotune(autotune, calibration_file)
-        if controller is not None:
-            scoring = controller.resolve(
-                scoring, receptor.n_atoms, ligand.n_atoms, host_workers
-            )
         scorer = scoring.bind(receptor, ligand)
         if host_workers > 0:
             evaluator = ParallelSpotEvaluator(

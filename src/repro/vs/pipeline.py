@@ -51,13 +51,6 @@ class PipelineConfig:
     parallel_mode:
         ``"static"`` or ``"dynamic"`` host scheduling (with
         ``host_workers > 0``).
-    autotune:
-        Input-aware kernel selection (:mod:`repro.scoring.autotune`):
-        pick ``(variant, chunk_size)`` per complex-size cell from a
-        calibration table. Requires ``calibration_file``.
-    calibration_file:
-        Path to a ``repro-vs calibrate`` table; required when
-        ``autotune`` is on.
     nodes:
         When >= 2, :meth:`VirtualScreeningPipeline.screen` distributes the
         library over a local fleet of worker-node processes
@@ -80,8 +73,6 @@ class PipelineConfig:
     seed: int = 0
     host_workers: int = 0
     parallel_mode: str = "static"
-    autotune: bool = False
-    calibration_file: str | None = None
     nodes: int = 0
     pipeline_depth: int | None = None
 
@@ -100,11 +91,6 @@ class PipelineConfig:
             raise ReproError(
                 "parallel_mode must be 'static' or 'dynamic', "
                 f"got {self.parallel_mode!r}"
-            )
-        if self.autotune and self.calibration_file is None:
-            raise ReproError(
-                "autotune=True needs a calibration_file "
-                "(write one with `repro-vs calibrate`)"
             )
         if self.nodes < 0:
             raise ReproError(f"nodes must be >= 0, got {self.nodes}")
@@ -168,8 +154,6 @@ class VirtualScreeningPipeline:
             mode=self.config.mode,
             host_workers=self.config.host_workers,
             parallel_mode=self.config.parallel_mode,
-            autotune=self.config.autotune,
-            calibration_file=self.config.calibration_file,
         )
 
     def screen(self, receptor: Receptor, ligands: list[Ligand]) -> ScreeningReport:
@@ -186,8 +170,6 @@ class VirtualScreeningPipeline:
             mode=self.config.mode,
             host_workers=self.config.host_workers,
             parallel_mode=self.config.parallel_mode,
-            autotune=self.config.autotune,
-            calibration_file=self.config.calibration_file,
             nodes=self.config.nodes,
             pipeline_depth=self.config.pipeline_depth,
         )

@@ -54,8 +54,6 @@ def screen(
     mode: str = "gpu-heterogeneous",
     host_workers: int = 0,
     parallel_mode: str = "static",
-    autotune=False,
-    calibration_file: str | None = None,
     nodes: int = 0,
     cluster=None,
     pipeline_depth: int | None = None,
@@ -71,13 +69,6 @@ def screen(
     ``host_workers > 0`` the worker pool, staged receptor and Eq. 1 warm-up
     persist across the whole library: each ligand is a lease on the one
     pool, not a pool spawn.
-
-    ``autotune`` (with ``calibration_file``, or a ready-made
-    :class:`~repro.scoring.autotune.AutotuneController`) turns on
-    input-aware kernel selection: one controller is shared across the whole
-    library, so every ligand that lands in the same feature cell reuses the
-    pinned ``(variant, chunk_size)``. For a fixed calibration table the
-    scores stay bitwise identical to the serial reference path.
 
     ``pipeline_depth`` (default ``host_workers + 1``) co-schedules that many
     ligands through the persistent pool at once: one ligand's
@@ -123,8 +114,6 @@ def screen(
         mode=mode,
         host_workers=host_workers,
         parallel_mode=parallel_mode,
-        autotune=autotune,
-        calibration_file=calibration_file,
         max_attempts=1,
         raise_on_failure=True,
         nodes=nodes,

@@ -143,12 +143,21 @@ def test_kill_mid_shard_then_resume_is_bitwise_identical(
         assert ranking(store) == expected
 
 
-@pytest.mark.parametrize("dedup", [True, False])
+@pytest.mark.parametrize(
+    "dedup,resume_nodes",
+    [
+        pytest.param(True, 0, id="True"),
+        pytest.param(False, 0, id="False"),
+        pytest.param(False, 2, id="fleet"),
+    ],
+)
 def test_resume_builds_no_ligand_of_a_finished_shard(
-    receptor, tmp_path, monkeypatch, dedup
+    receptor, tmp_path, monkeypatch, dedup, resume_nodes
 ):
     # Seven lines, titles B and E repeated: five ligands with dedup, seven
     # (two of them stored as "B#3" and "E#6") without; three shards each way.
+    # A fleet resume plans in this process (the spy sees it) and docks in
+    # worker processes (it does not).
     import repro.campaign.library as library_mod
     from repro.campaign import SmilesSource
 
@@ -156,11 +165,12 @@ def test_resume_builds_no_ligand_of_a_finished_shard(
     smi.write_text("CCO A\nCCN B\nCCC C\nCCCl B\nc1ccccc1 D\nCCBr E\nCCF E\n")
     n, shard_size = (5, 2) if dedup else (7, 3)
 
-    def smi_runner(name):
+    def smi_runner(name, nodes=0):
         return CampaignRunner(
             receptor, SmilesSource(smi, seed=4, dedup=dedup, atoms_range=(8, 12)),
             store_path=tmp_path / name, n_spots=2, metaheuristic="M1", seed=SEED,
             workload_scale=0.05, shard_size=shard_size, backoff_base=0.0,
+            nodes=nodes,
         )
 
     with smi_runner("ref.sqlite").run() as store:
@@ -182,7 +192,7 @@ def test_resume_builds_no_ligand_of_a_finished_shard(
         return real_generate(n_atoms, **kwargs)
 
     monkeypatch.setattr(library_mod, "generate_ligand", spy)
-    with smi_runner("kill.sqlite").resume() as store:
+    with smi_runner("kill.sqlite", resume_nodes).resume() as store:
         assert store.science_digest() == expected
     # Once per ligand of the unfinished shards, none for the finished one.
     titles = ["A", "B", "C", "D", "E"] if dedup else ["A", "B", "C", "B", "D", "E", "E"]
@@ -418,6 +428,54 @@ def test_resume_of_a_store_written_while_pruning_was_an_option(
         assert store.config["prune_spots"] is False
         assert store.is_complete()
         assert store.science_digest() == expected
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "columnar"])
+def test_store_written_without_autotune_keeps_its_hash(receptor, tmp_path, backend):
+    """The constant was printed by 24c88e5, the last commit with the option,
+    for this campaign run without it."""
+    with make_runner(receptor, tmp_path, store_backend=backend).run() as store:
+        assert "autotune" not in store.config
+        assert store.config_hash == (
+            "d964735e9c85a790c458171015baf2e598e2746ad806ab4bd09d2b7cafc78331"
+        )
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "columnar"])
+def test_store_that_records_autotune_is_refused_by_name(
+    receptor, tmp_path, monkeypatch, capsys, backend
+):
+    from repro.cli import main
+
+    path = tmp_path / f"c.{backend}"
+    knobs = dict(
+        name=path.name,
+        store_backend=backend,
+        receptor_descriptor={"kind": "synthetic", "n_atoms": 300, "seed": 11},
+    )
+    with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+        patch.setattr(runner_mod, "dock", DockSpy(interrupt_before_call=4))
+        make_runner(receptor, tmp_path, **knobs).run()
+    with open_store(path) as store:
+        config = {**store.config, "autotune": True, "calibration_hash": "ab" * 32}
+    # The same store as 24c88e5 wrote it with --autotune.
+    if backend == "sqlite":
+        with open_store(path) as store:
+            store._set_meta("config", json.dumps(config, sort_keys=True))
+            store._set_meta("config_hash", config_hash(config))
+    else:
+        meta = json.loads((path / "meta.json").read_text())
+        meta.update(config=config, config_hash=config_hash(config))
+        (path / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+
+    spy = DockSpy()
+    monkeypatch.setattr(runner_mod, "dock", spy)
+    refusal = "records autotune: true.*was removed.*has to be re-run"
+    with pytest.raises(CampaignError, match=refusal):
+        make_runner(receptor, tmp_path, **knobs).resume()
+    assert main(["campaign", "resume", "--store", str(path)]) == 2
+    assert "records autotune: true" in capsys.readouterr().err
+    assert spy.calls == 0
 
 
 def test_runner_validation(receptor, tmp_path):

@@ -107,7 +107,7 @@ def test_channel_send_recv_and_close(pair):
 
 
 def test_hello_from_another_protocol_version_is_turned_away(pair):
-    """A v1 worker reads a config field that no longer exists, so the
+    """A v2 worker expects a config field that no longer exists, so the
     coordinator answers its hello with shutdown and never registers it."""
     from repro.cluster import PROTOCOL_VERSION, ClusterConfig
     from repro.cluster.coordinator import Coordinator
@@ -123,8 +123,8 @@ def test_hello_from_another_protocol_version_is_turned_away(pair):
     )
     a, b = pair
     worker = Channel(b, timeout=5.0)
-    assert PROTOCOL_VERSION == 2
-    worker.send({"kind": "hello", "protocol": 1, "pid": 1})
+    assert PROTOCOL_VERSION == 3
+    worker.send({"kind": "hello", "protocol": 2, "pid": 1})
     coordinator._serve_connection(Channel(a, timeout=5.0))
     reply = worker.recv()
     assert (reply["kind"], reply["reason"]) == ("shutdown", "protocol mismatch")

@@ -9,6 +9,7 @@ when a worker dies mid-flight. Campaign-side, every pooled ligand is a
 
 from __future__ import annotations
 
+import math
 import os
 from multiprocessing import shared_memory
 
@@ -27,8 +28,12 @@ from repro.engine.host_runtime import (
 )
 from repro.errors import ScoringError, WorkerPoolError
 from repro.metaheuristics.evaluation import SerialEvaluator
+from repro.molecules.synthetic import generate_ligand, generate_receptor
+from repro.scoring.batched import BatchedLJScoring, BoundBatchedLJ
 from repro.scoring.cutoff import CutoffLennardJonesScoring
 from repro.scoring.lennard_jones import LennardJonesScoring
+from repro.vs.docking import dock
+from repro.vs.screening import screen
 
 
 @pytest.fixture()
@@ -267,8 +272,6 @@ def _cutoff(receptor, ligand):
 
 
 def _ligands(sizes, base_seed=50):
-    from repro.molecules.synthetic import generate_ligand
-
     return [generate_ligand(n, seed=base_seed + n) for n in sizes]
 
 
@@ -363,7 +366,7 @@ def test_persistent_runtime_reuses_then_remeasures_warmup(receptor, spots, launc
         for lig in ligands:
             lease = rt.lease(lig)
             ev = lease.evaluator_factory(receptor, lig, spots)
-            serial = SerialEvaluator(rt._bind(lig)).evaluate(spot_ids, t, q)
+            serial = SerialEvaluator(_cutoff(receptor, lig)).evaluate(spot_ids, t, q)
             assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
             lease.release()
         assert rt.ligands_bound == len(ligands)
@@ -383,7 +386,7 @@ def test_persistent_runtime_prefetch_stages_next_ligand(receptor, spots, launch)
                 rt.hint_next(ligands[i + 1])
             lease = rt.lease(lig)
             ev = lease.evaluator_factory(receptor, lig, spots)
-            serial = SerialEvaluator(rt._bind(lig)).evaluate(spot_ids, t, q)
+            serial = SerialEvaluator(_cutoff(receptor, lig)).evaluate(spot_ids, t, q)
             assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
             lease.release()
     # Ligands 1 and 2 were bound + staged by the stager thread while their
@@ -412,8 +415,6 @@ def test_persistent_runtime_same_ligand_reacquire_restages_nothing(
 
 
 def test_evaluator_factory_validates_receptor_and_spots(receptor, spots, ligand):
-    from repro.molecules.synthetic import generate_receptor
-
     other = generate_receptor(120, seed=99)
     rt = PersistentHostRuntime(receptor, spots, n_workers=1, prefetch=False)
     try:
@@ -606,3 +607,96 @@ def test_released_bank_is_reused_by_next_lease(receptor, spots, launch):
     finally:
         rt.close()
     _assert_no_segments(names)
+
+
+# ----------------------------------------------------------------------
+# Batched exact LJ: chunk_size rides the spec to workers
+# ----------------------------------------------------------------------
+def test_stage_rebuild_batched_round_trip_bitwise(receptor, ligand, pose_batch):
+    scorer = BatchedLJScoring(chunk_size=5).bind(receptor, ligand)
+    t, q = pose_batch
+    stage, slots = SharedArrayStage(), LigandSlotStage()
+    try:
+        spec = stage_scorer(scorer, stage, slots, {})
+        assert spec["kind"] == "batched", "batched scorers stage structurally"
+        assert spec["chunk_size"] == 5, "the tuned chunk size rides the spec"
+        rebuilt = rebuild_scorer(spec)
+        assert isinstance(rebuilt, BoundBatchedLJ)
+        assert rebuilt.chunk_size == 5
+        assert np.array_equal(rebuilt.score(t, q), scorer.score(t, q))
+    finally:
+        stage.close()
+        slots.close()
+
+
+# ----------------------------------------------------------------------
+# Parity matrix: batched scorer through the full screen() stack
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def parity_complexes():
+    receptor = generate_receptor(150, seed=5, title="batched parity receptor")
+    ligands = [
+        generate_ligand(8 + i, seed=40 + i, title=f"L{i}") for i in range(3)
+    ]
+    return receptor, ligands
+
+
+def _entries(report):
+    return [
+        (e.ligand_title, e.best_score, e.best_spot, e.evaluations)
+        for e in report.entries
+    ]
+
+
+def _run_batched(receptor, ligands, workers, mode, campaign):
+    """The library by title: through ``screen()`` (every ligand a lease on
+    one pool) or, ``campaign=False``, one one-shot ``dock()`` per ligand."""
+    knobs = dict(
+        n_spots=2,
+        metaheuristic="M1",
+        scoring=BatchedLJScoring(),
+        workload_scale=0.02,
+        host_workers=workers,
+        parallel_mode=mode,
+    )
+    if campaign:
+        return sorted(_entries(screen(receptor, ligands, seed=9, **knobs)))
+    results = [
+        dock(receptor, ligand, seed=9 + i, **knobs)
+        for i, ligand in enumerate(ligands)
+    ]
+    return sorted(
+        (r.ligand.title, r.best_score, r.best.spot_index, r.evaluations)
+        for r in results
+    )
+
+
+@pytest.fixture(scope="module")
+def serial_batched_entries(parity_complexes):
+    receptor, ligands = parity_complexes
+    return _run_batched(receptor, ligands, 0, "static", True)
+
+
+@pytest.mark.parametrize(
+    "workers,mode,campaign",
+    [
+        (1, "static", True),
+        (4, "static", True),
+        (4, "dynamic", True),
+        (4, "static", False),
+        (4, "dynamic", False),
+    ],
+)
+def test_batched_parallel_matches_serial_bitwise(
+    parity_complexes, serial_batched_entries, workers, mode, campaign
+):
+    receptor, ligands = parity_complexes
+    got = _run_batched(receptor, ligands, workers, mode, campaign)
+    assert len(got) == len(serial_batched_entries) == len(ligands)
+    for a, b in zip(got, serial_batched_entries):
+        assert a[0] == b[0] and a[2] == b[2] and a[3] == b[3]
+        assert math.isfinite(a[1])
+        assert a[1] == b[1], (
+            f"batched score drifted: {a} vs serial {b} "
+            f"(workers={workers} mode={mode} campaign={campaign})"
+        )

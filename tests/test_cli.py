@@ -223,25 +223,6 @@ def test_live_campaign_series_and_trace_through_the_cli(tmp_path):
     assert json.loads(trace_out.read_text())["traceEvents"]
 
 
-def test_calibrate_then_autotuned_campaign_through_the_cli(capsys, tmp_path):
-    import json
-
-    table = tmp_path / "calibration.json"
-    assert main([
-        "calibrate", "--out", str(table), "--receptor-atoms", "150",
-        "--ligand-atoms", "16", "--poses", "48", "--repeats", "1",
-    ]) == 0
-    assert json.loads(table.read_text())["cells"]
-
-    assert main([
-        "campaign", "run", "--store", str(tmp_path / "tuned.sqlite"),
-        "--receptor-atoms", "150", "--ligands", "4", "--shard-size", "2",
-        "--scale", "0.05", "--spots", "2",
-        "--autotune", "--calibration-file", str(table),
-    ]) == 0
-    assert "campaign complete: 4 done, 0 failed" in capsys.readouterr().out
-
-
 def _flag_table(parser, path=()):
     """``{subcommand: {flag: (default, type, choices, required, nargs)}}``."""
     import argparse
@@ -271,26 +252,15 @@ def test_flag_table_is_the_pinned_one():
     assert _flag_table(build_parser()) == _FLAG_TABLE
 
 
-# Captured from build_parser() at cd1ca3b, less the four `bench compare` rows.
+# Captured from build_parser() at cd1ca3b, less the four `bench compare` rows,
+# the eight `calibrate` rows and the twelve kernel-selection rows.
 _FLAG_TABLE = {
-    "calibrate": {
-        "--families": (["exact", "cutoff-float32"], None, ("exact", "cutoff-float32", "cutoff-float64"), False, "+"),
-        "--ligand-atoms": ([16, 32, 48], "_positive_int", None, False, "+"),
-        "--out": (None, None, None, True, None),
-        "--poses": (256, "_positive_int", None, False, None),
-        "--receptor-atoms": ([256, 1000, 3264], "_positive_int", None, False, "+"),
-        "--repeats": (3, "_positive_int", None, False, None),
-        "--seed": (0, "int", None, False, None),
-        "--workers": ([0], "_nonnegative_int", None, False, "+"),
-    },
     "campaign export": {
         "--format": ("json", None, ("json", "csv", "report"), False, None),
         "--out": (None, None, None, True, None),
         "--store": (None, None, None, True, None),
     },
     "campaign resume": {
-        "--autotune": (False, None, None, False, 0),
-        "--calibration-file": (None, None, None, False, None),
         "--heartbeat-timeout": (5.0, "_positive_float", None, False, None),
         "--host-workers": (0, "_nonnegative_int", None, False, None),
         "--journal-batch": (1, "_positive_int", None, False, None),
@@ -303,7 +273,6 @@ _FLAG_TABLE = {
         "--parallel-mode": ("static", None, ("static", "dynamic"), False, None),
         "--pipeline-depth": (None, "_positive_int", None, False, None),
         "--progress": (False, None, None, False, 0),
-        "--refine-calibration": (False, None, None, False, 0),
         "--sample-interval": (1.0, "_positive_float", None, False, None),
         "--serve-metrics": (None, "_port", None, False, None),
         "--store": (None, None, None, True, None),
@@ -311,8 +280,6 @@ _FLAG_TABLE = {
     "campaign run": {
         "--atoms-max": (50, "_positive_int", None, False, None),
         "--atoms-min": (20, "_positive_int", None, False, None),
-        "--autotune": (False, None, None, False, 0),
-        "--calibration-file": (None, None, None, False, None),
         "--heartbeat-timeout": (5.0, "_positive_float", None, False, None),
         "--host-workers": (0, "_nonnegative_int", None, False, None),
         "--journal-batch": (1, "_positive_int", None, False, None),
@@ -333,7 +300,6 @@ _FLAG_TABLE = {
         "--progress": (False, None, None, False, 0),
         "--receptor-atoms": (1000, "_positive_int", None, False, None),
         "--receptor-pdb": (None, None, None, False, None),
-        "--refine-calibration": (False, None, None, False, 0),
         "--sample-interval": (1.0, "_positive_float", None, False, None),
         "--scale": (0.1, "float", None, False, None),
         "--seed": (0, "int", None, False, None),
@@ -353,8 +319,6 @@ _FLAG_TABLE = {
     "cluster coordinator": {
         "--atoms-max": (50, "_positive_int", None, False, None),
         "--atoms-min": (20, "_positive_int", None, False, None),
-        "--autotune": (False, None, None, False, 0),
-        "--calibration-file": (None, None, None, False, None),
         "--expect-nodes": (None, "_positive_int", None, True, None),
         "--heartbeat-timeout": (5.0, "_positive_float", None, False, None),
         "--host-workers": (0, "_nonnegative_int", None, False, None),
@@ -392,8 +356,6 @@ _FLAG_TABLE = {
         "--connect-backoff": (0.1, "_positive_float", None, False, None),
     },
     "dock": {
-        "--autotune": (False, None, None, False, 0),
-        "--calibration-file": (None, None, None, False, None),
         "--flexible": (False, None, None, False, 0),
         "--host-workers": (0, "_nonnegative_int", None, False, None),
         "--ligand-atoms": (32, "int", None, False, None),
@@ -441,8 +403,6 @@ _FLAG_TABLE = {
         "--trace": (None, None, None, True, None),
     },
     "screen": {
-        "--autotune": (False, None, None, False, 0),
-        "--calibration-file": (None, None, None, False, None),
         "--host-workers": (0, "_nonnegative_int", None, False, None),
         "--ligands": (8, "int", None, False, None),
         "--live-metrics": (None, None, None, False, None),

@@ -176,6 +176,7 @@ NEEDED_FROM_OUTSIDE = {
     "repro.scoring.hbond": "benchmarks/bench_futurework_scoring.py",
     "repro.scoring.reference": "tests/scoring/test_lennard_jones.py",  # the oracle
     "repro.scoring.softcore": "benchmarks/bench_futurework_scoring.py",
+    "repro.scoring.tiled": "benchmarks/bench_ablation_tiling.py",  # the paper's kernel mirror
     "repro.vs.analysis": "examples/redocking.py",
     "repro.vs.pipeline": "examples/quickstart.py",
     "repro.vs.visualize": "benchmarks/bench_figure1_binding.py",
