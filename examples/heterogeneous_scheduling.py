@@ -19,7 +19,7 @@ from repro.engine.scheduler import StaticEqualScheduler, StaticProportionalSched
 from repro.experiments import analytic_trace, get_dataset
 from repro.hardware import hertz, jupiter
 from repro.molecules import generate_ligand, generate_receptor
-from repro.vs import PipelineConfig, VirtualScreeningPipeline, gantt
+from repro.vs import dock, gantt
 
 MODES = ("openmp", "gpu-homogeneous", "gpu-heterogeneous", "gpu-dynamic")
 
@@ -28,10 +28,7 @@ def main() -> None:
     # --- layer 1: real search (scaled) -------------------------------
     receptor = generate_receptor(3264, seed=11, title="2BSM-like")
     ligand = generate_ligand(45, seed=12)
-    pipeline = VirtualScreeningPipeline(
-        config=PipelineConfig(n_spots=8, metaheuristic="M2", workload_scale=0.1)
-    )
-    result = pipeline.dock(receptor, ligand)
+    result = dock(receptor, ligand, n_spots=8, metaheuristic="M2", workload_scale=0.1)
     print(f"real search on the host: best score {result.best_score:.2f} kcal/mol "
           f"({result.evaluations} evaluations)")
     print("(the search outcome is mode-invariant: scheduling only moves time)\n")

@@ -7,7 +7,7 @@ Run:
 
 from repro.hardware import jupiter
 from repro.molecules import generate_receptor
-from repro.vs import PipelineConfig, VirtualScreeningPipeline, synthetic_library
+from repro.vs import screen, synthetic_library
 
 
 def main() -> None:
@@ -17,11 +17,14 @@ def main() -> None:
           f"({min(l.n_atoms for l in library)}-{max(l.n_atoms for l in library)} "
           f"atoms) against {receptor.title}\n")
 
-    pipeline = VirtualScreeningPipeline(
+    report = screen(
+        receptor,
+        library,
+        n_spots=8,
+        metaheuristic="M2",
+        workload_scale=0.1,
         node=jupiter(),
-        config=PipelineConfig(n_spots=8, metaheuristic="M2", workload_scale=0.1),
     )
-    report = pipeline.screen(receptor, library)
 
     print(report.to_text())
     top = report.top(3)

@@ -4,8 +4,9 @@ Run:
     python examples/quickstart.py
 """
 
+from repro.hardware import hertz
 from repro.molecules import generate_ligand, generate_receptor
-from repro.vs import PipelineConfig, VirtualScreeningPipeline
+from repro.vs import dock
 
 
 def main() -> None:
@@ -14,14 +15,17 @@ def main() -> None:
     receptor = generate_receptor(1000, seed=1, title="demo receptor")
     ligand = generate_ligand(30, seed=2, title="demo ligand")
 
-    # The pipeline defaults to the paper's Hertz node (Tesla K40c + GTX 580)
-    # and the M2 metaheuristic. workload_scale trims the paper-scale search
-    # effort so the demo runs in seconds.
-    pipeline = VirtualScreeningPipeline(
-        config=PipelineConfig(n_spots=8, metaheuristic="M2", workload_scale=0.2)
+    # node= also times the search on the paper's Hertz machine (Tesla K40c +
+    # GTX 580). workload_scale trims the paper-scale search effort so the
+    # demo runs in seconds.
+    result = dock(
+        receptor,
+        ligand,
+        n_spots=8,
+        metaheuristic="M2",
+        workload_scale=0.2,
+        node=hertz(),
     )
-
-    result = pipeline.dock(receptor, ligand)
 
     print(f"receptor: {receptor.title} ({receptor.n_atoms} atoms)")
     print(f"ligand:   {ligand.title} ({ligand.n_atoms} atoms)")

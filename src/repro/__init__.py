@@ -14,18 +14,18 @@ A from-scratch Python reproduction of Imbernón, Cecilia & Giménez
   warp/block/occupancy model and a calibrated performance model;
 * :mod:`repro.engine` — the multicore+multiGPU runtime: warm-up (Eq. 1),
   static and dynamic cooperative schedulers, simulated execution;
-* :mod:`repro.vs` — the user-facing docking/screening pipeline;
+* :mod:`repro.vs` — the user-facing ``dock()`` / ``screen()`` functions;
 * :mod:`repro.experiments` — the harness regenerating Tables 6–9.
 
 Quickstart::
 
+    from repro.hardware.node import hertz
     from repro.molecules import generate_receptor, generate_ligand
-    from repro.vs import VirtualScreeningPipeline
+    from repro.vs import dock
 
-    pipe = VirtualScreeningPipeline()
     receptor = generate_receptor(3264, seed=1)
     ligand = generate_ligand(45, seed=2)
-    result = pipe.dock(receptor, ligand)
+    result = dock(receptor, ligand, node=hertz())
     print(result.best_score, result.simulated_seconds)
 """
 

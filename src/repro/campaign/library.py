@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro import observability as obs
 from repro.errors import CampaignError
 from repro.molecules.structures import Ligand, Receptor
 from repro.molecules.synthetic import generate_ligand
@@ -35,6 +36,7 @@ __all__ = [
     "CsvSource",
     "Shard",
     "iter_shards",
+    "plan_shards",
     "resolve_title",
     "receptor_fingerprint",
     "build_receptor",
@@ -493,6 +495,31 @@ def resolve_title(title: str, ordinal: int, seen: set[str]) -> str:
         name = f"{name}#{ordinal}"
     seen.add(name)
     return name
+
+
+def plan_shards(
+    source: Iterable[Ligand], shard_size: int, finished: frozenset[int] | set[int]
+) -> Iterator[tuple[Shard, list[tuple[int, Ligand, str]] | None]]:
+    """The campaign plan every execution follows, one shard at a time.
+
+    Yields ``(shard, [(ordinal, ligand, title), ...])`` with the titles made
+    collision-free over the whole stream, or ``(shard, None)`` for a shard
+    in ``finished``: it is counted as skipped and its titles still claim
+    their names, but nothing is built for it. Ordinals are contiguous from
+    zero, so the last shard's ``stop`` is the number of ligands streamed.
+    """
+    seen_titles: set[str] = set()
+    for shard, items in iter_shards(source, shard_size, skip=finished):
+        if shard.shard_id in finished:
+            for ordinal, title in items:
+                resolve_title(title, ordinal, seen_titles)
+            obs.counter("campaign.shards.skipped").inc()
+            yield shard, None
+        else:
+            yield shard, [
+                (ordinal, ligand, resolve_title(ligand.title, ordinal, seen_titles))
+                for ordinal, ligand in items
+            ]
 
 
 def build_receptor(descriptor: dict) -> Receptor:

@@ -1,12 +1,13 @@
 """Campaign orchestration: drive shards of ligands through the host runtime.
 
-A :class:`CampaignRunner` wraps the existing :func:`repro.vs.docking.dock`
-machinery (including the PR 1 process-parallel host runtime via
-``host_workers``/``parallel_mode``) with the durability layer: every
-completed ligand is committed to the :class:`CampaignStore` before the next
-one starts, shard boundaries are journalled write-ahead, and :meth:`resume`
-reconciles journal and store to continue exactly where a crash, SIGKILL, or
-Ctrl-C left off.
+A :class:`CampaignRunner` follows the campaign spine in one process: its
+:class:`~repro.campaign.settings.DockSettings` say what is done to a ligand,
+:func:`~repro.campaign.library.plan_shards` in what order, :func:`dock_ligand`
+does it (what a fleet node runs too), and a
+:class:`~repro.campaign.commit.CampaignCommitter` makes it durable: every
+completed ligand is committed before the next one starts, shard boundaries
+are journalled write-ahead, and :meth:`resume` reconciles journal and store
+to continue exactly where a crash, SIGKILL, or Ctrl-C left off.
 
 Determinism: ligand ``ordinal`` is always docked with seed ``seed +
 ordinal`` (the same rule ``screen()`` has always used), so an interrupted
@@ -30,7 +31,9 @@ against.
 
 Failure policy: per-ligand bounded retry with exponential backoff
 (:func:`dock_with_retry`); a ligand that exhausts its attempts is recorded
-``failed`` with the exception text and the campaign continues past it. A
+``failed`` with the exception text and the campaign continues past it
+(with ``raise_on_failure`` its own exception propagates instead, before
+anything is recorded). A
 worker pool that died is recycled in place by the runtime — workers are
 replaced, the staged receptor and warm-up weights survive — and the docks
 it interrupted are repeated without charging their ligands.
@@ -44,7 +47,6 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -53,24 +55,24 @@ from repro.engine.host_runtime import PersistentHostRuntime
 from repro.errors import CampaignError, WorkerPoolError
 from repro.hardware.node import NodeSpec
 from repro.metaheuristics.template import MetaheuristicSpec
-from repro.molecules.spots import find_spots
+from repro.molecules.spots import Spot, find_spots
 from repro.molecules.structures import Ligand, Receptor
 from repro.scoring.base import ScoringFunction
 from repro.vs.docking import dock
 
-from repro.campaign.backends import (
-    STORE_BACKENDS,
-    create_store,
-    open_store,
-    store_disk_bytes,
-)
+from repro.campaign.backends import STORE_BACKENDS, create_store, open_store
+from repro.campaign.commit import CampaignCommitter, CampaignProgress
 from repro.campaign.journal import CampaignJournal
-from repro.campaign.library import (
+
+# ``iter_shards`` is not called here: the perf harness's traced pass wraps it
+# under this module's name as well as under the library's.
+from repro.campaign.library import (  # noqa: F401
     LigandSource,
     iter_shards,
+    plan_shards,
     receptor_fingerprint,
-    resolve_title,
 )
+from repro.campaign.settings import DockSettings
 from repro.campaign.store import CampaignStore
 from repro.observability.flight import (
     dump_flight,
@@ -84,7 +86,10 @@ __all__ = [
     "CampaignProgress",
     "campaign_config",
     "config_hash",
+    "dock_ligand",
     "dock_with_retry",
+    "open_runtime",
+    "outcome_row",
 ]
 
 #: Config keys that affect the science (scores/ranking); the hash covers
@@ -107,21 +112,22 @@ HASHED_KEYS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class CampaignProgress:
-    """One progress snapshot, emitted after every shard.
-
-    ``ligands_per_second`` measures *this session's* docking rate;
-    ``eta_seconds`` is ``nan`` while the library size is unknown.
-    """
-
-    shard_id: int
-    done: int
-    failed: int
-    total: int | None
-    elapsed_seconds: float
-    ligands_per_second: float
-    eta_seconds: float
+def _config_record(
+    receptor: Receptor,
+    source: LigandSource,
+    settings: DockSettings,
+    shard_size: int,
+    receptor_descriptor: dict | None,
+) -> dict:
+    return {
+        "schema_version": 1,
+        "receptor_hash": receptor_fingerprint(receptor),
+        "receptor_title": receptor.title or "receptor",
+        "receptor": receptor_descriptor or {"kind": "opaque"},
+        "library": source.descriptor(),
+        **settings.stored(),
+        "shard_size": int(shard_size),
+    }
 
 
 def campaign_config(
@@ -139,29 +145,16 @@ def campaign_config(
     receptor_descriptor: dict | None = None,
 ) -> dict:
     """Build the JSON-serialisable campaign configuration record."""
-    spec_name = (
-        metaheuristic.name
-        if isinstance(metaheuristic, MetaheuristicSpec)
-        else str(metaheuristic)
+    settings = DockSettings(
+        n_spots=n_spots,
+        metaheuristic=metaheuristic,
+        scoring=scoring,
+        seed=seed,
+        workload_scale=workload_scale,
+        node=node,
+        mode=mode,
     )
-    scoring_name = (
-        None if scoring is None else getattr(scoring, "name", type(scoring).__name__)
-    )
-    return {
-        "schema_version": 1,
-        "receptor_hash": receptor_fingerprint(receptor),
-        "receptor_title": receptor.title or "receptor",
-        "receptor": receptor_descriptor or {"kind": "opaque"},
-        "library": source.descriptor(),
-        "n_spots": int(n_spots),
-        "metaheuristic": spec_name,
-        "scoring": scoring_name,
-        "seed": int(seed),
-        "workload_scale": float(workload_scale),
-        "shard_size": int(shard_size),
-        "node": None if node is None else node.name,
-        "mode": mode,
-    }
+    return _config_record(receptor, source, settings, shard_size, receptor_descriptor)
 
 
 def config_hash(config: dict) -> str:
@@ -235,6 +228,96 @@ def dock_with_retry(
         delay *= 2
 
 
+def dock_ligand(
+    settings: DockSettings,
+    receptor: Receptor,
+    spots: list[Spot],
+    ordinal: int,
+    ligand: Ligand,
+    evaluator_factory=None,
+    *,
+    sleep: Callable[[float], None],
+    **event_tags,
+) -> dict:
+    """Dock ligand ``ordinal`` of a campaign: what every process that docks
+    one calls, so the runner, a pipelined dock thread and a fleet node cannot
+    differ in what is done to a ligand.
+
+    :func:`dock_with_retry` around one ``dock()`` at ``seed + ordinal``;
+    ``evaluator_factory`` is the lease (or runtime) of a campaign-owned pool.
+    Returns its outcome dict and touches no store, so it may run on a dock
+    thread or in another process than the one that commits.
+    """
+
+    def dock_once():
+        return dock(
+            receptor,
+            ligand,
+            spots=spots,
+            metaheuristic=settings.metaheuristic,
+            scoring=settings.scoring,
+            seed=settings.seed + ordinal,
+            workload_scale=settings.workload_scale,
+            node=settings.node,
+            mode=settings.mode,
+            host_workers=settings.host_workers,
+            parallel_mode=settings.parallel_mode,
+            evaluator_factory=evaluator_factory,
+        )
+
+    return dock_with_retry(
+        dock_once,
+        max_attempts=settings.max_attempts,
+        backoff_base=settings.backoff_base,
+        sleep=sleep,
+        ordinal=ordinal,
+        **event_tags,
+    )
+
+
+def outcome_row(outcome: dict) -> dict:
+    """A dock outcome as the row a store commits and a ``result`` frame
+    carries: plain JSON-safe scalars, ``ok`` first."""
+    if not outcome["ok"]:
+        exc = outcome["exc"]
+        return {
+            "ok": False,
+            "error": f"{type(exc).__name__}: {exc}",
+            "attempts": outcome["attempts"],
+        }
+    result = outcome["result"]
+    return {
+        "ok": True,
+        "score": float(result.best_score),
+        "spot_index": int(result.best.spot_index),
+        "evaluations": int(result.evaluations),
+        "wall_seconds": float(outcome["wall_s"]),
+        "simulated_seconds": float(result.simulated_seconds),
+        "attempts": outcome["attempts"],
+    }
+
+
+def open_runtime(
+    settings: DockSettings,
+    receptor: Receptor,
+    spots: list[Spot],
+    pipeline_depth: int = 1,
+) -> PersistentHostRuntime | None:
+    """The campaign-owned pool for ``settings`` (``None`` when it docks
+    serially): pool spawn, receptor staging and the Eq. 1 warm-up are paid
+    once, every ligand after the first is a slot rebind. Caller closes it."""
+    if settings.host_workers == 0:
+        return None
+    return PersistentHostRuntime(
+        receptor,
+        spots,
+        n_workers=settings.host_workers,
+        mode=settings.parallel_mode,
+        scoring=settings.scoring,
+        pipeline_depth=pipeline_depth,
+    )
+
+
 class CampaignRunner:
     """Execute (or continue) one durable screening campaign.
 
@@ -273,18 +356,24 @@ class CampaignRunner:
         nodes: int = 0,
         cluster=None,
     ) -> None:
-        if host_workers < 0:
-            raise CampaignError(f"host_workers must be >= 0, got {host_workers}")
+        #: What is done to one ligand, here or on a fleet node.
+        self.settings = DockSettings(
+            n_spots=n_spots,
+            metaheuristic=metaheuristic,
+            scoring=scoring,
+            seed=seed,
+            workload_scale=workload_scale,
+            node=node,
+            mode=mode,
+            host_workers=host_workers,
+            parallel_mode=parallel_mode,
+            max_attempts=max_attempts,
+            backoff_base=backoff_base,
+        )
         if nodes < 0:
             raise CampaignError(f"nodes must be >= 0, got {nodes}")
-        if parallel_mode not in ("static", "dynamic"):
-            raise CampaignError(
-                f"parallel_mode must be 'static' or 'dynamic', got {parallel_mode!r}"
-            )
         if shard_size < 1:
             raise CampaignError(f"shard_size must be >= 1, got {shard_size}")
-        if max_attempts < 1:
-            raise CampaignError(f"max_attempts must be >= 1, got {max_attempts}")
         if pipeline_depth is None:
             pipeline_depth = max(2, host_workers + 1)
         if pipeline_depth < 1:
@@ -316,16 +405,7 @@ class CampaignRunner:
             if journal_path
             else None
         )
-        self.n_spots = n_spots
-        self.metaheuristic = metaheuristic
-        self.scoring = scoring
-        self.seed = seed
-        self.workload_scale = workload_scale
         self.shard_size = shard_size
-        self.node = node
-        self.mode = mode
-        self.host_workers = host_workers
-        self.parallel_mode = parallel_mode
         #: Ligands docked concurrently through the shared pool (needs
         #: ``host_workers > 0``): the number of live leases, one more than
         #: the workers unless given. An execution knob — never hashed;
@@ -340,24 +420,12 @@ class CampaignRunner:
         self.nodes = int(nodes)
         self.cluster = cluster
         self.cluster_spawn = True  # False = serve remote workers only (CLI)
-        self.fleet = None  # set by execute_fleet; tests reach processes here
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
+        self.fleet = None  # set by _execute; tests reach processes here
         self._sleep = sleep
         self._progress = progress
         self.raise_on_failure = raise_on_failure
-        self.config = campaign_config(
-            receptor,
-            source,
-            n_spots=n_spots,
-            metaheuristic=metaheuristic,
-            scoring=scoring,
-            seed=seed,
-            workload_scale=workload_scale,
-            shard_size=shard_size,
-            node=node,
-            mode=mode,
-            receptor_descriptor=receptor_descriptor,
+        self.config = _config_record(
+            receptor, source, self.settings, shard_size, receptor_descriptor
         )
         # Recorded for visibility only: the backend and pipeline depth are
         # execution knobs, deliberately outside HASHED_KEYS — sqlite and
@@ -453,111 +521,57 @@ class CampaignRunner:
         if self.nodes >= 2 or (
             self.nodes == 1 and (self.cluster is not None or not self.cluster_spawn)
         ):
-            from repro.cluster.fleet import execute_fleet
+            from repro.cluster.fleet import ClusterCampaign
 
-            return execute_fleet(
-                self,
-                store,
-                finished,
-                nodes=self.nodes,
-                cluster=self.cluster,
-                spawn=self.cluster_spawn,
+            self.fleet = ClusterCampaign(
+                self, nodes=self.nodes, cluster=self.cluster, spawn=self.cluster_spawn
             )
-        spots = find_spots(self.receptor, self.n_spots)
-        total = self.source.count()
-        session_start = time.perf_counter()
-        session_docked = 0
-        seen_titles: set[str] = set()
+            return self.fleet.execute(store, finished)
+        spots = find_spots(self.receptor, self.settings.n_spots)
+        committer = CampaignCommitter(
+            store, self.journal, total=self.source.count(), progress=self._progress
+        )
         n_streamed = 0
         try:
             try:
-                if self.host_workers > 0:
-                    # Campaign-owned runtime: pool spawn, receptor staging
-                    # and Eq. 1 warm-up are paid once, every ligand after
-                    # the first is a slot rebind.
-                    self._runtime = PersistentHostRuntime(
-                        self.receptor,
-                        spots,
-                        n_workers=self.host_workers,
-                        mode=self.parallel_mode,
-                        scoring=self.scoring,
-                        pipeline_depth=self.pipeline_depth,
-                    )
+                self._runtime = open_runtime(
+                    self.settings, self.receptor, spots, self.pipeline_depth
+                )
                 # One shard of lookahead so the current shard's tail can
                 # hint the *next* shard's first ligand — without it, every
-                # shard boundary paid a cold rebind (prefetch miss).
-                # Finished shards come as titles only (nothing is built
-                # for them), so a resume reaches its first dock without
-                # synthesising the ligands already committed.
-                shards = iter_shards(self.source, self.shard_size, skip=finished)
+                # shard boundary paid a cold rebind (prefetch miss). A
+                # finished shard has nothing built for it, so a resume
+                # reaches its first dock without synthesising the ligands
+                # already committed.
+                shards = plan_shards(self.source, self.shard_size, finished)
                 upcoming = next(shards, None)
                 while upcoming is not None:
-                    shard, items = upcoming
+                    shard, titled = upcoming
                     upcoming = next(shards, None)
-                    n_streamed += len(items)
-                    if shard.shard_id in finished:
-                        for ordinal, title in items:
-                            resolve_title(title, ordinal, seen_titles)
-                        obs.counter("campaign.shards.skipped").inc()
+                    n_streamed = shard.stop
+                    if titled is None:
                         continue
                     next_first = (
                         upcoming[1][0][1]
-                        if upcoming is not None and upcoming[0].shard_id not in finished
+                        if upcoming is not None and upcoming[1] is not None
                         else None
                     )
-                    titled = [
-                        (ordinal, ligand, resolve_title(ligand.title, ordinal, seen_titles))
-                        for ordinal, ligand in items
-                    ]
-                    shard_t0 = time.perf_counter()
                     with obs.span("campaign.shard", shard=shard.shard_id):
-                        if self.journal is not None:
-                            self.journal.shard_start(
-                                shard.shard_id, shard.start, shard.stop
-                            )
-                        store.start_shard(shard.shard_id, shard.start, shard.stop)
-                        store.register_ligands([(o, t) for o, _, t in titled])
-                        already_done = store.done_ordinals(shard.start, shard.stop)
+                        already_done = committer.begin_shard(
+                            shard, [(o, t) for o, _, t in titled]
+                        )
                         pending = [
-                            (ordinal, ligand, title)
-                            for ordinal, ligand, title in titled
-                            if ordinal not in already_done
+                            item for item in titled if item[0] not in already_done
                         ]
                         if self._runtime is not None:
-                            n_failed = self._dock_shard_pipelined(
-                                store, spots, pending, next_first
+                            self._dock_shard_pipelined(
+                                committer, spots, pending, next_first
                             )
                         else:
-                            n_failed = 0
                             for ordinal, ligand, title in pending:
-                                if not self._dock_one(store, spots, ordinal, ligand, title):
-                                    n_failed += 1
-                        session_docked += len(pending)
-                        shard_s = time.perf_counter() - shard_t0
-                        store.finish_shard(shard.shard_id, shard_s)
-                        if self.journal is not None:
-                            self.journal.shard_finish(
-                                shard.shard_id, shard.size - n_failed, n_failed
-                            )
-                    obs.counter("campaign.shards.done").inc()
-                    obs.histogram("campaign.shard.seconds").observe(shard_s)
-                    flight_event(
-                        "shard.finish",
-                        shard=shard.shard_id,
-                        wall=round(shard_s, 6),
-                    )
-                    self._update_disk_gauge()
-                    # Shard boundary: worker-session telemetry has folded in and
-                    # the store row is durable — force a live sample so the
-                    # series shows every shard even when shards outpace the
-                    # sampling interval.
-                    obs.mark("campaign.shard", force=True)
-                    self._emit_progress(
-                        store, shard.shard_id, total, session_start, session_docked
-                    )
-                store.mark_complete(n_streamed)
-                if self.journal is not None:
-                    self.journal.campaign_finish(n_streamed)
+                                self._dock_one(committer, spots, ordinal, ligand, title)
+                        committer.end_shard(shard)
+                committer.end_campaign(n_streamed)
             except BaseException:
                 # Crash path: everything committed so far is durable; close the
                 # connection so the WAL checkpoints cleanly, then let it fly.
@@ -581,94 +595,31 @@ class CampaignRunner:
                 dump_flight(flight_dir(self.store_path) / "runner.flight")
         return store
 
-    def _update_disk_gauge(self) -> None:
-        """Satellite gauge: on-disk store footprint at each shard boundary.
-
-        Lands in every sampler series record and on ``/metrics``, so the
-        columnar-vs-SQLite growth curves are comparable over time.
-        """
-        if str(self.store_path) == ":memory:":
-            return
-        obs.gauge("store.disk.bytes").set(float(store_disk_bytes(self.store_path)))
-
     def _dock_one(
-        self,
-        store: CampaignStore,
-        spots,
-        ordinal: int,
-        ligand: Ligand,
-        title: str,
-    ) -> bool:
-        """Dock one ligand serially, in-process; returns False if it poisoned."""
-        store.mark_running(ordinal)
-        outcome = self._dock_attempts(spots, ordinal, ligand, None)
-        return self._commit_outcome(store, ordinal, title, outcome)
+        self, committer: CampaignCommitter, spots, ordinal: int, ligand, title: str
+    ) -> None:
+        """Dock one ligand serially, in-process, and commit it."""
+        committer.store.mark_running(ordinal)
+        outcome = dock_ligand(
+            self.settings, self.receptor, spots, ordinal, ligand, sleep=self._sleep
+        )
+        self._commit(committer, ordinal, title, outcome)
 
-    def _dock_attempts(
-        self, spots, ordinal: int, ligand: Ligand, evaluator_factory
-    ) -> dict:
-        """:func:`dock_with_retry` around this campaign's ``dock()`` call.
+    def _commit(
+        self, committer: CampaignCommitter, ordinal: int, title: str, outcome: dict
+    ) -> None:
+        """Hand one dock outcome to the committer (main thread only).
 
-        Returns an outcome dict for :meth:`_commit_outcome`; never touches
-        the store, so the pipelined scheduler can run it on a dock thread
-        and commit results in ordinal order from the main thread.
+        With ``raise_on_failure`` the dock's own exception propagates and
+        nothing is recorded for the ligand.
         """
-
-        def dock_once():
-            return dock(
-                self.receptor,
-                ligand,
-                spots=spots,
-                metaheuristic=self.metaheuristic,
-                scoring=self.scoring,
-                seed=self.seed + ordinal,
-                workload_scale=self.workload_scale,
-                node=self.node,
-                mode=self.mode,
-                host_workers=self.host_workers,
-                parallel_mode=self.parallel_mode,
-                evaluator_factory=evaluator_factory,
-            )
-
-        return dock_with_retry(
-            dock_once,
-            max_attempts=self.max_attempts,
-            backoff_base=self.backoff_base,
-            sleep=self._sleep,
-            ordinal=ordinal,
-        )
-
-    def _commit_outcome(
-        self, store: CampaignStore, ordinal: int, title: str, outcome: dict
-    ) -> bool:
-        """Commit one dock outcome (main thread only); False if it poisoned."""
-        if not outcome["ok"]:
-            exc = outcome["exc"]
-            if self.raise_on_failure:
-                raise exc
-            store.record_failure(
-                ordinal, title, f"{type(exc).__name__}: {exc}", outcome["attempts"]
-            )
-            obs.counter("campaign.ligands.failed").inc()
-            return False
-        result, wall_s = outcome["result"], outcome["wall_s"]
-        obs.counter("campaign.ligands.done").inc()
-        obs.histogram("campaign.dock.seconds").observe(wall_s)
-        store.record_result(
-            ordinal,
-            title,
-            result.best_score,
-            result.best.spot_index,
-            result.evaluations,
-            wall_seconds=wall_s,
-            simulated_seconds=result.simulated_seconds,
-            attempts=outcome["attempts"],
-        )
-        return True
+        if self.raise_on_failure and not outcome["ok"]:
+            raise outcome["exc"]
+        committer.commit(ordinal, title, outcome_row(outcome))
 
     def _dock_shard_pipelined(
-        self, store: CampaignStore, spots, pending: list, next_first
-    ) -> int:
+        self, committer: CampaignCommitter, spots, pending: list, next_first
+    ) -> None:
         """Dock one shard's pending ligands depth-at-a-time; commit in order.
 
         The one loop that docks through the runtime: up to
@@ -684,7 +635,6 @@ class CampaignRunner:
         shard tail so the boundary rebind is warm.
         """
         depth = min(self.pipeline_depth, max(1, len(pending)))
-        n_failed = 0
         submit_pos = 0
         inflight: dict[int, tuple] = {}  # ordinal -> (future, lease)
         executor = ThreadPoolExecutor(
@@ -693,12 +643,18 @@ class CampaignRunner:
 
         def docked(ordinal, ligand, lease, lane):
             with obs.span("campaign.pipeline.dock", ordinal=ordinal, pipeline_lane=lane):
-                return self._dock_attempts(
-                    spots, ordinal, ligand, lease.evaluator_factory
+                return dock_ligand(
+                    self.settings,
+                    self.receptor,
+                    spots,
+                    ordinal,
+                    ligand,
+                    lease.evaluator_factory,
+                    sleep=self._sleep,
                 )
 
         try:
-            for commit_pos, (ordinal, ligand, title) in enumerate(pending):
+            for ordinal, _, title in pending:
                 while submit_pos < len(pending) and len(inflight) < depth:
                     next_ordinal, next_ligand, _ = pending[submit_pos]
                     # Hint before leasing: lease() kicks the stager for the
@@ -707,7 +663,7 @@ class CampaignRunner:
                         self._runtime.hint_next(pending[submit_pos + 1][1])
                     elif next_first is not None:
                         self._runtime.hint_next(next_first)
-                    store.mark_running(next_ordinal)
+                    committer.store.mark_running(next_ordinal)
                     lease = self._runtime.lease(next_ligand)
                     future = executor.submit(
                         docked, next_ordinal, next_ligand, lease, submit_pos % depth
@@ -719,42 +675,10 @@ class CampaignRunner:
                     outcome = future.result()
                 finally:
                     lease.release()
-                if not self._commit_outcome(store, ordinal, title, outcome):
-                    n_failed += 1
+                self._commit(committer, ordinal, title, outcome)
         finally:
             # Error path: let started docks drain (their pool is still
             # alive), then free any leases the commits never reached.
             executor.shutdown(wait=True, cancel_futures=True)
             for future, lease in inflight.values():
                 lease.release()
-        return n_failed
-
-    def _emit_progress(
-        self,
-        store: CampaignStore,
-        shard_id: int,
-        total: int | None,
-        session_start: float,
-        session_docked: int,
-    ) -> None:
-        if self._progress is None:
-            return
-        counts = store.counts()
-        elapsed = time.perf_counter() - session_start
-        rate = session_docked / elapsed if elapsed > 0 else 0.0
-        if total is None or rate <= 0:
-            eta = float("nan")
-        else:
-            remaining = max(0, total - counts["done"] - counts["failed"])
-            eta = remaining / rate
-        self._progress(
-            CampaignProgress(
-                shard_id=shard_id,
-                done=counts["done"],
-                failed=counts["failed"],
-                total=total,
-                elapsed_seconds=elapsed,
-                ligands_per_second=rate,
-                eta_seconds=eta,
-            )
-        )

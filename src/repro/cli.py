@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dock(args: argparse.Namespace) -> int:
-    from repro.hardware.node import hertz, jupiter
+    from repro.hardware.node import named_node
     from repro.molecules.pdb import read_pdb, write_pdb
     from repro.molecules.synthetic import generate_ligand, generate_receptor
     from repro.vs.docking import dock
@@ -543,7 +543,7 @@ def _cmd_dock(args: argparse.Namespace) -> int:
         if args.ligand_pdb
         else generate_ligand(args.ligand_atoms, seed=args.seed + 1)
     )
-    node = jupiter() if args.node == "jupiter" else hertz()
+    node = named_node(args.node)
     if args.flexible:
         from repro.vs.flexible import dock_flexible
 
@@ -590,13 +590,13 @@ def _cmd_dock(args: argparse.Namespace) -> int:
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
-    from repro.hardware.node import hertz, jupiter
+    from repro.hardware.node import named_node
     from repro.molecules.synthetic import generate_receptor
     from repro.vs.screening import screen, synthetic_library
 
     receptor = generate_receptor(args.receptor_atoms, seed=args.seed)
     ligands = synthetic_library(args.ligands, seed=args.seed + 10)
-    node = jupiter() if args.node == "jupiter" else hertz()
+    node = named_node(args.node)
     report = screen(
         receptor,
         ligands,
@@ -721,14 +721,6 @@ def _campaign_session(args: argparse.Namespace, shard_size: int):
             server.stop()
 
 
-def _campaign_node(name: str | None):
-    from repro.hardware.node import hertz, jupiter
-
-    if name in (None, "none"):
-        return None
-    return jupiter() if name == "jupiter" else hertz()
-
-
 def _print_campaign_summary(store) -> int:
     counts = store.counts()
     print(
@@ -800,6 +792,7 @@ def _new_campaign_runner(
 ):
     """Build a fresh CampaignRunner from `campaign run`-style flags."""
     from repro.campaign import CampaignRunner
+    from repro.hardware.node import named_node
 
     receptor, receptor_descriptor, source = _campaign_inputs(args)
     return CampaignRunner(
@@ -811,7 +804,7 @@ def _new_campaign_runner(
         seed=args.seed,
         workload_scale=args.scale,
         shard_size=args.shard_size,
-        node=_campaign_node(args.node),
+        node=named_node(args.node),
         receptor_descriptor=receptor_descriptor,
         **_execution_kwargs(args, progress, nodes, cluster),
     )
@@ -835,32 +828,24 @@ def _rebuild_campaign_runner(
     """Reconstruct receptor/library from a store's recorded descriptors."""
     from repro.campaign import CampaignRunner, open_store
     from repro.campaign.library import build_receptor, build_source
-    from repro.errors import CampaignError
+    from repro.campaign.settings import DockSettings
 
     with open_store(args.store) as store:
         config = store.config
 
     receptor_desc = config.get("receptor", {})
-    receptor = build_receptor(receptor_desc)
-    source = build_source(config.get("library", {}))
-    if config.get("scoring") is not None:
-        raise CampaignError(
-            "campaigns with a custom scoring function can only be resumed via "
-            "the Python API"
-        )
     return CampaignRunner(
-        receptor,
-        source,
+        build_receptor(receptor_desc),
+        build_source(config.get("library", {})),
         store_backend=str(config.get("store_backend", "sqlite")),
-        n_spots=int(config["n_spots"]),
-        metaheuristic=str(config["metaheuristic"]),
-        seed=int(config["seed"]),
-        workload_scale=float(config["workload_scale"]),
         shard_size=int(config["shard_size"]),
-        node=_campaign_node(config.get("node")),
-        mode=str(config.get("mode", "gpu-heterogeneous")),
         receptor_descriptor=receptor_desc,
-        **_execution_kwargs(args, progress, nodes, cluster),
+        # What the store records of the dock, then what this invocation says
+        # of where and how patiently to run it.
+        **{
+            **vars(DockSettings.from_stored(config)),
+            **_execution_kwargs(args, progress, nodes, cluster),
+        },
     )
 
 
@@ -1158,10 +1143,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.engine.executor import MultiGpuExecutor
     from repro.engine.traceio import load_trace
-    from repro.hardware.node import hertz, jupiter
+    from repro.hardware.node import named_node
 
     trace, metadata = load_trace(args.trace)
-    node = jupiter() if args.node == "jupiter" else hertz()
+    node = named_node(args.node)
     executor = MultiGpuExecutor(node, seed=args.seed)
     timing, scheduler = executor.replay(trace, args.mode)
     if metadata:

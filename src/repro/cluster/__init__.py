@@ -23,7 +23,7 @@ from repro.cluster.coordinator import (
     ShardTask,
     retag_snapshot,
 )
-from repro.cluster.fleet import ClusterCampaign, execute_fleet
+from repro.cluster.fleet import ClusterCampaign
 from repro.cluster.protocol import (
     MAX_MESSAGE_BYTES,
     MESSAGE_KINDS,
@@ -53,7 +53,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "build_scoring",
     "connect",
-    "execute_fleet",
     "ligand_from_payload",
     "ligand_to_payload",
     "molecule_to_payload",

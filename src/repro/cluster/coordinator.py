@@ -1,12 +1,17 @@
 """Campaign coordinator: lease shards to worker nodes, survive their deaths.
 
 The coordinator is the durability boundary of a distributed campaign. It is
-the *only* process that touches the store and journal — workers report every
-docked ligand over the wire and the coordinator commits it before the lease
-is considered to shrink — so the crash-safety story is unchanged from the
-single-node runner: anything committed is durable, anything else re-runs,
-and determinism (seed = campaign seed + ordinal) makes the re-run bitwise
-identical.
+the *only* process that touches the store and journal, and it does so through
+the single-node runner's own
+:class:`~repro.campaign.commit.CampaignCommitter` (called with the
+coordinator's lock held): workers report every docked ligand over the wire,
+the row is cast and checked off the frame and committed before the lease is
+considered to shrink, a shard is begun when it is first leased and ended when
+its last ordinal lands — so the crash-safety story is the runner's: anything
+committed is durable, anything else re-runs, and determinism (seed = campaign
+seed + ordinal) makes the re-run bitwise identical. A failed ligand is
+recorded first; with ``raise_on_failure`` the fleet then aborts with
+:class:`~repro.errors.ClusterError`.
 
 Scheduling is the paper's two-level discipline lifted one level up:
 
@@ -34,10 +39,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro import observability as obs
-from repro.campaign.backends import store_disk_bytes
-from repro.campaign.journal import CampaignJournal
-from repro.campaign.runner import CampaignProgress
-from repro.campaign.store import CampaignStore
+from repro.campaign.commit import CampaignCommitter, CampaignProgress
+from repro.campaign.library import Shard
 from repro.errors import ClusterError, ConnectionClosed, ProtocolError
 from repro.observability.flight import dump_flight, flight_event
 
@@ -61,7 +64,7 @@ class ClusterProgress(CampaignProgress):
 
 
 @dataclass(frozen=True, slots=True)
-class ShardTask:
+class ShardTask(Shard):
     """One shard of the campaign plan, ready to lease.
 
     ``items`` holds ``(ordinal, title, payload-or-None)`` triples: a
@@ -71,14 +74,7 @@ class ShardTask:
     for one-shot in-memory sources).
     """
 
-    shard_id: int
-    start: int
-    stop: int
-    items: tuple
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
+    items: tuple = ()
 
 
 @dataclass
@@ -142,6 +138,25 @@ def retag_snapshot(snapshot: dict, node_id: int) -> dict:
     return doc
 
 
+def _frame_row(message: dict) -> dict:
+    """The committer's row, cast and checked off a ``result`` frame."""
+    if not message.get("ok"):
+        return {
+            "ok": False,
+            "error": str(message.get("error", "unknown")),
+            "attempts": int(message.get("attempts", 1)),
+        }
+    return {
+        "ok": True,
+        "score": float(message["score"]),
+        "spot_index": int(message["spot_index"]),
+        "evaluations": int(message["evaluations"]),
+        "wall_seconds": float(message["wall_seconds"]),
+        "simulated_seconds": float(message["simulated_seconds"]),
+        "attempts": int(message["attempts"]),
+    }
+
+
 class Coordinator:
     """Serve one campaign to a fleet of worker nodes (see module docstring).
 
@@ -154,14 +169,11 @@ class Coordinator:
         self,
         listener: socket.socket,
         *,
-        store: CampaignStore,
-        journal: CampaignJournal | None,
+        committer: CampaignCommitter,
         tasks: list[ShardTask],
-        config_base: dict,
+        config_frame: dict,
         cluster: ClusterConfig,
         expected_nodes: int,
-        total: int | None = None,
-        progress=None,
         raise_on_failure: bool = False,
         trace_id: str | None = None,
         flight_path=None,
@@ -169,32 +181,25 @@ class Coordinator:
         if expected_nodes < 1:
             raise ClusterError(f"expected_nodes must be >= 1, got {expected_nodes}")
         self._listener = listener
-        self._store = store
-        self._journal = journal
+        self._committer = committer
         self._tasks = {task.shard_id: task for task in tasks}
         self._order = [task.shard_id for task in tasks]
-        self._config_base = config_base
+        self._config_frame = config_frame
         self.cluster = cluster
         self.expected_nodes = expected_nodes
-        self._total = total
-        self._progress = progress
         self._raise_on_failure = raise_on_failure
         self.trace_id = trace_id
         self._flight_path = flight_path
-        self._disk_gauge_t = 0.0
 
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._nodes: dict[int, _NodeState] = {}
         self._next_id = 0
         self._finished: set[int] = set()
-        self._shard_t0: dict[int, float] = {}
         self._orphans: deque[int] = deque()  # reclaimed, waiting for a node
         self._partitioned = False
         self._closing = False
         self._fatal: BaseException | None = None
-        self._session_start = time.monotonic()
-        self._session_results = 0
         self.steals = 0
         self.node_deaths = 0
         self.stale_results = 0
@@ -205,7 +210,6 @@ class Coordinator:
     # ------------------------------------------------------------------
     def serve(self) -> dict:
         """Run the campaign to completion; returns a fleet summary dict."""
-        self._session_start = time.monotonic()
         self._listener.settimeout(0.2)
         accept = threading.Thread(
             target=self._accept_loop, name="cluster-accept", daemon=True
@@ -322,7 +326,7 @@ class Coordinator:
         flight_event("node.connect", node=node.node_id, peer=channel.peer)
         try:
             channel.send(
-                {**self._config_base, "kind": "config", "node": node.node_id}
+                {**self._config_frame, "kind": "config", "node": node.node_id}
             )
             self._node_loop(node)
         except (ProtocolError, ConnectionClosed) as exc:
@@ -473,16 +477,9 @@ class Coordinator:
     ) -> bool:
         """Lease one shard to a node; returns False if it was already done."""
         task = self._tasks[shard_id]
-        first_grant = shard_id not in self._shard_t0
-        if first_grant:
-            self._shard_t0[shard_id] = time.monotonic()
-        if self._journal is not None:
-            self._journal.shard_start(
-                shard_id, task.start, task.stop, node=node.node_id
-            )
-        self._store.start_shard(shard_id, task.start, task.stop)
-        self._store.register_ligands([(o, t) for o, t, _ in task.items])
-        already = self._store.done_ordinals(task.start, task.stop)
+        already = self._committer.begin_shard(
+            task, [(o, t) for o, t, _ in task.items], node=node.node_id
+        )
         pending = [item for item in task.items if item[0] not in already]
         if not pending:
             # Every ordinal is already committed (resume, or a dead node
@@ -554,35 +551,20 @@ class Coordinator:
         ) as commit_tags:
             if wire_s is not None:
                 commit_tags["wire_s"] = round(wire_s, 6)
-            if message.get("ok"):
-                self._store.record_result(
-                    ordinal,
-                    title,
-                    float(message["score"]),
-                    int(message["spot_index"]),
-                    int(message["evaluations"]),
-                    wall_seconds=float(message["wall_seconds"]),
-                    simulated_seconds=float(message["simulated_seconds"]),
-                    attempts=int(message["attempts"]),
-                )
+            row = _frame_row(message)
+            self._committer.commit(ordinal, title, row)
+            if row["ok"]:
                 node.done += 1
-                obs.counter("campaign.ligands.done").inc()
             else:
-                self._store.record_failure(
-                    ordinal, title, str(message.get("error", "unknown")),
-                    int(message.get("attempts", 1)),
-                )
                 node.failed += 1
-                obs.counter("campaign.ligands.failed").inc()
                 if self._raise_on_failure and self._fatal is None:
                     self._fatal = ClusterError(
                         f"ligand {title!r} (ordinal {ordinal}) failed on node "
-                        f"{node.node_id}: {message.get('error', 'unknown')}"
+                        f"{node.node_id}: {row['error']}"
                     )
                     self._cond.notify_all()
         if wire_s is not None:
             obs.histogram("cluster.wire.seconds").observe(wire_s)
-        self._session_results += 1
         lease = node.outstanding.get(shard_id)
         if lease is None:
             # The shard was reclaimed (this node was presumed dead) and the
@@ -597,69 +579,14 @@ class Coordinator:
             del node.outstanding[shard_id]
             self._finish_shard(shard_id, node)
             self._grant(node)
-            self._emit_progress(shard_id)
             if len(self._finished) == len(self._tasks):
                 self._cond.notify_all()
 
     def _finish_shard(self, shard_id: int, node: _NodeState) -> None:
         if shard_id in self._finished:
             return
-        task = self._tasks[shard_id]
-        n_done = len(self._store.done_ordinals(task.start, task.stop))
-        n_failed = task.size - n_done
-        wall = time.monotonic() - self._shard_t0.get(shard_id, time.monotonic())
-        self._store.finish_shard(shard_id, wall)
-        if self._journal is not None:
-            self._journal.shard_finish(
-                shard_id, n_done, n_failed, node=node.node_id
-            )
         self._finished.add(shard_id)
-        obs.counter("campaign.shards.done").inc()
-        obs.histogram("campaign.shard.seconds").observe(wall)
-        flight_event(
-            "shard.finish",
-            shard=shard_id,
-            node=node.node_id,
-            wall=round(wall, 6),
-        )
-        self._update_disk_gauge()
-        obs.mark("campaign.shard", force=True)
-
-    def _update_disk_gauge(self) -> None:
-        """Refresh ``store.disk.bytes`` (throttled: the probe walks files)."""
-        path = getattr(self._store, "path", None)
-        if path is None or str(path) == ":memory:":
-            return
-        now = time.monotonic()
-        if now - self._disk_gauge_t < 0.5:
-            return
-        self._disk_gauge_t = now
-        obs.gauge("store.disk.bytes").set(float(store_disk_bytes(path)))
-
-    def _emit_progress(self, shard_id: int) -> None:
-        if self._progress is None:
-            return
-        counts = self._store.counts()
-        elapsed = time.monotonic() - self._session_start
-        rate = self._session_results / elapsed if elapsed > 0 else 0.0
-        if self._total is None or rate <= 0:
-            eta = float("nan")
-        else:
-            remaining = max(0, self._total - counts["done"] - counts["failed"])
-            eta = remaining / rate
-        nodes = self._node_rows()
-        self._progress(
-            ClusterProgress(
-                shard_id=shard_id,
-                done=counts["done"],
-                failed=counts["failed"],
-                total=self._total,
-                elapsed_seconds=elapsed,
-                ligands_per_second=rate,
-                eta_seconds=eta,
-                nodes=nodes,
-            )
-        )
+        self._committer.end_shard(self._tasks[shard_id], node=node.node_id)
 
     # ------------------------------------------------------------------
     # death + recovery
@@ -703,7 +630,7 @@ class Coordinator:
         reclaimed: list[int] = []
         for lease in orphan_leases:
             task = self._tasks[lease.shard_id]
-            done = self._store.done_ordinals(task.start, task.stop)
+            done = self._committer.store.done_ordinals(task.start, task.stop)
             if len(done) >= task.size:
                 self._finish_shard(lease.shard_id, node)
             else:

@@ -32,24 +32,25 @@ processes over real sockets.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import socket
 import sys
 import uuid
 
 from repro import observability as obs
-from repro.campaign.library import iter_shards, resolve_title
+from repro.campaign.commit import CampaignCommitter
+from repro.campaign.library import plan_shards
 from repro.campaign.store import CampaignStore
 from repro.errors import ClusterError
-from repro.metaheuristics.template import MetaheuristicSpec
 from repro.observability.flight import flight_dir as _flight_dir
 from repro.observability.flight import flight_event, flight_recorder
 
-from repro.cluster.config import ClusterConfig, scoring_descriptor
-from repro.cluster.coordinator import Coordinator, ShardTask
+from repro.cluster.config import ClusterConfig
+from repro.cluster.coordinator import ClusterProgress, Coordinator, ShardTask
 from repro.cluster.protocol import ligand_to_payload, molecule_to_payload
 
-__all__ = ["ClusterCampaign", "execute_fleet"]
+__all__ = ["ClusterCampaign"]
 
 #: Library kinds whose descriptors rebuild bitwise on a worker — their
 #: leases carry ordinals only, never ligand payloads.
@@ -94,18 +95,12 @@ class ClusterCampaign:
     ) -> None:
         if nodes < 1:
             raise ClusterError(f"a fleet needs nodes >= 1, got {nodes}")
-        if isinstance(runner.metaheuristic, MetaheuristicSpec):
-            raise ClusterError(
-                "a custom MetaheuristicSpec cannot cross the cluster node "
-                "boundary; use a preset name (M1-M4) or run with nodes=0"
-            )
         self.runner = runner
         self.nodes = int(nodes)
         self.cluster = cluster if cluster is not None else ClusterConfig()
         self.spawn = bool(spawn)
         # Fail fast on anything that cannot be rebuilt on a worker.
-        self._scoring_descriptor = scoring_descriptor(runner.scoring)
-        self._node_name = self._validate_node_spec(runner.node)
+        self._settings_wire = runner.settings.to_wire()
         self.processes: list = []
         self.coordinator: Coordinator | None = None
         self.summary: dict | None = None
@@ -118,93 +113,50 @@ class ClusterCampaign:
             None if store_path == ":memory:" else _flight_dir(store_path)
         )
 
-    @staticmethod
-    def _validate_node_spec(node) -> str | None:
-        if node is None:
-            return None
-        from repro.hardware.node import hertz, jupiter
-
-        factories = {"jupiter": jupiter, "hertz": hertz}
-        expected = factories.get(node.name)
-        if expected is None or expected() != node:
-            raise ClusterError(
-                f"node spec {node.name!r} cannot be reconstructed on a worker "
-                "node; distributed campaigns support the built-in "
-                "jupiter/hertz models"
-            )
-        return node.name
-
     # ------------------------------------------------------------------
     # plan
     # ------------------------------------------------------------------
     def _plan(self, finished: set[int]) -> tuple[list[ShardTask], int]:
         """Stream the library into leasable shard tasks (single pass)."""
         runner = self.runner
-        library_kind = runner.config["library"].get("kind")
-        ship = library_kind not in _DESCRIPTOR_KINDS
-        seen_titles: set[str] = set()
+        ship = runner.config["library"].get("kind") not in _DESCRIPTOR_KINDS
         tasks: list[ShardTask] = []
         n_streamed = 0
-        # Finished shards come as (ordinal, title): none of their ligands
-        # is built just to name it.
-        for shard, items in iter_shards(
-            runner.source, runner.shard_size, skip=finished
-        ):
-            n_streamed += len(items)
-            if shard.shard_id in finished:
-                for ordinal, title in items:
-                    resolve_title(title, ordinal, seen_titles)
-                obs.counter("campaign.shards.skipped").inc()
-                continue
-            tasks.append(
-                ShardTask(
-                    shard_id=shard.shard_id,
-                    start=shard.start,
-                    stop=shard.stop,
-                    items=tuple(
-                        (
-                            ordinal,
-                            resolve_title(ligand.title, ordinal, seen_titles),
-                            ligand_to_payload(ligand) if ship else None,
-                        )
-                        for ordinal, ligand in items
-                    ),
+        for shard, titled in plan_shards(runner.source, runner.shard_size, finished):
+            n_streamed = shard.stop
+            if titled is not None:
+                items = tuple(
+                    (ordinal, title, ligand_to_payload(ligand) if ship else None)
+                    for ordinal, ligand, title in titled
                 )
-            )
+                tasks.append(ShardTask(shard.shard_id, shard.start, shard.stop, items))
         return tasks, n_streamed
 
-    def _config_base(self) -> dict:
+    def _config_frame(self) -> dict:
         """Everything a worker needs to rebuild the campaign locally."""
         runner = self.runner
-        library_kind = runner.config["library"].get("kind")
+        library = runner.config["library"]
         return {
-            "campaign": {
-                "seed": runner.seed,
-                "n_spots": runner.n_spots,
-                "metaheuristic": str(runner.metaheuristic),
-                "workload_scale": runner.workload_scale,
-                "mode": runner.mode,
-                "max_attempts": runner.max_attempts,
-                "backoff_base": runner.backoff_base,
-            },
-            "execution": {
-                "host_workers": runner.host_workers,
-                "parallel_mode": runner.parallel_mode,
-                "scoring": self._scoring_descriptor,
-                "node": self._node_name,
-            },
+            "settings": self._settings_wire,
             "cluster": self.cluster.to_wire(),
             "receptor": molecule_to_payload(runner.receptor),
-            "library": (
-                runner.config["library"]
-                if library_kind in _DESCRIPTOR_KINDS
-                else None
-            ),
+            "library": library if library.get("kind") in _DESCRIPTOR_KINDS else None,
             "trace": self.trace_id,
             "flight_dir": (
                 None if self.flight_dir is None else str(self.flight_dir)
             ),
         }
+
+    def _progress_with_nodes(self):
+        """The runner's progress callback, fed :class:`ClusterProgress`."""
+        progress = self.runner._progress
+        if progress is None:
+            return None
+        return lambda snapshot: progress(
+            ClusterProgress(
+                **dataclasses.asdict(snapshot), nodes=self.coordinator.node_table()
+            )
+        )
 
     # ------------------------------------------------------------------
     # execution
@@ -218,6 +170,12 @@ class ClusterCampaign:
                 # black-box dump should say so (workers retag in run_worker).
                 flight_recorder().role = "coordinator"
                 tasks, n_streamed = self._plan(finished)
+                committer = CampaignCommitter(
+                    store,
+                    runner.journal,
+                    total=runner.source.count(),
+                    progress=self._progress_with_nodes(),
+                )
                 flight_event(
                     "fleet.start",
                     nodes=self.nodes,
@@ -260,14 +218,11 @@ class ClusterCampaign:
                             process.start()
                     self.coordinator = Coordinator(
                         listener,
-                        store=store,
-                        journal=runner.journal,
+                        committer=committer,
                         tasks=tasks,
-                        config_base=self._config_base(),
+                        config_frame=self._config_frame(),
                         cluster=self.cluster,
                         expected_nodes=self.nodes,
-                        total=runner.source.count(),
-                        progress=runner._progress,
                         raise_on_failure=runner.raise_on_failure,
                         trace_id=self.trace_id,
                         flight_path=(
@@ -279,9 +234,7 @@ class ClusterCampaign:
                     self.summary = self.coordinator.serve()
                 finally:
                     self._reap_workers()
-                store.mark_complete(n_streamed)
-                if runner.journal is not None:
-                    runner.journal.campaign_finish(n_streamed)
+                committer.end_campaign(n_streamed)
         except BaseException:
             store.close()
             raise
@@ -298,23 +251,3 @@ class ClusterCampaign:
             if process.is_alive():  # pragma: no cover - last resort
                 process.kill()
                 process.join(timeout=2.0)
-
-
-def execute_fleet(
-    runner,
-    store: CampaignStore,
-    finished: set[int],
-    *,
-    nodes: int,
-    cluster: ClusterConfig | None = None,
-    spawn: bool = True,
-) -> CampaignStore:
-    """Runner delegation hook: distribute one campaign execution phase.
-
-    Called by :meth:`CampaignRunner._execute` when the runner was built with
-    ``nodes >= 2``. The fleet object stays reachable as ``runner.fleet`` so
-    tests can reach the worker processes (e.g. to SIGKILL one mid-run).
-    """
-    fleet = ClusterCampaign(runner, nodes=nodes, cluster=cluster, spawn=spawn)
-    runner.fleet = fleet
-    return fleet.execute(store, finished)

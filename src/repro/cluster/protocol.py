@@ -72,8 +72,10 @@ __all__ = [
 #: coordinator refuses mismatched workers. 2: the per-spot pruning field
 #: left ``config.execution`` (a v1 worker reads it unconditionally). 3: the
 #: kernel-selection table left ``config`` (a v2 coordinator may send one and
-#: a v3 worker would dock without it).
-PROTOCOL_VERSION: int = 3
+#: a v3 worker would dock without it). 4: ``config.campaign`` and
+#: ``config.execution`` became the one ``config.settings`` object
+#: (:meth:`repro.campaign.settings.DockSettings.to_wire`).
+PROTOCOL_VERSION: int = 4
 
 #: Every legal ``kind`` value (either direction).
 MESSAGE_KINDS: frozenset[str] = frozenset(

@@ -1,19 +1,21 @@
 """Worker-node process: one node of a distributed campaign fleet.
 
-A worker owns the same execution stack a single-node campaign does — its own
-:class:`~repro.engine.host_runtime.PersistentHostRuntime` (pool spawned
-once, receptor staged once, Eq. 1 warm-up paid once, each ligand docked on
-a lease of it), the same bounded-retry dock loop
-(:func:`repro.campaign.runner.dock_with_retry`), the same ``seed +
-ordinal`` seeding rule — and reports each
-ligand's outcome to the coordinator as a ``result`` message the moment it is
+A worker rebuilds the coordinator's
+:class:`~repro.campaign.settings.DockSettings` from the ``config`` frame and
+docks exactly as a single-node campaign does: its own
+:class:`~repro.engine.host_runtime.PersistentHostRuntime`
+(:func:`~repro.campaign.runner.open_runtime`: pool spawned once, receptor
+staged once, Eq. 1 warm-up paid once) and
+:func:`~repro.campaign.runner.dock_ligand` for the probe and every leased
+ligand. Each outcome goes to the coordinator as a ``result`` message — the
+row :func:`~repro.campaign.runner.outcome_row` builds — the moment it is
 docked. The coordinator, not the worker, owns the store: a worker that dies
 mid-shard loses nothing that was already reported.
 
 Lifecycle (one TCP channel, messages per :mod:`repro.cluster.protocol`):
 
 1. dial the coordinator (bounded retry), send ``hello``;
-2. receive ``config`` — campaign science settings, execution knobs, the
+2. receive ``config`` — the ``settings`` object, the cluster knobs, the
    receptor inline, optionally the library descriptor;
 3. dock one warm-up probe ligand, send ``warmup`` with the measured seconds
    (the coordinator's Eq. 1 input — this same dock also warms the pool);
@@ -39,8 +41,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import observability as obs
-from repro.campaign.runner import dock_with_retry
-from repro.errors import ClusterError, ConnectionClosed, ProtocolError
+from repro.campaign.runner import dock_ligand, open_runtime, outcome_row
+from repro.campaign.settings import DockSettings
+from repro.errors import ConnectionClosed, ProtocolError
 from repro.observability.flight import (
     dump_flight,
     flight_event,
@@ -48,7 +51,7 @@ from repro.observability.flight import (
     install_flight_signal_dump,
 )
 
-from repro.cluster.config import ClusterConfig, build_scoring
+from repro.cluster.config import ClusterConfig
 from repro.cluster.protocol import (
     PROTOCOL_VERSION,
     Channel,
@@ -62,21 +65,6 @@ __all__ = ["run_worker", "WorkerNode"]
 #: Seed offset for the warm-up probe ligand — far outside any campaign's
 #: ordinal range so the probe can never collide with a real ligand's stream.
 PROBE_SEED_OFFSET = 999_331
-
-
-def _build_node_spec(name: str | None):
-    """Rebuild a named hardware model on the worker side (or ``None``)."""
-    if name is None:
-        return None
-    from repro.hardware.node import hertz, jupiter
-
-    factories = {"jupiter": jupiter, "hertz": hertz}
-    if name not in factories:
-        raise ClusterError(
-            f"node spec {name!r} cannot be reconstructed on a worker node; "
-            "distributed campaigns support the built-in jupiter/hertz models"
-        )
-    return factories[name]()
 
 
 @dataclass
@@ -97,24 +85,13 @@ class WorkerNode:
     def __init__(self, channel: Channel, config_message: dict) -> None:
         try:
             self.node_id = int(config_message["node"])
-            campaign = config_message["campaign"]
-            execution = config_message["execution"]
             self.cluster = ClusterConfig.from_wire(config_message["cluster"])
             self.receptor = receptor_from_payload(config_message["receptor"])
             self.library = config_message.get("library")
-            self.seed = int(campaign["seed"])
-            self.n_spots = int(campaign["n_spots"])
-            self.metaheuristic = str(campaign["metaheuristic"])
-            self.workload_scale = float(campaign["workload_scale"])
-            self.mode = str(campaign["mode"])
-            self.max_attempts = int(campaign["max_attempts"])
-            self.backoff_base = float(campaign["backoff_base"])
-            self.host_workers = int(execution["host_workers"])
-            self.parallel_mode = str(execution["parallel_mode"])
-            self.scoring = build_scoring(execution.get("scoring"))
-            self.node_spec = _build_node_spec(execution.get("node"))
+            settings = config_message["settings"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed config message: {exc}") from exc
+        self.settings = DockSettings.from_wire(settings)
         self.channel = channel
         self.channel.timeout = self.cluster.message_timeout_s
         # Campaign-scoped trace context: every frame we send from here on
@@ -138,7 +115,7 @@ class WorkerNode:
         self._heartbeat_error: Exception | None = None
         from repro.molecules.spots import find_spots
 
-        self.spots = find_spots(self.receptor, self.n_spots)
+        self.spots = find_spots(self.receptor, self.settings.n_spots)
 
     def _trace_tags(self) -> dict:
         return {} if self.trace_id is None else {"trace": self.trace_id}
@@ -147,16 +124,8 @@ class WorkerNode:
     # warm-up
     # ------------------------------------------------------------------
     def start_runtime(self) -> None:
-        if self.host_workers > 0:
-            from repro.engine.host_runtime import PersistentHostRuntime
-
-            self._runtime = PersistentHostRuntime(
-                self.receptor,
-                self.spots,
-                n_workers=self.host_workers,
-                mode=self.parallel_mode,
-                scoring=self.scoring,
-            )
+        # Depth 1: the config frame carries no pipeline depth.
+        self._runtime = open_runtime(self.settings, self.receptor, self.spots)
 
     def probe(self) -> float:
         """Dock one throwaway ligand at campaign settings; return seconds.
@@ -171,12 +140,14 @@ class WorkerNode:
 
         probe_ligand = generate_ligand(
             self.cluster.probe_atoms,
-            seed=self.seed + PROBE_SEED_OFFSET,
+            seed=self.settings.seed + PROBE_SEED_OFFSET,
             title="__probe__",
         )
         t0 = time.perf_counter()
         with obs.span("cluster.worker.probe", **self._trace_tags()):
-            self._dock(probe_ligand, ordinal=0)
+            outcome = self._dock(0, probe_ligand)
+        if not outcome["ok"]:
+            raise outcome["exc"]
         measured = time.perf_counter() - t0
         flight_event("probe", node=self.node_id, seconds=round(measured, 6))
         override = self.cluster.probe_override_for(self.node_id)
@@ -287,98 +258,61 @@ class WorkerNode:
             nxt = lease.items[0] if lease.items else self._leases[1].items[0]
             if nxt is not None:
                 self._runtime.hint_next(nxt[2])
-        result_message = self._dock_with_retry(lease, ordinal, title, ligand)
-        self.channel.send(result_message)
+        self.channel.send(self._dock_leased(lease, ordinal, title, ligand))
         if self.cluster.service_time_s > 0:
             # Synthetic device service time (benchmark emulation mode).
             time.sleep(self.cluster.service_time_s)
         if not lease.items:
             self._leases.popleft()
 
-    def _dock(self, ligand, ordinal: int):
-        from repro.vs.docking import dock
-
-        return dock(
+    def _dock(self, ordinal: int, ligand) -> dict:
+        return dock_ligand(
+            self.settings,
             self.receptor,
+            self.spots,
+            ordinal,
             ligand,
-            spots=self.spots,
-            metaheuristic=self.metaheuristic,
-            scoring=self.scoring,
-            seed=self.seed + ordinal,
-            workload_scale=self.workload_scale,
-            node=self.node_spec,
-            mode=self.mode,
-            host_workers=self.host_workers,
-            parallel_mode=self.parallel_mode,
-            evaluator_factory=(
-                None if self._runtime is None else self._runtime.evaluator_factory
-            ),
-        )
-
-    def _dock_with_retry(
-        self, lease: _Lease, ordinal: int, title: str, ligand
-    ) -> dict:
-        """Dock one leased ligand and build its ``result`` message.
-
-        Runs under :func:`repro.campaign.runner.dock_with_retry`: same
-        attempts, same backoff, same seeding as a single-node run.
-        """
-        tracer = obs.get_telemetry().tracer
-        span_id = None
-
-        def dock_once():
-            nonlocal span_id
-            t0 = time.perf_counter()
-            with obs.span(
-                "cluster.ligand.dock",
-                ordinal=ordinal,
-                shard=lease.shard_id,
-                lease_wait_s=round(max(0.0, t0 - lease.accepted_s), 6),
-                **self._trace_tags(),
-            ):
-                span_id = tracer.current
-                return self._dock(ligand, ordinal)
-
-        outcome = dock_with_retry(
-            dock_once,
-            max_attempts=self.max_attempts,
-            backoff_base=self.backoff_base,
+            None if self._runtime is None else self._runtime.evaluator_factory,
             sleep=time.sleep,
             node=self.node_id,
-            ordinal=ordinal,
         )
-        message = {
+
+    def _dock_leased(self, lease: _Lease, ordinal: int, title: str, ligand) -> dict:
+        """Dock one leased ligand and build its ``result`` message.
+
+        Same attempts, same backoff, same seeding as a single-node run:
+        :func:`repro.campaign.runner.dock_ligand` is what that runs too.
+        """
+        with obs.span(
+            "cluster.ligand.dock",
+            ordinal=ordinal,
+            shard=lease.shard_id,
+            lease_wait_s=round(max(0.0, time.perf_counter() - lease.accepted_s), 6),
+            **self._trace_tags(),
+        ):
+            # lets the coordinator correlate its commit span with this dock
+            # (node-local id)
+            span_id = obs.get_telemetry().tracer.current
+            outcome = self._dock(ordinal, ligand)
+        row = outcome_row(outcome)
+        if row["ok"]:
+            self._done += 1
+            obs.counter("campaign.ligands.done").inc()
+            obs.histogram("campaign.dock.seconds").observe(row["wall_seconds"])
+            row["span"] = span_id
+        else:
+            self._failed += 1
+            obs.counter("campaign.ligands.failed").inc()
+        return {
             "kind": "result",
             "node": self.node_id,
             "shard_id": lease.shard_id,
             "ordinal": ordinal,
             "title": title,
-            "ok": outcome["ok"],
-            "attempts": outcome["attempts"],
+            **row,
+            # sent_s lets the coordinator compute wire time.
+            "sent_s": time.perf_counter(),
         }
-        if outcome["ok"]:
-            result, wall_s = outcome["result"], outcome["wall_s"]
-            self._done += 1
-            obs.counter("campaign.ligands.done").inc()
-            obs.histogram("campaign.dock.seconds").observe(wall_s)
-            message.update(
-                score=float(result.best_score),
-                spot_index=int(result.best.spot_index),
-                evaluations=int(result.evaluations),
-                wall_seconds=float(wall_s),
-                simulated_seconds=float(result.simulated_seconds),
-                # lets the coordinator correlate its commit span with this
-                # dock (node-local id)
-                span=span_id,
-            )
-        else:
-            exc = outcome["exc"]
-            self._failed += 1
-            obs.counter("campaign.ligands.failed").inc()
-            message["error"] = f"{type(exc).__name__}: {exc}"
-        # sent_s lets the coordinator compute wire time.
-        message["sent_s"] = time.perf_counter()
-        return message
 
     # ------------------------------------------------------------------
     # liveness + farewell

@@ -8,7 +8,7 @@ from repro.errors import HardwareModelError
 from repro.hardware.registry import get_cpu, get_gpu
 from repro.hardware.specs import CpuSpec, GpuSpec
 
-__all__ = ["NodeSpec", "jupiter", "hertz", "custom_node"]
+__all__ = ["NodeSpec", "jupiter", "hertz", "named_node", "custom_node"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,20 @@ def hertz() -> NodeSpec:
         cpu_sockets=1,
         gpus=(get_gpu("Tesla K40c"), get_gpu("GeForce GTX 580")),
     )
+
+
+def named_node(name: str | None) -> NodeSpec | None:
+    """The paper machine called ``name``; ``None`` / ``"none"`` is no model.
+
+    The one place a stored, wire or command-line node name becomes a spec.
+    """
+    if name in (None, "none"):
+        return None
+    if name not in ("jupiter", "hertz"):
+        raise HardwareModelError(
+            f"unknown node {name!r}; the built-in models are jupiter and hertz"
+        )
+    return jupiter() if name == "jupiter" else hertz()
 
 
 def custom_node(

@@ -1,4 +1,4 @@
-"""Virtual-screening public API: docking, library screening, pipeline facade."""
+"""Virtual-screening public API: docking and library screening."""
 
 from repro.vs.analysis import (
     PoseCluster,
@@ -9,7 +9,6 @@ from repro.vs.analysis import (
 )
 from repro.vs.docking import dock
 from repro.vs.flexible import FlexibleDockingResult, FlexiblePose, dock_flexible
-from repro.vs.pipeline import PipelineConfig, VirtualScreeningPipeline
 from repro.vs.results import DockingResult, ScreeningEntry, ScreeningReport
 from repro.vs.screening import screen, synthetic_library
 from repro.vs.visualize import ascii_projection, gantt, score_map, sparkline
@@ -18,11 +17,9 @@ __all__ = [
     "DockingResult",
     "FlexibleDockingResult",
     "FlexiblePose",
-    "PipelineConfig",
     "PoseCluster",
     "ScreeningEntry",
     "ScreeningReport",
-    "VirtualScreeningPipeline",
     "ascii_projection",
     "gantt",
     "cluster_poses",

@@ -107,24 +107,24 @@ def test_channel_send_recv_and_close(pair):
 
 
 def test_hello_from_another_protocol_version_is_turned_away(pair):
-    """A v2 worker expects a config field that no longer exists, so the
-    coordinator answers its hello with shutdown and never registers it."""
+    """A v3 worker reads ``config.campaign`` / ``config.execution``, which
+    ``config.settings`` replaced, so the coordinator answers its hello with
+    shutdown and never registers it."""
     from repro.cluster import PROTOCOL_VERSION, ClusterConfig
     from repro.cluster.coordinator import Coordinator
 
     coordinator = Coordinator(
         None,
-        store=None,
-        journal=None,
+        committer=None,
         tasks=[],
-        config_base={},
+        config_frame={},
         cluster=ClusterConfig(),
         expected_nodes=1,
     )
     a, b = pair
     worker = Channel(b, timeout=5.0)
-    assert PROTOCOL_VERSION == 3
-    worker.send({"kind": "hello", "protocol": 2, "pid": 1})
+    assert PROTOCOL_VERSION == 4
+    worker.send({"kind": "hello", "protocol": 3, "pid": 1})
     coordinator._serve_connection(Channel(a, timeout=5.0))
     reply = worker.recv()
     assert (reply["kind"], reply["reason"]) == ("shutdown", "protocol mismatch")

@@ -28,10 +28,17 @@ _REPORT = (
 )
 
 
-def loaded_after(body: str, cwd) -> set[str]:
+#: The fleet's modules: a single-node campaign has no use for them.
+_CLUSTER_REPORT = (
+    "import json, sys; print(json.dumps("
+    "sorted(m for m in sys.modules if m.startswith('repro.cluster'))))"
+)
+
+
+def loaded_after(body: str, cwd, report: str = _REPORT) -> set[str]:
     """Run ``body`` in a fresh interpreter; which watched modules did it load?"""
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{body}\n{_REPORT}"],
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{body}\n{report}"],
         cwd=cwd,
         capture_output=True,
         text=True,
@@ -115,6 +122,7 @@ def test_a_campaign_runner_built_and_run_loads_no_scipy(tmp_path):
     assert loaded_after(body, tmp_path) == set()
     ran = body + "assert runner.run().counts()['done'] == 2\n"
     assert loaded_after(ran, tmp_path) == set()
+    assert loaded_after(ran, tmp_path, _CLUSTER_REPORT) == set()
 
 
 def test_rigid_dock_never_loads_networkx(tmp_path):
@@ -133,7 +141,7 @@ def test_a_fleet_node_sets_up_its_spots_without_scipy(tmp_path):
         "from repro.cluster import ClusterCampaign, WorkerNode\n"
         "from repro.cluster.protocol import Channel\n"
         "runner = CampaignRunner(receptor, ListSource([ligand]), store_path=':memory:', n_spots=2)\n"
-        "config = ClusterCampaign(runner, nodes=2)._config_base()\n"
+        "config = ClusterCampaign(runner, nodes=2)._config_frame()\n"
         "ours, theirs = socket.socketpair()\n"
         "node = WorkerNode(Channel(ours), {**config, 'kind': 'config', 'node': 0})\n"
         "assert len(node.spots) == 2\n"
@@ -178,7 +186,6 @@ NEEDED_FROM_OUTSIDE = {
     "repro.scoring.softcore": "benchmarks/bench_futurework_scoring.py",
     "repro.scoring.tiled": "benchmarks/bench_ablation_tiling.py",  # the paper's kernel mirror
     "repro.vs.analysis": "examples/redocking.py",
-    "repro.vs.pipeline": "examples/quickstart.py",
     "repro.vs.visualize": "benchmarks/bench_figure1_binding.py",
 }
 
@@ -213,3 +220,33 @@ def test_every_module_is_imported_by_the_program_or_named_with_its_user():
     assert sorted(set(NEEDED_FROM_OUTSIDE) - unreached) == [], "reached now: drop it"
     gone = [u for u in NEEDED_FROM_OUTSIDE.values() if not (SRC.parent / u).exists()]
     assert gone == [], "the named user is gone: does the module still have one?"
+
+
+# ----------------------------------------------------------------------
+# one writer: the store and journal write verbs have one caller
+# ----------------------------------------------------------------------
+WRITE_VERBS = (
+    "start_shard", "register_ligands", "record_result", "record_failure",
+    "finish_shard", "mark_complete", "shard_start", "shard_finish", "campaign_finish",
+)
+#: The stores and the journal themselves (a backend may call its own verbs).
+WRITERS = {f"repro.campaign.{name}" for name in ("store", "colstore", "backends", "journal")}
+
+
+def test_each_store_and_journal_write_verb_is_called_from_one_module():
+    callers: dict[str, set[str]] = {verb: set() for verb in (*WRITE_VERBS, "store.disk.bytes")}
+    for path in SRC.rglob("*.py"):
+        module = _module_name(path)
+        if module in WRITERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                continue
+            if node.func.attr in WRITE_VERBS:
+                callers[node.func.attr].add(module)
+            elif node.func.attr == "gauge" and any(
+                isinstance(arg, ast.Constant) and arg.value == "store.disk.bytes"
+                for arg in node.args
+            ):
+                callers["store.disk.bytes"].add(module)
+    assert callers == {verb: {"repro.campaign.commit"} for verb in callers}

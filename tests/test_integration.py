@@ -11,7 +11,6 @@ from repro.molecules.spots import find_spots
 from repro.molecules.synthetic import generate_ligand, generate_receptor
 from repro.scoring.cutoff import CutoffLennardJonesScoring
 from repro.vs.docking import dock
-from repro.vs.pipeline import PipelineConfig, VirtualScreeningPipeline
 
 
 def test_full_stack_pdb_roundtrip_then_dock():
@@ -36,13 +35,11 @@ def test_every_preset_runs_on_every_mode(preset, receptor, ligand, spots):
 def test_custom_node_end_to_end():
     """The future-work scenario: a user models their own K20 cluster node."""
     node = custom_node("lab", "Xeon E3-1220", 2, ["Tesla K20", "Tesla K20X"])
-    pipe = VirtualScreeningPipeline(
-        node=node,
-        config=PipelineConfig(n_spots=2, metaheuristic="M1", workload_scale=0.05),
-    )
     receptor = generate_receptor(220, seed=3)
     ligand = generate_ligand(12, seed=4)
-    result = pipe.dock(receptor, ligand)
+    result = dock(
+        receptor, ligand, n_spots=2, metaheuristic="M1", workload_scale=0.05, node=node
+    )
     assert result.simulated_seconds > 0
 
 
