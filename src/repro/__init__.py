@@ -29,6 +29,8 @@ Quickstart::
     print(result.best_score, result.simulated_seconds)
 """
 
+import importlib
+
 from repro.errors import (
     DeviceFailure,
     ExperimentError,
@@ -59,3 +61,22 @@ __all__ = [
     "SimulationError",
     "__version__",
 ]
+
+
+def _lazy_exports(namespace: dict, modules: dict[str, tuple[str, ...]]):
+    """A PEP 562 module ``__getattr__`` for a package's lazy re-exports.
+
+    ``modules`` maps each module a campaign never runs to the names the
+    package re-exports from it. The module is imported on the first access
+    to one of its names, so a process loads only the modules it uses; the
+    name is then cached in the package ``namespace``.
+    """
+    owner = {name: module for module, names in modules.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in owner:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        namespace[name] = getattr(importlib.import_module(owner[name]), name)
+        return namespace[name]
+
+    return __getattr__

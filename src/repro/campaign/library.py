@@ -446,6 +446,7 @@ def iter_shards(
     source: Iterable[Ligand],
     shard_size: int,
     skip: frozenset[int] | set[int] = frozenset(),
+    titles_only: bool = False,
 ) -> Iterator[tuple[Shard, list[tuple[int, Ligand]]]]:
     """Cut a ligand stream into fixed-size shards, one shard in memory.
 
@@ -454,18 +455,19 @@ def iter_shards(
     before a resume) is still yielded, because the plan and
     :func:`resolve_title` depend on the whole stream, but with ``(ordinal,
     title)`` items: a line-file source then builds none of its ligands.
+    With ``titles_only`` every shard comes that way.
     """
     if shard_size < 1:
         raise CampaignError(f"shard_size must be >= 1, got {shard_size}")
     # (smiles, title) lines instead of ligands, where the source has them.
-    lazy = bool(skip) and isinstance(source, SmilesSource)
+    lazy = (titles_only or bool(skip)) and isinstance(source, SmilesSource)
     lines = source._unique_entries if lazy else None
     buffer: list = []
     start = 0
 
     def cut():
         shard = Shard(start // shard_size, start, start + len(buffer))
-        if shard.shard_id in skip:
+        if titles_only or shard.shard_id in skip:
             items = [entry[1] if lines else entry.title for entry in buffer]
         elif lines:
             items = [source.line_ligand(*entry) for entry in buffer]
@@ -498,8 +500,11 @@ def resolve_title(title: str, ordinal: int, seen: set[str]) -> str:
 
 
 def plan_shards(
-    source: Iterable[Ligand], shard_size: int, finished: frozenset[int] | set[int]
-) -> Iterator[tuple[Shard, list[tuple[int, Ligand, str]] | None]]:
+    source: Iterable[Ligand],
+    shard_size: int,
+    finished: frozenset[int] | set[int],
+    titles_only: bool = False,
+) -> Iterator[tuple[Shard, list[tuple[int, Ligand | None, str]] | None]]:
     """The campaign plan every execution follows, one shard at a time.
 
     Yields ``(shard, [(ordinal, ligand, title), ...])`` with the titles made
@@ -507,14 +512,22 @@ def plan_shards(
     in ``finished``: it is counted as skipped and its titles still claim
     their names, but nothing is built for it. Ordinals are contiguous from
     zero, so the last shard's ``stop`` is the number of ligands streamed.
+    With ``titles_only`` every ``ligand`` is ``None``, and a line-file
+    source builds no ligand at all (a fleet coordinator leases ordinals and
+    titles; its nodes build the ligands).
     """
     seen_titles: set[str] = set()
-    for shard, items in iter_shards(source, shard_size, skip=finished):
+    for shard, items in iter_shards(source, shard_size, finished, titles_only):
         if shard.shard_id in finished:
             for ordinal, title in items:
                 resolve_title(title, ordinal, seen_titles)
             obs.counter("campaign.shards.skipped").inc()
             yield shard, None
+        elif titles_only:
+            yield shard, [
+                (ordinal, None, resolve_title(title, ordinal, seen_titles))
+                for ordinal, title in items
+            ]
         else:
             yield shard, [
                 (ordinal, ligand, resolve_title(ligand.title, ordinal, seen_titles))

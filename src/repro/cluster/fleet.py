@@ -12,9 +12,10 @@ Execution shape, in order:
 
 1. **Plan** — stream the library once, cutting it into the same shards the
    single-node runner would execute, with the same collision-free titles.
-   Descriptor-backed libraries (synthetic, pdb-dir) lease ordinals only and
-   workers regenerate ligands locally; one-shot in-memory sources ship each
-   ligand inline in its lease.
+   Descriptor-backed libraries (synthetic, pdb-dir, smiles, csv) lease
+   ordinals only and workers regenerate ligands locally, so a SMILES or CSV
+   file is planned from its lines without building a ligand; one-shot
+   in-memory sources ship each ligand inline in its lease.
 2. **Listen, then fork** — the coordinator socket binds first (workers never
    race it), worker processes fork *before* any coordinator thread starts
    (fork + threads don't mix), and each worker resets its inherited
@@ -115,12 +116,17 @@ class ClusterCampaign:
     # plan
     # ------------------------------------------------------------------
     def _plan(self, finished: set[int]) -> tuple[list[ShardTask], int]:
-        """Stream the library into leasable shard tasks (single pass)."""
+        """Stream the library into leasable shard tasks (single pass).
+
+        A descriptor-kind library is planned from titles only, because its
+        nodes build the ligands: a SMILES or CSV file builds none here.
+        """
         runner = self.runner
         ship = runner.config["library"].get("kind") not in _DESCRIPTOR_KINDS
         tasks: list[ShardTask] = []
         n_streamed = 0
-        for shard, titled in plan_shards(runner.source, runner.shard_size, finished):
+        plan = plan_shards(runner.source, runner.shard_size, finished, titles_only=not ship)
+        for shard, titled in plan:
             n_streamed = shard.stop
             if titled is not None:
                 items = tuple(

@@ -1,8 +1,6 @@
 """Parallel runtime: schedulers, warm-up, simulated execution, reporting."""
 
-from repro.engine.async_mode import partition_spots_by_weight, simulate_async_trace
-from repro.engine.device_worker import Job, QueueResult, SimulatedDevice, run_job_queue
-from repro.engine.events import Event, EventLoop
+from repro import _lazy_exports
 from repro.engine.executor import (
     EXECUTION_MODES,
     MultiGpuExecutor,
@@ -13,13 +11,6 @@ from repro.engine.executor import (
 from repro.engine.host_runtime import HostWarmupResult, ParallelSpotEvaluator
 from repro.engine.partition import equal_partition, proportional_partition
 from repro.engine.reporting import ExecutionReport, TimingBreakdown
-from repro.engine.screening_schedule import (
-    LigandWorkload,
-    ScreeningSchedule,
-    dynamic_screening_makespan,
-    static_screening_makespan,
-)
-from repro.engine.traceio import dump_trace, dumps_trace, load_trace, loads_trace
 from repro.engine.scheduler import (
     DynamicSpotQueueScheduler,
     Scheduler,
@@ -68,3 +59,17 @@ __all__ = [
     "simulate_gpu_trace",
     "static_screening_makespan",
 ]
+
+# Off the campaign path: loaded on first use.
+__getattr__ = _lazy_exports(globals(), {
+    "repro.engine.async_mode": ("partition_spots_by_weight", "simulate_async_trace"),
+    "repro.engine.device_worker": ("Job", "QueueResult", "SimulatedDevice", "run_job_queue"),
+    "repro.engine.events": ("Event", "EventLoop"),
+    "repro.engine.screening_schedule": (
+        "LigandWorkload",
+        "ScreeningSchedule",
+        "dynamic_screening_makespan",
+        "static_screening_makespan",
+    ),
+    "repro.engine.traceio": ("dump_trace", "dumps_trace", "load_trace", "loads_trace"),
+})

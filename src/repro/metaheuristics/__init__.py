@@ -1,5 +1,6 @@
 """Metaheuristic framework: Algorithm 1 template, operators, M1–M4 presets."""
 
+from repro import _lazy_exports
 from repro.metaheuristics.combination import (
     BlendCrossover,
     Combination,
@@ -26,7 +27,6 @@ from repro.metaheuristics.initialization import (
     ShellInitializer,
     UniformSpotInitializer,
 )
-from repro.metaheuristics.multistart import MultistartResult, run_multistart
 from repro.metaheuristics.population import Population
 from repro.metaheuristics.presets import (
     PRESET_TABLE,
@@ -100,3 +100,8 @@ __all__ = [
     "run_metaheuristic",
     "run_multistart",
 ]
+
+# Off the campaign path: loaded on first use.
+__getattr__ = _lazy_exports(globals(), {
+    "repro.metaheuristics.multistart": ("MultistartResult", "run_multistart"),
+})

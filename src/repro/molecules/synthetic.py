@@ -216,38 +216,55 @@ def generate_ligand(
         raise MoleculeError(f"ligand needs at least one atom, got {n_atoms}")
     rng = default_rng(seed)
     elements = _sample_elements(rng, n_atoms, LIGAND_HEAVY_COMPOSITION)
-    coords = np.zeros((n_atoms, 3), dtype=FLOAT_DTYPE)
-    radii = np.array([get_element(s).covalent_radius for s in elements])
+    radii = [get_element(s).covalent_radius for s in elements]
+    placed = [(0.0, 0.0, 0.0)]
 
-    # Ligand generation is most of a library-ingest pass, so the attempt
-    # loop calls the ufuncs ``np.linalg.norm`` / ``np.all`` would run, in
-    # their order (dot, sqrt; multiply, add.reduce, sqrt): stored campaigns
-    # key on these bytes, and tests/molecules/test_synthetic.py holds the
-    # wrapper form as the bitwise reference.
+    # Ligand generation is most of a library-ingest pass, and an attempt
+    # tests at most 63 atoms, so the placement and clash test run on Python
+    # floats and stop at the first clash. Stored campaigns key on these
+    # bytes, and tests/molecules/test_synthetic.py holds the array form as
+    # the bitwise reference. The scalar form matches it bit for bit: IEEE-754
+    # rounds each ``-``, ``*`` and ``/`` correctly in either form, the array
+    # form's row sum (``np.add.reduce`` over a 3-wide row) adds left to
+    # right as ``(dx*dx + dy*dy) + dz*dz`` does, ``math.sqrt`` and
+    # ``np.sqrt`` are both correctly rounded, and which clash is found first
+    # does not change the accept decision. The dot product of the direction
+    # stays in NumPy: BLAS ``ddot`` may fuse multiply-adds, which Python
+    # floats cannot reproduce. The RNG draws keep their order and shapes,
+    # one ``integers`` and one ``normal(size=3)`` per attempt.
     for i in range(1, n_atoms):
         radius = radii[i]
-        limits = radii[:i] + radius + 0.5
-        grown = coords[:i]
+        limits = [r + radius + 0.5 for r in radii[:i]]
         for _ in range(64):
             parent = int(rng.integers(0, i))
             bond = radius + radii[parent]
             direction = rng.normal(size=3)
-            direction /= math.sqrt(direction.dot(direction))
-            candidate = coords[parent] + bond * direction
+            norm = math.sqrt(direction.dot(direction))
+            ux, uy, uz = direction.tolist()
+            px, py, pz = placed[parent]
+            x = px + bond * (ux / norm)
+            y = py + bond * (uy / norm)
+            z = pz + bond * (uz / norm)
             # Keep the bond graph a tree: the new atom must bond *only* to
             # its parent. Reject placements within geometric bonding range
             # (covalent sum + tolerance) of any other atom — that is what
             # gives the generated molecules drug-like topology (n−1 bonds,
             # several rotatable bonds) instead of fused clusters.
-            diff = grown - candidate
-            d = np.sqrt(np.add.reduce(diff * diff, axis=1))
-            d[parent] = np.inf  # the bonded parent is allowed to be close
-            if (d >= limits).all():
+            for j, (qx, qy, qz) in enumerate(placed):
+                if j == parent:
+                    continue  # the bonded parent is allowed to be close
+                dx = qx - x
+                dy = qy - y
+                dz = qz - z
+                if not math.sqrt(dx * dx + dy * dy + dz * dz) >= limits[j]:
+                    break
+            else:
                 break
         # When no clash-free placement is found within the attempt budget,
         # the last candidate is accepted: one extra contact does not break
         # the LJ landscape and connectivity is preserved either way.
-        coords[i] = candidate
+        placed.append((x, y, z))
+    coords = np.array(placed, dtype=FLOAT_DTYPE)
 
     charges = rng.normal(0.0, 0.15, size=n_atoms).astype(FLOAT_DTYPE)
     charges -= charges.mean()

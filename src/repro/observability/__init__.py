@@ -31,15 +31,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-from repro.observability.export import (
-    load_snapshot,
-    loads_snapshot,
-    snapshot_to_json,
-    snapshot_to_prometheus,
-    snapshot_to_text,
-    validate_snapshot,
-    write_snapshot,
-)
+from repro import _lazy_exports
 from repro.observability.metrics import (
     DEFAULT_SECONDS_EDGES,
     METRICS_SCHEMA_VERSION,
@@ -285,15 +277,12 @@ def mark(reason: str, force: bool = False) -> None:
 
 
 # Live-pipeline pieces (imported last: they import the symbols above).
+# ``mark`` imports the sampler on its first call; it is loaded here so that
+# no campaign compiles it mid-run.
 from repro.observability.sampler import (  # noqa: E402
     SERIES_SCHEMA_VERSION,
     TelemetrySampler,
     read_series,
-)
-from repro.observability.serve import CampaignHealth, MetricsServer  # noqa: E402
-from repro.observability.trace import (  # noqa: E402
-    snapshot_to_trace_events,
-    write_trace,
 )
 from repro.observability.flight import (  # noqa: E402
     FLIGHT_SCHEMA_VERSION,
@@ -307,7 +296,19 @@ from repro.observability.flight import (  # noqa: E402
     read_flight_dir,
     reset_flight,
 )
-from repro.observability.doctor import (  # noqa: E402
-    DoctorReport,
-    diagnose_campaign,
-)
+
+# Off the campaign path: loaded on first use.
+__getattr__ = _lazy_exports(globals(), {
+    "repro.observability.doctor": ("DoctorReport", "diagnose_campaign"),
+    "repro.observability.export": (
+        "load_snapshot",
+        "loads_snapshot",
+        "snapshot_to_json",
+        "snapshot_to_prometheus",
+        "snapshot_to_text",
+        "validate_snapshot",
+        "write_snapshot",
+    ),
+    "repro.observability.serve": ("CampaignHealth", "MetricsServer"),
+    "repro.observability.trace": ("snapshot_to_trace_events", "write_trace"),
+})

@@ -1,5 +1,6 @@
 """Scoring functions: the fitness landscape the metaheuristics optimise."""
 
+from repro import _lazy_exports
 from repro.scoring.base import (
     CHUNK_BUDGET_BYTES,
     OPS_PER_LJ_PAIR,
@@ -11,27 +12,11 @@ from repro.scoring.base import (
     get_scoring,
     register_scoring,
 )
-from repro.scoring.batched import (
-    BatchedLJScoring,
-    BoundBatchedLJ,
-    batched_chunk_size,
-)
-from repro.scoring.composite import BoundComposite, CompositeScoring, make_lj_coulomb
-from repro.scoring.coulomb import BoundCoulomb, CoulombScoring
 from repro.scoring.cutoff import BoundCutoffLennardJones, CutoffLennardJonesScoring
-from repro.scoring.gridmap import BoundGridMap, GridMapScoring
-from repro.scoring.hbond import BoundHydrogenBond, HydrogenBondScoring
 from repro.scoring.lennard_jones import (
     BoundLennardJones,
     LennardJonesScoring,
     lj_energy_from_r2,
-)
-from repro.scoring.reference import BoundReferenceLJ, ReferenceLJScoring
-from repro.scoring.softcore import BoundSoftcoreLJ, SoftcoreLJScoring
-from repro.scoring.tiled import (
-    DEFAULT_TILE,
-    BoundTiledLennardJones,
-    TiledLennardJonesScoring,
 )
 
 __all__ = [
@@ -69,3 +54,16 @@ __all__ = [
     "make_lj_coulomb",
     "register_scoring",
 ]
+
+# Off the campaign path: loaded on first use. ``get_scoring`` and
+# ``available_scorings`` load the built-in scorers they register themselves.
+__getattr__ = _lazy_exports(globals(), {
+    "repro.scoring.batched": ("BatchedLJScoring", "BoundBatchedLJ", "batched_chunk_size"),
+    "repro.scoring.composite": ("BoundComposite", "CompositeScoring", "make_lj_coulomb"),
+    "repro.scoring.coulomb": ("BoundCoulomb", "CoulombScoring"),
+    "repro.scoring.gridmap": ("BoundGridMap", "GridMapScoring"),
+    "repro.scoring.hbond": ("BoundHydrogenBond", "HydrogenBondScoring"),
+    "repro.scoring.reference": ("BoundReferenceLJ", "ReferenceLJScoring"),
+    "repro.scoring.softcore": ("BoundSoftcoreLJ", "SoftcoreLJScoring"),
+    "repro.scoring.tiled": ("DEFAULT_TILE", "BoundTiledLennardJones", "TiledLennardJonesScoring"),
+})

@@ -17,6 +17,7 @@ performance model consumes this number.
 
 from __future__ import annotations
 
+import importlib
 from abc import ABC, abstractmethod
 from typing import Callable
 
@@ -320,6 +321,18 @@ class ScoringFunction(ABC):
 
 _REGISTRY: dict[str, Callable[[], ScoringFunction]] = {}
 
+#: Importing these registers the built-in scorers. ``repro.scoring`` loads
+#: them only on use, so a lookup loads them before it reports a name missing.
+_BUILTIN_MODULES = (
+    "batched", "composite", "coulomb", "cutoff", "gridmap", "hbond",
+    "lennard_jones", "softcore", "tiled",
+)
+
+
+def _load_builtin_scorings() -> None:
+    for module in _BUILTIN_MODULES:
+        importlib.import_module(f"repro.scoring.{module}")
+
 
 def register_scoring(name: str) -> Callable[[type], type]:
     """Class decorator registering a scoring function under ``name``."""
@@ -336,6 +349,8 @@ def register_scoring(name: str) -> Callable[[type], type]:
 
 def get_scoring(name: str, **kwargs) -> ScoringFunction:
     """Instantiate a registered scoring function by name."""
+    if name not in _REGISTRY:
+        _load_builtin_scorings()
     try:
         factory = _REGISTRY[name]
     except KeyError:
@@ -347,4 +362,5 @@ def get_scoring(name: str, **kwargs) -> ScoringFunction:
 
 def available_scorings() -> tuple[str, ...]:
     """Names of all registered scoring functions."""
+    _load_builtin_scorings()
     return tuple(sorted(_REGISTRY))

@@ -1,17 +1,8 @@
 """Virtual-screening public API: docking and library screening."""
 
-from repro.vs.analysis import (
-    PoseCluster,
-    cluster_poses,
-    convergence_statistics,
-    pairwise_rmsd_matrix,
-    pose_rmsd,
-)
+from repro import _lazy_exports
 from repro.vs.docking import dock
-from repro.vs.flexible import FlexibleDockingResult, FlexiblePose, dock_flexible
 from repro.vs.results import DockingResult, ScreeningEntry, ScreeningReport
-from repro.vs.screening import screen, synthetic_library
-from repro.vs.visualize import ascii_projection, gantt, score_map, sparkline
 
 __all__ = [
     "DockingResult",
@@ -33,3 +24,17 @@ __all__ = [
     "sparkline",
     "synthetic_library",
 ]
+
+# Off the campaign path: loaded on first use.
+__getattr__ = _lazy_exports(globals(), {
+    "repro.vs.analysis": (
+        "PoseCluster",
+        "cluster_poses",
+        "convergence_statistics",
+        "pairwise_rmsd_matrix",
+        "pose_rmsd",
+    ),
+    "repro.vs.flexible": ("FlexibleDockingResult", "FlexiblePose", "dock_flexible"),
+    "repro.vs.screening": ("screen", "synthetic_library"),
+    "repro.vs.visualize": ("ascii_projection", "gantt", "score_map", "sparkline"),
+})

@@ -212,3 +212,45 @@ def test_fleet_needs_at_least_one_node(tmp_path):
     runner = make_runner(tmp_path / "c.sqlite")
     with pytest.raises(ClusterError, match="nodes >= 1"):
         ClusterCampaign(runner, nodes=0)
+
+
+@pytest.mark.parametrize("reader", ["smiles", "csv"])
+def test_a_line_file_library_is_planned_without_building_a_ligand(
+    tmp_path, monkeypatch, reader
+):
+    # The coordinator leases ordinals and titles; its nodes build the ligands.
+    from repro.campaign import library
+    from repro.campaign.library import CsvSource, SmilesSource, plan_shards
+
+    lines = [(f"{'C' * (4 + i % 9)}N", f"mol-{i % 6}") for i in range(30)]
+    if reader == "smiles":
+        path = tmp_path / "lib.smi"
+        path.write_text("".join(f"{smiles} {title}\n" for smiles, title in lines))
+        source = SmilesSource(path, seed=3, dedup=False)
+    else:
+        path = tmp_path / "lib.csv"
+        path.write_text("smiles,title\n" + "".join(f"{s},{t}\n" for s, t in lines))
+        source = CsvSource(path, seed=3, dedup=False)
+    runner = CampaignRunner(
+        generate_receptor(80, seed=5), source, store_path=":memory:", n_spots=2, shard_size=4
+    )
+    # Colliding titles: the plan's "mol-0#6"-style names need the whole stream.
+    want = [
+        (ordinal, title)
+        for _, titled in plan_shards(source, 4, set())
+        for ordinal, _, title in titled
+    ]
+    built = []
+    real = library.generate_ligand
+    monkeypatch.setattr(
+        library, "generate_ligand", lambda *args, **kw: built.append(args) or real(*args, **kw)
+    )
+    for finished in (set(), {1, 3}):
+        tasks, n_streamed = ClusterCampaign(runner, nodes=2)._plan(finished)
+        assert built == []
+        assert n_streamed == len(want) == 30
+        assert [task.shard_id for task in tasks] == [s for s in range(8) if s not in finished]
+        assert [(o, t) for task in tasks for o, t, _ in task.items] == [
+            (o, t) for o, t in want if o // 4 not in finished
+        ]
+        assert all(payload is None for task in tasks for *_, payload in task.items)

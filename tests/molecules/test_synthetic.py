@@ -1,5 +1,7 @@
 """Tests for the synthetic structure generators (the Table 5 stand-ins)."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,7 +160,40 @@ def _generate_ligand_reference(n_atoms, seed, title="synthetic ligand"):
     ).centered()
 
 
-def test_generate_ligand_is_bitwise_the_reference():
+def _library_cases(tmp_path, monkeypatch):
+    """``(n_atoms, seed)`` of each ligand the library sources build, as they
+    pass them: a line's seed is a 64-bit content digest."""
+    from repro.campaign import library
+
+    cases = []
+    real = library.generate_ligand
+
+    def spy(n_atoms, seed, title):
+        cases.append((n_atoms, seed))
+        return real(n_atoms, seed=seed, title=title)
+
+    monkeypatch.setattr(library, "generate_ligand", spy)
+    rng = random.Random(26)
+    lines = [
+        ("".join(rng.choice("CCCCCNNOOS") for _ in range(rng.randint(4, 30))), f"Z{k:04d}")
+        for k in range(300)
+    ]
+    # atoms_range (4, 64) clamps both ends: 2 heavy atoms -> 4, 70 -> 64.
+    lines += [("CO", "two"), ("C" * 70, "seventy")]
+    smi = tmp_path / "lib.smi"
+    smi.write_text("".join(f"{smiles} {title}\n" for smiles, title in lines))
+    list(library.SmilesSource(smi, seed=7))
+    csv = tmp_path / "lib.csv"
+    csv.write_text("smiles,title\n" + "".join(f"{s},{t}\n" for s, t in lines[:12]))
+    list(library.CsvSource(csv, seed=8))
+    synthetic = library.SyntheticSource(400, seed=5)
+    for ordinal in (0, 1, 199, 399):
+        synthetic.ligand_at(ordinal)
+    assert cases[300:302] == [(4, cases[300][1]), (64, cases[301][1])]
+    return cases
+
+
+def test_generate_ligand_is_bitwise_the_reference(tmp_path, monkeypatch):
     # Every ligand of every stored campaign is keyed by these bytes.
     cases = [(n, seed) for n in (1, 2, 3) for seed in range(20)]
     cases += [(4 + k % 61, 1000 + k) for k in range(1800)]
@@ -168,7 +203,8 @@ def test_generate_ligand_is_bitwise_the_reference():
         for seed in (7, 8, 11)
         for i, atoms in enumerate((16, 18, 20, 22, 26, 28, 30, 32) * 8)
     ]
-    assert len(cases) >= 2000
+    cases += _library_cases(tmp_path, monkeypatch)
+    assert len(cases) >= 2300 and max(seed for _, seed in cases) >= 2**60
     for n_atoms, seed in cases:
         got = generate_ligand(n_atoms, seed=seed, title="T")
         want = _generate_ligand_reference(n_atoms, seed, title="T")

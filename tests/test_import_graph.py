@@ -111,18 +111,20 @@ def test_find_spots_loads_no_scipy(tmp_path):
     assert loaded_after(body + "find_spots(receptor, 2)", tmp_path) == set()
 
 
+CAMPAIGN = DOCK_SETUP + (
+    "from repro.campaign import CampaignRunner, ListSource\n"
+    "runner = CampaignRunner(\n"
+    "    receptor, ListSource([ligand, generate_ligand(12, seed=5)]),\n"
+    "    store_path=':memory:', n_spots=2, metaheuristic='M1', workload_scale=0.02,\n"
+    ")\n"
+)
+CAMPAIGN_RUN = CAMPAIGN + "assert runner.run().counts()['done'] == 2\n"
+
+
 def test_a_campaign_runner_built_and_run_loads_no_scipy(tmp_path):
-    body = DOCK_SETUP + (
-        "from repro.campaign import CampaignRunner, ListSource\n"
-        "runner = CampaignRunner(\n"
-        "    receptor, ListSource([ligand, generate_ligand(12, seed=5)]),\n"
-        "    store_path=':memory:', n_spots=2, metaheuristic='M1', workload_scale=0.02,\n"
-        ")\n"
-    )
-    assert loaded_after(body, tmp_path) == set()
-    ran = body + "assert runner.run().counts()['done'] == 2\n"
-    assert loaded_after(ran, tmp_path) == set()
-    assert loaded_after(ran, tmp_path, _CLUSTER_REPORT) == set()
+    assert loaded_after(CAMPAIGN, tmp_path) == set()
+    assert loaded_after(CAMPAIGN_RUN, tmp_path) == set()
+    assert loaded_after(CAMPAIGN_RUN, tmp_path, _CLUSTER_REPORT) == set()
 
 
 def test_rigid_dock_never_loads_networkx(tmp_path):
@@ -222,6 +224,38 @@ def test_every_module_is_imported_by_the_program_or_named_with_its_user():
     assert sorted(set(NEEDED_FROM_OUTSIDE) - unreached) == [], "reached now: drop it"
     gone = [u for u in NEEDED_FROM_OUTSIDE.values() if not (SRC.parent / u).exists()]
     assert gone == [], "the named user is gone: does the module still have one?"
+
+
+def test_a_campaign_loads_no_module_only_outside_code_needs(tmp_path):
+    # Package __init__s re-export these lazily; spans is the telemetry core.
+    report = (
+        "import json, sys; print(json.dumps("
+        f"[m for m in {sorted(NEEDED_FROM_OUTSIDE)!r} if m in sys.modules]))"
+    )
+    for body in (INGEST_AND_READBACK, CAMPAIGN_RUN):
+        assert loaded_after(body, tmp_path, report) == {"repro.observability.spans"}
+
+
+def test_lazy_re_exports_and_the_scorer_registry_load_on_first_use(tmp_path):
+    # Each lookup runs first thing in a fresh interpreter.
+    lookup = "import json\nfrom repro.scoring.base import available_scorings, get_scoring"
+    assert loaded_after(lookup, tmp_path, "print(json.dumps(available_scorings()))") == {
+        "composite", "coulomb", "gridmap", "hydrogen-bond", "lennard-jones",
+        "lennard-jones-batched", "lennard-jones-cutoff", "lennard-jones-softcore",
+        "lennard-jones-tiled",
+    }
+    for name in ("gridmap", "lennard-jones-softcore"):
+        found = f"print(json.dumps([get_scoring({name!r}).name]))"
+        assert loaded_after(lookup, tmp_path, found) == {name}
+    names = (
+        "from repro.vs import gantt\n"
+        "from repro.observability import diagnose_campaign\n"
+        "from repro.engine import MultiGpuExecutor\n"
+    )
+    owners = "print(json.dumps([f.__module__ for f in (gantt, diagnose_campaign, MultiGpuExecutor)]))"
+    assert loaded_after(lookup + "\n" + names, tmp_path, owners) == {
+        "repro.vs.visualize", "repro.observability.doctor", "repro.engine.executor",
+    }
 
 
 # ----------------------------------------------------------------------
