@@ -105,13 +105,8 @@ def bench_case(name, n_rec, n_ligands, n_workers, seed=7):
     # next ligand prefetch-bound while the "docking" launch runs).
     reuses0 = obs.counter("host.pool.reuses").value
     acquire_s = []
-    # drift_threshold=1.0 disables the share-drift re-measure trigger: the
-    # micro-launches here (a dozen poses) make per-worker pose shares pure
-    # noise, and a drift-triggered warm-up would charge measurement policy
-    # to the rebind cost this benchmark isolates.
     with PersistentHostRuntime(
-        receptor, spots, n_workers=n_workers, scoring=_scoring(),
-        drift_threshold=1.0,
+        receptor, n_workers=n_workers, scoring=_scoring()
     ) as runtime:
         for i, lig in enumerate(ligands):
             if i + 1 < n_ligands:

@@ -1,16 +1,16 @@
-"""Crash-safe campaign journal: an append-only JSONL write-ahead log.
+"""Crash-safe campaign journal: an append-only JSONL event record.
 
 The journal records campaign lifecycle events at *shard* granularity — one
 fsync'd line per shard start/finish, plus campaign start/resume/finish
-markers. It is deliberately redundant with the store: the store holds the
-science (per-ligand rows), the journal holds the *intent* ("shard 7
-started"), and resume reconciles the two — a shard that started but never
-finished is re-queued, and its already-committed ligand rows are skipped.
+markers. The store holds the science (per-ligand rows) and alone decides
+which shards are finished when a campaign resumes; the journal is the
+record of what happened when ("shard 7 started on node 1"), which
+``repro-vs doctor`` reads. Resume only checks that its config hash matches.
 
 Durability contract: by default every :meth:`append` flushes and ``fsync`` s
 before returning, so a record is either fully on disk or not there at all. A
 process killed mid-write leaves at most one truncated final line, which
-:meth:`replay` detects and drops (the corresponding shard simply re-queues).
+:meth:`replay` detects and drops.
 Corruption anywhere *before* the tail is a real integrity failure and
 raises.
 
@@ -20,9 +20,7 @@ commit them in one write+fsync per batch. Campaign lifecycle markers
 (start/resume/finish) always flush immediately. Batching is safe because the
 store is authoritative for finished shards — ``store.finish_shard`` commits
 before the journal's ``shard_finish``, so a SIGKILL that loses buffered
-markers at worst re-queues shards whose ligands are already committed, and
-resume skips them row by row (the same idempotent replay a torn tail relies
-on).
+markers loses record lines, never a result or a shard's finished state.
 """
 
 from __future__ import annotations

@@ -140,10 +140,17 @@ class SyntheticSource:
             raise CampaignError(
                 f"ordinal {ordinal} out of range for {self.n_ligands} ligands"
             )
+        return self.line_ligand(ordinal, f"LIG{ordinal:04d}")
+
+    def _unique_entries(self) -> Iterator[tuple[int, str]]:
+        """``(ordinal, title)`` per ligand: the lines :func:`iter_shards`
+        plans from without building a ligand."""
+        return ((i, f"LIG{i:04d}") for i in range(self.n_ligands))
+
+    def line_ligand(self, ordinal: int, title: str) -> Ligand:
+        """The ligand one of those lines maps to."""
         return generate_ligand(
-            int(self._sizes[ordinal]),
-            seed=self.seed + 1000 + ordinal,
-            title=f"LIG{ordinal:04d}",
+            int(self._sizes[ordinal]), seed=self.seed + 1000 + ordinal, title=title
         )
 
     def __iter__(self) -> Iterator[Ligand]:
@@ -454,13 +461,15 @@ def iter_shards(
     ligands are ever materialised. A shard whose id is in ``skip`` (finished
     before a resume) is still yielded, because the plan and
     :func:`resolve_title` depend on the whole stream, but with ``(ordinal,
-    title)`` items: a line-file source then builds none of its ligands.
-    With ``titles_only`` every shard comes that way.
+    title)`` items: a line-file or synthetic source then builds none of its
+    ligands. With ``titles_only`` every shard comes that way.
     """
     if shard_size < 1:
         raise CampaignError(f"shard_size must be >= 1, got {shard_size}")
-    # (smiles, title) lines instead of ligands, where the source has them.
-    lazy = (titles_only or bool(skip)) and isinstance(source, SmilesSource)
+    # (key, title) lines instead of ligands, where the source has them.
+    lazy = (titles_only or bool(skip)) and isinstance(
+        source, (SmilesSource, SyntheticSource)
+    )
     lines = source._unique_entries if lazy else None
     buffer: list = []
     start = 0
@@ -512,9 +521,9 @@ def plan_shards(
     in ``finished``: it is counted as skipped and its titles still claim
     their names, but nothing is built for it. Ordinals are contiguous from
     zero, so the last shard's ``stop`` is the number of ligands streamed.
-    With ``titles_only`` every ``ligand`` is ``None``, and a line-file
-    source builds no ligand at all (a fleet coordinator leases ordinals and
-    titles; its nodes build the ligands).
+    With ``titles_only`` every ``ligand`` is ``None``, and a line-file or
+    synthetic source builds no ligand at all (a fleet coordinator leases
+    ordinals and titles; its nodes build the ligands).
     """
     seen_titles: set[str] = set()
     for shard, items in iter_shards(source, shard_size, finished, titles_only):

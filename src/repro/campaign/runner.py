@@ -5,9 +5,10 @@ A :class:`CampaignRunner` follows the campaign spine in one process: its
 :func:`~repro.campaign.library.plan_shards` in what order, :func:`dock_ligand`
 does it (what a fleet node runs too), and a
 :class:`~repro.campaign.commit.CampaignCommitter` makes it durable: every
-completed ligand is committed before the next one starts, shard boundaries
-are journalled write-ahead, and :meth:`resume` reconciles journal and store
-to continue exactly where a crash, SIGKILL, or Ctrl-C left off.
+completed ligand is committed before the next one starts, and
+:meth:`resume` continues exactly where a crash, SIGKILL, or Ctrl-C left off.
+The store alone decides which shards are finished; the journal beside it is
+a record of shard and campaign events that ``repro-vs doctor`` reads.
 
 Determinism: ligand ``ordinal`` is always docked with seed ``seed +
 ordinal`` (the same rule ``screen()`` has always used), so an interrupted
@@ -38,7 +39,7 @@ worker pool that died is recycled in place by the runtime — workers are
 replaced, the bindings and warm-up weights survive — and the docks
 it interrupted are repeated without charging their ligands.
 ``KeyboardInterrupt``/``SystemExit`` are never swallowed — they are the
-crash the journal exists for.
+crash resume exists for.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def outcome_row(outcome: dict) -> dict:
 
 
 def open_runtime(
-    settings: DockSettings, receptor: Receptor, spots: list[Spot]
+    settings: DockSettings, receptor: Receptor
 ) -> PersistentHostRuntime | None:
     """The campaign-owned pool for ``settings`` (``None`` when it docks
     serially): pool spawn and the Eq. 1 warm-up are paid once, every ligand
@@ -307,7 +308,6 @@ def open_runtime(
         return None
     return PersistentHostRuntime(
         receptor,
-        spots,
         n_workers=settings.host_workers,
         mode=settings.parallel_mode,
         scoring=settings.scoring,
@@ -452,11 +452,12 @@ class CampaignRunner:
             return self._execute(store, finished=set())
 
     def resume(self) -> CampaignStore:
-        """Continue an interrupted campaign from its store + journal.
+        """Continue an interrupted campaign from its store.
 
-        Verifies the config hash, replays the journal, re-queues shards that
-        started but never finished, and docks only ligands without a
-        committed result. Resuming a completed campaign is a no-op.
+        Verifies the config hash (the store's, and the journal's when one is
+        kept), re-queues every shard the store has not finished, and docks
+        only ligands without a committed result. Resuming a completed
+        campaign is a no-op.
         """
         with obs.span("campaign.resume", config=self.config_hash[:12]) as span_tags:
             store = open_store(self.store_path)
@@ -529,7 +530,7 @@ class CampaignRunner:
         n_streamed = 0
         try:
             try:
-                self._runtime = open_runtime(self.settings, self.receptor, spots)
+                self._runtime = open_runtime(self.settings, self.receptor)
                 if self._runtime is not None:
                     obs.gauge("host.pipeline.depth").set(self.pipeline_depth)
                 # One shard of lookahead so the current shard's tail can

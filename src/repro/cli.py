@@ -457,14 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace_event timeline (open in ui.perfetto.dev)",
     )
     mshow.add_argument("--out", help="write the rendering here instead of stdout")
-    mtrace = msub.add_parser(
-        "trace",
-        help="render a snapshot as a Chrome/Perfetto trace_event timeline "
-        "(shorthand for `metrics show --format trace`); distributed "
-        "snapshots get per-node lanes and cross-node ligand flow arrows",
-    )
-    mtrace.add_argument("snapshot", help="snapshot JSON path (from --metrics-out)")
-    mtrace.add_argument("--out", help="write the trace here instead of stdout")
     mserve = msub.add_parser(
         "serve",
         help="serve a snapshot file over HTTP (/metrics + /healthz), "
@@ -1064,16 +1056,10 @@ def _cmd_metrics_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics_trace(args: argparse.Namespace) -> int:
-    args.format = "trace"
-    return _cmd_metrics_show(args)
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
     commands = {
         "show": _cmd_metrics_show,
         "serve": _cmd_metrics_serve,
-        "trace": _cmd_metrics_trace,
     }
     return commands[args.metrics_command](args)
 
@@ -1199,7 +1185,7 @@ def main(argv: list[str] | None = None) -> int:
     if (
         len(argv) >= 2
         and argv[0] == "metrics"
-        and argv[1] not in ("show", "serve", "trace", "-h", "--help")
+        and argv[1] not in ("show", "serve", "-h", "--help")
     ):
         argv.insert(1, "show")
     args = build_parser().parse_args(argv)

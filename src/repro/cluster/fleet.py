@@ -1,21 +1,21 @@
 """Local campaign fleet: spawn N worker-node processes and coordinate them.
 
 :class:`ClusterCampaign` is the bridge between :class:`~repro.campaign.runner.
-CampaignRunner` (which owns the science config, store lifecycle, and resume
-reconciliation) and the cluster subsystem (which owns distribution). The
-runner delegates its ``_execute`` phase here when ``nodes >= 2``; everything
-before (config hashing, journal replay, completed-campaign no-ops) and the
-result contract after (an open store, bitwise identical to a single-node
-run) are unchanged.
+CampaignRunner` (which owns the science config, store lifecycle, and which
+shards a resume re-queues) and the cluster subsystem (which owns
+distribution). The runner delegates its ``_execute`` phase here when
+``nodes >= 2``; everything before (config hashing, the store's finished
+shards, completed-campaign no-ops) and the result contract after (an open
+store, bitwise identical to a single-node run) are unchanged.
 
 Execution shape, in order:
 
 1. **Plan** — stream the library once, cutting it into the same shards the
    single-node runner would execute, with the same collision-free titles.
    Descriptor-backed libraries (synthetic, pdb-dir, smiles, csv) lease
-   ordinals only and workers regenerate ligands locally, so a SMILES or CSV
-   file is planned from its lines without building a ligand; one-shot
-   in-memory sources ship each ligand inline in its lease.
+   ordinals only and workers regenerate ligands locally, so a synthetic,
+   SMILES or CSV library is planned from its titles without building a
+   ligand; one-shot in-memory sources ship each ligand inline in its lease.
 2. **Listen, then fork** — the coordinator socket binds first (workers never
    race it), worker processes fork *before* any coordinator thread starts
    (fork + threads don't mix), and each worker resets its inherited

@@ -131,7 +131,7 @@ class WorkerNode:
     # ------------------------------------------------------------------
     def start_runtime(self) -> None:
         # Depth 1: the config frame carries no pipeline depth.
-        self._runtime = open_runtime(self.settings, self.receptor, self.spots)
+        self._runtime = open_runtime(self.settings, self.receptor)
 
     def probe(self) -> float:
         """Dock one throwaway ligand at campaign settings; return seconds.

@@ -13,13 +13,15 @@ mirroring the paper's device strategy at the host level:
 * **Warm-up (Eq. 1)** — at pool start each worker times a few scoring
   launches; shares are assigned ∝ 1/Percent, exactly the paper's
   ``Percent = t_worker / t_slowest`` heterogeneous split, but with wall
-  clocks instead of the simulated performance model.
-* **Scheduling** — ``static`` mode LPT-packs per-spot jobs onto workers
-  weighted by measured throughput (one task per worker per launch);
-  ``dynamic`` mode submits jobs individually in LPT order
-  (largest-first, the ordering :mod:`repro.engine.device_worker` uses) so
-  whichever worker frees up first pulls the next job — a work-stealing
-  queue with no warm-up required.
+  clocks instead of the simulated performance model. As in the paper
+  (§3.3), the shares are measured once and kept for the pool's lifetime.
+* **Scheduling** — ``static`` mode LPT-packs a launch's jobs into
+  ``n_workers`` tasks sized by the Eq. 1 weights; the executor hands each
+  task to whichever worker is idle, so task *i* is not necessarily scored
+  by the process whose warm-up set ``weights[i]``. ``dynamic`` mode
+  submits jobs individually in LPT order (largest-first, the ordering
+  :mod:`repro.engine.device_worker` uses) so whichever worker frees up
+  first pulls the next job — a work-stealing queue.
 
 Determinism contract: for any scorer, ``ParallelSpotEvaluator`` returns
 *bitwise* the same energies as :class:`~repro.metaheuristics.evaluation.SerialEvaluator`
@@ -36,7 +38,7 @@ task carries its binding's rebind message ``(version, ligand,
 live_versions)``, so a worker binds a version it has not met once, keeps
 its scorers in a small cache keyed by version and evicts versions the
 message no longer lists as live — no process churn, and the Eq. 1 weights
-survive until an explicit re-measure. A launch is always the ticketed pair
+hold for every ligand. A launch is always the ticketed pair
 :meth:`ParallelSpotEvaluator.submit` / :meth:`~ParallelSpotEvaluator.harvest`
 against one binding; a dead worker :meth:`~ParallelSpotEvaluator.recycle`-s
 the pool in place and surfaces as a retryable
@@ -83,8 +85,6 @@ __all__ = [
     "PersistentHostRuntime",
     "DEFAULT_WARMUP_POSES",
     "DEFAULT_WARMUP_REPEATS",
-    "DEFAULT_REMEASURE_INTERVAL",
-    "DEFAULT_DRIFT_THRESHOLD",
 ]
 
 #: Poses per warm-up timing launch ("a few candidate solutions", §3.3).
@@ -96,13 +96,6 @@ DEFAULT_WARMUP_REPEATS: int = 3
 #: Give slow machines this long to spawn+warm every worker before falling
 #: back to equal shares.
 _WARMUP_TIMEOUT_S: float = 120.0
-
-#: Persistent runtime: re-run the Eq. 1 warm-up after this many rebinds.
-DEFAULT_REMEASURE_INTERVAL: int = 64
-
-#: Persistent runtime: re-measure early when any worker's observed pose
-#: share drifts this far (absolute) from its Eq. 1 weight.
-DEFAULT_DRIFT_THRESHOLD: float = 0.25
 
 #: Least modelled work (receptor × ligand × pose pairs) in one job of a
 #: spot-aware scorer: 59 poses on a 1,500 × 24 complex, the grain the plain
@@ -151,14 +144,12 @@ def _worker_init(scoring, receptor, scorer, claim, ready, slots, warm) -> None:
         version=None if scorer is None else 0,
         scorers={} if scorer is None else {0: scorer},
         ready=ready,
-        slots=slots,
-        n_workers=len(slots) if slots else 0,
+        n_workers=len(slots),
     )
-    if warm is not None and scorer is not None:
+    if scorer is not None:
         slots[index] = _time_warmup(scorer, warm)
-    if ready is not None:
-        with ready.get_lock():
-            ready.value += 1
+    with ready.get_lock():
+        ready.value += 1
 
 
 def _time_warmup(scorer: BoundScorer, warm) -> float:
@@ -194,23 +185,6 @@ def _worker_rebind(version: int, ligand, live: tuple[int, ...]) -> None:
     _WORKER.update(scorer=scorer, version=version)
     for stale in [v for v in scorers if v != version and v not in live]:
         del scorers[stale]
-
-
-def _measure_task(rebind, warm, timeout_s: float) -> int:
-    """Re-run the Eq. 1 measurement on a live worker.
-
-    Submitted once per worker, like :func:`_barrier_task`: after timing,
-    each worker blocks until every sibling has reported, which pins exactly
-    one measurement to each process. The parent reset ``ready`` to zero
-    before the round (no tasks are in flight between launches).
-    """
-    if _WORKER.get("version") != rebind[0]:
-        _worker_rebind(*rebind)
-    _WORKER["slots"][_WORKER["index"]] = _time_warmup(_WORKER["scorer"], warm)
-    ready = _WORKER["ready"]
-    with ready.get_lock():
-        ready.value += 1
-    return _barrier_task(timeout_s)
 
 
 def _barrier_task(timeout_s: float) -> int:
@@ -266,7 +240,6 @@ def _run_tasks(
     local = obs.Telemetry() if obs.enabled() else None
     out = []
     n_poses = 0
-    busy_s = 0.0
     # The batch span rides back in the worker's snapshot and is offset-merged
     # into the parent tracer at harvest — it is the worker-lane block the
     # Chrome trace exporter draws. perf_counter shares CLOCK_MONOTONIC with
@@ -285,9 +258,9 @@ def _run_tasks(
                 out.append(scorer.score_spots(ids, translations, quaternions))
             if local is not None:
                 n_poses += translations.shape[0]
-                task_s = time.perf_counter() - t0
-                busy_s += task_s
-                local.histogram("host.worker.task_seconds", worker=index).observe(task_s)
+                local.histogram("host.worker.task_seconds", worker=index).observe(
+                    time.perf_counter() - t0
+                )
         batch_tags["tasks"] = len(tasks)
         batch_tags["poses"] = n_poses
     if local is None:
@@ -296,8 +269,6 @@ def _run_tasks(
     return out, {
         "telemetry": local.snapshot(),
         "worker": index,
-        "poses": n_poses,
-        "busy_s": busy_s,
         "started_s": started_s,
     }
 
@@ -390,15 +361,13 @@ class ParallelSpotEvaluator:
         bind every later ligand (:meth:`bind_ligand`) themselves — without
         touching the pool or the warm-up weights.
     n_workers:
-        Worker processes (≥ 1).
+        Worker processes (≥ 1). The pool is fully spawned, and each worker
+        timed on :data:`DEFAULT_WARMUP_POSES` x :data:`DEFAULT_WARMUP_REPEATS`
+        (the Eq. 1 measurement), before the constructor returns.
     mode:
-        ``"static"`` (warm-up-weighted LPT packing, one task per worker per
-        launch) or ``"dynamic"`` (work-stealing job queue in LPT order).
-    warmup:
-        Set False to skip the timing phase (weights become equal). The pool
-        is still fully spawned up front.
-    warmup_poses, warmup_repeats:
-        Size of the Eq. 1 measurement.
+        ``"static"`` (LPT packing into one task per worker, each sized by an
+        Eq. 1 weight; idle workers take the tasks in any order) or
+        ``"dynamic"`` (work-stealing job queue in LPT order).
 
     A crashed pool is :meth:`recycle`-d in place and the launch raises a
     retryable :class:`~repro.errors.WorkerPoolError`. Use as a context
@@ -412,9 +381,6 @@ class ParallelSpotEvaluator:
         ligand,
         n_workers: int,
         mode: str = "static",
-        warmup: bool = True,
-        warmup_poses: int = DEFAULT_WARMUP_POSES,
-        warmup_repeats: int = DEFAULT_WARMUP_REPEATS,
     ) -> None:
         if n_workers < 1:
             raise ScoringError(f"n_workers must be >= 1, got {n_workers}")
@@ -441,7 +407,6 @@ class ParallelSpotEvaluator:
         # finds no pool can tell "respawning" from "closed" by waiting on it.
         self._recycle_lock = threading.RLock()
         self._obs_lock = threading.Lock()  # serializes telemetry merges
-        self._drift_poses = np.zeros(self.n_workers)
         self._pool: ProcessPoolExecutor | None = None
         #: The construction-time ligand's binding: what :meth:`evaluate`
         #: scores, and the first lease of a campaign runtime.
@@ -453,37 +418,37 @@ class ParallelSpotEvaluator:
             self._claim = ctx.Value("q", 0)
             self._ready = ctx.Value("q", 0)
             self._slots = ctx.Array("d", self.n_workers)
-            self._warm = (
-                self._warmup_batch(warmup_poses, warmup_repeats) if warmup else None
-            )
-            with obs.span(
-                "host.warmup", workers=self.n_workers, mode=self.mode, timed=warmup
-            ):
+            warm = self._warmup_batch()
+            with obs.span("host.warmup", workers=self.n_workers, mode=self.mode):
                 t0 = time.perf_counter()
-                self._pool = self._start_pool(self.scorer, self._warm)
+                self._pool = self._start_pool(self.scorer, warm)
                 elapsed = time.perf_counter() - t0
             obs.counter("host.warmups").inc()
-            self.warmup_result = self._reduce_warmup(
-                np.array(self._slots[:], dtype=np.float64), elapsed, timed=warmup
+            measured = np.array(self._slots[:], dtype=np.float64)
+            percent, self.weights = eq1_weights(measured)
+            # The Eq. 1 share decision on the record (doctor and the sampler
+            # compare it with the poses each worker actually scored).
+            for i, weight in enumerate(self.weights):
+                obs.gauge("host.warmup.weight", worker=i).set(float(weight))
+            self.warmup_result = HostWarmupResult(
+                measured_s=measured, percent=percent, weights=self.weights,
+                elapsed_s=elapsed,
             )
-            self.weights = self.warmup_result.weights
             self._idle_mark = time.monotonic()
         except BaseException:
             self.close()
             raise
 
     # ------------------------------------------------------------------
-    def _warmup_batch(
-        self, n_poses: int, repeats: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    def _warmup_batch(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Deterministic measurement poses spread over the receptor box."""
         coords = self.receptor.coords
         rng = np.random.default_rng(DEFAULT_SEED)
         translations = rng.uniform(
-            coords.min(axis=0), coords.max(axis=0), size=(n_poses, 3)
+            coords.min(axis=0), coords.max(axis=0), size=(DEFAULT_WARMUP_POSES, 3)
         ).astype(FLOAT_DTYPE)
-        quaternions = normalize_quaternion(rng.normal(size=(n_poses, 4)))
-        return translations, quaternions, int(repeats)
+        quaternions = normalize_quaternion(rng.normal(size=(DEFAULT_WARMUP_POSES, 4)))
+        return translations, quaternions, DEFAULT_WARMUP_REPEATS
 
     def _start_pool(self, scorer: BoundScorer | None, warm) -> ProcessPoolExecutor:
         """Spawn every worker, blocking until all have initialised.
@@ -517,21 +482,6 @@ class ParallelSpotEvaluator:
             pool.shutdown(wait=True, cancel_futures=True)
             raise
         return pool
-
-    def _reduce_warmup(
-        self, measured: np.ndarray, elapsed: float, timed: bool
-    ) -> HostWarmupResult:
-        """Turn per-worker timings into Eq. 1 shares; publish the decision."""
-        if not timed:
-            measured = np.ones(self.n_workers)  # the homogeneous assumption
-        percent, weights = eq1_weights(measured)
-        # The Eq. 1 share decision on the record (doctor and the sampler
-        # compare it with the poses each worker actually scored).
-        for i in range(self.n_workers):
-            obs.gauge("host.warmup.weight", worker=i).set(float(weights[i]))
-        return HostWarmupResult(
-            measured_s=measured, percent=percent, weights=weights, elapsed_s=elapsed
-        )
 
     # ------------------------------------------------------------------
     # planning
@@ -575,10 +525,11 @@ class ParallelSpotEvaluator:
     def _buckets(self, jobs: list[_Job]) -> list[list[_Job]]:
         """One launch's tasks: jobs in LPT order, grouped by balancing mode.
 
-        ``static`` packs them onto workers weighted by measured throughput
-        (one task per worker); ``dynamic`` keeps one task per job, largest
-        first, for whichever worker frees up first to steal. The modes
-        differ in this grouping only.
+        ``static`` packs them into ``n_workers`` tasks whose loads follow
+        the Eq. 1 weights (the executor gives each task to whichever worker
+        is idle, not to the one whose warm-up set its weight); ``dynamic``
+        keeps one task per job, largest first, for whichever worker frees up
+        first to steal. The modes differ in this grouping only.
         """
         lpt = sorted(jobs, key=lambda job: (-job.rows.size, job.spot))
         if self.mode == "dynamic":
@@ -723,10 +674,6 @@ class ParallelSpotEvaluator:
                 raise ScoringError("parallel evaluator is closed")
         return pool
 
-    def poll(self, ticket: LaunchTicket) -> bool:
-        """True once ``ticket``'s futures are all settled (harvest won't block)."""
-        return ticket.done or all(future.done() for _, _, future in ticket.pending)
-
     def harvest(self, ticket: LaunchTicket) -> np.ndarray:
         """Block on a submitted launch and return its energies.
 
@@ -814,7 +761,7 @@ class ParallelSpotEvaluator:
         share, i.e. work it took from a slower sibling). Returns the
         launch's steal count (0 outside dynamic mode). Serialized under
         ``_obs_lock``: concurrent pipeline harvests must not interleave
-        their merges or drift updates.
+        their merges.
         """
         if not stats or not obs.enabled():
             return 0
@@ -827,10 +774,6 @@ class ParallelSpotEvaluator:
                 )
                 worker = int(stat["worker"])
                 tasks_by_worker[worker] = tasks_by_worker.get(worker, 0) + 1
-                if worker < self._drift_poses.size:
-                    # feeds share_drift(): observed pose share vs the Eq. 1
-                    # plan, the campaign runtime's re-measure trigger
-                    self._drift_poses[worker] += stat["poses"]
             if self.mode == "dynamic" and self.n_workers > 1:
                 even_share = -(-n_jobs // self.n_workers)  # ceil
                 steals = sum(
@@ -843,12 +786,6 @@ class ParallelSpotEvaluator:
     # ------------------------------------------------------------------
     # rebind protocol: versioned ligand bindings
     # ------------------------------------------------------------------
-    @property
-    def inflight_launches(self) -> int:
-        """Live (submitted, unharvested) tickets across every binding."""
-        with self._lock:
-            return sum(self._inflight.values())
-
     def bind_ligand(self, ligand, scorer: BoundScorer) -> _LigandBinding:
         """Mint a live binding for ``ligand``, whose parent-side bind is ``scorer``.
 
@@ -881,62 +818,6 @@ class ParallelSpotEvaluator:
         with self._lock:
             live = tuple(sorted(self._bindings))
         return (binding.version, binding.ligand, live)
-
-    def share_drift(self) -> float:
-        """Max |observed pose share − Eq. 1 weight| since the last measurement.
-
-        Observable only while telemetry is enabled (worker pose counts ride
-        in the harvest); returns 0.0 otherwise, so the drift re-measure
-        trigger degrades gracefully to the interval trigger.
-        """
-        total = float(self._drift_poses.sum())
-        if total <= 0.0:
-            return 0.0
-        return float(np.max(np.abs(self._drift_poses / total - self.weights)))
-
-    def remeasure(self, binding: _LigandBinding) -> HostWarmupResult:
-        """Re-run the Eq. 1 warm-up on the live pool, scoring ``binding``.
-
-        Uses the same deterministic receptor-box poses as the initial
-        warm-up but a *current* ligand's scorer, so the refreshed weights
-        reflect today's arithmetic, not ligand 0's. Call only between
-        launches. Finding the pool dead recycles it and keeps the previous
-        weights.
-        """
-        pool = self._live_pool()
-        with self._lock:
-            if self._inflight:
-                raise ScoringError(
-                    "remeasure requires an idle pool (launches are in flight)"
-                )
-        rebind = self._binding_message(binding)
-        warm = self._warm if self._warm is not None else self._warmup_batch(
-            DEFAULT_WARMUP_POSES, DEFAULT_WARMUP_REPEATS
-        )
-        t0 = time.perf_counter()
-        with self._ready.get_lock():
-            self._ready.value = 0
-        try:
-            futures = [
-                pool.submit(_measure_task, rebind, warm, _WARMUP_TIMEOUT_S)
-                for _ in range(self.n_workers)
-            ]
-            for future in futures:
-                future.result(timeout=_WARMUP_TIMEOUT_S)
-        except BrokenProcessPool:
-            # A worker died and no launch noticed (a sibling absorbed its
-            # share, or it died idle). Measuring is optional and runs
-            # outside any retry loop: respawn, keep the previous weights.
-            self.recycle()
-            return self.warmup_result
-        elapsed = time.perf_counter() - t0
-        self.warmup_result = self._reduce_warmup(
-            np.array(self._slots[:], dtype=np.float64), elapsed, timed=True
-        )
-        self.weights = self.warmup_result.weights
-        self._drift_poses[:] = 0.0
-        obs.counter("host.warmup.remeasures").inc()
-        return self.warmup_result
 
     def recycle(self) -> None:
         """Replace every worker process; keep the bindings and weights.
@@ -1044,7 +925,7 @@ class LigandLease:
         """Per-lease ``dock(evaluator_factory=...)``: validates, fresh stats per call."""
         if self._released:
             raise ScoringError("ligand lease was already released")
-        self.runtime._validate_complex(receptor, spots)
+        self.runtime._validate_receptor(receptor)
         if ligand is not self.ligand:
             raise ScoringError(
                 "ligand lease was taken for a different ligand "
@@ -1057,7 +938,9 @@ class LigandLease:
         if self._released:
             return
         self._released = True
-        self.runtime._release_lease(self)
+        evaluator = self.runtime.evaluator
+        if evaluator is not None:
+            evaluator.release_binding(self.binding)
 
 
 # ----------------------------------------------------------------------
@@ -1082,13 +965,10 @@ class PersistentHostRuntime:
       form for callers that dock one ligand at a time: each acquire
       releases the previous one's lease and takes a new one.
 
-    Warm-up reuse policy: the Eq. 1 measurement from pool start is reused
-    for every ligand (``host.warmup.reuses``); it is re-run after
-    ``remeasure_interval`` leases, or early when the observed per-worker
-    pose share drifts more than ``drift_threshold`` from the plan
-    (``host.warmup.remeasures``). A poisoned ligand that kills a worker
-    recycles the pool (``host.pool.recycles``) without dropping the
-    bindings or the weights; the raised
+    The Eq. 1 measurement from pool start holds for every ligand, as the
+    paper keeps its shares for the whole screening (§3.3). A poisoned
+    ligand that kills a worker recycles the pool (``host.pool.recycles``)
+    without dropping the bindings or the weights; the raised
     :class:`~repro.errors.WorkerPoolError` flows into the campaign's retry
     loop, which repeats the dock without charging the ligand.
     """
@@ -1096,26 +976,16 @@ class PersistentHostRuntime:
     def __init__(
         self,
         receptor,
-        spots,
         *,
         n_workers: int,
         mode: str = "static",
         scoring=None,
-        warmup: bool = True,
-        remeasure_interval: int = DEFAULT_REMEASURE_INTERVAL,
-        drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-        prefetch: bool = True,
     ) -> None:
         if n_workers < 1:
             raise ScoringError(f"n_workers must be >= 1, got {n_workers}")
         if mode not in ("static", "dynamic"):
             raise ScoringError(f"mode must be 'static' or 'dynamic', got {mode!r}")
-        if remeasure_interval < 1:
-            raise ScoringError(
-                f"remeasure_interval must be >= 1, got {remeasure_interval}"
-            )
         self.receptor = receptor
-        self.spots = list(spots)
         self.n_workers = int(n_workers)
         self.mode = mode
         self.scoring = (
@@ -1123,24 +993,16 @@ class PersistentHostRuntime:
             if scoring is not None
             else CutoffLennardJonesScoring(dtype=np.float32)
         )
-        self.warmup = bool(warmup)
-        self.remeasure_interval = int(remeasure_interval)
-        self.drift_threshold = float(drift_threshold)
-        self.ligands_bound = 0
         self._evaluator: ParallelSpotEvaluator | None = None
         self._acquired: LigandLease | None = None
         self._next_hint = None
         self._pending = None  # (hinted ligand, Future[bound scorer])
-        self._since_measure = 0
         self._closed = False
-        self._live_leases = 0
         # Serializes lease bookkeeping; the stager thread and dock
         # threads contend on it only for pointer-sized state, never scoring.
         self._lease_lock = threading.RLock()
-        self._stager = (
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix="ligand-stage")
-            if prefetch
-            else None
+        self._stager = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="ligand-stage"
         )
 
     # ------------------------------------------------------------------
@@ -1220,8 +1082,7 @@ class PersistentHostRuntime:
         mints a version the workers bind on first sight. Take leases from the
         owning (main) thread — the first one forks the worker pool — dock
         each lease on any thread and :meth:`LigandLease.release` it when
-        the ligand commits. The Eq. 1 re-measure triggers (interval /
-        drift) run at the first lease after the pool drains.
+        the ligand commits.
         """
         if self._closed:
             raise ScoringError("persistent host runtime is closed")
@@ -1234,7 +1095,6 @@ class PersistentHostRuntime:
                     ligand,
                     n_workers=self.n_workers,
                     mode=self.mode,
-                    warmup=self.warmup,
                 )
                 binding = self._evaluator.binding
             else:
@@ -1251,57 +1111,26 @@ class PersistentHostRuntime:
                     prefetched=prefetched,
                     seconds=round(rebind_s, 6),
                 )
-                self._since_measure += 1
-                if (
-                    self.warmup
-                    and self._live_leases == 0
-                    and self._evaluator.inflight_launches == 0
-                    and (
-                        self._since_measure >= self.remeasure_interval
-                        or self._evaluator.share_drift() > self.drift_threshold
-                    )
-                ):
-                    self._evaluator.remeasure(binding)
-                    self._since_measure = 0
-                else:
-                    obs.counter("host.warmup.reuses").inc()
-            self.ligands_bound += 1
-            self._live_leases += 1
             lease = LigandLease(self, ligand, binding)
             self._kick_prefetch(ligand)
             return lease
 
-    def _release_lease(self, lease: "LigandLease") -> None:
-        with self._lease_lock:
-            self._live_leases -= 1
-        evaluator = self._evaluator
-        if evaluator is not None:
-            evaluator.release_binding(lease.binding)
-
-    def _validate_complex(self, receptor, spots) -> None:
-        """Check dock() was called for the receptor/spots this runtime serves."""
+    def _validate_receptor(self, receptor) -> None:
+        """Check dock() was called for the receptor this runtime serves."""
         if receptor is not self.receptor and not np.array_equal(
             receptor.coords, self.receptor.coords
         ):
             raise ScoringError(
                 "persistent host runtime was built for a different receptor"
             )
-        mine = [s.index for s in self.spots]
-        theirs = [s.index for s in spots]
-        if mine != theirs:
-            raise ScoringError(
-                f"persistent host runtime was built for spots {mine}, "
-                f"dock() was called with {theirs}"
-            )
 
     def evaluator_factory(self, receptor, ligand, spots) -> _BindingEvaluator:
         """The ``dock(evaluator_factory=...)`` seam over :meth:`acquire`.
 
-        Validates that dock was called for the receptor/spots this runtime
-        serves. The pool stays owned by the runtime — ``dock()`` must not
-        close it.
+        Validates that dock was called for the receptor this runtime serves.
+        The pool stays owned by the runtime — ``dock()`` must not close it.
         """
-        self._validate_complex(receptor, spots)
+        self._validate_receptor(receptor)
         return self.acquire(ligand)
 
     # ------------------------------------------------------------------

@@ -144,20 +144,22 @@ def test_kill_mid_shard_then_resume_is_bitwise_identical(
 
 
 @pytest.mark.parametrize(
-    "dedup,resume_nodes",
+    "reader,dedup,resume_nodes",
     [
-        pytest.param(True, 0, id="True"),
-        pytest.param(False, 0, id="False"),
-        pytest.param(False, 2, id="fleet"),
+        pytest.param("smiles", True, 0, id="True"),
+        pytest.param("smiles", False, 0, id="False"),
+        pytest.param("smiles", False, 2, id="fleet"),
+        pytest.param("synthetic", False, 0, id="synthetic"),
     ],
 )
 def test_resume_builds_no_ligand_of_a_finished_shard(
-    receptor, tmp_path, monkeypatch, dedup, resume_nodes
+    receptor, tmp_path, monkeypatch, reader, dedup, resume_nodes
 ):
     # Seven lines, titles B and E repeated: five ligands with dedup, seven
     # (two of them stored as "B#3" and "E#6") without; three shards each way.
-    # A fleet resume plans in this process from titles alone and docks in
-    # worker processes, so the spy sees no build at all.
+    # A synthetic library is seven LIG%04d titles of the ordinal. A fleet
+    # resume plans in this process from titles alone and docks in worker
+    # processes, so the spy sees no build at all.
     import repro.campaign.library as library_mod
     from repro.campaign import SmilesSource
 
@@ -166,8 +168,13 @@ def test_resume_builds_no_ligand_of_a_finished_shard(
     n, shard_size = (5, 2) if dedup else (7, 3)
 
     def smi_runner(name, nodes=0):
+        source = (
+            SyntheticSource(n, atoms_range=(8, 12), seed=4)
+            if reader == "synthetic"
+            else SmilesSource(smi, seed=4, dedup=dedup, atoms_range=(8, 12))
+        )
         return CampaignRunner(
-            receptor, SmilesSource(smi, seed=4, dedup=dedup, atoms_range=(8, 12)),
+            receptor, source,
             store_path=tmp_path / name, n_spots=2, metaheuristic="M1", seed=SEED,
             workload_scale=0.05, shard_size=shard_size, backoff_base=0.0,
             nodes=nodes,
@@ -195,7 +202,12 @@ def test_resume_builds_no_ligand_of_a_finished_shard(
     with smi_runner("kill.sqlite", resume_nodes).resume() as store:
         assert store.science_digest() == expected
     # Once per ligand of the unfinished shards, none for the finished one.
-    titles = ["A", "B", "C", "D", "E"] if dedup else ["A", "B", "C", "B", "D", "E", "E"]
+    if reader == "synthetic":
+        titles = [f"LIG{i:04d}" for i in range(n)]
+    elif dedup:
+        titles = ["A", "B", "C", "D", "E"]
+    else:
+        titles = ["A", "B", "C", "B", "D", "E", "E"]
     assert built == ([] if resume_nodes else titles[shard_size:])
 
 

@@ -214,16 +214,24 @@ def test_fleet_needs_at_least_one_node(tmp_path):
         ClusterCampaign(runner, nodes=0)
 
 
-@pytest.mark.parametrize("reader", ["smiles", "csv"])
+@pytest.mark.parametrize("reader", ["smiles", "csv", "synthetic"])
 def test_a_line_file_library_is_planned_without_building_a_ligand(
     tmp_path, monkeypatch, reader
 ):
     # The coordinator leases ordinals and titles; its nodes build the ligands.
     from repro.campaign import library
-    from repro.campaign.library import CsvSource, SmilesSource, plan_shards
+    from repro.campaign.library import (
+        CsvSource,
+        SmilesSource,
+        SyntheticSource,
+        plan_shards,
+    )
 
     lines = [(f"{'C' * (4 + i % 9)}N", f"mol-{i % 6}") for i in range(30)]
-    if reader == "smiles":
+    if reader == "synthetic":
+        # Titles LIG0000..LIG0029 are a function of the ordinal alone.
+        source = SyntheticSource(30, atoms_range=(8, 12), seed=3)
+    elif reader == "smiles":
         path = tmp_path / "lib.smi"
         path.write_text("".join(f"{smiles} {title}\n" for smiles, title in lines))
         source = SmilesSource(path, seed=3, dedup=False)

@@ -126,7 +126,7 @@ def test_plan_jobs_are_runs_of_whole_spot_groups(fast_scorer, launch, monkeypatc
     spot_ids, _, _ = launch
     assert fast_scorer.supports_spot_scoring
     groups = {int(s): set(np.flatnonzero(spot_ids == s)) for s in np.unique(spot_ids)}
-    with _pool(fast_scorer, n_workers=2, warmup=False) as ev:
+    with _pool(fast_scorer, n_workers=2) as ev:
         plans = {}
         for poses in (1, 6, 8, 10**6):
             monkeypatch.setattr(
@@ -164,7 +164,7 @@ def test_paper_scale_launch_splits_at_the_default_grain(dock_shape, rng):
     t = centers + rng.uniform(-2.0, 2.0, size=centers.shape)
     q = random_quaternion(rng, spot_ids.size)
     serial = SerialEvaluator(scorer).evaluate(spot_ids, t, q)
-    with _pool(scorer, n_workers=2, warmup=False) as ev:
+    with _pool(scorer, n_workers=2) as ev:
         jobs = ev._plan(spot_ids, scorer)
         parallel = ev.evaluate(spot_ids, t, q)
     grain = -(-host_runtime._MIN_JOB_PAIRS // scorer.n_pairs)
@@ -200,14 +200,6 @@ def test_warmup_produces_eq1_weights(fast_scorer):
     assert np.all(res.weights > 0)
     assert res.weights.sum() == pytest.approx(1.0)
     assert res.elapsed_s > 0
-
-
-def test_warmup_can_be_skipped(fast_scorer, launch):
-    spot_ids, t, q = launch
-    serial = SerialEvaluator(fast_scorer).evaluate(spot_ids, t, q)
-    with _pool(fast_scorer, n_workers=2, warmup=False) as ev:
-        np.testing.assert_array_equal(ev.weights, [0.5, 0.5])
-        assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
 
 
 def test_close_is_idempotent_and_leaves_dev_shm_unchanged(fast_scorer):
@@ -290,7 +282,7 @@ def test_persistent_rebind_matches_serial_across_ligands(receptor, spots, launch
     spot_ids, t, q = launch
     warmups = obs.counter("host.warmups").value
     reuses = obs.counter("host.pool.reuses").value
-    with PersistentHostRuntime(receptor, spots, n_workers=2, prefetch=False) as rt:
+    with PersistentHostRuntime(receptor, n_workers=2) as rt:
         for lig in ligands:
             lease = rt.lease(lig)
             ev = lease.evaluator_factory(receptor, lig, spots)
@@ -312,8 +304,7 @@ def test_each_worker_binds_each_live_version_at_most_once(receptor, spots, launc
         for lig in ligands
     ]
     with PersistentHostRuntime(
-        receptor, spots, n_workers=2, mode="dynamic", warmup=False,
-        prefetch=False, scoring=CountingScoring(binds),
+        receptor, n_workers=2, mode="dynamic", scoring=CountingScoring(binds)
     ) as rt:
         leases = [rt.lease(lig) for lig in ligands]
         evaluators = [
@@ -349,61 +340,32 @@ def test_worker_crash_recycles_pool_and_keeps_receptor(receptor, ligand, launch)
         assert obs.counter("host.warmups").value == warmups + 1
 
 
-def test_remeasure_on_a_dead_pool_recycles_and_keeps_weights(fast_scorer, launch):
-    # A worker can die with no launch noticing (its sibling absorbs the
-    # work); the next re-measure is then the first to touch the dead pool.
-    # It runs on the campaign's main thread, outside any retry loop, so it
-    # must heal the pool rather than raise.
-    import time
-
+def test_eq1_weights_are_fixed_per_pool(receptor, spots, ligand, launch):
+    """The paper measures Eq. 1 once and keeps the shares for the whole
+    screening (§3.3): 65 leases and a recycle later, the pool still plans
+    with the weights its warm-up produced, and scores the serial answer."""
     spot_ids, t, q = launch
-    serial = SerialEvaluator(fast_scorer).evaluate(spot_ids, t, q)
-    recycles = obs.counter("host.pool.recycles").value
-    with _pool(fast_scorer, n_workers=2) as ev:
-        before = ev.warmup_result
-        dead = ev._pool
-        dead.submit(os._exit, 1)
-        deadline = time.monotonic() + 30.0
-        while not dead._broken:
-            assert time.monotonic() < deadline, "pool never noticed the death"
-            time.sleep(0.001)
-        assert ev.remeasure(ev.binding) is before
-        assert ev._pool is not dead
-        assert obs.counter("host.pool.recycles").value == recycles + 1
+    warmups = obs.counter("host.warmups").value
+    with PersistentHostRuntime(receptor, n_workers=2) as rt:
+        rt.lease(ligand).release()
+        weights = rt.evaluator.weights
+        for _ in range(64):
+            rt.lease(ligand).release()
+        rt.evaluator.recycle()
+        assert rt.evaluator.weights is weights
+        lease = rt.lease(ligand)
+        ev = lease.evaluator_factory(receptor, ligand, spots)
+        serial = SerialEvaluator(_cutoff(receptor, ligand)).evaluate(spot_ids, t, q)
         assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
-
-
-def test_persistent_runtime_reuses_then_remeasures_warmup(receptor, spots, launch):
-    spot_ids, t, q = launch
-    ligands = _ligands((10, 11, 12, 13), base_seed=80)
-    reuses = obs.counter("host.warmup.reuses").value
-    remeasures = obs.counter("host.warmup.remeasures").value
-    with PersistentHostRuntime(
-        receptor,
-        spots,
-        n_workers=2,
-        remeasure_interval=3,
-        drift_threshold=2.0,  # unreachable: only the interval can trigger
-        prefetch=False,
-    ) as rt:
-        for lig in ligands:
-            lease = rt.lease(lig)
-            ev = lease.evaluator_factory(receptor, lig, spots)
-            serial = SerialEvaluator(_cutoff(receptor, lig)).evaluate(spot_ids, t, q)
-            assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
-            lease.release()
-        assert rt.ligands_bound == len(ligands)
-    # Ligand 0 pays the initial warm-up; leases 1 and 2 reuse it; lease 3
-    # hits the interval and re-measures.
-    assert obs.counter("host.warmup.reuses").value == reuses + 2
-    assert obs.counter("host.warmup.remeasures").value == remeasures + 1
+        lease.release()
+    assert obs.counter("host.warmups").value == warmups + 1
 
 
 def test_persistent_runtime_prefetch_stages_next_ligand(receptor, spots, launch):
     spot_ids, t, q = launch
     ligands = _ligands((9, 12, 15), base_seed=70)
     hits = obs.counter("host.prefetch.hits").value
-    with PersistentHostRuntime(receptor, spots, n_workers=2) as rt:
+    with PersistentHostRuntime(receptor, n_workers=2) as rt:
         for i, lig in enumerate(ligands):
             if i + 1 < len(ligands):
                 rt.hint_next(ligands[i + 1])
@@ -422,7 +384,7 @@ def test_persistent_runtime_same_ligand_reacquire_restages_nothing(
 ):
     spot_ids, t, q = launch
     reuses = obs.counter("host.pool.reuses").value
-    with PersistentHostRuntime(receptor, spots, n_workers=1, prefetch=False) as rt:
+    with PersistentHostRuntime(receptor, n_workers=1) as rt:
         first = rt.acquire(ligand)
         first.evaluate(spot_ids, t, q)
         assert first.stats.n_launches == 1
@@ -432,19 +394,16 @@ def test_persistent_runtime_same_ligand_reacquire_restages_nothing(
         assert rt.evaluator is pool and again._binding is binding
         assert obs.counter("host.pool.reuses").value == reuses
         assert again.stats.n_launches == 0  # ...only the trace is fresh
-        assert rt.ligands_bound == 1
     with pytest.raises(ScoringError, match="closed"):
         rt.acquire(ligand)
 
 
-def test_evaluator_factory_validates_receptor_and_spots(receptor, spots, ligand):
+def test_evaluator_factory_validates_receptor(receptor, spots, ligand):
     other = generate_receptor(120, seed=99)
-    rt = PersistentHostRuntime(receptor, spots, n_workers=1, prefetch=False)
+    rt = PersistentHostRuntime(receptor, n_workers=1)
     try:
         with pytest.raises(ScoringError, match="different receptor"):
             rt.evaluator_factory(other, ligand, spots)
-        with pytest.raises(ScoringError, match="spots"):
-            rt.evaluator_factory(receptor, ligand, spots[:2])
     finally:
         rt.close()
 
@@ -453,7 +412,7 @@ def test_dock_with_persistent_runtime_matches_serial(receptor, spots):
     from repro.vs.docking import dock
 
     ligands = _ligands((10, 12), base_seed=90)
-    with PersistentHostRuntime(receptor, spots, n_workers=2) as rt:
+    with PersistentHostRuntime(receptor, n_workers=2) as rt:
         for i, lig in enumerate(ligands):
             persistent = dock(
                 receptor, lig, spots=spots, metaheuristic="M1", seed=7 + i,
@@ -495,20 +454,13 @@ def test_dock_parity_with_host_workers(receptor, ligand):
 
 
 # ----------------------------------------------------------------------
-# docking pipeline: submit/poll/harvest tickets, multi-ligand residency
+# docking pipeline: submit/harvest tickets, multi-ligand residency
 # ----------------------------------------------------------------------
 def test_submit_poll_harvest_matches_evaluate(fast_scorer, launch):
-    import time
-
     spot_ids, t, q = launch
     serial = SerialEvaluator(fast_scorer).evaluate(spot_ids, t, q)
     with _pool(fast_scorer, n_workers=2) as ev:
-        ticket = ev.submit(spot_ids, t, q)
-        deadline = time.monotonic() + 30.0
-        while not ev.poll(ticket):
-            assert time.monotonic() < deadline, "launch never settled"
-            time.sleep(0.001)
-        out = ev.harvest(ticket)
+        out = ev.harvest(ev.submit(spot_ids, t, q))
     assert np.array_equal(out, serial)
 
 
@@ -530,7 +482,7 @@ def test_interleaved_leases_are_bitwise_identical(receptor, spots, launch):
     serial_a = SerialEvaluator(_cutoff(receptor, lig_a)).evaluate(spot_ids, t, q)
     serial_b = SerialEvaluator(_cutoff(receptor, lig_b)).evaluate(spot_ids, t, q)
     fill = obs.counter("host.pipeline.fill.poses").value
-    with PersistentHostRuntime(receptor, spots, n_workers=2, warmup=False) as rt:
+    with PersistentHostRuntime(receptor, n_workers=2) as rt:
         lease_a = rt.lease(lig_a)
         lease_b = rt.lease(lig_b)
         ev_a = lease_a.evaluator_factory(receptor, lig_a, spots)
@@ -561,7 +513,7 @@ def test_lease_evaluator_keeps_per_ligand_launch_trace(receptor, spots, launch):
     spot_ids, t, q = launch
     reference = SerialEvaluator(_cutoff(receptor, lig_a))
     reference.evaluate(spot_ids, t, q, kind="improvement")
-    with PersistentHostRuntime(receptor, spots, n_workers=2, warmup=False) as rt:
+    with PersistentHostRuntime(receptor, n_workers=2) as rt:
         lease_a = rt.lease(lig_a)
         lease_b = rt.lease(lig_b)
         ev_a = lease_a.evaluator_factory(receptor, lig_a, spots)
@@ -580,7 +532,7 @@ def test_lease_evaluator_keeps_per_ligand_launch_trace(receptor, spots, launch):
 def test_submit_against_released_lease_rejected(receptor, spots, launch):
     (lig,) = _ligands((13,), base_seed=160)
     spot_ids, t, q = launch
-    with PersistentHostRuntime(receptor, spots, n_workers=1, warmup=False) as rt:
+    with PersistentHostRuntime(receptor, n_workers=1) as rt:
         lease = rt.lease(lig)
         binding = lease.binding
         lease.release()

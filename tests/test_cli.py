@@ -392,10 +392,6 @@ _FLAG_TABLE = {
         "--out": (None, None, None, False, None),
         "snapshot": (None, None, None, True, None),
     },
-    "metrics trace": {
-        "--out": (None, None, None, False, None),
-        "snapshot": (None, None, None, True, None),
-    },
     "replay": {
         "--mode": ("gpu-heterogeneous", None, ("openmp", "gpu-homogeneous", "gpu-heterogeneous", "gpu-dynamic"), False, None),
         "--node": ("hertz", None, ("jupiter", "hertz"), False, None),
