@@ -50,7 +50,6 @@ def create_store(
     config_hash: str,
     *,
     backend: str = "sqlite",
-    **options,
 ):
     """Create a fresh campaign store with the requested backend."""
     if backend not in STORE_BACKENDS:
@@ -58,11 +57,7 @@ def create_store(
             f"unknown store backend {backend!r}; pick one of {STORE_BACKENDS}"
         )
     if backend == "columnar":
-        return _columnar().create(path, config, config_hash, **options)
-    if options:
-        raise CampaignError(
-            f"store options {sorted(options)} only apply to the columnar backend"
-        )
+        return _columnar().create(path, config, config_hash)
     return CampaignStore.create(path, config, config_hash)
 
 

@@ -19,41 +19,37 @@ disk) whose sealed data moves as NumPy columns instead of B-tree rows:
   ``frombuffer``-able as it lies.
 * **A manifest** (tmp+fsync+rename) naming the live segments; segment files
   it does not name are crash debris and are deleted on open.
-* **Compaction**: at ``compact_fanin`` segments the adjacent run with the
-  fewest rows is merged, so the count stays below the fan-in. With a segment
-  per shard that run is the whole store (200 shards: 13 merges, 6.9x write
-  amplification).
-* **A top-K index** beside the manifest, maintained incrementally, stamped
-  with the manifest generation and rebuilt when stale.
+* **Compaction**, inside ``finish_shard``: at ``compact_fanin`` segments the
+  adjacent run with the fewest rows is merged, so the count stays below the
+  fan-in. With a segment per shard that run is the whole store (200 shards:
+  13 merges, 6.9x write amplification).
 
+``top(k)`` ranks the status, flags, score and ordinal columns on each call.
 Rows (9-field lists) exist only in the overlay (in-flight shards, late
 updates), in a sealed group being patched with an overlay row, in the
 row-streaming readers (``science_rows``, ``iter_results``, exports) and for
-the k winners of ``top``. Seal, compaction, re-seal, the ``top(k)`` scan and
-the index rebuild move decoded groups (dicts of column arrays): a merge
-holds its input groups and nothing more. Resident memory is the overlay plus
-an LRU of 8 decoded groups (<= 8 x ``group_rows`` x ~80 B = 42 MB).
+the k winners of ``top``. Seal, compaction, re-seal and the ``top(k)`` scan
+move decoded groups (dicts of column arrays): a merge holds its input groups
+and nothing more. Resident memory is the overlay plus an LRU of 8 decoded
+groups (<= 8 x ``group_rows`` x ~80 B = 42 MB).
 
 Durability (as SQLite WAL + ``synchronous=NORMAL``): log appends are
 write+flush (a crash loses at most the torn tail, and that ligand re-docks);
-segment, manifest and meta writes are tmp+fsync+rename, one per shard seal.
-The store is the authoritative record; the journal only corroborates it.
+segment and manifest writes are tmp+fsync+rename, one of each per shard seal
+and per merge. The store alone decides finished shards.
 See ``docs/architecture.md`` ("Result store backends") for measurements.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import json
-import mmap
 import os
 import re
 import struct
 import threading
 import zlib
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import chain
 from pathlib import Path
 from typing import Iterator
@@ -365,15 +361,6 @@ def _fold(groups, overlay: list[tuple[int, list]], insert: bool, folded: list[in
         yield _encode_group(overlay[oi:])
 
 
-# ---------------------------------------------------------------------------
-# top-K index file
-# ---------------------------------------------------------------------------
-
-_TOPK_MAGIC = b"RVSTOPK1"
-_TOPK_HEADER = struct.Struct("<QII")  # generation, capacity, count
-_TOPK_ENTRY = struct.Struct("<dq")  # score, ordinal
-
-
 class ColumnarStore:
     """Append-only sharded columnar campaign store (see module docstring).
 
@@ -399,15 +386,7 @@ class ColumnarStore:
         self._footers: dict[int, dict] = {}
         self._groups: OrderedDict[tuple[int, int], dict] = OrderedDict()
         self._group_cache_max = 8
-        self._topk_heap: list[tuple[float, int]] = []  # (-score, -ordinal)
-        self._topk_saturated = False
-        self._topk_dirty = False
         self._closed = False
-        # Tiered compaction runs on a background thread so finish_shard
-        # latency never includes a multi-segment merge (lazily created;
-        # at most one compaction in flight).
-        self._compact_executor: ThreadPoolExecutor | None = None
-        self._compact_future: Future | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -421,7 +400,6 @@ class ColumnarStore:
         *,
         group_rows: int = 65536,
         compact_fanin: int = 16,
-        topk_capacity: int = 512,
     ) -> "ColumnarStore":
         """Create a fresh columnar store; refuses to overwrite an existing one."""
         path = str(path)
@@ -430,10 +408,10 @@ class ColumnarStore:
                 "the columnar store backend persists to a directory; "
                 ":memory: campaigns use the sqlite backend"
             )
-        if group_rows < 1 or compact_fanin < 2 or topk_capacity < 1:
+        if group_rows < 1 or compact_fanin < 2:
             raise CampaignError(
-                "invalid columnar store options: group_rows >= 1, "
-                "compact_fanin >= 2, topk_capacity >= 1 required"
+                "invalid columnar store options: group_rows >= 1 and "
+                "compact_fanin >= 2 required"
             )
         root = Path(path)
         if root.exists() and (root.is_file() or any(root.iterdir())):
@@ -455,7 +433,6 @@ class ColumnarStore:
             "options": {
                 "group_rows": int(group_rows),
                 "compact_fanin": int(compact_fanin),
-                "topk_capacity": int(topk_capacity),
             },
         }
         store._write_meta()
@@ -497,23 +474,8 @@ class ColumnarStore:
     def _compact_fanin(self) -> int:
         return int(self._options.get("compact_fanin", 16))
 
-    @property
-    def _topk_capacity(self) -> int:
-        return int(self._options.get("topk_capacity", 512))
-
     def close(self) -> None:
-        """Flush and close every open log handle.
-
-        Any in-flight background compaction is drained *before* taking the
-        store lock (the compaction thread needs that lock to finish, so
-        joining it while holding the lock would deadlock). A compaction
-        failure surfaces here rather than being swallowed.
-        """
-        self.wait_for_compaction()
-        executor = self._compact_executor
-        if executor is not None:
-            executor.shutdown(wait=True)
-            self._compact_executor = None
+        """Flush and close every open log handle."""
         with self._lock:
             if self._closed:
                 return
@@ -699,16 +661,13 @@ class ColumnarStore:
     ) -> None:
         """Full upsert: every column is replaced, error cleared."""
         prev = self._status_of(ordinal)
-        score = self._null_nan(best_score)
         self._active_rows[ordinal] = [
-            title, "done", score, best_spot, evaluations,
+            title, "done", self._null_nan(best_score), best_spot, evaluations,
             self._null_nan(wall_seconds), self._null_nan(simulated_seconds),
             attempts, None,
         ]
         if prev != "done":
             self._transition(prev, "done")
-        if score is not None:
-            self._topk_push(score, ordinal)
 
     def _apply_failure(
         self, ordinal: int, title: str, error: str, attempts: int
@@ -771,7 +730,7 @@ class ColumnarStore:
             obs.counter("campaign.store.appends").inc()
 
     def finish_shard(self, shard_id: int, wall_seconds: float) -> None:
-        """Mark a shard done and seal its rows into a columnar segment."""
+        """Mark a shard done, seal its rows into a segment and compact."""
         with self._lock:
             shard = self._shards.get(shard_id)
             if shard is None:
@@ -787,7 +746,7 @@ class ColumnarStore:
             shard["wall"] = float(wall_seconds)
             self._open_ranges.pop(shard_id, None)
             self._seal_range(shard["start"], shard["stop"], shard_id=shard_id)
-            self._schedule_compaction()
+            self._maybe_compact()
 
     def finished_shards(self) -> set[int]:
         """IDs of shards whose every ligand is recorded."""
@@ -1189,75 +1148,16 @@ class ColumnarStore:
         self._trim_orphan_log(folded)
         if shard_id is not None:
             self._drop_active_log(shard_id)
-        self._write_topk()
-
-    def _schedule_compaction(self) -> None:
-        """Kick tiered compaction onto the background thread (caller holds lock).
-
-        ``finish_shard`` latency must exclude compaction, so the merge runs
-        on a single lazily created worker thread; it serialises against the
-        store lock like any other operation, but the shard commit returns
-        immediately. At most one compaction is in flight — if one is still
-        running, the next ``finish_shard`` simply re-checks. A previous
-        *failed* compaction re-raises here so errors never vanish silently;
-        a rejected submit (interpreter teardown) falls back to compacting
-        inline.
-        """
-        if len(self._segments) < self._compact_fanin:
-            return
-        future = self._compact_future
-        if future is not None:
-            if not future.done():
-                return
-            self._compact_future = None
-            future.result()  # surface a failed background compaction
-        if self._compact_executor is None:
-            self._compact_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="colstore-compact"
-            )
-        try:
-            self._compact_future = self._compact_executor.submit(
-                self._compact_in_background
-            )
-        except RuntimeError:
-            self._maybe_compact()
-
-    def _compact_in_background(self) -> None:
-        # Re-check after every merge: shards sealed while a merge ran may
-        # have pushed the manifest back over the fan-in threshold (their
-        # finish_shard skipped scheduling because this run was in flight).
-        # The lock is released between merges so writers interleave.
-        while True:
-            with self._lock:
-                if self._closed or len(self._segments) < self._compact_fanin:
-                    return
-                self._maybe_compact()
 
     def wait_for_compaction(self) -> None:
-        """Block until the manifest satisfies the tier invariant again.
-
-        Drains any in-flight background compaction (re-raising its failure),
-        then compacts inline if sealing raced past the background loop's
-        last check. Tests and shutdown paths call this to make segment
-        counts deterministic before asserting or closing.
-        """
-        future = self._compact_future
-        if future is not None:
-            try:
-                future.result()
-            finally:
-                self._compact_future = None
-        with self._lock:
-            if self._closed:
-                return
-            while len(self._segments) >= self._compact_fanin:
-                self._maybe_compact()
+        """No-op: ``finish_shard`` compacts before it returns (SQLite parity)."""
 
     def _maybe_compact(self) -> None:
         """Merge the adjacent run of segments with the fewest rows.
 
-        Triggered once the manifest holds ``compact_fanin`` segments; memory
-        stays one output group's worth of input blocks however large they are.
+        Runs at the end of every ``finish_shard`` and acts once the manifest
+        holds ``compact_fanin`` segments; memory stays one output group's
+        worth of input blocks however large they are.
         """
         fanin = self._compact_fanin
         if len(self._segments) < fanin:
@@ -1291,7 +1191,6 @@ class ColumnarStore:
         for ordinal in folded:
             self._active_rows.pop(ordinal, None)
         self._trim_orphan_log(folded)
-        self._write_topk()
         obs.counter("campaign.store.compactions").inc()
         flight_event(
             "store.compaction",
@@ -1339,11 +1238,6 @@ class ColumnarStore:
         for entry in self._segments:
             for status, n in entry["counts"].items():
                 self._counts[status] += int(n)
-        # Load the persisted top-K *before* replaying logs: replayed results
-        # push on top of the sealed index (loading afterwards would wipe
-        # them — exactly the staleness the generation stamp can't see,
-        # because appends don't bump the manifest generation).
-        self._load_topk()
         # Shard table (torn tail tolerated like any framed log).
         shards_log = root / "shards.log"
         if shards_log.exists():
@@ -1401,64 +1295,14 @@ class ColumnarStore:
             self._seal_range(shard["start"], shard["stop"], shard_id=shard_id)
 
     # ------------------------------------------------------------------
-    # top-K index
+    # ranking
     # ------------------------------------------------------------------
-    def _topk_push(self, score: float, ordinal: int) -> None:
-        heapq.heappush(self._topk_heap, (-score, -ordinal))
-        if len(self._topk_heap) > self._topk_capacity:
-            heapq.heappop(self._topk_heap)
-            self._topk_saturated = True
-
-    def _write_topk(self) -> None:
-        entries = sorted((-s, -o) for s, o in self._topk_heap)
-        body = b"".join(_TOPK_ENTRY.pack(score, ordinal) for score, ordinal in entries)
-        data = (
-            _TOPK_MAGIC
-            + _TOPK_HEADER.pack(
-                int(self._manifest["generation"]),
-                self._topk_capacity,
-                len(entries),
-            )
-            + body
-            + struct.pack("<I", zlib.crc32(body))
-        )
-        _atomic_write(self.root / "topk.idx", data)
-
-    def _load_topk(self) -> None:
-        path = self.root / "topk.idx"
-        if not path.exists() or path.stat().st_size < len(_TOPK_MAGIC):
-            self._topk_dirty = bool(self._segments)
-            return
-        try:
-            with open(path, "rb") as handle, mmap.mmap(
-                handle.fileno(), 0, access=mmap.ACCESS_READ
-            ) as view:
-                if view[: len(_TOPK_MAGIC)] != _TOPK_MAGIC:
-                    raise ValueError("bad magic")
-                generation, capacity, count = _TOPK_HEADER.unpack_from(
-                    view, len(_TOPK_MAGIC)
-                )
-                body_off = len(_TOPK_MAGIC) + _TOPK_HEADER.size
-                body = bytes(view[body_off : body_off + count * _TOPK_ENTRY.size])
-                (crc,) = struct.unpack_from("<I", view, body_off + len(body))
-                if zlib.crc32(body) != crc:
-                    raise ValueError("CRC mismatch")
-        except (ValueError, struct.error):
-            self._topk_dirty = bool(self._segments)
-            return
-        if generation != int(self._manifest["generation"]):
-            self._topk_dirty = bool(self._segments)
-            return
-        entries = np.frombuffer(body, dtype=[("score", "<f8"), ("ordinal", "<i8")])
-        heap = list(zip((-entries["score"]).tolist(), (-entries["ordinal"]).tolist()))
-        heapq.heapify(heap)
-        self._topk_heap = heap
-        self._topk_saturated = count >= capacity
-
     def _rank(self, k: int) -> list[tuple[float, int]]:
         """The ``k`` best ``(score, ordinal)`` of done rows, from columns alone.
 
         Overlay rows shadow their sealed versions; ties break by ordinal.
+        Each group costs O(rows): only scores at or below the k-th best so
+        far (ties included) reach the sort, which then keeps k of them.
         """
         overlay = self._active_rows
         live = [
@@ -1474,18 +1318,13 @@ class ColumnarStore:
             keep &= ~np.isin(group["ordinals"], shadow)
             scores = np.concatenate((scores, group["score"][keep]))
             ordinals = np.concatenate((ordinals, group["ordinals"][keep]))
-            order = np.lexsort((ordinals, scores))[:k]
-            scores, ordinals = scores[order], ordinals[order]
-        order = np.lexsort((ordinals, scores))[:k]  # overlay-only stores
+            if len(scores) > k:
+                near = scores <= np.partition(scores, k - 1)[k - 1]
+                scores, ordinals = scores[near], ordinals[near]
+                order = np.lexsort((ordinals, scores))[:k]
+                scores, ordinals = scores[order], ordinals[order]
+        order = np.lexsort((ordinals, scores))[:k]
         return list(zip(scores[order].tolist(), ordinals[order].tolist()))
-
-    def _rebuild_topk(self) -> None:
-        capacity = self._topk_capacity
-        best = self._rank(capacity + 1)
-        self._topk_saturated = len(best) > capacity
-        self._topk_heap = [(-score, -ordinal) for score, ordinal in best[:capacity]]
-        heapq.heapify(self._topk_heap)
-        self._topk_dirty = False
 
     # ------------------------------------------------------------------
     # queries and export
@@ -1499,12 +1338,12 @@ class ColumnarStore:
     def _iter_logical(self) -> Iterator[tuple[int, list]]:
         """Every live row in ordinal order: sealed segments + overlay merge.
 
-        Holds the store lock for the whole stream: background compaction
-        rewrites ``self._segments`` (and unlinks the merged files) from the
-        compaction thread, so an unlocked iterator could observe a
-        half-swapped segment list. Rows still stream one at a time — the
-        lock bounds concurrency, not memory. The RLock keeps this reentrant
-        for locked callers like :meth:`top`.
+        Holds the store lock for the whole stream: threads share a store (a
+        fleet coordinator's node handlers commit while a reader streams),
+        and a seal or merge on another thread rewrites ``self._segments``
+        and unlinks the merged files, so an unlocked iterator could observe
+        a half-swapped segment list. Rows still stream one at a time — the
+        lock bounds concurrency, not memory.
         """
         with self._lock:
             overlay = sorted(self._active_rows.items())
@@ -1527,36 +1366,15 @@ class ColumnarStore:
     def top(self, k: int = 10) -> list[dict]:
         """The ``k`` best completed ligands, ascending score.
 
-        Served by the top-K index; a stale or overflowed index falls back to
-        a scan of the score columns (only the ``k`` winners are decoded).
+        A scan of the score columns (:meth:`_rank`); only the ``k`` winners
+        are decoded into rows.
         """
         if k < 1:
             raise CampaignError(f"k must be >= 1, got {k}")
         with self._lock:
-            if self._topk_dirty:
-                self._rebuild_topk()
-            candidates = sorted((-s, -o) for s, o in self._topk_heap)
-            validated: list[tuple[int, list]] = []
-            seen: set[int] = set()
-            for score, ordinal in candidates:
-                if ordinal in seen:
-                    continue
-                row = self._lookup(ordinal)
-                if (
-                    row is not None
-                    and row[_STATUS] == "done"
-                    and row[_SCORE] is not None
-                    and row[_SCORE] == score
-                ):
-                    validated.append((ordinal, row))
-                    seen.add(ordinal)
-                if len(validated) == k:
-                    break
-            if len(validated) < k and (self._topk_saturated or k > self._topk_capacity):
-                best = [ordinal for _, ordinal in self._rank(k)]
-                rows = {ordinal: self._lookup(ordinal) for ordinal in sorted(best)}
-                return [self._top_row(ordinal, rows[ordinal]) for ordinal in best]
-            return [self._top_row(ordinal, row) for ordinal, row in validated]
+            best = [ordinal for _, ordinal in self._rank(k)]
+            rows = {ordinal: self._lookup(ordinal) for ordinal in sorted(best)}
+            return [self._top_row(ordinal, rows[ordinal]) for ordinal in best]
 
     def science_rows(self) -> Iterator[tuple]:
         """Stream the result-affecting columns only, in ordinal order.

@@ -10,8 +10,10 @@ import base64
 import hashlib
 import io
 import json
+import os
 import random
 import struct
+import threading
 import tracemalloc
 import zipfile
 
@@ -148,15 +150,10 @@ def test_backend_detection_and_open_store(tmp_path):
 def test_create_store_dispatches_and_validates(tmp_path):
     with create_store(tmp_path / "a.sqlite", CONFIG, "h") as store:
         assert isinstance(store, CampaignStore)
-    with create_store(
-        tmp_path / "a.col", CONFIG, "h", backend="columnar", group_rows=8
-    ) as store:
+    with create_store(tmp_path / "a.col", CONFIG, "h", backend="columnar") as store:
         assert isinstance(store, ColumnarStore)
     with pytest.raises(CampaignError, match="backend"):
         create_store(tmp_path / "b", CONFIG, "h", backend="parquet")
-    with pytest.raises(CampaignError):
-        # store options are a columnar-only concept
-        create_store(tmp_path / "b.sqlite", CONFIG, "h", group_rows=8)
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +300,7 @@ def test_random_late_updates_to_sealed_rows_match_sqlite(tmp_path, group_rows):
         for st in stores:
             st.finish_shard(shard_id, 0.25)
         if shard_id % 4 == 3:
-            co.wait_for_compaction()
             assert_parity(sq, co, k=25)
-    co.wait_for_compaction()
     assert len(co._segments) < 3
     assert_parity_across_reopen(tmp_path, sq, co, 120)
 
@@ -337,9 +332,9 @@ def test_reclaimed_result_outlives_an_older_late_failure(tmp_path, backend, rese
 
 
 def test_top_k_column_scan_breaks_ties_like_sqlite(tmp_path):
-    # capacity 3 < k forces the scan; equal scores sit in different groups,
-    # different segments and the overlay, and -0.0 must tie with 0.0.
-    sq, co = both_stores(tmp_path, group_rows=4, compact_fanin=3, topk_capacity=3)
+    # Equal scores sit in different groups, different segments and the
+    # overlay, and -0.0 must tie with 0.0.
+    sq, co = both_stores(tmp_path, group_rows=4, compact_fanin=3)
     scores = [-5.0, 0.0, -0.0, -5.0, -2.5, -0.0, 0.0, -5.0, -2.5, -7.0]
     for st in (sq, co):
         for shard_id in range(4):  # three shards compact, the fourth stands alone
@@ -348,7 +343,6 @@ def test_top_k_column_scan_breaks_ties_like_sqlite(tmp_path):
             for i, score in enumerate(scores):
                 st.record_result(start + i, f"L{start + i}", score, 0, 8, 0.1, 0.0)
             st.finish_shard(shard_id, 0.1)
-        st.wait_for_compaction()
         st.record_failure(9, "L9", "late failure of a sealed best row", 2)
         st.record_result(4, "L4", -7.0, 1, 8, 0.1, 0.0)  # sealed row, new tie
         st.record_result(40, "L40", -7.0, 0, 8, 0.1, 0.0)  # overlay-only rows
@@ -368,10 +362,10 @@ def test_top_k_column_scan_breaks_ties_like_sqlite(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# sealing, compaction, and the top-K index
+# sealing, compaction and ranking
 # ----------------------------------------------------------------------
-def fill_shards(store, n_shards, shard_size=8):
-    for shard_id in range(n_shards):
+def fill_shards(store, n_shards, shard_size=8, first=0):
+    for shard_id in range(first, first + n_shards):
         start, stop = shard_id * shard_size, (shard_id + 1) * shard_size
         store.start_shard(shard_id, start, stop)
         for ordinal in range(start, stop):
@@ -396,7 +390,6 @@ def test_compaction_preserves_rows_and_bounds_segment_count(tmp_path):
         tmp_path / "c.col", CONFIG, "h", group_rows=8, compact_fanin=3
     )
     fill_shards(store, 9)
-    store.wait_for_compaction()  # compaction is async; settle the manifest
     before = list(store.science_rows())
     # fanin=3 keeps the manifest small no matter how many shards sealed.
     assert len(store._segments) < 3 + 2
@@ -406,55 +399,73 @@ def test_compaction_preserves_rows_and_bounds_segment_count(tmp_path):
         assert list(reopened.science_rows()) == before
 
 
-def test_compaction_runs_off_the_finish_shard_thread(tmp_path, monkeypatch):
-    import threading
+def test_finish_shard_fsyncs_the_segment_and_the_manifest_only(tmp_path, monkeypatch):
+    store = ColumnarStore.create(tmp_path / "c.col", CONFIG, "h")
+    store.start_shard(0, 0, 8)
+    for ordinal in range(8):
+        store.record_result(ordinal, f"L{ordinal}", -1.0 - ordinal, 0, 8, 0.1, 0.0)
+    fsyncs = []
+    real_fsync = os.fsync
 
-    store = ColumnarStore.create(
-        tmp_path / "c.col", CONFIG, "h", group_rows=8, compact_fanin=3
-    )
-    threads = []
-    original = ColumnarStore._maybe_compact
+    def counting(fd):
+        fsyncs.append(fd)
+        real_fsync(fd)
 
-    def spying(self):
-        threads.append(threading.current_thread().name)
-        return original(self)
-
-    monkeypatch.setattr(ColumnarStore, "_maybe_compact", spying)
-    fill_shards(store, 3)
-    store.wait_for_compaction()
-    # finish_shard only scheduled the merge; the work ran on the background
-    # compaction thread, not inline on the committing thread.
-    assert any(name.startswith("colstore-compact") for name in threads)
-    store.close()
-    assert len(store._segments) < 3
-
-
-def test_failed_background_compaction_surfaces_on_wait(tmp_path, monkeypatch):
-    store = ColumnarStore.create(
-        tmp_path / "c.col", CONFIG, "h", group_rows=8, compact_fanin=3
-    )
-
-    def boom(self):
-        raise RuntimeError("compaction exploded")
-
-    monkeypatch.setattr(ColumnarStore, "_maybe_compact", boom)
-    fill_shards(store, 3)
-    with pytest.raises(RuntimeError, match="compaction exploded"):
-        store.wait_for_compaction()
+    monkeypatch.setattr(os, "fsync", counting)
+    store.finish_shard(0, 0.1)
     monkeypatch.undo()
-    store.close()  # drains cleanly once compaction works again
+    # The segment file, then the manifest and the directory it is renamed in.
+    assert len(fsyncs) == 3
+    assert sorted(path.name for path in store.root.iterdir()) == [
+        "MANIFEST.json", "active", "meta.json", "segments", "shards.log",
+    ]
+    store.close()
+
+
+def test_compaction_finishes_inside_finish_shard(tmp_path):
+    store = ColumnarStore.create(
+        tmp_path / "c.col", CONFIG, "h", group_rows=8, compact_fanin=3
+    )
+    fill_shards(store, 3)  # the third seal reaches the fan-in
+    assert len(store._segments) < 3
+    assert not [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("colstore-compact")
+    ]
+    store.close()
+
+
+def test_failed_compaction_raises_out_of_finish_shard(tmp_path, monkeypatch):
+    store = ColumnarStore.create(
+        tmp_path / "c.col", CONFIG, "h", group_rows=8, compact_fanin=3
+    )
+    fold = colstore._fold
+
+    def exploding(groups, overlay, insert, folded):
+        if not insert:  # a merge; seals still go through
+            raise RuntimeError("compaction exploded")
+        yield from fold(groups, overlay, insert, folded)
+
+    monkeypatch.setattr(colstore, "_fold", exploding)
+    with pytest.raises(RuntimeError, match="compaction exploded"):
+        fill_shards(store, 3)
+    monkeypatch.undo()
+    assert len(store._segments) == 3  # the third shard was sealed first
+    store.close()
     with ColumnarStore.open(tmp_path / "c.col") as reopened:
         assert reopened.counts()["done"] == 24  # no rows lost to the failure
+        assert len(list(reopened.science_rows())) == 24
+        # The half-written merge output was debris, deleted on open.
+        assert len(list((reopened.root / "segments").iterdir())) == 3
 
 
-def test_streaming_reads_are_consistent_during_background_compaction(tmp_path):
-    # Regression: background compaction rewrites the segment list (and
-    # unlinks the merged files) from its own thread while _iter_logical
-    # streams it — an unlocked reader sees a half-swapped list and drops
-    # whole merged runs. Hammer iter_results from a reader thread while the
-    # writer seals shards; every sealed row must be visible in every pass.
-    import threading
-
+def test_streaming_reads_are_consistent_during_compaction(tmp_path):
+    # Regression: a compaction rewrites the segment list (and unlinks the
+    # merged files) while _iter_logical may be streaming it on another
+    # thread — an unlocked reader sees a half-swapped list and drops whole
+    # merged runs. Hammer iter_results from a reader thread while the writer
+    # seals shards; every sealed row must be visible in every pass.
     store = ColumnarStore.create(
         tmp_path / "c.col", CONFIG, "h", group_rows=8, compact_fanin=3
     )
@@ -489,7 +500,6 @@ def test_streaming_reads_are_consistent_during_background_compaction(tmp_path):
             store.finish_shard(shard_id, 0.1)
             for ordinal in range(start, stop):
                 sealed[ordinal] = True
-        store.wait_for_compaction()
     finally:
         halt.set()
         thread.join()
@@ -516,23 +526,39 @@ def test_update_to_sealed_row_goes_to_orphan_log_and_wins(store):
         assert reopened.counts()["done"] == 8
 
 
-def test_stale_topk_index_is_detected_and_rebuilt(store):
+def v1_topk_index():
+    """The ``topk.idx`` an older build kept beside the manifest (valid bytes)."""
+    with zipfile.ZipFile(io.BytesIO(base64.b64decode(V1_STORE_ZIP))) as archive:
+        return archive.read("topk.idx")
+
+
+@pytest.mark.parametrize("leftover", ["valid", "stale", "garbage"])
+def test_leftover_topk_index_changes_no_answer(store, leftover):
+    # An older build kept a ranking file; this one neither reads, rewrites
+    # nor deletes it, whatever it holds.
     fill_shards(store, 2)
-    (store.root / "topk.idx").write_bytes(b"RVSTOPK1" + b"\x00" * 16)
+    store.record_result(3, "L3", -99.0, 1, 8, 0.1, 0.0, attempts=2)  # overlay
+    expected = [store.top(k) for k in (1, 3, 16, 40)]
+    data = {
+        "valid": v1_topk_index(),
+        "stale": b"RVSTOPK1" + b"\x00" * 16,
+        "garbage": bytes(range(256)),
+    }[leftover]
+    index = store.root / "topk.idx"
+    index.write_bytes(data)
     store.close()
     with ColumnarStore.open(store.path) as reopened:
-        assert reopened._topk_dirty
-        assert [r["ordinal"] for r in reopened.top(3)] == [
-            r["ordinal"] for r in store.top(3)
-        ]
-        assert not reopened._topk_dirty  # the query rebuilt it
+        assert [reopened.top(k) for k in (1, 3, 16, 40)] == expected
+        fill_shards(reopened, 2, first=2)  # two seals, then a compaction
+        assert len(reopened._segments) == 2
+        assert reopened.top(1)[0]["ordinal"] == 3
+        assert len(reopened.top(40)) == 32
+    assert index.read_bytes() == data
 
 
 def test_top_overflows_capacity_with_full_scan(tmp_path):
-    store = ColumnarStore.create(
-        tmp_path / "c.col", CONFIG, "h", group_rows=8, topk_capacity=4
-    )
-    fill_shards(store, 2)  # 16 done rows, index holds only the best 4
+    store = ColumnarStore.create(tmp_path / "c.col", CONFIG, "h", group_rows=4)
+    fill_shards(store, 2)  # 16 done rows in four groups, k past each of them
     top = store.top(10)
     assert len(top) == 10
     scores = [r["best_score"] for r in top]
@@ -554,9 +580,10 @@ def count_group_row_calls(monkeypatch):
 
 def test_compaction_and_top_k_scan_build_no_rows(tmp_path, monkeypatch):
     # Default group_rows: sixteen 2,000-row segments merge into one group.
-    monkeypatch.setattr(ColumnarStore, "_schedule_compaction", lambda self: None)
+    monkeypatch.setattr(ColumnarStore, "_maybe_compact", lambda self: None)
     store = ColumnarStore.create(tmp_path / "c.col", CONFIG, "h")
     fill_shards(store, 16, shard_size=2000)
+    monkeypatch.undo()
     assert len(store._segments) == 16
     calls = count_group_row_calls(monkeypatch)
     tracemalloc.start()
@@ -574,19 +601,19 @@ def test_compaction_and_top_k_scan_build_no_rows(tmp_path, monkeypatch):
     assert merged["nbytes"] < 20 * merged["rows"]
     assert peak < 48 * merged["rows"], (peak, merged["nbytes"])
     assert calls == []
-    # k beyond the index: the scan ranks columns, then decodes the winners.
+    # The scan ranks columns, then decodes the winners and nothing else.
     k = 600
     top = store.top(k)
-    assert len(calls) <= 512 + k
+    assert len(calls) == k
     ranked = sorted(range(32000), key=lambda o: (-1.0 - (o % 17) * 0.25, o))
     assert [r["ordinal"] for r in top] == ranked[:k]
     store.close()
 
 
 def test_scans_and_compaction_leave_the_group_cache_alone(tmp_path, monkeypatch):
-    monkeypatch.setattr(ColumnarStore, "_schedule_compaction", lambda self: None)
+    monkeypatch.setattr(ColumnarStore, "_maybe_compact", lambda self: None)
     store = ColumnarStore.create(
-        tmp_path / "c.col", CONFIG, "h", group_rows=8, compact_fanin=3, topk_capacity=4
+        tmp_path / "c.col", CONFIG, "h", group_rows=8, compact_fanin=3
     )
     # One 10-group segment whose best rows all sit in its last group, then
     # three one-group segments for the compaction to merge.
@@ -596,6 +623,7 @@ def test_scans_and_compaction_leave_the_group_cache_alone(tmp_path, monkeypatch)
             score = -100.0 - o if 72 <= o < 80 else -1.0 - o % 7
             store.record_result(o, f"L{o}", score, 0, 8, 0.1, 0.0)
         store.finish_shard(shard_id, 0.1)
+    monkeypatch.undo()
     # The point-lookup working set fills the cache: groups 1..7, then 9.
     for ordinal in (8, 16, 24, 32, 40, 48, 56, 79):
         assert store._lookup(ordinal) is not None
@@ -606,9 +634,6 @@ def test_scans_and_compaction_leave_the_group_cache_alone(tmp_path, monkeypatch)
     digest = store.science_digest()
     assert store.export_csv(io.StringIO()) == 104
     assert list(store._groups) == cached
-    store._topk_dirty = True
-    assert [r["ordinal"] for r in store.top(2)] == [79, 78]  # rebuilt by a scan
-    assert not store._topk_dirty and list(store._groups) == cached
     store._maybe_compact()
     assert [entry["rows"] for entry in store._segments] == [80, 24]
     assert list(store._groups) == cached
@@ -649,9 +674,9 @@ def test_exports_match_sqlite_byte_for_byte(tmp_path):
 # on-disk bytes: schema 2 pinned, schema 1 still read
 # ----------------------------------------------------------------------
 def store_file_hashes(root):
-    """sha256 of every file readers trust: live segments, manifest, index."""
+    """sha256 of every file readers trust: live segments and the manifest."""
     files = sorted((root / "segments").glob("*.col"))
-    files += [root / "MANIFEST.json", root / "topk.idx"]
+    files.append(root / "MANIFEST.json")
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files
     }
@@ -680,14 +705,13 @@ def golden_shard(store, shard_id, start, stop, skip=()):
         if o % 7 == 3:  # odd ones fail *after* a result: score columns survive
             store.record_failure(o, title, f"ScoringError: pose {o} non-finite ±", 3)
     store.finish_shard(shard_id, 0.5 * (stop - start))
-    store.wait_for_compaction()  # deterministic segment numbering
 
 
 def golden_store(path, checkpoints):
     """The fixed sequence behind ``GOLDEN``; group_rows=5 against 7-row shards
     cuts every output group from slices of several input groups."""
     store = ColumnarStore.create(
-        path, CONFIG, "hash-1", group_rows=5, compact_fanin=3, topk_capacity=6
+        path, CONFIG, "hash-1", group_rows=5, compact_fanin=3
     )
     golden_shard(store, 0, 0, 7)
     # Late upsert into sealed group [0, 5), failure over sealed done row 5.
@@ -715,31 +739,26 @@ def golden_store(path, checkpoints):
 
 
 #: One {file: sha256} map per checkpoint of ``golden_store``, captured from the
-#: first schema-2 writer. ``topk.idx`` is byte for byte what schema 1 wrote
-#: (commit 4fe5174, the row-at-a-time writer); segments and the manifest's
-#: ``nbytes`` are not.
+#: first schema-2 writer (segments and the manifest's ``nbytes`` differ from
+#: what schema 1 wrote).
 GOLDEN = [
     {  # three shards compacted into one segment, late upserts folded
         "seg-00000003.col": "43200fc285487d1e7459b9662a0073af69459c2187ac34cae878a7b0d13a1226",
         "MANIFEST.json": "19e07cad4c16fbc2078a9852386d6d66b15ed92ff7f822b5318676f688e660b7",
-        "topk.idx": "a6012ef1c337de192fed4852271d620ae68e8f15bdda40dcc773834c835be1ca",
     },
     {  # re-sealed over the covering segment, ordinal 9 inserted
         "seg-00000004.col": "e4c42ea59aff8cac007ae4066468b60ac00bd19c20a369c1d78ce3974c70a1dd",
         "MANIFEST.json": "bcd2eb9a4903193bd4edd7366fece82557aa22117f074e7f1eb7b009a3b4eb64",
-        "topk.idx": "6bc33799acd681392e2233858235459513b3a64c901207852a270c9a7b4bd1ff",
     },
     {  # plus one freshly sealed shard
         "seg-00000004.col": "e4c42ea59aff8cac007ae4066468b60ac00bd19c20a369c1d78ce3974c70a1dd",
         "seg-00000005.col": "eb311b83a6b030fea6e5a07314a8154228fd06dc7fa7b01b9f2c323e568d16a4",
         "MANIFEST.json": "e4c63f5682faa7f9652bdc91f88513e9038318eddb0769766ed412b52afafcb1",
-        "topk.idx": "aa375d53d846fc5bbe80aef25844677009770abd8f726040c503a4766794771b",
     },
     {  # second compaction (over the re-sealed segment) and a fresh shard
         "seg-00000007.col": "82c0cae0e9a332ef5ee8e081aefeb90d4921b212e58b3e72a9e9c0a3502d3687",
         "seg-00000008.col": "58075b15e5c6965c9cae79bbf996aace6a31e7b85bbf7bc5fe65ea7ea9cc105d",
         "MANIFEST.json": "99ce21a55156e1ce99f77418b8d63500da9f5c0b164abd3df4b6e43c004b6b73",
-        "topk.idx": "b50b7027599cbc2658f5921632e32774ae556a49320ba2e84a8aa9303521899e",
     },
 ]
 #: The logical content: what schema 1 gave for the same sequence.
@@ -764,7 +783,8 @@ def test_on_disk_bytes_match_the_row_at_a_time_writer(tmp_path):
 
 
 #: ``golden_store``'s directory as the last schema-1 build (8ed80d5) left it:
-#: a zip of meta.json, MANIFEST.json, topk.idx, shards.log and two segments.
+#: a zip of meta.json, MANIFEST.json, topk.idx (the ranking file builds of
+#: that time kept), shards.log and two segments.
 V1_STORE_ZIP = (
     "UEsDBBQAAAAIAAAAIVwUt9qDrAAAAF0BAAANAAAATUFOSUZFU1QuanNvbm2O0Q6CMAxFf4XsWc0G"
     "yNBfMcYgVFwCHcKIGsK/24ISiOypp9vuPZ3IAaFOnLEojt5h4wmEl7s08PhiA3kJ6BrCUydS245z"
@@ -898,6 +918,7 @@ def test_schema_1_store_is_read_and_rewritten(tmp_path):
         assert answers(store) == V1_ANSWERS["compacted"]
     with ColumnarStore.open(root) as store:
         assert answers(store) == V1_ANSWERS["compacted"]
+    assert (root / "topk.idx").read_bytes() == v1_topk_index()  # left alone
 
 
 def test_open_refuses_a_newer_schema_and_accepts_both_older(tmp_path):

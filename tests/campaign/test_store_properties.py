@@ -6,8 +6,8 @@ runs), mirroring ``tests/engine/test_partition_properties.py``.
 
 The four invariants: (1) sealing + compaction is a pure re-layout — the
 logical row set is exactly the written row set, at any group size or
-fan-in; (2) the incremental top-K index agrees with a full sort for any
-score stream, at any capacity, including ties; (3) the bounded-memory
+fan-in; (2) ``top(k)`` agrees with a full sort for any score stream, at
+any k (past the row count too), including ties; (3) the bounded-memory
 streaming dedup keeps exactly the lines an unbounded in-memory dedup would;
 (4) a row group read back from its content-sized block is the rows written,
 bit for bit, whatever its columns hold.
@@ -52,7 +52,7 @@ def check_compaction_roundtrip(scores, shard_size, group_rows, fanin):
     with tempfile.TemporaryDirectory() as tmp:
         store = ColumnarStore.create(
             Path(tmp) / "c.col", CONFIG, "h",
-            group_rows=group_rows, compact_fanin=fanin, topk_capacity=4,
+            group_rows=group_rows, compact_fanin=fanin,
         )
         for start in range(0, len(scores), shard_size):
             stop = min(start + shard_size, len(scores))
@@ -133,22 +133,27 @@ else:
 
 
 # ----------------------------------------------------------------------
-# (2) top-K index == full sort
+# (2) top(k) == full sort
 # ----------------------------------------------------------------------
-def check_topk_matches_full_sort(scores, capacity):
+def check_topk_matches_full_sort(scores, k, shard_size=7):
     with tempfile.TemporaryDirectory() as tmp:
         store = ColumnarStore.create(
-            Path(tmp) / "c.col", CONFIG, "h",
-            group_rows=8, topk_capacity=capacity,
+            Path(tmp) / "c.col", CONFIG, "h", group_rows=4, compact_fanin=3
         )
-        for ordinal, score in enumerate(scores):
-            store.record_result(ordinal, f"L{ordinal}", score, 0, 8, 0.1, 0.0)
-        # Ascending score, ordinal breaking ties — for every k, saturated
-        # index or not.
+        # Even shards seal (and compact), odd ones stay in the overlay.
+        for shard_id, start in enumerate(range(0, len(scores), shard_size)):
+            stop = min(start + shard_size, len(scores))
+            store.start_shard(shard_id, start, stop)
+            for ordinal in range(start, stop):
+                store.record_result(
+                    ordinal, f"L{ordinal}", scores[ordinal], 0, 8, 0.1, 0.0
+                )
+            if shard_id % 2 == 0:
+                store.finish_shard(shard_id, 0.1)
+        # Ascending score, ordinal breaking ties.
         expected = sorted((score, ordinal) for ordinal, score in enumerate(scores))
-        for k in (1, capacity, capacity + 3, len(scores) + 5):
-            got = [(r["best_score"], r["ordinal"]) for r in store.top(k)]
-            assert got == expected[:k], f"k={k} capacity={capacity}"
+        got = [(r["best_score"], r["ordinal"]) for r in store.top(k)]
+        assert got == expected[:k], f"k={k} n={len(scores)}"
         store.close()
 
 
@@ -156,7 +161,7 @@ def _draw_topk(rng):
     n = int(rng.integers(1, 80))
     # Coarse rounding forces score ties, the ordering's hard case.
     scores = [round(float(rng.uniform(-5, -1)), 1) for _ in range(n)]
-    return scores, int(rng.integers(1, 12))
+    return scores, int(rng.integers(1, n + 10))  # k past the row count too
 
 
 if HAVE_HYPOTHESIS:
@@ -168,16 +173,16 @@ if HAVE_HYPOTHESIS:
             min_size=1,
             max_size=80,
         ),
-        capacity=st.integers(1, 12),
+        k=st.integers(1, 90),
     )
-    def test_topk_matches_full_sort(scores, capacity):
-        check_topk_matches_full_sort(scores, capacity)
+    def test_topk_matches_full_sort(scores, k):
+        check_topk_matches_full_sort(scores, k)
 
 else:
 
-    @pytest.mark.parametrize("scores,capacity", _seeded_cases(_draw_topk))
-    def test_topk_matches_full_sort(scores, capacity):
-        check_topk_matches_full_sort(scores, capacity)
+    @pytest.mark.parametrize("scores,k", _seeded_cases(_draw_topk))
+    def test_topk_matches_full_sort(scores, k):
+        check_topk_matches_full_sort(scores, k)
 
 
 # ----------------------------------------------------------------------
