@@ -25,18 +25,20 @@ disk) whose sealed data moves as NumPy columns instead of B-tree rows:
   13 merges, 6.9x write amplification).
 
 ``top(k)`` ranks the status, flags, score and ordinal columns on each call.
-Rows (9-field lists) exist only in the overlay (in-flight shards, late
-updates), in a sealed group being patched with an overlay row, in the
-row-streaming readers (``science_rows``, ``iter_results``, exports) and for
-the k winners of ``top``. Seal, compaction, re-seal and the ``top(k)`` scan
-move decoded groups (dicts of column arrays): a merge holds its input groups
-and nothing more. Resident memory is the overlay plus an LRU of 8 decoded
-groups (<= 8 x ``group_rows`` x ~80 B = 42 MB).
+Rows (9-field lists) exist only in the overlay (in-flight shards), in a
+sealed group being patched with an overlay row, in the row-streaming readers
+(``science_rows``, ``iter_results``, exports) and for the k winners of
+``top``. Seal, compaction, re-seal and the ``top(k)`` scan move decoded
+groups (dicts of column arrays): a merge holds its input groups and nothing
+more. Resident memory is the overlay plus an LRU of 8 decoded groups
+(<= 8 x ``group_rows`` x ~80 B = 42 MB).
 
 Durability (as SQLite WAL + ``synchronous=NORMAL``): log appends are
 write+flush (a crash loses at most the torn tail, and that ligand re-docks);
 segment and manifest writes are tmp+fsync+rename, one of each per shard seal
-and per merge. The store alone decides finished shards.
+and per merge. The store alone decides finished shards, and sealed is final:
+a row write lands only inside an open shard (``CampaignError`` otherwise),
+and a finished shard never re-opens.
 See ``docs/architecture.md`` ("Result store backends") for measurements.
 """
 
@@ -89,7 +91,6 @@ _K_FAILURE = 4
 _K_SHARD_START = 5
 _K_SHARD_FINISH = 6
 
-_ORDINAL = struct.Struct("<q")  # what every row record (kinds 1-4) starts with
 _REGISTER = struct.Struct("<q")
 _RUNNING = struct.Struct("<q")
 _RESULT = struct.Struct("<qdqqddq")  # ordinal, score, spot, evals, wall, sim, attempts
@@ -335,12 +336,11 @@ def _rows_of(group: dict) -> Iterator[tuple[int, list]]:
         yield int(ordinals[i]), _group_row(group, i)
 
 
-def _fold(groups, overlay: list[tuple[int, list]], insert: bool, folded: list[int]):
+def _fold(groups, overlay: list[tuple[int, list]]):
     """Decoded groups with sorted ``overlay`` items merged in (overlay wins).
 
-    Only a group an overlay ordinal falls into is rebuilt from rows. With
-    ``insert`` ordinals the groups lack are added (re-seal); without it they
-    stay in the overlay (compaction). Merged ordinals go to ``folded``.
+    Only a group an overlay ordinal falls into is rebuilt from rows; the
+    ordinals past the last group form one more.
     """
     oi = 0
     for group in groups:
@@ -348,16 +348,10 @@ def _fold(groups, overlay: list[tuple[int, list]], insert: bool, folded: list[in
         start = oi
         while oi < len(overlay) and overlay[oi][0] <= ordinals[-1]:
             oi += 1
-        items = overlay[start:oi]
-        if items and not insert:
-            sealed = np.isin([ordinal for ordinal, _ in items], ordinals)
-            items = [item for item, hit in zip(items, sealed) if hit]
-        if items:
-            folded.extend(ordinal for ordinal, _ in items)
-            group = _encode_group(list(_merge_rows(_rows_of(group), items)))
+        if oi > start:
+            group = _encode_group(list(_merge_rows(_rows_of(group), overlay[start:oi])))
         yield group
-    if insert and oi < len(overlay):
-        folded.extend(ordinal for ordinal, _ in overlay[oi:])
+    if oi < len(overlay):
         yield _encode_group(overlay[oi:])
 
 
@@ -380,7 +374,6 @@ class ColumnarStore:
         self._shards: dict[int, dict] = {}
         self._open_ranges: dict[int, tuple[int, int]] = {}
         self._active_rows: dict[int, list] = {}
-        self._orphaned: set[int] = set()  # ordinals with a record in orphan.log
         self._counts = {name: 0 for name in _STATUSES}
         self._handles: dict[tuple, object] = {}
         self._footers: dict[int, dict] = {}
@@ -543,8 +536,6 @@ class ColumnarStore:
     def _log_path(self, key: tuple) -> Path:
         if key[0] == "shards":
             return self.root / "shards.log"
-        if key[0] == "orphan":
-            return self.root / "active" / "orphan.log"
         return self.root / "active" / f"shard-{key[1]}.log"
 
     def _handle(self, key: tuple):
@@ -565,36 +556,13 @@ class ColumnarStore:
         self._close_log(("shard", shard_id)).unlink(missing_ok=True)
 
     def _log_key_for(self, ordinal: int) -> tuple:
-        """The log a write to ``ordinal`` goes to (noted when it is orphan.log)."""
+        """The log of the open shard holding ``ordinal``; there must be one."""
         for shard_id, (start, stop) in self._open_ranges.items():
             if start <= ordinal < stop:
                 return ("shard", shard_id)
-        self._orphaned.add(ordinal)
-        return ("orphan",)
-
-    def _trim_orphan_log(self, folded: list[int]) -> None:
-        """Drop the orphan.log records of ordinals just folded into a segment.
-
-        The log is replayed over the segments on every open, so a record left
-        behind would shadow whatever the ordinal's own shard seals later.
-        Runs after the manifest publish; a store without late updates never
-        gets past the first line.
-        """
-        if self._orphaned.isdisjoint(folded):
-            return
-        self._orphaned.difference_update(folded)
-        path = self._close_log(("orphan",))
-        if not self._orphaned:
-            path.unlink(missing_ok=True)
-            return
-        records, _ = _scan_frames(path.read_bytes(), str(path))
-        _atomic_write(
-            path,
-            b"".join(
-                _pack_frame(kind, payload)
-                for kind, payload in records
-                if _ORDINAL.unpack_from(payload)[0] in self._orphaned
-            ),
+        raise CampaignError(
+            f"ligand {ordinal} is in no open shard: a row is written only "
+            "between start_shard and finish_shard"
         )
 
     def _append(self, key: tuple, frames: bytes) -> None:
@@ -714,13 +682,16 @@ class ColumnarStore:
     # shards
     # ------------------------------------------------------------------
     def start_shard(self, shard_id: int, start: int, stop: int) -> None:
-        """Mark a shard running (idempotent across resume replays)."""
+        """Mark a shard running (idempotent across resume replays).
+
+        A finished shard never re-opens: its rows are sealed for good.
+        """
         with self._lock:
             shard = self._shards.get(shard_id)
-            wall = None if shard is None else shard.get("wall")
+            if shard is not None and shard["status"] == "done":
+                raise CampaignError(f"shard {shard_id} is finished; it never re-opens")
             self._shards[shard_id] = {
                 "start": int(start), "stop": int(stop), "status": "running",
-                "wall": wall,
             }
             self._open_ranges[shard_id] = (int(start), int(stop))
             self._append(
@@ -743,7 +714,6 @@ class ColumnarStore:
                 ),
             )
             shard["status"] = "done"
-            shard["wall"] = float(wall_seconds)
             self._open_ranges.pop(shard_id, None)
             self._seal_range(shard["start"], shard["stop"], shard_id=shard_id)
             self._maybe_compact()
@@ -763,17 +733,20 @@ class ColumnarStore:
     def register_ligands(self, items: list[tuple[int, str]]) -> None:
         """Insert pending rows for (ordinal, title) pairs; existing rows win."""
         with self._lock:
+            # Every ordinal is placed first: one outside an open shard
+            # refuses the whole batch before any row changes.
+            keyed = [
+                (self._log_key_for(int(ordinal)), int(ordinal), str(title))
+                for ordinal, title in items
+            ]
             buffers: dict[tuple, bytearray] = {}
-            for ordinal, title in items:
-                ordinal, title = int(ordinal), str(title)
+            for key, ordinal, title in keyed:
                 if not self._apply_register(ordinal, title):
                     continue
                 frame = _pack_frame(
                     _K_REGISTER, _REGISTER.pack(ordinal) + _pack_str(title)
                 )
-                buffers.setdefault(self._log_key_for(ordinal), bytearray()).extend(
-                    frame
-                )
+                buffers.setdefault(key, bytearray()).extend(frame)
             for key, buffer in buffers.items():
                 self._append(key, bytes(buffer))
             obs.counter("campaign.store.appends").inc(len(items))
@@ -782,11 +755,9 @@ class ColumnarStore:
         """Flag one ligand as in flight."""
         with self._lock:
             ordinal = int(ordinal)
+            key = self._log_key_for(ordinal)
             if self._apply_running(ordinal):
-                self._append(
-                    self._log_key_for(ordinal),
-                    _pack_frame(_K_RUNNING, _RUNNING.pack(ordinal)),
-                )
+                self._append(key, _pack_frame(_K_RUNNING, _RUNNING.pack(ordinal)))
                 obs.counter("campaign.store.appends").inc()
 
     def record_result(
@@ -807,9 +778,10 @@ class ColumnarStore:
                 float(best_score), int(best_spot), int(evaluations),
                 float(wall_seconds), float(simulated_seconds), int(attempts),
             )
+            key = self._log_key_for(ordinal)
             self._apply_result(ordinal, str(title), *values)
             payload = _RESULT.pack(ordinal, *values) + _pack_str(str(title))
-            self._append(self._log_key_for(ordinal), _pack_frame(_K_RESULT, payload))
+            self._append(key, _pack_frame(_K_RESULT, payload))
             obs.counter("campaign.store.appends").inc()
 
     def record_failure(
@@ -818,13 +790,14 @@ class ColumnarStore:
         """Record a ligand that exhausted its attempts; the campaign moves on."""
         with self._lock:
             ordinal = int(ordinal)
+            key = self._log_key_for(ordinal)
             self._apply_failure(ordinal, str(title), str(error), int(attempts))
             payload = (
                 _FAILURE.pack(ordinal, int(attempts))
                 + _pack_str(str(title))
                 + _pack_str(str(error))
             )
-            self._append(self._log_key_for(ordinal), _pack_frame(_K_FAILURE, payload))
+            self._append(key, _pack_frame(_K_FAILURE, payload))
             obs.counter("campaign.store.appends").inc()
 
     def done_ordinals(self, start: int, stop: int) -> set[int]:
@@ -1111,28 +1084,21 @@ class ColumnarStore:
     def _seal_range(self, start: int, stop: int, shard_id: int | None = None) -> None:
         """Freeze every overlay row in ``[start, stop)`` into a segment.
 
-        If a sealed segment already covers the range (crash replay, cluster
-        lease reclaim), it is merged and replaced — overlay rows win. Overlay
-        rows inside the covering segment's wider range are folded in too,
-        garbage-collecting stale orphan updates.
+        If a sealed segment already covers the range, it is merged and
+        replaced, overlay rows winning: a compaction merged segments across
+        this shard while it was open, or recovery re-seals a shard whose log
+        outlived its FINISH record.
         """
-        covering = self._covering_segment(start, stop - 1)
-        if covering is not None:
-            fold_lo, fold_hi = covering["lo"], covering["hi"]
-        else:
-            fold_lo, fold_hi = start, stop - 1
         overlay = sorted(
-            (ordinal, row)
-            for ordinal, row in self._active_rows.items()
-            if fold_lo <= ordinal <= fold_hi
+            item for item in self._active_rows.items() if start <= item[0] < stop
         )
         if not overlay:  # already sealed, or an empty shard
             if shard_id is not None:
                 self._drop_active_log(shard_id)
             return
+        covering = self._covering_segment(start, stop - 1)
         sealed = () if covering is None else self._read_groups([covering])
-        folded: list[int] = []
-        entry = self._write_segment(_fold(sealed, overlay, True, folded))
+        entry = self._write_segment(_fold(sealed, overlay))
         if covering is not None:
             self._segments.remove(covering)
         self._insert_entry(entry)
@@ -1143,9 +1109,8 @@ class ColumnarStore:
             old = self._segment_path(covering)
             if old.exists():
                 old.unlink()
-        for ordinal in folded:
-            self._active_rows.pop(ordinal, None)
-        self._trim_orphan_log(folded)
+        for ordinal, _ in overlay:
+            del self._active_rows[ordinal]
         if shard_id is not None:
             self._drop_active_log(shard_id)
 
@@ -1171,14 +1136,7 @@ class ColumnarStore:
             if window < best_total:
                 best_start, best_total = i, window
         run = self._segments[best_start : best_start + fanin]
-        lo, hi = run[0]["lo"], run[-1]["hi"]
-        overlay = sorted(
-            item for item in self._active_rows.items() if lo <= item[0] <= hi
-        )
-        folded: list[int] = []
-        entry = self._write_segment(
-            _fold(self._read_groups(run), overlay, False, folded)
-        )
+        entry = self._write_segment(self._read_groups(run))
         del self._segments[best_start : best_start + fanin]
         self._insert_entry(entry)
         self._manifest["generation"] = int(self._manifest["generation"]) + 1
@@ -1188,9 +1146,6 @@ class ColumnarStore:
             path = self._segment_path(old)
             if path.exists():
                 path.unlink()
-        for ordinal in folded:
-            self._active_rows.pop(ordinal, None)
-        self._trim_orphan_log(folded)
         obs.counter("campaign.store.compactions").inc()
         flight_event(
             "store.compaction",
@@ -1202,7 +1157,7 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def _replay_log(self, path: Path) -> list[tuple[int, bytes]]:
+    def _replay_log(self, path: Path) -> None:
         """Replay one CRC-framed log, truncating a torn tail in place."""
         data = path.read_bytes()
         records, clean = _scan_frames(data, str(path))
@@ -1211,7 +1166,6 @@ class ColumnarStore:
                 handle.truncate(clean)
         for kind, payload in records:
             self._apply_record(kind, payload)
-        return records
 
     def _recover(self) -> None:
         root = self.root
@@ -1251,48 +1205,54 @@ class ColumnarStore:
                     shard_id, start, stop = _SHARD_START.unpack(payload)
                     self._shards[shard_id] = {
                         "start": start, "stop": stop, "status": "running",
-                        "wall": None,
                     }
                     self._open_ranges[shard_id] = (start, stop)
                 elif kind == _K_SHARD_FINISH:
-                    shard_id, wall = _SHARD_FINISH.unpack(payload)
+                    shard_id, _ = _SHARD_FINISH.unpack(payload)
                     if shard_id in self._shards:
                         self._shards[shard_id]["status"] = "done"
-                        self._shards[shard_id]["wall"] = wall
                         self._open_ranges.pop(shard_id, None)
-        # Orphan log before the shard logs: a late update is only written
-        # while its ordinal's shard is closed (log dropped by the seal), so a
-        # shard log on disk belongs to a reclaim that started afterwards.
         orphan = root / "active" / "orphan.log"
         if orphan.exists():
-            self._orphaned = {
-                _ORDINAL.unpack_from(payload)[0]
-                for _, payload in self._replay_log(orphan)
-            }
-        # Active per-shard logs: replay running shards; re-seal shards that
-        # finished in shards.log but crashed before their manifest publish;
-        # drop logs whose rows are already sealed.
+            self._fold_orphan_log(orphan)
+        # Every shard log is replayed. A log of a finished shard outlived its
+        # FINISH record: the crash came before the seal's manifest publish
+        # (its rows are only here) or before the log's unlink (they are
+        # sealed too, and the re-seal rewrites them unchanged).
         reseal: list[int] = []
         for path in sorted((root / "active").iterdir()):
             match = _ACTIVE_NAME.match(path.name)
             if not match:
                 continue
             shard_id = int(match.group(1))
-            shard = self._shards.get(shard_id)
-            if (
-                shard is not None
-                and shard["status"] == "done"
-                and self._covering_segment(shard["start"], shard["stop"] - 1)
-                is not None
-            ):
-                path.unlink()
-                continue
             self._replay_log(path)
+            shard = self._shards.get(shard_id)
             if shard is not None and shard["status"] == "done":
                 reseal.append(shard_id)
         for shard_id in reseal:
             shard = self._shards[shard_id]
             self._seal_range(shard["start"], shard["stop"], shard_id=shard_id)
+
+    def _fold_orphan_log(self, path: Path) -> None:
+        """Seal an older build's ``orphan.log`` into its segments, then delete it.
+
+        That build logged a write to a finished shard's row there. Each
+        segment holding such a row is re-sealed over its own range; a crash
+        before the unlink repeats the fold with the same rows.
+        """
+        self._replay_log(path)
+        for entry in [
+            entry
+            for entry in self._segments
+            if any(entry["lo"] <= o <= entry["hi"] for o in self._active_rows)
+        ]:
+            self._seal_range(entry["lo"], entry["hi"] + 1)
+        if self._active_rows:
+            raise CampaignError(
+                f"{path} holds rows of ligands {sorted(self._active_rows)[:5]} "
+                "that no sealed segment covers"
+            )
+        path.unlink()
 
     # ------------------------------------------------------------------
     # ranking

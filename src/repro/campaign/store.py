@@ -376,11 +376,18 @@ class CampaignStore:
     # shards
     # ------------------------------------------------------------------
     def start_shard(self, shard_id: int, start: int, stop: int) -> None:
-        """Mark a shard running (idempotent across resume replays)."""
+        """Mark a shard running (idempotent across resume replays).
+
+        A finished shard never re-opens (columnar-store parity).
+        """
+        row = self._conn.execute(
+            "SELECT status FROM shards WHERE shard_id = ?", (shard_id,)
+        ).fetchone()
+        if row is not None and row["status"] == "done":
+            raise CampaignError(f"shard {shard_id} is finished; it never re-opens")
         self._execute(
-            "INSERT INTO shards (shard_id, start, stop, status) "
-            "VALUES (?, ?, ?, 'running') "
-            "ON CONFLICT(shard_id) DO UPDATE SET status = 'running'",
+            "INSERT OR IGNORE INTO shards (shard_id, start, stop, status) "
+            "VALUES (?, ?, ?, 'running')",
             (shard_id, start, stop),
         )
 

@@ -543,6 +543,16 @@ class Coordinator:
             if sent_s is not None
             else None
         )
+        # A result whose lease was reclaimed (this node was presumed dead) is
+        # stale. The replacement node computes the bitwise-identical row, so
+        # one for a finished shard is dropped (its rows are sealed for good)
+        # and one for a still-open shard is kept, saving a re-dock.
+        lease = node.outstanding.get(shard_id)
+        if lease is None:
+            self.stale_results += 1
+            flight_event("result.stale", node=node.node_id, ordinal=ordinal)
+            if shard_id in self._finished:
+                return
         with obs.span(
             "cluster.ligand.commit",
             ordinal=ordinal,
@@ -565,14 +575,7 @@ class Coordinator:
                     self._cond.notify_all()
         if wire_s is not None:
             obs.histogram("cluster.wire.seconds").observe(wire_s)
-        lease = node.outstanding.get(shard_id)
         if lease is None:
-            # The shard was reclaimed (this node was presumed dead) and the
-            # result arrived anyway. The upsert above is idempotent — the
-            # replacement node computes the bitwise-identical row — so the
-            # work is kept, just counted as stale.
-            self.stale_results += 1
-            flight_event("result.stale", node=node.node_id, ordinal=ordinal)
             return
         lease.pending.discard(ordinal)
         if not lease.pending:

@@ -73,6 +73,7 @@ def assert_parity(sq, co, k=10):
 def test_create_and_reopen_roundtrip(tmp_path):
     path = tmp_path / "c.col"
     store = ColumnarStore.create(path, CONFIG, "hash-1")
+    store.start_shard(0, 0, 1)
     store.record_result(0, "L0", -5.0, 1, 100, 0.1, 0.2)
     store.close()
 
@@ -160,6 +161,7 @@ def test_create_store_dispatches_and_validates(tmp_path):
 # SQLite-parity semantics (same sequences, same observable state)
 # ----------------------------------------------------------------------
 def test_upsert_is_idempotent(store):
+    store.start_shard(0, 0, 8)
     store.record_result(3, "L3", -4.0, 0, 50, 0.1, 0.0)
     store.record_result(3, "L3", -4.5, 2, 60, 0.2, 0.0, attempts=2)
     assert store.counts()["done"] == 1
@@ -169,6 +171,7 @@ def test_upsert_is_idempotent(store):
 
 
 def test_failure_then_success_transitions(store):
+    store.start_shard(0, 0, 8)
     store.register_ligands([(0, "L0")])
     assert store.counts()["pending"] == 1
     store.mark_running(0)
@@ -183,6 +186,7 @@ def test_failure_then_success_transitions(store):
 
 
 def test_register_ligands_never_downgrades(store):
+    store.start_shard(0, 0, 8)
     store.record_result(1, "L1", -2.0, 0, 10, 0.1, 0.0)
     store.register_ligands([(1, "L1"), (2, "L2")])
     counts = store.counts()
@@ -190,6 +194,7 @@ def test_register_ligands_never_downgrades(store):
 
 
 def test_top_k_ordering_and_ties(store):
+    store.start_shard(0, 0, 8)
     store.record_result(0, "A", -3.0, 0, 10, 0.1, 0.0)
     store.record_result(1, "B", -5.0, 1, 10, 0.1, 0.0)
     store.record_result(2, "C", -5.0, 2, 10, 0.1, 0.0)  # tie → ordinal order
@@ -207,8 +212,10 @@ def test_shard_tracking(store):
     assert store.finished_shards() == set()
     store.finish_shard(0, 1.5)
     assert store.finished_shards() == {0}
-    store.start_shard(0, 0, 4)  # resume replay re-marks it running
-    assert store.finished_shards() == set()
+    with pytest.raises(CampaignError, match="never re-opens"):
+        store.start_shard(0, 0, 4)  # a finished shard stays finished
+    store.start_shard(1, 4, 8)  # resume replay of an open shard
+    assert store.finished_shards() == {0}
 
 
 def test_done_ordinals_range_spans_sealed_and_overlay(store):
@@ -217,6 +224,7 @@ def test_done_ordinals_range_spans_sealed_and_overlay(store):
         store.record_result(ordinal, f"L{ordinal}", -1.0, 0, 1, 0.1, 0.0)
     store.record_failure(2, "L2", "x", 1)
     store.finish_shard(0, 0.5)  # seals [0, 4) into a segment
+    store.start_shard(1, 4, 8)
     store.record_result(5, "L5", -1.0, 0, 1, 0.1, 0.0)  # overlay only
     assert store.done_ordinals(0, 4) == {0, 1}
     assert store.done_ordinals(4, 8) == {5}
@@ -271,64 +279,124 @@ def test_random_operation_sequence_matches_sqlite(tmp_path):
 
 
 @pytest.mark.parametrize("group_rows", [3, 8, 65536])
-def test_random_late_updates_to_sealed_rows_match_sqlite(tmp_path, group_rows):
-    # Every shard seals, so compactions (fan-in 3) keep folding what the
-    # late updates left in the overlay: patched groups, pass-through groups
-    # and re-seals over a covering segment all land in the same files.
+def test_random_out_of_order_shards_match_sqlite(tmp_path, monkeypatch, group_rows):
+    # A fleet finishes shards in any order. Shards stay open, and their rows
+    # keep changing, while later ones seal and compact (fan-in 3) around
+    # them; each one's own seal then inserts into the covering segment.
+    covered = []
+    covering_segment = ColumnarStore._covering_segment
+
+    def spy(self, lo, hi):
+        entry = covering_segment(self, lo, hi)
+        covered.append(entry is not None)
+        return entry
+
+    monkeypatch.setattr(ColumnarStore, "_covering_segment", spy)
     rng = random.Random(20261002 + group_rows)
     sq, co = both_stores(tmp_path, group_rows=group_rows, compact_fanin=3)
     stores = (sq, co)
+    running: list[int] = []
     for shard_id in range(12):
         random_shard(rng, stores, shard_id)
-        sealed = shard_id * 10
-        for _ in range(rng.randrange(6) if sealed else 0):
-            ordinal, op = rng.randrange(sealed), rng.randrange(4)
+        running.append(shard_id)
+        for _ in range(rng.randrange(4)):
+            ordinal = rng.choice(running) * 10 + rng.randrange(10)
+            op = rng.randrange(3)
             score = round(rng.uniform(-9.0, -1.0), 6)
-            old = ordinal // 10
             for st in stores:
                 if op == 0:
                     st.record_result(ordinal, f"L{ordinal}", score, 1, 65, 0.3, 0.4, 2)
                 elif op == 1:
-                    st.record_failure(ordinal, f"L{ordinal}", f"late {score}", 3)
-                elif op == 2:
+                    st.record_failure(ordinal, f"L{ordinal}", f"retried {score}", 3)
+                else:
                     st.register_ligands([(ordinal, "ignored: the row exists")])
-                else:  # lease reclaim: an old shard runs and seals again
-                    st.start_shard(old, old * 10, old * 10 + 10)
-                    st.mark_running(ordinal)
-                    st.record_result(ordinal, f"L{ordinal}", score, 2, 66, 0.5, 0.6, 2)
-                    st.finish_shard(old, 0.5)
-        for st in stores:
-            st.finish_shard(shard_id, 0.25)
+        finishable = [open_id for open_id in running if open_id != 1]
+        while finishable and rng.random() < 0.55:  # shard 1 finishes last
+            finished = finishable.pop(rng.randrange(len(finishable)))
+            running.remove(finished)
+            for st in stores:
+                st.finish_shard(finished, 0.25)
         if shard_id % 4 == 3:
             assert_parity(sq, co, k=25)
+    rng.shuffle(running)
+    running.remove(1)
+    for shard_id in running + [1]:
+        for st in stores:
+            st.finish_shard(shard_id, 0.5)
+    assert any(covered) and not co._active_rows
     assert len(co._segments) < 3
     assert_parity_across_reopen(tmp_path, sq, co, 120)
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "columnar"])
-@pytest.mark.parametrize("reseal", [True, False])
-def test_reclaimed_result_outlives_an_older_late_failure(tmp_path, backend, reseal):
-    # orphan.log holds the late failure of ordinal 0; the reclaim's result is
-    # newer and must win after a reopen, sealed (`reseal`) or still in the
-    # shard's log. Ordinal 5 belongs to no shard: its record has to stay.
+def test_a_finished_shard_never_reopens(tmp_path, backend):
     path = tmp_path / "store"
     st = create_store(path, CONFIG, "hash-1", backend=backend)
     st.start_shard(0, 0, 2)
     for ordinal in (0, 1):
         st.record_result(ordinal, f"L{ordinal}", -1.0, 0, 8, 0.1, 0.0)
     st.finish_shard(0, 0.1)
-    st.record_failure(0, "L0", "late", 2)
-    st.record_failure(5, "L5", "late, never sealed", 2)
+    with pytest.raises(CampaignError, match="never re-opens"):
+        st.start_shard(0, 0, 2)
+    st.start_shard(1, 2, 4)
+    st.start_shard(1, 2, 4)  # an open shard is started again on resume
+    assert st.finished_shards() == {0}
+    st.close()
+    with open_store(path) as reopened:
+        with pytest.raises(CampaignError, match="never re-opens"):
+            reopened.start_shard(0, 0, 2)
+        assert reopened.finished_shards() == {0}
+        assert reopened.done_ordinals(0, 4) == {0, 1}
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "columnar"])
+@pytest.mark.parametrize("reseal", [True, False])
+def test_reclaimed_result_outlives_an_older_late_failure(tmp_path, backend, reseal):
+    # A lease is reclaimed while its shard is open: the presumed-dead node's
+    # failure of ordinal 0 lands after that ordinal's first result, then the
+    # replacement's result. The newest record must win after a reopen, sealed
+    # (`reseal`) or still in the shard's log.
+    path = tmp_path / "store"
+    st = create_store(path, CONFIG, "hash-1", backend=backend)
     st.start_shard(0, 0, 2)
+    for ordinal in (0, 1):
+        st.record_result(ordinal, f"L{ordinal}", -1.0, 0, 8, 0.1, 0.0)
+    st.record_failure(0, "L0", "late", 2)
+    assert (st.counts()["done"], st.counts()["failed"]) == (1, 1)
     st.record_result(0, "L0", -3.0, 1, 9, 0.1, 0.0)
     if reseal:
         st.finish_shard(0, 0.2)
-    assert (st.counts()["done"], st.counts()["failed"]) == (2, 1)
+    assert (st.counts()["done"], st.counts()["failed"]) == (2, 0)
     st.close()
     with open_store(path) as reopened:
-        assert (reopened.counts()["done"], reopened.counts()["failed"]) == (2, 1)
+        assert (reopened.counts()["done"], reopened.counts()["failed"]) == (2, 0)
         assert reopened.done_ordinals(0, 6) == {0, 1}
         assert [r["best_score"] for r in reopened.top(1)] == [-3.0]
+        assert reopened.finished_shards() == ({0} if reseal else set())
+
+
+def test_a_row_write_outside_an_open_shard_is_refused(store):
+    fill_shards(store, 1)  # shard 0, ordinals [0, 8), sealed
+    store.start_shard(1, 8, 16)
+    answers_before = answers(store)
+    writes = (
+        lambda: store.record_result(3, "L3", -99.0, 1, 8, 0.1, 0.0, attempts=2),
+        lambda: store.record_failure(3, "L3", "retried after the seal", 2),
+        lambda: store.mark_running(3),
+        lambda: store.register_ligands([(3, "L3")]),
+        lambda: store.record_result(20, "L20", -99.0, 1, 8, 0.1, 0.0),  # no shard
+        # One ordinal outside the open shard refuses the whole batch.
+        lambda: store.register_ligands([(8, "L8"), (16, "L16")]),
+    )
+    for write in writes:
+        with pytest.raises(CampaignError, match="no open shard"):
+            write()
+    assert answers(store) == answers_before
+    assert store.counts()["pending"] == 0
+    assert list((store.root / "active").iterdir()) == []
+    store.close()
+    with ColumnarStore.open(store.path) as reopened:
+        assert answers(reopened) == answers_before
 
 
 def test_top_k_column_scan_breaks_ties_like_sqlite(tmp_path):
@@ -342,13 +410,15 @@ def test_top_k_column_scan_breaks_ties_like_sqlite(tmp_path):
             st.start_shard(shard_id, start, start + 10)
             for i, score in enumerate(scores):
                 st.record_result(start + i, f"L{start + i}", score, 0, 8, 0.1, 0.0)
+            if shard_id == 0:
+                st.record_failure(9, "L9", "failure after a best score", 2)
+                st.record_result(4, "L4", -7.0, 1, 8, 0.1, 0.0)  # a new tie
             st.finish_shard(shard_id, 0.1)
-        st.record_failure(9, "L9", "late failure of a sealed best row", 2)
-        st.record_result(4, "L4", -7.0, 1, 8, 0.1, 0.0)  # sealed row, new tie
-        st.record_result(40, "L40", -7.0, 0, 8, 0.1, 0.0)  # overlay-only rows
+        st.start_shard(4, 40, 50)  # open: its rows are overlay-only
+        st.record_result(40, "L40", -7.0, 0, 8, 0.1, 0.0)
         st.record_result(41, "L41", -0.0, 0, 8, 0.1, 0.0)
         st.record_failure(42, "L42", "never scored", 1)
-    assert len(co._segments) == 2 and len(co._active_rows) == 5
+    assert len(co._segments) == 2 and len(co._active_rows) == 3
     done = {o: s for o, s in enumerate(scores * 4)} | {4: -7.0, 40: -7.0, 41: -0.0}
     del done[9]
     expected = sorted(done, key=lambda o: (done[o], o))
@@ -440,14 +510,12 @@ def test_failed_compaction_raises_out_of_finish_shard(tmp_path, monkeypatch):
     store = ColumnarStore.create(
         tmp_path / "c.col", CONFIG, "h", group_rows=8, compact_fanin=3
     )
-    fold = colstore._fold
 
-    def exploding(groups, overlay, insert, folded):
-        if not insert:  # a merge; seals still go through
-            raise RuntimeError("compaction exploded")
-        yield from fold(groups, overlay, insert, folded)
+    def exploding(self, entries):  # only a merge reads segments here
+        raise RuntimeError("compaction exploded")
+        yield
 
-    monkeypatch.setattr(colstore, "_fold", exploding)
+    monkeypatch.setattr(ColumnarStore, "_read_groups", exploding)
     with pytest.raises(RuntimeError, match="compaction exploded"):
         fill_shards(store, 3)
     monkeypatch.undo()
@@ -514,16 +582,102 @@ def test_sqlite_store_wait_for_compaction_is_noop(tmp_path):
     store.close()
 
 
-def test_update_to_sealed_row_goes_to_orphan_log_and_wins(store):
-    fill_shards(store, 1)
-    # Ordinal 3 is sealed; a later cluster retry re-records it.
-    store.record_result(3, "L3", -99.0, 1, 8, 0.1, 0.0, attempts=2)
-    assert (store.root / "active" / "orphan.log").exists()
-    assert store.top(1)[0]["ordinal"] == 3
+@pytest.mark.parametrize("crash_in", ["_write_segment", "_drop_active_log"])
+def test_a_crash_inside_an_out_of_order_finish_loses_no_rows(
+    tmp_path, monkeypatch, crash_in
+):
+    # Shards 0 and 2 seal and compact (fan-in 2) into one segment spanning
+    # shard 1, still open. The process then dies inside shard 1's
+    # finish_shard, after its FINISH record: before the seal's manifest
+    # publish, or after it and before the log's unlink.
+    path = tmp_path / "c.col"
+    store = ColumnarStore.create(path, CONFIG, "h", group_rows=8, compact_fanin=2)
+    store.start_shard(1, 4, 8)
+    for ordinal in range(4, 8):
+        store.record_result(ordinal, f"L{ordinal}", -2.0 - ordinal, 0, 8, 0.1, 0.0)
+    fill_shards(store, 1, shard_size=4)
+    fill_shards(store, 1, shard_size=4, first=2)
+    assert [(entry["lo"], entry["hi"]) for entry in store._segments] == [(0, 11)]
+    rows = list(store.science_rows())
+
+    def crash(self, *args):
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(ColumnarStore, crash_in, crash)
+    with pytest.raises(RuntimeError, match="killed"):
+        store.finish_shard(1, 0.1)
+    monkeypatch.undo()
     store.close()
+    for _ in range(2):  # the recovery re-seals; the second open finds it sealed
+        with ColumnarStore.open(path) as reopened:
+            assert reopened.finished_shards() == {0, 1, 2}
+            assert reopened.done_ordinals(4, 8) == {4, 5, 6, 7}
+            assert list(reopened.science_rows()) == rows
+            assert reopened._active_rows == {}
+            assert list((path / "active").iterdir()) == []
+            assert [(e["lo"], e["hi"]) for e in reopened._segments] == [(0, 11)]
+
+
+def legacy_orphan_store(root):
+    """Two sealed shards and the ``active/orphan.log`` an older build wrote
+    for results that reached them after their seal."""
+    store = ColumnarStore.create(root, CONFIG, "hash-1", group_rows=4, compact_fanin=3)
+    fill_shards(store, 2)
+    store.close()
+    frame, text = colstore._pack_frame, colstore._pack_str
+    result, failure = colstore._RESULT.pack, colstore._FAILURE.pack
+    (root / "active" / "orphan.log").write_bytes(
+        frame(colstore._K_RESULT, result(3, -99.0, 1, 8, 0.1, 0.0, 2) + text("L3"))
+        + frame(colstore._K_FAILURE, failure(12, 3) + text("L12") + text("stale"))
+        + frame(colstore._K_RUNNING, colstore._RUNNING.pack(5))
+        + frame(colstore._K_RESULT, result(3, -98.5, 2, 9, 0.2, 0.0, 3) + text("L3"))
+    )
+
+
+#: ``answers`` and ``counts`` of ``legacy_orphan_store``, read by the build
+#: that wrote orphan logs (it replayed the file over the segments on open).
+LEGACY_ORPHAN_ANSWERS = (
+    (
+        "62fde7a501e0c7b2c72b24c6c892a4b0ad5bec5b51ab1ceba471daf0bcbe2a04",
+        "7eca4a2379a4e64396a178723d8a825fa24633f18f21be06fdb3cdf367058659",
+        "f84ba9f4229ccfe40dd174361bc04ca35c95ff087315d796e23924b201c8f6e6",
+        "6d17206e03bfaa46edde88c500fbad7d570378031651a113718d86ecc2ecb0f5",
+    ),
+    {"pending": 0, "running": 1, "done": 14, "failed": 1},
+)
+
+
+def test_an_older_builds_orphan_log_is_folded_in_once(tmp_path):
+    root = tmp_path / "legacy.col"
+    legacy_orphan_store(root)
+    for _ in range(2):
+        with ColumnarStore.open(root) as store:
+            assert (answers(store), store.counts()) == LEGACY_ORPHAN_ANSWERS
+            assert not (root / "active" / "orphan.log").exists()
+            assert len(store._segments) == 2 and store._active_rows == {}
+
+
+def test_an_older_builds_reopened_shard_shadows_its_sealed_rows(store):
+    # That build re-opened a finished shard on a lease reclaim: its log on
+    # disk then holds a newer row over a sealed one until the shard seals.
+    fill_shards(store, 1)
+    store.close()
+    start = colstore._SHARD_START.pack(0, 0, 8)
+    result = colstore._RESULT.pack(3, -99.0, 1, 8, 0.1, 0.0, 2)
+    with open(store.root / "shards.log", "ab") as log:
+        log.write(colstore._pack_frame(colstore._K_SHARD_START, start))
+    (store.root / "active" / "shard-0.log").write_bytes(
+        colstore._pack_frame(colstore._K_RESULT, result + colstore._pack_str("L3"))
+    )
     with ColumnarStore.open(store.path) as reopened:
-        assert reopened.top(1)[0]["ordinal"] == 3
+        assert reopened.finished_shards() == set()
+        seen = answers(reopened)
+        assert reopened.top(1)[0]["best_score"] == -99.0
         assert reopened.counts()["done"] == 8
+        reopened.finish_shard(0, 0.1)  # re-seals over the covering segment
+        assert answers(reopened) == seen and reopened._active_rows == {}
+    with ColumnarStore.open(store.path) as again:
+        assert answers(again) == seen
 
 
 def v1_topk_index():
@@ -537,7 +691,8 @@ def test_leftover_topk_index_changes_no_answer(store, leftover):
     # An older build kept a ranking file; this one neither reads, rewrites
     # nor deletes it, whatever it holds.
     fill_shards(store, 2)
-    store.record_result(3, "L3", -99.0, 1, 8, 0.1, 0.0, attempts=2)  # overlay
+    store.start_shard(4, 32, 40)  # left open: its row stays in the overlay
+    store.record_result(33, "L33", -99.0, 1, 8, 0.1, 0.0, attempts=2)
     expected = [store.top(k) for k in (1, 3, 16, 40)]
     data = {
         "valid": v1_topk_index(),
@@ -551,8 +706,8 @@ def test_leftover_topk_index_changes_no_answer(store, leftover):
         assert [reopened.top(k) for k in (1, 3, 16, 40)] == expected
         fill_shards(reopened, 2, first=2)  # two seals, then a compaction
         assert len(reopened._segments) == 2
-        assert reopened.top(1)[0]["ordinal"] == 3
-        assert len(reopened.top(40)) == 32
+        assert reopened.top(1)[0]["ordinal"] == 33
+        assert len(reopened.top(40)) == 33
     assert index.read_bytes() == data
 
 
@@ -655,6 +810,7 @@ def test_scans_and_compaction_leave_the_group_cache_alone(tmp_path, monkeypatch)
 def test_exports_match_sqlite_byte_for_byte(tmp_path):
     sq, co = both_stores(tmp_path)
     for st in (sq, co):
+        st.start_shard(0, 0, 3)
         st.record_result(0, "L0", -2.5, 1, 20, 0.125, 0.25)
         st.record_failure(1, "L1", "ValueError: poisoned", 3)
         st.record_result(2, "L2", -3.5, 0, 20, 0.125, float("nan"))
@@ -682,7 +838,7 @@ def store_file_hashes(root):
     }
 
 
-def golden_shard(store, shard_id, start, stop, skip=()):
+def golden_shard(store, shard_id, start, stop, skip=(), finish=True):
     """One shard of every row shape: done, failed, left running, left pending,
     NULL simulated time, failure over a prior score, an unregistered gap."""
     store.start_shard(shard_id, start, stop)
@@ -704,68 +860,68 @@ def golden_shard(store, shard_id, start, stop, skip=()):
             )
         if o % 7 == 3:  # odd ones fail *after* a result: score columns survive
             store.record_failure(o, title, f"ScoringError: pose {o} non-finite ±", 3)
-    store.finish_shard(shard_id, 0.5 * (stop - start))
+    if finish:
+        store.finish_shard(shard_id, 0.5 * (stop - start))
 
 
 def golden_store(path, checkpoints):
     """The fixed sequence behind ``GOLDEN``; group_rows=5 against 7-row shards
-    cuts every output group from slices of several input groups."""
+    cuts every output group from slices of several input groups. Shards
+    finish out of order, so compactions merge across open ones."""
     store = ColumnarStore.create(
         path, CONFIG, "hash-1", group_rows=5, compact_fanin=3
     )
     golden_shard(store, 0, 0, 7)
-    # Late upsert into sealed group [0, 5), failure over sealed done row 5.
-    store.record_result(2, "LIG002", -55.5, 1, 999, 2.0, 4.0, attempts=2)
-    store.record_failure(5, "LIG005", "lease expired", 4)
-    golden_shard(store, 1, 7, 14, skip=(9, 12))
-    golden_shard(store, 2, 14, 21)  # third segment: the compaction folds 2 and 5
+    golden_shard(store, 1, 7, 14, skip=(9, 12), finish=False)
+    golden_shard(store, 2, 14, 21)
+    golden_shard(store, 3, 21, 28, finish=False)
+    store.record_result(24, "LIG024", 0.0, 2, 124, 3.0, 12.0)  # re-done after fail
+    store.finish_shard(3, 3.5)  # third segment: 0, 2 and 3 compact around 1
     checkpoints.append(store_file_hashes(store.root))
-    # Lease reclaim of shard 1 over the compacted segment [0, 20]: ordinal 9
-    # is new inside its range, 12 arrives through the orphan log first.
-    store.record_result(12, "LIG012", -0.0, 0, 112, 1.5, 6.0)
-    store.start_shard(1, 7, 14)
+    # Shard 1 finishes last: ordinal 9 is registered late, 12 only ever gets
+    # a result, and the seal inserts them into the covering segment [0, 27].
     store.register_ligands([(9, "LIG009")])
     store.record_result(9, "LIG009", -41.25, 3, 109, 1.125, float("nan"))
+    store.record_result(12, "LIG012", -0.0, 0, 112, 1.5, 6.0)
     store.record_failure(8, "LIG008", "", 2)  # empty error string is not NULL
     store.finish_shard(1, 1.0)
     checkpoints.append(store_file_hashes(store.root))
-    golden_shard(store, 3, 21, 28)
+    golden_shard(store, 4, 28, 35)
     checkpoints.append(store_file_hashes(store.root))
-    store.record_result(24, "LIG024", 0.0, 2, 124, 3.0, 12.0)  # re-done after fail
-    golden_shard(store, 4, 28, 35)  # second compaction, over the re-sealed one
-    golden_shard(store, 5, 35, 42)
+    golden_shard(store, 5, 35, 42, finish=False)  # left open, through a reopen
+    golden_shard(store, 6, 42, 49)  # second compaction, over the re-sealed one
+    golden_shard(store, 7, 49, 56)
     checkpoints.append(store_file_hashes(store.root))
     return store
 
 
 #: One {file: sha256} map per checkpoint of ``golden_store``, captured from the
-#: first schema-2 writer (segments and the manifest's ``nbytes`` differ from
-#: what schema 1 wrote).
+#: writer that still folded late rows into segments (the same bytes).
 GOLDEN = [
-    {  # three shards compacted into one segment, late upserts folded
-        "seg-00000003.col": "43200fc285487d1e7459b9662a0073af69459c2187ac34cae878a7b0d13a1226",
-        "MANIFEST.json": "19e07cad4c16fbc2078a9852386d6d66b15ed92ff7f822b5318676f688e660b7",
+    {  # three shards compacted around open shard 1
+        "seg-00000003.col": "79a8ed6da8b03919940ad15c60974a7b1f1312935e23b62afdd22818bf0b2315",
+        "MANIFEST.json": "4a241036fff6c6575c1037209a96b14fc750b77f72eaa71267c54496c2746f9c",
     },
-    {  # re-sealed over the covering segment, ordinal 9 inserted
-        "seg-00000004.col": "e4c42ea59aff8cac007ae4066468b60ac00bd19c20a369c1d78ce3974c70a1dd",
-        "MANIFEST.json": "bcd2eb9a4903193bd4edd7366fece82557aa22117f074e7f1eb7b009a3b4eb64",
+    {  # shard 1 re-sealed over the covering segment
+        "seg-00000004.col": "f541f651607f81ab76cfeaa1b7b04ac234c5ccf0a3b2da57054f492a7a1803cc",
+        "MANIFEST.json": "b7943507eadba226ea0ccc44670cdad13c79a47a55c8522394d3c681401b7763",
     },
     {  # plus one freshly sealed shard
-        "seg-00000004.col": "e4c42ea59aff8cac007ae4066468b60ac00bd19c20a369c1d78ce3974c70a1dd",
-        "seg-00000005.col": "eb311b83a6b030fea6e5a07314a8154228fd06dc7fa7b01b9f2c323e568d16a4",
-        "MANIFEST.json": "e4c63f5682faa7f9652bdc91f88513e9038318eddb0769766ed412b52afafcb1",
+        "seg-00000004.col": "f541f651607f81ab76cfeaa1b7b04ac234c5ccf0a3b2da57054f492a7a1803cc",
+        "seg-00000005.col": "ad1550ea4d1cfc8d95068f566f24c3417c03f8e97caa0fa62bfbce596851102c",
+        "MANIFEST.json": "0dea60e85a69e993afbeec57386c60e7a59524c7ab621bd84f76090213738c30",
     },
-    {  # second compaction (over the re-sealed segment) and a fresh shard
-        "seg-00000007.col": "82c0cae0e9a332ef5ee8e081aefeb90d4921b212e58b3e72a9e9c0a3502d3687",
-        "seg-00000008.col": "58075b15e5c6965c9cae79bbf996aace6a31e7b85bbf7bc5fe65ea7ea9cc105d",
-        "MANIFEST.json": "99ce21a55156e1ce99f77418b8d63500da9f5c0b164abd3df4b6e43c004b6b73",
+    {  # a second compaction across open shard 5, and a fresh shard
+        "seg-00000007.col": "72361fcdc7217ccb476e1ebb8dbc30e736bc8ddfce0ff4f832c79da1da4bff16",
+        "seg-00000008.col": "7cdd76138b9398cfd3f91b01f0bc9d0e8846b4f26aea982c6ad7105e238328a6",
+        "MANIFEST.json": "fd3cd9958e0a5895a7b0ea852958247f315e878d4a882a1c05efb25fe63db63d",
     },
 ]
-#: The logical content: what schema 1 gave for the same sequence.
-GOLDEN_DIGEST = "7303436442d4c0b161c47f9fe1fac36e8f2901f4c72a3510d5f220a89dd90083"
-#: ... and after reopening that store and sealing one more shard (a third
-#: compaction).
-GOLDEN_DIGEST_REOPENED = "ee4af8b031586d73950f5cf8b72c748d5bc1d8c12454c1ea5ae78b788272faf6"
+#: The logical content at the last checkpoint.
+GOLDEN_DIGEST = "8a78a5d2ddddaebc6ae6bcb957e7f8b044a1f800df0c13575759bcad6ff8fb59"
+#: ... and after reopening that store, finishing shard 5 (a re-seal over the
+#: covering segment) and sealing one more shard (a third compaction).
+GOLDEN_DIGEST_REOPENED = "0fce6b610c32f27315168d4c785f48ea3c1b96a80eccebd19a4d70eae456d08e"
 
 
 def test_on_disk_bytes_match_the_row_at_a_time_writer(tmp_path):
@@ -777,14 +933,15 @@ def test_on_disk_bytes_match_the_row_at_a_time_writer(tmp_path):
     store.close()
     with ColumnarStore.open(tmp_path / "g.col") as reopened:
         assert reopened.science_digest() == GOLDEN_DIGEST
-        golden_shard(reopened, 6, 42, 49)
-        assert [entry["rows"] for entry in reopened._segments] == [49]
+        reopened.finish_shard(5, 3.5)
+        golden_shard(reopened, 8, 56, 63)
+        assert [entry["rows"] for entry in reopened._segments] == [63]
         assert reopened.science_digest() == GOLDEN_DIGEST_REOPENED
 
 
-#: ``golden_store``'s directory as the last schema-1 build (8ed80d5) left it:
-#: a zip of meta.json, MANIFEST.json, topk.idx (the ranking file builds of
-#: that time kept), shards.log and two segments.
+#: The directory the last schema-1 build (8ed80d5) left for the sequence
+#: ``golden_store`` then ran: a zip of meta.json, MANIFEST.json, topk.idx (the
+#: ranking file builds of that time kept), shards.log and two segments.
 V1_STORE_ZIP = (
     "UEsDBBQAAAAIAAAAIVwUt9qDrAAAAF0BAAANAAAATUFOSUZFU1QuanNvbm2O0Q6CMAxFf4XsWc0G"
     "yNBfMcYgVFwCHcKIGsK/24ISiOypp9vuPZ3IAaFOnLEojt5h4wmEl7s08PhiA3kJ6BrCUydS245z"
@@ -835,28 +992,23 @@ V1_STORE_ZIP = (
     "AAAAAAAAAACAAQoIAABzaGFyZHMubG9nUEsBAhQDFAAAAAgAAAAhXDn3Zm05AAAAfAAAAAgAAAAA"
     "AAAAAAAAAIABvwgAAHRvcGsuaWR4UEsFBgAAAAAGAAYAbgEAAB4JAAAAAA=="
 )
-#: What that build answered, on the store as unpacked and after each of the
-#: two steps of ``test_schema_1_store_is_read_and_rewritten``: science digest,
-#: then sha256 of the JSON of ``top(k)`` for k in 1/3/6/7/100, of the JSON of
-#: ``iter_results`` and of the CSV export.
+#: What that build answered on the store as unpacked (science digest, then
+#: sha256 of the JSON of ``top(k)`` for k in 1/3/6/7/100, of the JSON of
+#: ``iter_results`` and of the CSV export), and what the writer that still
+#: folded late rows answered after the two shards
+#: ``test_schema_1_store_is_read_and_rewritten`` adds.
 V1_ANSWERS = {
     "opened": (
-        GOLDEN_DIGEST,
+        "7303436442d4c0b161c47f9fe1fac36e8f2901f4c72a3510d5f220a89dd90083",
         "01b044ece011fa659413b132d1bf669c219a9c2143db0a414943200f04cf410a",
         "cd4adfd99012bcc883b56726de61c2eab3703e291eeb9a547d6c074b96c8bb41",
         "29fe4371ad215aed3a8d2d441e0eeac6857ea89431bb1c42b089f9225751bff5",
     ),
-    "resealed": (
-        "6a39fdcda2978459fe2d1b890196f47fb90703bd813cbb897d482d9af2101a36",
-        "bac1177ab5ab75fd9bfca6322fd9789b92d89f4c9ef534ac716457d1b9d1cecf",
-        "89f50f3295607035ac0f30c1c19dee21ea84e3265ce45f6e0f4c10995153b132",
-        "1a0b18e99a332e35de4cba9aec81265cf1ba5a8abb3ce4c62e2e73ab50581db6",
-    ),
-    "compacted": (
-        "c835c779f4d6f6b4dcc2eb1f055cf5514395fb065b3f139e4267354d1b1d973a",
-        "b6c3aa3e71b0b660bf5978e123c0467f759f2ae5a65189cd2d8033355f5a0cee",
-        "61afff475ce7b2259342fb4ae0796d244f4a95143b0c1ac620ba1d35a68673e4",
-        "de75f7d8e7c561f5129c123dc9f4daa20b0cb722170eac740794bdc67836366d",
+    "rewritten": (
+        "c6d31bee18b6d3f823e2d4139ab9d2d57f0e531a58fee08e7643101c09385166",
+        "51eff81c4262cf3c75790b4bd2d1806bdcad2045424ee4ab4689e39f49950930",
+        "289c9f050209452b649041c506e4116a21207a5ff18de58f6a94623c52c0da62",
+        "c5450108e8e45fc7435da7232c82e3a7232ff3d7eb78bcd124498abb0d9487e0",
     ),
 }
 
@@ -903,21 +1055,20 @@ def test_schema_1_store_is_read_and_rewritten(tmp_path):
         assert set(group_schemas(store)) == {1}
     assert schema_on_disk(root) == 1  # reading alone upgrades nothing
     with ColumnarStore.open(root) as store:
-        # Lease reclaim of shard 5: the re-seal rewrites the segment covering
-        # [35, 41] and leaves the one over [0, 34] as schema 1 wrote it.
-        store.start_shard(5, 35, 42)
-        store.record_result(36, "LIG036", -12.5, 2, 136, 4.5, 18.0, attempts=2)
-        store.finish_shard(5, 1.0)
+        # Shard 6 stays open while shard 7 seals the third segment: the merge
+        # reads both schemas and writes one schema-2 segment spanning shard 6.
+        golden_shard(store, 6, 42, 49, finish=False)
+        golden_shard(store, 7, 49, 56)
         assert schema_on_disk(root) == 2
-        assert group_schemas(store) == [1] * 7 + [2] * 2
-        assert answers(store) == V1_ANSWERS["resealed"]
-    with ColumnarStore.open(root) as store:  # both kinds, through recovery
-        assert answers(store) == V1_ANSWERS["resealed"]
-        golden_shard(store, 6, 42, 49)  # third segment: all three compact
         assert group_schemas(store) == [2] * 10
-        assert answers(store) == V1_ANSWERS["compacted"]
+        assert answers(store) == V1_ANSWERS["rewritten"]
+    with ColumnarStore.open(root) as store:  # shard 6's log, through recovery
+        assert answers(store) == V1_ANSWERS["rewritten"]
+        store.finish_shard(6, 3.5)  # re-seals the covering segment
+        assert group_schemas(store) == [2] * 12
+        assert answers(store) == V1_ANSWERS["rewritten"]
     with ColumnarStore.open(root) as store:
-        assert answers(store) == V1_ANSWERS["compacted"]
+        assert answers(store) == V1_ANSWERS["rewritten"]
     assert (root / "topk.idx").read_bytes() == v1_topk_index()  # left alone
 
 

@@ -132,8 +132,10 @@ def test_shard_tracking(store):
     assert store.finished_shards() == set()
     store.finish_shard(0, 1.5)
     assert store.finished_shards() == {0}
-    store.start_shard(0, 0, 4)  # resume replay re-marks it running
-    assert store.finished_shards() == set()
+    with pytest.raises(CampaignError, match="never re-opens"):
+        store.start_shard(0, 0, 4)  # a finished shard stays finished
+    store.start_shard(1, 4, 8)  # resume replay of an open shard
+    assert store.finished_shards() == {0}
 
 
 def test_done_ordinals_range(store):

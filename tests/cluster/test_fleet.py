@@ -262,3 +262,51 @@ def test_a_line_file_library_is_planned_without_building_a_ligand(
             (o, t) for o, t in want if o // 4 not in finished
         ]
         assert all(payload is None for task in tasks for *_, payload in task.items)
+
+
+@pytest.mark.parametrize("finished", [True, False])
+def test_a_stale_result_is_written_only_while_its_shard_is_open(tmp_path, finished):
+    """A node presumed dead reports after its lease was reclaimed. Once a
+    replacement finished the shard its rows are sealed, so the result is
+    counted and dropped; while the shard is open it is kept (no re-dock)."""
+    from repro.campaign.backends import create_store
+    from repro.campaign.commit import CampaignCommitter
+    from repro.cluster.coordinator import Coordinator, ShardTask, _NodeState
+    from repro.observability.flight import flight_recorder, reset_flight
+
+    store = create_store(tmp_path / "c.col", {"seed": 1}, "h", backend="columnar")
+    committer = CampaignCommitter(store, None)
+    task = ShardTask(0, 0, 2, items=((0, "L0", None), (1, "L1", None)))
+    coordinator = Coordinator(
+        None,
+        committer=committer,
+        tasks=[task],
+        config_frame={},
+        cluster=ClusterConfig(),
+        expected_nodes=1,
+    )
+    presumed_dead, replacement = _NodeState(0, None), _NodeState(1, None)
+    row = {
+        "ok": True, "score": -2.0, "spot_index": 1, "evaluations": 8,
+        "wall_seconds": 0.1, "simulated_seconds": 0.0, "attempts": 1,
+    }
+    committer.begin_shard(task, [(0, "L0"), (1, "L1")])
+    committer.commit(0, "L0", row)
+    if finished:
+        committer.commit(1, "L1", row)
+        coordinator._finish_shard(0, replacement)
+    digest = store.science_digest()
+    writes = []
+    store.record_result = lambda *args, **kw: writes.append(args)
+    reset_flight()
+    coordinator._on_result(
+        presumed_dead, {"shard_id": 0, "ordinal": 1, "title": "L1", **row}
+    )
+    assert coordinator.stale_results == 1
+    assert [e["kind"] for e in flight_recorder().events()] == ["result.stale"]
+    assert len(writes) == (0 if finished else 1)
+    assert store.science_digest() == digest
+    assert list((tmp_path / "c.col" / "active").iterdir()) == (
+        [] if finished else [tmp_path / "c.col" / "active" / "shard-0.log"]
+    )
+    store.close()
