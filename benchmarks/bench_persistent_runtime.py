@@ -5,14 +5,15 @@ warm-up measurement — once per *evaluator*. A campaign that builds a fresh
 evaluator per ligand therefore pays them once per *ligand*. The persistent
 runtime (:class:`repro.engine.host_runtime.PersistentHostRuntime`) pays them
 once per *campaign* and swaps each new ligand in through the versioned
-rebind protocol (with the next ligand prefetch-bound while the current one
-docks).
+rebind protocol: a lease reads the scorer's shape and mints a version, and
+each worker binds the ligand on its first task.
 
 This benchmark measures exactly that fixed overhead, ligand by ligand, for
 the same library on the same receptor:
 
-* ``fresh_fixed_seconds_per_ligand`` — mean (bind + evaluator construction +
-  warm-up + close) when every ligand gets its own pool,
+* ``fresh_fixed_seconds_per_ligand`` — mean (evaluator construction, the
+  workers' bind and warm-up included, + close) when every ligand gets its
+  own pool,
 * ``persistent_fixed_seconds_per_ligand`` — total acquire/rebind time of the
   persistent runtime (pool spawn and warm-up included, amortised) divided by
   the same ligand count,
@@ -89,7 +90,8 @@ def bench_case(name, n_rec, n_ligands, n_workers, seed=7):
     ]
     bitwise = True
 
-    # Fresh pool per ligand: bind + spawn + warm-up + close, every time.
+    # Fresh pool per ligand: spawn + the workers' bind + warm-up + close,
+    # every time.
     fresh_fixed = []
     for i, lig in enumerate(ligands):
         t0 = time.perf_counter()
@@ -101,16 +103,14 @@ def bench_case(name, n_rec, n_ligands, n_workers, seed=7):
         fresh_fixed.append(setup_s + time.perf_counter() - t0)
         bitwise = bitwise and np.array_equal(energies, serial[i])
 
-    # Persistent pool: spawn + warm-up once, then versioned rebinds (the
-    # next ligand prefetch-bound while the "docking" launch runs).
+    # Persistent pool: spawn + warm-up once, then versioned rebinds that bind
+    # nothing in this process.
     reuses0 = obs.counter("host.pool.reuses").value
     acquire_s = []
     with PersistentHostRuntime(
         receptor, n_workers=n_workers, scoring=_scoring()
     ) as runtime:
         for i, lig in enumerate(ligands):
-            if i + 1 < n_ligands:
-                runtime.hint_next(ligands[i + 1])
             t0 = time.perf_counter()
             ev = runtime.acquire(lig)
             acquire_s.append(time.perf_counter() - t0)

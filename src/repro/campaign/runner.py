@@ -18,8 +18,8 @@ one, for any shard size or worker count.
 Runtime ownership: with ``host_workers > 0`` the campaign owns one
 :class:`repro.engine.host_runtime.PersistentHostRuntime` for its whole
 lifetime — worker pool and Eq. 1 warm-up are paid once, and every ligand
-docks on a lease of that pool (with the next ligand prefetch-bound
-meanwhile). ``dock()`` receives the lease through its
+docks on a lease of that pool (the workers bind it; this process binds
+nothing). ``dock()`` receives the lease through its
 ``evaluator_factory`` seam and never closes the pool. ``pipeline_depth`` is
 how many leases are live at once: that many ligands' metaheuristics run
 concurrently through the shared pool (each with its own seed and launch
@@ -80,6 +80,7 @@ from repro.observability.flight import (
     flight_dir,
     flight_event,
     flight_recorder,
+    reset_flight,
 )
 
 __all__ = [
@@ -440,6 +441,9 @@ class CampaignRunner:
         Returns the open store (caller closes it — or uses it as a context
         manager).
         """
+        # The recorder is process-global: without a fresh ring, an earlier
+        # campaign's events would land in this store's flight dumps.
+        reset_flight()
         with obs.span("campaign.run", config=self.config_hash[:12]):
             store = create_store(
                 self.store_path,
@@ -459,6 +463,7 @@ class CampaignRunner:
         only ligands without a committed result. Resuming a completed
         campaign is a no-op.
         """
+        reset_flight()  # this campaign's events only, as in run()
         with obs.span("campaign.resume", config=self.config_hash[:12]) as span_tags:
             store = open_store(self.store_path)
             try:
@@ -533,25 +538,15 @@ class CampaignRunner:
                 self._runtime = open_runtime(self.settings, self.receptor)
                 if self._runtime is not None:
                     obs.gauge("host.pipeline.depth").set(self.pipeline_depth)
-                # One shard of lookahead so the current shard's tail can
-                # hint the *next* shard's first ligand — without it, every
-                # shard boundary paid a cold rebind (prefetch miss). A
-                # finished shard has nothing built for it, so a resume
+                # A finished shard has nothing built for it, so a resume
                 # reaches its first dock without synthesising the ligands
                 # already committed.
-                shards = plan_shards(self.source, self.shard_size, finished)
-                upcoming = next(shards, None)
-                while upcoming is not None:
-                    shard, titled = upcoming
-                    upcoming = next(shards, None)
+                for shard, titled in plan_shards(
+                    self.source, self.shard_size, finished
+                ):
                     n_streamed = shard.stop
                     if titled is None:
                         continue
-                    next_first = (
-                        upcoming[1][0][1]
-                        if upcoming is not None and upcoming[1] is not None
-                        else None
-                    )
                     with obs.span("campaign.shard", shard=shard.shard_id):
                         already_done = committer.begin_shard(
                             shard, [(o, t) for o, _, t in titled]
@@ -560,9 +555,7 @@ class CampaignRunner:
                             item for item in titled if item[0] not in already_done
                         ]
                         if self._runtime is not None:
-                            self._dock_shard_pipelined(
-                                committer, spots, pending, next_first
-                            )
+                            self._dock_shard_pipelined(committer, spots, pending)
                         else:
                             for ordinal, ligand, title in pending:
                                 self._dock_one(committer, spots, ordinal, ligand, title)
@@ -614,7 +607,7 @@ class CampaignRunner:
         committer.commit(ordinal, title, outcome_row(outcome))
 
     def _dock_shard_pipelined(
-        self, committer: CampaignCommitter, spots, pending: list, next_first
+        self, committer: CampaignCommitter, spots, pending: list
     ) -> None:
         """Dock one shard's pending ligands depth-at-a-time; commit in order.
 
@@ -627,8 +620,6 @@ class CampaignRunner:
         and ordinal-ordered commits — so journal/store/resume semantics are
         byte-for-byte the serial loop's. Per-ligand seeds and launch
         sequences are untouched; only inter-ligand interleaving differs.
-        ``next_first`` is the following shard's first ligand, hinted at the
-        shard tail so the boundary rebind is warm.
         """
         depth = min(self.pipeline_depth, max(1, len(pending)))
         submit_pos = 0
@@ -653,12 +644,6 @@ class CampaignRunner:
             for ordinal, _, title in pending:
                 while submit_pos < len(pending) and len(inflight) < depth:
                     next_ordinal, next_ligand, _ = pending[submit_pos]
-                    # Hint before leasing: lease() kicks the stager for the
-                    # ligand after this one as its last step.
-                    if submit_pos + 1 < len(pending):
-                        self._runtime.hint_next(pending[submit_pos + 1][1])
-                    elif next_first is not None:
-                        self._runtime.hint_next(next_first)
                     committer.store.mark_running(next_ordinal)
                     lease = self._runtime.lease(next_ligand)
                     future = executor.submit(

@@ -258,12 +258,6 @@ class WorkerNode:
         """Dock the next leased ligand and report its result."""
         lease = self._leases[0]
         ordinal, title, ligand = lease.items.popleft()
-        if not lease.items and len(self._leases) == 1:
-            pass  # nothing to prefetch
-        elif self._runtime is not None:
-            nxt = lease.items[0] if lease.items else self._leases[1].items[0]
-            if nxt is not None:
-                self._runtime.hint_next(nxt[2])
         self.channel.send(self._dock_leased(lease, ordinal, title, ligand))
         if self.cluster.service_time_s > 0:
             # Synthetic device service time (benchmark emulation mode).

@@ -8,8 +8,11 @@ mirroring the paper's device strategy at the host level:
 * **Binding** — every worker holds its own bound scorer, the way each GPU
   of the paper's Algorithm 2 scores from its own device-resident copy of
   the complex (see the bind/BoundScorer split in :mod:`repro.scoring.base`).
-  The scoring factory and the receptor reach the workers through the fork
-  that creates them; a worker binds each ligand itself, once.
+  The scoring factory, the receptor and the first ligand reach the workers
+  through the fork that creates them; a worker binds each ligand itself,
+  once. The parent only dispatches, as the paper's host thread does: it
+  plans and records launches from the scorer's
+  :class:`~repro.scoring.base.ScorerShape` and holds no pair tables.
 * **Warm-up (Eq. 1)** — at pool start each worker times a few scoring
   launches; shares are assigned ∝ 1/Percent, exactly the paper's
   ``Percent = t_worker / t_slowest`` heterogeneous split, but with wall
@@ -29,7 +32,8 @@ with the same seed, for any worker count and either mode. Work is split only
 along boundaries the serial path already has — whole chunks of the serial
 chunk grid for plain scorers, whole per-spot groups for spot-aware scorers —
 and workers bind the scorer with the same call on the same inputs as the
-parent, so every chunk's arithmetic is identical to its serial counterpart.
+serial path, so every chunk's arithmetic is identical to its serial
+counterpart.
 
 **One launch path** — the paper runs warm-up once and reuses the shares for
 the whole screening; a campaign likewise pays for pool spawn and warm-up
@@ -45,10 +49,11 @@ the pool in place and surfaces as a retryable
 :class:`~repro.errors.WorkerPoolError`.
 
 **Lifecycle** — :class:`PersistentHostRuntime` is the campaign-facing owner:
-:meth:`~PersistentHostRuntime.lease` binds a ligand (the first call spawns
-the pool) and returns a :class:`LigandLease`; its ``evaluator_factory`` is
-the ``dock()`` seam, routing that ligand's launches through submit/harvest
-with a private launch trace; :meth:`LigandLease.release` retires the binding.
+:meth:`~PersistentHostRuntime.lease` mints a ligand's version (the first
+call spawns the pool) and returns a :class:`LigandLease`; its
+``evaluator_factory`` is the ``dock()`` seam, routing that ligand's launches
+through submit/harvest with a private launch trace;
+:meth:`LigandLease.release` retires the binding.
 Pipeline depth is nothing but how many leases are live at once — depth 1 is
 one lease in flight, and ``acquire()`` is the single-resident convenience
 over the same call. A one-shot ``dock(host_workers=N)`` builds a bare
@@ -61,7 +66,7 @@ import contextlib
 import multiprocessing as mp
 import threading
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -74,7 +79,7 @@ from repro.errors import ScoringError, WorkerPoolError
 from repro.observability.flight import flight_event
 from repro.metaheuristics.evaluation import EvaluationStats, LaunchRecord
 from repro.molecules.transforms import normalize_quaternion
-from repro.scoring.base import BoundScorer, ScoringFunction, spot_groups
+from repro.scoring.base import BoundScorer, ScorerShape, ScoringFunction, spot_groups
 from repro.scoring.cutoff import CutoffLennardJonesScoring
 
 __all__ = [
@@ -119,23 +124,23 @@ _MIN_JOB_PAIRS: int = 2 * 1024 * 1024
 _WORKER: dict = {}
 
 
-def _worker_init(scoring, receptor, scorer, claim, ready, slots, warm) -> None:
-    """Pool initializer: take the fork-inherited complex, warm up.
+def _worker_init(scoring, receptor, ligand, claim, ready, slots, warm) -> None:
+    """Pool initializer: bind the fork-inherited complex, warm up.
 
-    ``scoring`` and ``receptor`` are what this worker binds every later
-    ligand against; ``scorer`` is version 0's bound scorer, inherited like
-    them rather than bound again. ``claim`` hands out worker indices;
-    ``ready`` counts workers that have finished warming up (the parent's
-    barrier waits on it); ``slots[i]`` receives worker ``i``'s mean warm-up
-    launch time.
+    ``scoring`` and ``receptor`` are what this worker binds every ligand
+    against; ``ligand`` is version 0's, bound here with the same call every
+    later version gets. ``claim`` hands out worker indices; ``ready`` counts
+    workers that have finished warming up (the parent's barrier waits on
+    it); ``slots[i]`` receives worker ``i``'s mean warm-up launch time.
 
-    ``scorer=None`` is the recycle path: a replacement worker comes up with
+    ``ligand=None`` is the recycle path: a replacement worker comes up with
     no scorer and no warm-up — the first task it runs carries a versioned
     rebind message it binds from.
     """
     with claim.get_lock():
         index = int(claim.value)
         claim.value += 1
+    scorer = None if ligand is None else scoring.bind(receptor, ligand)
     _WORKER.update(
         index=index,
         scoring=scoring,
@@ -171,8 +176,8 @@ def _worker_rebind(version: int, ligand, live: tuple[int, ...]) -> None:
     consecutive tasks ping-pong between their versions, so a switch back to
     a version this worker already bound is a dict lookup. A first-seen
     version is bound once, with the same ``bind`` call on the same receptor
-    and ligand as the parent's, so its tables are bitwise the parent's.
-    ``live`` names every version still bound in the parent; cached scorers
+    and ligand as a serial run's, so its tables are bitwise the serial ones.
+    ``live`` names every version still resident in the parent; cached scorers
     outside it are evicted. Workers that skipped versions, or were recycled
     in with no scorer at all, need nothing else.
     """
@@ -305,13 +310,13 @@ class _LigandBinding:
     The pipeline's unit of residency: :meth:`ParallelSpotEvaluator.bind_ligand`
     mints one per ligand, every :meth:`~ParallelSpotEvaluator.submit` names
     one, and :meth:`~ParallelSpotEvaluator.release_binding` retires it.
-    ``scorer`` is the parent's bound scorer (it plans jobs and records
-    launches); workers bind ``ligand`` themselves.
+    ``shape`` is all the parent reads of the ligand's scorer (it plans jobs
+    and records launches); workers bind ``ligand`` themselves.
     """
 
     version: int
     ligand: object
-    scorer: BoundScorer
+    shape: ScorerShape
 
 
 class LaunchTicket:
@@ -355,11 +360,14 @@ class ParallelSpotEvaluator:
     Parameters
     ----------
     scoring, receptor, ligand:
-        The scoring factory and the complex. The parent binds ``ligand``
-        once (the construction-time :attr:`binding`); the workers inherit
-        that scorer, the factory and the receptor through the fork, and
-        bind every later ligand (:meth:`bind_ligand`) themselves — without
-        touching the pool or the warm-up weights.
+        The scoring factory and the complex. The parent keeps no bound
+        scorer: it reads ``ligand``'s
+        :meth:`~repro.scoring.base.ScoringFunction.shape` (the
+        construction-time :attr:`binding`). The workers inherit the
+        factory, the receptor and ``ligand`` through the fork, bind
+        ``ligand`` as they start and every later ligand
+        (:meth:`bind_ligand`) on first sight — without touching the pool or
+        the warm-up weights.
     n_workers:
         Worker processes (≥ 1). The pool is fully spawned, and each worker
         timed on :data:`DEFAULT_WARMUP_POSES` x :data:`DEFAULT_WARMUP_REPEATS`
@@ -393,7 +401,6 @@ class ParallelSpotEvaluator:
             )
         self.scoring = scoring
         self.receptor = receptor
-        self.scorer = scoring.bind(receptor, ligand)
         self.n_workers = int(n_workers)
         self.mode = mode
         self.stats = EvaluationStats()
@@ -410,7 +417,9 @@ class ParallelSpotEvaluator:
         self._pool: ProcessPoolExecutor | None = None
         #: The construction-time ligand's binding: what :meth:`evaluate`
         #: scores, and the first lease of a campaign runtime.
-        self.binding = _LigandBinding(version=0, ligand=ligand, scorer=self.scorer)
+        self.binding = _LigandBinding(
+            version=0, ligand=ligand, shape=scoring.shape(receptor, ligand)
+        )
         self._bindings[0] = self.binding
         try:
             ctx = mp.get_context("fork")
@@ -421,7 +430,7 @@ class ParallelSpotEvaluator:
             warm = self._warmup_batch()
             with obs.span("host.warmup", workers=self.n_workers, mode=self.mode):
                 t0 = time.perf_counter()
-                self._pool = self._start_pool(self.scorer, warm)
+                self._pool = self._start_pool(ligand, warm)
                 elapsed = time.perf_counter() - t0
             obs.counter("host.warmups").inc()
             measured = np.array(self._slots[:], dtype=np.float64)
@@ -450,13 +459,13 @@ class ParallelSpotEvaluator:
         quaternions = normalize_quaternion(rng.normal(size=(DEFAULT_WARMUP_POSES, 4)))
         return translations, quaternions, DEFAULT_WARMUP_REPEATS
 
-    def _start_pool(self, scorer: BoundScorer | None, warm) -> ProcessPoolExecutor:
+    def _start_pool(self, ligand, warm) -> ProcessPoolExecutor:
         """Spawn every worker, blocking until all have initialised.
 
         One barrier task per worker forces the executor to actually start
         all ``n`` processes. The initializer arguments reach the workers
-        through the fork, not a pickle: the first pool inherits version 0's
-        ``scorer`` and times the Eq. 1 warm-up, a recycled one
+        through the fork, not a pickle: the first pool binds version 0's
+        ``ligand`` and times the Eq. 1 warm-up, a recycled one
         (``None``/``None``) comes up with no scorer.
         """
         pool = ProcessPoolExecutor(
@@ -464,7 +473,7 @@ class ParallelSpotEvaluator:
             mp_context=self._ctx,
             initializer=_worker_init,
             initargs=(
-                self.scoring, self.receptor, scorer,
+                self.scoring, self.receptor, ligand,
                 self._claim, self._ready, self._slots, warm,
             ),
         )
@@ -486,7 +495,7 @@ class ParallelSpotEvaluator:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def _plan(self, spot_ids: np.ndarray, scorer: BoundScorer) -> list[_Job]:
+    def _plan(self, spot_ids: np.ndarray, shape: ScorerShape) -> list[_Job]:
         """Split one launch along serial-equivalent boundaries.
 
         Spot-aware scorers group by spot serially, so a job is a run of
@@ -498,9 +507,9 @@ class ParallelSpotEvaluator:
         reproduces exactly the chunks the serial loop would have computed).
         """
         n = spot_ids.shape[0]
-        if scorer.supports_spot_scoring:
+        if shape.supports_spot_scoring:
             order, groups = spot_groups(spot_ids)
-            grain = -(-_MIN_JOB_PAIRS // scorer.n_pairs)  # poses, rounded up
+            grain = -(-_MIN_JOB_PAIRS // shape.n_pairs)  # poses, rounded up
             jobs = []
             job_spot = None  # first spot of the job being grown
             for spot, lo, hi in groups:
@@ -510,7 +519,7 @@ class ParallelSpotEvaluator:
                     jobs.append(_Job(spot=job_spot, rows=order[job_lo:hi]))
                     job_spot = None
             return jobs
-        chunk = scorer.chunk_size
+        chunk = shape.chunk_size
         jobs = []
         run_lo = 0
         run_spot = int(spot_ids[0])
@@ -598,10 +607,10 @@ class ParallelSpotEvaluator:
         stats.record(
             LaunchRecord(
                 n_conformations=int(translations.shape[0]),
-                flops_per_pose=binding.scorer.flops_per_pose,
+                flops_per_pose=binding.shape.flops_per_pose,
                 spot_counts={int(s): int(c) for s, c in zip(unique, counts)},
                 kind=kind,
-                n_receptor_atoms=binding.scorer.receptor.n_atoms,
+                n_receptor_atoms=binding.shape.n_receptor_atoms,
             )
         )
         n = int(translations.shape[0])
@@ -610,7 +619,7 @@ class ParallelSpotEvaluator:
             ticket.out = np.empty(0, dtype=FLOAT_DTYPE)
             ticket.done = True
             return ticket
-        jobs = self._plan(spot_ids, binding.scorer)
+        jobs = self._plan(spot_ids, binding.shape)
         ticket.out = np.empty(n, dtype=FLOAT_DTYPE)
         ticket.n_jobs = len(jobs)
         obs.counter("host.launches", mode=self.mode).inc()
@@ -624,7 +633,7 @@ class ParallelSpotEvaluator:
         ticket.span = span
         ticket.span_tags = span.__enter__()
         try:
-            spot_aware = binding.scorer.supports_spot_scoring
+            spot_aware = binding.shape.supports_spot_scoring
             for bucket in self._buckets(jobs):
                 tasks = [
                     (
@@ -786,19 +795,21 @@ class ParallelSpotEvaluator:
     # ------------------------------------------------------------------
     # rebind protocol: versioned ligand bindings
     # ------------------------------------------------------------------
-    def bind_ligand(self, ligand, scorer: BoundScorer) -> _LigandBinding:
-        """Mint a live binding for ``ligand``, whose parent-side bind is ``scorer``.
+    def bind_ligand(self, ligand) -> _LigandBinding:
+        """Mint a live binding for ``ligand``.
 
-        The parent plans jobs and records launches from ``scorer``; each
-        worker binds ``ligand`` itself the first time one of its tasks
-        arrives. The binding is *additional*: nothing else is released, so
-        any number of ligands can be resident at once. Pair every bind with
-        a :meth:`release_binding`, or workers keep its scorer cached.
+        The parent plans jobs and records launches from the ligand's
+        :class:`~repro.scoring.base.ScorerShape`; each worker binds
+        ``ligand`` itself the first time one of its tasks arrives. The
+        binding is *additional*: nothing else is released, so any number of
+        ligands can be resident at once. Pair every bind with a
+        :meth:`release_binding`, or workers keep its scorer cached.
         """
         self._live_pool()
+        shape = self.scoring.shape(self.receptor, ligand)
         with self._lock:
             self._version += 1
-            binding = _LigandBinding(version=self._version, ligand=ligand, scorer=scorer)
+            binding = _LigandBinding(version=self._version, ligand=ligand, shape=shape)
             self._bindings[binding.version] = binding
         obs.counter("host.pool.reuses").inc()
         return binding
@@ -952,15 +963,16 @@ class PersistentHostRuntime:
     Owns one :class:`ParallelSpotEvaluator` for the lifetime of a screening
     campaign and exposes the pieces the screening layers need:
 
-    * :meth:`lease` — bind a ligand as one of any number of simultaneous
+    * :meth:`lease` — make a ligand one of any number of simultaneous
       residents (lazily creating the pool and its Eq. 1 warm-up on the
       first call) and get a :class:`LigandLease` whose
-      ``evaluator_factory`` scores only that ligand. Leases from different
-      threads share the pool; their launches interleave freely. How many
-      are live at once is the caller's pipeline depth.
-    * :meth:`hint_next` — name ligand *i+1* before leasing *i*; a
-      single-thread stager binds it while the pool scores, so the next
-      :meth:`lease` only mints a version.
+      ``evaluator_factory`` scores only that ligand. A lease binds nothing
+      in this process: it mints a version the workers bind on first sight.
+      Leases docked on different threads share the pool; their launches
+      interleave freely. How many are live at once is the caller's
+      pipeline depth.
+    * :meth:`hint_next` — a no-op: with nothing bound here, there is
+      nothing to stage ahead.
     * :meth:`acquire` / :meth:`evaluator_factory` — the single-resident
       form for callers that dock one ligand at a time: each acquire
       releases the previous one's lease and takes a new one.
@@ -995,15 +1007,7 @@ class PersistentHostRuntime:
         )
         self._evaluator: ParallelSpotEvaluator | None = None
         self._acquired: LigandLease | None = None
-        self._next_hint = None
-        self._pending = None  # (hinted ligand, Future[bound scorer])
         self._closed = False
-        # Serializes lease bookkeeping; the stager thread and dock
-        # threads contend on it only for pointer-sized state, never scoring.
-        self._lease_lock = threading.RLock()
-        self._stager = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="ligand-stage"
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -1011,58 +1015,19 @@ class PersistentHostRuntime:
         """The owned evaluator, or ``None`` before the first lease."""
         return self._evaluator
 
-    def _take_prefetched(self, ligand):
-        """Resolve any pending prefetch; return its bound scorer on a hit.
-
-        Always waits the pending future out, so at most one bind runs on
-        the stager thread at a time.
-        """
-        pending, self._pending = self._pending, None
-        if pending is None:
-            return None
-        hinted, future = pending
-        try:
-            scorer = future.result()
-        except Exception:
-            # e.g. a ligand poisoned at bind time: surface the error on the
-            # synchronous bind below, in its own dock's context
-            obs.counter("host.prefetch.misses").inc()
-            return None
-        if hinted is not ligand:
-            obs.counter("host.prefetch.misses").inc()
-            return None
-        obs.counter("host.prefetch.hits").inc()
-        return scorer
-
-    def _kick_prefetch(self, current) -> None:
-        hint, self._next_hint = self._next_hint, None
-        if (
-            self._stager is None
-            or hint is None
-            or hint is current
-            or self._pending is not None
-        ):
-            return
-        self._pending = (
-            hint, self._stager.submit(self.scoring.bind, self.receptor, hint)
-        )
-
-    # ------------------------------------------------------------------
     def hint_next(self, ligand) -> None:
-        """Name the ligand expected after the current one.
+        """Accept the name of the ligand after the current one; do nothing.
 
-        The prefetch itself starts at the end of the next :meth:`lease`
-        (never before: that lease first resolves the prefetch in flight for
-        its own ligand).
+        A lease binds nothing in this process, so there is nothing to stage
+        ahead of it. The perf ledger's tracer still pins this name.
         """
-        self._next_hint = ligand
 
     def acquire(self, ligand) -> _BindingEvaluator:
         """The single-resident :meth:`lease`: one ligand at a time.
 
         Releases the previous acquire's lease, takes one for ``ligand`` and
         returns its evaluator with a fresh launch trace. Re-acquiring the
-        resident ligand (a retry) keeps its lease and binds nothing.
+        resident ligand (a retry) keeps its lease and mints no version.
         """
         held = self._acquired
         if held is None or held.ligand is not ligand:
@@ -1073,47 +1038,34 @@ class PersistentHostRuntime:
         return _BindingEvaluator(self._evaluator, held.binding)
 
     def lease(self, ligand) -> "LigandLease":
-        """Bind ``ligand`` as one of the pool's concurrent residents.
+        """Make ``ligand`` one of the pool's concurrent residents.
 
         Every live lease scores through its own :class:`_LigandBinding`, so
         one ligand's launches fill another's host-side gaps. The first call
         pays the full cost (pool spawn, Eq. 1 warm-up); every later one
-        binds the ligand in the parent — or takes the prefetch's bind — and
-        mints a version the workers bind on first sight. Take leases from the
-        owning (main) thread — the first one forks the worker pool — dock
-        each lease on any thread and :meth:`LigandLease.release` it when
-        the ligand commits.
+        reads the ligand's shape and mints a version the workers bind on
+        first sight. Take leases from the owning (main) thread — the first
+        one forks the worker pool — dock each lease on any thread and
+        :meth:`LigandLease.release` it when the ligand commits.
         """
         if self._closed:
             raise ScoringError("persistent host runtime is closed")
-        with self._lease_lock:
-            if self._evaluator is None:
-                # First lease: spawn the pool; this ligand rides the fork.
-                self._evaluator = ParallelSpotEvaluator(
-                    self.scoring,
-                    self.receptor,
-                    ligand,
-                    n_workers=self.n_workers,
-                    mode=self.mode,
-                )
-                binding = self._evaluator.binding
-            else:
-                scorer = self._take_prefetched(ligand)
-                prefetched = scorer is not None
-                t0 = time.perf_counter()
-                if scorer is None:
-                    scorer = self.scoring.bind(self.receptor, ligand)
-                binding = self._evaluator.bind_ligand(ligand, scorer)
-                rebind_s = time.perf_counter() - t0
-                obs.histogram("host.rebind.seconds").observe(rebind_s)
-                flight_event(
-                    "pool.rebind",
-                    prefetched=prefetched,
-                    seconds=round(rebind_s, 6),
-                )
-            lease = LigandLease(self, ligand, binding)
-            self._kick_prefetch(ligand)
-            return lease
+        if self._evaluator is None:
+            # First lease: spawn the pool; this ligand rides the fork.
+            self._evaluator = ParallelSpotEvaluator(
+                self.scoring,
+                self.receptor,
+                ligand,
+                n_workers=self.n_workers,
+                mode=self.mode,
+            )
+            return LigandLease(self, ligand, self._evaluator.binding)
+        t0 = time.perf_counter()
+        binding = self._evaluator.bind_ligand(ligand)
+        rebind_s = time.perf_counter() - t0
+        obs.histogram("host.rebind.seconds").observe(rebind_s)
+        flight_event("pool.rebind", seconds=round(rebind_s, 6))
+        return LigandLease(self, ligand, binding)
 
     def _validate_receptor(self, receptor) -> None:
         """Check dock() was called for the receptor this runtime serves."""
@@ -1135,13 +1087,8 @@ class PersistentHostRuntime:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the stager thread and the pool. Idempotent."""
+        """Shut the pool down. Idempotent."""
         self._closed = True
-        stager, self._stager = self._stager, None
-        if stager is not None:
-            stager.shutdown(wait=True, cancel_futures=True)
-        self._pending = None
-        self._next_hint = None
         self._acquired = None
         evaluator, self._evaluator = self._evaluator, None
         if evaluator is not None:

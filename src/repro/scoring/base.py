@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import importlib
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.molecules.transforms import apply_poses
 
 __all__ = [
     "BoundScorer",
+    "ScorerShape",
     "ScoringFunction",
     "register_scoring",
     "get_scoring",
@@ -308,6 +310,33 @@ class BoundScorer(ABC):
         """Score one validated chunk of poses (implemented by subclasses)."""
 
 
+@dataclass(frozen=True)
+class ScorerShape:
+    """What a launch planner reads off a bound scorer: no tables, no scoring.
+
+    The process that plans a pooled launch and records its
+    :class:`~repro.metaheuristics.evaluation.LaunchRecord` never scores, so
+    these five facts are all it needs of the scorer its workers bind.
+    """
+
+    supports_spot_scoring: bool
+    n_pairs: int
+    chunk_size: int
+    flops_per_pose: float
+    n_receptor_atoms: int
+
+    @classmethod
+    def of(cls, scorer: BoundScorer) -> "ScorerShape":
+        """The facts of an already-bound scorer."""
+        return cls(
+            supports_spot_scoring=scorer.supports_spot_scoring,
+            n_pairs=scorer.n_pairs,
+            chunk_size=scorer.chunk_size,
+            flops_per_pose=scorer.flops_per_pose,
+            n_receptor_atoms=scorer.receptor.n_atoms,
+        )
+
+
 class ScoringFunction(ABC):
     """Factory producing :class:`BoundScorer` instances for complexes."""
 
@@ -317,6 +346,16 @@ class ScoringFunction(ABC):
     @abstractmethod
     def bind(self, receptor: Receptor, ligand: Ligand) -> BoundScorer:
         """Precompute pair data and return a bound scorer."""
+
+    def shape(self, receptor: Receptor, ligand: Ligand) -> ScorerShape:
+        """The :class:`ScorerShape` of ``bind(receptor, ligand)``.
+
+        This default binds, reads the facts and drops the scorer, so a
+        factory that defines only :meth:`bind` works everywhere; a factory
+        whose facts follow from atom counts overrides it with the
+        arithmetic.
+        """
+        return ScorerShape.of(self.bind(receptor, ligand))
 
 
 _REGISTRY: dict[str, Callable[[], ScoringFunction]] = {}

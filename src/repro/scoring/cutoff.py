@@ -52,7 +52,9 @@ from repro.errors import ScoringError
 from repro.molecules.forcefield import ForceField, default_forcefield
 from repro.molecules.structures import Ligand, Receptor
 from repro.scoring.base import (
+    OPS_PER_LJ_PAIR,
     BoundScorer,
+    ScorerShape,
     ScoringFunction,
     auto_chunk_size,
     check_poses,
@@ -166,6 +168,27 @@ def lj_cutoff_energy_sums(
     return sums
 
 
+def _checked_tiling(
+    receptor: Receptor, ligand: Ligand, cutoff: float, chunk_size: int | None, dtype
+) -> tuple[np.dtype, int]:
+    """Validate a bind's arguments; return its ``(dtype, poses per tile)``.
+
+    The one rule behind both :class:`BoundCutoffLennardJones` and
+    :meth:`CutoffLennardJonesScoring.shape`, so a shape read without
+    binding cannot disagree with the scorer a worker binds.
+    """
+    if cutoff <= 0:
+        raise ScoringError(f"cutoff must be positive, got {cutoff}")
+    resolved = np.dtype(dtype)
+    if resolved not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ScoringError(f"dtype must be float32 or float64, got {dtype}")
+    if chunk_size is not None:
+        return resolved, int(chunk_size)
+    return resolved, cutoff_tile_size(
+        receptor.n_atoms, ligand.n_atoms, resolved.itemsize
+    )
+
+
 class BoundCutoffLennardJones(BoundScorer):
     """Cutoff-pruned LJ scorer for one complex, scored in spot-aligned tiles."""
 
@@ -181,18 +204,10 @@ class BoundCutoffLennardJones(BoundScorer):
         dtype: np.dtype | type = FLOAT_DTYPE,
     ) -> None:
         super().__init__(receptor, ligand)
-        if cutoff <= 0:
-            raise ScoringError(f"cutoff must be positive, got {cutoff}")
         self.cutoff = float(cutoff)
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ScoringError(f"dtype must be float32 or float64, got {dtype}")
-        if chunk_size is not None:
-            self.chunk_size = int(chunk_size)
-        else:
-            self.chunk_size = cutoff_tile_size(
-                receptor.n_atoms, ligand.n_atoms, self.dtype.itemsize
-            )
+        self.dtype, self.chunk_size = _checked_tiling(
+            receptor, ligand, cutoff, chunk_size, dtype
+        )
         lig_classes = [str(e) for e in ligand.elements]
         rec_classes = [str(e) for e in receptor.elements]
         sigma, epsilon = forcefield.pair_tables(lig_classes, rec_classes)
@@ -362,6 +377,20 @@ class CutoffLennardJonesScoring(ScoringFunction):
         self.cutoff = cutoff
         self.chunk_size = chunk_size
         self.dtype = dtype
+
+    def shape(self, receptor: Receptor, ligand: Ligand) -> ScorerShape:
+        """The bound scorer's facts from atom counts alone: no pair tables."""
+        _, chunk = _checked_tiling(
+            receptor, ligand, self.cutoff, self.chunk_size, self.dtype
+        )
+        n_pairs = receptor.n_atoms * ligand.n_atoms
+        return ScorerShape(
+            supports_spot_scoring=BoundCutoffLennardJones.supports_spot_scoring,
+            n_pairs=n_pairs,
+            chunk_size=chunk,
+            flops_per_pose=float(n_pairs * OPS_PER_LJ_PAIR),
+            n_receptor_atoms=receptor.n_atoms,
+        )
 
     def bind(self, receptor: Receptor, ligand: Ligand) -> BoundCutoffLennardJones:
         return BoundCutoffLennardJones(

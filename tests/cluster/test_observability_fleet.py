@@ -48,10 +48,8 @@ def make_runner(store_path, *, nodes=0, cluster=None, **overrides):
     )
 
 
-def test_sigkilled_fleet_trace_flight_and_doctor(tmp_path):
-    obs.reset()
-    reset_flight("coordinator")
-    path = tmp_path / "c.sqlite"
+def run_with_a_sigkilled_node(path):
+    """Run a 2-node fleet campaign whose first node is SIGKILLed mid-run."""
     cluster = ClusterConfig(
         heartbeat_interval_s=0.1,
         heartbeat_timeout_s=1.0,
@@ -70,6 +68,14 @@ def test_sigkilled_fleet_trace_flight_and_doctor(tmp_path):
     with runner.run():
         pass
     killer.join()
+    return runner
+
+
+def test_sigkilled_fleet_trace_flight_and_doctor(tmp_path):
+    obs.reset()
+    reset_flight("coordinator")
+    path = tmp_path / "c.sqlite"
+    runner = run_with_a_sigkilled_node(path)
 
     with CampaignStore.open(path) as store:
         assert store.is_complete()
@@ -184,3 +190,17 @@ def test_single_node_runner_dumps_flight(tmp_path):
     snap = obs.snapshot()
     disk = [g for g in snap["gauges"] if g["name"] == "store.disk.bytes"]
     assert disk and disk[0]["value"] > 0
+
+
+def test_a_campaign_after_a_node_death_dumps_only_its_own_events(tmp_path):
+    # The flight recorder is process-global. Each campaign starts it fresh,
+    # so an earlier campaign's node death never reaches a later store's dumps.
+    obs.reset()
+    killed = run_with_a_sigkilled_node(tmp_path / "killed.sqlite")
+    assert killed.fleet.summary["node_deaths"] >= 1
+    clean = tmp_path / "clean.sqlite"
+    with make_runner(clean).run():
+        pass
+    report = diagnose_campaign(clean)
+    dead = next(s for s in report.sections if s.title == "dead nodes")
+    assert dead.headline == "no node deaths recorded", report.to_text()

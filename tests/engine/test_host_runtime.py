@@ -237,7 +237,9 @@ def test_one_shot_dock_worker_crash_leaves_dev_shm_unchanged(
 
     def crashing_search(spec, ctx):
         ev = ctx.evaluator
-        serial = SerialEvaluator(ev.scorer).evaluate(spot_ids, t, q)
+        serial = SerialEvaluator(ev.scoring.bind(receptor, ligand)).evaluate(
+            spot_ids, t, q
+        )
         # Kill the pool out from under the evaluator (a worker dying).
         ev._pool.submit(os._exit, 1)
         with pytest.raises(WorkerPoolError, match="crashed") as crash:
@@ -316,9 +318,10 @@ def test_each_worker_binds_each_live_version_at_most_once(receptor, spots, launc
                 assert np.array_equal(ev.evaluate(spot_ids, t, q), expected)
         for lease in leases:
             lease.release()
-    # Version 0 rode the fork; versions 1 and 2 cost each of the two workers
-    # at most one bind, against the eight launches that named them.
-    assert 0 < binds.value <= 2 * (len(ligands) - 1)
+    # Each of the two workers bound version 0 as it started; versions 1 and 2
+    # cost each worker at most one bind more, against the eight launches
+    # that named them.
+    assert 2 < binds.value <= 2 * len(ligands)
 
 
 def test_worker_crash_recycles_pool_and_keeps_receptor(receptor, ligand, launch):
@@ -361,22 +364,143 @@ def test_eq1_weights_are_fixed_per_pool(receptor, spots, ligand, launch):
     assert obs.counter("host.warmups").value == warmups + 1
 
 
-def test_persistent_runtime_prefetch_stages_next_ligand(receptor, spots, launch):
-    spot_ids, t, q = launch
+# ----------------------------------------------------------------------
+# the campaign process only dispatches: it binds nothing
+# ----------------------------------------------------------------------
+class BindOnlyCutoff(ScoringFunction):
+    """A plugin factory that defines only ``bind``: the default ``shape``."""
+
+    def bind(self, receptor, ligand):
+        return F32.bind(receptor, ligand)
+
+
+def _parent_binds(monkeypatch, factory=CutoffLennardJonesScoring) -> list:
+    """The ligands ``factory.bind`` is called with in *this* process.
+
+    Forked pool workers inherit the wrapper; their binds are theirs, not the
+    campaign process's, so the pid check leaves them out.
+    """
+    parent, calls = os.getpid(), []
+    real = factory.bind
+
+    def bind(self, receptor, ligand):
+        if os.getpid() == parent:
+            calls.append(ligand)
+        return real(self, receptor, ligand)
+
+    monkeypatch.setattr(factory, "bind", bind)
+    return calls
+
+
+def _campaign(receptor, path, **overrides):
+    from repro.campaign import CampaignRunner, SyntheticSource
+
+    knobs = dict(
+        store_path=path,
+        n_spots=2,
+        metaheuristic="M1",
+        seed=11,
+        workload_scale=0.05,
+        shard_size=3,
+        backoff_base=0.0,
+    )
+    knobs.update(overrides)
+    source = SyntheticSource(5, atoms_range=(8, 12), seed=2)
+    return CampaignRunner(receptor, source, **knobs)
+
+
+@pytest.fixture(scope="module")
+def campaign_serial_digest(receptor, tmp_path_factory):
+    path = tmp_path_factory.mktemp("binds-serial") / "c.sqlite"
+    with _campaign(receptor, path).run() as store:
+        return store.science_digest()
+
+
+@pytest.mark.parametrize("knobs", [{}, {"pipeline_depth": 1}], ids=["default", "depth-1"])
+def test_a_pooled_campaign_process_binds_nothing(
+    receptor, tmp_path, monkeypatch, campaign_serial_digest, knobs
+):
+    """Leases read the scorer's shape; only the workers bind."""
+    binds = _parent_binds(monkeypatch)
+    runner = _campaign(receptor, tmp_path / "c.sqlite", host_workers=2, **knobs)
+    with runner.run() as store:
+        assert store.science_digest() == campaign_serial_digest
+    assert binds == []
+
+
+def test_a_bind_only_plugin_reaches_the_serial_digest(
+    receptor, tmp_path, monkeypatch, campaign_serial_digest
+):
+    """A factory without ``shape`` gets the default: bind, read, drop — once
+    per ligand in this process — and the same science."""
+    binds = _parent_binds(monkeypatch, BindOnlyCutoff)
+    runner = _campaign(
+        receptor, tmp_path / "c.sqlite", host_workers=2, scoring=BindOnlyCutoff()
+    )
+    with runner.run() as store:
+        assert store.science_digest() == campaign_serial_digest
+    assert len(binds) == 5
+
+
+def test_a_fleet_nodes_acquire_path_binds_nothing(receptor, spots, monkeypatch):
+    """A fleet node docks each leased ligand through the runtime's
+    ``evaluator_factory`` (:meth:`PersistentHostRuntime.acquire`)."""
+    from repro.campaign.runner import dock_ligand, open_runtime, outcome_row
+    from repro.campaign.settings import DockSettings
+    from repro.hardware.node import jupiter
+
     ligands = _ligands((9, 12, 15), base_seed=70)
-    hits = obs.counter("host.prefetch.hits").value
-    with PersistentHostRuntime(receptor, n_workers=2) as rt:
-        for i, lig in enumerate(ligands):
-            if i + 1 < len(ligands):
-                rt.hint_next(ligands[i + 1])
-            lease = rt.lease(lig)
-            ev = lease.evaluator_factory(receptor, lig, spots)
-            serial = SerialEvaluator(_cutoff(receptor, lig)).evaluate(spot_ids, t, q)
-            assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
-            lease.release()
-    # Ligands 1 and 2 were bound by the stager thread while their
-    # predecessors held the pool.
-    assert obs.counter("host.prefetch.hits").value == hits + 2
+    # A node, so each row's simulated_seconds replays the launch records.
+    knobs = dict(
+        n_spots=len(spots), metaheuristic="M1", seed=3, workload_scale=0.05,
+        node=jupiter(),
+    )
+
+    def rows(settings, factory=None):
+        outcomes = [
+            dock_ligand(settings, receptor, spots, i, lig, factory, sleep=None)
+            for i, lig in enumerate(ligands)
+        ]
+        return [
+            {k: v for k, v in outcome_row(o).items() if k != "wall_seconds"}
+            for o in outcomes
+        ]
+
+    serial = rows(DockSettings(**knobs))
+    binds = _parent_binds(monkeypatch)
+    pooled = DockSettings(host_workers=2, **knobs)
+    with open_runtime(pooled, receptor) as rt:
+        assert rows(pooled, rt.evaluator_factory) == serial
+    assert binds == []
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_pooled_launch_records_equal_serial(receptor, tmp_path, monkeypatch, depth):
+    """The timing replay reads each ligand's launch records, so the pooled
+    runner's must be the serial ones, bit for bit, at any depth."""
+    import repro.vs.docking as docking_mod
+    from repro.engine.executor import MultiGpuExecutor
+    from repro.hardware.node import jupiter
+
+    replayed: dict[int, list] = {}
+
+    class Recording(MultiGpuExecutor):
+        def replay(self, launches, mode):
+            replayed[self.seed] = list(launches)
+            return super().replay(launches, mode)
+
+    monkeypatch.setattr(docking_mod, "MultiGpuExecutor", Recording)
+    with _campaign(receptor, tmp_path / "serial.sqlite", node=jupiter()).run():
+        pass
+    serial, replayed = replayed, {}
+    runner = _campaign(
+        receptor, tmp_path / "pool.sqlite", node=jupiter(),
+        host_workers=2, pipeline_depth=depth,
+    )
+    with runner.run():
+        pass
+    assert len(serial) == 5 and all(serial.values())
+    assert replayed == serial
 
 
 def test_persistent_runtime_same_ligand_reacquire_restages_nothing(
