@@ -1,16 +1,15 @@
 """Campaign benchmark: durable-store throughput and resume overhead.
 
 Runs a synthetic screening campaign end-to-end through the durable
-:class:`CampaignRunner` path (SQLite store + fsync'd journal), then measures
-what durability costs:
+:class:`CampaignRunner` path (its SQLite store is the one durable log),
+then measures what durability costs:
 
 * ``ligands_per_second`` — end-to-end campaign throughput, all durability
   writes included,
 * ``resume_noop_seconds`` — the fixed cost of resuming an already-complete
-  campaign (journal replay + store reconciliation, zero docking),
+  campaign (store open + config check, zero docking),
 * ``store_bytes_per_1k_ligands`` — on-disk footprint of the result store,
   normalised so different scales are comparable,
-* ``journal_bytes`` — the write-ahead journal's footprint,
 * ``ligands_per_second_persistent_pool`` — the same campaign on 2 host
   worker processes leased from the campaign-owned persistent pool
   (``bench_persistent_runtime.py`` measures what reusing the pool saves).
@@ -74,7 +73,6 @@ def bench_case(name, n_rec, n_ligands, shard_size, seed=7):
             counts = store.counts()
             complete = store.is_complete()
         store_bytes = os.path.getsize(runner.store_path)
-        journal_bytes = os.path.getsize(runner.journal.path)
 
         t0 = time.perf_counter()
         with _make_runner(
@@ -103,7 +101,6 @@ def bench_case(name, n_rec, n_ligands, shard_size, seed=7):
         "resume_noop_seconds": resume_noop_seconds,
         "store_bytes": store_bytes,
         "store_bytes_per_1k_ligands": store_bytes / n_ligands * 1000,
-        "journal_bytes": journal_bytes,
         "pool_ligands": pool_ligands,
         "ligands_per_second_persistent_pool": pool_ligands / pool_seconds,
         "complete": bool(complete),
@@ -139,7 +136,7 @@ def _report(artifact):
         lines.append(
             f"  resume no-op: {case['resume_noop_seconds'] * 1e3:.1f} ms   "
             f"store: {case['store_bytes_per_1k_ligands'] / 1024:.1f} KiB per "
-            f"1k ligands   journal: {case['journal_bytes']} B"
+            "1k ligands"
         )
         lines.append(
             f"  host pool x{case['pool_ligands']} ligands: "

@@ -1,8 +1,8 @@
 """Durable screening campaigns: crash mid-run, resume, lose nothing.
 
 The demo screens a small synthetic library as a *campaign* — every result
-lands in a SQLite store, every shard boundary in a write-ahead journal —
-then simulates a hard crash partway through by injecting an interrupt into
+and every shard boundary lands in a SQLite store, the campaign's one durable
+log — then simulates a hard crash partway through by injecting an interrupt into
 the docking call. Resuming re-docks only the ligands that never completed,
 and because ligand ``i`` always docks with ``seed + i``, the recovered
 ranking is bitwise identical to an uninterrupted run.

@@ -2,9 +2,9 @@
 
 The campaign subsystem treats a library screen as a persistent unit of work
 rather than an in-memory loop: ligands stream in lazily
-(:mod:`repro.campaign.library`), results land in a per-campaign SQLite
-database (:mod:`repro.campaign.store`), shard boundaries are journalled
-write-ahead (:mod:`repro.campaign.journal`), and the runner
+(:mod:`repro.campaign.library`), results and shard boundaries land in a
+per-campaign store, the one durable log (:mod:`repro.campaign.store` or
+:mod:`repro.campaign.colstore`), and the runner
 (:mod:`repro.campaign.runner`) drives everything through the process-parallel
 host runtime with bounded retries — so a crash, SIGKILL, or Ctrl-C costs at
 most the in-flight ligand, and ``resume()`` completes the remainder with
@@ -31,7 +31,6 @@ from repro.campaign.backends import (
     store_disk_bytes,
 )
 from repro.campaign.colstore import COLSTORE_SCHEMA_VERSION, ColumnarStore
-from repro.campaign.journal import CampaignJournal, JournalState
 from repro.campaign.library import (
     CsvSource,
     IterableSource,
@@ -54,7 +53,6 @@ from repro.campaign.runner import (
 from repro.campaign.store import SCHEMA_VERSION, CampaignStore, export_report
 
 __all__ = [
-    "CampaignJournal",
     "CampaignProgress",
     "CampaignRunner",
     "CampaignStore",
@@ -62,7 +60,6 @@ __all__ = [
     "ColumnarStore",
     "CsvSource",
     "IterableSource",
-    "JournalState",
     "LigandSource",
     "ListSource",
     "PDBDirectorySource",

@@ -37,8 +37,8 @@ STORE_BACKENDS = ("sqlite", "columnar")
 
 
 def _columnar():
-    # Deferred import: keeps numpy-light paths (e.g. pure journal reads)
-    # from paying for the columnar machinery.
+    # Deferred import: keeps numpy-light paths (e.g. a SQLite store's
+    # reads) from paying for the columnar machinery.
     from repro.campaign.colstore import ColumnarStore
 
     return ColumnarStore

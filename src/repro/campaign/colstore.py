@@ -698,7 +698,6 @@ class ColumnarStore:
                 ("shards",),
                 _pack_frame(_K_SHARD_START, _SHARD_START.pack(shard_id, start, stop)),
             )
-            obs.counter("campaign.store.appends").inc()
 
     def finish_shard(self, shard_id: int, wall_seconds: float) -> None:
         """Mark a shard done, seal its rows into a segment and compact."""
@@ -749,7 +748,6 @@ class ColumnarStore:
                 buffers.setdefault(key, bytearray()).extend(frame)
             for key, buffer in buffers.items():
                 self._append(key, bytes(buffer))
-            obs.counter("campaign.store.appends").inc(len(items))
 
     def mark_running(self, ordinal: int) -> None:
         """Flag one ligand as in flight."""
@@ -758,7 +756,6 @@ class ColumnarStore:
             key = self._log_key_for(ordinal)
             if self._apply_running(ordinal):
                 self._append(key, _pack_frame(_K_RUNNING, _RUNNING.pack(ordinal)))
-                obs.counter("campaign.store.appends").inc()
 
     def record_result(
         self,
@@ -782,7 +779,6 @@ class ColumnarStore:
             self._apply_result(ordinal, str(title), *values)
             payload = _RESULT.pack(ordinal, *values) + _pack_str(str(title))
             self._append(key, _pack_frame(_K_RESULT, payload))
-            obs.counter("campaign.store.appends").inc()
 
     def record_failure(
         self, ordinal: int, title: str, error: str, attempts: int
@@ -798,7 +794,6 @@ class ColumnarStore:
                 + _pack_str(str(error))
             )
             self._append(key, _pack_frame(_K_FAILURE, payload))
-            obs.counter("campaign.store.appends").inc()
 
     def done_ordinals(self, start: int, stop: int) -> set[int]:
         """Ordinals already completed in ``[start, stop)`` — never redone."""

@@ -1,12 +1,13 @@
-"""The one writer of a campaign's store and journal.
+"""The one writer of a campaign's store.
 
 Whoever docks — the runner's own loop or a fleet node behind a socket — a
 ligand's row, its shard's boundaries and the campaign's end are made durable
-here, in the order resume relies on: journal ``shard_start`` before the
-store's shard row, every ligand row before ``finish_shard``, the store's
-shard row before the journal's ``shard_finish``. The shard-boundary
-telemetry rides on the same call, so a shard is reported however it ended:
-docked here, reported by a node, or found complete on a resume.
+here, in the order resume relies on: the store's shard row before its
+ligand rows, every ligand row before ``finish_shard``, every shard finished
+before ``mark_complete``. The store is the one durable log; the
+shard-boundary telemetry (the ``shard.finish`` flight event) rides on the
+same call, so a shard is reported however it ended: docked here, reported
+by a node, or found complete on a resume.
 """
 
 from __future__ import annotations
@@ -43,22 +44,19 @@ class CampaignCommitter:
     """Commit rows, shard boundaries and the campaign's end.
 
     Takes no lock: the runner calls it from its main thread, the coordinator
-    with its own lock held. ``journal`` is ``None`` for an in-memory
-    campaign, ``total`` the library size when the source knows it. A shard
-    is anything with ``shard_id`` / ``start`` / ``stop`` / ``size``; ``tags``
-    (a fleet's ``node=``) land on the journal records and the flight event.
+    with its own lock held. ``total`` is the library size when the source
+    knows it. A shard is anything with ``shard_id`` / ``start`` / ``stop``;
+    ``tags`` (a fleet's ``node=``) land on the flight event.
     """
 
     def __init__(
         self,
         store,
-        journal,
         *,
         total: int | None = None,
         progress: Callable[[CampaignProgress], None] | None = None,
     ) -> None:
         self.store = store
-        self.journal = journal
         self._total = total
         self._progress = progress
         self._session_start = time.perf_counter()
@@ -66,12 +64,10 @@ class CampaignCommitter:
         self._shard_t0: dict[int, float] = {}
         self._disk_gauge_t = float("-inf")
 
-    def begin_shard(self, shard, titles: list[tuple[int, str]], **tags) -> set[int]:
+    def begin_shard(self, shard, titles: list[tuple[int, str]]) -> set[int]:
         """Open (or re-open) a shard; returns its ordinals already done."""
         # A shard leased twice (its first node died) is timed from the first.
         self._shard_t0.setdefault(shard.shard_id, time.perf_counter())
-        if self.journal is not None:
-            self.journal.shard_start(shard.shard_id, shard.start, shard.stop, **tags)
         self.store.start_shard(shard.shard_id, shard.start, shard.stop)
         self.store.register_ligands(titles)
         return self.store.done_ordinals(shard.start, shard.stop)
@@ -99,12 +95,7 @@ class CampaignCommitter:
     def end_shard(self, shard, **tags) -> None:
         """Every ligand of the shard has its row: settle and report it."""
         wall_s = time.perf_counter() - self._shard_t0.pop(shard.shard_id)
-        n_done = len(self.store.done_ordinals(shard.start, shard.stop))
         self.store.finish_shard(shard.shard_id, wall_s)
-        if self.journal is not None:
-            self.journal.shard_finish(
-                shard.shard_id, n_done, shard.size - n_done, **tags
-            )
         obs.counter("campaign.shards.done").inc()
         obs.histogram("campaign.shard.seconds").observe(wall_s)
         flight_event(
@@ -120,8 +111,6 @@ class CampaignCommitter:
     def end_campaign(self, n_ligands: int) -> None:
         """The whole library streamed through and every shard is settled."""
         self.store.mark_complete(n_ligands)
-        if self.journal is not None:
-            self.journal.campaign_finish(n_ligands)
 
     def _update_disk_gauge(self) -> None:
         """``store.disk.bytes``: lands in every sampler record and on

@@ -433,7 +433,7 @@ class Shard:
 
     ``shard_id`` is derived from the ordinals (``start // shard size``), so
     the shard plan is a pure function of the library order and shard size —
-    the property journal replay and resume rely on.
+    the property resume relies on.
     """
 
     shard_id: int

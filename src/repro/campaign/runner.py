@@ -7,8 +7,9 @@ does it (what a fleet node runs too), and a
 :class:`~repro.campaign.commit.CampaignCommitter` makes it durable: every
 completed ligand is committed before the next one starts, and
 :meth:`resume` continues exactly where a crash, SIGKILL, or Ctrl-C left off.
-The store alone decides which shards are finished; the journal beside it is
-a record of shard and campaign events that ``repro-vs doctor`` reads.
+The store is the one durable log: it alone decides which shards are
+finished, and the flight dumps beside it are the record of what happened
+when that ``repro-vs doctor`` reads.
 
 Determinism: ligand ``ordinal`` is always docked with seed ``seed +
 ordinal`` (the same rule ``screen()`` has always used), so an interrupted
@@ -63,7 +64,6 @@ from repro.vs.docking import dock
 
 from repro.campaign.backends import STORE_BACKENDS, create_store, open_store
 from repro.campaign.commit import CampaignCommitter, CampaignProgress
-from repro.campaign.journal import CampaignJournal
 
 # ``iter_shards`` is not called here: the perf harness's traced pass wraps it
 # under this module's name as well as under the library's.
@@ -320,7 +320,7 @@ class CampaignRunner:
 
     Parameters mirror :func:`repro.vs.screening.screen` plus the durability
     knobs. ``store_path=":memory:"`` gives the one-shot in-memory campaign
-    ``screen()`` itself is built on (no journal, failures raise).
+    ``screen()`` itself is built on (failures raise).
     """
 
     def __init__(
@@ -330,9 +330,6 @@ class CampaignRunner:
         *,
         store_path: str | Path,
         store_backend: str = "sqlite",
-        journal_path: str | Path | None = None,
-        journal_batch_records: int = 1,
-        journal_batch_seconds: float = 0.0,
         n_spots: int = 16,
         metaheuristic: str | MetaheuristicSpec = "M2",
         scoring: ScoringFunction | None = None,
@@ -391,17 +388,6 @@ class CampaignRunner:
         self.source = source
         self.store_path = str(store_path)
         self.store_backend = store_backend
-        if journal_path is None and self.store_path != ":memory:":
-            journal_path = self.store_path + ".journal"
-        self.journal = (
-            CampaignJournal(
-                journal_path,
-                batch_records=journal_batch_records,
-                batch_seconds=journal_batch_seconds,
-            )
-            if journal_path
-            else None
-        )
         self.shard_size = shard_size
         #: Ligands docked concurrently through the shared pool (needs
         #: ``host_workers > 0``): the number of live leases, one more than
@@ -451,17 +437,15 @@ class CampaignRunner:
                 self.config_hash,
                 backend=self.store_backend,
             )
-            if self.journal is not None:
-                self.journal.campaign_start(self.config_hash)
             return self._execute(store, finished=set())
 
     def resume(self) -> CampaignStore:
         """Continue an interrupted campaign from its store.
 
-        Verifies the config hash (the store's, and the journal's when one is
-        kept), re-queues every shard the store has not finished, and docks
-        only ligands without a committed result. Resuming a completed
-        campaign is a no-op.
+        Verifies the store's config hash, re-queues every shard the store
+        has not finished, and docks only ligands without a committed result.
+        Resuming a completed campaign is a no-op. A ``<store>.journal`` an
+        older build left beside the store is not opened.
         """
         reset_flight()  # this campaign's events only, as in run()
         with obs.span("campaign.resume", config=self.config_hash[:12]) as span_tags:
@@ -481,31 +465,16 @@ class CampaignRunner:
                         "seed, spots, metaheuristic, scoring, workload scale "
                         "and shard size must all match the original run."
                     )
-                state = (
-                    self.journal.replay() if self.journal is not None else None
-                )
-                if state is not None and state.config_hash not in (
-                    None,
-                    self.config_hash,
-                ):
-                    raise CampaignError(
-                        f"journal {self.journal.path} belongs to config hash "
-                        f"{state.config_hash[:12]}…, not {self.config_hash[:12]}…"
-                    )
                 if store.is_complete():
                     # Nothing to do; ranking is already final. Still a
                     # telemetry event — resume no-ops must stay observable.
                     span_tags["noop"] = True
                     obs.counter("campaign.resumes.noop").inc()
                     return store
-                # A shard is settled iff the store says so: the store is
-                # authoritative, and an OS crash can roll back its last
-                # commits after the journal fsynced shard_finish. A shard
-                # whose rows all survived re-runs as a no-op (begin_shard
-                # returns every ordinal as done).
+                # A shard is settled iff the store says so. A shard whose
+                # rows all survived re-runs as a no-op (begin_shard returns
+                # every ordinal as done).
                 finished = store.finished_shards()
-                if self.journal is not None:
-                    self.journal.campaign_resume(self.config_hash)
             except Exception:
                 store.close()
                 raise
@@ -530,7 +499,7 @@ class CampaignRunner:
             return self.fleet.execute(store, finished)
         spots = find_spots(self.receptor, self.settings.n_spots)
         committer = CampaignCommitter(
-            store, self.journal, total=self.source.count(), progress=self._progress
+            store, total=self.source.count(), progress=self._progress
         )
         n_streamed = 0
         try:
@@ -567,11 +536,6 @@ class CampaignRunner:
                 store.close()
                 raise
         finally:
-            if self.journal is not None:
-                # Group-commit stragglers: a batched journal must not lose
-                # markers to a clean exit or a raised exception (SIGKILL is
-                # the one case this can't cover, and resume tolerates it).
-                self.journal.flush()
             runtime, self._runtime = self._runtime, None
             if runtime is not None:
                 runtime.close()
@@ -617,7 +581,7 @@ class CampaignRunner:
         host-side gaps (at depth 1 a single lease is in flight and docks
         run strictly in ordinal order). The main thread does everything
         stateful — leases (the first one forks the pool), ``mark_running``,
-        and ordinal-ordered commits — so journal/store/resume semantics are
+        and ordinal-ordered commits — so store/resume semantics are
         byte-for-byte the serial loop's. Per-ligand seeds and launch
         sequences are untouched; only inter-ligand interleaving differs.
         """

@@ -94,17 +94,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonnegative_float(text: str) -> float:
-    """argparse type: a float >= 0, rejected with a clear message otherwise."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _port(text: str) -> int:
     """argparse type: a TCP port (0 = pick an ephemeral one)."""
     try:
@@ -246,26 +235,6 @@ def _add_campaign_definition_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_journal_args(sub: argparse.ArgumentParser) -> None:
-    """Journal group-commit flags for every command that writes a campaign."""
-    sub.add_argument(
-        "--journal-batch",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="group-commit the shard journal every N records instead of "
-        "fsyncing each one (default 1 = every record)",
-    )
-    sub.add_argument(
-        "--journal-batch-seconds",
-        type=_nonnegative_float,
-        default=0.0,
-        metavar="S",
-        help="flush a partially filled journal batch after S seconds "
-        "(default 0 = only on --journal-batch boundaries)",
-    )
-
-
 @contextlib.contextmanager
 def _maybe_sampler(args: argparse.Namespace):
     """Run a live sampler around a command when ``--live-metrics`` was given."""
@@ -341,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     crun = csub.add_parser("run", help="start a new campaign")
     _add_campaign_definition_args(crun)
-    _add_journal_args(crun)
     _add_host_runtime_args(crun)
     _add_cluster_args(crun)
     _add_metrics_args(crun)
@@ -354,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     cres.add_argument("--max-attempts", type=_positive_int, default=3)
     # Execution knobs may change between run and resume — scores cannot.
     _add_host_runtime_args(cres)
-    _add_journal_args(cres)
     _add_cluster_args(cres)
     _add_metrics_args(cres)
     _add_campaign_observability_args(cres)
@@ -409,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an interrupted campaign from its store (library/"
         "receptor flags are ignored; the store's descriptors win)",
     )
-    _add_journal_args(ccoord)
     _add_host_runtime_args(ccoord)
     _add_cluster_args(ccoord, nodes_flag=False)
     _add_metrics_args(ccoord)
@@ -484,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     doc = sub.add_parser(
         "doctor",
-        help="post-mortem a campaign: fuse its journal, flight dumps, "
+        help="post-mortem a campaign: fuse its store, flight dumps, "
         "metrics snapshot, and series file into a slow/stuck diagnosis",
     )
     doc.add_argument("--store", required=True, help="campaign store path")
@@ -767,8 +733,6 @@ def _execution_kwargs(
     """CampaignRunner arguments that may differ between run and resume."""
     return {
         "store_path": args.store,
-        "journal_batch_records": args.journal_batch,
-        "journal_batch_seconds": args.journal_batch_seconds,
         "host_workers": args.host_workers,
         "parallel_mode": args.parallel_mode,
         "pipeline_depth": args.pipeline_depth,

@@ -1,12 +1,11 @@
 """Campaign coordinator: lease shards to worker nodes, survive their deaths.
 
 The coordinator is the durability boundary of a distributed campaign. It is
-the *only* process that touches the store and journal, and it does so through
-the single-node runner's own
-:class:`~repro.campaign.commit.CampaignCommitter` (called with the
-coordinator's lock held): workers report every docked ligand over the wire,
-the row is cast and checked off the frame and committed before the lease is
-considered to shrink, a shard is begun when it is first leased and ended when
+the *only* process that touches the store, and it does so through the
+single-node runner's own :class:`~repro.campaign.commit.CampaignCommitter`
+(called with the coordinator's lock held): workers report every docked
+ligand over the wire, the row is cast and checked off the frame and
+committed before the lease is considered to shrink, a shard is begun when it is first leased and ended when
 its last ordinal lands — so the crash-safety story is the runner's: anything
 committed is durable, anything else re-runs, and determinism (seed = campaign
 seed + ordinal) makes the re-run bitwise identical. A failed ligand is
@@ -477,9 +476,7 @@ class Coordinator:
     ) -> bool:
         """Lease one shard to a node; returns False if it was already done."""
         task = self._tasks[shard_id]
-        already = self._committer.begin_shard(
-            task, [(o, t) for o, t, _ in task.items], node=node.node_id
-        )
+        already = self._committer.begin_shard(task, [(o, t) for o, t, _ in task.items])
         pending = [item for item in task.items if item[0] not in already]
         if not pending:
             # Every ordinal is already committed (resume, or a dead node

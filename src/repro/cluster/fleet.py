@@ -22,8 +22,8 @@ Execution shape, in order:
    telemetry and dials back in.
 3. **Serve** — the :class:`~repro.cluster.coordinator.Coordinator` runs the
    warm-up barrier, Eq. 1 partition, leasing/stealing, and death recovery.
-4. **Finalise** — on full completion, ``mark_complete`` + journal finish,
-   exactly as the single-node path; on fatal fleet errors the store is
+4. **Finalise** — on full completion, ``mark_complete``, exactly as the
+   single-node path; on fatal fleet errors the store is
    closed and the error propagates (the store remains resumable).
 
 ``spawn=False`` runs the coordinator without local workers: ``repro-vs
@@ -176,7 +176,6 @@ class ClusterCampaign:
                 tasks, n_streamed = self._plan(finished)
                 committer = CampaignCommitter(
                     store,
-                    runner.journal,
                     total=runner.source.count(),
                     progress=self._progress_with_nodes(),
                 )

@@ -1,15 +1,19 @@
 """``repro-vs doctor``: post-mortem fusion of a campaign's telemetry trail.
 
-A finished (or crashed, or mysteriously slow) campaign leaves four artifact
-families next to its store:
+A finished (or crashed, or mysteriously slow) campaign leaves its store
+and three artifact families next to it:
 
-* the shard **journal** (``<store>.journal``) — intent, with wall-clock
-  stamps and node attribution;
+* the **store** itself — the one durable log: which shards finished, how
+  many ligands are done, failed or pending, and whether the campaign
+  completed;
 * the **flight dumps** (``<store>.flight.d/*.flight``) — each process's
-  black-box ring of structured events (leases, steals, heartbeats, node
-  deaths, fsync stalls, compactions, rebinds);
+  black-box ring of structured events (lease grants with their shard and
+  node, steals, heartbeats, node deaths, shard finishes with their wall
+  time, compactions, rebinds);
 * the end-of-run **metrics snapshot** (``<store>.metrics.json``);
 * optionally a live **series** file written by the sampler.
+
+A ``<store>.journal`` an older build left beside the store is not read.
 
 Each source alone answers one question; fused they answer the one operators
 actually ask: *why was this campaign slow or stuck?* The doctor reads all
@@ -45,8 +49,6 @@ _SLOW_SHARD_FACTOR = 3.0
 _STEAL_STORM_RATIO = 0.5
 #: Worker share drift vs the Eq. 1 weight that is worth flagging.
 _SHARE_DRIFT_WARN = 0.15
-#: Mean journal fsync above this (seconds) indicates a struggling disk.
-_FSYNC_MEAN_WARN = 0.05
 
 
 @dataclass
@@ -113,31 +115,6 @@ class DoctorReport:
 # ----------------------------------------------------------------------
 # artifact readers (each tolerates the artifact being absent or torn)
 # ----------------------------------------------------------------------
-def _read_journal(path: Path) -> list[dict]:
-    """Raw journal records; one torn tail line dropped, else raise."""
-    if not path.exists():
-        return []
-    lines = [
-        line
-        for line in path.read_text(encoding="utf-8").split("\n")
-        if line.strip()
-    ]
-    records: list[dict] = []
-    for index, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("not an object")
-        except ValueError as exc:
-            if index == len(lines) - 1:
-                break  # the expected crash artifact
-            raise ObservabilityError(
-                f"corrupt journal record at {path}:{index + 1}"
-            ) from exc
-        records.append(record)
-    return records
-
-
 def _read_metrics(path: Path) -> dict | None:
     if not path.exists():
         return None
@@ -148,7 +125,8 @@ def _read_metrics(path: Path) -> dict | None:
     return doc if isinstance(doc, dict) else None
 
 
-def _store_counts(store_path: str) -> dict | None:
+def _read_store(store_path: str) -> dict | None:
+    """The store's ligand counts, finished shards and completion, or None."""
     from repro.campaign.backends import open_store  # lazy: import cycle
 
     try:
@@ -156,7 +134,11 @@ def _store_counts(store_path: str) -> dict | None:
     except Exception:
         return None
     try:
-        return store.counts()
+        return {
+            "counts": store.counts(),
+            "finished": store.finished_shards(),
+            "complete": store.is_complete(),
+        }
     finally:
         store.close()
 
@@ -184,47 +166,34 @@ def _clock(wall: object) -> str:
         return "?"
 
 
-def _hist_stats(metrics: dict | None, name: str) -> tuple[float, float] | None:
-    """(mean, count) of one histogram summed across tag sets, or None."""
-    if not metrics:
-        return None
-    total_sum = total_count = 0.0
-    for hist in metrics.get("histograms", ()):
-        if hist.get("name") == name:
-            total_sum += float(hist.get("sum", 0.0))
-            total_count += float(hist.get("count", 0.0))
-    if total_count <= 0:
-        return None
-    return total_sum / total_count, total_count
-
-
 # ----------------------------------------------------------------------
 # analyses
 # ----------------------------------------------------------------------
+def _incomplete(store: dict | None) -> bool:
+    """A readable store that was never marked complete."""
+    return store is not None and not store["complete"]
+
+
 def _analyze_summary(
     store_path: str,
-    journal: list[dict],
+    store: dict | None,
     dumps: list[dict],
-    counts: dict | None,
     metrics: dict | None,
 ) -> Section:
     section = Section("summary")
-    started = {r["shard"] for r in journal if r.get("record") == "shard_start"}
-    finished = {r["shard"] for r in journal if r.get("record") == "shard_finish"}
-    campaign_done = any(r.get("record") == "campaign_finish" for r in journal)
-    if counts:
+    if store is not None:
+        counts = store["counts"]
         section.lines.append(
             f"store: {counts.get('done', 0)} done, "
             f"{counts.get('failed', 0)} failed, "
             f"{counts.get('pending', 0)} pending"
         )
-    if journal:
         section.lines.append(
-            f"journal: {len(started)} shards started, {len(finished)} finished, "
-            f"campaign_finish={'yes' if campaign_done else 'NO'}"
+            f"store: {len(store['finished'])} shard(s) finished, "
+            f"complete={'yes' if store['complete'] else 'NO'}"
         )
     else:
-        section.lines.append("journal: absent or empty")
+        section.lines.append("store: absent or unreadable")
     readable = [d for d in dumps if "events" in d]
     broken = [d for d in dumps if "error" in d]
     torn = [d for d in readable if d.get("torn")]
@@ -242,26 +211,25 @@ def _analyze_summary(
         )
     if metrics is None:
         section.lines.append(f"metrics snapshot: {store_path}.metrics.json absent")
-    if not campaign_done and journal:
-        unfinished = sorted(started - finished)
+    if _incomplete(store):
         section.verdict = "warn"
         section.headline = (
-            "campaign did not record campaign_finish — "
-            f"{len(unfinished)} shard(s) left unfinished"
+            "the store is not marked complete — "
+            f"{store['counts'].get('pending', 0)} ligand(s) of started shards "
+            "still pending"
         )
     else:
         section.headline = "campaign artifacts present and consistent"
     return section
 
 
-def _analyze_dead_nodes(journal: list[dict], dumps: list[dict]) -> Section:
+def _analyze_dead_nodes(dumps: list[dict]) -> Section:
     section = Section("dead nodes")
     deaths = _flight_events(dumps, "node.dead")
     if not deaths:
         section.headline = "no node deaths recorded"
         return section
     section.verdict = "bad"
-    # Per-node journal attribution: last shard each dead node touched.
     for _, event in deaths:
         node = event.get("node")
         reclaimed = event.get("reclaimed") or []
@@ -282,16 +250,17 @@ def _analyze_dead_nodes(journal: list[dict], dumps: list[dict]) -> Section:
                 f"{_clock(beats[-1].get('wall'))} UTC "
                 f"(done={beats[-1].get('done')}, failed={beats[-1].get('failed')})"
             )
-        node_shards = [
-            r
-            for r in journal
-            if r.get("node") == node and r.get("record") == "shard_start"
+        # The coordinator's lease grants: the last shard this node was given.
+        grants = [
+            e
+            for _, e in _flight_events(dumps, "lease.grant")
+            if e.get("node") == node
         ]
-        if node_shards:
-            last = node_shards[-1]
+        if grants:
+            last = grants[-1]
             section.lines.append(
-                f"node {node}: journal shows {len(node_shards)} shard start(s); "
-                f"last was shard {last.get('shard')} at {_clock(last.get('t'))} UTC"
+                f"node {node}: {len(grants)} lease grant(s); last was "
+                f"shard {last.get('shard')} at {_clock(last.get('wall'))} UTC"
             )
     if len(deaths) > 1:
         names = sorted({e.get("node") for _, e in deaths})
@@ -376,35 +345,7 @@ def _analyze_share_drift(
     return section
 
 
-def _analyze_fsync(metrics: dict | None, dumps: list[dict]) -> Section:
-    section = Section("journal fsync")
-    stats = _hist_stats(metrics, "campaign.journal.fsync_seconds")
-    stalls = _flight_events(dumps, "journal.stall")
-    if stats is None and not stalls:
-        section.headline = "no fsync data recorded"
-        return section
-    if stats is not None:
-        mean, count = stats
-        section.lines.append(
-            f"{count:.0f} fsync(s), mean {mean * 1e3:.2f} ms"
-        )
-    for _, event in stalls:
-        section.lines.append(
-            f"stall: {event.get('seconds', 0.0):.3f}s flushing "
-            f"{event.get('records')} record(s) at {_clock(event.get('wall'))} UTC"
-        )
-    if stalls or (stats is not None and stats[0] >= _FSYNC_MEAN_WARN):
-        section.verdict = "warn"
-        section.headline = (
-            f"{len(stalls)} fsync stall(s) recorded — journal durability is "
-            "contending with the store; consider --journal-batch"
-        )
-    else:
-        section.headline = "fsync latency healthy"
-    return section
-
-
-def _analyze_slow_shards(journal: list[dict], dumps: list[dict]) -> Section:
+def _analyze_slow_shards(dumps: list[dict]) -> Section:
     section = Section("slow shards")
     finishes = [
         event
@@ -416,10 +357,9 @@ def _analyze_slow_shards(journal: list[dict], dumps: list[dict]) -> Section:
         return section
     walls = sorted(float(e["wall"]) for e in finishes)
     median = walls[len(walls) // 2]
+    # The last grant of a shard names the node that finished it.
     node_of = {
-        r.get("shard"): r.get("node")
-        for r in journal
-        if r.get("record") == "shard_start" and r.get("node") is not None
+        e.get("shard"): e.get("node") for _, e in _flight_events(dumps, "lease.grant")
     }
     slow = [
         e
@@ -450,35 +390,32 @@ def _analyze_slow_shards(journal: list[dict], dumps: list[dict]) -> Section:
 
 
 def _analyze_verdict(
-    sections: list[Section], journal: list[dict], dumps: list[dict]
+    sections: list[Section], store: dict | None, dumps: list[dict]
 ) -> Section:
     """The 'why is this campaign slow/stuck' synthesis."""
     section = Section("diagnosis")
     by_title = {s.title: s for s in sections}
-    campaign_done = any(r.get("record") == "campaign_finish" for r in journal)
     deaths = _flight_events(dumps, "node.dead")
     causes: list[str] = []
     if deaths:
         names = sorted({e.get("node") for _, e in deaths})
-        recovered = campaign_done
         causes.append(
             f"node(s) {names} died mid-campaign; work was "
-            + ("reclaimed and the campaign completed" if recovered
+            + ("reclaimed and the campaign completed"
+               if store is not None and store["complete"]
                else "reclaimed but the campaign never finished")
         )
     if by_title.get("work stealing", Section("")).verdict == "warn":
         causes.append("steal storm: initial node shares mismatched real speeds")
-    if by_title.get("journal fsync", Section("")).verdict == "warn":
-        causes.append("journal fsync stalls added per-shard latency")
     if by_title.get("slow shards", Section("")).verdict == "warn":
         causes.append("a minority of shards dominated wall time")
     if by_title.get("Eq. 1 share drift", Section("")).verdict == "warn":
         causes.append("device shares drifted from the Eq. 1 plan")
-    if not campaign_done and journal:
+    if _incomplete(store):
         if not deaths:
             causes.append(
-                "campaign stopped without campaign_finish and no node death "
-                "was recorded — the coordinator itself likely died"
+                "the store is not marked complete and no node death was "
+                "recorded — the coordinator itself likely died"
             )
         section.verdict = "bad"
         section.headline = "campaign is INCOMPLETE"
@@ -503,31 +440,29 @@ def diagnose_campaign(
     """Fuse every artifact around ``store_path`` into a :class:`DoctorReport`.
 
     Raises :class:`ObservabilityError` only when there is *nothing* to
-    analyze (no journal, no flight dumps, no metrics snapshot, no store);
-    individual missing or torn artifacts merely narrow the report.
+    analyze (no store, no flight dumps, no metrics snapshot); individual
+    missing or torn artifacts merely narrow the report.
     """
     store_path = str(store_path)
-    journal = _read_journal(Path(store_path + ".journal"))
     dumps = read_flight_dir(flight_dir(store_path))
     metrics = _read_metrics(Path(store_path + ".metrics.json"))
     series: list[dict] = []
     if series_path is not None:
         series = read_series(series_path)
-    counts = _store_counts(store_path)
-    if not journal and not dumps and metrics is None and counts is None:
+    store = _read_store(store_path)
+    if store is None and not dumps and metrics is None:
         raise ObservabilityError(
-            f"nothing to diagnose at {store_path}: no journal, flight dumps, "
-            "metrics snapshot, or readable store found"
+            f"nothing to diagnose at {store_path}: no readable store, flight "
+            "dumps, or metrics snapshot found"
         )
     sections = [
-        _analyze_summary(store_path, journal, dumps, counts, metrics),
-        _analyze_dead_nodes(journal, dumps),
+        _analyze_summary(store_path, store, dumps, metrics),
+        _analyze_dead_nodes(dumps),
         _analyze_steals(dumps),
         _analyze_share_drift(metrics, series),
-        _analyze_fsync(metrics, dumps),
-        _analyze_slow_shards(journal, dumps),
+        _analyze_slow_shards(dumps),
     ]
-    sections.append(_analyze_verdict(sections, journal, dumps))
+    sections.append(_analyze_verdict(sections, store, dumps))
     return DoctorReport(
         store_path=store_path,
         generated_wall=time.time(),

@@ -95,9 +95,6 @@ _HELP: dict[str, str] = {
     "host.worker.poses": "Poses scored per worker session",
     "campaign.ligands.done": "Ligands completed by the campaign runner",
     "campaign.ligands.failed": "Ligands that exhausted their dock retries",
-    "campaign.journal.appends": "Records appended to the campaign journal",
-    "campaign.journal.flushes": "Journal group commits (write + fsync)",
-    "campaign.journal.fsync_seconds": "Journal fsync latency",
     "campaign.shard.seconds": "Wall seconds per campaign shard",
     "store.disk.bytes": "On-disk footprint of the campaign store",
     "cluster.wire.seconds": "Result wire time from worker send to "

@@ -2,7 +2,7 @@
 
 A snapshot document's span list is a tree of timed regions — campaign
 shards, docks, host launches, the per-worker task batches merged back from
-worker processes, journal fsyncs. This module converts it to the Trace
+worker processes. This module converts it to the Trace
 Event Format that ``chrome://tracing`` and https://ui.perfetto.dev render
 as a timeline, which turns "worker 3 is slow" from a histogram guess into
 a visible gap.
@@ -22,13 +22,10 @@ Worker spans come from other processes, but both sides time with
 on Linux, so timestamps are directly comparable; the exporter rebases
 everything so the earliest span starts at t=0.
 
-Beyond the one complete ("X") event per span, two instant ("i") event
-families make scheduling pathologies pop visually:
-
-* a ``steal`` instant at the end of every launch span whose late-annotated
-  ``steals`` tag is non-zero (dynamic mode's work-stealing in action);
-* journal fsyncs are ordinary spans (``campaign.journal.fsync``) and need
-  no special casing — they show up as short blocks on the main lane.
+Beyond the one complete ("X") event per span, a ``steal`` instant ("i")
+event at the end of every launch span whose late-annotated ``steals`` tag
+is non-zero (dynamic mode's work-stealing in action) makes scheduling
+pathologies pop visually.
 
 Cross-node ligand lifecycle: a distributed campaign's merged snapshot holds
 each ligand's dock span on its node's lane (``cluster.ligand.dock``, tagged
@@ -36,8 +33,8 @@ with the ordinal, its lease wait, and the campaign trace id) and the
 coordinator's commit span on the main lane (``cluster.ligand.commit``, same
 ordinal, tagged with the measured wire time). The exporter pairs them by
 ordinal into Chrome flow events (``s``/``f``) so Perfetto draws an arrow
-from the dock's end to the commit's start — lease wait, dock, wire, store
-commit, and journal fsync read as one end-to-end story per ligand.
+from the dock's end to the commit's start — lease wait, dock, wire and
+store commit read as one end-to-end story per ligand.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 Unlike the exception-injection tests in ``test_runner.py``, these kill an
 actual campaign *process* with ``SIGKILL`` — no finally blocks, no flushes,
-no close — across the worker-count × pipeline-depth matrix, with a batched
-journal so group-commit loss is part of the crash surface. The bar: resume
+no close — across the worker-count × pipeline-depth matrix. The bar: resume
 docks only the missing ligands, the final store is complete, and its
 science digest is bitwise identical to a serial SQLite run of the same
 campaign — and to a 2-node fleet run.
@@ -50,7 +49,6 @@ CampaignRunner(
     SyntheticSource({n_ligands}, atoms_range=(8, 12), seed=52),
     store_path=store,
     store_backend="columnar",
-    journal_batch_records=3,
     n_spots=2,
     metaheuristic="M1",
     seed={seed},

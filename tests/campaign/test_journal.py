@@ -1,4 +1,5 @@
-"""Write-ahead journal: durability records and truncated-tail recovery."""
+"""The JSONL journal the perf ledger still writes: durable records and
+truncated-tail recovery."""
 
 import json
 
@@ -82,7 +83,7 @@ def test_valid_json_non_record_line_raises_midfile(journal):
 
 def test_config_hash_change_midfile_raises(journal):
     journal.campaign_start("aaa")
-    journal.campaign_resume("bbb")
+    journal.campaign_start("bbb")
     with pytest.raises(CampaignError, match="config hash changed"):
         journal.replay()
 
@@ -90,7 +91,8 @@ def test_config_hash_change_midfile_raises(journal):
 def test_resume_marker_with_same_hash_ok(journal):
     journal.campaign_start("aaa")
     journal.shard_start(0, 0, 2)
-    journal.campaign_resume("aaa")
+    # A resume marker older builds wrote: an unknown kind now, ignored.
+    journal.append({"record": "campaign_resume", "config_hash": "aaa"})
     state = journal.replay()
     assert state.config_hash == "aaa"
     assert state.unfinished() == {0}

@@ -8,10 +8,13 @@ final ranking is bitwise identical to an uninterrupted run — including under
 the real process-parallel host runtime (1 and 4 workers).
 """
 
+import base64
 import hashlib
+import io
 import json
 import math
 import os
+import zipfile
 
 import pytest
 
@@ -292,18 +295,27 @@ def test_kill_then_resume_without_journal_uses_store(receptor, tmp_path, monkeyp
     runner = make_runner(receptor, tmp_path)
     with pytest.raises(KeyboardInterrupt):
         runner.run()
-    # Journal lost (e.g. different filesystem) — the store alone suffices.
-    runner.journal.path.unlink()
+    # The store is the one durable log: nothing else is written beside it.
+    assert not (tmp_path / "c.sqlite.journal").exists()
     monkeypatch.setattr(runner_mod, "dock", DockSpy())
     with make_runner(receptor, tmp_path).resume() as store:
         assert store.counts()["done"] == N_LIGANDS
 
 
+def write_legacy_journal(path, records):
+    """A ``.journal`` sidecar as older builds wrote it: one JSON line each."""
+    path.write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+        encoding="utf-8",
+    )
+
+
 def test_resume_trusts_the_store_over_the_journal(receptor, tmp_path):
     # SQLite (WAL, synchronous=NORMAL) can roll back its last commits on an
-    # OS crash after the journal fsynced shard_finish. Roll back ligand 3's
-    # result, shard 1's finish mark and `completed` by hand, keep the
-    # journal: resume must re-open shard 1 and dock ligand 3 again.
+    # OS crash. Roll back ligand 3's result, shard 1's finish mark and
+    # `completed` by hand, and leave a journal an older build would have
+    # written claiming both shards and the campaign finished: resume must
+    # re-open shard 1, dock ligand 3 again and never touch the journal.
     import sqlite3
 
     def runner(name):
@@ -332,22 +344,96 @@ def test_resume_trusts_the_store_over_the_journal(receptor, tmp_path):
     db.execute("UPDATE meta SET value = '0' WHERE key = 'completed'")
     db.close()
     resumed = runner("rolled.sqlite")
-    assert resumed.journal.replay().finished == {0, 1}  # the journal disagrees
+    journal = tmp_path / "rolled.sqlite.journal"
+    write_legacy_journal(
+        journal,
+        [{"record": "campaign_start", "config_hash": resumed.config_hash}]
+        + [
+            {"record": kind, "shard": shard, "start": 2 * shard, "stop": 2 * shard + 2}
+            if kind == "shard_start"
+            else {"record": kind, "shard": shard, "done": 2, "failed": 0}
+            for shard in (0, 1)
+            for kind in ("shard_start", "shard_finish")
+        ]
+        + [{"record": "campaign_finish", "n_ligands": 4}],
+    )
+    claimed = journal.read_bytes()
     with resumed.resume() as store:
         assert store.is_complete()
         assert store.counts()["done"] == 4
         assert store.science_digest() == expected
+    assert journal.read_bytes() == claimed
 
 
-def test_journal_records_crash_boundary(receptor, tmp_path, monkeypatch):
+def test_store_records_crash_boundary(receptor, tmp_path, monkeypatch):
     monkeypatch.setattr(runner_mod, "dock", DockSpy(interrupt_before_call=4))
-    runner = make_runner(receptor, tmp_path)
     with pytest.raises(KeyboardInterrupt):
-        runner.run()
-    state = runner.journal.replay()
-    assert state.finished == {0}
-    assert state.unfinished() == {1}  # started, never finished
-    assert not state.campaign_finished
+        make_runner(receptor, tmp_path).run()
+    with open_store(tmp_path / "c.sqlite") as store:
+        assert store.finished_shards() == {0}
+        assert store.done_ordinals(2, 4) == {2}  # shard 1 started, not finished
+        assert not store.is_complete()
+
+
+#: What the build before the store became the one durable log left behind
+#: for ``make_runner(receptor, out, name="legacy.sqlite")`` interrupted
+#: before its fourth dock (shard 0 finished, ligand 2 committed): a zip of
+#: the SQLite store and the ``.journal`` sidecar that build wrote beside it.
+LEGACY_STORE_ZIP = (
+    "UEsDBBQAAAAIAAAAIVwQhws94gQAAABgAAANAAAAbGVnYWN5LnNxbGl0Ze2bzW8bRRTAZ9dOnLi4"
+    "01JZJrKqjNxDYimUXX/ENgilSWraUCcB44pWfJjx7theZb3r7K5bQhVEKWoPXDhw4MCFv4JrL+UA"
+    "SBw4VOIEAnEBISQuiBMz610nrlP1BGql95N2d2bem7cz760tvWfva6/WDI+Rtu30qEfy6ASSZXSO"
+    "EISQzI9pdEA0OEIk9GhkdFaTEvhvNHXsT4Rt/F3ik8QJ3gQAAAAAAAAA4H/gw9NTsdTcnPRR0qMt"
+    "k7ld6uju8Dy9Xq+uNqqksbpWq5LhGFmME47faRq6aJONrUb1QrVOXqlvbK7Wr5JL1atLQy2POh4J"
+    "CLW2thtk63KtFqrYffIoFeoN3EClUb3SGMnJ+epLq5drDbLQZ5ZuWJ2FeGhq/WJ1/RJZDOZubJHF"
+    "kc4SWXAGlhU0ddtiC9ns8FbXqWk2XabZFt8p33wtnn0/Gks9l5ZurhiWzt41jQ7lsqar2Q7j+w8H"
+    "pgJXbWydr14hE1q+8e2tUEAWW8z1huIlYjt8WdTMktcvVuvVcLsvBku79WYklkqnpTvYj09gIbhE"
+    "xyI0su7fLjBLyIR7J+LkGZ7JyGHG3HxEGP7DWPBrmxom00dROXBWaFGE5rCsb3sP7nIoZteoOaCe"
+    "YVvuUeKxeD9g2TV6A5N6TB97IIYy6nms1/dc8tBHd+QOJViI49jOhIvj2belWCqZlG7O+9HtMY+K"
+    "Qx6LqxgJgrrD9kLHT0RRbJWNByWeXZCnUy8kJeQ/ve6uyXP7Jh14tt9vCstNVZwj/KtgRnwfJERS"
+    "n/gS4d+PpxJf8QYAAAAAAAAAAADwOJGIRuaxZvf6JuMpq7IdiZ65meBpa9voNLvU7eqV5UIpX2QV"
+    "rVykpYqiFYpltaQqarFF2zlWrJRZrlRYpnpZWaatQktXKnquVdJoWyuV83n1Vl2Ozt05PbR4I2Ma"
+    "LYc6e5nnyY0M9eye23So1WG8/0Z5iai5t5ZIZofnmHwg4+5ZXpd5hpbhg1YzqFJwSZH3XcaEUm6f"
+    "t0Ue2mUDx3CFMp+5qYopPVsXhjOd/uBZboc5dodZzB64Q3si+RfWcqI3VLUGpsl7faPPTMNiTZ31"
+    "vW6g4jCN92zHX3q4RLtPdwcss39I7ntNyFolhaq5YjnfLlQKip6vKNxbSr7ULpYq5ZLSquh5qivt"
+    "FmsVc+12gbFlpaxUKqq6XMzl+ITMYaN+pUVY9ZjrkdFahCO0LuvR5jXmuIZtcRXVH7Qdw+ocbClw"
+    "l+oL/Rqca7zHgq25nig3tai2wwLP+/m+sH7ddnZMm3J1jfoLUM4qxf2npUgWj99YjYv8H99D+B7+"
+    "GX+P/4CPFgAAAAAAAAAAAAA8rtWgyLw0KgZFceSMdKgUFIlH5oK+fDKSnR0vACTwbZ7/ryH8Bb6P"
+    "1/AOOBMAAAAAAAAAAAAAjmJBPobSydiMFEOzqLZxQVGUnHiz4e7J9KkfufyZld1P2S/nEJqLcMW0"
+    "P2cmUMwHb0Pgr1H6YebRhHnFN5/94Fvimx/8s/j58I36xMEsaWKW6s8i3/x0d7go8vLmOwiJ3/8j"
+    "+D7Cf+Ff+QUAAAAAAAAAAAAAgCeH49GYJIUVCFl+KhqbnQ1zf96ZmQnLB6JkIOMfEP6NnwAAAAAA"
+    "AAAAAAAAeMLA0jSSpDSSo8GfDE6haTQjJWOy+CPAyu3UxyufIfQvUEsDBBQAAAAIAAAAIVxs+K0x"
+    "tQAAAH0BAAAVAAAAbGVnYWN5LnNxbGl0ZS5qb3VybmFsjY9LDoMwDET3nAJlXVWJE5Okl0EmH4jU"
+    "AgJ2iLsXUKsixKK78dh+Hs/MdW1MddnQ2LBHzrwtlJYYrDNI2nKn0AgtuMCKIgS0JoBWBXnDC6pU"
+    "5bn1UGlH0WkjpWC3nA3BdYPfaI5ePaW6LceJhmnrTasttAUAlBLvXIglmw8bY0OD/43v5erzTe/m"
+    "V3f9KuGKiBvRd234DERKz/CFnC/F1Kb189OpMxPwr5TikBJ+KdUVUS/ZG1BLAQIUAxQAAAAIAAAA"
+    "IVwQhws94gQAAABgAAANAAAAAAAAAAAAAACAAQAAAABsZWdhY3kuc3FsaXRlUEsBAhQDFAAAAAgA"
+    "AAAhXGz4rTG1AAAAfQEAABUAAAAAAAAAAAAAAIABDQUAAGxlZ2FjeS5zcWxpdGUuam91cm5hbFBL"
+    "BQYAAAAAAgACAH4AAAD1BQAAAAA="
+)
+
+
+@pytest.mark.parametrize("sidecar", ["as_written", "other_config_hash"])
+def test_a_store_with_an_older_builds_journal_resumes_to_the_serial_digest(
+    receptor, tmp_path, sidecar
+):
+    with zipfile.ZipFile(io.BytesIO(base64.b64decode(LEGACY_STORE_ZIP))) as archive:
+        archive.extractall(tmp_path)
+    journal = tmp_path / "legacy.sqlite.journal"
+    if sidecar == "other_config_hash":
+        # The build that wrote it refused such a store; the sidecar is not
+        # read any more, so the store's own hash decides alone.
+        text = journal.read_text(encoding="utf-8")
+        recorded = json.loads(text.splitlines()[0])["config_hash"]
+        journal.write_text(text.replace(recorded, "f" * 64), encoding="utf-8")
+    before = journal.read_bytes()
+    with make_runner(receptor, tmp_path, name="serial.sqlite").run() as store:
+        expected = store.science_digest()
+    with make_runner(receptor, tmp_path, name="legacy.sqlite").resume() as store:
+        assert store.is_complete()
+        assert store.counts()["done"] == N_LIGANDS
+        assert store.science_digest() == expected
+    assert journal.read_bytes() == before
 
 
 def test_poisoned_ligand_is_recorded_and_campaign_continues(

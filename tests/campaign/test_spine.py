@@ -1,12 +1,11 @@
 """The campaign spine from outside: one dock, one committer, one plan.
 
 The single-node runner and a 2-node local fleet run the same campaign; what
-they leave behind (journal, flight events, counters, science rows) may
-differ in who did the work, never in what a commit is.
+they leave behind (store shard rows, flight events, counters, science rows)
+may differ in who did the work, never in what a commit is.
 """
 
 import collections
-import json
 import time
 
 import pytest
@@ -42,16 +41,11 @@ def make_runner(store_path, *, n_ligands=6, shard_size=2, nodes=0, **overrides):
     )
 
 
-def journal_records(store_path) -> list[dict]:
-    with open(f"{store_path}.journal", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle]
-
-
-def shard_rows(store, record) -> tuple[int, int]:
-    """(done, failed) of one journalled shard, counted from the store."""
+def shard_rows(store, shard) -> tuple[int, int]:
+    """(done, failed) of one two-ligand shard, counted from the store."""
     rows = [
         row for row in store.iter_results()
-        if record["shard"] * 2 <= row["ordinal"] < record["shard"] * 2 + 2
+        if shard * 2 <= row["ordinal"] < shard * 2 + 2
     ]
     return (
         sum(row["status"] == "done" for row in rows),
@@ -64,13 +58,17 @@ def run_and_observe(path, nodes):
     reset_flight()
     with make_runner(path, nodes=nodes).run() as store:
         digest = store.science_digest()
-    records = journal_records(path)
+        shards = {
+            shard: shard_rows(store, shard) for shard in store.finished_shards()
+        }
+        complete = store.is_complete()
+    finishes = [e for e in flight_recorder().events() if e["kind"] == "shard.finish"]
     return {
         "digest": digest,
-        "journal": collections.Counter(r["record"] for r in records),
-        "journal_fields": {
-            r["record"]: sorted(set(r) - {"node"}) for r in records
-        },
+        "shards": shards,
+        "complete": complete,
+        "shard_finish": sorted(e["shard"] for e in finishes),
+        "shard_finish_fields": sorted({field for e in finishes for field in e} - {"node"}),
         "shard_events": collections.Counter(
             e["kind"] for e in flight_recorder().events() if e["kind"].startswith("shard.")
         ),
@@ -86,10 +84,12 @@ def run_and_observe(path, nodes):
 def test_single_node_and_fleet_leave_the_same_campaign_behind(tmp_path):
     alone = run_and_observe(tmp_path / "alone.sqlite", nodes=0)
     fleet = run_and_observe(tmp_path / "fleet.sqlite", nodes=2)
-    assert alone["journal"] == {
-        "campaign_start": 1, "shard_start": 3, "shard_finish": 3, "campaign_finish": 1,
-    }
+    assert alone["shards"] == {0: (2, 0), 1: (2, 0), 2: (2, 0)}
+    assert alone["complete"]
+    assert alone["shard_finish"] == [0, 1, 2]
     assert alone["shard_events"] == {"shard.finish": 3}
+    assert not (tmp_path / "alone.sqlite.journal").exists()
+    assert not (tmp_path / "fleet.sqlite.journal").exists()
     assert {"campaign.ligands.done", "campaign.shards.done"} <= alone["counters"]
     assert alone["gauges"] == {"store.disk.bytes"}
     assert fleet == alone
@@ -141,6 +141,8 @@ def test_the_disk_gauge_probe_is_throttled(tmp_path, nodes, monkeypatch):
 
 @NODES
 def test_shard_finish_records_carry_the_stores_own_counts(tmp_path, nodes, monkeypatch):
+    """Every shard is finished in the store with its own row counts, and
+    reported once by a ``shard.finish`` flight event."""
     real_dock = runner_mod.dock
 
     def poisoned(receptor, ligand, **kwargs):
@@ -150,11 +152,12 @@ def test_shard_finish_records_carry_the_stores_own_counts(tmp_path, nodes, monke
 
     monkeypatch.setattr(runner_mod, "dock", poisoned)
     path = tmp_path / "c.sqlite"
+    reset_flight()
     with make_runner(path, nodes=nodes).run() as store:
         assert store.counts()["failed"] == 1
+    finishes = [e for e in flight_recorder().events() if e["kind"] == "shard.finish"]
+    assert sorted(e["shard"] for e in finishes) == [0, 1, 2]
     with open_store(path) as store:
-        finishes = [r for r in journal_records(path) if r["record"] == "shard_finish"]
-        assert sorted(r["shard"] for r in finishes) == [0, 1, 2]
-        for record in finishes:
-            assert (record["done"], record["failed"]) == shard_rows(store, record)
-    assert {r["shard"]: r["failed"] for r in finishes} == {0: 0, 1: 1, 2: 0}
+        assert store.finished_shards() == {0, 1, 2}
+        rows = {shard: shard_rows(store, shard) for shard in (0, 1, 2)}
+    assert rows == {0: (2, 0), 1: (1, 1), 2: (2, 0)}

@@ -209,8 +209,7 @@ def test_journal_truncation_sweep(tmp_path):
     for cut in range(last_line_start, len(data)):
         path.write_bytes(data[:cut])
         state = CampaignJournal(path).replay()
-        # Pre-tear records always survive; the torn marker is dropped and
-        # shard 1 re-queues (its store rows make the re-run a no-op).
+        # Pre-tear records always survive; the torn marker is dropped.
         assert state.started.keys() == {0, 1}, f"cut at byte {cut}"
         assert 0 in state.finished
         if cut == last_line_start:
@@ -230,41 +229,9 @@ def test_journal_mid_file_corruption_raises(tmp_path):
         CampaignJournal(path).replay()
 
 
-def test_journal_group_commit_batches_fsyncs(tmp_path):
-    from repro import observability as obs
-
-    path = tmp_path / "batched.journal"
-    journal = CampaignJournal(path, batch_records=4)
-    flushes = obs.counter("campaign.journal.flushes").value
-    journal.shard_start(0, 0, 4)
-    journal.shard_finish(0, 4, 0)
-    journal.shard_start(1, 4, 8)
-    assert path.exists() is False or b"shard" not in path.read_bytes()
-    journal.shard_finish(1, 4, 0)  # 4th record: one group commit
-    assert obs.counter("campaign.journal.flushes").value == flushes + 1
-    state = CampaignJournal(path).replay()
-    assert state.finished == {0, 1}
-    # Lifecycle markers are urgent: they flush whatever is buffered.
-    journal.shard_start(2, 8, 12)
-    journal.campaign_finish(12)
-    assert CampaignJournal(path).replay().campaign_finished
-
-
-def test_journal_time_based_flush(tmp_path, monkeypatch):
-    import repro.campaign.journal as journal_mod
-
-    clock = {"now": 100.0}
-    monkeypatch.setattr(journal_mod.time, "monotonic", lambda: clock["now"])
-    path = tmp_path / "timed.journal"
-    journal = CampaignJournal(path, batch_records=100, batch_seconds=2.0)
-    journal.shard_start(0, 0, 4)
-    assert not path.exists()  # buffered: batch neither full nor old
-    clock["now"] += 3.0
-    journal.shard_start(1, 4, 8)  # arrives past the deadline → flush
-    assert CampaignJournal(path).replay().started.keys() == {0, 1}
-
-
 def test_journal_replay_flushes_own_buffer(tmp_path):
-    journal = CampaignJournal(tmp_path / "j", batch_records=50)
+    # Nothing is buffered: every append is on disk before it returns, so a
+    # same-process replay sees it.
+    journal = CampaignJournal(tmp_path / "j")
     journal.shard_start(0, 0, 4)
-    assert journal.replay().started == {0: (0, 4)}  # sees its own buffer
+    assert journal.replay().started == {0: (0, 4)}

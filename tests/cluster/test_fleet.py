@@ -171,7 +171,7 @@ def test_sigkilled_coordinator_resumes_bitwise(tmp_path, baseline_digest):
     with CampaignStore.open(path) as store:
         assert not store.is_complete()
         assert store.counts()["done"] < N_LIGANDS
-    # `campaign resume` path: same config, fresh fleet, journal replay.
+    # `campaign resume` path: same config, fresh fleet, the store's shards.
     runner = make_runner(
         path, nodes=2, cluster=ClusterConfig(heartbeat_interval_s=0.1)
     )
@@ -275,7 +275,7 @@ def test_a_stale_result_is_written_only_while_its_shard_is_open(tmp_path, finish
     from repro.observability.flight import flight_recorder, reset_flight
 
     store = create_store(tmp_path / "c.col", {"seed": 1}, "h", backend="columnar")
-    committer = CampaignCommitter(store, None)
+    committer = CampaignCommitter(store)
     task = ShardTask(0, 0, 2, items=((0, "L0", None), (1, "L1", None)))
     coordinator = Coordinator(
         None,

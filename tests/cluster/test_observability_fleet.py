@@ -141,6 +141,13 @@ def test_sigkilled_fleet_trace_flight_and_doctor(tmp_path):
     assert report.verdict in ("warn", "bad")
     dead_section = next(s for s in report.sections if s.title == "dead nodes")
     assert dead_section.verdict == "bad"
+    # The dead node's last shard comes from the coordinator's lease grants:
+    # no journal is written beside the store.
+    assert not (tmp_path / "c.sqlite.journal").exists()
+    assert any(
+        line.startswith(f"node {dead_node}: ") and "last was shard" in line
+        for line in dead_section.lines
+    ), dead_section.lines
     diagnosis = next(s for s in report.sections if s.title == "diagnosis")
     assert any("reclaimed and the campaign completed" in line
                for line in diagnosis.lines)

@@ -24,7 +24,6 @@ _NEXT_SLICE = {
     "campaign.retries",
     "campaign.run",
     "campaign.shards.skipped",
-    "campaign.store.appends",
     "cluster.fleet",
     "cluster.warmup.partial",
     "host.warmup",

@@ -263,8 +263,6 @@ _FLAG_TABLE = {
     "campaign resume": {
         "--heartbeat-timeout": (5.0, "_positive_float", None, False, None),
         "--host-workers": (0, "_nonnegative_int", None, False, None),
-        "--journal-batch": (1, "_positive_int", None, False, None),
-        "--journal-batch-seconds": (0.0, "_nonnegative_float", None, False, None),
         "--lease-window": (2, "_positive_int", None, False, None),
         "--live-metrics": (None, None, None, False, None),
         "--max-attempts": (3, "_positive_int", None, False, None),
@@ -282,8 +280,6 @@ _FLAG_TABLE = {
         "--atoms-min": (20, "_positive_int", None, False, None),
         "--heartbeat-timeout": (5.0, "_positive_float", None, False, None),
         "--host-workers": (0, "_nonnegative_int", None, False, None),
-        "--journal-batch": (1, "_positive_int", None, False, None),
-        "--journal-batch-seconds": (0.0, "_nonnegative_float", None, False, None),
         "--lease-window": (2, "_positive_int", None, False, None),
         "--library-csv": (None, None, None, False, None),
         "--library-dir": (None, None, None, False, None),
@@ -322,8 +318,6 @@ _FLAG_TABLE = {
         "--expect-nodes": (None, "_positive_int", None, True, None),
         "--heartbeat-timeout": (5.0, "_positive_float", None, False, None),
         "--host-workers": (0, "_nonnegative_int", None, False, None),
-        "--journal-batch": (1, "_positive_int", None, False, None),
-        "--journal-batch-seconds": (0.0, "_nonnegative_float", None, False, None),
         "--lease-window": (2, "_positive_int", None, False, None),
         "--library-csv": (None, None, None, False, None),
         "--library-dir": (None, None, None, False, None),
