@@ -1,7 +1,7 @@
 """Campaign benchmark: durable-store throughput and resume overhead.
 
 Runs a synthetic screening campaign end-to-end through the durable
-:class:`CampaignRunner` path (its SQLite store is the one durable log),
+:class:`CampaignRunner` path (its columnar store is the one durable log),
 then measures what durability costs:
 
 * ``ligands_per_second`` — end-to-end campaign throughput, all durability
@@ -36,7 +36,7 @@ import sys
 import tempfile
 import time
 
-from repro.campaign import CampaignRunner, SyntheticSource
+from repro.campaign import CampaignRunner, SyntheticSource, store_disk_bytes
 from repro.molecules.synthetic import generate_receptor
 
 #: (name, receptor atoms, ligands, shard size)
@@ -46,7 +46,7 @@ SMOKE_CASES = [("smoke", 300, 12, 4)]
 
 def _make_runner(
     workdir, receptor, n_ligands, shard_size, seed=7,
-    name="campaign.sqlite", **overrides,
+    name="campaign", **overrides,
 ):
     return CampaignRunner(
         receptor,
@@ -72,7 +72,7 @@ def bench_case(name, n_rec, n_ligands, shard_size, seed=7):
             run_seconds = time.perf_counter() - t0
             counts = store.counts()
             complete = store.is_complete()
-        store_bytes = os.path.getsize(runner.store_path)
+        store_bytes = store_disk_bytes(runner.store_path)
 
         t0 = time.perf_counter()
         with _make_runner(
@@ -87,7 +87,7 @@ def bench_case(name, n_rec, n_ligands, shard_size, seed=7):
         t0 = time.perf_counter()
         with _make_runner(
             workdir, receptor, pool_ligands, shard_size, seed=seed,
-            name="persistent_pool.sqlite", host_workers=2,
+            name="persistent_pool", host_workers=2,
         ).run():
             pool_seconds = time.perf_counter() - t0
 

@@ -57,7 +57,7 @@ def _make_runner(workdir, params, *, name, nodes=0, cluster=None):
     return CampaignRunner(
         generate_receptor(params["receptor_atoms"], seed=11, title="multinode"),
         SyntheticSource(params["ligands"], atoms_range=(8, 14), seed=12),
-        store_path=os.path.join(workdir, f"{name}.sqlite"),
+        store_path=os.path.join(workdir, name),
         n_spots=2,
         metaheuristic="M1",
         seed=11,

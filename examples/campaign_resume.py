@@ -1,9 +1,9 @@
 """Durable screening campaigns: crash mid-run, resume, lose nothing.
 
 The demo screens a small synthetic library as a *campaign* — every result
-and every shard boundary lands in a SQLite store, the campaign's one durable
-log — then simulates a hard crash partway through by injecting an interrupt into
-the docking call. Resuming re-docks only the ligands that never completed,
+and every shard boundary lands in a columnar store directory, the campaign's
+one durable log — then simulates a hard crash partway through by injecting
+an interrupt into the docking call. Resuming re-docks only the ligands that never completed,
 and because ligand ``i`` always docks with ``seed + i``, the recovered
 ranking is bitwise identical to an uninterrupted run.
 
@@ -15,7 +15,7 @@ import os
 import tempfile
 
 import repro.campaign.runner as campaign_runner
-from repro.campaign import CampaignRunner, SyntheticSource
+from repro.campaign import CampaignRunner, SyntheticSource, open_store
 from repro.molecules import generate_receptor
 
 N_LIGANDS = 8
@@ -39,10 +39,10 @@ def make_runner(receptor, store_path):
 def main() -> None:
     receptor = generate_receptor(400, seed=41, title="campaign-demo receptor")
     workdir = tempfile.mkdtemp(prefix="campaign-demo-")
-    store_path = os.path.join(workdir, "campaign.sqlite")
+    store_path = os.path.join(workdir, "campaign")
 
     # --- reference: the same campaign, never interrupted --------------------
-    with make_runner(receptor, os.path.join(workdir, "ref.sqlite")).run() as store:
+    with make_runner(receptor, os.path.join(workdir, "ref")).run() as store:
         reference = [(r["title"], r["best_score"]) for r in store.top(N_LIGANDS)]
 
     # --- run until the lights go out ----------------------------------------
@@ -65,9 +65,7 @@ def main() -> None:
         campaign_runner.dock = real_dock
 
     # --- what survived the crash --------------------------------------------
-    from repro.campaign import CampaignStore
-
-    with CampaignStore.open(store_path) as store:
+    with open_store(store_path) as store:
         counts = store.counts()
         print(f"store after crash: {counts['done']} done, "
               f"{counts['pending'] + counts['running']} outstanding")

@@ -3,8 +3,8 @@
 The campaign subsystem treats a library screen as a persistent unit of work
 rather than an in-memory loop: ligands stream in lazily
 (:mod:`repro.campaign.library`), results and shard boundaries land in a
-per-campaign store, the one durable log (:mod:`repro.campaign.store` or
-:mod:`repro.campaign.colstore`), and the runner
+per-campaign store, the one durable log (:mod:`repro.campaign.colstore`;
+``screen()``'s in-memory one is :mod:`repro.campaign.store`), and the runner
 (:mod:`repro.campaign.runner`) drives everything through the process-parallel
 host runtime with bounded retries — so a crash, SIGKILL, or Ctrl-C costs at
 most the in-flight ligand, and ``resume()`` completes the remainder with
@@ -16,7 +16,7 @@ Quickstart::
 
     runner = CampaignRunner(
         receptor, SyntheticSource(10_000, seed=3),
-        store_path="campaign.sqlite", n_spots=16, seed=7)
+        store_path="campaign", n_spots=16, seed=7)
     store = runner.run()          # interrupt any time...
     store = runner.resume()       # ...and continue exactly where it stopped
     for row in store.top(10):
@@ -24,7 +24,6 @@ Quickstart::
 """
 
 from repro.campaign.backends import (
-    STORE_BACKENDS,
     create_store,
     detect_backend,
     open_store,
@@ -64,7 +63,6 @@ __all__ = [
     "ListSource",
     "PDBDirectorySource",
     "SCHEMA_VERSION",
-    "STORE_BACKENDS",
     "Shard",
     "SmilesSource",
     "SyntheticSource",

@@ -39,12 +39,22 @@ segment and manifest writes are tmp+fsync+rename, one of each per shard seal
 and per merge. The store alone decides finished shards, and sealed is final:
 a row write lands only inside an open shard (``CampaignError`` otherwise),
 and a finished shard never re-opens.
+
+One process writes a store. ``open`` and ``create`` take an exclusive
+``flock`` on the store directory (a second writer gets ``CampaignError``);
+``open(path, readonly=True)`` takes none and changes no file: it reads a
+consistent view (re-read if a seal or merge publishes meanwhile), holds
+every segment it names open against a compaction's unlink, and leaves
+debris and torn tails for the writer's recovery. ``campaign status``,
+``top``, ``export`` and ``repro-vs doctor`` open that way, so they read a
+live campaign safely.
 See ``docs/architecture.md`` ("Result store backends") for measurements.
 """
 
 from __future__ import annotations
 
 import bisect
+import fcntl
 import json
 import os
 import re
@@ -176,6 +186,23 @@ _FIXED_COLUMNS = (
 _OFFSETS = "<u4"
 
 _ACTIVE_NAME = re.compile(r"^shard-(\d+)\.log$")
+
+#: How often a read-only open re-reads a store a writer keeps publishing to.
+_SNAPSHOT_TRIES = 50
+
+#: Writer-lock descriptors this process holds. A forked child (a pool worker,
+#: a fleet node) closes its copies at once: the lock stays with the parent
+#: alone, so a worker outliving a killed parent cannot keep the store locked.
+_WRITER_LOCKS: set[int] = set()
+
+
+def _drop_inherited_locks() -> None:
+    for fd in _WRITER_LOCKS:
+        os.close(fd)
+    _WRITER_LOCKS.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_locks)
 
 
 def _encode_group(items: list[tuple[int, list]]) -> dict:
@@ -360,8 +387,8 @@ class ColumnarStore:
 
     Drop-in for :class:`repro.campaign.store.CampaignStore`: same methods,
     same semantics (idempotent upserts keyed on ordinal, ``science_digest``
-    byte-parity), selected via ``store_backend="columnar"``. The store path
-    is a *directory*.
+    parity), and what ``create_store`` makes of every path but
+    ``":memory:"``. The store path is a *directory*.
     """
 
     def __init__(self, path: str) -> None:
@@ -379,6 +406,9 @@ class ColumnarStore:
         self._footers: dict[int, dict] = {}
         self._groups: OrderedDict[tuple[int, int], dict] = OrderedDict()
         self._group_cache_max = 8
+        self._segment_fds: dict[int, int] = {}  # seq -> descriptor
+        self._readonly = False
+        self._lock_fd: int | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -416,6 +446,7 @@ class ColumnarStore:
         (root / "active").mkdir(exist_ok=True)
         (root / "segments").mkdir(exist_ok=True)
         store = cls(path)
+        store._lock_for_writing()
         store._meta = {
             "schema_version": COLSTORE_SCHEMA_VERSION,
             "backend": "columnar",
@@ -433,8 +464,12 @@ class ColumnarStore:
         return store
 
     @classmethod
-    def open(cls, path: str | Path) -> "ColumnarStore":
-        """Attach to an existing store, recovering from any crash debris."""
+    def open(cls, path: str | Path, *, readonly: bool = False) -> "ColumnarStore":
+        """Attach to an existing store, recovering from any crash debris.
+
+        ``readonly=True`` reads a consistent view instead and changes nothing
+        on disk, so it is safe beside a live writer; the view refuses writes.
+        """
         path = str(path)
         root = Path(path)
         if not root.exists():
@@ -452,8 +487,35 @@ class ColumnarStore:
                 f"campaign store schema v{version} is not supported "
                 f"(this build reads v1 and v{COLSTORE_SCHEMA_VERSION})"
             )
-        store._recover()
+        store._readonly = readonly
+        try:
+            if readonly:
+                store._snapshot()
+            else:
+                store._lock_for_writing()
+                store._recover()
+        except BaseException:
+            store.close()
+            raise
         return store
+
+    def _lock_for_writing(self) -> None:
+        """Take the store's writer lock, or raise if another process holds it.
+
+        An ``flock`` on the store directory: the kernel drops it when the
+        process dies, however it dies.
+        """
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise CampaignError(
+                f"campaign store {self.path} is already open for writing; read "
+                "it with status/top/export, or wait for its writer to finish"
+            ) from None
+        self._lock_fd = fd
+        _WRITER_LOCKS.add(fd)
 
     @property
     def _options(self) -> dict:
@@ -481,6 +543,10 @@ class ColumnarStore:
                     pass
             self._handles.clear()
             self._groups.clear()
+            self._close_segments()
+            if self._lock_fd in _WRITER_LOCKS:  # not after a fork: see above
+                _WRITER_LOCKS.discard(self._lock_fd)
+                os.close(self._lock_fd)
 
     def __enter__(self) -> "ColumnarStore":
         return self
@@ -491,7 +557,12 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
+    def _refuse_if_readonly(self) -> None:
+        if self._readonly:
+            raise CampaignError(f"campaign store {self.path} is open read-only")
+
     def _write_meta(self) -> None:
+        self._refuse_if_readonly()
         _atomic_write(
             self.root / "meta.json",
             json.dumps(self._meta, sort_keys=True, default=str).encode("utf-8"),
@@ -541,6 +612,7 @@ class ColumnarStore:
     def _handle(self, key: tuple):
         handle = self._handles.get(key)
         if handle is None:
+            self._refuse_if_readonly()
             handle = open(self._log_path(key), "ab")
             self._handles[key] = handle
         return handle
@@ -832,21 +904,29 @@ class ColumnarStore:
     def _segment_path(self, entry: dict) -> Path:
         return self.root / "segments" / entry["name"]
 
+    def _segment_fd(self, entry: dict) -> int:
+        """A descriptor on ``entry``'s file, kept until the segment is retired
+        (so a read-only view still reads a segment a compaction unlinked)."""
+        fd = self._segment_fds.get(entry["seq"])
+        if fd is None:
+            fd = os.open(self._segment_path(entry), os.O_RDONLY)
+            self._segment_fds[entry["seq"]] = fd
+        return fd
+
     def _footer(self, entry: dict) -> dict:
         footer = self._footers.get(entry["seq"])
         if footer is not None:
             return footer
         path = self._segment_path(entry)
-        with open(path, "rb") as handle:
-            if handle.read(8) != _SEG_MAGIC:
-                raise CampaignError(f"{path} is not a columnar segment")
-            handle.seek(-(_TRAILER.size + 8), os.SEEK_END)
-            trailer = handle.read(_TRAILER.size)
-            if handle.read(8) != _SEG_END:
-                raise CampaignError(f"{path} has a corrupt segment trailer")
-            offset, length, crc = _TRAILER.unpack(trailer)
-            handle.seek(offset)
-            raw = handle.read(length)
+        fd = self._segment_fd(entry)
+        if os.pread(fd, 8, 0) != _SEG_MAGIC:
+            raise CampaignError(f"{path} is not a columnar segment")
+        tail = os.fstat(fd).st_size - _TRAILER.size - 8
+        trailer = os.pread(fd, _TRAILER.size + 8, max(tail, 0))
+        if tail < 8 or trailer[_TRAILER.size :] != _SEG_END:
+            raise CampaignError(f"{path} has a corrupt segment trailer")
+        offset, length, crc = _TRAILER.unpack_from(trailer)
+        raw = os.pread(fd, length, offset)
         if zlib.crc32(raw) != crc:
             raise CampaignError(f"{path} has a corrupt segment footer")
         footer = json.loads(raw.decode("utf-8"))
@@ -859,9 +939,7 @@ class ColumnarStore:
         key = (entry["seq"], index)
         group = self._groups.get(key)
         if group is None:
-            with open(self._segment_path(entry), "rb") as handle:
-                handle.seek(meta["offset"])
-                block = handle.read(meta["nbytes"])
+            block = os.pread(self._segment_fd(entry), meta["nbytes"], meta["offset"])
             group = _decode_group(block, meta)
             self._groups[key] = group
             if len(self._groups) > self._group_cache_max:
@@ -878,13 +956,19 @@ class ColumnarStore:
         read and CRC-checked but not kept.
         """
         for entry in entries:
-            with open(self._segment_path(entry), "rb") as handle:
-                for index, meta in enumerate(self._footer(entry)["groups"]):
+            metas = self._footer(entry)["groups"]
+            # Its own descriptor: a merge between two yields may retire the
+            # segment (and close the cached one) under this generator.
+            fd = os.dup(self._segment_fd(entry))
+            try:
+                for index, meta in enumerate(metas):
                     group = self._groups.get((entry["seq"], index))
                     if group is None:
-                        handle.seek(meta["offset"])
-                        group = _decode_group(handle.read(meta["nbytes"]), meta)
+                        block = os.pread(fd, meta["nbytes"], meta["offset"])
+                        group = _decode_group(block, meta)
                     yield group
+            finally:
+                os.close(fd)
 
     def _covering_segment(self, lo: int, hi: int) -> dict | None:
         """The manifest segment fully covering ``[lo, hi]``, if any.
@@ -1071,7 +1155,15 @@ class ColumnarStore:
         )
         self._segments.insert(position, entry)
 
+    def _close_segments(self) -> None:
+        for fd in self._segment_fds.values():
+            os.close(fd)
+        self._segment_fds.clear()
+
     def _invalidate_segment(self, entry: dict) -> None:
+        fd = self._segment_fds.pop(entry["seq"], None)
+        if fd is not None:
+            os.close(fd)
         self._footers.pop(entry["seq"], None)
         for key in [k for k in self._groups if k[0] == entry["seq"]]:
             del self._groups[key]
@@ -1152,13 +1244,66 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def _replay_log(self, path: Path) -> None:
-        """Replay one CRC-framed log, truncating a torn tail in place."""
-        data = path.read_bytes()
+    def _read_manifest(self) -> dict:
+        try:
+            text = (self.root / "MANIFEST.json").read_text("utf-8")
+        except FileNotFoundError:
+            return {"generation": 0, "next_seq": 0, "segments": []}
+        try:
+            return json.loads(text)
+        except ValueError as exc:
+            raise CampaignError(f"{self.path} has a corrupt manifest: {exc}") from None
+
+    def _load_manifest(self, manifest: dict) -> None:
+        """Adopt ``manifest``; counts start from its sealed state."""
+        self._manifest = manifest
+        self._segments = sorted(
+            manifest.get("segments", []), key=lambda entry: entry["lo"]
+        )
+        self._counts = {status: 0 for status in _STATUSES}
+        for entry in self._segments:
+            for status, n in entry["counts"].items():
+                self._counts[status] += int(n)
+
+    def _read_log(self, path: Path) -> list[tuple[int, bytes]]:
+        """One CRC-framed log's records, none if it is absent. A torn tail is
+        truncated in place; a read-only view just leaves it out."""
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return []
         records, clean = _scan_frames(data, str(path))
-        if clean < len(data):
+        if clean < len(data) and not self._readonly:
             with open(path, "r+b") as handle:
                 handle.truncate(clean)
+        return records
+
+    def _shard_logs(self) -> list[tuple[int, list[tuple[int, bytes]]]]:
+        """``(shard_id, records)`` of every active shard log, in name order."""
+        active = self.root / "active"
+        if not active.is_dir():
+            return []
+        return [
+            (int(match.group(1)), self._read_log(path))
+            for path in sorted(active.iterdir())
+            if (match := _ACTIVE_NAME.match(path.name))
+        ]
+
+    def _load_shards(self, records: list[tuple[int, bytes]]) -> None:
+        for kind, payload in records:
+            if kind == _K_SHARD_START:
+                shard_id, start, stop = _SHARD_START.unpack(payload)
+                self._shards[shard_id] = {
+                    "start": start, "stop": stop, "status": "running",
+                }
+                self._open_ranges[shard_id] = (start, stop)
+            elif kind == _K_SHARD_FINISH:
+                shard_id, _ = _SHARD_FINISH.unpack(payload)
+                if shard_id in self._shards:
+                    self._shards[shard_id]["status"] = "done"
+                    self._open_ranges.pop(shard_id, None)
+
+    def _replay(self, records: list[tuple[int, bytes]]) -> None:
         for kind, payload in records:
             self._apply_record(kind, payload)
 
@@ -1166,47 +1311,13 @@ class ColumnarStore:
         root = self.root
         (root / "active").mkdir(exist_ok=True)
         (root / "segments").mkdir(exist_ok=True)
-        manifest_path = root / "MANIFEST.json"
-        if manifest_path.exists():
-            try:
-                self._manifest = json.loads(manifest_path.read_text("utf-8"))
-            except ValueError as exc:
-                raise CampaignError(
-                    f"{self.path} has a corrupt manifest: {exc}"
-                ) from None
-        self._segments = sorted(
-            self._manifest.get("segments", []), key=lambda entry: entry["lo"]
-        )
+        self._load_manifest(self._read_manifest())
         # Crash debris: segment files written but never published.
         live = {entry["name"] for entry in self._segments}
         for path in (root / "segments").iterdir():
             if path.name not in live:
                 path.unlink()
-        # Counts start from the sealed state; replay adjusts them.
-        self._counts = {status: 0 for status in _STATUSES}
-        for entry in self._segments:
-            for status, n in entry["counts"].items():
-                self._counts[status] += int(n)
-        # Shard table (torn tail tolerated like any framed log).
-        shards_log = root / "shards.log"
-        if shards_log.exists():
-            data = shards_log.read_bytes()
-            records, clean = _scan_frames(data, str(shards_log))
-            if clean < len(data):
-                with open(shards_log, "r+b") as handle:
-                    handle.truncate(clean)
-            for kind, payload in records:
-                if kind == _K_SHARD_START:
-                    shard_id, start, stop = _SHARD_START.unpack(payload)
-                    self._shards[shard_id] = {
-                        "start": start, "stop": stop, "status": "running",
-                    }
-                    self._open_ranges[shard_id] = (start, stop)
-                elif kind == _K_SHARD_FINISH:
-                    shard_id, _ = _SHARD_FINISH.unpack(payload)
-                    if shard_id in self._shards:
-                        self._shards[shard_id]["status"] = "done"
-                        self._open_ranges.pop(shard_id, None)
+        self._load_shards(self._read_log(root / "shards.log"))
         orphan = root / "active" / "orphan.log"
         if orphan.exists():
             self._fold_orphan_log(orphan)
@@ -1215,18 +1326,50 @@ class ColumnarStore:
         # (its rows are only here) or before the log's unlink (they are
         # sealed too, and the re-seal rewrites them unchanged).
         reseal: list[int] = []
-        for path in sorted((root / "active").iterdir()):
-            match = _ACTIVE_NAME.match(path.name)
-            if not match:
-                continue
-            shard_id = int(match.group(1))
-            self._replay_log(path)
+        for shard_id, records in self._shard_logs():
+            self._replay(records)
             shard = self._shards.get(shard_id)
             if shard is not None and shard["status"] == "done":
                 reseal.append(shard_id)
         for shard_id in reseal:
             shard = self._shards[shard_id]
             self._seal_range(shard["start"], shard["stop"], shard_id=shard_id)
+
+    def _snapshot(self) -> None:
+        """Load a read-only view, consistent even beside a live writer.
+
+        Every segment the manifest names is held open first, so a merge that
+        unlinks one cannot pull it from under a read. A seal publishes its
+        manifest before it unlinks the shard's log, so if the manifest is the
+        same after the logs are read, no row was lost between the two; if it
+        moved, the view is read again. Rows of a finished shard whose log is
+        still there stay in the overlay, which reads merge over the segments.
+        """
+        root = self.root
+        for _ in range(_SNAPSHOT_TRIES):
+            manifest = self._read_manifest()
+            self._load_manifest(manifest)
+            try:
+                for entry in self._segments:
+                    self._segment_fd(entry)
+            except FileNotFoundError:  # retired since the manifest was read
+                self._close_segments()
+                continue
+            shards = self._read_log(root / "shards.log")
+            orphan = self._read_log(root / "active" / "orphan.log")
+            logs = self._shard_logs()
+            if self._read_manifest() == manifest:
+                break
+            self._close_segments()
+        else:
+            raise CampaignError(
+                f"campaign store {self.path} changed on every one of "
+                f"{_SNAPSHOT_TRIES} reads; try again"
+            )
+        self._load_shards(shards)
+        self._replay(orphan)
+        for _, records in logs:
+            self._replay(records)
 
     def _fold_orphan_log(self, path: Path) -> None:
         """Seal an older build's ``orphan.log`` into its segments, then delete it.
@@ -1235,7 +1378,7 @@ class ColumnarStore:
         segment holding such a row is re-sealed over its own range; a crash
         before the unlink repeats the fold with the same rows.
         """
-        self._replay_log(path)
+        self._replay(self._read_log(path))
         for entry in [
             entry
             for entry in self._segments
@@ -1334,8 +1477,8 @@ class ColumnarStore:
     def science_rows(self) -> Iterator[tuple]:
         """Stream the result-affecting columns only, in ordinal order.
 
-        Byte-compatible with the SQLite backend's rows — the parity
-        fingerprint :meth:`science_digest` hashes these.
+        The SQLite backend's rows, but a ``-0.0`` score keeps its sign — the
+        parity fingerprint :meth:`science_digest` hashes these.
         """
         for ordinal, row in self._iter_logical():
             yield (

@@ -62,7 +62,7 @@ from repro.molecules.structures import Ligand, Receptor
 from repro.scoring.base import ScoringFunction
 from repro.vs.docking import dock
 
-from repro.campaign.backends import STORE_BACKENDS, create_store, open_store
+from repro.campaign.backends import create_store, open_store
 from repro.campaign.commit import CampaignCommitter, CampaignProgress
 
 # ``iter_shards`` is not called here: the perf harness's traced pass wraps it
@@ -319,8 +319,10 @@ class CampaignRunner:
     """Execute (or continue) one durable screening campaign.
 
     Parameters mirror :func:`repro.vs.screening.screen` plus the durability
-    knobs. ``store_path=":memory:"`` gives the one-shot in-memory campaign
-    ``screen()`` itself is built on (failures raise).
+    knobs. ``run()`` makes ``store_path`` a columnar store directory
+    (``resume()`` also opens an older build's SQLite file there);
+    ``":memory:"`` gives the one-shot in-memory campaign ``screen()`` itself
+    is built on (failures raise).
     """
 
     def __init__(
@@ -329,7 +331,6 @@ class CampaignRunner:
         source: LigandSource,
         *,
         store_path: str | Path,
-        store_backend: str = "sqlite",
         n_spots: int = 16,
         metaheuristic: str | MetaheuristicSpec = "M2",
         scoring: ScoringFunction | None = None,
@@ -374,20 +375,9 @@ class CampaignRunner:
             raise CampaignError(
                 f"pipeline_depth must be >= 1, got {pipeline_depth}"
             )
-        if store_backend not in STORE_BACKENDS:
-            raise CampaignError(
-                f"store_backend must be one of {STORE_BACKENDS}, "
-                f"got {store_backend!r}"
-            )
-        if store_backend == "columnar" and str(store_path) == ":memory:":
-            raise CampaignError(
-                "the columnar store backend persists to a directory; "
-                ":memory: campaigns use the sqlite backend"
-            )
         self.receptor = receptor
         self.source = source
         self.store_path = str(store_path)
-        self.store_backend = store_backend
         self.shard_size = shard_size
         #: Ligands docked concurrently through the shared pool (needs
         #: ``host_workers > 0``): the number of live leases, one more than
@@ -410,11 +400,9 @@ class CampaignRunner:
         self.config = _config_record(
             receptor, source, self.settings, shard_size, receptor_descriptor
         )
-        # Recorded for visibility only: the backend and pipeline depth are
-        # execution knobs, deliberately outside HASHED_KEYS — sqlite and
-        # columnar stores (at any depth) of the same campaign share one
-        # config hash and science digest.
-        self.config["store_backend"] = self.store_backend
+        # Recorded for visibility only: the pipeline depth is an execution
+        # knob, deliberately outside HASHED_KEYS — a campaign at any depth
+        # has one config hash and science digest.
         self.config["pipeline_depth"] = self.pipeline_depth
         self.config_hash = config_hash(self.config)
 
@@ -431,12 +419,7 @@ class CampaignRunner:
         # campaign's events would land in this store's flight dumps.
         reset_flight()
         with obs.span("campaign.run", config=self.config_hash[:12]):
-            store = create_store(
-                self.store_path,
-                self.config,
-                self.config_hash,
-                backend=self.store_backend,
-            )
+            store = create_store(self.store_path, self.config, self.config_hash)
             return self._execute(store, finished=set())
 
     def resume(self) -> CampaignStore:

@@ -146,10 +146,14 @@ def _science_digest(store) -> str:
     Two stores of the same campaign config compare equal here iff their
     science is identical, whatever their backend; parity tests and the
     multinode benchmark use this instead of comparing whole store files
-    (which differ in timings and layout).
+    (which differ in timings and layout). A zero score hashes as ``0.0``:
+    SQLite reads a stored ``-0.0`` back as ``0.0``, the columnar store keeps
+    its sign, and the sign of a zero is not science.
     """
     digest = hashlib.sha256()
     for row in store.science_rows():
+        if row[3] == 0.0:
+            row = (*row[:3], 0.0, *row[4:])
         digest.update(json.dumps(row, sort_keys=True).encode())
         digest.update(b"\n")
     return digest.hexdigest()

@@ -182,15 +182,7 @@ def _add_campaign_definition_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--store",
         required=True,
-        help="campaign store path (SQLite file, or a directory with "
-        "--store-backend columnar)",
-    )
-    sub.add_argument(
-        "--store-backend",
-        choices=("sqlite", "columnar"),
-        default="sqlite",
-        help="result store layout: sqlite = one database file, columnar = "
-        "append-only sharded directory built for million-ligand libraries",
+        help="campaign store path (a columnar store directory)",
     )
     sub.add_argument("--receptor-pdb", help="receptor PDB file (default: synthetic)")
     sub.add_argument("--receptor-atoms", type=_positive_int, default=1000)
@@ -754,7 +746,6 @@ def _new_campaign_runner(
     return CampaignRunner(
         receptor,
         source,
-        store_backend=args.store_backend,
         n_spots=args.spots,
         metaheuristic=args.metaheuristic,
         seed=args.seed,
@@ -786,14 +777,13 @@ def _rebuild_campaign_runner(
     from repro.campaign.library import build_receptor, build_source
     from repro.campaign.settings import DockSettings
 
-    with open_store(args.store) as store:
+    with open_store(args.store, readonly=True) as store:
         config = store.config
 
     receptor_desc = config.get("receptor", {})
     return CampaignRunner(
         build_receptor(receptor_desc),
         build_source(config.get("library", {})),
-        store_backend=str(config.get("store_backend", "sqlite")),
         shard_size=int(config["shard_size"]),
         receptor_descriptor=receptor_desc,
         # What the store records of the dock, then what this invocation says
@@ -808,7 +798,7 @@ def _rebuild_campaign_runner(
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
     from repro.campaign import open_store
 
-    with open_store(args.store) as store:
+    with open_store(args.store, readonly=True) as store:
         shard_size = int(store.config.get("shard_size", 1))
     cluster = _cluster_config(args) if args.nodes >= 2 else None
     with _campaign_session(args, shard_size) as progress_cb:
@@ -829,7 +819,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
     from repro.campaign import detect_backend, open_store, store_disk_bytes
 
-    with open_store(args.store) as store:
+    with open_store(args.store, readonly=True) as store:
         config = store.config
         counts = store.counts()
         print(f"campaign store: {args.store}")
@@ -855,7 +845,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 def _cmd_campaign_top(args: argparse.Namespace) -> int:
     from repro.campaign import open_store
 
-    with open_store(args.store) as store:
+    with open_store(args.store, readonly=True) as store:
         rows = store.top(args.k)
         print(f"{'rank':>4s}  {'score':>12s}  {'spot':>5s}  ligand")
         for rank, row in enumerate(rows, start=1):
@@ -869,7 +859,7 @@ def _cmd_campaign_top(args: argparse.Namespace) -> int:
 def _cmd_campaign_export(args: argparse.Namespace) -> int:
     from repro.campaign import export_report, open_store
 
-    with open_store(args.store) as store:
+    with open_store(args.store, readonly=True) as store:
         if args.format == "json":
             n = store.export_json(args.out)
         elif args.format == "csv":

@@ -130,7 +130,7 @@ def _read_store(store_path: str) -> dict | None:
     from repro.campaign.backends import open_store  # lazy: import cycle
 
     try:
-        store = open_store(store_path)
+        store = open_store(store_path, readonly=True)
     except Exception:
         return None
     try:

@@ -149,10 +149,12 @@ def test_backend_detection_and_open_store(tmp_path):
 
 
 def test_create_store_dispatches_and_validates(tmp_path):
-    with create_store(tmp_path / "a.sqlite", CONFIG, "h") as store:
+    with create_store(tmp_path / "a", CONFIG, "h") as store:
+        assert isinstance(store, ColumnarStore)  # every on-disk path
+    with create_store(":memory:", CONFIG, "h") as store:
         assert isinstance(store, CampaignStore)
-    with create_store(tmp_path / "a.col", CONFIG, "h", backend="columnar") as store:
-        assert isinstance(store, ColumnarStore)
+    with create_store(tmp_path / "a.sqlite", CONFIG, "h", backend="sqlite") as store:
+        assert isinstance(store, CampaignStore)
     with pytest.raises(CampaignError, match="backend"):
         create_store(tmp_path / "b", CONFIG, "h", backend="parquet")
 
@@ -160,6 +162,27 @@ def test_create_store_dispatches_and_validates(tmp_path):
 # ----------------------------------------------------------------------
 # SQLite-parity semantics (same sequences, same observable state)
 # ----------------------------------------------------------------------
+def test_a_negative_zero_score_digests_as_zero_on_both_backends(tmp_path):
+    # SQLite reads a stored -0.0 back as 0.0 and the columnar store keeps its
+    # sign, sealed or in an open shard; the science digest hashes both as 0.0.
+    sq, co = both_stores(tmp_path)
+    for st in (sq, co):
+        st.start_shard(0, 0, 2)
+        st.record_result(0, "L0", -0.0, 0, 8, 0.1, 0.0)
+        st.record_result(1, "L1", -3.5, 1, 8, 0.1, 0.0)
+        st.finish_shard(0, 0.1)
+        st.start_shard(1, 2, 4)
+        st.record_result(2, "L2", -0.0, 2, 8, 0.1, 0.0)
+        st.record_result(3, "L3", 0.0, 3, 8, 0.1, 0.0)
+    assert [repr(row[3]) for row in sq.science_rows()] == ["0.0", "-3.5", "0.0", "0.0"]
+    assert [repr(row[3]) for row in co.science_rows()] == ["-0.0", "-3.5", "-0.0", "0.0"]
+    # What SQLite has always hashed these rows to.
+    expected = "0d63a06e0bd8b37e5efbd965f73aa035908f2987c33352005eb45c02061abf79"
+    assert sq.science_digest() == co.science_digest() == expected
+    sq.close()
+    co.close()
+
+
 def test_upsert_is_idempotent(store):
     store.start_shard(0, 0, 8)
     store.record_result(3, "L3", -4.0, 0, 50, 0.1, 0.0)
@@ -618,6 +641,146 @@ def test_a_crash_inside_an_out_of_order_finish_loses_no_rows(
             assert [(e["lo"], e["hi"]) for e in reopened._segments] == [(0, 11)]
 
 
+# ----------------------------------------------------------------------
+# one writer, read-only readers
+# ----------------------------------------------------------------------
+def tree_bytes(root):
+    """Every file of a store directory, by path relative to it."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def crashed_store(path, monkeypatch):
+    """A store as a SIGKILL leaves it: shard 1's seal died before its
+    manifest publish (its log outlived its FINISH record), shard 2 is open
+    with a torn record at the tail of its log, and a segment file the
+    manifest never named lies in ``segments/``."""
+    store = ColumnarStore.create(path, CONFIG, "h", group_rows=8, compact_fanin=8)
+    fill_shards(store, 1, shard_size=4)
+    store.start_shard(1, 4, 8)
+    for ordinal in range(4, 8):
+        store.record_result(ordinal, f"L{ordinal}", -2.0 - ordinal, 0, 8, 0.1, 0.0)
+    store.start_shard(2, 8, 12)
+    for ordinal in (8, 9):
+        store.record_result(ordinal, f"L{ordinal}", -0.5 * ordinal, 1, 8, 0.1, 0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(ColumnarStore, "_write_segment", lambda self, groups: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            store.finish_shard(1, 0.1)
+    store.close()
+    with open(path / "active" / "shard-2.log", "ab") as log:
+        log.write(colstore._pack_frame(colstore._K_RUNNING, b"\x0a" * 8)[:-3])
+    (path / "segments" / "seg-00000009.col.tmp").write_bytes(b"RVSCOL01 half")
+
+
+def view_of(store):
+    return (
+        answers(store),
+        store.counts(),
+        store.finished_shards(),
+        store.done_ordinals(0, 12),
+        store.is_complete(),
+    )
+
+
+def test_a_readonly_open_changes_no_file_and_reads_what_recovery_makes(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "c.col"
+    crashed_store(path, monkeypatch)
+    before = tree_bytes(path)
+    with ColumnarStore.open(path, readonly=True) as view:
+        seen = view_of(view)
+        with pytest.raises(CampaignError, match="read-only"):
+            view.record_result(8, "L8", -9.0, 0, 8, 0.1, 0.0)
+        with pytest.raises(CampaignError, match="read-only"):
+            view.mark_complete(12)
+    assert tree_bytes(path) == before
+    assert seen[1]["done"] == 10 and seen[2] == {0, 1}
+    with ColumnarStore.open(path) as recovered:  # re-seals, truncates, deletes
+        assert view_of(recovered) == seen
+    assert tree_bytes(path) != before
+
+
+def test_a_readonly_view_reads_segments_a_compaction_retired(tmp_path):
+    path = tmp_path / "c.col"
+    writer = ColumnarStore.create(path, CONFIG, "h", group_rows=8, compact_fanin=3)
+    fill_shards(writer, 2)
+    expected = answers(writer)
+    with ColumnarStore.open(path, readonly=True) as view:
+        fill_shards(writer, 1, first=2)  # the third seal merges all three
+        assert len(writer._segments) == 1
+        retired = [path / "segments" / entry["name"] for entry in view._segments]
+        assert len(retired) == 2 and not any(p.exists() for p in retired)
+        assert answers(view) == expected
+        assert view.done_ordinals(0, 24) == set(range(16))
+    writer.close()
+
+
+def test_a_readonly_open_rereads_when_a_seal_publishes_meanwhile(
+    tmp_path, monkeypatch
+):
+    # The writer seals shard 0 (publish, then unlink its log) between the
+    # view's manifest read and its log reads: a view built from the two
+    # would hold neither the shard's segment nor its log.
+    path = tmp_path / "c.col"
+    writer = ColumnarStore.create(path, CONFIG, "h")
+    writer.start_shard(0, 0, 8)
+    for ordinal in range(8):
+        writer.record_result(ordinal, f"L{ordinal}", -1.0 - ordinal, 0, 8, 0.1, 0.0)
+    real, reads = ColumnarStore._shard_logs, []
+
+    def racing(self):
+        if self._readonly and not reads:
+            writer.finish_shard(0, 0.1)
+        reads.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ColumnarStore, "_shard_logs", racing)
+    with ColumnarStore.open(path, readonly=True) as view:
+        assert len(reads) == 2
+        assert view.finished_shards() == {0}
+        assert view.counts() == writer.counts()
+        assert view.science_digest() == writer.science_digest()
+    writer.close()
+
+
+def linger(ready):
+    """A forked child that outlives its parent's hold on the store."""
+    import time
+
+    ready.set()
+    time.sleep(60)
+
+
+def test_one_process_writes_a_store_and_a_fork_does_not_hold_it(tmp_path):
+    import multiprocessing
+
+    path = tmp_path / "c.col"
+    writer = ColumnarStore.create(path, CONFIG, "h")
+    with pytest.raises(CampaignError, match="already open for writing"):
+        ColumnarStore.open(path)
+    with open_store(path, readonly=True) as view:  # readers are never refused
+        assert view.config_hash == "h"
+    # A forked child (a pool worker, a fleet node) drops its inherited copy
+    # of the lock: the lock goes with the writer while the child lives on.
+    ctx = multiprocessing.get_context("fork")
+    ready = ctx.Event()
+    child = ctx.Process(target=linger, args=(ready,))
+    child.start()
+    try:
+        assert ready.wait(30)
+        writer.close()
+        with ColumnarStore.open(path) as again:
+            assert again.config_hash == "h"
+    finally:
+        child.kill()
+        child.join()
+
+
 def legacy_orphan_store(root):
     """Two sealed shards and the ``active/orphan.log`` an older build wrote
     for results that reached them after their seal."""
@@ -917,11 +1080,12 @@ GOLDEN = [
         "MANIFEST.json": "fd3cd9958e0a5895a7b0ea852958247f315e878d4a882a1c05efb25fe63db63d",
     },
 ]
-#: The logical content at the last checkpoint.
-GOLDEN_DIGEST = "8a78a5d2ddddaebc6ae6bcb957e7f8b044a1f800df0c13575759bcad6ff8fb59"
+#: The logical content at the last checkpoint: what the same sequence gives
+#: on the SQLite store, which reads ordinal 12's ``-0.0`` back as ``0.0``.
+GOLDEN_DIGEST = "2183e5f965fde88ee23ca1a38c48a91acd3525edb636b72a9693c862f8e3d700"
 #: ... and after reopening that store, finishing shard 5 (a re-seal over the
 #: covering segment) and sealing one more shard (a third compaction).
-GOLDEN_DIGEST_REOPENED = "0fce6b610c32f27315168d4c785f48ea3c1b96a80eccebd19a4d70eae456d08e"
+GOLDEN_DIGEST_REOPENED = "a0f85f82c0e127cd090498a7bb019bb1cfef10a177bc580b9bba72034e89778f"
 
 
 def test_on_disk_bytes_match_the_row_at_a_time_writer(tmp_path):
@@ -996,16 +1160,18 @@ V1_STORE_ZIP = (
 #: sha256 of the JSON of ``top(k)`` for k in 1/3/6/7/100, of the JSON of
 #: ``iter_results`` and of the CSV export), and what the writer that still
 #: folded late rows answered after the two shards
-#: ``test_schema_1_store_is_read_and_rewritten`` adds.
+#: ``test_schema_1_store_is_read_and_rewritten`` adds. The science digests
+#: are re-captured since it hashes a zero score as ``0.0`` (ordinal 12 is
+#: ``-0.0``); the other three hashes are that build's.
 V1_ANSWERS = {
     "opened": (
-        "7303436442d4c0b161c47f9fe1fac36e8f2901f4c72a3510d5f220a89dd90083",
+        "423403d4d6b34445cd54a0f089deda0420bdf312487cb276faaf1956dc989e64",
         "01b044ece011fa659413b132d1bf669c219a9c2143db0a414943200f04cf410a",
         "cd4adfd99012bcc883b56726de61c2eab3703e291eeb9a547d6c074b96c8bb41",
         "29fe4371ad215aed3a8d2d441e0eeac6857ea89431bb1c42b089f9225751bff5",
     ),
     "rewritten": (
-        "c6d31bee18b6d3f823e2d4139ab9d2d57f0e531a58fee08e7643101c09385166",
+        "2a847c34f2b0d381c57f755084ea9c8a65315bac1bccb0b0489268b6922f26cc",
         "51eff81c4262cf3c75790b4bd2d1806bdcad2045424ee4ab4689e39f49950930",
         "289c9f050209452b649041c506e4116a21207a5ff18de58f6a94623c52c0da62",
         "c5450108e8e45fc7435da7232c82e3a7232ff3d7eb78bcd124498abb0d9487e0",

@@ -1,11 +1,11 @@
-"""Crash matrix: real SIGKILL mid-shard on the columnar backend.
+"""Crash matrix: real SIGKILL mid-shard on the columnar campaign store.
 
 Unlike the exception-injection tests in ``test_runner.py``, these kill an
 actual campaign *process* with ``SIGKILL`` — no finally blocks, no flushes,
 no close — across the worker-count × pipeline-depth matrix. The bar: resume
 docks only the missing ligands, the final store is complete, and its
-science digest is bitwise identical to a serial SQLite run of the same
-campaign — and to a 2-node fleet run.
+science digest is bitwise identical to a serial in-memory (SQLite) run of
+the same campaign — and to a 2-node fleet run.
 """
 
 import os
@@ -48,7 +48,6 @@ CampaignRunner(
     generate_receptor(80, seed=5),
     SyntheticSource({n_ligands}, atoms_range=(8, 12), seed=52),
     store_path=store,
-    store_backend="columnar",
     n_spots=2,
     metaheuristic="M1",
     seed={seed},
@@ -62,14 +61,13 @@ CampaignRunner(
 """.format(src=SRC, n_ligands=N_LIGANDS, seed=SEED)
 
 
-def make_runner(store_path, backend="columnar", workers=0, depth=2):
+def make_runner(store_path, workers=0, depth=2):
     from repro.molecules.synthetic import generate_receptor
 
     return CampaignRunner(
         generate_receptor(80, seed=5),
         SyntheticSource(N_LIGANDS, atoms_range=(8, 12), seed=52),
         store_path=str(store_path),
-        store_backend=backend,
         n_spots=2,
         metaheuristic="M1",
         seed=SEED,
@@ -83,10 +81,9 @@ def make_runner(store_path, backend="columnar", workers=0, depth=2):
 
 
 @pytest.fixture(scope="module")
-def serial_sqlite(tmp_path_factory):
-    """Reference digest + ranking from a serial SQLite campaign."""
-    path = tmp_path_factory.mktemp("ref") / "ref.sqlite"
-    with make_runner(path, backend="sqlite").run() as store:
+def serial_sqlite():
+    """Reference digest + ranking from a serial ``:memory:`` (SQLite) campaign."""
+    with make_runner(":memory:").run() as store:
         return store.science_digest(), [
             (r["title"], r["best_score"]) for r in store.top(N_LIGANDS)
         ]

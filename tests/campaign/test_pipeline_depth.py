@@ -23,7 +23,7 @@ SEED = 11
 N_LIGANDS = 7
 
 
-def make_runner(receptor, tmp_path, name="c.sqlite", **overrides):
+def make_runner(receptor, tmp_path, name="c.store", **overrides):
     kwargs = dict(
         store_path=tmp_path / name,
         n_spots=2,

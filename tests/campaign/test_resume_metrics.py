@@ -28,7 +28,7 @@ RUN_ARGS = [
 
 @pytest.fixture
 def complete_store(tmp_path, capsys):
-    store = tmp_path / "c.sqlite"
+    store = tmp_path / "c.store"
     assert main(RUN_ARGS + ["--store", str(store)]) == 0
     capsys.readouterr()
     return store

@@ -36,7 +36,7 @@ SEED = 11
 N_LIGANDS = 5
 
 
-def make_runner(receptor, tmp_path, name="c.sqlite", **overrides):
+def make_runner(receptor, tmp_path, name="c.store", **overrides):
     kwargs = dict(
         store_path=tmp_path / name,
         n_spots=2,
@@ -97,6 +97,22 @@ def test_run_matches_screen_bitwise(receptor, tmp_path):
     ]
 
 
+def test_a_store_path_gets_the_columnar_store_with_screens_digest(
+    receptor, tmp_path
+):
+    from repro.campaign import CampaignStore, ColumnarStore, detect_backend
+
+    with make_runner(receptor, tmp_path, name="c").run() as store:
+        assert isinstance(store, ColumnarStore)
+        assert "store_backend" not in store.config
+        digest = store.science_digest()
+    assert (tmp_path / "c").is_dir() and detect_backend(tmp_path / "c") == "columnar"
+    # The store screen() docks into (SQLite in memory): the same science.
+    with make_runner(receptor, tmp_path, store_path=":memory:").run() as memory:
+        assert isinstance(memory, CampaignStore)
+        assert memory.science_digest() == digest
+
+
 def test_rerun_onto_existing_store_refused(receptor, tmp_path):
     make_runner(receptor, tmp_path).run().close()
     with pytest.raises(CampaignError, match="already exists"):
@@ -119,7 +135,7 @@ def test_kill_mid_shard_then_resume_is_bitwise_identical(
 ):
     # Uninterrupted reference run.
     with make_runner(
-        receptor, tmp_path, name="ref.sqlite", host_workers=host_workers
+        receptor, tmp_path, name="ref.store", host_workers=host_workers
     ).run() as store:
         expected = ranking(store)
 
@@ -128,7 +144,7 @@ def test_kill_mid_shard_then_resume_is_bitwise_identical(
     monkeypatch.setattr(runner_mod, "dock", spy)
     with pytest.raises(KeyboardInterrupt):
         make_runner(
-            receptor, tmp_path, name="kill.sqlite", host_workers=host_workers
+            receptor, tmp_path, name="kill.store", host_workers=host_workers
         ).run()
     assert spy.ordinals == [0, 1, 2]
 
@@ -137,7 +153,7 @@ def test_kill_mid_shard_then_resume_is_bitwise_identical(
     resume_spy = DockSpy()
     monkeypatch.setattr(runner_mod, "dock", resume_spy)
     with make_runner(
-        receptor, tmp_path, name="kill.sqlite", host_workers=host_workers
+        receptor, tmp_path, name="kill.store", host_workers=host_workers
     ).resume() as store:
         assert resume_spy.ordinals == [3, 4]
         assert store.is_complete()
@@ -183,7 +199,7 @@ def test_resume_builds_no_ligand_of_a_finished_shard(
             nodes=nodes,
         )
 
-    with smi_runner("ref.sqlite").run() as store:
+    with smi_runner("ref.store").run() as store:
         assert store.counts()["done"] == n
         expected = store.science_digest()
 
@@ -191,7 +207,7 @@ def test_resume_builds_no_ligand_of_a_finished_shard(
     killer = DockSpy(interrupt_before_call=shard_size + 1)
     monkeypatch.setattr(runner_mod, "dock", killer)
     with pytest.raises(KeyboardInterrupt):
-        smi_runner("kill.sqlite").run()
+        smi_runner("kill.store").run()
     monkeypatch.setattr(runner_mod, "dock", real_dock)
 
     built = []
@@ -202,7 +218,7 @@ def test_resume_builds_no_ligand_of_a_finished_shard(
         return real_generate(n_atoms, **kwargs)
 
     monkeypatch.setattr(library_mod, "generate_ligand", spy)
-    with smi_runner("kill.sqlite", resume_nodes).resume() as store:
+    with smi_runner("kill.store", resume_nodes).resume() as store:
         assert store.science_digest() == expected
     # Once per ligand of the unfinished shards, none for the finished one.
     if reader == "synthetic":
@@ -219,12 +235,12 @@ def test_pooled_campaign_matches_serial_bitwise(receptor, tmp_path):
     # serial path must agree on every float.
     warmups = obs.counter("host.warmups").value
     with make_runner(
-        receptor, tmp_path, name="pooled.sqlite", host_workers=2
+        receptor, tmp_path, name="pooled.store", host_workers=2
     ).run() as store:
         pooled = ranking(store)
     # The whole campaign paid exactly one pool spawn + receptor staging.
     assert obs.counter("host.warmups").value == warmups + 1
-    with make_runner(receptor, tmp_path, name="serial.sqlite").run() as store:
+    with make_runner(receptor, tmp_path, name="serial.store").run() as store:
         serial = ranking(store)
     assert pooled == serial
 
@@ -233,14 +249,14 @@ def test_kill_mid_shard_resume_with_pool_matches_serial(
     receptor, tmp_path, monkeypatch
 ):
     # Serial reference ranking.
-    with make_runner(receptor, tmp_path, name="serial.sqlite").run() as store:
+    with make_runner(receptor, tmp_path, name="serial.store").run() as store:
         expected = ranking(store)
 
     # Kill a pooled campaign mid-shard...
     spy = DockSpy(interrupt_before_call=4)
     monkeypatch.setattr(runner_mod, "dock", spy)
     runner = make_runner(
-        receptor, tmp_path, name="kill.sqlite", host_workers=2
+        receptor, tmp_path, name="kill.store", host_workers=2
     )
     with pytest.raises(KeyboardInterrupt):
         runner.run()
@@ -252,7 +268,7 @@ def test_kill_mid_shard_resume_with_pool_matches_serial(
     resume_spy = DockSpy()
     monkeypatch.setattr(runner_mod, "dock", resume_spy)
     with make_runner(
-        receptor, tmp_path, name="kill.sqlite", host_workers=2
+        receptor, tmp_path, name="kill.store", host_workers=2
     ).resume() as store:
         assert resume_spy.ordinals == [3, 4]
         assert store.is_complete()
@@ -296,7 +312,7 @@ def test_kill_then_resume_without_journal_uses_store(receptor, tmp_path, monkeyp
     with pytest.raises(KeyboardInterrupt):
         runner.run()
     # The store is the one durable log: nothing else is written beside it.
-    assert not (tmp_path / "c.sqlite.journal").exists()
+    assert not (tmp_path / "c.store.journal").exists()
     monkeypatch.setattr(runner_mod, "dock", DockSpy())
     with make_runner(receptor, tmp_path).resume() as store:
         assert store.counts()["done"] == N_LIGANDS
@@ -310,12 +326,15 @@ def write_legacy_journal(path, records):
     )
 
 
-def test_resume_trusts_the_store_over_the_journal(receptor, tmp_path):
-    # SQLite (WAL, synchronous=NORMAL) can roll back its last commits on an
-    # OS crash. Roll back ligand 3's result, shard 1's finish mark and
-    # `completed` by hand, and leave a journal an older build would have
-    # written claiming both shards and the campaign finished: resume must
-    # re-open shard 1, dock ligand 3 again and never touch the journal.
+def test_resume_trusts_the_store_over_the_journal(
+    receptor, tmp_path, sqlite_campaigns
+):
+    # An older build's SQLite store (WAL, synchronous=NORMAL) can roll back
+    # its last commits on an OS crash. Roll back ligand 3's result, shard 1's
+    # finish mark and `completed` by hand, and leave a journal an older build
+    # would have written claiming both shards and the campaign finished:
+    # resume must re-open shard 1, dock ligand 3 again and never touch the
+    # journal.
     import sqlite3
 
     def runner(name):
@@ -369,7 +388,7 @@ def test_store_records_crash_boundary(receptor, tmp_path, monkeypatch):
     monkeypatch.setattr(runner_mod, "dock", DockSpy(interrupt_before_call=4))
     with pytest.raises(KeyboardInterrupt):
         make_runner(receptor, tmp_path).run()
-    with open_store(tmp_path / "c.sqlite") as store:
+    with open_store(tmp_path / "c.store") as store:
         assert store.finished_shards() == {0}
         assert store.done_ordinals(2, 4) == {2}  # shard 1 started, not finished
         assert not store.is_complete()
@@ -427,7 +446,7 @@ def test_a_store_with_an_older_builds_journal_resumes_to_the_serial_digest(
         recorded = json.loads(text.splitlines()[0])["config_hash"]
         journal.write_text(text.replace(recorded, "f" * 64), encoding="utf-8")
     before = journal.read_bytes()
-    with make_runner(receptor, tmp_path, name="serial.sqlite").run() as store:
+    with make_runner(receptor, tmp_path, name="serial.store").run() as store:
         expected = store.science_digest()
     with make_runner(receptor, tmp_path, name="legacy.sqlite").resume() as store:
         assert store.is_complete()
@@ -542,13 +561,13 @@ def test_config_hash_is_the_one_stores_were_written_with():
 
 
 def test_resume_of_a_store_written_while_pruning_was_an_option(
-    receptor, tmp_path, monkeypatch
+    receptor, tmp_path, monkeypatch, sqlite_campaigns
 ):
     with make_runner(receptor, tmp_path, name="ref.sqlite").run() as store:
         expected = store.science_digest()
     with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
         patch.setattr(runner_mod, "dock", DockSpy(interrupt_before_call=4))
-        make_runner(receptor, tmp_path).run()
+        make_runner(receptor, tmp_path, name="c.sqlite").run()
 
     def rewrite_as_parent(prune_spots):
         with open_store(tmp_path / "c.sqlite") as store:
@@ -559,20 +578,24 @@ def test_resume_of_a_store_written_while_pruning_was_an_option(
     # Written with the flag: refused, to be finished by the version that wrote it.
     rewrite_as_parent(True)
     with pytest.raises(CampaignError, match="config mismatch"):
-        make_runner(receptor, tmp_path).resume()
+        make_runner(receptor, tmp_path, name="c.sqlite").resume()
     # Written without it, as every store the flag's default made: same hash.
     rewrite_as_parent(False)
-    with make_runner(receptor, tmp_path).resume() as store:
+    with make_runner(receptor, tmp_path, name="c.sqlite").resume() as store:
         assert store.config["prune_spots"] is False
         assert store.is_complete()
         assert store.science_digest() == expected
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "columnar"])
-def test_store_written_without_autotune_keeps_its_hash(receptor, tmp_path, backend):
+def test_store_written_without_autotune_keeps_its_hash(
+    receptor, tmp_path, request, backend
+):
     """The constant was printed by 24c88e5, the last commit with the option,
     for this campaign run without it."""
-    with make_runner(receptor, tmp_path, store_backend=backend).run() as store:
+    if backend == "sqlite":
+        request.getfixturevalue("sqlite_campaigns")
+    with make_runner(receptor, tmp_path, name=f"c.{backend}").run() as store:
         assert "autotune" not in store.config
         assert store.config_hash == (
             "d964735e9c85a790c458171015baf2e598e2746ad806ab4bd09d2b7cafc78331"
@@ -581,14 +604,15 @@ def test_store_written_without_autotune_keeps_its_hash(receptor, tmp_path, backe
 
 @pytest.mark.parametrize("backend", ["sqlite", "columnar"])
 def test_store_that_records_autotune_is_refused_by_name(
-    receptor, tmp_path, monkeypatch, capsys, backend
+    receptor, tmp_path, monkeypatch, capsys, request, backend
 ):
     from repro.cli import main
 
+    if backend == "sqlite":
+        request.getfixturevalue("sqlite_campaigns")
     path = tmp_path / f"c.{backend}"
     knobs = dict(
         name=path.name,
-        store_backend=backend,
         receptor_descriptor={"kind": "synthetic", "n_atoms": 300, "seed": 11},
     )
     with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):

@@ -82,14 +82,14 @@ def run_and_observe(path, nodes):
 
 
 def test_single_node_and_fleet_leave_the_same_campaign_behind(tmp_path):
-    alone = run_and_observe(tmp_path / "alone.sqlite", nodes=0)
-    fleet = run_and_observe(tmp_path / "fleet.sqlite", nodes=2)
+    alone = run_and_observe(tmp_path / "alone.store", nodes=0)
+    fleet = run_and_observe(tmp_path / "fleet.store", nodes=2)
     assert alone["shards"] == {0: (2, 0), 1: (2, 0), 2: (2, 0)}
     assert alone["complete"]
     assert alone["shard_finish"] == [0, 1, 2]
     assert alone["shard_events"] == {"shard.finish": 3}
-    assert not (tmp_path / "alone.sqlite.journal").exists()
-    assert not (tmp_path / "fleet.sqlite.journal").exists()
+    assert not (tmp_path / "alone.store.journal").exists()
+    assert not (tmp_path / "fleet.store.journal").exists()
     assert {"campaign.ligands.done", "campaign.shards.done"} <= alone["counters"]
     assert alone["gauges"] == {"store.disk.bytes"}
     assert fleet == alone
@@ -99,7 +99,7 @@ def test_single_node_and_fleet_leave_the_same_campaign_behind(tmp_path):
 def test_a_shard_with_nothing_left_to_dock_is_still_reported(tmp_path, nodes, monkeypatch):
     """Every row is in the store, no shard was finished: a resume docks
     nothing, and every shard reaches the progress callback all the same."""
-    path = tmp_path / "c.sqlite"
+    path = tmp_path / "c.store"
     seen = []
     runner = make_runner(path, nodes=nodes, progress=seen.append)
     store = create_store(path, runner.config, runner.config_hash)
@@ -133,7 +133,7 @@ def test_the_disk_gauge_probe_is_throttled(tmp_path, nodes, monkeypatch):
         commit_mod, "store_disk_bytes", lambda path: probes.append(path) or real(path)
     )
     t0 = time.perf_counter()
-    with make_runner(tmp_path / "c.sqlite", n_ligands=12, shard_size=1, nodes=nodes).run():
+    with make_runner(tmp_path / "c.store", n_ligands=12, shard_size=1, nodes=nodes).run():
         pass
     elapsed = time.perf_counter() - t0
     assert 1 <= len(probes) <= 1 + elapsed // 0.5 < 12
@@ -151,7 +151,7 @@ def test_shard_finish_records_carry_the_stores_own_counts(tmp_path, nodes, monke
         return real_dock(receptor, ligand, **kwargs)
 
     monkeypatch.setattr(runner_mod, "dock", poisoned)
-    path = tmp_path / "c.sqlite"
+    path = tmp_path / "c.store"
     reset_flight()
     with make_runner(path, nodes=nodes).run() as store:
         assert store.counts()["failed"] == 1

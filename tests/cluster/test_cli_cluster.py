@@ -5,7 +5,7 @@ import socket
 
 import pytest
 
-from repro.campaign.store import CampaignStore
+from repro.campaign import open_store
 from repro.cli import main
 from repro.errors import ClusterError
 
@@ -24,7 +24,7 @@ CAMPAIGN_ARGS = [
 
 
 def _digest(path):
-    with CampaignStore.open(path) as store:
+    with open_store(path) as store:
         assert store.is_complete()
         return store.science_digest()
 
@@ -40,7 +40,7 @@ def _worker_entry(address):
 
 
 def test_campaign_run_nodes_matches_inprocess(tmp_path, capsys):
-    single, fleet = tmp_path / "single.sqlite", tmp_path / "fleet.sqlite"
+    single, fleet = tmp_path / "single.store", tmp_path / "fleet.store"
     assert main(["campaign", "run", "--store", str(single)] + CAMPAIGN_ARGS) == 0
     rc = main(
         ["campaign", "run", "--store", str(fleet), "--nodes", "2"]
@@ -53,7 +53,7 @@ def test_campaign_run_nodes_matches_inprocess(tmp_path, capsys):
 
 
 def test_cluster_coordinator_serves_remote_cli_workers(tmp_path, capsys):
-    single, fleet = tmp_path / "single.sqlite", tmp_path / "fleet.sqlite"
+    single, fleet = tmp_path / "single.store", tmp_path / "fleet.store"
     assert main(["campaign", "run", "--store", str(single)] + CAMPAIGN_ARGS) == 0
     capsys.readouterr()
 

@@ -15,10 +15,9 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignRunner, SyntheticSource
-from repro.campaign.store import CampaignStore
+from repro.campaign import CampaignRunner, SyntheticSource, open_store
 from repro.cluster import ClusterCampaign, ClusterConfig
-from repro.errors import ClusterError
+from repro.errors import CampaignError, ClusterError
 from repro.metaheuristics.presets import make_preset
 from repro.molecules.synthetic import generate_receptor
 from repro.scoring.lennard_jones import LennardJonesScoring
@@ -51,7 +50,7 @@ def make_runner(store_path, *, nodes=0, cluster=None, progress=None, **overrides
 
 
 def completed_digest(path):
-    with CampaignStore.open(path) as store:
+    with open_store(path) as store:
         assert store.is_complete()
         counts = store.counts()
         assert counts["done"] == N_LIGANDS and counts["failed"] == 0
@@ -61,7 +60,7 @@ def completed_digest(path):
 @pytest.fixture(scope="module")
 def baseline_digest(tmp_path_factory):
     """The single-node store fingerprint every fleet run must reproduce."""
-    path = tmp_path_factory.mktemp("baseline") / "c.sqlite"
+    path = tmp_path_factory.mktemp("baseline") / "c.store"
     with make_runner(path).run():
         pass
     return completed_digest(path)
@@ -69,10 +68,10 @@ def baseline_digest(tmp_path_factory):
 
 def test_two_node_fleet_matches_single_node_bitwise(tmp_path, baseline_digest):
     seen = []
-    runner = make_runner(tmp_path / "c.sqlite", nodes=2, progress=seen.append)
+    runner = make_runner(tmp_path / "c.store", nodes=2, progress=seen.append)
     with runner.run():
         pass
-    assert completed_digest(tmp_path / "c.sqlite") == baseline_digest
+    assert completed_digest(tmp_path / "c.store") == baseline_digest
     summary = runner.fleet.summary
     assert summary["nodes"] == 2
     assert summary["node_deaths"] == 0
@@ -93,10 +92,10 @@ def test_skewed_probe_weights_trigger_stealing(tmp_path, baseline_digest):
         service_time_s=0.05,
         heartbeat_interval_s=0.1,
     )
-    runner = make_runner(tmp_path / "c.sqlite", nodes=2, cluster=cluster)
+    runner = make_runner(tmp_path / "c.store", nodes=2, cluster=cluster)
     with runner.run():
         pass
-    assert completed_digest(tmp_path / "c.sqlite") == baseline_digest
+    assert completed_digest(tmp_path / "c.store") == baseline_digest
     assert runner.fleet.summary["steals"] >= 1
 
 
@@ -106,7 +105,7 @@ def test_sigkilled_worker_node_recovers_bitwise(tmp_path, baseline_digest):
         heartbeat_timeout_s=1.0,
         service_time_s=0.2,  # hard floor: 8 ligands/node * 0.2s > kill time
     )
-    runner = make_runner(tmp_path / "c.sqlite", nodes=2, cluster=cluster)
+    runner = make_runner(tmp_path / "c.store", nodes=2, cluster=cluster)
 
     def kill_one_worker():
         time.sleep(1.0)
@@ -119,7 +118,7 @@ def test_sigkilled_worker_node_recovers_bitwise(tmp_path, baseline_digest):
     with runner.run():
         pass
     killer.join()
-    assert completed_digest(tmp_path / "c.sqlite") == baseline_digest
+    assert completed_digest(tmp_path / "c.store") == baseline_digest
     summary = runner.fleet.summary
     assert summary["node_deaths"] >= 1
     assert summary["recovery_seconds"] is not None
@@ -132,12 +131,12 @@ def test_shutdown_collects_byes_without_stalling(tmp_path, baseline_digest):
     # service sleep delays each bye past several 0.1 s idle ticks, which
     # made the stall deterministic before the fix.
     cluster = ClusterConfig(service_time_s=0.1, heartbeat_interval_s=0.1)
-    runner = make_runner(tmp_path / "c.sqlite", nodes=2, cluster=cluster)
+    runner = make_runner(tmp_path / "c.store", nodes=2, cluster=cluster)
     t0 = time.monotonic()
     with runner.run():
         pass
     wall = time.monotonic() - t0
-    assert completed_digest(tmp_path / "c.sqlite") == baseline_digest
+    assert completed_digest(tmp_path / "c.store") == baseline_digest
     assert wall < 15.0, f"fleet shutdown stalled ({wall:.1f}s)"
 
 
@@ -149,18 +148,19 @@ def _run_fleet_campaign(store_path):
 
 
 def test_sigkilled_coordinator_resumes_bitwise(tmp_path, baseline_digest):
-    path = tmp_path / "c.sqlite"
+    path = tmp_path / "c.store"
     ctx = multiprocessing.get_context("fork")
     child = ctx.Process(target=_run_fleet_campaign, args=(str(path),))
     child.start()
-    # Wait for real progress, then kill the whole coordinator process.
+    # Wait for real progress, then kill the whole coordinator process. The
+    # poll reads the store under its live writer, as `campaign status` does.
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
         try:
-            with CampaignStore.open(path) as store:
+            with open_store(path, readonly=True) as store:
                 if store.counts()["done"] >= 2:
                     break
-        except Exception:
+        except CampaignError:  # not created yet
             pass
         time.sleep(0.1)
     else:
@@ -168,7 +168,7 @@ def test_sigkilled_coordinator_resumes_bitwise(tmp_path, baseline_digest):
     os.kill(child.pid, signal.SIGKILL)
     child.join(timeout=10.0)
 
-    with CampaignStore.open(path) as store:
+    with open_store(path) as store:
         assert not store.is_complete()
         assert store.counts()["done"] < N_LIGANDS
     # `campaign resume` path: same config, fresh fleet, the store's shards.
@@ -182,7 +182,7 @@ def test_sigkilled_coordinator_resumes_bitwise(tmp_path, baseline_digest):
 
 def test_custom_metaheuristic_cannot_cross_node_boundary(tmp_path):
     runner = make_runner(
-        tmp_path / "c.sqlite", metaheuristic=make_preset("M1", 0.04)
+        tmp_path / "c.store", metaheuristic=make_preset("M1", 0.04)
     )
     with pytest.raises(ClusterError, match="MetaheuristicSpec"):
         ClusterCampaign(runner, nodes=2)
@@ -192,7 +192,7 @@ def test_custom_scoring_cannot_cross_node_boundary(tmp_path):
     class TweakedScoring(LennardJonesScoring):
         pass
 
-    runner = make_runner(tmp_path / "c.sqlite", scoring=TweakedScoring())
+    runner = make_runner(tmp_path / "c.store", scoring=TweakedScoring())
     with pytest.raises(ClusterError):
         ClusterCampaign(runner, nodes=2)
 
@@ -201,7 +201,7 @@ def test_custom_node_spec_cannot_cross_node_boundary(tmp_path):
     from repro.hardware.node import custom_node
 
     runner = make_runner(
-        tmp_path / "c.sqlite",
+        tmp_path / "c.store",
         node=custom_node("franken", "Xeon E5-2620", 1, ["Tesla K40c"]),
     )
     with pytest.raises(ClusterError, match="jupiter/hertz"):
@@ -209,7 +209,7 @@ def test_custom_node_spec_cannot_cross_node_boundary(tmp_path):
 
 
 def test_fleet_needs_at_least_one_node(tmp_path):
-    runner = make_runner(tmp_path / "c.sqlite")
+    runner = make_runner(tmp_path / "c.store")
     with pytest.raises(ClusterError, match="nodes >= 1"):
         ClusterCampaign(runner, nodes=0)
 

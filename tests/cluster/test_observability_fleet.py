@@ -15,8 +15,7 @@ import threading
 import time
 
 from repro import observability as obs
-from repro.campaign import CampaignRunner, SyntheticSource
-from repro.campaign.store import CampaignStore
+from repro.campaign import CampaignRunner, SyntheticSource, open_store
 from repro.cluster import ClusterConfig
 from repro.molecules.synthetic import generate_receptor
 from repro.observability import diagnose_campaign
@@ -74,10 +73,10 @@ def run_with_a_sigkilled_node(path):
 def test_sigkilled_fleet_trace_flight_and_doctor(tmp_path):
     obs.reset()
     reset_flight("coordinator")
-    path = tmp_path / "c.sqlite"
+    path = tmp_path / "c.store"
     runner = run_with_a_sigkilled_node(path)
 
-    with CampaignStore.open(path) as store:
+    with open_store(path) as store:
         assert store.is_complete()
         assert store.counts()["done"] == N_LIGANDS
     summary = runner.fleet.summary
@@ -143,7 +142,7 @@ def test_sigkilled_fleet_trace_flight_and_doctor(tmp_path):
     assert dead_section.verdict == "bad"
     # The dead node's last shard comes from the coordinator's lease grants:
     # no journal is written beside the store.
-    assert not (tmp_path / "c.sqlite.journal").exists()
+    assert not (tmp_path / "c.store.journal").exists()
     assert any(
         line.startswith(f"node {dead_node}: ") and "last was shard" in line
         for line in dead_section.lines
@@ -156,7 +155,7 @@ def test_sigkilled_fleet_trace_flight_and_doctor(tmp_path):
 def test_clean_fleet_run_dumps_worker_flights(tmp_path):
     obs.reset()
     reset_flight("coordinator")
-    path = tmp_path / "c.sqlite"
+    path = tmp_path / "c.store"
     runner = make_runner(
         path, nodes=2, cluster=ClusterConfig(heartbeat_interval_s=0.1)
     )
@@ -186,7 +185,7 @@ def test_clean_fleet_run_dumps_worker_flights(tmp_path):
 def test_single_node_runner_dumps_flight(tmp_path):
     obs.reset()
     reset_flight("runner")
-    path = tmp_path / "c.sqlite"
+    path = tmp_path / "c.store"
     with make_runner(path).run():
         pass
     dumps = read_flight_dir(flight_dir(path))
@@ -203,9 +202,9 @@ def test_a_campaign_after_a_node_death_dumps_only_its_own_events(tmp_path):
     # The flight recorder is process-global. Each campaign starts it fresh,
     # so an earlier campaign's node death never reaches a later store's dumps.
     obs.reset()
-    killed = run_with_a_sigkilled_node(tmp_path / "killed.sqlite")
+    killed = run_with_a_sigkilled_node(tmp_path / "killed.store")
     assert killed.fleet.summary["node_deaths"] >= 1
-    clean = tmp_path / "clean.sqlite"
+    clean = tmp_path / "clean.store"
     with make_runner(clean).run():
         pass
     report = diagnose_campaign(clean)

@@ -64,3 +64,18 @@ def pose_batch(spots, rng):
     translations = np.repeat(centers, 3, axis=0) + rng.normal(0, 1.0, (12, 3))
     quaternions = random_quaternion(rng, 12)
     return translations, quaternions
+
+
+@pytest.fixture()
+def sqlite_campaigns(monkeypatch):
+    """Campaigns started in this test write the store every build before the
+    columnar one wrote: a SQLite file whose config records ``store_backend``.
+    Everything after creation (resume, status, doctor) is today's code."""
+    import repro.campaign.runner as runner_mod
+    from repro.campaign.backends import create_store
+
+    def older_build(path, config, config_hash):
+        config = {**config, "store_backend": "sqlite"}
+        return create_store(path, config, config_hash, backend="sqlite")
+
+    monkeypatch.setattr(runner_mod, "create_store", older_build)

@@ -182,7 +182,7 @@ def test_scrape_live_campaign_while_docking(tmp_path):
     runner = CampaignRunner(
         receptor,
         SyntheticSource(6, atoms_range=(8, 10), seed=5),
-        store_path=tmp_path / "c.sqlite",
+        store_path=tmp_path / "c.store",
         n_spots=2,
         metaheuristic="M1",
         seed=1,

@@ -205,7 +205,7 @@ def test_live_campaign_series_and_trace_through_the_cli(tmp_path):
 
     from repro.observability import read_series
 
-    store = tmp_path / "live.sqlite"
+    store = tmp_path / "live.store"
     series = tmp_path / "live.series.jsonl"
     assert main([
         "campaign", "run", "--store", str(store), "--receptor-atoms", "150",
@@ -303,7 +303,6 @@ _FLAG_TABLE = {
         "--shard-size": (32, "_positive_int", None, False, None),
         "--spots": (8, "_positive_int", None, False, None),
         "--store": (None, None, None, True, None),
-        "--store-backend": ("sqlite", None, ("sqlite", "columnar"), False, None),
     },
     "campaign status": {
         "--store": (None, None, None, True, None),
@@ -342,7 +341,6 @@ _FLAG_TABLE = {
         "--shard-size": (32, "_positive_int", None, False, None),
         "--spots": (8, "_positive_int", None, False, None),
         "--store": (None, None, None, True, None),
-        "--store-backend": ("sqlite", None, ("sqlite", "columnar"), False, None),
     },
     "cluster worker": {
         "--connect": (None, None, None, True, None),
