@@ -70,7 +70,6 @@ import numpy as np
 
 from repro import observability as obs
 from repro.errors import CampaignError
-from repro.observability.flight import flight_event
 
 from repro.campaign.store import (
     _export_csv,
@@ -1234,12 +1233,6 @@ class ColumnarStore:
             if path.exists():
                 path.unlink()
         obs.counter("campaign.store.compactions").inc()
-        flight_event(
-            "store.compaction",
-            merged_segments=fanin,
-            merged_rows=best_total,
-            segments_after=len(self._segments),
-        )
 
     # ------------------------------------------------------------------
     # recovery

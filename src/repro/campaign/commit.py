@@ -99,7 +99,7 @@ class CampaignCommitter:
         obs.counter("campaign.shards.done").inc()
         obs.histogram("campaign.shard.seconds").observe(wall_s)
         flight_event(
-            "shard.finish", shard=shard.shard_id, wall=round(wall_s, 6), **tags
+            "shard.finish", shard=shard.shard_id, seconds=round(wall_s, 6), **tags
         )
         self._update_disk_gauge()
         # The shard's rows are durable and its workers' telemetry folded in:

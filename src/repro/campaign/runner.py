@@ -8,8 +8,8 @@ does it (what a fleet node runs too), and a
 completed ligand is committed before the next one starts, and
 :meth:`resume` continues exactly where a crash, SIGKILL, or Ctrl-C left off.
 The store is the one durable log: it alone decides which shards are
-finished, and the flight dumps beside it are the record of what happened
-when that ``repro-vs doctor`` reads.
+finished, and the flight records beside it, written as events happen, are
+the record of what happened when that ``repro-vs doctor`` reads.
 
 Determinism: ligand ``ordinal`` is always docked with seed ``seed +
 ordinal`` (the same rule ``screen()`` has always used), so an interrupted
@@ -75,13 +75,7 @@ from repro.campaign.library import (  # noqa: F401
 )
 from repro.campaign.settings import DockSettings
 from repro.campaign.store import CampaignStore
-from repro.observability.flight import (
-    dump_flight,
-    flight_dir,
-    flight_event,
-    flight_recorder,
-    reset_flight,
-)
+from repro.observability.flight import flight_dir, flight_event, flight_recorder
 
 __all__ = [
     "CampaignRunner",
@@ -415,9 +409,6 @@ class CampaignRunner:
         Returns the open store (caller closes it — or uses it as a context
         manager).
         """
-        # The recorder is process-global: without a fresh ring, an earlier
-        # campaign's events would land in this store's flight dumps.
-        reset_flight()
         with obs.span("campaign.run", config=self.config_hash[:12]):
             store = create_store(self.store_path, self.config, self.config_hash)
             return self._execute(store, finished=set())
@@ -430,7 +421,6 @@ class CampaignRunner:
         Resuming a completed campaign is a no-op. A ``<store>.journal`` an
         older build left beside the store is not opened.
         """
-        reset_flight()  # this campaign's events only, as in run()
         with obs.span("campaign.resume", config=self.config_hash[:12]) as span_tags:
             store = open_store(self.store_path)
             try:
@@ -485,6 +475,11 @@ class CampaignRunner:
             store, total=self.source.count(), progress=self._progress
         )
         n_streamed = 0
+        flight_recorder().attach(
+            None
+            if self.store_path == ":memory:"
+            else flight_dir(self.store_path) / "runner.flight"
+        )
         try:
             try:
                 self._runtime = open_runtime(self.settings, self.receptor)
@@ -514,21 +509,15 @@ class CampaignRunner:
                         committer.end_shard(shard)
                 committer.end_campaign(n_streamed)
             except BaseException:
-                # Crash path: everything committed so far is durable; close the
-                # connection so the WAL checkpoints cleanly, then let it fly.
+                # Crash path: everything committed so far is durable; the
+                # caller never receives the store, so close it, then let it fly.
                 store.close()
                 raise
         finally:
             runtime, self._runtime = self._runtime, None
             if runtime is not None:
                 runtime.close()
-            if str(self.store_path) != ":memory:" and obs.enabled():
-                # Black-box dump for the post-mortem doctor; best-effort.
-                # A fleet run retags this process "coordinator"; only the
-                # still-default role means this was a single-node campaign.
-                if flight_recorder().role == "process":
-                    flight_recorder().role = "runner"
-                dump_flight(flight_dir(self.store_path) / "runner.flight")
+            flight_recorder().attach(None)
         return store
 
     def _dock_one(

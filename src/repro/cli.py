@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     doc = sub.add_parser(
         "doctor",
-        help="post-mortem a campaign: fuse its store, flight dumps, "
+        help="post-mortem a campaign: fuse its store, flight records, "
         "metrics snapshot, and series file into a slow/stuck diagnosis",
     )
     doc.add_argument("--store", required=True, help="campaign store path")

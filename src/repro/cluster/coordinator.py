@@ -41,7 +41,7 @@ from repro import observability as obs
 from repro.campaign.commit import CampaignCommitter, CampaignProgress
 from repro.campaign.library import Shard
 from repro.errors import ClusterError, ConnectionClosed, ProtocolError
-from repro.observability.flight import dump_flight, flight_event
+from repro.observability.flight import flight_event
 
 from repro.cluster.config import MESSAGE_TIMEOUT_S, WARMUP_DEADLINE_S, ClusterConfig
 from repro.cluster.protocol import PROTOCOL_VERSION, Channel
@@ -175,7 +175,6 @@ class Coordinator:
         expected_nodes: int,
         raise_on_failure: bool = False,
         trace_id: str | None = None,
-        flight_path=None,
     ) -> None:
         if expected_nodes < 1:
             raise ClusterError(f"expected_nodes must be >= 1, got {expected_nodes}")
@@ -188,7 +187,6 @@ class Coordinator:
         self.expected_nodes = expected_nodes
         self._raise_on_failure = raise_on_failure
         self.trace_id = trace_id
-        self._flight_path = flight_path
 
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -225,8 +223,6 @@ class Coordinator:
         finally:
             self._shutdown_fleet()
             accept.join(timeout=2.0)
-            if self._flight_path is not None:
-                dump_flight(self._flight_path)
         if self._fatal is not None:
             raise self._fatal
         return self.summary()
@@ -669,10 +665,6 @@ class Coordinator:
             reclaimed=reclaimed,
             requeued=len(requeue),
         )
-        if self._flight_path is not None:
-            # Best-effort black-box dump the moment a death is detected,
-            # so the forensic record survives even if *we* die next.
-            dump_flight(self._flight_path)
         self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -688,7 +680,6 @@ class Coordinator:
         telemetry = message.get("telemetry")
         if isinstance(telemetry, dict):
             obs.merge(retag_snapshot(telemetry, node.node_id))
-        flight_event("node.bye", node=node.node_id, done=node.done)
         node.channel.close()
         self._cond.notify_all()
 

@@ -168,11 +168,13 @@ class ClusterCampaign:
     def execute(self, store: CampaignStore, finished: set[int]) -> CampaignStore:
         """Run the planned fleet to completion against an open store."""
         runner = self.runner
+        # This process is the fleet's coordinator from here on; each node
+        # attaches its own file in run_worker (a forked one drops this one).
+        flight_recorder().attach(
+            None if self.flight_dir is None else self.flight_dir / "coordinator.flight"
+        )
         try:
             with obs.span("cluster.fleet", nodes=self.nodes, trace=self.trace_id):
-                # This process is the fleet's coordinator from here on; the
-                # black-box dump should say so (workers retag in run_worker).
-                flight_recorder().role = "coordinator"
                 tasks, n_streamed = self._plan(finished)
                 committer = CampaignCommitter(
                     store,
@@ -223,11 +225,6 @@ class ClusterCampaign:
                         expected_nodes=self.nodes,
                         raise_on_failure=runner.raise_on_failure,
                         trace_id=self.trace_id,
-                        flight_path=(
-                            None
-                            if self.flight_dir is None
-                            else self.flight_dir / "coordinator.flight"
-                        ),
                     )
                     self.summary = self.coordinator.serve()
                 finally:
@@ -236,6 +233,8 @@ class ClusterCampaign:
         except BaseException:
             store.close()
             raise
+        finally:
+            flight_recorder().attach(None)
         return store
 
     def _reap_workers(self) -> None:

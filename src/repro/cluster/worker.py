@@ -44,12 +44,7 @@ from repro import observability as obs
 from repro.campaign.runner import dock_ligand, open_runtime, outcome_row
 from repro.campaign.settings import DockSettings
 from repro.errors import ConnectionClosed, ProtocolError
-from repro.observability.flight import (
-    dump_flight,
-    flight_event,
-    flight_recorder,
-    install_flight_signal_dump,
-)
+from repro.observability.flight import flight_event, flight_recorder
 
 from repro.cluster.config import (
     CONNECT_ATTEMPTS,
@@ -109,7 +104,7 @@ class WorkerNode:
         self.flight_path = (
             None
             if flight_dir is None
-            else Path(flight_dir) / f"node{self.node_id}.flight"
+            else Path(flight_dir) / f"worker-node{self.node_id}.flight"
         )
         self._telemetry_shipped_t = 0.0
         self._source = None  # built lazily from the library descriptor
@@ -385,12 +380,11 @@ def run_worker(
 
     Top-level and picklable on purpose: the local fleet forks/spawns it via
     ``multiprocessing``, and ``repro-vs cluster worker`` calls it directly.
-    Resets process-global telemetry (and the flight ring) first — a forked
-    child inherits the parent's counters, and the coordinator must see only
-    this node's numbers in the final ``bye`` snapshot.
+    Resets process-global telemetry first — a forked child inherits the
+    parent's counters, and the coordinator must see only this node's numbers
+    in the final ``bye`` snapshot.
     """
     obs.reset()
-    obs.reset_flight("worker")
     sock = connect(host, port, attempts=connect_attempts, backoff_s=connect_backoff_s)
     with Channel(sock) as channel:
         channel.send(
@@ -404,11 +398,7 @@ def run_worker(
         if message["kind"] != "config":
             raise ProtocolError(f"expected config, got {message['kind']}")
         node = WorkerNode(channel, message)
-        flight_recorder().role = f"worker-node{node.node_id}"
-        if node.flight_path is not None:
-            # Black-box semantics: a SIGTERM'd worker still leaves a dump.
-            # (SIGKILL cannot; the coordinator's own dump records the death.)
-            install_flight_signal_dump(node.flight_path)
+        flight_recorder().attach(node.flight_path)
         try:
             node.start_runtime()
             seconds = node.probe()
@@ -421,5 +411,4 @@ def run_worker(
             # the coordinator side, so the worker just exits nonzero.
             return 1
         finally:
-            if node.flight_path is not None:
-                dump_flight(node.flight_path)
+            flight_recorder().attach(None)

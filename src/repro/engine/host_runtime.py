@@ -76,7 +76,6 @@ from repro import observability as obs
 from repro.constants import DEFAULT_SEED, FLOAT_DTYPE
 from repro.engine.partition import eq1_weights
 from repro.errors import ScoringError, WorkerPoolError
-from repro.observability.flight import flight_event
 from repro.metaheuristics.evaluation import EvaluationStats, LaunchRecord
 from repro.molecules.transforms import normalize_quaternion
 from repro.scoring.base import BoundScorer, ScorerShape, ScoringFunction, spot_groups
@@ -1064,7 +1063,6 @@ class PersistentHostRuntime:
         binding = self._evaluator.bind_ligand(ligand)
         rebind_s = time.perf_counter() - t0
         obs.histogram("host.rebind.seconds").observe(rebind_s)
-        flight_event("pool.rebind", seconds=round(rebind_s, 6))
         return LigandLease(self, ligand, binding)
 
     def _validate_receptor(self, receptor) -> None:

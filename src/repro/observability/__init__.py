@@ -86,11 +86,8 @@ __all__ = [
     "flight_recorder",
     "flight_event",
     "flight_dir",
-    "dump_flight",
-    "reset_flight",
     "read_flight",
     "read_flight_dir",
-    "install_flight_signal_dump",
     "DoctorReport",
     "diagnose_campaign",
 ]
@@ -287,14 +284,11 @@ from repro.observability.sampler import (  # noqa: E402
 from repro.observability.flight import (  # noqa: E402
     FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
-    dump_flight,
     flight_dir,
     flight_event,
     flight_recorder,
-    install_flight_signal_dump,
     read_flight,
     read_flight_dir,
-    reset_flight,
 )
 
 # Off the campaign path: loaded on first use.

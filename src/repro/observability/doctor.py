@@ -6,10 +6,11 @@ and three artifact families next to it:
 * the **store** itself — the one durable log: which shards finished, how
   many ligands are done, failed or pending, and whether the campaign
   completed;
-* the **flight dumps** (``<store>.flight.d/*.flight``) — each process's
-  black-box ring of structured events (lease grants with their shard and
-  node, steals, heartbeats, node deaths, shard finishes with their wall
-  time, compactions, rebinds);
+* the **flight records** (``<store>.flight.d/*.flight``) — each process's
+  structured events, written as they happened, so a SIGKILLed process
+  keeps its record (lease grants with their shard and node, steals,
+  heartbeats, dock retries, node deaths, shard finishes with their
+  seconds);
 * the end-of-run **metrics snapshot** (``<store>.metrics.json``);
 * optionally a live **series** file written by the sampler.
 
@@ -153,6 +154,51 @@ def _flight_events(dumps: list[dict], *kinds: str) -> list[tuple[dict, dict]]:
     return out
 
 
+def _last_grant(dumps: list[dict], node) -> str | None:
+    """The coordinator's lease grants to ``node``: how many, and the last."""
+    grants = [
+        e for _, e in _flight_events(dumps, "lease.grant") if e.get("node") == node
+    ]
+    if not grants:
+        return None
+    last = grants[-1]
+    return (
+        f"node {node}: {len(grants)} lease grant(s); last was "
+        f"shard {last.get('shard')} at {_clock(last.get('wall'))} UTC"
+    )
+
+
+def _stopped_process(dumps: list[dict]) -> list[str]:
+    """What the runner or coordinator that attached last recorded last."""
+    records: dict[str, list[dict]] = {}
+    for dump in dumps:
+        if "events" in dump and _role(dump) in ("runner", "coordinator"):
+            records.setdefault(_role(dump), []).append(dump)
+    if not records:
+        return [
+            "the store is not marked complete, no node death was recorded "
+            "and no runner or coordinator left a flight record"
+        ]
+    role, files = max(
+        records.items(),
+        key=lambda item: max(
+            (d.get("header") or {}).get("started_wall", 0.0) for d in item[1]
+        ),
+    )
+    events = [event for dump in files for event in dump["events"]]
+    if not events:
+        return [f"the {role} stopped before it recorded any event"]
+    last = events[-1]
+    lines = [
+        f"the {role} stopped: its last event was {last.get('kind')} at "
+        f"{_clock(last.get('wall'))} UTC"
+    ]
+    if role == "coordinator":
+        nodes = {e.get("node") for _, e in _flight_events(files, "lease.grant")}
+        lines += [_last_grant(files, node) for node in sorted(nodes, key=str)]
+    return lines
+
+
 def _role(dump: dict) -> str:
     header = dump.get("header") or {}
     return str(header.get("role", Path(str(dump.get("path", "?"))).stem))
@@ -200,14 +246,19 @@ def _analyze_summary(
     if readable:
         roles = ", ".join(sorted(_role(d) for d in readable))
         section.lines.append(
-            f"flight dumps: {len(readable)} readable ({roles})"
+            f"flight records: {len(readable)} readable ({roles})"
             + (f", {len(torn)} with torn tails" if torn else "")
         )
     else:
-        section.lines.append("flight dumps: none found")
+        section.lines.append("flight records: none found")
     for dump in broken:
         section.lines.append(
-            f"flight dump unreadable: {dump.get('path')}: {dump.get('error')}"
+            f"flight record unreadable: {dump.get('path')}: {dump.get('error')}"
+        )
+    retries = [e for _, e in _flight_events(dumps, "dock.retry")]
+    if retries:
+        section.lines.append(
+            f"{len(retries)} dock retry(ies) recorded; last: {retries[-1].get('error')}"
         )
     if metrics is None:
         section.lines.append(f"metrics snapshot: {store_path}.metrics.json absent")
@@ -251,17 +302,9 @@ def _analyze_dead_nodes(dumps: list[dict]) -> Section:
                 f"(done={beats[-1].get('done')}, failed={beats[-1].get('failed')})"
             )
         # The coordinator's lease grants: the last shard this node was given.
-        grants = [
-            e
-            for _, e in _flight_events(dumps, "lease.grant")
-            if e.get("node") == node
-        ]
-        if grants:
-            last = grants[-1]
-            section.lines.append(
-                f"node {node}: {len(grants)} lease grant(s); last was "
-                f"shard {last.get('shard')} at {_clock(last.get('wall'))} UTC"
-            )
+        grant = _last_grant(dumps, node)
+        if grant is not None:
+            section.lines.append(grant)
     if len(deaths) > 1:
         names = sorted({e.get("node") for _, e in deaths})
         section.headline = f"{len(deaths)} node deaths: nodes {names}"
@@ -350,12 +393,12 @@ def _analyze_slow_shards(dumps: list[dict]) -> Section:
     finishes = [
         event
         for _, event in _flight_events(dumps, "shard.finish")
-        if event.get("wall") is not None
+        if event.get("seconds") is not None
     ]
     if not finishes:
-        section.headline = "no shard timings in flight dumps"
+        section.headline = "no shard timings in flight records"
         return section
-    walls = sorted(float(e["wall"]) for e in finishes)
+    walls = sorted(float(e["seconds"]) for e in finishes)
     median = walls[len(walls) // 2]
     # The last grant of a shard names the node that finished it.
     node_of = {
@@ -364,19 +407,19 @@ def _analyze_slow_shards(dumps: list[dict]) -> Section:
     slow = [
         e
         for e in finishes
-        if median > 0 and float(e["wall"]) > _SLOW_SHARD_FACTOR * median
+        if median > 0 and float(e["seconds"]) > _SLOW_SHARD_FACTOR * median
     ]
     section.lines.append(
         f"{len(finishes)} shard finish(es), median wall {median:.3f}s, "
         f"max {walls[-1]:.3f}s"
     )
-    for event in sorted(slow, key=lambda e: -float(e["wall"]))[:5]:
+    for event in sorted(slow, key=lambda e: -float(e["seconds"]))[:5]:
         shard = event.get("shard")
         owner = event.get("node", node_of.get(shard))
         where = f" on node {owner}" if owner is not None else ""
         section.lines.append(
-            f"shard {shard}{where}: {float(event['wall']):.3f}s "
-            f"({float(event['wall']) / median:.1f}x median)"
+            f"shard {shard}{where}: {float(event['seconds']):.3f}s "
+            f"({float(event['seconds']) / median:.1f}x median)"
         )
     if slow:
         section.verdict = "warn"
@@ -413,10 +456,7 @@ def _analyze_verdict(
         causes.append("device shares drifted from the Eq. 1 plan")
     if _incomplete(store):
         if not deaths:
-            causes.append(
-                "the store is not marked complete and no node death was "
-                "recorded — the coordinator itself likely died"
-            )
+            causes += _stopped_process(dumps)
         section.verdict = "bad"
         section.headline = "campaign is INCOMPLETE"
     elif causes:
@@ -440,7 +480,7 @@ def diagnose_campaign(
     """Fuse every artifact around ``store_path`` into a :class:`DoctorReport`.
 
     Raises :class:`ObservabilityError` only when there is *nothing* to
-    analyze (no store, no flight dumps, no metrics snapshot); individual
+    analyze (no store, no flight records, no metrics snapshot); individual
     missing or torn artifacts merely narrow the report.
     """
     store_path = str(store_path)
@@ -453,7 +493,7 @@ def diagnose_campaign(
     if store is None and not dumps and metrics is None:
         raise ObservabilityError(
             f"nothing to diagnose at {store_path}: no readable store, flight "
-            "dumps, or metrics snapshot found"
+            "records, or metrics snapshot found"
         )
     sections = [
         _analyze_summary(store_path, store, dumps, metrics),

@@ -1,13 +1,10 @@
-"""Black-box flight recorder: a bounded ring of structured events.
+"""Black-box flight recorder: structured events written as they happen.
 
-Coordinators, workers, and single-node campaign runners append small
-structured events (leases, steals, heartbeats, retries, compactions,
-rebinds, node deaths) to a process-global in-memory ring buffer.  The
-ring is bounded, so recording is O(1) and safe on any hot-ish path; the
-newest events win, exactly like an aircraft flight recorder.
-
-On clean exit, on SIGTERM, and best-effort when the coordinator detects
-a node death, the ring is flushed to a CRC-framed ``*.flight`` dump:
+Coordinators, workers, and single-node campaign runners record small
+structured events (leases, steals, heartbeats, retries, node deaths,
+shard finishes) into a CRC-framed ``*.flight`` file.  Each event is one
+``write`` on an unbuffered file the moment it is recorded, so a process
+killed by any signal, SIGKILL included, leaves every event it recorded:
 
     frame   := header (magic u16, kind u8, length u32, crc32 u32) payload
     kind 1  := JSON header record (schema, role, pid, clock references)
@@ -16,32 +13,33 @@ a node death, the ring is flushed to a CRC-framed ``*.flight`` dump:
 The framing mirrors ``repro.campaign.colstore``: a torn tail (partial
 header, partial payload, or a CRC mismatch at end-of-file) is tolerated
 and reported, while corruption *before* the end of the file raises
-:class:`~repro.errors.ObservabilityError`.  Dumps from a campaign land
-in a ``<store>.flight.d/`` directory, one file per process role, where
-``repro-vs doctor`` picks them up.
+:class:`~repro.errors.ObservabilityError`.  A campaign's files live in a
+``<store>.flight.d/`` directory, one ``<role>.flight`` per process role,
+where ``repro-vs doctor`` reads them.  A file that reaches ``max_events``
+events becomes ``<role>.old.flight`` and a fresh one starts, so a record
+is bounded and keeps the newest events.
 
-Recording is gated on the telemetry master switch: when
-``repro.observability.disable()`` is in effect, :func:`flight_event`
-is a no-op, so the recorder stays inside the telemetry overhead budget
-and cannot perturb the bitwise science path.
+Recording is gated on the telemetry master switch and on an attached
+file: with ``repro.observability.disable()`` in effect, or with no file
+attached (``screen()``, ``:memory:`` stores), :func:`flight_event` is a
+no-op, so the recorder cannot perturb the bitwise science path.
 """
 from __future__ import annotations
 
 import json
 import os
-import signal
 import struct
 import threading
 import time
 import zlib
-from collections import deque
 from pathlib import Path
 
 from repro.errors import ObservabilityError
 
-FLIGHT_SCHEMA_VERSION = 1
+FLIGHT_SCHEMA_VERSION = 2
 DEFAULT_MAX_EVENTS = 4096
 FLIGHT_SUFFIX = ".flight"
+_OLD_SUFFIX = ".old" + FLIGHT_SUFFIX
 
 _FRAME = struct.Struct("<HBII")  # magic, kind, payload length, crc32
 _FLIGHT_MAGIC = 0xF117
@@ -50,11 +48,10 @@ _K_EVENT = 2
 
 
 class FlightRecorder:
-    """Thread-safe bounded ring buffer of structured events."""
+    """Thread-safe writer of one process's flight record."""
 
     def __init__(
         self,
-        role: str = "process",
         *,
         max_events: int = DEFAULT_MAX_EVENTS,
         clock=time.perf_counter,
@@ -62,87 +59,101 @@ class FlightRecorder:
     ) -> None:
         if max_events < 1:
             raise ObservabilityError("flight recorder needs max_events >= 1")
-        self.role = role
         self.max_events = int(max_events)
         self._clock = clock
         self._wall_clock = wall_clock
-        self._events: deque[dict] = deque(maxlen=self.max_events)
         self._lock = threading.Lock()
+        self._file = None
+        self._path: Path | None = None
+        self._in_file = 0  # events in the attached file
         self._seq = 0
-        self._started_wall = wall_clock()
-        self._started_clock = clock()
+
+    @property
+    def role(self) -> str | None:
+        """The attached file's role (its name), or None when detached."""
+        if self._path is None:
+            return None
+        return self._path.name.removesuffix(FLIGHT_SUFFIX)
+
+    def attach(self, path: str | Path | None) -> None:
+        """Record into ``path`` from now on; ``None`` detaches.
+
+        An existing file is appended to after its torn tail, if any, is cut
+        at ``clean_bytes``; a corrupt one is moved to the ``.old`` slot.
+        Best-effort: a file that cannot be opened leaves the recorder
+        detached rather than failing the campaign.
+        """
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+            self._file = self._path = None
+            if path is None:
+                return
+            path = Path(path)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                self._in_file = _repair(path)
+                self._file = open(path, "ab", buffering=0)
+                self._path, self._seq = path, 0
+                self._write_header()
+            except OSError:
+                self._file = self._path = None
 
     def record(self, kind: str, **fields) -> None:
-        """Append one event; O(1), oldest events are evicted when full."""
+        """Write one event now; rotate first when the file is full."""
         t = self._clock()
         wall = self._wall_clock()
         with self._lock:
+            if self._file is None:
+                return
             self._seq += 1
-            self._events.append(
-                {"seq": self._seq, "t": t, "wall": wall, "kind": kind, **fields}
-            )
-
-    def events(self) -> list[dict]:
-        """The current ring contents, oldest first."""
-        with self._lock:
-            return [dict(event) for event in self._events]
-
-    @property
-    def recorded(self) -> int:
-        """Total events ever recorded (>= len(events()) once evicting)."""
-        with self._lock:
-            return self._seq
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted from the ring so far."""
-        with self._lock:
-            return max(0, self._seq - len(self._events))
-
-    def reset(self, role: str | None = None) -> None:
-        with self._lock:
-            self._events.clear()
-            self._seq = 0
-            self._started_wall = self._wall_clock()
-            self._started_clock = self._clock()
-            if role is not None:
-                self.role = role
-
-    def header(self) -> dict:
-        with self._lock:
-            return {
-                "schema_version": FLIGHT_SCHEMA_VERSION,
-                "role": self.role,
-                "pid": os.getpid(),
-                "started_wall": self._started_wall,
-                "started_clock": self._started_clock,
-                "dumped_wall": self._wall_clock(),
-                "recorded": self._seq,
-                "dropped": max(0, self._seq - len(self._events)),
-            }
-
-    def dump(self, path: str | Path) -> Path:
-        """Write the ring to ``path`` as a CRC-framed ``*.flight`` file.
-
-        The write goes through a temp file and ``os.replace`` so readers
-        never see a half-written dump from *this* writer; torn tails only
-        arise when the process dies mid-write, which the reader tolerates.
-        """
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        chunks = [_pack_frame(_K_HEADER, _json_bytes(self.header()))]
-        for event in self.events():
-            chunks.append(_pack_frame(_K_EVENT, _json_bytes(event)))
-        tmp = target.with_name(target.name + f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as handle:
-            handle.write(b"".join(chunks))
-            handle.flush()
+            event = {"seq": self._seq, "t": t, "wall": wall, "kind": kind, **fields}
             try:
-                os.fsync(handle.fileno())
-            except OSError:  # pragma: no cover - platform quirk
-                pass
-        os.replace(tmp, target)
-        return target
+                if self._in_file >= self.max_events:
+                    self._file.close()
+                    os.replace(self._path, _old_path(self._path))
+                    self._file = open(self._path, "ab", buffering=0)
+                    self._in_file = 0
+                    self._write_header()
+                self._file.write(_pack_frame(_K_EVENT, _json_bytes(event)))
+                self._in_file += 1
+            except OSError:
+                # A full disk must not fail the campaign: stop recording.
+                self._file = self._path = None
+
+    def _write_header(self) -> None:
+        header = {
+            "schema_version": FLIGHT_SCHEMA_VERSION,
+            "role": self.role,
+            "pid": os.getpid(),
+            "started_wall": self._wall_clock(),
+            "started_clock": self._clock(),
+        }
+        self._file.write(_pack_frame(_K_HEADER, _json_bytes(header)))
+
+    def _drop_inherited(self) -> None:
+        """In a forked child: forget the parent's file and lock."""
+        self._lock = threading.Lock()
+        self._file = self._path = None
+
+
+def _old_path(path: Path) -> Path:
+    return path.with_name(path.name.removesuffix(FLIGHT_SUFFIX) + _OLD_SUFFIX)
+
+
+def _repair(path: Path) -> int:
+    """Make ``path`` safe to append to; returns the events it holds."""
+    try:
+        doc = read_flight(path)
+    except FileNotFoundError:
+        return 0
+    except ObservabilityError:
+        # Frames appended after mid-file corruption could never be read.
+        os.replace(path, _old_path(path))
+        return 0
+    if doc["torn"]:
+        os.truncate(path, doc["clean_bytes"])
+    return len(doc["events"])
 
 
 def _json_bytes(doc: dict) -> bytes:
@@ -157,10 +168,11 @@ def _pack_frame(kind: int, payload: bytes) -> bytes:
 
 
 def read_flight(path: str | Path) -> dict:
-    """Read a ``*.flight`` dump, tolerating a torn tail.
+    """Read a ``*.flight`` file, tolerating a torn tail.
 
     Returns ``{"header": dict | None, "events": [dict, ...], "torn": bool,
-    "clean_bytes": int}``.  A partial frame at end-of-file (torn header,
+    "clean_bytes": int}``; ``header`` is the last header in the file (each
+    attach writes one).  A partial frame at end-of-file (torn header,
     torn payload, or CRC mismatch on the final frame) sets ``torn`` and
     drops only the tail; corruption anywhere before the end raises
     :class:`ObservabilityError`.
@@ -218,6 +230,8 @@ def read_flight(path: str | Path) -> dict:
 # ----------------------------------------------------------------------
 
 _RECORDER = FlightRecorder()
+# A forked pool worker or fleet node must not write into its parent's file.
+os.register_at_fork(after_in_child=_RECORDER._drop_inherited)
 
 
 def flight_recorder() -> FlightRecorder:
@@ -225,46 +239,40 @@ def flight_recorder() -> FlightRecorder:
     return _RECORDER
 
 
-def reset_flight(role: str | None = None) -> FlightRecorder:
-    """Clear the global ring (e.g. at worker start) and retag its role."""
-    _RECORDER.reset(role)
-    return _RECORDER
-
-
 def flight_event(kind: str, **fields) -> None:
-    """Record one event on the global ring; no-op while telemetry is off."""
+    """Record one event; no-op with no file attached or telemetry off."""
+    if _RECORDER._file is None:
+        return
     from repro import observability as obs
 
-    if not obs.enabled():
-        return
-    _RECORDER.record(kind, **fields)
+    if obs.enabled():
+        _RECORDER.record(kind, **fields)
 
 
 def flight_dir(store_path: str | Path) -> Path:
-    """The flight-dump directory convention for a campaign store path."""
+    """The flight-record directory convention for a campaign store path."""
     return Path(str(store_path) + ".flight.d")
 
 
-def dump_flight(path: str | Path) -> Path | None:
-    """Best-effort dump of the global ring; never raises."""
-    try:
-        return _RECORDER.dump(path)
-    except OSError:
-        return None
-
-
 def read_flight_dir(directory: str | Path) -> list[dict]:
-    """Read every ``*.flight`` dump in a directory, skipping unreadable ones.
+    """Read every ``*.flight`` file in a directory, skipping unreadable ones.
 
-    Each entry is the :func:`read_flight` document plus a ``"path"`` key.
-    Corrupt files are reported as ``{"path": ..., "error": str}`` rather
-    than aborting the whole scan — the doctor wants maximum forensics.
+    Each entry is the :func:`read_flight` document plus a ``"path"`` key,
+    sorted by role with a role's ``.old`` file before its live one, so
+    events come in the order they were recorded.  Corrupt files are
+    reported as ``{"path": ..., "error": str}`` rather than aborting the
+    whole scan — the doctor wants maximum forensics.
     """
     directory = Path(directory)
     if not directory.is_dir():
         return []
+
+    def order(path: Path):
+        name = path.name.removesuffix(FLIGHT_SUFFIX)
+        return (name.removesuffix(".old"), not name.endswith(".old"))
+
     dumps: list[dict] = []
-    for path in sorted(directory.glob("*" + FLIGHT_SUFFIX)):
+    for path in sorted(directory.glob("*" + FLIGHT_SUFFIX), key=order):
         try:
             doc = read_flight(path)
         except (ObservabilityError, OSError) as exc:
@@ -275,28 +283,6 @@ def read_flight_dir(directory: str | Path) -> list[dict]:
     return dumps
 
 
-def install_flight_signal_dump(path: str | Path) -> bool:
-    """Dump the global ring to ``path`` when SIGTERM arrives, then die.
-
-    Returns ``False`` when the handler cannot be installed (non-main
-    thread, unsupported platform) — callers treat that as best-effort.
-    The previous handler is restored and the signal re-raised so the
-    process still terminates with conventional SIGTERM semantics.
-    """
-    target = Path(path)
-
-    def _handler(signum, frame):  # pragma: no cover - exercised via subprocess
-        dump_flight(target)
-        signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGTERM)
-
-    try:
-        previous = signal.signal(signal.SIGTERM, _handler)
-    except (ValueError, OSError):
-        return False
-    return True
-
-
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
     "DEFAULT_MAX_EVENTS",
@@ -304,9 +290,6 @@ __all__ = [
     "read_flight",
     "read_flight_dir",
     "flight_recorder",
-    "reset_flight",
     "flight_event",
     "flight_dir",
-    "dump_flight",
-    "install_flight_signal_dump",
 ]

@@ -21,7 +21,7 @@ Three properties the rest of the stack depends on:
   throughput.
 * **Torn tails are tolerated** — the series file is append-only JSONL, so a
   killed process leaves at most one truncated final line;
-  :func:`read_series` drops it (the same contract as the flight dumps).
+  :func:`read_series` drops it (the same contract as the flight records).
 
 Event-driven sampling: hot paths call :func:`mark_active` (via
 ``obs.mark()``) at natural boundaries — a campaign shard commit, a

@@ -170,6 +170,27 @@ def test_sigkill_mid_shard_resumes_bitwise(
     assert len(spy.ordinals) <= N_LIGANDS - (kill_at - 1) + 1
 
 
+def test_a_sigkilled_runner_keeps_its_flight_record(tmp_path):
+    from repro.observability import diagnose_campaign
+    from repro.observability.flight import flight_dir, read_flight
+
+    store_path = tmp_path / "killed.col"
+    sigkill_campaign(store_path, kill_at=5, workers=0, depth=2)
+    with open_store(store_path) as store:
+        finished = store.finished_shards()
+    assert finished == {0, 1}
+    record = read_flight(flight_dir(store_path) / "runner.flight")
+    assert record["header"]["role"] == "runner"
+    finishes = [e["shard"] for e in record["events"] if e["kind"] == "shard.finish"]
+    assert sorted(finishes) == sorted(finished)
+    report = {s.title: s for s in diagnose_campaign(store_path).sections}
+    assert report["slow shards"].lines[0].startswith(
+        f"{len(finished)} shard finish(es), median wall "
+    ), report["slow shards"].lines
+    (stopped,) = report["diagnosis"].lines
+    assert stopped.startswith("the runner stopped: its last event was shard.finish at ")
+
+
 def test_two_node_fleet_on_columnar_matches_serial(tmp_path, serial_sqlite):
     expected_digest, _ = serial_sqlite
     runner = make_runner(tmp_path / "fleet.col", workers=0)

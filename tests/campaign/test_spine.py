@@ -16,9 +16,14 @@ from repro.campaign import commit as commit_mod
 from repro.campaign import runner as runner_mod
 from repro.cluster import ClusterConfig
 from repro.molecules.synthetic import generate_receptor
-from repro.observability.flight import flight_recorder, reset_flight
+from repro.observability.flight import flight_dir, read_flight_dir
 
 NODES = pytest.mark.parametrize("nodes", [0, 2])
+
+
+def recorded_events(store_path) -> list[dict]:
+    """Every flight event the campaign's processes wrote beside the store."""
+    return [e for r in read_flight_dir(flight_dir(store_path)) for e in r["events"]]
 
 
 def make_runner(store_path, *, n_ligands=6, shard_size=2, nodes=0, **overrides):
@@ -55,14 +60,14 @@ def shard_rows(store, shard) -> tuple[int, int]:
 
 def run_and_observe(path, nodes):
     obs.reset()
-    reset_flight()
     with make_runner(path, nodes=nodes).run() as store:
         digest = store.science_digest()
         shards = {
             shard: shard_rows(store, shard) for shard in store.finished_shards()
         }
         complete = store.is_complete()
-    finishes = [e for e in flight_recorder().events() if e["kind"] == "shard.finish"]
+    events = recorded_events(path)
+    finishes = [e for e in events if e["kind"] == "shard.finish"]
     return {
         "digest": digest,
         "shards": shards,
@@ -70,7 +75,7 @@ def run_and_observe(path, nodes):
         "shard_finish": sorted(e["shard"] for e in finishes),
         "shard_finish_fields": sorted({field for e in finishes for field in e} - {"node"}),
         "shard_events": collections.Counter(
-            e["kind"] for e in flight_recorder().events() if e["kind"].startswith("shard.")
+            e["kind"] for e in events if e["kind"].startswith("shard.")
         ),
         "counters": {
             c["name"] for c in obs.snapshot()["counters"] if c["name"].startswith("campaign.")
@@ -152,10 +157,9 @@ def test_shard_finish_records_carry_the_stores_own_counts(tmp_path, nodes, monke
 
     monkeypatch.setattr(runner_mod, "dock", poisoned)
     path = tmp_path / "c.store"
-    reset_flight()
     with make_runner(path, nodes=nodes).run() as store:
         assert store.counts()["failed"] == 1
-    finishes = [e for e in flight_recorder().events() if e["kind"] == "shard.finish"]
+    finishes = [e for e in recorded_events(path) if e["kind"] == "shard.finish"]
     assert sorted(e["shard"] for e in finishes) == [0, 1, 2]
     with open_store(path) as store:
         assert store.finished_shards() == {0, 1, 2}

@@ -147,8 +147,8 @@ def _run_fleet_campaign(store_path):
         pass
 
 
-def test_sigkilled_coordinator_resumes_bitwise(tmp_path, baseline_digest):
-    path = tmp_path / "c.store"
+def _sigkill_coordinator(path):
+    """Run :func:`_run_fleet_campaign` in a child and SIGKILL it mid-run."""
     ctx = multiprocessing.get_context("fork")
     child = ctx.Process(target=_run_fleet_campaign, args=(str(path),))
     child.start()
@@ -171,6 +171,11 @@ def test_sigkilled_coordinator_resumes_bitwise(tmp_path, baseline_digest):
     with open_store(path) as store:
         assert not store.is_complete()
         assert store.counts()["done"] < N_LIGANDS
+
+
+def test_sigkilled_coordinator_resumes_bitwise(tmp_path, baseline_digest):
+    path = tmp_path / "c.store"
+    _sigkill_coordinator(path)
     # `campaign resume` path: same config, fresh fleet, the store's shards.
     runner = make_runner(
         path, nodes=2, cluster=ClusterConfig(heartbeat_interval_s=0.1)
@@ -178,6 +183,26 @@ def test_sigkilled_coordinator_resumes_bitwise(tmp_path, baseline_digest):
     with runner.resume():
         pass
     assert completed_digest(path) == baseline_digest
+
+
+def test_doctor_names_each_nodes_last_grant_after_a_sigkilled_coordinator(tmp_path):
+    from repro.observability import diagnose_campaign
+
+    path = tmp_path / "c.store"
+    _sigkill_coordinator(path)
+    # The coordinator's record was on disk before the kill: no dump needed.
+    diagnosis = next(
+        s for s in diagnose_campaign(path).sections if s.title == "diagnosis"
+    )
+    assert diagnosis.verdict == "bad"
+    assert diagnosis.lines[0].startswith(
+        "the coordinator stopped: its last event was "
+    ), diagnosis.lines
+    for node in (0, 1):
+        assert any(
+            line.startswith(f"node {node}: ") and "; last was shard " in line
+            for line in diagnosis.lines
+        ), diagnosis.lines
 
 
 def test_custom_metaheuristic_cannot_cross_node_boundary(tmp_path):
@@ -272,7 +297,7 @@ def test_a_stale_result_is_written_only_while_its_shard_is_open(tmp_path, finish
     from repro.campaign.backends import create_store
     from repro.campaign.commit import CampaignCommitter
     from repro.cluster.coordinator import Coordinator, ShardTask, _NodeState
-    from repro.observability.flight import flight_recorder, reset_flight
+    from repro.observability.flight import flight_recorder, read_flight
 
     store = create_store(tmp_path / "c.col", {"seed": 1}, "h", backend="columnar")
     committer = CampaignCommitter(store)
@@ -298,12 +323,16 @@ def test_a_stale_result_is_written_only_while_its_shard_is_open(tmp_path, finish
     digest = store.science_digest()
     writes = []
     store.record_result = lambda *args, **kw: writes.append(args)
-    reset_flight()
-    coordinator._on_result(
-        presumed_dead, {"shard_id": 0, "ordinal": 1, "title": "L1", **row}
-    )
+    record = tmp_path / "coordinator.flight"
+    flight_recorder().attach(record)
+    try:
+        coordinator._on_result(
+            presumed_dead, {"shard_id": 0, "ordinal": 1, "title": "L1", **row}
+        )
+    finally:
+        flight_recorder().attach(None)
     assert coordinator.stale_results == 1
-    assert [e["kind"] for e in flight_recorder().events()] == ["result.stale"]
+    assert [e["kind"] for e in read_flight(record)["events"]] == ["result.stale"]
     assert len(writes) == (0 if finished else 1)
     assert store.science_digest() == digest
     assert list((tmp_path / "c.col" / "active").iterdir()) == (

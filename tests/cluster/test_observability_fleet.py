@@ -19,7 +19,7 @@ from repro.campaign import CampaignRunner, SyntheticSource, open_store
 from repro.cluster import ClusterConfig
 from repro.molecules.synthetic import generate_receptor
 from repro.observability import diagnose_campaign
-from repro.observability.flight import flight_dir, read_flight_dir, reset_flight
+from repro.observability.flight import flight_dir, read_flight_dir
 from repro.observability.trace import snapshot_to_trace_events
 
 N_LIGANDS = 16
@@ -72,7 +72,6 @@ def run_with_a_sigkilled_node(path):
 
 def test_sigkilled_fleet_trace_flight_and_doctor(tmp_path):
     obs.reset()
-    reset_flight("coordinator")
     path = tmp_path / "c.store"
     runner = run_with_a_sigkilled_node(path)
 
@@ -154,7 +153,6 @@ def test_sigkilled_fleet_trace_flight_and_doctor(tmp_path):
 
 def test_clean_fleet_run_dumps_worker_flights(tmp_path):
     obs.reset()
-    reset_flight("coordinator")
     path = tmp_path / "c.store"
     runner = make_runner(
         path, nodes=2, cluster=ClusterConfig(heartbeat_interval_s=0.1)
@@ -166,11 +164,11 @@ def test_clean_fleet_run_dumps_worker_flights(tmp_path):
         for d in read_flight_dir(flight_dir(path))
         if "events" in d
     }
-    # Clean exits dump all three black boxes: coordinator + both workers.
+    # All three processes wrote their own record: coordinator + both workers.
     assert "coordinator" in roles
     assert "worker-node0" in roles and "worker-node1" in roles
 
-    # Worker dumps carry the per-node event vocabulary.
+    # Worker records carry the per-node event vocabulary.
     dumps = read_flight_dir(flight_dir(path))
     worker = next(
         d for d in dumps
@@ -184,7 +182,6 @@ def test_clean_fleet_run_dumps_worker_flights(tmp_path):
 
 def test_single_node_runner_dumps_flight(tmp_path):
     obs.reset()
-    reset_flight("runner")
     path = tmp_path / "c.store"
     with make_runner(path).run():
         pass
@@ -199,8 +196,9 @@ def test_single_node_runner_dumps_flight(tmp_path):
 
 
 def test_a_campaign_after_a_node_death_dumps_only_its_own_events(tmp_path):
-    # The flight recorder is process-global. Each campaign starts it fresh,
-    # so an earlier campaign's node death never reaches a later store's dumps.
+    # The flight recorder is process-global. Each campaign attaches its own
+    # store's file and detaches when done, so an earlier campaign's node
+    # death never reaches a later store's record.
     obs.reset()
     killed = run_with_a_sigkilled_node(tmp_path / "killed.store")
     assert killed.fleet.summary["node_deaths"] >= 1

@@ -1,7 +1,7 @@
 """Doctor coverage: artifact fusion, dead-node naming, verdict synthesis.
 
 Every scenario is built from real artifacts: a SQLite store written through
-its public verbs, and flight dumps written by a :class:`FlightRecorder`.
+its public verbs, and flight records written by a :class:`FlightRecorder`.
 """
 
 import json
@@ -44,10 +44,11 @@ def write_store(store, shards, complete):
 
 
 def write_flight(store, role, events):
-    rec = FlightRecorder(role, clock=FakeClock(), wall_clock=FakeClock(1e9))
+    rec = FlightRecorder(clock=FakeClock(), wall_clock=FakeClock(1e9))
+    rec.attach(flight_dir(store) / f"{role}.flight")
     for kind, fields in events:
         rec.record(kind, **fields)
-    rec.dump(flight_dir(store) / f"{role}.flight")
+    rec.attach(None)
 
 
 def write_metrics(store, doc):
@@ -85,7 +86,7 @@ def dead_node_campaign(store):
             ("node.connect", {"node": 1, "peer": "127.0.0.1:2"}),
             ("lease.grant", {"shard": 0, "node": 0, "stolen": False}),
             ("lease.grant", {"shard": 1, "node": 1, "stolen": False}),
-            ("shard.finish", {"shard": 0, "wall": 1.0, "node": 0}),
+            ("shard.finish", {"shard": 0, "seconds": 1.0, "node": 0}),
             ("node.heartbeat", {"node": 1, "done": 2, "failed": 0}),
             ("node.dead", {"node": 1, "reason": "heartbeat timeout",
                            "reclaimed": [1], "requeued": 1}),
@@ -125,10 +126,59 @@ def test_dead_nodes_last_shard_comes_from_its_lease_grants(tmp_path):
     ), dead.lines
 
 
+def test_a_stopped_runner_is_named_with_its_last_event(tmp_path):
+    store = tmp_path / "campaign.store"
+    write_store(store, {0: (0, 4, True), 1: (4, 8, False)}, complete=False)
+    write_flight(store, "runner", [
+        ("shard.finish", {"shard": 0, "seconds": 1.0}),
+        ("dock.retry", {"attempt": 1, "error": "RuntimeError: flaky"}),
+    ])
+    report = diagnose_campaign(store)
+    diagnosis = section(report, "diagnosis")
+    assert diagnosis.verdict == "bad"
+    # The fake wall clock reads 1e9 + 1.5 s at the second event.
+    assert diagnosis.lines == [
+        "the runner stopped: its last event was dock.retry at 01:46:41 UTC"
+    ]
+    assert not any("coordinator" in line for line in diagnosis.lines)
+    summary = section(report, "summary")
+    assert "1 dock retry(ies) recorded; last: RuntimeError: flaky" in summary.lines
+
+
+def test_a_stopped_coordinator_names_each_nodes_last_grant(tmp_path):
+    store = tmp_path / "campaign.store"
+    write_store(store, {0: (0, 4, True), 1: (4, 8, False)}, complete=False)
+    write_flight(store, "coordinator", [
+        ("lease.grant", {"shard": 0, "node": 0, "stolen": False}),
+        ("lease.grant", {"shard": 1, "node": 1, "stolen": False}),
+        ("lease.grant", {"shard": 2, "node": 0, "stolen": False}),
+        ("shard.finish", {"shard": 0, "seconds": 1.0, "node": 0}),
+    ])
+    write_flight(store, "worker-node0", [("lease.accept", {"shard": 2})])
+    diagnosis = section(diagnose_campaign(store), "diagnosis")
+    assert diagnosis.verdict == "bad"
+    assert diagnosis.lines[0].startswith(
+        "the coordinator stopped: its last event was shard.finish at "
+    )
+    assert diagnosis.lines[1].startswith("node 0: 2 lease grant(s); last was shard 2 at ")
+    assert diagnosis.lines[2].startswith("node 1: 1 lease grant(s); last was shard 1 at ")
+
+
+def test_an_incomplete_store_without_a_record_says_so(tmp_path):
+    store = tmp_path / "campaign.store"
+    write_store(store, {0: (0, 4, False)}, complete=False)
+    diagnosis = section(diagnose_campaign(store), "diagnosis")
+    assert diagnosis.verdict == "bad"
+    assert diagnosis.lines == [
+        "the store is not marked complete, no node death was recorded and "
+        "no runner or coordinator left a flight record"
+    ]
+
+
 def test_healthy_completed_campaign_reads_ok(tmp_path):
     store = tmp_path / "campaign.sqlite"
     write_store(store, {0: (0, 4, True)}, complete=True)
-    write_flight(store, "runner", [("shard.finish", {"shard": 0, "wall": 1.5})])
+    write_flight(store, "runner", [("shard.finish", {"shard": 0, "seconds": 1.5})])
     report = diagnose_campaign(store)
     assert report.verdict == "ok"
     assert "nothing anomalous" in report.to_text()
@@ -158,13 +208,13 @@ def test_slow_shards_surface(tmp_path):
     write_store(
         store, {i: (4 * i, 4 * i + 4, True) for i in range(10)}, complete=True
     )
-    finishes = [("shard.finish", {"shard": i, "wall": 0.5}) for i in range(6)]
+    finishes = [("shard.finish", {"shard": i, "seconds": 0.5}) for i in range(6)]
     write_flight(
         store,
         "coordinator",
         [("lease.grant", {"shard": 3, "node": 0, "stolen": False})]
         + finishes
-        + [("shard.finish", {"shard": 3, "wall": 5.0})],
+        + [("shard.finish", {"shard": 3, "seconds": 5.0})],
     )
     report = diagnose_campaign(store)
     slow = section(report, "slow shards")

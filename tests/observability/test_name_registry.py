@@ -1,4 +1,4 @@
-"""Every metric and span name written under ``src/`` has a reader.
+"""Every metric, span and flight event name written under ``src/`` has a reader.
 
 A name is read when it occurs, as a whole name, in something that consumes
 or documents it: the doctor, ``/healthz``, the sampler, the trace renderer,
@@ -12,8 +12,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: ``obs.counter("name"``, ``local.histogram("name"``, ``obs.span(\n "name"``.
-_WRITE = re.compile(r'\.(?:counter|gauge|histogram|span)\(\s*"([a-z][a-z0-9_.]*)"')
+#: ``obs.counter("name"``, ``local.histogram("name"``, ``obs.span(\n "name"``,
+#: ``flight_event("kind"``.
+_WRITE = re.compile(
+    r'(?:\.(?:counter|gauge|histogram|span)|\bflight_event)\(\s*"([a-z][a-z0-9_.]*)"'
+)
 
 _READER_MODULES = ("doctor.py", "serve.py", "sampler.py", "trace.py", "export.py")
 
