@@ -21,8 +21,16 @@ Quickstart::
     store = runner.resume()       # ...and continue exactly where it stopped
     for row in store.top(10):
         print(row["title"], row["best_score"])
+
+What loads when: importing the package loads the runner, the library
+readers, the columnar store and the read side both stores share
+(:mod:`repro.campaign.readside`). The SQLite store (``CampaignStore``,
+``SCHEMA_VERSION``) is a lazy export: :mod:`repro.campaign.store` and
+``sqlite3`` load on first use of either name, or when ``":memory:"`` or an
+older build's SQLite file is opened. A campaign run to disk loads neither.
 """
 
+from repro import _lazy_exports
 from repro.campaign.backends import (
     create_store,
     detect_backend,
@@ -43,13 +51,13 @@ from repro.campaign.library import (
     receptor_fingerprint,
     resolve_title,
 )
+from repro.campaign.readside import export_report
 from repro.campaign.runner import (
     CampaignProgress,
     CampaignRunner,
     campaign_config,
     config_hash,
 )
-from repro.campaign.store import SCHEMA_VERSION, CampaignStore, export_report
 
 __all__ = [
     "CampaignProgress",
@@ -77,3 +85,8 @@ __all__ = [
     "resolve_title",
     "store_disk_bytes",
 ]
+
+# SQLite: only ``screen()``'s in-memory store and older builds' files.
+__getattr__ = _lazy_exports(globals(), {
+    "repro.campaign.store": ("CampaignStore", "SCHEMA_VERSION"),
+})

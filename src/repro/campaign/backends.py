@@ -16,6 +16,11 @@ semantics. :func:`create_store` picks the backend from the path:
 resume|status|top|export`` never need to be told, and a SQLite store an
 older build wrote still resumes. Only one process writes a columnar store;
 the read commands open it with ``readonly=True``, beside a live campaign.
+
+What loads when: the columnar store with this module; SQLite
+(:mod:`repro.campaign.store` and ``sqlite3``) only when ``":memory:"``,
+``backend="sqlite"`` or an older build's SQLite file is created or opened,
+so a campaign run to disk never imports it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from pathlib import Path
 
 from repro.errors import CampaignError
 
-from repro.campaign.store import CampaignStore
+from repro.campaign.colstore import ColumnarStore
 
 __all__ = [
     "STORE_BACKENDS",
@@ -37,12 +42,12 @@ __all__ = [
 STORE_BACKENDS = ("sqlite", "columnar")
 
 
-def _columnar():
-    # Deferred import: keeps numpy-light paths (e.g. a SQLite store's
-    # reads) from paying for the columnar machinery.
-    from repro.campaign.colstore import ColumnarStore
+def _sqlite():
+    # Deferred import: only ``":memory:"``, ``backend="sqlite"`` and an
+    # older build's SQLite file load SQLite; a campaign on disk never does.
+    from repro.campaign.store import CampaignStore
 
-    return ColumnarStore
+    return CampaignStore
 
 
 def create_store(
@@ -61,8 +66,8 @@ def create_store(
             f"unknown store backend {backend!r}; pick one of {STORE_BACKENDS}"
         )
     if backend == "columnar":
-        return _columnar().create(path, config, config_hash)
-    return CampaignStore.create(path, config, config_hash)
+        return ColumnarStore.create(path, config, config_hash)
+    return _sqlite().create(path, config, config_hash)
 
 
 def detect_backend(path: str | Path) -> str:
@@ -88,8 +93,8 @@ def open_store(path: str | Path, *, readonly: bool = False):
     (SQLite's own locking already makes any second open safe).
     """
     if detect_backend(path) == "columnar":
-        return _columnar().open(path, readonly=readonly)
-    return CampaignStore.open(path)
+        return ColumnarStore.open(path, readonly=readonly)
+    return _sqlite().open(path)
 
 
 def store_disk_bytes(path: str | Path) -> int:

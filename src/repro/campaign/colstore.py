@@ -71,7 +71,7 @@ import numpy as np
 from repro import observability as obs
 from repro.errors import CampaignError
 
-from repro.campaign.store import (
+from repro.campaign.readside import (
     _export_csv,
     _export_json,
     _science_digest,

@@ -213,18 +213,30 @@ class PDBDirectorySource:
             chunks.append("\n".join(current) + "\nEND\n")
         return chunks or [text]
 
-    def __iter__(self) -> Iterator[Ligand]:
-        from repro.molecules.pdb import loads_pdb
+    def _unique_entries(self) -> Iterator[tuple[str, str]]:
+        """``(model text, title)`` per ligand: what :func:`iter_shards` plans
+        from without parsing an atom. The title is the one ``loads_pdb``
+        reads, else the ``<stem>[:<model>]`` fallback."""
+        from repro.molecules.pdb import loads_pdb_title
 
         for path in self._files:
             text = path.read_text(encoding="ascii", errors="replace")
             chunks = self._split_models(text)
             for model_index, chunk in enumerate(chunks):
-                ligand = loads_pdb(chunk, kind="ligand")
-                if not ligand.title:
-                    suffix = f":{model_index + 1}" if len(chunks) > 1 else ""
-                    ligand.title = f"{path.stem}{suffix}"
-                yield ligand
+                suffix = f":{model_index + 1}" if len(chunks) > 1 else ""
+                yield chunk, loads_pdb_title(chunk) or f"{path.stem}{suffix}"
+
+    def line_ligand(self, chunk: str, title: str) -> Ligand:
+        """The ligand one of those entries maps to."""
+        from repro.molecules.pdb import loads_pdb
+
+        ligand = loads_pdb(chunk, kind="ligand")
+        ligand.title = title
+        return ligand
+
+    def __iter__(self) -> Iterator[Ligand]:
+        for entry in self._unique_entries():
+            yield self.line_ligand(*entry)
 
     def descriptor(self) -> dict:
         return {
@@ -461,14 +473,15 @@ def iter_shards(
     ligands are ever materialised. A shard whose id is in ``skip`` (finished
     before a resume) is still yielded, because the plan and
     :func:`resolve_title` depend on the whole stream, but with ``(ordinal,
-    title)`` items: a line-file or synthetic source then builds none of its
-    ligands. With ``titles_only`` every shard comes that way.
+    title)`` items: a line-file, synthetic or PDB-directory source then
+    builds none of its ligands. With ``titles_only`` every shard comes that
+    way.
     """
     if shard_size < 1:
         raise CampaignError(f"shard_size must be >= 1, got {shard_size}")
     # (key, title) lines instead of ligands, where the source has them.
     lazy = (titles_only or bool(skip)) and isinstance(
-        source, (SmilesSource, SyntheticSource)
+        source, (SmilesSource, SyntheticSource, PDBDirectorySource)
     )
     lines = source._unique_entries if lazy else None
     buffer: list = []
@@ -521,9 +534,9 @@ def plan_shards(
     in ``finished``: it is counted as skipped and its titles still claim
     their names, but nothing is built for it. Ordinals are contiguous from
     zero, so the last shard's ``stop`` is the number of ligands streamed.
-    With ``titles_only`` every ``ligand`` is ``None``, and a line-file or
-    synthetic source builds no ligand at all (a fleet coordinator leases
-    ordinals and titles; its nodes build the ligands).
+    With ``titles_only`` every ``ligand`` is ``None``, and a line-file,
+    synthetic or PDB-directory source builds no ligand at all (a fleet
+    coordinator leases ordinals and titles; its nodes build the ligands).
     """
     seen_titles: set[str] = set()
     for shard, items in iter_shards(source, shard_size, finished, titles_only):

@@ -50,12 +50,11 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro import observability as obs
-from repro.engine.host_runtime import PersistentHostRuntime
+from repro.engine.host_runtime import PersistentHostRuntime, load_pool_stack
 from repro.errors import CampaignError, WorkerPoolError
-from repro.hardware.node import NodeSpec
 from repro.metaheuristics.template import MetaheuristicSpec
 from repro.molecules.spots import Spot, find_spots
 from repro.molecules.structures import Ligand, Receptor
@@ -74,8 +73,11 @@ from repro.campaign.library import (  # noqa: F401
     receptor_fingerprint,
 )
 from repro.campaign.settings import DockSettings
-from repro.campaign.store import CampaignStore
 from repro.observability.flight import flight_dir, flight_event, flight_recorder
+
+if TYPE_CHECKING:  # annotations only: neither loads with a campaign
+    from repro.campaign.store import CampaignStore
+    from repro.hardware.node import NodeSpec
 
 __all__ = [
     "CampaignRunner",
@@ -359,6 +361,10 @@ class CampaignRunner:
             max_attempts=max_attempts,
             backoff_base=backoff_base,
         )
+        if host_workers > 0:
+            # In set-up, not in run(): there it would land inside the first
+            # lease, and a serial campaign never loads the pool stack.
+            load_pool_stack()
         if nodes < 0:
             raise CampaignError(f"nodes must be >= 0, got {nodes}")
         if shard_size < 1:

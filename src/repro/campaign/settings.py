@@ -9,20 +9,33 @@ rebuilds the stored one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.engine.executor import EXECUTION_MODES
+from repro.constants import EXECUTION_MODES
 from repro.errors import CampaignError, ClusterError, HardwareModelError, ProtocolError
-from repro.hardware.node import NodeSpec, named_node
 from repro.metaheuristics.template import MetaheuristicSpec
 from repro.scoring.base import ScoringFunction
 
+if TYPE_CHECKING:  # the simulator loads only when a node is named
+    from repro.hardware.node import NodeSpec
+
 __all__ = ["DockSettings"]
+
+
+def _named_node(name: str | None) -> NodeSpec | None:
+    """:func:`repro.hardware.node.named_node`, which a campaign with no node
+    model (``None``) never imports."""
+    if name is None:
+        return None
+    from repro.hardware.node import named_node
+
+    return named_node(name)
 
 
 def _fleet_node(name: str | None, built: NodeSpec | None = None) -> NodeSpec | None:
     """``named_node`` for the wire: only what a far process rebuilds equal."""
     try:
-        node = named_node(name)
+        node = _named_node(name)
     except HardwareModelError:
         node = None
     if name is not None and (node is None or (built is not None and built != node)):
@@ -105,7 +118,7 @@ class DockSettings:
             metaheuristic=str(config["metaheuristic"]),
             seed=int(config["seed"]),
             workload_scale=float(config["workload_scale"]),
-            node=named_node(config.get("node")),
+            node=_named_node(config.get("node")),
             mode=str(config.get("mode", "gpu-heterogeneous")),
         )
 

@@ -38,11 +38,11 @@ import multiprocessing
 import socket
 import sys
 import uuid
+from typing import TYPE_CHECKING
 
 from repro import observability as obs
 from repro.campaign.commit import CampaignCommitter
 from repro.campaign.library import plan_shards
-from repro.campaign.store import CampaignStore
 from repro.errors import ClusterError
 from repro.observability.flight import flight_dir as _flight_dir
 from repro.observability.flight import flight_event, flight_recorder
@@ -50,6 +50,9 @@ from repro.observability.flight import flight_event, flight_recorder
 from repro.cluster.config import MESSAGE_TIMEOUT_S, ClusterConfig
 from repro.cluster.coordinator import ClusterProgress, Coordinator, ShardTask
 from repro.cluster.protocol import ligand_to_payload, molecule_to_payload
+
+if TYPE_CHECKING:
+    from repro.campaign.store import CampaignStore
 
 __all__ = ["ClusterCampaign"]
 

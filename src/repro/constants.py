@@ -40,6 +40,16 @@ FLOAT_DTYPE = np.float64
 #: dtype for integer index arrays.
 INDEX_DTYPE = np.int64
 
+#: Execution modes a docking run's timing replay recognises (see
+#: :class:`repro.engine.executor.MultiGpuExecutor`); here so that validating
+#: a mode loads no simulator.
+EXECUTION_MODES: tuple[str, ...] = (
+    "openmp",
+    "gpu-homogeneous",
+    "gpu-heterogeneous",
+    "gpu-dynamic",
+)
+
 #: Default seed used by examples and experiment presets so that published
 #: numbers regenerate bit-identically.
 DEFAULT_SEED: int = 20160312  # PMAM'16 conference date: March 12 2016

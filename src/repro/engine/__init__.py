@@ -1,27 +1,19 @@
-"""Parallel runtime: schedulers, warm-up, simulated execution, reporting."""
+"""Parallel runtime: schedulers, warm-up, simulated execution, reporting.
+
+What loads when: importing the package loads the real host runtime
+(:mod:`~repro.engine.host_runtime`, whose process-pool stack loads only
+when a pool is set up) and :mod:`~repro.engine.partition`. The simulator —
+:mod:`~repro.engine.executor`, :mod:`~repro.engine.scheduler`,
+:mod:`~repro.engine.reporting`, :mod:`~repro.engine.warmup` and with them
+:mod:`repro.hardware` — and the other modelling modules are lazy exports,
+loaded on first use of one of their names: a campaign that times no dock
+on a node model never loads them.
+"""
 
 from repro import _lazy_exports
-from repro.engine.executor import (
-    EXECUTION_MODES,
-    MultiGpuExecutor,
-    host_overhead_s,
-    simulate_cpu_trace,
-    simulate_gpu_trace,
-)
+from repro.constants import EXECUTION_MODES
 from repro.engine.host_runtime import HostWarmupResult, ParallelSpotEvaluator
 from repro.engine.partition import equal_partition, proportional_partition
-from repro.engine.reporting import ExecutionReport, TimingBreakdown
-from repro.engine.scheduler import (
-    DynamicSpotQueueScheduler,
-    Scheduler,
-    StaticEqualScheduler,
-    StaticProportionalScheduler,
-)
-from repro.engine.warmup import (
-    DEFAULT_WARMUP_ITERATIONS,
-    WarmupResult,
-    run_warmup,
-)
 
 __all__ = [
     "DEFAULT_WARMUP_ITERATIONS",
@@ -62,6 +54,20 @@ __all__ = [
 
 # Off the campaign path: loaded on first use.
 __getattr__ = _lazy_exports(globals(), {
+    "repro.engine.executor": (
+        "MultiGpuExecutor",
+        "host_overhead_s",
+        "simulate_cpu_trace",
+        "simulate_gpu_trace",
+    ),
+    "repro.engine.reporting": ("ExecutionReport", "TimingBreakdown"),
+    "repro.engine.scheduler": (
+        "DynamicSpotQueueScheduler",
+        "Scheduler",
+        "StaticEqualScheduler",
+        "StaticProportionalScheduler",
+    ),
+    "repro.engine.warmup": ("DEFAULT_WARMUP_ITERATIONS", "WarmupResult", "run_warmup"),
     "repro.engine.async_mode": ("partition_spots_by_weight", "simulate_async_trace"),
     "repro.engine.device_worker": ("Job", "QueueResult", "SimulatedDevice", "run_job_queue"),
     "repro.engine.events": ("Event", "EventLoop"),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import EXECUTION_MODES
 from repro.engine.reporting import ExecutionReport, TimingBreakdown
 from repro.engine.scheduler import (
     DynamicSpotQueueScheduler,
@@ -48,14 +49,6 @@ __all__ = [
     "MultiGpuExecutor",
     "EXECUTION_MODES",
 ]
-
-#: Recognised execution modes.
-EXECUTION_MODES: tuple[str, ...] = (
-    "openmp",
-    "gpu-homogeneous",
-    "gpu-heterogeneous",
-    "gpu-dynamic",
-)
 
 
 def host_overhead_s(record: LaunchRecord, params: PerfModelParams) -> float:

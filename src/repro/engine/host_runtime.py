@@ -63,11 +63,9 @@ over the same call. A one-shot ``dock(host_workers=N)`` builds a bare
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
 import threading
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +87,26 @@ __all__ = [
     "PersistentHostRuntime",
     "DEFAULT_WARMUP_POSES",
     "DEFAULT_WARMUP_REPEATS",
+    "load_pool_stack",
 ]
+
+#: The process-pool stack, bound by :func:`load_pool_stack`: a process that
+#: docks serially never imports it.
+mp = ProcessPoolExecutor = BrokenProcessPool = None
+
+
+def load_pool_stack() -> None:
+    """Import ``multiprocessing`` and the process-pool executor. Idempotent.
+
+    Every pool this module builds calls it first. Call it earlier, in
+    set-up, where a pool is known to be coming (a campaign runner with
+    ``host_workers > 0`` does): otherwise the import lands inside whatever
+    call builds the pool, such as a campaign's first lease.
+    """
+    global mp, ProcessPoolExecutor, BrokenProcessPool
+    import multiprocessing as mp
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
 
 #: Poses per warm-up timing launch ("a few candidate solutions", §3.3).
 DEFAULT_WARMUP_POSES: int = 64
@@ -393,6 +410,7 @@ class ParallelSpotEvaluator:
             raise ScoringError(f"n_workers must be >= 1, got {n_workers}")
         if mode not in ("static", "dynamic"):
             raise ScoringError(f"mode must be 'static' or 'dynamic', got {mode!r}")
+        load_pool_stack()
         if "fork" not in mp.get_all_start_methods():  # pragma: no cover
             raise ScoringError(
                 "the parallel host runtime requires the 'fork' start method "

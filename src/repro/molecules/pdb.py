@@ -37,7 +37,7 @@ from repro.errors import PDBParseError
 from repro.molecules.elements import is_known
 from repro.molecules.structures import Ligand, Molecule, Receptor
 
-__all__ = ["read_pdb", "write_pdb", "loads_pdb", "dumps_pdb"]
+__all__ = ["read_pdb", "write_pdb", "loads_pdb", "loads_pdb_title", "dumps_pdb"]
 
 
 def _parse_atom_line(line: str, lineno: int) -> tuple[str, float, float, float, str, str, int]:
@@ -82,6 +82,22 @@ def loads_pdb(text: str, kind: str = "molecule") -> Molecule:
         class.
     """
     return read_pdb(io.StringIO(text), kind=kind)
+
+
+def loads_pdb_title(text: str) -> str:
+    """The title :func:`loads_pdb` gives ``text``, read without parsing atoms.
+
+    The same rule: ``TITLE`` records joined in order, up to the first
+    ``ENDMDL``. What a plan that needs only titles reads.
+    """
+    title = ""
+    for line in io.StringIO(text):
+        record = line[:6].strip()
+        if record == "TITLE":
+            title = (title + " " + line[10:].strip()).strip()
+        elif record == "ENDMDL":
+            break
+    return title
 
 
 def read_pdb(source: str | Path | TextIO, kind: str = "molecule") -> Molecule:

@@ -7,13 +7,13 @@ pose per spot and overall.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro import observability as obs
-from repro.engine.executor import MultiGpuExecutor
 from repro.engine.host_runtime import ParallelSpotEvaluator
 from repro.errors import ReproError
-from repro.hardware.node import NodeSpec
 from repro.metaheuristics.context import SearchContext
 from repro.metaheuristics.evaluation import SerialEvaluator
 from repro.metaheuristics.presets import make_preset
@@ -24,6 +24,9 @@ from repro.molecules.structures import Ligand, Receptor
 from repro.scoring.base import ScoringFunction
 from repro.scoring.cutoff import CutoffLennardJonesScoring
 from repro.vs.results import DockingResult
+
+if TYPE_CHECKING:  # the simulator loads only when a dock is timed on a node
+    from repro.hardware.node import NodeSpec
 
 __all__ = ["dock"]
 
@@ -141,6 +144,8 @@ def dock(
 
     simulated = float("nan")
     if node is not None:
+        from repro.engine.executor import MultiGpuExecutor
+
         executor = MultiGpuExecutor(node, seed=seed)
         timing, _ = executor.replay(launches, mode)
         simulated = timing.total_s

@@ -8,17 +8,19 @@ gets an independent docking run, and the report ranks them by best score.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.hardware.node import NodeSpec
 from repro.metaheuristics.template import MetaheuristicSpec
 from repro.molecules.structures import Ligand, Receptor
 from repro.molecules.synthetic import generate_ligand
 from repro.scoring.base import ScoringFunction
 from repro.vs.results import ScreeningReport
+
+if TYPE_CHECKING:
+    from repro.hardware.node import NodeSpec
 
 __all__ = ["screen", "synthetic_library"]
 

@@ -124,6 +124,77 @@ def test_pdb_directory_source(tmp_path):
     assert [l.title for l in source] == [l.title for l in ligands]
 
 
+def _atoms(n: int, seed: int) -> str:
+    """ATOM records of one synthetic ligand: no TITLE, no END."""
+    lines = dumps_pdb(generate_ligand(n, seed=seed, title="")).splitlines()
+    return "\n".join(l for l in lines if l.startswith(("ATOM", "HETATM"))) + "\n"
+
+
+def _pdb_library(root):
+    """Titled, untitled, multi-MODEL and MODEL-without-ENDMDL files."""
+    (root / "a_titled.pdb").write_text(
+        "TITLE     alpha\nTITLE    2 continued\n" + _atoms(8, 1) + "END\n"
+    )
+    (root / "b_untitled.pdb").write_text(_atoms(9, 2) + "END\n")
+    # A TITLE after ENDMDL is past where the parser stops reading.
+    (root / "c_late.pdb").write_text(_atoms(7, 3) + "ENDMDL\nTITLE     late\n")
+    # The header TITLE sits outside every MODEL block: no model inherits it.
+    (root / "d_multi.pdb").write_text(
+        "TITLE     header\n"
+        "MODEL        1\nTITLE     first\n" + _atoms(6, 4) + "ENDMDL\n"
+        "MODEL        2\n" + _atoms(7, 5) + "ENDMDL\n"
+    )
+    (root / "e_open.pdb").write_text(
+        "MODEL        1\n" + _atoms(6, 6) + "ENDMDL\n"
+        "MODEL        2\nTITLE     last\n" + _atoms(8, 7)
+    )
+    (root / "f_one_open.pdb").write_text("MODEL        1\n" + _atoms(5, 8))
+
+
+def _parsed_titles(source):
+    """Each ligand's title the way the parsing path has always made it."""
+    from repro.molecules.pdb import loads_pdb
+
+    titles = []
+    for path in sorted(source.path.glob(source.pattern)):
+        chunks = source._split_models(path.read_text())
+        for model, chunk in enumerate(chunks, start=1):
+            suffix = f":{model}" if len(chunks) > 1 else ""
+            titles.append(loads_pdb(chunk).title or f"{path.stem}{suffix}")
+    return titles
+
+
+def test_a_pdb_directory_is_planned_from_titles_without_parsing(tmp_path, monkeypatch):
+    import repro.molecules.pdb as pdb_mod
+    from repro.campaign.library import plan_shards
+
+    _pdb_library(tmp_path)
+    source = PDBDirectorySource(tmp_path)
+    expected = _parsed_titles(source)
+    assert expected == [
+        "alpha continued", "b_untitled", "c_late", "first", "d_multi:2",
+        "e_open:1", "last", "f_one_open",
+    ]
+    assert [l.title for l in source] == expected
+    assert [l.n_atoms for l in source] == [8, 9, 7, 6, 7, 6, 8, 5]
+
+    parsed = []
+    real = pdb_mod.loads_pdb
+    monkeypatch.setattr(
+        pdb_mod, "loads_pdb", lambda text, **kw: parsed.append(text) or real(text, **kw)
+    )
+    titles_plan = plan_shards(source, 3, set(), titles_only=True)
+    planned = [t for _, items in titles_plan for _, _, t in items]
+    assert planned == expected and parsed == []
+    # A resume builds only the unfinished shard's ligands: [3, 6).
+    plan = list(plan_shards(source, 3, {0, 2}))
+    assert [items is None for _, items in plan] == [True, False, True]
+    assert [(o, l.title, t) for o, l, t in plan[1][1]] == [
+        (o, expected[o], expected[o]) for o in range(3, 6)
+    ]
+    assert len(parsed) == 3
+
+
 def test_pdb_directory_source_validation(tmp_path):
     with pytest.raises(CampaignError):
         PDBDirectorySource(tmp_path / "missing")

@@ -478,7 +478,7 @@ def test_a_fleet_nodes_acquire_path_binds_nothing(receptor, spots, monkeypatch):
 def test_pooled_launch_records_equal_serial(receptor, tmp_path, monkeypatch, depth):
     """The timing replay reads each ligand's launch records, so the pooled
     runner's must be the serial ones, bit for bit, at any depth."""
-    import repro.vs.docking as docking_mod
+    import repro.engine.executor as executor_mod
     from repro.engine.executor import MultiGpuExecutor
     from repro.hardware.node import jupiter
 
@@ -489,7 +489,8 @@ def test_pooled_launch_records_equal_serial(receptor, tmp_path, monkeypatch, dep
             replayed[self.seed] = list(launches)
             return super().replay(launches, mode)
 
-    monkeypatch.setattr(docking_mod, "MultiGpuExecutor", Recording)
+    # dock() imports the executor when it times a dock, so patch its home.
+    monkeypatch.setattr(executor_mod, "MultiGpuExecutor", Recording)
     with _campaign(receptor, tmp_path / "serial.sqlite", node=jupiter()).run():
         pass
     serial, replayed = replayed, {}

@@ -127,6 +127,71 @@ def test_a_campaign_runner_built_and_run_loads_no_scipy(tmp_path):
     assert loaded_after(CAMPAIGN_RUN, tmp_path, _CLUSTER_REPORT) == set()
 
 
+# ----------------------------------------------------------------------
+# the campaign perimeter: what a campaign process leaves unloaded
+# ----------------------------------------------------------------------
+#: SQLite, the hardware simulator and the process-pool stack: a campaign run
+#: to disk runs none of them (a pooled one runs the pool stack).
+OFF_THE_CAMPAIGN = (
+    "sqlite3", "repro.campaign.store", "repro.hardware",
+    "repro.engine.executor", "repro.engine.scheduler",
+    "repro.engine.reporting", "repro.engine.warmup",
+    "multiprocessing", "concurrent.futures.process",
+)
+_PERIMETER_REPORT = (
+    "import json, sys; print(json.dumps(sorted("
+    f"m for m in sys.modules if m.startswith({OFF_THE_CAMPAIGN!r}))))"
+)
+CAMPAIGN_ON_DISK = DOCK_SETUP + (
+    "from repro.campaign import CampaignRunner, ListSource\n"
+    "runner = CampaignRunner(\n"
+    "    receptor, ListSource([ligand, generate_ligand(12, seed=5)]),\n"
+    "    store_path='c.store', n_spots=2, metaheuristic='M1', workload_scale=0.02,\n"
+    "    host_workers=WORKERS,\n"
+    ")\n"
+    "with runner.run() as store:\n"
+    "    assert store.counts()['done'] == 2\n"
+    "    store.export_json('c.json'), store.science_digest()\n"
+)
+
+
+def test_a_campaign_on_disk_loads_no_sqlite_simulator_or_pool(tmp_path):
+    for sub in ("serial", "pooled"):
+        (tmp_path / sub).mkdir()
+    serial = CAMPAIGN_ON_DISK.replace("WORKERS", "0")
+    assert loaded_after(serial, tmp_path / "serial", _PERIMETER_REPORT) == set()
+    assert loaded_after(INGEST_AND_READBACK, tmp_path, _PERIMETER_REPORT) == set()
+    pooled = CAMPAIGN_ON_DISK.replace("WORKERS", "2")
+    loaded = loaded_after(pooled, tmp_path / "pooled", _PERIMETER_REPORT)
+    pool_stack = {"multiprocessing", "concurrent.futures.process"}
+    assert pool_stack <= loaded
+    assert {m for m in loaded if not m.startswith(("multiprocessing", "concurrent"))} == set()
+    # ...already in set-up: an import inside run() lands in the first lease.
+    built = pooled[: pooled.index("with runner.run()")]
+    assert pool_stack <= loaded_after(built, tmp_path / "pooled", _PERIMETER_REPORT)
+
+
+def test_screen_and_an_older_builds_sqlite_store_load_sqlite(tmp_path):
+    screened = DOCK_SETUP + (
+        "from repro.vs import screen\n"
+        "report = screen(receptor, [ligand], n_spots=2, metaheuristic='M1',"
+        " workload_scale=0.02)\n"
+        "assert len(report.entries) == 1\n"
+    )
+    assert "sqlite3" in loaded_after(screened, tmp_path, _PERIMETER_REPORT)
+    # The file an older build left; today's process opens it.
+    from repro.campaign.store import CampaignStore
+
+    CampaignStore.create(tmp_path / "old.db", {"guard": 1}, "0" * 64).close()
+    older = (
+        "from repro.campaign import open_store\n"
+        "with open_store('old.db', readonly=True) as store:\n"
+        "    assert store.counts()['done'] == 0\n"
+    )
+    loaded = loaded_after(older, tmp_path, _PERIMETER_REPORT)
+    assert {"sqlite3", "repro.campaign.store"} <= loaded
+
+
 def test_rigid_dock_never_loads_networkx(tmp_path):
     body = DOCK_SETUP + (
         "from repro.vs.docking import dock\n"
