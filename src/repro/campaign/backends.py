@@ -9,7 +9,7 @@ semantics. :func:`create_store` picks the backend from the path:
 * ``":memory:"`` — SQLite, the one-shot store ``screen()`` docks into.
 * any other path — columnar: a store *directory* of append-only CRC-framed
   logs plus sealed columnar segments, O(1) memory per write (the perf
-  ledger's dock campaign: 131 B per ligand, against 768 in a SQLite file).
+  ledger's dock campaign: 101 B per ligand, against 768 in a SQLite file).
 
 ``open_store`` detects the backend from what is on disk (a directory with a
 ``meta.json`` is columnar, a file is SQLite), so ``campaign

@@ -16,9 +16,13 @@ disk) whose sealed data moves as NumPy columns instead of B-tree rows:
   negative or past 2^32; floats stay ``<f8``). A decoded group always has
   the ``_FIXED_COLUMNS`` dtypes, so a merge reads any mix of layouts and
   writes the one its output values need. Nothing is compressed: a block is
-  ``frombuffer``-able as it lies.
-* **A manifest** (tmp+fsync+rename) naming the live segments; segment files
-  it does not name are crash debris and are deleted on open.
+  ``frombuffer``-able as it lies. The footer holds per group only what
+  readers read, its CRC padded to 10 characters so a file's size does not
+  vary with it.
+* **A manifest** (tmp+fsync+rename) naming the live segments with their
+  rows, bounds and counts; segment files it does not name are crash debris
+  and are deleted on open. All JSON is compact (the ledger's dock campaign
+  writes 101 B per ligand).
 * **Compaction**, inside ``finish_shard``: at ``compact_fanin`` segments the
   adjacent run with the fewest rows is merged, so the count stays below the
   fan-in. With a segment per shard that run is the whole store (200 shards:
@@ -321,11 +325,13 @@ def _group_row(group: dict, i: int) -> list:
     ]
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """tmp + fsync + rename (+ best-effort directory fsync)."""
+def _atomic_write(path: Path, document: dict) -> None:
+    """``document`` as compact JSON: tmp + fsync + rename (+ best-effort
+    directory fsync)."""
+    data = json.dumps(document, sort_keys=True, default=str, separators=(",", ":"))
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
-        handle.write(data)
+        handle.write(data.encode("utf-8"))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -562,10 +568,7 @@ class ColumnarStore:
 
     def _write_meta(self) -> None:
         self._refuse_if_readonly()
-        _atomic_write(
-            self.root / "meta.json",
-            json.dumps(self._meta, sort_keys=True, default=str).encode("utf-8"),
-        )
+        _atomic_write(self.root / "meta.json", self._meta)
 
     @property
     def config(self) -> dict:
@@ -1016,10 +1019,7 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     def _write_manifest(self) -> None:
         self._manifest["segments"] = self._segments
-        _atomic_write(
-            self.root / "MANIFEST.json",
-            json.dumps(self._manifest, sort_keys=True).encode("utf-8"),
-        )
+        _atomic_write(self.root / "MANIFEST.json", self._manifest)
 
     def _write_segment(self, groups) -> dict:
         """Stream decoded groups into ``seg-<seq>.col``; returns its entry.
@@ -1041,13 +1041,14 @@ class ColumnarStore:
         path = self.root / "segments" / name
         tmp = path.with_name(name + ".tmp")
         metas: list[dict] = []
+        counts = np.zeros(len(_STATUSES), dtype=np.int64)
         pending: list[tuple[dict, int, int]] = []  # (input group, row a, row b)
         with open(tmp, "wb") as handle:
             handle.write(_SEG_MAGIC)
             offset = len(_SEG_MAGIC)
 
             def flush_group():
-                nonlocal offset
+                nonlocal offset, counts
                 crc = size = 0
 
                 def emit(chunk):
@@ -1095,10 +1096,8 @@ class ColumnarStore:
                         base += int(offs[b]) - int(offs[a])
                     for offs, heap, a, b in spans:
                         emit(memoryview(heap)[offs[a] : offs[b]])
-                tally = sum(
-                    np.bincount(group["status"][a:b], minlength=len(_STATUSES))
-                    for group, a, b in pending
-                )
+                for group, a, b in pending:
+                    counts += np.bincount(group["status"][a:b], minlength=len(counts))
                 metas.append(
                     {
                         "rows": rows,
@@ -1108,7 +1107,6 @@ class ColumnarStore:
                         "layout": layout,
                         "title_heap": heap_bytes["title"],
                         "error_heap": heap_bytes["error"],
-                        "counts": dict(zip(_STATUSES, tally.tolist())),
                         "offset": offset,
                         "nbytes": size,
                     }
@@ -1133,12 +1131,13 @@ class ColumnarStore:
                 "rows": sum(meta["rows"] for meta in metas),
                 "lo": metas[0]["lo"],
                 "hi": metas[-1]["hi"],
-                "counts": {
-                    status: sum(meta["counts"][status] for meta in metas)
-                    for status in _STATUSES
-                },
+                "counts": dict(zip(_STATUSES, counts.tolist())),
             }
-            footer = json.dumps({"groups": metas, **entry}).encode("utf-8")
+            # A footer holds only what readers read (a segment's totals are
+            # its manifest entry); a CRC is padded to 10 characters, its
+            # widest, so the file's size does not hang on the checksum.
+            footer = json.dumps({"groups": metas}, separators=(",", ":")).encode()
+            footer = re.sub(rb'"crc":(\d+)', lambda m: b'"crc":%10s' % m[1], footer)
             handle.write(footer)
             handle.write(_TRAILER.pack(offset, len(footer), zlib.crc32(footer)))
             handle.write(_SEG_END)
@@ -1146,7 +1145,7 @@ class ColumnarStore:
             os.fsync(handle.fileno())
         os.replace(tmp, path)
         self._manifest["next_seq"] = seq + 1
-        return {"name": name, "seq": seq, "nbytes": path.stat().st_size, **entry}
+        return {"name": name, "seq": seq, **entry}
 
     def _insert_entry(self, entry: dict) -> None:
         position = bisect.bisect_left(

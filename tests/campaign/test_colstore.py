@@ -12,6 +12,7 @@ import io
 import json
 import os
 import random
+import re
 import struct
 import threading
 import tracemalloc
@@ -916,8 +917,9 @@ def test_compaction_and_top_k_scan_build_no_rows(tmp_path, monkeypatch):
     # offsets and heaps here (37 B a row), every constant column a
     # zero-stride view. Schema 1 held its 77 B blocks, the row-at-a-time
     # merge near 9x that. No row was built.
-    assert merged["nbytes"] < 20 * merged["rows"]
-    assert peak < 48 * merged["rows"], (peak, merged["nbytes"])
+    nbytes = store._segment_path(merged).stat().st_size
+    assert nbytes < 20 * merged["rows"]
+    assert peak < 48 * merged["rows"], (peak, nbytes)
     assert calls == []
     # The scan ranks columns, then decodes the winners and nothing else.
     k = 600
@@ -1058,26 +1060,27 @@ def golden_store(path, checkpoints):
     return store
 
 
-#: One {file: sha256} map per checkpoint of ``golden_store``, captured from the
-#: writer that still folded late rows into segments (the same bytes).
+#: One {file: sha256} map per checkpoint of ``golden_store``: compact JSON,
+#: footers of groups only, CRCs at a fixed width. ``V2_STORE_ZIP`` holds what
+#: the writer of spaced, fuller JSON left for the same sequence.
 GOLDEN = [
     {  # three shards compacted around open shard 1
-        "seg-00000003.col": "79a8ed6da8b03919940ad15c60974a7b1f1312935e23b62afdd22818bf0b2315",
-        "MANIFEST.json": "4a241036fff6c6575c1037209a96b14fc750b77f72eaa71267c54496c2746f9c",
+        "seg-00000003.col": "2643cee06ce6ea951e2f9c0c32209fc8c34ab465c2fcdd42ffb6ad91ecca1e0b",
+        "MANIFEST.json": "46ca1bc9d9594958b3e304595867d1a7e670d05dd625127b48a4182228e27a21",
     },
     {  # shard 1 re-sealed over the covering segment
-        "seg-00000004.col": "f541f651607f81ab76cfeaa1b7b04ac234c5ccf0a3b2da57054f492a7a1803cc",
-        "MANIFEST.json": "b7943507eadba226ea0ccc44670cdad13c79a47a55c8522394d3c681401b7763",
+        "seg-00000004.col": "c62ae25582e596f89e00df03683159f73b2bbb2e351f14f160fc7d11423feafa",
+        "MANIFEST.json": "98eb3fcd8bcc2c5d006fe550c682c9c4b19f27f0e07f22b9cba45472d3e7b51d",
     },
     {  # plus one freshly sealed shard
-        "seg-00000004.col": "f541f651607f81ab76cfeaa1b7b04ac234c5ccf0a3b2da57054f492a7a1803cc",
-        "seg-00000005.col": "ad1550ea4d1cfc8d95068f566f24c3417c03f8e97caa0fa62bfbce596851102c",
-        "MANIFEST.json": "0dea60e85a69e993afbeec57386c60e7a59524c7ab621bd84f76090213738c30",
+        "seg-00000004.col": "c62ae25582e596f89e00df03683159f73b2bbb2e351f14f160fc7d11423feafa",
+        "seg-00000005.col": "c6698263abd1eadd4a4c2967883d6c103a885594c4c4ccc3e5eb8b05fec67750",
+        "MANIFEST.json": "18a093d13603c87381f0da78261ccb661e9c7374f8e8b36fec779df25f6a02e9",
     },
     {  # a second compaction across open shard 5, and a fresh shard
-        "seg-00000007.col": "72361fcdc7217ccb476e1ebb8dbc30e736bc8ddfce0ff4f832c79da1da4bff16",
-        "seg-00000008.col": "7cdd76138b9398cfd3f91b01f0bc9d0e8846b4f26aea982c6ad7105e238328a6",
-        "MANIFEST.json": "fd3cd9958e0a5895a7b0ea852958247f315e878d4a882a1c05efb25fe63db63d",
+        "seg-00000007.col": "cc1da011c582da952b92e4737ef3059e7abf80c1a95f8c79fd48617d32a1af89",
+        "seg-00000008.col": "c1db84602bca7427836bf0598a8d2ebb25ab33be88d609232dca1ceb7da3b846",
+        "MANIFEST.json": "e363e16aa7d00ba52b1886833d6e97f5b6378a6815ebde736095a7205edc7582",
     },
 ]
 #: The logical content at the last checkpoint: what the same sequence gives
@@ -1101,6 +1104,183 @@ def test_on_disk_bytes_match_the_row_at_a_time_writer(tmp_path):
         golden_shard(reopened, 8, 56, 63)
         assert [entry["rows"] for entry in reopened._segments] == [63]
         assert reopened.science_digest() == GOLDEN_DIGEST_REOPENED
+
+
+#: What a writer puts in a segment footer, in each of its groups and in a
+#: manifest entry. The store reads every one of these keys back, so none is
+#: written only to be skipped.
+FOOTER_KEYS = {"groups"}
+GROUP_KEYS = {
+    "rows", "lo", "hi", "crc", "layout", "title_heap", "error_heap", "offset",
+    "nbytes",
+}
+ENTRY_KEYS = {"name", "seq", "rows", "lo", "hi", "counts"}
+
+
+def footer_bytes(path):
+    """A segment file's JSON footer, as written (the trailer locates it)."""
+    data = path.read_bytes()
+    trailer = len(data) - 8 - colstore._TRAILER.size
+    offset, length, _ = colstore._TRAILER.unpack_from(data, trailer)
+    return data[offset : offset + length]
+
+
+def compact(document):
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def assert_written_as_read(root, meta=True):
+    """Every live file of ``root`` holds the key sets above in compact JSON,
+    each group CRC padded to 10 characters; ``meta.json`` too unless an
+    older writer created the store."""
+    text = (root / "MANIFEST.json").read_text()
+    manifest = json.loads(text)
+    assert text == compact(manifest)
+    if meta:
+        text = (root / "meta.json").read_text()
+        assert text == compact(json.loads(text))
+    for entry in manifest["segments"]:
+        assert set(entry) == ENTRY_KEYS
+        raw = footer_bytes(root / "segments" / entry["name"])
+        footer = json.loads(raw)
+        assert set(footer) == FOOTER_KEYS
+        assert all(set(group) == GROUP_KEYS for group in footer["groups"])
+        crcs = re.findall(rb'"crc":( *[0-9]+)', raw)
+        assert [len(crc) for crc in crcs] == [10] * len(footer["groups"])
+        unpadded = re.sub(rb'"crc": *', b'"crc":', raw).decode()
+        assert unpadded == json.dumps(footer, separators=(",", ":"))
+
+
+def test_a_footer_and_a_manifest_entry_hold_what_readers_read(tmp_path):
+    store = golden_store(tmp_path / "g.col", [])  # seals, re-seals, merges
+    store.mark_complete(56)  # rewrites meta.json
+    store.close()
+    assert_written_as_read(tmp_path / "g.col")
+
+
+def test_a_stores_size_does_not_hang_on_its_crc_digits(tmp_path):
+    """The same rows but their wall-clock seconds: the one group's CRC has 10
+    digits in the first store and 9 in the second, and every file of the two
+    is the same size."""
+    digits, sizes = [], []
+    for wall in (0.125, 0.25):
+        root = tmp_path / f"wall-{wall}.col"
+        with ColumnarStore.create(root, CONFIG, "h") as store:
+            store.start_shard(0, 0, 4)
+            for ordinal in range(4):
+                store.record_result(
+                    ordinal, f"L{ordinal}", -1.0 - ordinal, 0, 8, wall + ordinal, 0.0
+                )
+            store.finish_shard(0, 1.0)
+            (meta,) = store._footer(store._segments[0])["groups"]
+            digits.append(len(str(meta["crc"])))
+        sizes.append({name: len(data) for name, data in tree_bytes(root).items()})
+    assert digits == [10, 9]
+    assert sizes[0] == sizes[1]
+
+
+#: The directory the last writer of spaced JSON (schema 2, e75ad52) left for
+#: ``golden_store``, closed at its last checkpoint with shard 5 open: its
+#: footers repeat their segment's totals and every group's status counts, and
+#: its manifest entries carry their segment file's size. A zip of meta.json,
+#: MANIFEST.json, shards.log, active/shard-5.log and two segments.
+V2_STORE_ZIP = (
+    "UEsDBBQAAAAIAAAAIQAfvBeJrAAAAF0BAAANAAAATUFOSUZFU1QuanNvbm2O0Q6CMAxFf4XsWc0m"
+    "m6C/YoxBqLgEOoURNYR/twVFiezpnm67Pa3IAaFKvHUodsF2EQiEhz/WcHtjDXkJ6GvCfStS1wy5"
+    "FZlDoBBKenRObAEZkSG4AmYWcyJNVDWIA4Ud4cXyPKZUOEr8GZOSi3jTUg4nWqWuEHx3enrgfXoj"
+    "Fbe5e0/r3owdI2qd8zK/WmqiJSdaatQy5qOlt/Ne8Z+XkkZ/vaJRK+4O3QtQSwMEFAAAAAgAAAAh"
+    "ACkeKktAAQAAHgMAABIAAABhY3RpdmUvc2hhcmQtNS5sb2eTOsAoxMDAUMB3pkCZAQLYgNjH093A"
+    "2FQKIrku9DWHCrqkGVTy5uV9E1TRJc2hklrC7a/U0CUtoJKxUy8VqaNLWkIlw+QNNmmgSZoYQCUV"
+    "Z6ZqaaJLGkodYOIAcu7sui0E84rUAWYnIDXhzLeTMCEwWGB7gBnKbEcWbxB0gDB+1DNhCQ2w+Uc3"
+    "y0nAQgNqfqZhcqwKsjkXnA7AmB3I4gxCUPONHBixBCjY/OjNW67AAhRqPu/01T6qyMY0OByA6e9E"
+    "EYea32DkgOF+c6j5O7ZYR8HiBCqktmXiNHW4ENhKAYsUd3UkkxkMnOBB1o1ipTDUSmNMKy2h5nct"
+    "2+gPi0yo+YK7n/BoIJtzwP4AjNmDLM4gAjEfGCXoQQZKD2DzRZZJN8PSA9T8LzvqAzWRjXngDA+y"
+    "XhT3Q81vMMFwv4khAFBLAwQUAAAACAAAACEAgete2qkAAAAGAQAACQAAAG1ldGEuanNvbj2OSw6D"
+    "MAwFr4KyLov+VKl36BkiNxiIGpwoNu0CcffaiHaVZF7Gz4t7Qnghde7euJDTPBFUd7D7VBIKWtBD"
+    "YtwY9XFQsLgJBUaca2SJwdzH0SzyXLKwgou+KgYskquXKAn3BlaArSBL88vNZNyqbuu/x4/Ao0l2"
+    "tvv4FAegzgpoTklRLhIz8baU7QxBfA8USclZ86HmufiaP/blatM5jDiBf2NlNZWe1i9QSwMEFAAA"
+    "AAgAAAAhAICbT7qLBAAA+REAABkAAABzZWdtZW50cy9zZWctMDAwMDAwMDcuY29s3VhbbxtFFB6v"
+    "IdwKDkhAhRA2iygItWLnsrdy8aalQkhVqVqJF4SISdaOhbtr1nYhmFQGBI8QUX5AfkL5Bxa/oI99"
+    "7A/goeIBoQohZs6cvWKnESBomERz5szM7pzzfd8ZO7nwzsXTb5+1qGEYdaPRbLabBNobczDX1rSd"
+    "v67t+mltV+V8zaiTzbDb2yKlNm9rex3tDbQ32+V9qX8L7a/pelAzavUaWTny2NFnzr71pmVZ0FPo"
+    "GfQceqF2m+bFjTjpR70zSRInJ1vDeBS2eCuKoxPdftQfh60ff6gRmRwhzXaDLGrDQCcVvKrtnkq+"
+    "Ln/Ih4NLC58gP1WC/7m9eN+RQNvVIJ8zjGJyNvQO9C70HvR+XVJitJqyld54HRkgZAb9OjJjyfm6"
+    "5ITEw4+SchC/VBC+jfa3StBPYJBH0T6F9umgbtSKQVNghAIjFBihwAgV5DnVFjBCrTIlkmKDNEgq"
+    "t5vBvBTK7intB/k8JDcik8vo/16JvobRGgHZtz2L62a2zyBSboXsgBIKlFCghAIl1Jd7l2TnlrNr"
+    "ZLTdwgIK2truIX3n1/KEZSEZn2x/Ov1Mu/dgYPeiXUF7H9r7Kwk+j/4xtC+gfVEVUpE2BrQxoI0B"
+    "bQxoY0JK0pDVT1KtYZDXKqysIyurwVxyQWo7V8jsc730AB76YCW4tAAersy/VPGPo38ikBHLl+dB"
+    "AxsM2GDABgM2mC+vHxl0Ow169ooObl5AVrUhJtNamxtKQ198Sb76Wi89goc2ysHM0mp9tBLky5V9"
+    "Fvo0qMlYCkhzQJoD0hyQ5oA0F6CgRRLitFIghkEMpSKd3S5mNcNyD7JrQLfgNZUdMb75dpd8p6ce"
+    "19HN0GblnbYn0bdxH1riVPa5SkekkJ2AjARkJAT0QJJwYP8equR8MK+Tq9/rl6eH4d0yc9H3AsAN"
+    "Hgd2hTc1e0k8GY7Mk613p2YSf6xG9vGWOYjlwJKDrb4cCDnYSDbkiDqO4zHbd9XaoLMdT8ZydmrG"
+    "yWY/6gzU42bSiXqhKddHw1itmhOqvPAyrmu3Mx6Hl4bjwsy4Px6E78fd7igsToeKucr0TrZ9K+wM"
+    "5SS3sp3pDAQdTyJ4aGoOw0iG2MO0kkkU5d5mHIWYZrfTH4SbKlN1hj5Vep50og+2x6F6GWNq8c94"
+    "2Slefo6X7XHb5YKz/wwv6wBgWcuwoiWsaI4VW44VY34RLeotRotm8qK5vnzLoZx63t0vL/uflJcA"
+    "MAoCY4shyxRGc4kJ+ckpuPBc5/Bi9ldk5kBN3REzlsmM5TJjPmfC8eCOuCNk4854MsJY7sISXao3"
+    "u4idVb7ObFEqUddZjF2mN5brjbuukL+O4IfzSivjVdCaWI4XtXipQJfdaTwTGy98ZgrbkQjbzP2/"
+    "FGhBZHx5gVJG6UEqVLDse4aTg+ZxX/6Vxl3/cKpsKWD7qUxwvo/KWAaYmwHm5WXJbc/jlmMd6JtG"
+    "8U7rDjo9Neb0X4SSsr9/wbF9oHRo6YZz/J331Gs0kiKD0iojueh4UTqeF6RvFc+3d3aurugv2uce"
+    "IuTUlWM3LsA/fM6c+wNQSwMEFAAAAAgAAAAhABYB+m/DAQAAHgQAABkAAABzZWdtZW50cy9zZWct"
+    "MDAwMDAwMDguY29stVTdSsMwFE478EpQvPIHXI23Cm3aUjtBpyIqiIKCNyJat2wWZlKyVJEx8CkU"
+    "9Sl8g+EjeOfbmJNudZ1e6IW5OD/fOTnn5EvI0cnx1uG+7RimWTLRRNkqo8La7Gl1sd4rwBcbPWSW"
+    "kIEeHtFTccdMVav7vh6s+9min+PhSF6ligyYZWx8anp+f2/H9kKQvq2loyXR0oX8xcXjGhcxa24L"
+    "wUXFSnibWj6xGGfLjZjFklpvr+UJXdtay04xudUzS88vWcO5/rx9jVbzeQwYQnfytPQ7uCl4mrRx"
+    "xTrtYMFvwfKXLNziyvBCZV3FALnKqomaMonnBq7rkdCBtOiOp1KhHcxFPWZRCwpgEbEmxSreTjhE"
+    "ceqAR2/68cyNpKTXiRxCZCxb9Jw3Gm06DFMgYgTu5ulXNEoU6Np55gCBg9R4yvSmDk4oUyM2lQ2p"
+    "ImUs8+Agdc4obFFmI4pbtA449Mi6Km9FOezyTlIoRghRwZwxMmDM93LG/JwxN/DcMFjxiP8bxmQk"
+    "00HN/6HP/sadQ0a5s39Hnf1FHRmmzi5QR/Td5OQFTvcMqmTcBT+8tr9fnF+8uO6ykb34DxOh4H13"
+    "4Uj/CtsHn1BLAwQUAAAACAAAACEAmTd5BqYAAADVAQAACgAAAHNoYXJkcy5sb2eTOsAqwcDAYHmY"
+    "ZSUDGmCH0lIH2ASA1EnXS2aoCngcpCC6HVynn2JE08UH1w1Wcvq8ch4TmpQoqgWrEoo2wpSgWfBk"
+    "yVYfZjRdMqi6rT9KyTNj6AZLuYhxPmBEkfpgDzV4zh3rPyxoBiqjGuzH+fgRC4puuLM8GxbLsqLp"
+    "0kL19yEu8Z1saFKGqBbo6jinwpSgWfA2sXE2O5ouC1Tde/Zqn2ZH0w0AUEsBAhQDFAAAAAgAAAAh"
+    "AB+8F4msAAAAXQEAAA0AAAAAAAAAAAAAAKQBAAAAAE1BTklGRVNULmpzb25QSwECFAMUAAAACAAA"
+    "ACEAKR4qS0ABAAAeAwAAEgAAAAAAAAAAAAAApAHXAAAAYWN0aXZlL3NoYXJkLTUubG9nUEsBAhQD"
+    "FAAAAAgAAAAhAIHrXtqpAAAABgEAAAkAAAAAAAAAAAAAAKQBRwIAAG1ldGEuanNvblBLAQIUAxQA"
+    "AAAIAAAAIQCAm0+6iwQAAPkRAAAZAAAAAAAAAAAAAACkARcDAABzZWdtZW50cy9zZWctMDAwMDAw"
+    "MDcuY29sUEsBAhQDFAAAAAgAAAAhABYB+m/DAQAAHgQAABkAAAAAAAAAAAAAAKQB2QcAAHNlZ21l"
+    "bnRzL3NlZy0wMDAwMDAwOC5jb2xQSwECFAMUAAAACAAAACEAmTd5BqYAAADVAQAACgAAAAAAAAAA"
+    "AAAApAHTCQAAc2hhcmRzLmxvZ1BLBQYAAAAABgAGAHgBAAChCgAAAAA="
+)
+#: What that build answered (as ``answers``: the science digest first) on the
+#: store as unpacked, and after it finished shard 5 and sealed shard 8 (a merge
+#: into one segment).
+V2_ANSWERS = {
+    "opened": (
+        GOLDEN_DIGEST,
+        "c3ca1466b1a33cc5079b64ffad27380dda462370830b60b0d25bd277ec07d688",
+        "1c2206e7042203e9556c2ed245be5ee5971ca51c7159cb7e7176c4c2473028c5",
+        "b060af84ba5d985a4f3b2cf0d3270f93c9068ff4ac315a52b8e03bae411a452a",
+    ),
+    "rewritten": (
+        GOLDEN_DIGEST_REOPENED,
+        "51cde29360b497eec8e1ed56852cac84e1a5c92469b08604c85c65c79c27ce92",
+        "be4c3e10fd91832fee5026afeb577bc913aae55d3b81373c242d9f936d78fa15",
+        "b1f0d4b03939081661fc731f77447d59be71f03e971df11a557d916bde1f5259",
+    ),
+}
+
+
+def test_an_older_writers_schema_2_store_is_read_and_rewritten(tmp_path):
+    root = tmp_path / "v2.col"
+    with zipfile.ZipFile(io.BytesIO(base64.b64decode(V2_STORE_ZIP))) as archive:
+        archive.extractall(root)
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    assert set(manifest["segments"][0]) == ENTRY_KEYS | {"nbytes"}
+    footer = json.loads(footer_bytes(root / "segments" / "seg-00000007.col"))
+    assert set(footer) == FOOTER_KEYS | {"rows", "lo", "hi", "counts"}
+    assert set(footer["groups"][0]) == GROUP_KEYS | {"counts"}
+    with ColumnarStore.open(root) as store:
+        assert answers(store) == V2_ANSWERS["opened"]
+        store.finish_shard(5, 3.5)  # re-seals one segment beside the other
+    with ColumnarStore.open(root) as store:  # a manifest of both writers
+        assert [entry["rows"] for entry in store._segments] == [49, 7]
+        assert answers(store) == V2_ANSWERS["opened"]
+        golden_shard(store, 8, 56, 63)
+        assert [entry["rows"] for entry in store._segments] == [63]
+        assert answers(store) == V2_ANSWERS["rewritten"]
+    assert_written_as_read(root, meta=False)
+    with ColumnarStore.open(root) as store:
+        assert answers(store) == V2_ANSWERS["rewritten"]
 
 
 #: The directory the last schema-1 build (8ed80d5) left for the sequence
