@@ -36,9 +36,9 @@ Failure policy: per-ligand bounded retry with exponential backoff
 ``failed`` with the exception text and the campaign continues past it
 (with ``raise_on_failure`` its own exception propagates instead, before
 anything is recorded). A
-worker pool that died is recycled in place by the runtime — workers are
-replaced, the bindings and warm-up weights survive — and the docks
-it interrupted are repeated without charging their ligands.
+pool worker that dies is re-forked in its slot by the runtime — its
+siblings, the bindings and the warm-up weights survive — and the docks
+whose launches it held are repeated without charging their ligands.
 ``KeyboardInterrupt``/``SystemExit`` are never swallowed — they are the
 crash resume exists for.
 """
@@ -180,8 +180,8 @@ def dock_with_retry(
 
     ``dock_once`` docks the ligand once. An exception is charged against
     the ligand's ``max_attempts`` poison budget — except a
-    :class:`~repro.errors.WorkerPoolError`: the pool died under the dock
-    (killed, possibly, by a co-resident ligand), a fault of the runtime,
+    :class:`~repro.errors.WorkerPoolError`: a pool worker died under the
+    dock (killed, possibly, by a co-resident ligand), a fault of the runtime,
     so the dock is repeated uncharged. Pool deaths are counted on their
     own and bounded by the same ``max_attempts``, so a ligand that kills
     its workers every time still ends ``failed``. Each retry leaves a

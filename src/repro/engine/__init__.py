@@ -1,7 +1,7 @@
 """Parallel runtime: schedulers, warm-up, simulated execution, reporting.
 
 What loads when: importing the package loads the real host runtime
-(:mod:`~repro.engine.host_runtime`, whose process-pool stack loads only
+(:mod:`~repro.engine.host_runtime`, whose ``multiprocessing`` loads only
 when a pool is set up) and :mod:`~repro.engine.partition`. The simulator —
 :mod:`~repro.engine.executor`, :mod:`~repro.engine.scheduler`,
 :mod:`~repro.engine.reporting`, :mod:`~repro.engine.warmup` and with them

@@ -1,72 +1,66 @@
 """Process-parallel host runtime: real cores, same answers.
 
 Everything else in :mod:`repro.engine` *models* parallel hardware; this
-module actually uses the machine. A :class:`ParallelSpotEvaluator` shards a
-launch's poses across a persistent :class:`~concurrent.futures.ProcessPoolExecutor`,
-mirroring the paper's device strategy at the host level:
+module uses the machine. A :class:`ParallelSpotEvaluator` forks
+``n_workers`` worker processes once, each on a duplex pipe of its own, and
+drives each through its pipe as the paper's Algorithm 2 drives each device
+from a host thread of its own:
 
-* **Binding** — every worker holds its own bound scorer, the way each GPU
-  of the paper's Algorithm 2 scores from its own device-resident copy of
-  the complex (see the bind/BoundScorer split in :mod:`repro.scoring.base`).
-  The scoring factory, the receptor and the first ligand reach the workers
-  through the fork that creates them; a worker binds each ligand itself,
-  once. The parent only dispatches, as the paper's host thread does: it
+* **Binding** — every worker holds its own bound scorer, as each GPU scores
+  from its own device-resident copy of the complex. The scoring factory,
+  the receptor and the first ligand reach the workers through the fork; a
+  worker binds each ligand itself, once. The parent only dispatches: it
   plans and records launches from the scorer's
   :class:`~repro.scoring.base.ScorerShape` and holds no pair tables.
-* **Warm-up (Eq. 1)** — at pool start each worker times a few scoring
-  launches; shares are assigned ∝ 1/Percent, exactly the paper's
-  ``Percent = t_worker / t_slowest`` heterogeneous split, but with wall
-  clocks instead of the simulated performance model. As in the paper
-  (§3.3), the shares are measured once and kept for the pool's lifetime.
-* **Scheduling** — ``static`` mode LPT-packs a launch's jobs into
-  ``n_workers`` tasks sized by the Eq. 1 weights; the executor hands each
-  task to whichever worker is idle, so task *i* is not necessarily scored
-  by the process whose warm-up set ``weights[i]``. ``dynamic`` mode
-  submits jobs individually in LPT order (largest-first, the ordering
-  :mod:`repro.engine.device_worker` uses) so whichever worker frees up
-  first pulls the next job — a work-stealing queue.
+* **Warm-up (Eq. 1)** — each worker times a few launches as it starts and
+  sends the mean down its pipe; shares are ∝ 1/Percent with
+  ``Percent = t_worker / t_slowest``, measured once and kept for the
+  pool's lifetime (§3.3).
+* **Scheduling** — ``static`` LPT-packs a launch's jobs into one task per
+  worker, each job where it would finish first given the Eq. 1 weights and
+  the poses that worker already owes, and sends worker *i*'s task down
+  pipe *i*: the share a warm-up earned is the share that worker scores.
+  ``dynamic`` keeps the jobs in the parent in LPT order (largest first, as
+  :mod:`repro.engine.device_worker` orders them) and sends the next down
+  whichever pipe answers first — the paper's cooperative queue, with the
+  host as dispatcher.
 
-Determinism contract: for any scorer, ``ParallelSpotEvaluator`` returns
-*bitwise* the same energies as :class:`~repro.metaheuristics.evaluation.SerialEvaluator`
-with the same seed, for any worker count and either mode. Work is split only
-along boundaries the serial path already has — whole chunks of the serial
-chunk grid for plain scorers, whole per-spot groups for spot-aware scorers —
-and workers bind the scorer with the same call on the same inputs as the
-serial path, so every chunk's arithmetic is identical to its serial
-counterpart.
+Determinism contract: for any scorer, worker count and mode,
+``ParallelSpotEvaluator`` returns *bitwise* the energies
+:class:`~repro.metaheuristics.evaluation.SerialEvaluator` returns. Work is
+split only along boundaries the serial path has — whole chunks of the
+serial chunk grid for plain scorers, whole spot groups for spot-aware ones
+— and workers bind with the serial path's call on the same inputs.
 
-**One launch path** — the paper runs warm-up once and reuses the shares for
-the whole screening; a campaign likewise pays for pool spawn and warm-up
-once. Each resident ligand is a versioned :class:`_LigandBinding`. Every
-task carries its binding's rebind message ``(version, ligand,
-live_versions)``, so a worker binds a version it has not met once, keeps
-its scorers in a small cache keyed by version and evicts versions the
-message no longer lists as live — no process churn, and the Eq. 1 weights
-hold for every ligand. A launch is always the ticketed pair
-:meth:`ParallelSpotEvaluator.submit` / :meth:`~ParallelSpotEvaluator.harvest`
-against one binding; a dead worker :meth:`~ParallelSpotEvaluator.recycle`-s
-the pool in place and surfaces as a retryable
-:class:`~repro.errors.WorkerPoolError`.
+**One launch path** — each resident ligand is a versioned
+:class:`_LigandBinding`, and every task carries its rebind message
+``(version, ligand, live_versions)``: a worker binds a version on first
+sight, caches scorers by version and evicts those no longer live, so
+ligands change without process churn and the Eq. 1 weights hold for all.
+A launch is the ticketed pair :meth:`ParallelSpotEvaluator.submit` /
+:meth:`~ParallelSpotEvaluator.harvest` against one binding. A worker that
+dies is re-forked in its slot, and only the launches it held raise a
+retryable :class:`~repro.errors.WorkerPoolError`.
 
-**Lifecycle** — :class:`PersistentHostRuntime` is the campaign-facing owner:
+**Lifecycle** — :class:`PersistentHostRuntime` is the campaign's owner:
 :meth:`~PersistentHostRuntime.lease` mints a ligand's version (the first
-call spawns the pool) and returns a :class:`LigandLease`; its
-``evaluator_factory`` is the ``dock()`` seam, routing that ligand's launches
-through submit/harvest with a private launch trace;
-:meth:`LigandLease.release` retires the binding.
-Pipeline depth is nothing but how many leases are live at once — depth 1 is
-one lease in flight, and ``acquire()`` is the single-resident convenience
-over the same call. A one-shot ``dock(host_workers=N)`` builds a bare
+call forks the workers) and returns a :class:`LigandLease`, whose
+``evaluator_factory`` is the ``dock()`` seam and whose
+:meth:`~LigandLease.release` retires the binding. Pipeline depth is how
+many leases are live at once; ``acquire()`` is the single-resident form.
+A one-shot ``dock(host_workers=N)`` builds a bare
 :class:`ParallelSpotEvaluator` around its one ligand and closes it on exit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 import time
-from concurrent.futures import CancelledError
-from dataclasses import dataclass
+import traceback
+from collections import Counter, deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,22 +84,23 @@ __all__ = [
     "load_pool_stack",
 ]
 
-#: The process-pool stack, bound by :func:`load_pool_stack`: a process that
-#: docks serially never imports it.
-mp = ProcessPoolExecutor = BrokenProcessPool = None
+#: ``multiprocessing`` and its ``connection.wait``, bound by
+#: :func:`load_pool_stack`: a process that docks serially never imports them.
+mp = wait = None
 
 
 def load_pool_stack() -> None:
-    """Import ``multiprocessing`` and the process-pool executor. Idempotent.
+    """Import ``multiprocessing``: its fork context and its pipes. Idempotent.
 
     Every pool this module builds calls it first. Call it earlier, in
     set-up, where a pool is known to be coming (a campaign runner with
     ``host_workers > 0`` does): otherwise the import lands inside whatever
     call builds the pool, such as a campaign's first lease.
     """
-    global mp, ProcessPoolExecutor, BrokenProcessPool
+    global mp, wait
     import multiprocessing as mp
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    import multiprocessing.popen_fork  # noqa: F401  (what Process.start forks with)
+    from multiprocessing.connection import wait
 
 
 #: Poses per warm-up timing launch ("a few candidate solutions", §3.3).
@@ -114,63 +109,97 @@ DEFAULT_WARMUP_POSES: int = 64
 #: Timed launches per worker; the mean is the Eq. 1 measurement.
 DEFAULT_WARMUP_REPEATS: int = 3
 
-#: Give slow machines this long to spawn+warm every worker before falling
-#: back to equal shares.
-_WARMUP_TIMEOUT_S: float = 120.0
+#: How long :meth:`ParallelSpotEvaluator.close` lets a worker finish its
+#: task and exit before killing it.
+_CLOSE_TIMEOUT_S: float = 10.0
 
 #: Least modelled work (receptor × ligand × pose pairs) in one job of a
 #: spot-aware scorer: 59 poses on a 1,500 × 24 complex, the grain the plain
 #: path's chunk-grid jobs have for float32
-#: (:data:`repro.scoring.base.CHUNK_BUDGET_BYTES` / 4). Sending part of a
-#: launch to a second worker costs a fixed ~1.5 ms of CPU (pickle, wake-up,
-#: telemetry merge). Measured on that complex, 8 spots, two workers, ms per
-#: launch as one job -> a job per spot group: at 48 poses 8.4 -> 6.3 with the
-#: pool to itself but 4.8 -> 5.8 beside another ligand's launch, +19% CPU
-#: either way; from 96 poses up 33-44% faster alone, and within 3% (wall and
-#: CPU) beside another launch. So the grain sits between 48 and 96 poses;
-#: what it gives up is the alone-in-the-pool gain of launches below it.
+#: (:data:`repro.scoring.base.CHUNK_BUDGET_BYTES` / 4). It was set when a
+#: second task cost ~1.5 ms of CPU through a process-pool executor: at 48
+#: poses a job per spot group ran 8.4 -> 6.3 ms alone in the pool but
+#: 4.8 -> 5.8 ms beside another ligand's launch, +19% CPU either way. On
+#: the pipes a second task costs 0.06-0.24 ms of parent CPU (48 poses alone
+#: in the pool, BLAS 1 thread: 6.9 ms as one job, 4.1-4.9 ms as two); beside
+#: another launch it has not been re-timed, so the grain stays where it was
+#: until ROADMAP item 2 re-measures it.
 _MIN_JOB_PAIRS: int = 2 * 1024 * 1024
 
 
 # ----------------------------------------------------------------------
 # worker process side
 # ----------------------------------------------------------------------
-#: Per-process state: the fork-inherited scoring factory and receptor, the
-#: bound scorers by version, worker index, shared counters.
-_WORKER: dict = {}
+#: The parent-side end of every live worker pipe in this process. A worker
+#: closes all of them as it starts, its own pipe's included: holding any
+#: would keep that pipe open after the parent died, and its worker would
+#: wait for a task forever instead of reading EOF.
+_PARENT_ENDS: set = set()
+
+#: Pose-count histogram edges (powers of four up to 256k poses; fixed for
+#: snapshot determinism).
+_POSE_COUNT_EDGES: tuple[float, ...] = tuple(float(4**k) for k in range(10))
 
 
-def _worker_init(scoring, receptor, ligand, claim, ready, slots, warm) -> None:
-    """Pool initializer: bind the fork-inherited complex, warm up.
+def _worker_main(index, conn, inherited, scoring, receptor, ligand, warm) -> None:
+    """One worker's life: bind, time the warm-up, then score until EOF.
 
-    ``scoring`` and ``receptor`` are what this worker binds every ligand
-    against; ``ligand`` is version 0's, bound here with the same call every
-    later version gets. ``claim`` hands out worker indices; ``ready`` counts
-    workers that have finished warming up (the parent's barrier waits on
-    it); ``slots[i]`` receives worker ``i``'s mean warm-up launch time.
-
-    ``ligand=None`` is the recycle path: a replacement worker comes up with
-    no scorer and no warm-up — the first task it runs carries a versioned
-    rebind message it binds from.
+    Everything arrives through the fork. ``ligand`` is version 0's, and the
+    mean warm-up launch time is the first message sent; ``ligand=None`` is
+    a re-forked worker, with no scorer and no warm-up. A task ``(id, jobs,
+    (version, ligand, live_versions))`` is answered ``(id, reply)``: the
+    :func:`_run_tasks` result, or the exception scoring raised, pickled by
+    :func:`_answer`. A version
+    is bound on first sight (the serial path's ``bind`` call, so its tables
+    are bitwise the serial ones) and cached until no longer live. EOF —
+    the parent closed the pipe or died — ends the worker.
     """
-    with claim.get_lock():
-        index = int(claim.value)
-        claim.value += 1
-    scorer = None if ligand is None else scoring.bind(receptor, ligand)
-    _WORKER.update(
-        index=index,
-        scoring=scoring,
-        receptor=receptor,
-        scorer=scorer,
-        version=None if scorer is None else 0,
-        scorers={} if scorer is None else {0: scorer},
-        ready=ready,
-        n_workers=len(slots),
-    )
-    if scorer is not None:
-        slots[index] = _time_warmup(scorer, warm)
-    with ready.get_lock():
-        ready.value += 1
+    import signal  # here: loading it costs a process that never forks ~0.2 MB
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+    for end in inherited:
+        end.close()
+    scorers: dict[int, BoundScorer] = {}
+    try:
+        if ligand is not None:
+            scorers[0] = scoring.bind(receptor, ligand)
+            conn.send((None, _time_warmup(scorers[0], warm)))
+        while True:
+            task_id, tasks, (version, ligand, live) = conn.recv()
+            try:
+                if version not in scorers:
+                    scorers[version] = scoring.bind(receptor, ligand)
+                for stale in [v for v in scorers if v != version and v not in live]:
+                    del scorers[stale]
+                reply = _run_tasks(index, scorers[version], tasks)
+            except Exception as exc:  # the launch's error, raised at harvest
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
+                reply = exc
+            conn.send_bytes(_answer(task_id, reply))
+    except (EOFError, OSError):
+        pass
+
+
+def _answer(task_id: int, reply) -> bytes:
+    """``(task_id, reply)`` pickled for the pipe.
+
+    A reply that will not cross it becomes a :class:`ScoringError` carrying
+    its text, still charged to the launch. An error is unpickled here once
+    as well: one whose ``__init__`` does not take its own ``args`` pickles
+    but would fail to unpickle in the parent.
+    """
+    pickler = mp.reduction.ForkingPickler
+    try:
+        data = pickler.dumps((task_id, reply))
+        if isinstance(reply, BaseException):
+            pickler.loads(data)
+        return data
+    except Exception:
+        text = traceback.format_exc()
+        if isinstance(reply, BaseException):
+            text = "".join(traceback.format_exception(reply)) + text
+        error = ScoringError(f"a host worker's reply did not cross its pipe:\n{text}")
+        return pickler.dumps((task_id, error))
 
 
 def _time_warmup(scorer: BoundScorer, warm) -> float:
@@ -185,66 +214,15 @@ def _time_warmup(scorer: BoundScorer, warm) -> float:
     return float(np.mean(measured))
 
 
-def _worker_rebind(version: int, ligand, live: tuple[int, ...]) -> None:
-    """Switch this worker to ligand ``version``, binding it on first sight.
-
-    Scorers are cached by version: several ligands can be live at once and
-    consecutive tasks ping-pong between their versions, so a switch back to
-    a version this worker already bound is a dict lookup. A first-seen
-    version is bound once, with the same ``bind`` call on the same receptor
-    and ligand as a serial run's, so its tables are bitwise the serial ones.
-    ``live`` names every version still resident in the parent; cached scorers
-    outside it are evicted. Workers that skipped versions, or were recycled
-    in with no scorer at all, need nothing else.
-    """
-    scorers = _WORKER["scorers"]
-    scorer = scorers.get(version)
-    if scorer is None:
-        scorer = scorers[version] = _WORKER["scoring"].bind(
-            _WORKER["receptor"], ligand
-        )
-    _WORKER.update(scorer=scorer, version=version)
-    for stale in [v for v in scorers if v != version and v not in live]:
-        del scorers[stale]
-
-
-def _barrier_task(timeout_s: float) -> int:
-    """Block until every worker has initialised (or timeout).
-
-    Submitted once per worker at pool start: each blocked barrier keeps its
-    worker busy, which forces :class:`ProcessPoolExecutor` (on-demand
-    spawning since 3.9) to actually start all ``n`` processes.
-    """
-    ready = _WORKER["ready"]
-    n = _WORKER["n_workers"]
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        with ready.get_lock():
-            if int(ready.value) >= n:
-                break
-        time.sleep(0.002)
-    return _WORKER["index"]
-
-
-#: Pose-count histogram edges (powers of four up to 256k poses; fixed for
-#: snapshot determinism).
-_POSE_COUNT_EDGES: tuple[float, ...] = tuple(float(4**k) for k in range(10))
-
-
 def _run_tasks(
+    index: int,
+    scorer: BoundScorer,
     tasks: list[tuple[np.ndarray | None, np.ndarray, np.ndarray]],
-    rebind: tuple,
 ) -> tuple[list[np.ndarray], dict | None]:
-    """Score this worker's share of a launch: a list of (spot ids, t, q).
+    """Score worker ``index``'s share of a launch: a list of (spot ids, t, q).
 
     Jobs of a spot-aware scorer carry their poses' spot ids and go through
     ``score_spots``; plain jobs carry ``None`` and go through ``score``.
-
-    ``rebind`` is the launch's versioned rebind message ``(version, ligand,
-    live_versions)``; a worker whose current scorer is a different version
-    switches (or binds) in place before scoring — see
-    :func:`_worker_rebind` — so the energies stay bitwise identical to a
-    fresh pool's.
 
     Returns ``(score_arrays, stats)``. ``stats`` is the worker's telemetry
     for this task — a local snapshot document plus the task's monotonic
@@ -254,10 +232,6 @@ def _run_tasks(
     with or without it.
     """
     started_s = time.monotonic()
-    if _WORKER.get("version") != rebind[0]:
-        _worker_rebind(*rebind)
-    scorer = _WORKER["scorer"]
-    index = _WORKER["index"]
     local = obs.Telemetry() if obs.enabled() else None
     out = []
     n_poses = 0
@@ -335,67 +309,99 @@ class _LigandBinding:
     shape: ScorerShape
 
 
+@dataclass(eq=False, slots=True)
 class LaunchTicket:
     """One in-flight launch: the handle between ``submit`` and ``harvest``.
 
-    Holds the jobs' futures, the preallocated output array, and the launch
+    Holds the launch's poses and rebind message for the tasks still to be
+    sent, the output array their answers are routed into, and the launch
     span (opened at submit, closed at harvest, so the traced duration spans
     queue wait + scoring). Submit and harvest a ticket from the *same*
     thread — the span nests on the submitting thread's stack.
     """
 
-    __slots__ = (
-        "binding", "n", "pool", "out", "pending", "n_jobs",
-        "span", "span_tags", "done", "registered",
-    )
+    binding: _LigandBinding
+    n: int
+    out: np.ndarray | None = None
+    poses: tuple = ()  # (spot ids or None, translations, quaternions)
+    rebind: tuple = ()
+    submit_s: float = 0.0
+    n_jobs: int = 0
+    waiting: int = 0  # tasks booked and not yet answered
+    error: BaseException | None = None  # what harvest raises
+    stats: list = field(default_factory=list)  # worker telemetry, one per task
+    span: object = None
+    span_tags: dict | None = None
+    done: bool = False
+    registered: bool = False  # counted in the evaluator's in-flight map
 
-    def __init__(
-        self, binding: _LigandBinding, n: int, pool: ProcessPoolExecutor
-    ) -> None:
-        self.binding = binding
-        self.n = n
-        self.pool = pool  # the pool generation the launch was queued on
-        self.out: np.ndarray | None = None
-        self.pending: list = []  # (jobs_bucket, submit_s, Future) triples
-        self.n_jobs = 0
-        self.span = None
-        self.span_tags: dict | None = None
-        self.done = False
-        self.registered = False  # counted in the evaluator's in-flight map
+
+@dataclass(eq=False, slots=True)
+class _Task:
+    """Some of one launch's jobs, bound for one worker's pipe."""
+
+    ticket: LaunchTicket
+    jobs: list[_Job]
+
+    @property
+    def poses(self) -> int:
+        return sum(job.rows.size for job in self.jobs)
+
+
+@dataclass(eq=False)
+class _Worker:
+    """The parent's side of one worker: its process, its pipe, what it owes."""
+
+    index: int
+    process: object
+    conn: object
+    send_lock: object = field(default_factory=threading.Lock)  # one message at a time
+    owed: dict = field(default_factory=dict)  # task id -> booked _Task, unanswered
+    owed_poses: int = 0
+
+    def retire(self) -> int:
+        """Close the pipe and reap the process, killed if it lingers; its exit code."""
+        with self.send_lock:
+            _PARENT_ENDS.discard(self.conn)
+            self.conn.close()
+        self.process.join(_CLOSE_TIMEOUT_S)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        return self.process.exitcode
 
 
 class ParallelSpotEvaluator:
-    """Evaluator that scores launches across a persistent process pool.
+    """Evaluator that scores launches on worker processes it forks and owns.
 
     Implements the :class:`~repro.metaheuristics.evaluation.Evaluator`
-    protocol, so it drops into :class:`~repro.metaheuristics.context.SearchContext`
-    wherever a :class:`~repro.metaheuristics.evaluation.SerialEvaluator`
-    does — recording identical launch traces and returning bitwise identical
+    protocol: it drops in wherever a
+    :class:`~repro.metaheuristics.evaluation.SerialEvaluator` does,
+    recording identical launch traces and returning bitwise identical
     energies (see module docstring).
 
     Parameters
     ----------
     scoring, receptor, ligand:
-        The scoring factory and the complex. The parent keeps no bound
-        scorer: it reads ``ligand``'s
-        :meth:`~repro.scoring.base.ScoringFunction.shape` (the
-        construction-time :attr:`binding`). The workers inherit the
-        factory, the receptor and ``ligand`` through the fork, bind
-        ``ligand`` as they start and every later ligand
-        (:meth:`bind_ligand`) on first sight — without touching the pool or
-        the warm-up weights.
+        The scoring factory and the complex. The parent reads only
+        ``ligand``'s :meth:`~repro.scoring.base.ScoringFunction.shape` (the
+        construction-time :attr:`binding`); the workers inherit all three
+        through the fork and bind ``ligand``, and every later ligand
+        (:meth:`bind_ligand`), themselves.
     n_workers:
-        Worker processes (≥ 1). The pool is fully spawned, and each worker
-        timed on :data:`DEFAULT_WARMUP_POSES` x :data:`DEFAULT_WARMUP_REPEATS`
-        (the Eq. 1 measurement), before the constructor returns.
+        Worker processes (≥ 1), each forked once on a pipe of its own; each
+        has reported its Eq. 1 time on :data:`DEFAULT_WARMUP_POSES` x
+        :data:`DEFAULT_WARMUP_REPEATS` before the constructor returns.
     mode:
-        ``"static"`` (LPT packing into one task per worker, each sized by an
-        Eq. 1 weight; idle workers take the tasks in any order) or
-        ``"dynamic"`` (work-stealing job queue in LPT order).
+        ``"static"`` (one task per worker, placed by the Eq. 1 weights and
+        the poses each worker owes, scored by that worker) or
+        ``"dynamic"`` (the parent feeds jobs in LPT order to whichever
+        worker answers first).
 
-    A crashed pool is :meth:`recycle`-d in place and the launch raises a
-    retryable :class:`~repro.errors.WorkerPoolError`. Use as a context
-    manager, or call :meth:`close`.
+    A worker that dies is re-forked in its slot, and the launches it held
+    raise a retryable :class:`~repro.errors.WorkerPoolError`. Harvesting
+    threads take turns reading the pipes; no thread of its own runs here.
+    Use as a context manager, or call :meth:`close`.
     """
 
     def __init__(
@@ -414,7 +420,7 @@ class ParallelSpotEvaluator:
         if "fork" not in mp.get_all_start_methods():  # pragma: no cover
             raise ScoringError(
                 "the parallel host runtime requires the 'fork' start method "
-                "(the complex and shared counters are inherited, not pickled)"
+                "(the complex and the first ligand are inherited, not pickled)"
             )
         self.scoring = scoring
         self.receptor = receptor
@@ -422,16 +428,20 @@ class ParallelSpotEvaluator:
         self.mode = mode
         self.stats = EvaluationStats()
         self._version = 0
-        # Binding bookkeeping and the in-flight launch map share one lock.
+        # Bindings, the in-flight map, what each worker owes and the dynamic
+        # backlog share one lock; ``_turn`` passes the reading of the pipes
+        # from one harvesting thread to the next.
         self._lock = threading.Lock()
+        self._turn = threading.Condition(self._lock)
+        self._reading = False
+        self._closed = False
         self._bindings: dict[int, _LigandBinding] = {}
         self._inflight: dict[int, int] = {}  # binding version -> live tickets
         self._idle_mark: float | None = None
-        # Held for the whole of a recycle (and by close), so a submit that
-        # finds no pool can tell "respawning" from "closed" by waiting on it.
-        self._recycle_lock = threading.RLock()
         self._obs_lock = threading.Lock()  # serializes telemetry merges
-        self._pool: ProcessPoolExecutor | None = None
+        self._task_ids = itertools.count()
+        self._backlog: deque[_Task] = deque()  # dynamic mode: jobs not yet sent
+        self._workers: list[_Worker] = []
         #: The construction-time ligand's binding: what :meth:`evaluate`
         #: scores, and the first lease of a campaign runtime.
         self.binding = _LigandBinding(
@@ -439,18 +449,14 @@ class ParallelSpotEvaluator:
         )
         self._bindings[0] = self.binding
         try:
-            ctx = mp.get_context("fork")
-            self._ctx = ctx
-            self._claim = ctx.Value("q", 0)
-            self._ready = ctx.Value("q", 0)
-            self._slots = ctx.Array("d", self.n_workers)
             warm = self._warmup_batch()
             with obs.span("host.warmup", workers=self.n_workers, mode=self.mode):
                 t0 = time.perf_counter()
-                self._pool = self._start_pool(ligand, warm)
+                for index in range(self.n_workers):
+                    self._workers.append(self._fork(index, ligand, warm))
+                measured = self._read_warmups()
                 elapsed = time.perf_counter() - t0
             obs.counter("host.warmups").inc()
-            measured = np.array(self._slots[:], dtype=np.float64)
             percent, self.weights = eq1_weights(measured)
             # The Eq. 1 share decision on the record (doctor and the sampler
             # compare it with the poses each worker actually scored).
@@ -476,38 +482,39 @@ class ParallelSpotEvaluator:
         quaternions = normalize_quaternion(rng.normal(size=(DEFAULT_WARMUP_POSES, 4)))
         return translations, quaternions, DEFAULT_WARMUP_REPEATS
 
-    def _start_pool(self, ligand, warm) -> ProcessPoolExecutor:
-        """Spawn every worker, blocking until all have initialised.
+    def _fork(self, index: int, ligand=None, warm=None) -> _Worker:
+        """Fork worker ``index`` on a new pipe (see :func:`_worker_main`).
 
-        One barrier task per worker forces the executor to actually start
-        all ``n`` processes. The initializer arguments reach the workers
-        through the fork, not a pickle: the first pool binds version 0's
-        ``ligand`` and times the Eq. 1 warm-up, a recycled one
-        (``None``/``None``) comes up with no scorer.
+        It gets every parent-side pipe end alive in this process to close.
         """
-        pool = ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            mp_context=self._ctx,
-            initializer=_worker_init,
-            initargs=(
-                self.scoring, self.receptor, ligand,
-                self._claim, self._ready, self._slots, warm,
+        ours, theirs = mp.Pipe()
+        process = mp.get_context("fork").Process(  # the complex is inherited
+            target=_worker_main,
+            args=(
+                index, theirs, (*_PARENT_ENDS, ours),
+                self.scoring, self.receptor, ligand, warm,
             ),
+            name=f"repro-host-worker-{index}",
+            daemon=True,
         )
         try:
-            barriers = [
-                pool.submit(_barrier_task, _WARMUP_TIMEOUT_S)
-                for _ in range(self.n_workers)
-            ]
-            for future in barriers:
-                future.result(timeout=_WARMUP_TIMEOUT_S)
-        except BrokenProcessPool as exc:
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise ScoringError(f"host worker pool died while starting: {exc}") from exc
-        except BaseException:
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-        return pool
+            process.start()
+        finally:
+            theirs.close()
+        _PARENT_ENDS.add(ours)
+        return _Worker(index, process, ours)
+
+    def _read_warmups(self) -> np.ndarray:
+        """Every worker's mean warm-up launch time: the first message on its pipe."""
+        measured = np.zeros(self.n_workers)
+        for worker in self._workers:
+            try:
+                _, measured[worker.index] = worker.conn.recv()
+            except (EOFError, OSError) as exc:
+                raise ScoringError(
+                    f"host worker {worker.index} died while starting"
+                ) from exc
+        return measured
 
     # ------------------------------------------------------------------
     # planning
@@ -548,26 +555,35 @@ class ParallelSpotEvaluator:
         jobs.append(_Job(spot=run_spot, rows=np.arange(run_lo, n)))
         return jobs
 
-    def _buckets(self, jobs: list[_Job]) -> list[list[_Job]]:
-        """One launch's tasks: jobs in LPT order, grouped by balancing mode.
+    def _book(self, ticket: LaunchTicket, jobs: list[_Job]) -> list[tuple]:
+        """Book one launch's jobs in LPT order (under ``_lock``); returns the posts.
 
-        ``static`` packs them into ``n_workers`` tasks whose loads follow
-        the Eq. 1 weights (the executor gives each task to whichever worker
-        is idle, not to the one whose warm-up set its weight); ``dynamic``
-        keeps one task per job, largest first, for whichever worker frees up
-        first to steal. The modes differ in this grouping only.
+        ``static`` packs them into one task per worker, task *i* for worker
+        *i*: each job lands where it would finish first, counting the Eq. 1
+        weights and the poses every worker already owes (a one-job launch
+        goes to the heaviest worker unless that one is busier), so
+        concurrent launches spread out. ``dynamic`` queues one task per
+        job, largest first, for whichever worker answers first. The modes
+        differ in this grouping only.
         """
         lpt = sorted(jobs, key=lambda job: (-job.rows.size, job.spot))
         if self.mode == "dynamic":
-            return [[job] for job in lpt]
-        loads = np.zeros(self.n_workers)
+            ticket.waiting = len(lpt)
+            self._backlog.extend(_Task(ticket, [job]) for job in lpt)
+            return self._feed()
+        loads = np.array([worker.owed_poses for worker in self._workers], dtype=float)
         buckets: list[list[_Job]] = [[] for _ in range(self.n_workers)]
         for job in lpt:
-            finish = (loads + job.rows.size) / self.weights
-            worker = int(np.argmin(finish))
+            worker = int(np.argmin((loads + job.rows.size) / self.weights))
             buckets[worker].append(job)
             loads[worker] += job.rows.size
-        return [bucket for bucket in buckets if bucket]
+        posts = [
+            self._owe(worker, _Task(ticket, bucket))
+            for worker, bucket in zip(self._workers, buckets)
+            if bucket
+        ]
+        ticket.waiting = len(posts)
+        return posts
 
     # ------------------------------------------------------------------
     # evaluation
@@ -579,7 +595,7 @@ class ParallelSpotEvaluator:
         quaternions: np.ndarray,
         kind: str = "population",
     ) -> np.ndarray:
-        """Score one launch across the pool; record it like the serial path.
+        """Score one launch across the workers; record it like the serial path.
 
         The synchronous barrier form: ``harvest(submit(...))`` against the
         construction-time :attr:`binding`. A pipeline keeps the two halves
@@ -604,7 +620,7 @@ class ParallelSpotEvaluator:
         record into (default: the evaluator's own — per-ligand leases pass
         their own so traces stay bitwise identical to a serial run's).
         """
-        pool = self._live_pool()
+        self._check_open()
         if binding is None:
             binding = self.binding
         if self._bindings.get(binding.version) is not binding:
@@ -631,7 +647,7 @@ class ParallelSpotEvaluator:
             )
         )
         n = int(translations.shape[0])
-        ticket = LaunchTicket(binding=binding, n=n, pool=pool)
+        ticket = LaunchTicket(binding=binding, n=n)
         if n == 0:
             ticket.out = np.empty(0, dtype=FLOAT_DTYPE)
             ticket.done = True
@@ -639,100 +655,112 @@ class ParallelSpotEvaluator:
         jobs = self._plan(spot_ids, binding.shape)
         ticket.out = np.empty(n, dtype=FLOAT_DTYPE)
         ticket.n_jobs = len(jobs)
+        spot_aware = binding.shape.supports_spot_scoring
+        ticket.poses = (spot_ids if spot_aware else None, translations, quaternions)
+        ticket.rebind = self._binding_message(binding)
         obs.counter("host.launches", mode=self.mode).inc()
         obs.counter("host.poses", mode=self.mode).inc(n)
         for job in jobs:
             obs.histogram("host.job.poses", edges=_POSE_COUNT_EDGES).observe(
                 job.rows.size
             )
-        rebind = self._binding_message(binding)
         span = obs.span("host.launch", mode=self.mode, kind=kind, poses=n)
         ticket.span = span
         ticket.span_tags = span.__enter__()
         try:
-            spot_aware = binding.shape.supports_spot_scoring
-            for bucket in self._buckets(jobs):
-                tasks = [
-                    (
-                        spot_ids[job.rows] if spot_aware else None,
-                        translations[job.rows],
-                        quaternions[job.rows],
-                    )
-                    for job in bucket
-                ]
-                submit_s = time.monotonic()
-                ticket.pending.append(
-                    (bucket, submit_s, pool.submit(_run_tasks, tasks, rebind))
-                )
-        except (BrokenProcessPool, RuntimeError) as exc:
-            # RuntimeError: pool shut down under us (a sibling ticket's
-            # recycle); both resolve the same way.
-            self._finish_ticket(ticket)
-            self._pool_failure(ticket.pool, exc)
+            with self._lock:
+                self._check_open()
+                ticket.submit_s = now = time.monotonic()
+                posts = self._book(ticket, jobs)
+                if not self._inflight and self._idle_mark is not None:
+                    # the pool sat idle between the last harvest and this submit
+                    obs.counter("host.pool.idle.seconds").inc(max(0.0, now - self._idle_mark))
+                if any(version != binding.version for version in self._inflight):
+                    # poses overlapping another resident ligand's in-flight work:
+                    # the pipeline is actually filling barrier gaps
+                    obs.counter("host.pipeline.fill.poses").inc(n)
+                self._inflight[binding.version] = self._inflight.get(binding.version, 0) + 1
+                ticket.registered = True
         except BaseException:
             self._finish_ticket(ticket)
             raise
-        with self._lock:
-            now = time.monotonic()
-            if not self._inflight and self._idle_mark is not None:
-                # the pool sat idle between the last harvest and this submit
-                obs.counter("host.pool.idle.seconds").inc(max(0.0, now - self._idle_mark))
-            if any(version != binding.version for version in self._inflight):
-                # poses overlapping another resident ligand's in-flight work:
-                # the pipeline is actually filling barrier gaps
-                obs.counter("host.pipeline.fill.poses").inc(n)
-            self._inflight[binding.version] = self._inflight.get(binding.version, 0) + 1
-            ticket.registered = True
+        self._send(posts)
         return ticket
 
-    def _live_pool(self) -> ProcessPoolExecutor:
-        """The worker pool, lock-free while it is healthy.
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ScoringError("parallel evaluator is closed")
 
-        No pool means either a sibling launch's recycle is respawning the
-        workers — wait it out, the caller is not at fault — or the
-        evaluator is closed.
+    # ------------------------------------------------------------------
+    # dispatch: the parent's ends of the pipes
+    # ------------------------------------------------------------------
+    def _owe(self, worker: _Worker, task: _Task) -> tuple:
+        """Book ``task`` on ``worker`` (under ``_lock``); returns the post."""
+        task_id = next(self._task_ids)
+        worker.owed[task_id] = task
+        worker.owed_poses += task.poses
+        return worker, task_id, task
+
+    def _feed(self) -> list[tuple]:
+        """Dynamic mode: book the backlog's next job on every idle worker.
+
+        A worker owes one job at most, so the next goes to whichever pipe
+        answers first; jobs of a failed launch are dropped. Under ``_lock``.
         """
-        pool = self._pool
-        if pool is None:
-            with self._recycle_lock:
-                pool = self._pool
-            if pool is None:
-                raise ScoringError("parallel evaluator is closed")
-        return pool
+        posts = []
+        for worker in self._workers:
+            while not worker.owed and self._backlog:
+                task = self._backlog.popleft()
+                if task.ticket.error is None:
+                    posts.append(self._owe(worker, task))
+        return posts
+
+    def _send(self, posts) -> None:
+        """Send booked tasks down their workers' pipes (not under ``_lock``)."""
+        for worker, task_id, task in posts:
+            ticket = task.ticket
+            ids, t, q = ticket.poses
+            jobs = [
+                (None if ids is None else ids[job.rows], t[job.rows], q[job.rows])
+                for job in task.jobs
+            ]
+            try:
+                with worker.send_lock:
+                    worker.conn.send((task_id, jobs, ticket.rebind))
+            except OSError:
+                pass  # a dead worker: the pump buries it and fails this launch
+            except Exception as exc:  # it did not pickle, so nothing was sent
+                with self._lock:
+                    if worker.owed.pop(task_id, None) is not None:
+                        worker.owed_poses -= task.poses
+                    ticket.error = ticket.error or exc
 
     def harvest(self, ticket: LaunchTicket) -> np.ndarray:
         """Block on a submitted launch and return its energies.
 
-        Folds the workers' telemetry snapshots into this process's session
-        and closes the ticket's launch span. Harvest from the thread that
-        submitted. Idempotent on success; a pool crash recycles the workers
-        and raises a retryable :class:`~repro.errors.WorkerPoolError`.
+        Folds the workers' telemetry into this process's session and closes
+        the launch span; harvest from the thread that submitted. Idempotent
+        on success. A launch a dying worker held raises a retryable
+        :class:`~repro.errors.WorkerPoolError`; a scorer's error re-raises.
         """
         if ticket.done:
             if ticket.out is None:
                 raise ScoringError("launch ticket already failed")
             return ticket.out
-        stats: list[dict] = []
         try:
-            for bucket, submit_s, future in ticket.pending:
-                scores_list, stat = future.result()
-                for job, scores in zip(bucket, scores_list):
-                    ticket.out[job.rows] = scores
-                if stat is not None:
-                    stat["submit_s"] = submit_s
-                    stats.append(stat)
+            self._await(ticket)
+            if ticket.error is not None:
+                raise ticket.error
             # Harvest inside the launch span so the steal count lands as
             # a late annotation on its tags (the trace exporter turns it
             # into an instant event at the launch's end).
-            steals = self._harvest(stats, ticket.n_jobs)
+            steals = self._harvest(ticket)
             if steals and ticket.span_tags is not None:
                 ticket.span_tags["steals"] = steals
-        except (BrokenProcessPool, CancelledError) as exc:
-            ticket.out = None
-            self._finish_ticket(ticket)
-            self._pool_failure(ticket.pool, exc)
-        except BaseException:
-            ticket.out = None
+        except BaseException as exc:
+            with self._lock:  # later answers and unsent jobs are dropped
+                ticket.error = ticket.error or exc
+                ticket.out = None
             self._finish_ticket(ticket)
             raise
         self._finish_ticket(ticket)
@@ -740,6 +768,95 @@ class ParallelSpotEvaluator:
         # record the merge (rate-limited; a cheap registry check otherwise).
         obs.mark("host.harvest")
         return ticket.out
+
+    def _await(self, ticket: LaunchTicket) -> None:
+        """Block until every task of ``ticket`` is answered, or one failed.
+
+        One harvesting thread at a time reads the pipes (:meth:`_pump`),
+        routing every launch's answers; the others wait for their turn.
+        """
+        while True:
+            with self._lock:
+                while self._reading and ticket.waiting and ticket.error is None:
+                    self._turn.wait()
+                if not ticket.waiting or ticket.error is not None:
+                    return
+                self._check_open()
+                self._reading = True
+            try:
+                self._pump()
+            finally:
+                with self._lock:
+                    self._reading = False
+                    self._turn.notify_all()
+
+    def _pump(self) -> None:
+        """Wait on every pipe and process sentinel; route answers, re-fork the dead.
+
+        A dead worker shows up as EOF or a fired sentinel; answers it sent
+        before it died are routed first. A live worker whose answer will not
+        unpickle is replaced the same way, so no launch waits on it.
+        """
+        handles = {}
+        for worker in self._workers:
+            handles[worker.conn] = handles[worker.process.sentinel] = worker
+        for worker in dict.fromkeys(handles[h] for h in wait(list(handles))):
+            why = None
+            try:
+                while worker.conn.poll():
+                    self._route(worker, *worker.conn.recv())
+                if worker.process.is_alive():
+                    continue
+            except (EOFError, OSError):
+                pass
+            except Exception as exc:  # an answer that would not unpickle
+                why = f"its answer would not unpickle: {exc!r}"
+            self._replace(worker, why)
+
+    def _route(self, worker: _Worker, task_id: int, reply) -> None:
+        """File one answer into its launch; in dynamic mode, feed the worker."""
+        with self._lock:
+            task = worker.owed.pop(task_id)
+            worker.owed_poses -= task.poses
+            ticket = task.ticket
+            ticket.waiting -= 1
+            if isinstance(reply, BaseException):
+                ticket.error = ticket.error or reply
+            elif ticket.error is None:
+                scores, stat = reply
+                try:
+                    for job, energies in zip(task.jobs, scores):
+                        ticket.out[job.rows] = energies
+                except Exception as exc:  # a scorer's answer of the wrong shape
+                    ticket.error = exc
+                if stat is not None:
+                    ticket.stats.append(stat)
+            posts = self._feed() if self.mode == "dynamic" else ()
+        self._send(posts)
+
+    def _replace(self, dead: _Worker, why: str | None = None) -> None:
+        """Re-fork a dead worker in its slot; fail only the launches it held.
+
+        The new worker has no scorer and no warm-up and binds lazily from the
+        next rebind message; siblings, bindings and Eq. 1 weights stay. It
+        forks under ``_lock``, so nothing is booked on the dead worker once
+        its debts are read. A live worker whose pipe went bad (``why``) is
+        retired first: it reads EOF and exits.
+        """
+        code = dead.retire()
+        with self._lock:
+            if self._closed:
+                return
+            self._workers[dead.index] = self._fork(dead.index)
+            for task in dead.owed.values():
+                task.ticket.error = task.ticket.error or WorkerPoolError(
+                    f"host worker {dead.index} crashed mid-launch "
+                    f"({why or f'exit code {code}'}); it was recycled — the "
+                    "bindings and Eq. 1 weights survive, retry the launch"
+                )
+            posts = self._feed() if self.mode == "dynamic" else ()
+        obs.counter("host.pool.recycles").inc()
+        self._send(posts)
 
     def _finish_ticket(self, ticket: LaunchTicket) -> None:
         """Close out a ticket: in-flight accounting, idle clock, launch span."""
@@ -759,49 +876,30 @@ class ParallelSpotEvaluator:
             span, ticket.span = ticket.span, None
             span.__exit__(None, None, None)
 
-    def _pool_failure(self, pool: ProcessPoolExecutor, exc: BaseException) -> None:
-        """Shared crash path: recycle the dead pool, raise retryable.
-
-        ``pool`` is the generation the failed ticket was queued on; with
-        several tickets in flight only the first to notice recycles — the
-        rest find it already replaced and just raise.
-        """
-        with self._recycle_lock:
-            if self._pool is pool:
-                self.recycle()
-        raise WorkerPoolError(
-            f"host worker pool crashed mid-launch ({exc}); workers "
-            "recycled — the bindings and Eq. 1 weights survive, "
-            "retry the launch"
-        ) from exc
-
-    def _harvest(self, stats: list[dict], n_jobs: int) -> int:
+    def _harvest(self, ticket: LaunchTicket) -> int:
         """Merge per-worker telemetry into this process's session.
 
         The explicit merge-at-join step of the multiprocessing contract:
         each worker returned a local snapshot; here they fold into the
         parent registry, plus the parent-only derived metrics — queue wait
-        (task start minus submit, both on the shared monotonic clock),
-        per-worker throughput for this launch, and in dynamic mode the
-        steal count (tasks a worker pulled beyond the even per-worker
-        share, i.e. work it took from a slower sibling). Returns the
-        launch's steal count (0 outside dynamic mode). Serialized under
+        (task start minus submit, both on the shared monotonic clock) and in
+        dynamic mode the steal count (tasks a worker pulled beyond the even
+        per-worker share, i.e. work it took from a slower sibling). Returns
+        the launch's steal count (0 outside dynamic mode). Serialized under
         ``_obs_lock``: concurrent pipeline harvests must not interleave
         their merges.
         """
-        if not stats or not obs.enabled():
+        if not ticket.stats or not obs.enabled():
             return 0
         with self._obs_lock:
-            tasks_by_worker: dict[int, int] = {}
-            for stat in stats:
+            tasks_by_worker = Counter(int(stat["worker"]) for stat in ticket.stats)
+            for stat in ticket.stats:
                 obs.merge(stat["telemetry"])
                 obs.histogram("host.queue_wait_seconds").observe(
-                    max(0.0, stat["started_s"] - stat["submit_s"])
+                    max(0.0, stat["started_s"] - ticket.submit_s)
                 )
-                worker = int(stat["worker"])
-                tasks_by_worker[worker] = tasks_by_worker.get(worker, 0) + 1
             if self.mode == "dynamic" and self.n_workers > 1:
-                even_share = -(-n_jobs // self.n_workers)  # ceil
+                even_share = -(-ticket.n_jobs // self.n_workers)  # ceil
                 steals = sum(
                     max(0, count - even_share) for count in tasks_by_worker.values()
                 )
@@ -822,7 +920,7 @@ class ParallelSpotEvaluator:
         ligands can be resident at once. Pair every bind with a
         :meth:`release_binding`, or workers keep its scorer cached.
         """
-        self._live_pool()
+        self._check_open()
         shape = self.scoring.shape(self.receptor, ligand)
         with self._lock:
             self._version += 1
@@ -847,44 +945,16 @@ class ParallelSpotEvaluator:
             live = tuple(sorted(self._bindings))
         return (binding.version, binding.ligand, live)
 
-    def recycle(self) -> None:
-        """Replace every worker process; keep the bindings and weights.
-
-        The poisoned-ligand crash path: the broken pool is torn down, the
-        shared counters reset, and fresh workers are forked with no scorer
-        and no warm-up. Each new worker binds a ligand lazily from the
-        first rebind message that names it; the Eq. 1
-        weights survive unchanged (the hardware didn't change, the ligand
-        did). ``_pool`` is ``None`` for the duration, under
-        ``_recycle_lock`` — :meth:`_live_pool` waits on that lock rather
-        than mistake the window for a closed evaluator.
-        """
-        with self._recycle_lock:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            with self._claim.get_lock():
-                self._claim.value = 0
-            with self._ready.get_lock():
-                self._ready.value = 0
-            try:
-                self._pool = self._start_pool(None, None)
-            except ScoringError:
-                self.close()
-                raise
-        with self._lock:
-            self._idle_mark = time.monotonic()
-        obs.counter("host.pool.recycles").inc()
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pool down. Idempotent."""
-        with self._recycle_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        """Close every pipe, so the workers read EOF and exit; reap them. Idempotent."""
+        with self._lock:
+            self._closed = True
+            workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.retire()
 
     def __enter__(self) -> "ParallelSpotEvaluator":
         return self
@@ -996,10 +1066,11 @@ class PersistentHostRuntime:
 
     The Eq. 1 measurement from pool start holds for every ligand, as the
     paper keeps its shares for the whole screening (§3.3). A poisoned
-    ligand that kills a worker recycles the pool (``host.pool.recycles``)
-    without dropping the bindings or the weights; the raised
-    :class:`~repro.errors.WorkerPoolError` flows into the campaign's retry
-    loop, which repeats the dock without charging the ligand.
+    ligand that kills a worker gets that worker re-forked
+    (``host.pool.recycles``) without dropping the bindings or the weights;
+    the :class:`~repro.errors.WorkerPoolError` its launches raise flows into
+    the campaign's retry loop, which repeats the dock without charging the
+    ligand.
     """
 
     def __init__(

@@ -28,10 +28,11 @@ class ScoringError(ReproError):
 
 
 class WorkerPoolError(ScoringError):
-    """The host worker pool died under a launch and was recycled.
+    """A host worker died holding part of a launch; it was re-forked.
 
-    A fault of the runtime, not of the ligand being scored: retry loops
-    repeat the dock without charging the ligand's poison budget.
+    Only the launches the dead worker held raise it. A fault of the
+    runtime, not of the ligand being scored: retry loops repeat the dock
+    without charging the ligand's poison budget.
     """
 
 

@@ -9,7 +9,6 @@ pooled loop with one lease in flight: strict ordinal order, non-interleaved
 launch sequence.
 """
 
-import os
 import threading
 
 import pytest
@@ -93,10 +92,36 @@ def test_science_digest_parity_with_a_job_per_spot_group(
     assert jobs.count - jobs_before == 2 * (launches.value - launches_before) > 0
 
 
+def test_pipelined_one_job_launches_spread_over_both_workers(
+    receptor, tmp_path, serial_digest, monkeypatch
+):
+    # Every launch here is below the job grain: one job, which on its own
+    # plans onto the heaviest worker. At the default depth three leases
+    # share two workers, and static placement counts the poses each worker
+    # already owes, so concurrent launches spread out instead of queueing
+    # on one process. Equal weights keep warm-up noise out of the test.
+    import numpy as np
+
+    import repro.engine.host_runtime as host_runtime
+
+    monkeypatch.setattr(
+        host_runtime, "eq1_weights", lambda t: (np.ones(len(t)), np.full(len(t), 0.5))
+    )
+    jobs = obs.histogram("host.job.poses", edges=host_runtime._POSE_COUNT_EDGES)
+    launches = obs.counter("host.launches", mode="static")
+    scored = [obs.counter("host.worker.poses", worker=i) for i in (0, 1)]
+    jobs_before, launches_before = jobs.count, launches.value
+    scored_before = [counter.value for counter in scored]
+    with make_runner(receptor, tmp_path, host_workers=2).run() as store:
+        assert store.science_digest() == serial_digest
+    assert jobs.count - jobs_before == launches.value - launches_before > 0
+    assert all(c.value > before for c, before in zip(scored, scored_before))
+
+
 @pytest.mark.parametrize("workers", (1, 4))
 @pytest.mark.parametrize("depth", (1, 2, 4))
 def test_worker_death_parity(
-    receptor, tmp_path, serial_digest, monkeypatch, depth, workers
+    receptor, tmp_path, serial_digest, monkeypatch, kill_a_worker, depth, workers
 ):
     # One ligand's dock kills a worker under it. The pool death is the
     # runtime's fault: nobody's max_attempts budget pays for it — not the
@@ -112,8 +137,7 @@ def test_worker_death_parity(
 
     def sabotage(receptor_arg, ligand, **kwargs):
         if kwargs["seed"] - SEED == 2 and not killed:
-            killed.append(True)
-            runner._runtime.evaluator._pool.submit(os._exit, 1)
+            killed.append(kill_a_worker(runner._runtime))
         return real_dock(receptor_arg, ligand, **kwargs)
 
     monkeypatch.setattr(runner_mod, "dock", sabotage)
@@ -121,7 +145,9 @@ def test_worker_death_parity(
         counts = store.counts()
         assert counts["done"] == N_LIGANDS and counts["failed"] == 0
         assert store.science_digest() == serial_digest
-    assert killed  # the sabotage actually fired
+    (before,) = killed  # the sabotage fired once
+    (after,) = kill_a_worker.at_close
+    assert after[0] != before[0] and after[1:] == before[1:]  # siblings live on
     assert obs.counter("host.pool.recycles").value == recycles + 1
     assert obs.counter("host.warmups").value == warmups + 1
 

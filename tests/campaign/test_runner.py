@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import zipfile
 
 import pytest
@@ -275,10 +274,12 @@ def test_kill_mid_shard_resume_with_pool_matches_serial(
         assert ranking(store) == expected
 
 
-def test_worker_death_recycles_pool_without_restaging(receptor, tmp_path):
+def test_worker_death_recycles_pool_without_restaging(receptor, tmp_path, kill_a_worker):
     # A ligand whose dock kills a worker must not poison the pool: the
     # campaign recycles the workers, keeps the bindings and Eq. 1 weights,
     # retries the ligand, and finishes with nothing failed.
+    with make_runner(receptor, tmp_path, name="serial.store").run() as store:
+        serial_digest = store.science_digest()
     warmups = obs.counter("host.warmups").value
     recycles = obs.counter("host.pool.recycles").value
     runner = make_runner(receptor, tmp_path, host_workers=2, max_attempts=2)
@@ -286,8 +287,7 @@ def test_worker_death_recycles_pool_without_restaging(receptor, tmp_path):
 
     def sabotage(receptor_arg, ligand, **kwargs):
         if kwargs["seed"] - SEED == 1 and not killed:
-            killed.append(True)
-            runner._runtime.evaluator._pool.submit(os._exit, 1)
+            killed.append(kill_a_worker(runner._runtime))
         return real_dock(receptor_arg, ligand, **kwargs)
 
     original_dock = runner_mod.dock
@@ -297,9 +297,12 @@ def test_worker_death_recycles_pool_without_restaging(receptor, tmp_path):
             counts = store.counts()
             assert counts["done"] == N_LIGANDS
             assert counts["failed"] == 0
+            assert store.science_digest() == serial_digest
     finally:
         runner_mod.dock = original_dock
-    assert killed  # the sabotage actually fired
+    (before,) = killed  # the sabotage fired once
+    (after,) = kill_a_worker.at_close
+    assert after[0] != before[0] and after[1] == before[1]  # the sibling lives on
     assert obs.counter("host.pool.recycles").value == recycles + 1
     # Pool spawn + warm-up happened exactly once despite the crash.
     assert obs.counter("host.warmups").value == warmups + 1

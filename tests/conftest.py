@@ -79,3 +79,34 @@ def sqlite_campaigns(monkeypatch):
         return create_store(path, config, config_hash, backend="sqlite")
 
     monkeypatch.setattr(runner_mod, "create_store", older_build)
+
+
+@pytest.fixture()
+def kill_a_worker(monkeypatch):
+    """SIGKILL one worker of a campaign's pool, the way an OOM kill would.
+
+    ``kill_a_worker(runtime)`` kills worker 0 of ``runtime``'s evaluator
+    and returns every worker's pid from before the kill;
+    ``kill_a_worker.at_close`` lists the pids each runtime held as it
+    closed, so a test can see that only the dead worker was replaced.
+    """
+    import os
+    import signal
+
+    from repro.engine.host_runtime import PersistentHostRuntime
+
+    def kill(runtime) -> list[int]:
+        pids = [worker.process.pid for worker in runtime.evaluator._workers]
+        os.kill(pids[0], signal.SIGKILL)
+        return pids
+
+    kill.at_close = []
+    real_close = PersistentHostRuntime.close
+
+    def close(self) -> None:
+        if self.evaluator is not None:
+            kill.at_close.append([w.process.pid for w in self.evaluator._workers])
+        real_close(self)
+
+    monkeypatch.setattr(PersistentHostRuntime, "close", close)
+    return kill

@@ -13,6 +13,12 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +99,27 @@ F32 = CutoffLennardJonesScoring(dtype=np.float32)
 def _pool(scorer, **kwargs) -> ParallelSpotEvaluator:
     """A pool over the complex a float32 cutoff ``scorer`` is bound to."""
     return ParallelSpotEvaluator(F32, scorer.receptor, scorer.ligand, **kwargs)
+
+
+def _pids(ev) -> list[int]:
+    return [worker.process.pid for worker in ev._workers]
+
+
+def _kill_next_worker(ev) -> int:
+    """SIGKILL the worker a one-job static launch lands on next — the
+    heaviest Eq. 1 weight, every worker owing nothing; returns its index."""
+    victim = int(np.argmax(ev.weights))
+    os.kill(ev._workers[victim].process.pid, signal.SIGKILL)
+    return victim
+
+
+def _running(pid: int) -> bool:
+    """``pid`` is a live process (a zombie waiting for its reaper is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
@@ -240,11 +267,14 @@ def test_one_shot_dock_worker_crash_leaves_dev_shm_unchanged(
         serial = SerialEvaluator(ev.scoring.bind(receptor, ligand)).evaluate(
             spot_ids, t, q
         )
-        # Kill the pool out from under the evaluator (a worker dying).
-        ev._pool.submit(os._exit, 1)
+        # Kill the worker the next launch lands on (a worker dying).
+        pids = _pids(ev)
+        victim = _kill_next_worker(ev)
         with pytest.raises(WorkerPoolError, match="crashed") as crash:
-            for _ in range(50):  # the pool breaks within a launch or two
-                ev.evaluate(spot_ids, t, q)
+            ev.evaluate(spot_ids, t, q)
+        assert [p for i, p in enumerate(_pids(ev)) if i != victim] == [
+            p for i, p in enumerate(pids) if i != victim
+        ]
         # Recycled in place, not closed: the fresh workers bind the ligand
         # from the rebind message and the retried launch is bitwise the
         # serial answer.
@@ -255,8 +285,109 @@ def test_one_shot_dock_worker_crash_leaves_dev_shm_unchanged(
     monkeypatch.setattr(docking_mod, "run_metaheuristic", crashing_search)
     with pytest.raises(ScoringError, match="retry the launch"):
         docking_mod.dock(receptor, ligand, spots=spots, host_workers=2)
-    assert seen["evaluator"]._pool is None  # dock()'s finally closed it
+    assert seen["evaluator"]._workers == []  # dock()'s finally closed it
     assert _shm() == before
+
+
+def test_static_shares_reach_the_worker_they_were_planned_for(
+    dock_shape, rng, monkeypatch
+):
+    """Each static task goes down the pipe of the worker it was placed on,
+    so a worker scores exactly the poses the parent gave it: one-job
+    launches with nothing owed all land on the heaviest Eq. 1 weight, and a
+    multi-job set is split by the weights. The doctor then reads the share
+    drift the plan decided, not one the runtime made up."""
+    from repro.molecules.transforms import random_quaternion
+    from repro.observability.doctor import _SHARE_DRIFT_WARN, _analyze_share_drift
+
+    receptor, ligand, spots = dock_shape
+    centers = np.stack([s.center for s in spots])
+
+    def launch(per_spot):
+        spot_ids = np.arange(per_spot * len(spots)) % len(spots)
+        t = centers[spot_ids] + rng.uniform(-2.0, 2.0, size=(spot_ids.size, 3))
+        return spot_ids, t, random_quaternion(rng, spot_ids.size)
+
+    def scored() -> list[float]:
+        return [obs.counter("host.worker.poses", worker=i).value for i in (0, 1)]
+
+    session = obs.get_telemetry()
+    obs.set_telemetry(obs.Telemetry())
+    try:
+        with ParallelSpotEvaluator(F32, receptor, ligand, n_workers=2) as ev:
+            for _ in range(30):  # 48 poses: one job each
+                ev.evaluate(*launch(6))
+            heaviest = int(np.argmax(ev.weights))
+            expected = [0.0, 0.0]
+            expected[heaviest] = 30 * 48.0
+            assert scored() == expected
+            placed = expected.copy()
+            send = ev._send
+
+            def recording_send(posts):
+                for worker, _, task in posts:
+                    placed[worker.index] += task.poses
+                send(posts)
+
+            monkeypatch.setattr(ev, "_send", recording_send)
+            for _ in range(30):  # 512 poses: a job per spot group
+                ev.evaluate(*launch(64))
+            assert scored() == placed and sum(placed) == 30 * (48 + 512)
+            assert min(placed) > 0
+        metrics = obs.snapshot()
+    finally:
+        obs.set_telemetry(session)
+    drift = _analyze_share_drift(metrics, [])
+    assert drift.verdict == "ok", drift.headline
+    assert len(drift.lines) == 2
+    for line in drift.lines:
+        assert abs(float(line.rsplit(" ", 1)[1])) <= _SHARE_DRIFT_WARN
+
+
+#: A process that owns a two-worker pool, prints the workers' pids and waits.
+POOL_OWNER = """
+import multiprocessing, sys
+sys.path.insert(0, {src!r})
+from repro.engine.host_runtime import PersistentHostRuntime
+from repro.molecules.synthetic import generate_ligand, generate_receptor
+
+runtime = PersistentHostRuntime(generate_receptor(120, seed=3), n_workers=2)
+runtime.lease(generate_ligand(10, seed=4))
+print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+sys.stdin.read()
+"""
+
+
+def test_the_workers_of_a_sigkilled_pool_owner_exit():
+    """A worker holds no pipe end but its own, so when the process owning
+    the pool dies by SIGKILL — no close, no atexit — each worker reads EOF
+    and exits, instead of waiting for a task forever."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    owner = subprocess.Popen(
+        [sys.executable, "-c", POOL_OWNER.format(src=src)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        assert select.select([owner.stdout], [], [], 60)[0], "no pool came up"
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        owner.kill()
+        owner.wait()
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(_running(pid) for pid in pids)
+    finally:
+        try:
+            os.killpg(owner.pid, signal.SIGKILL)  # whatever outlived the test
+        except ProcessLookupError:
+            pass
+        owner.wait()
+        owner.stdin.close()
+        owner.stdout.close()
 
 
 def test_constructor_validation(fast_scorer):
@@ -331,11 +462,14 @@ def test_worker_crash_recycles_pool_and_keeps_receptor(receptor, ligand, launch)
     recycles = obs.counter("host.pool.recycles").value
     warmups = obs.counter("host.warmups").value
     with _pool(scorer, n_workers=2) as ev:
-        ev._pool.submit(os._exit, 1)
+        pids = _pids(ev)
+        victim = _kill_next_worker(ev)
         with pytest.raises(ScoringError, match="recycled"):
-            for _ in range(50):
-                ev.evaluate(spot_ids, t, q)
+            ev.evaluate(spot_ids, t, q)
         assert obs.counter("host.pool.recycles").value == recycles + 1
+        sibling = 1 - victim
+        assert _pids(ev)[sibling] == pids[sibling]
+        assert _pids(ev)[victim] != pids[victim]
         # The fresh workers inherit the receptor through the fork and bind
         # lazily from the rebind message — no new warm-up, bitwise-identical
         # energies.
@@ -354,14 +488,152 @@ def test_eq1_weights_are_fixed_per_pool(receptor, spots, ligand, launch):
         weights = rt.evaluator.weights
         for _ in range(64):
             rt.lease(ligand).release()
-        rt.evaluator.recycle()
-        assert rt.evaluator.weights is weights
         lease = rt.lease(ligand)
         ev = lease.evaluator_factory(receptor, ligand, spots)
+        _kill_next_worker(rt.evaluator)
+        with pytest.raises(WorkerPoolError):
+            ev.evaluate(spot_ids, t, q)
+        assert rt.evaluator.weights is weights
         serial = SerialEvaluator(_cutoff(receptor, ligand)).evaluate(spot_ids, t, q)
         assert np.array_equal(ev.evaluate(spot_ids, t, q), serial)
         lease.release()
     assert obs.counter("host.warmups").value == warmups + 1
+
+
+class TwoArgError(Exception):
+    """Pickles, but its ``__init__`` cannot take its own ``args`` back."""
+
+    def __init__(self, title, detail) -> None:
+        super().__init__(f"{title}: {detail}")
+
+
+class FaultyScoring(ScoringFunction):
+    """Float32 cutoff LJ whose workers' scorer for the ligand titled
+    ``BAD`` answers every launch with a fault: ``"unpicklable"`` raises
+    :class:`TwoArgError`, ``"short"`` returns one energy too few."""
+
+    def __init__(self, fault: str) -> None:
+        self.fault = fault
+
+    def shape(self, receptor, ligand):
+        return F32.shape(receptor, ligand)
+
+    def bind(self, receptor, ligand):
+        scorer = F32.bind(receptor, ligand)
+        if ligand.title == "BAD":
+            score_spots = scorer.score_spots
+
+            def faulty(*args):
+                if self.fault == "unpicklable":
+                    raise TwoArgError(ligand.title, "refused")
+                return score_spots(*args)[:-1]
+
+            scorer.score_spots = faulty
+        return scorer
+
+
+def _finishes(fn, timeout_s: float = 60.0):
+    """Run ``fn`` on a thread of its own (submit and harvest with it) and
+    return what it returned or raised; fail instead of hanging the suite."""
+    import threading
+
+    result = {}
+
+    def run():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:
+            result["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), "a harvest hung"
+    return result
+
+
+def _good_and_faulty_launches(
+    receptor, spots, launch, fault, expect_raised, stale_failures=0
+):
+    """Ligand A's launch, then ligand B's, each split over both workers;
+    B's scorer answers with ``fault``. B's harvest must raise
+    ``expect_raised`` and A's launch must return the serial energies (each
+    worker answers A's task first). Three more launches of A must return
+    them too; at most ``stale_failures`` others may raise
+    :class:`WorkerPoolError` on the way, and nothing is left owed."""
+    spot_ids, t, q = launch
+    good, bad = (
+        generate_ligand(14, seed=301, title="GOOD"),
+        generate_ligand(16, seed=302, title="BAD"),
+    )
+    serial = SerialEvaluator(_cutoff(receptor, good)).evaluate(spot_ids, t, q)
+    with PersistentHostRuntime(
+        receptor, n_workers=2, scoring=FaultyScoring(fault)
+    ) as rt:
+        a = rt.lease(good).evaluator_factory(receptor, good, spots)
+        b = rt.lease(bad).evaluator_factory(receptor, bad, spots)
+        ev = rt.evaluator
+
+        def both():
+            ticket_a = ev.submit(spot_ids, t, q, binding=a._binding, stats=a.stats)
+            ticket_b = ev.submit(spot_ids, t, q, binding=b._binding, stats=b.stats)
+            with pytest.raises(expect_raised) as raised:
+                ev.harvest(ticket_b)
+            return ev.harvest(ticket_a), raised.value
+
+        first = _finishes(both)
+        assert "error" not in first, first.get("error")
+        out, raised = first["value"]
+        assert np.array_equal(out, serial)
+        failures, successes = [], 0
+        while successes < 3:
+            again = _finishes(lambda: a.evaluate(spot_ids, t, q))
+            if "error" in again:
+                failures.append(again["error"])
+                assert len(failures) <= stale_failures, failures
+                assert isinstance(again["error"], WorkerPoolError), failures
+            else:
+                assert np.array_equal(again["value"], serial)
+                successes += 1
+        assert [(w.owed, w.owed_poses) for w in ev._workers] == [({}, 0)] * 2
+    return raised
+
+
+@pytest.mark.parametrize(
+    "fault, charged", [("unpicklable", ScoringError), ("short", ValueError)]
+)
+def test_a_faulty_answer_is_charged_to_its_own_launch(
+    receptor, spots, launch, job_per_spot_group, fault, charged
+):
+    """A scorer error the parent could not rebuild comes back as a
+    :class:`ScoringError` carrying its text; an answer of the wrong shape
+    fails filing. Either way only the faulty launch raises, no worker is
+    recycled and no other launch is touched."""
+    recycles = obs.counter("host.pool.recycles").value
+    raised = _good_and_faulty_launches(receptor, spots, launch, fault, charged)
+    assert not isinstance(raised, WorkerPoolError)
+    if fault == "unpicklable":
+        assert "TwoArgError: BAD: refused" in str(raised)
+    assert obs.counter("host.pool.recycles").value == recycles
+
+
+def test_an_answer_that_will_not_unpickle_recycles_only_its_worker(
+    receptor, spots, launch, job_per_spot_group, monkeypatch
+):
+    """Should an answer fail to unpickle in the parent all the same, the
+    worker that sent it is recycled like a dead one: the launches it held
+    raise :class:`WorkerPoolError` and no harvest hangs. A bad answer still
+    queued behind a harvested launch fails the next launch that worker
+    holds (one per worker at most), retryably, as a worker death would."""
+    pickler = mp.reduction.ForkingPickler
+    monkeypatch.setattr(
+        host_runtime, "_answer", lambda task_id, reply: pickler.dumps((task_id, reply))
+    )
+    recycles = obs.counter("host.pool.recycles").value
+    _good_and_faulty_launches(
+        receptor, spots, launch, "unpicklable", WorkerPoolError, stale_failures=2
+    )
+    assert obs.counter("host.pool.recycles").value > recycles
 
 
 # ----------------------------------------------------------------------
@@ -554,7 +826,7 @@ def test_dock_with_persistent_runtime_matches_serial(receptor, spots):
             assert persistent.evaluations == serial.evaluations
         # dock() must not have closed the campaign-owned evaluator.
         assert rt.evaluator is not None
-        assert rt.evaluator._pool is not None
+        assert all(_running(pid) for pid in _pids(rt.evaluator))
 
 
 def test_dock_parity_with_host_workers(receptor, ligand):
@@ -596,6 +868,52 @@ def test_harvest_is_idempotent(fast_scorer, launch):
         first = ev.harvest(ticket)
         again = ev.harvest(ticket)
     assert again is first
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+def test_threads_taking_turns_at_the_pipes_lose_no_answer(
+    receptor, spots, launch, mode, job_per_spot_group
+):
+    """Four threads each dock their own lease through three workers on two
+    cores, with the interpreter switching threads every few microseconds.
+    Whichever thread reads the pipes routes every answer, so each launch
+    still gets the serial energies, and once all are harvested no worker
+    owes anything: a lost update would leave a launch hanging or a debt."""
+    import threading
+
+    ligands = _ligands((11, 13, 15, 17), base_seed=250)
+    spot_ids, t, q = launch
+    serial = [
+        SerialEvaluator(_cutoff(receptor, lig)).evaluate(spot_ids, t, q)
+        for lig in ligands
+    ]
+    mismatches, interval = [], sys.getswitchinterval()
+    with PersistentHostRuntime(receptor, n_workers=3, mode=mode) as rt:
+        leases = [rt.lease(lig) for lig in ligands]
+
+        def dock_one(lease, lig, expected):
+            ev = lease.evaluator_factory(receptor, lig, spots)
+            for _ in range(40):
+                if not np.array_equal(ev.evaluate(spot_ids, t, q), expected):
+                    mismatches.append(lig.title)
+
+        threads = [
+            threading.Thread(target=dock_one, args=args)
+            for args in zip(leases, ligands, serial)
+        ]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        workers = rt.evaluator._workers
+        assert [(w.owed, w.owed_poses) for w in workers] == [({}, 0)] * 3
+        assert not rt.evaluator._backlog
+    assert mismatches == []
 
 
 def test_interleaved_leases_are_bitwise_identical(receptor, spots, launch):

@@ -130,8 +130,9 @@ def test_a_campaign_runner_built_and_run_loads_no_scipy(tmp_path):
 # ----------------------------------------------------------------------
 # the campaign perimeter: what a campaign process leaves unloaded
 # ----------------------------------------------------------------------
-#: SQLite, the hardware simulator and the process-pool stack: a campaign run
-#: to disk runs none of them (a pooled one runs the pool stack).
+#: SQLite, the hardware simulator and ``multiprocessing``: a campaign run to
+#: disk runs none of them (a pooled one forks its workers with the last), and
+#: no campaign loads the process-pool executor.
 OFF_THE_CAMPAIGN = (
     "sqlite3", "repro.campaign.store", "repro.hardware",
     "repro.engine.executor", "repro.engine.scheduler",
@@ -163,12 +164,11 @@ def test_a_campaign_on_disk_loads_no_sqlite_simulator_or_pool(tmp_path):
     assert loaded_after(INGEST_AND_READBACK, tmp_path, _PERIMETER_REPORT) == set()
     pooled = CAMPAIGN_ON_DISK.replace("WORKERS", "2")
     loaded = loaded_after(pooled, tmp_path / "pooled", _PERIMETER_REPORT)
-    pool_stack = {"multiprocessing", "concurrent.futures.process"}
-    assert pool_stack <= loaded
-    assert {m for m in loaded if not m.startswith(("multiprocessing", "concurrent"))} == set()
-    # ...already in set-up: an import inside run() lands in the first lease.
+    assert "multiprocessing" in loaded
+    assert {m for m in loaded if not m.startswith("multiprocessing")} == set()
+    # ...all of it in set-up: an import inside run() lands in the first lease.
     built = pooled[: pooled.index("with runner.run()")]
-    assert pool_stack <= loaded_after(built, tmp_path / "pooled", _PERIMETER_REPORT)
+    assert loaded_after(built, tmp_path / "pooled", _PERIMETER_REPORT) == loaded
 
 
 def test_screen_and_an_older_builds_sqlite_store_load_sqlite(tmp_path):
