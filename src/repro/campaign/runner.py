@@ -20,16 +20,19 @@ Runtime ownership: with ``host_workers > 0`` the campaign owns one
 :class:`repro.engine.host_runtime.PersistentHostRuntime` for its whole
 lifetime — worker pool and Eq. 1 warm-up are paid once, and every ligand
 docks on a lease of that pool (the workers bind it; this process binds
-nothing). ``dock()`` receives the lease through its
-``evaluator_factory`` seam and never closes the pool. ``pipeline_depth`` is
-how many leases are live at once: that many ligands' metaheuristics run
-concurrently through the shared pool (each with its own seed and launch
-trace), results committing in ordinal order so the durability layer cannot
-tell the difference; depth 1 is one lease in flight, and the default is one
-lease more than there are workers, so a worker finishing one ligand's launch
-finds another's queued instead of idling through the host-side step.
-``host_workers == 0`` is the plain serial loop every parity test compares
-against.
+nothing). ``pipeline_depth`` is how many leases are live at once: that many
+ligands' docks are in flight, each a generator of scoring launches
+(:func:`dock_ligand_steps`, with its own seed and launch trace), and one
+loop on the main thread drives them all — it submits each yielded launch
+through its ligand's lease, waits on the worker pipes until one is
+answered, and resumes that ligand. Results commit in ordinal order, so the
+durability layer cannot tell the difference; depth 1 is one lease in
+flight, and the default is one lease more than there are workers, so a
+worker finishing one ligand's launch finds another's queued instead of
+idling through the host-side step. No thread is started: the process is
+single-threaded whenever the pool forks a worker. ``host_workers == 0`` is
+the plain serial loop every parity test compares against: :func:`dock_ligand`
+calls ``dock()``, which scores each launch as it is yielded.
 
 Failure policy: per-ligand bounded retry with exponential backoff
 (:func:`dock_with_retry`); a ligand that exhausts its attempts is recorded
@@ -38,7 +41,9 @@ Failure policy: per-ligand bounded retry with exponential backoff
 anything is recorded). A
 pool worker that dies is re-forked in its slot by the runtime — its
 siblings, the bindings and the warm-up weights survive — and the docks
-whose launches it held are repeated without charging their ligands.
+whose launches it held are repeated without charging their ligands. A
+retry's backoff sleeps on the main thread: it pauses the loop, not the
+launches already sent to the workers.
 ``KeyboardInterrupt``/``SystemExit`` are never swallowed — they are the
 crash resume exists for.
 """
@@ -48,18 +53,19 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro import observability as obs
 from repro.engine.host_runtime import PersistentHostRuntime, load_pool_stack
 from repro.errors import CampaignError, WorkerPoolError
+from repro.metaheuristics.evaluation import drive
 from repro.metaheuristics.template import MetaheuristicSpec
 from repro.molecules.spots import Spot, find_spots
 from repro.molecules.structures import Ligand, Receptor
 from repro.scoring.base import ScoringFunction
-from repro.vs.docking import dock
+from repro.vs.docking import dock, dock_steps
 
 from repro.campaign.backends import create_store, open_store
 from repro.campaign.commit import CampaignCommitter, CampaignProgress
@@ -77,6 +83,7 @@ from repro.observability.flight import flight_dir, flight_event, flight_recorder
 
 if TYPE_CHECKING:  # annotations only: neither loads with a campaign
     from repro.campaign.store import CampaignStore
+    from repro.engine.host_runtime import LaunchTicket, LigandLease
     from repro.hardware.node import NodeSpec
 
 __all__ = [
@@ -85,6 +92,7 @@ __all__ = [
     "campaign_config",
     "config_hash",
     "dock_ligand",
+    "dock_ligand_steps",
     "dock_with_retry",
     "open_runtime",
     "outcome_row",
@@ -169,17 +177,20 @@ def config_hash(config: dict) -> str:
 
 
 def dock_with_retry(
-    dock_once: Callable[[], object],
+    dock_once: Callable[[], Generator],
     *,
     max_attempts: int,
     backoff_base: float,
     sleep: Callable[[float], None],
     **event_tags,
-) -> dict:
+) -> Generator:
     """The bounded-retry dock loop every node runs, store-free.
 
-    ``dock_once`` docks the ligand once. An exception is charged against
-    the ligand's ``max_attempts`` poison budget — except a
+    A generator: ``dock_once()`` is a generator that docks the ligand once,
+    yielding the launches it leaves to the driver (:func:`dock_steps`'s)
+    and returning the result; this yields them on. An exception — raised by
+    the dock or thrown into it by the driver at a launch — is charged
+    against the ligand's ``max_attempts`` poison budget, except a
     :class:`~repro.errors.WorkerPoolError`: a pool worker died under the
     dock (killed, possibly, by a co-resident ligand), a fault of the runtime,
     so the dock is repeated uncharged. Pool deaths are counted on their
@@ -196,7 +207,7 @@ def dock_with_retry(
     while True:
         t0 = time.perf_counter()
         try:
-            result = dock_once()
+            result = yield from dock_once()
         except WorkerPoolError as exc:
             pool_deaths += 1
             obs.counter("campaign.retries.pool_death").inc()
@@ -237,39 +248,78 @@ def dock_ligand(
     sleep: Callable[[float], None],
     **event_tags,
 ) -> dict:
-    """Dock ligand ``ordinal`` of a campaign: what every process that docks
-    one calls, so the runner, a pipelined dock thread and a fleet node cannot
-    differ in what is done to a ligand.
+    """Dock ligand ``ordinal`` of a campaign: what the serial runner and a
+    fleet node call, so they cannot differ in what is done to a ligand (the
+    pipelined runner drives the same :func:`dock_ligand_steps` on a lease).
 
     :func:`dock_with_retry` around one ``dock()`` at ``seed + ordinal``;
-    ``evaluator_factory`` is the lease (or runtime) of a campaign-owned pool.
-    Returns its outcome dict and touches no store, so it may run on a dock
-    thread or in another process than the one that commits.
+    ``evaluator_factory`` is the runtime of a campaign-owned pool, driven
+    by the one thread that calls this. Returns its outcome dict and touches
+    no store, so it may run in another process than the one that commits.
     """
+    steps = dock_ligand_steps(
+        settings, receptor, spots, ordinal, ligand,
+        sleep=sleep, evaluator_factory=evaluator_factory, **event_tags,
+    )
+    return drive(steps, None)  # without a lease no launch is yielded
+
+
+def dock_ligand_steps(
+    settings: DockSettings,
+    receptor: Receptor,
+    spots: list[Spot],
+    ordinal: int,
+    ligand: Ligand,
+    lease: LigandLease | None = None,
+    *,
+    sleep: Callable[[float], None],
+    evaluator_factory=None,
+    **event_tags,
+) -> Generator:
+    """:func:`dock_with_retry` docking ligand ``ordinal`` at ``seed +
+    ordinal``, as a generator that returns the outcome dict.
+
+    Without a ``lease`` each attempt is one ``dock()`` (serial, or on
+    ``evaluator_factory``), which scores its own launches. With one, each
+    attempt is :func:`dock_steps`, whose launches are yielded: the caller
+    submits each with ``lease.binding`` and ``lease.stats`` (the attempt's
+    fresh launch trace) and sends back its energies, or throws in the
+    harvest's error. One thread drives the evaluator for every ligand in
+    flight, so a retry's backoff sleeps on that thread: it pauses the loop,
+    not the work already sent to the workers.
+    """
+    common = dict(
+        spots=spots,
+        metaheuristic=settings.metaheuristic,
+        seed=settings.seed + ordinal,
+        workload_scale=settings.workload_scale,
+        node=settings.node,
+        mode=settings.mode,
+    )
 
     def dock_once():
-        return dock(
-            receptor,
-            ligand,
-            spots=spots,
-            metaheuristic=settings.metaheuristic,
-            scoring=settings.scoring,
-            seed=settings.seed + ordinal,
-            workload_scale=settings.workload_scale,
-            node=settings.node,
-            mode=settings.mode,
-            host_workers=settings.host_workers,
-            parallel_mode=settings.parallel_mode,
-            evaluator_factory=evaluator_factory,
-        )
+        if lease is None:  # dock() scores its own launches: none is yielded
+            return dock(
+                receptor,
+                ligand,
+                scoring=settings.scoring,
+                host_workers=settings.host_workers,
+                parallel_mode=settings.parallel_mode,
+                evaluator_factory=evaluator_factory,
+                **common,
+            )
+        evaluator = lease.evaluator_factory(receptor, ligand, spots)
+        return (yield from dock_steps(receptor, ligand, evaluator=evaluator, **common))
 
-    return dock_with_retry(
-        dock_once,
-        max_attempts=settings.max_attempts,
-        backoff_base=settings.backoff_base,
-        sleep=sleep,
-        ordinal=ordinal,
-        **event_tags,
+    return (
+        yield from dock_with_retry(
+            dock_once,
+            max_attempts=settings.max_attempts,
+            backoff_base=settings.backoff_base,
+            sleep=sleep,
+            ordinal=ordinal,
+            **event_tags,
+        )
     )
 
 
@@ -553,55 +603,106 @@ class CampaignRunner:
     ) -> None:
         """Dock one shard's pending ligands depth-at-a-time; commit in order.
 
-        The one loop that docks through the runtime: up to
-        ``pipeline_depth`` ligands hold leases on the shared pool, each
-        docking on its own thread, so one ligand's launches fill another's
-        host-side gaps (at depth 1 a single lease is in flight and docks
-        run strictly in ordinal order). The main thread does everything
-        stateful — leases (the first one forks the pool), ``mark_running``,
-        and ordinal-ordered commits — so store/resume semantics are
-        byte-for-byte the serial loop's. Per-ligand seeds and launch
-        sequences are untouched; only inter-ligand interleaving differs.
+        The one loop that docks through the runtime, on the main thread: up
+        to ``pipeline_depth`` ligands hold leases on the shared pool, each
+        a :func:`dock_ligand_steps` generator with one launch in flight, so
+        one ligand's launches fill another's host-side gaps (at depth 1 a
+        single lease is in flight and docks run strictly in ordinal order).
+        The loop waits on the worker pipes until a launch is answered and
+        resumes the ready ligands lowest ordinal first; ``mark_running``,
+        the leases (the first one forks the pool) and ordinal-ordered
+        commits happen here too, so store/resume semantics are byte-for-byte
+        the serial loop's. Per-ligand seeds and launch sequences are
+        untouched; only inter-ligand interleaving differs.
         """
         depth = min(self.pipeline_depth, max(1, len(pending)))
-        submit_pos = 0
-        inflight: dict[int, tuple] = {}  # ordinal -> (future, lease)
-        executor = ThreadPoolExecutor(
-            max_workers=depth, thread_name_prefix="dock-pipeline"
-        )
-
-        def docked(ordinal, ligand, lease, lane):
-            with obs.span("campaign.pipeline.dock", ordinal=ordinal, pipeline_lane=lane):
-                return dock_ligand(
-                    self.settings,
-                    self.receptor,
-                    spots,
-                    ordinal,
-                    ligand,
-                    lease.evaluator_factory,
-                    sleep=self._sleep,
-                )
-
+        admitted = 0
+        lanes: dict[int, _Lane] = {}  # ordinal -> its dock in flight, in order
         try:
             for ordinal, _, title in pending:
-                while submit_pos < len(pending) and len(inflight) < depth:
-                    next_ordinal, next_ligand, _ = pending[submit_pos]
+                while admitted < len(pending) and len(lanes) < depth:
+                    next_ordinal, next_ligand, _ = pending[admitted]
                     committer.store.mark_running(next_ordinal)
                     lease = self._runtime.lease(next_ligand)
-                    future = executor.submit(
-                        docked, next_ordinal, next_ligand, lease, submit_pos % depth
+                    lane = lanes[next_ordinal] = _Lane(
+                        dock_ligand_steps(
+                            self.settings, self.receptor, spots, next_ordinal,
+                            next_ligand, lease, sleep=self._sleep,
+                        ),
+                        lease,
+                        obs.span_start(
+                            "campaign.pipeline.dock",
+                            {"ordinal": next_ordinal, "pipeline_lane": admitted % depth},
+                        ),
                     )
-                    inflight[next_ordinal] = (future, lease)
-                    submit_pos += 1
-                future, lease = inflight.pop(ordinal)
-                try:
-                    outcome = future.result()
-                finally:
-                    lease.release()
-                self._commit(committer, ordinal, title, outcome)
+                    self._resume(lane)
+                    admitted += 1
+                head = lanes[ordinal]
+                while head.ticket is not None:
+                    ready = [
+                        lane for lane in lanes.values()
+                        if lane.ticket is not None and lane.ticket.ready
+                    ]
+                    if not ready:
+                        self._runtime.evaluator.pump()
+                    for lane in ready:
+                        self._resume(lane)
+                del lanes[ordinal]
+                head.lease.release()
+                if head.crash is not None:
+                    raise head.crash
+                self._commit(committer, ordinal, title, head.outcome)
         finally:
-            # Error path: let started docks drain (their pool is still
-            # alive), then free any leases the commits never reached.
-            executor.shutdown(wait=True, cancel_futures=True)
-            for future, lease in inflight.values():
-                lease.release()
+            # Error path: the pool is closed next, so the launches still in
+            # flight are dropped with it; end the docks and free the leases.
+            for lane in lanes.values():
+                lane.steps.close()
+                lane.lease.release()
+
+    def _resume(self, lane: _Lane) -> None:
+        """Run ``lane``'s dock to its next launch and submit it, or to its end.
+
+        The energies of its answered launch are sent in; a failed harvest or
+        submit is thrown in instead, where :func:`dock_with_retry` decides
+        whether the dock repeats. At its end the lane holds no ticket, and
+        holds its outcome, or what crashed its dock (a ``KeyboardInterrupt``
+        or ``SystemExit``): that is raised at the lane's turn to commit, so
+        the ligands before it still commit first.
+        """
+        send, value = lane.steps.send, None
+        pool = self._runtime.evaluator
+        try:
+            if lane.ticket is not None:
+                try:
+                    value = pool.harvest(lane.ticket)
+                except Exception as exc:
+                    send, value = lane.steps.throw, exc
+            while True:
+                try:
+                    launch = send(value)
+                except StopIteration as stop:
+                    lane.outcome = stop.value
+                    break
+                try:
+                    lane.ticket = pool.submit(
+                        *launch, binding=lane.lease.binding, stats=lane.lease.stats
+                    )
+                    return
+                except Exception as exc:
+                    send, value = lane.steps.throw, exc
+        except BaseException as exc:
+            lane.crash = exc
+        lane.ticket = None
+        lane.end_span()
+
+
+@dataclass(eq=False)
+class _Lane:
+    """One ligand in flight in the pipeline: its dock, its lease, its launch."""
+
+    steps: Generator
+    lease: LigandLease
+    end_span: Callable[[], None]  # records its campaign.pipeline.dock span
+    ticket: LaunchTicket | None = None  # None once the dock has ended
+    outcome: dict | None = None
+    crash: BaseException | None = None

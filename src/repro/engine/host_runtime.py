@@ -3,8 +3,8 @@
 Everything else in :mod:`repro.engine` *models* parallel hardware; this
 module uses the machine. A :class:`ParallelSpotEvaluator` forks
 ``n_workers`` worker processes once, each on a duplex pipe of its own, and
-drives each through its pipe as the paper's Algorithm 2 drives each device
-from a host thread of its own:
+drives them all from one thread, as the dispatcher of the paper's
+Algorithm 2 drives its devices:
 
 * **Binding** — every worker holds its own bound scorer, as each GPU scores
   from its own device-resident copy of the complex. The scoring factory,
@@ -42,6 +42,13 @@ A launch is the ticketed pair :meth:`ParallelSpotEvaluator.submit` /
 dies is re-forked in its slot, and only the launches it held raise a
 retryable :class:`~repro.errors.WorkerPoolError`.
 
+**One thread** — no lock and no thread of its own: one thread submits,
+waits (:meth:`~ParallelSpotEvaluator.pump`: one
+``multiprocessing.connection.wait`` over every pipe and process sentinel)
+and harvests, for every ligand in flight. A campaign pipeline interleaves
+its ligands' launches on that thread, so the parent is single-threaded
+whenever it forks, the re-fork of a dead worker included.
+
 **Lifecycle** — :class:`PersistentHostRuntime` is the campaign's owner:
 :meth:`~PersistentHostRuntime.lease` mints a ligand's version (the first
 call forks the workers) and returns a :class:`LigandLease`, whose
@@ -56,7 +63,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import threading
 import time
 import traceback
 from collections import Counter, deque
@@ -314,10 +320,10 @@ class LaunchTicket:
     """One in-flight launch: the handle between ``submit`` and ``harvest``.
 
     Holds the launch's poses and rebind message for the tasks still to be
-    sent, the output array their answers are routed into, and the launch
-    span (opened at submit, closed at harvest, so the traced duration spans
-    queue wait + scoring). Submit and harvest a ticket from the *same*
-    thread — the span nests on the submitting thread's stack.
+    sent, the output array their answers are routed into, and what records
+    the ``host.launch`` span begun at submit: it is recorded at harvest, so
+    the traced duration spans queue wait + scoring, and launches of several
+    ligands may overlap without nesting.
     """
 
     binding: _LigandBinding
@@ -330,10 +336,14 @@ class LaunchTicket:
     waiting: int = 0  # tasks booked and not yet answered
     error: BaseException | None = None  # what harvest raises
     stats: list = field(default_factory=list)  # worker telemetry, one per task
-    span: object = None
-    span_tags: dict | None = None
+    span_tags: dict = field(default_factory=dict)
+    end_span: object = None  # records the host.launch span (obs.span_start)
     done: bool = False
-    registered: bool = False  # counted in the evaluator's in-flight map
+
+    @property
+    def ready(self) -> bool:
+        """Every task answered, or the launch failed: harvest will not block."""
+        return not self.waiting or self.error is not None
 
 
 @dataclass(eq=False, slots=True)
@@ -355,15 +365,13 @@ class _Worker:
     index: int
     process: object
     conn: object
-    send_lock: object = field(default_factory=threading.Lock)  # one message at a time
     owed: dict = field(default_factory=dict)  # task id -> booked _Task, unanswered
     owed_poses: int = 0
 
     def retire(self) -> int:
         """Close the pipe and reap the process, killed if it lingers; its exit code."""
-        with self.send_lock:
-            _PARENT_ENDS.discard(self.conn)
-            self.conn.close()
+        _PARENT_ENDS.discard(self.conn)
+        self.conn.close()
         self.process.join(_CLOSE_TIMEOUT_S)
         if self.process.is_alive():
             self.process.kill()
@@ -399,8 +407,9 @@ class ParallelSpotEvaluator:
         worker answers first).
 
     A worker that dies is re-forked in its slot, and the launches it held
-    raise a retryable :class:`~repro.errors.WorkerPoolError`. Harvesting
-    threads take turns reading the pipes; no thread of its own runs here.
+    raise a retryable :class:`~repro.errors.WorkerPoolError`. One thread
+    drives the evaluator: it submits every launch, waits in :meth:`pump`
+    and harvests; no thread of its own runs here and nothing is locked.
     Use as a context manager, or call :meth:`close`.
     """
 
@@ -428,17 +437,10 @@ class ParallelSpotEvaluator:
         self.mode = mode
         self.stats = EvaluationStats()
         self._version = 0
-        # Bindings, the in-flight map, what each worker owes and the dynamic
-        # backlog share one lock; ``_turn`` passes the reading of the pipes
-        # from one harvesting thread to the next.
-        self._lock = threading.Lock()
-        self._turn = threading.Condition(self._lock)
-        self._reading = False
         self._closed = False
         self._bindings: dict[int, _LigandBinding] = {}
         self._inflight: dict[int, int] = {}  # binding version -> live tickets
         self._idle_mark: float | None = None
-        self._obs_lock = threading.Lock()  # serializes telemetry merges
         self._task_ids = itertools.count()
         self._backlog: deque[_Task] = deque()  # dynamic mode: jobs not yet sent
         self._workers: list[_Worker] = []
@@ -555,8 +557,8 @@ class ParallelSpotEvaluator:
         jobs.append(_Job(spot=run_spot, rows=np.arange(run_lo, n)))
         return jobs
 
-    def _book(self, ticket: LaunchTicket, jobs: list[_Job]) -> list[tuple]:
-        """Book one launch's jobs in LPT order (under ``_lock``); returns the posts.
+    def _book(self, ticket: LaunchTicket, jobs: list[_Job]) -> None:
+        """Book one launch's jobs in LPT order and send what is placed.
 
         ``static`` packs them into one task per worker, task *i* for worker
         *i*: each job lands where it would finish first, counting the Eq. 1
@@ -570,20 +572,18 @@ class ParallelSpotEvaluator:
         if self.mode == "dynamic":
             ticket.waiting = len(lpt)
             self._backlog.extend(_Task(ticket, [job]) for job in lpt)
-            return self._feed()
+            self._feed()
+            return
         loads = np.array([worker.owed_poses for worker in self._workers], dtype=float)
         buckets: list[list[_Job]] = [[] for _ in range(self.n_workers)]
         for job in lpt:
             worker = int(np.argmin((loads + job.rows.size) / self.weights))
             buckets[worker].append(job)
             loads[worker] += job.rows.size
-        posts = [
-            self._owe(worker, _Task(ticket, bucket))
-            for worker, bucket in zip(self._workers, buckets)
-            if bucket
-        ]
-        ticket.waiting = len(posts)
-        return posts
+        ticket.waiting = sum(1 for bucket in buckets if bucket)
+        for worker, bucket in zip(self._workers, buckets):
+            if bucket:
+                self._post(worker, _Task(ticket, bucket))
 
     # ------------------------------------------------------------------
     # evaluation
@@ -664,27 +664,18 @@ class ParallelSpotEvaluator:
             obs.histogram("host.job.poses", edges=_POSE_COUNT_EDGES).observe(
                 job.rows.size
             )
-        span = obs.span("host.launch", mode=self.mode, kind=kind, poses=n)
-        ticket.span = span
-        ticket.span_tags = span.__enter__()
-        try:
-            with self._lock:
-                self._check_open()
-                ticket.submit_s = now = time.monotonic()
-                posts = self._book(ticket, jobs)
-                if not self._inflight and self._idle_mark is not None:
-                    # the pool sat idle between the last harvest and this submit
-                    obs.counter("host.pool.idle.seconds").inc(max(0.0, now - self._idle_mark))
-                if any(version != binding.version for version in self._inflight):
-                    # poses overlapping another resident ligand's in-flight work:
-                    # the pipeline is actually filling barrier gaps
-                    obs.counter("host.pipeline.fill.poses").inc(n)
-                self._inflight[binding.version] = self._inflight.get(binding.version, 0) + 1
-                ticket.registered = True
-        except BaseException:
-            self._finish_ticket(ticket)
-            raise
-        self._send(posts)
+        ticket.span_tags = {"mode": self.mode, "kind": kind, "poses": n}
+        ticket.end_span = obs.span_start("host.launch", ticket.span_tags)
+        ticket.submit_s = now = time.monotonic()
+        self._book(ticket, jobs)
+        if not self._inflight and self._idle_mark is not None:
+            # the pool sat idle between the last harvest and this submit
+            obs.counter("host.pool.idle.seconds").inc(max(0.0, now - self._idle_mark))
+        if any(version != binding.version for version in self._inflight):
+            # poses overlapping another resident ligand's in-flight work:
+            # the pipeline is actually filling barrier gaps
+            obs.counter("host.pipeline.fill.poses").inc(n)
+        self._inflight[binding.version] = self._inflight.get(binding.version, 0) + 1
         return ticket
 
     def _check_open(self) -> None:
@@ -694,73 +685,65 @@ class ParallelSpotEvaluator:
     # ------------------------------------------------------------------
     # dispatch: the parent's ends of the pipes
     # ------------------------------------------------------------------
-    def _owe(self, worker: _Worker, task: _Task) -> tuple:
-        """Book ``task`` on ``worker`` (under ``_lock``); returns the post."""
+    def _post(self, worker: _Worker, task: _Task) -> None:
+        """Book ``task`` on ``worker`` and send it down the worker's pipe."""
         task_id = next(self._task_ids)
         worker.owed[task_id] = task
         worker.owed_poses += task.poses
-        return worker, task_id, task
+        ticket = task.ticket
+        ids, t, q = ticket.poses
+        jobs = [
+            (None if ids is None else ids[job.rows], t[job.rows], q[job.rows])
+            for job in task.jobs
+        ]
+        try:
+            worker.conn.send((task_id, jobs, ticket.rebind))
+        except OSError:
+            pass  # a dead worker: the pump buries it and fails this launch
+        except Exception as exc:  # it did not pickle, so nothing was sent
+            del worker.owed[task_id]
+            worker.owed_poses -= task.poses
+            ticket.error = ticket.error or exc
 
-    def _feed(self) -> list[tuple]:
-        """Dynamic mode: book the backlog's next job on every idle worker.
+    def _feed(self) -> None:
+        """Dynamic mode: post the backlog's next job to every idle worker.
 
         A worker owes one job at most, so the next goes to whichever pipe
-        answers first; jobs of a failed launch are dropped. Under ``_lock``.
+        answers first; jobs of a failed launch are dropped.
         """
-        posts = []
         for worker in self._workers:
             while not worker.owed and self._backlog:
                 task = self._backlog.popleft()
                 if task.ticket.error is None:
-                    posts.append(self._owe(worker, task))
-        return posts
-
-    def _send(self, posts) -> None:
-        """Send booked tasks down their workers' pipes (not under ``_lock``)."""
-        for worker, task_id, task in posts:
-            ticket = task.ticket
-            ids, t, q = ticket.poses
-            jobs = [
-                (None if ids is None else ids[job.rows], t[job.rows], q[job.rows])
-                for job in task.jobs
-            ]
-            try:
-                with worker.send_lock:
-                    worker.conn.send((task_id, jobs, ticket.rebind))
-            except OSError:
-                pass  # a dead worker: the pump buries it and fails this launch
-            except Exception as exc:  # it did not pickle, so nothing was sent
-                with self._lock:
-                    if worker.owed.pop(task_id, None) is not None:
-                        worker.owed_poses -= task.poses
-                    ticket.error = ticket.error or exc
+                    self._post(worker, task)
 
     def harvest(self, ticket: LaunchTicket) -> np.ndarray:
         """Block on a submitted launch and return its energies.
 
-        Folds the workers' telemetry into this process's session and closes
-        the launch span; harvest from the thread that submitted. Idempotent
-        on success. A launch a dying worker held raises a retryable
-        :class:`~repro.errors.WorkerPoolError`; a scorer's error re-raises.
+        Folds the workers' telemetry into this process's session and records
+        the launch span. Idempotent on success. A launch a dying worker held
+        raises a retryable :class:`~repro.errors.WorkerPoolError`; a
+        scorer's error re-raises.
         """
         if ticket.done:
             if ticket.out is None:
                 raise ScoringError("launch ticket already failed")
             return ticket.out
         try:
-            self._await(ticket)
+            while not ticket.ready:
+                self.pump()
             if ticket.error is not None:
                 raise ticket.error
-            # Harvest inside the launch span so the steal count lands as
-            # a late annotation on its tags (the trace exporter turns it
-            # into an instant event at the launch's end).
+            # The steal count lands as a late annotation on the launch
+            # span's tags (the trace exporter turns it into an instant event
+            # at the launch's end).
             steals = self._harvest(ticket)
-            if steals and ticket.span_tags is not None:
+            if steals:
                 ticket.span_tags["steals"] = steals
         except BaseException as exc:
-            with self._lock:  # later answers and unsent jobs are dropped
-                ticket.error = ticket.error or exc
-                ticket.out = None
+            # later answers and unsent jobs are dropped
+            ticket.error = ticket.error or exc
+            ticket.out = None
             self._finish_ticket(ticket)
             raise
         self._finish_ticket(ticket)
@@ -769,34 +752,18 @@ class ParallelSpotEvaluator:
         obs.mark("host.harvest")
         return ticket.out
 
-    def _await(self, ticket: LaunchTicket) -> None:
-        """Block until every task of ``ticket`` is answered, or one failed.
+    def pump(self) -> None:
+        """Block in one wait on every pipe and process sentinel; route what
+        arrived, re-fork the dead.
 
-        One harvesting thread at a time reads the pipes (:meth:`_pump`),
-        routing every launch's answers; the others wait for their turn.
+        Every launch's answers are routed, whichever ligand submitted it,
+        so a caller with several launches in flight pumps until one of its
+        tickets is :attr:`~LaunchTicket.ready`. A dead worker shows up as
+        EOF or a fired sentinel; answers it sent before it died are routed
+        first. A live worker whose answer will not unpickle is replaced the
+        same way, so no launch waits on it.
         """
-        while True:
-            with self._lock:
-                while self._reading and ticket.waiting and ticket.error is None:
-                    self._turn.wait()
-                if not ticket.waiting or ticket.error is not None:
-                    return
-                self._check_open()
-                self._reading = True
-            try:
-                self._pump()
-            finally:
-                with self._lock:
-                    self._reading = False
-                    self._turn.notify_all()
-
-    def _pump(self) -> None:
-        """Wait on every pipe and process sentinel; route answers, re-fork the dead.
-
-        A dead worker shows up as EOF or a fired sentinel; answers it sent
-        before it died are routed first. A live worker whose answer will not
-        unpickle is replaced the same way, so no launch waits on it.
-        """
+        self._check_open()
         handles = {}
         for worker in self._workers:
             handles[worker.conn] = handles[worker.process.sentinel] = worker
@@ -815,66 +782,58 @@ class ParallelSpotEvaluator:
 
     def _route(self, worker: _Worker, task_id: int, reply) -> None:
         """File one answer into its launch; in dynamic mode, feed the worker."""
-        with self._lock:
-            task = worker.owed.pop(task_id)
-            worker.owed_poses -= task.poses
-            ticket = task.ticket
-            ticket.waiting -= 1
-            if isinstance(reply, BaseException):
-                ticket.error = ticket.error or reply
-            elif ticket.error is None:
-                scores, stat = reply
-                try:
-                    for job, energies in zip(task.jobs, scores):
-                        ticket.out[job.rows] = energies
-                except Exception as exc:  # a scorer's answer of the wrong shape
-                    ticket.error = exc
-                if stat is not None:
-                    ticket.stats.append(stat)
-            posts = self._feed() if self.mode == "dynamic" else ()
-        self._send(posts)
+        task = worker.owed.pop(task_id)
+        worker.owed_poses -= task.poses
+        ticket = task.ticket
+        ticket.waiting -= 1
+        if isinstance(reply, BaseException):
+            ticket.error = ticket.error or reply
+        elif ticket.error is None:
+            scores, stat = reply
+            try:
+                for job, energies in zip(task.jobs, scores):
+                    ticket.out[job.rows] = energies
+            except Exception as exc:  # a scorer's answer of the wrong shape
+                ticket.error = exc
+            if stat is not None:
+                ticket.stats.append(stat)
+        if self.mode == "dynamic":
+            self._feed()
 
     def _replace(self, dead: _Worker, why: str | None = None) -> None:
         """Re-fork a dead worker in its slot; fail only the launches it held.
 
         The new worker has no scorer and no warm-up and binds lazily from the
-        next rebind message; siblings, bindings and Eq. 1 weights stay. It
-        forks under ``_lock``, so nothing is booked on the dead worker once
-        its debts are read. A live worker whose pipe went bad (``why``) is
-        retired first: it reads EOF and exits.
+        next rebind message; siblings, bindings and Eq. 1 weights stay. A
+        live worker whose pipe went bad (``why``) is retired first: it reads
+        EOF and exits.
         """
         code = dead.retire()
-        with self._lock:
-            if self._closed:
-                return
-            self._workers[dead.index] = self._fork(dead.index)
-            for task in dead.owed.values():
-                task.ticket.error = task.ticket.error or WorkerPoolError(
-                    f"host worker {dead.index} crashed mid-launch "
-                    f"({why or f'exit code {code}'}); it was recycled — the "
-                    "bindings and Eq. 1 weights survive, retry the launch"
-                )
-            posts = self._feed() if self.mode == "dynamic" else ()
+        if self._closed:
+            return
+        self._workers[dead.index] = self._fork(dead.index)
+        for task in dead.owed.values():
+            task.ticket.error = task.ticket.error or WorkerPoolError(
+                f"host worker {dead.index} crashed mid-launch "
+                f"({why or f'exit code {code}'}); it was recycled — the "
+                "bindings and Eq. 1 weights survive, retry the launch"
+            )
         obs.counter("host.pool.recycles").inc()
-        self._send(posts)
+        if self.mode == "dynamic":
+            self._feed()
 
     def _finish_ticket(self, ticket: LaunchTicket) -> None:
         """Close out a ticket: in-flight accounting, idle clock, launch span."""
         if ticket.done:
             return
         ticket.done = True
-        if ticket.registered:
-            with self._lock:
-                left = self._inflight.get(ticket.binding.version, 0) - 1
-                if left > 0:
-                    self._inflight[ticket.binding.version] = left
-                else:
-                    self._inflight.pop(ticket.binding.version, None)
-                if not self._inflight:
-                    self._idle_mark = time.monotonic()
-        if ticket.span is not None:
-            span, ticket.span = ticket.span, None
-            span.__exit__(None, None, None)
+        version = ticket.binding.version
+        self._inflight[version] -= 1
+        if not self._inflight[version]:
+            del self._inflight[version]
+        if not self._inflight:
+            self._idle_mark = time.monotonic()
+        ticket.end_span()
 
     def _harvest(self, ticket: LaunchTicket) -> int:
         """Merge per-worker telemetry into this process's session.
@@ -885,27 +844,24 @@ class ParallelSpotEvaluator:
         (task start minus submit, both on the shared monotonic clock) and in
         dynamic mode the steal count (tasks a worker pulled beyond the even
         per-worker share, i.e. work it took from a slower sibling). Returns
-        the launch's steal count (0 outside dynamic mode). Serialized under
-        ``_obs_lock``: concurrent pipeline harvests must not interleave
-        their merges.
+        the launch's steal count (0 outside dynamic mode).
         """
         if not ticket.stats or not obs.enabled():
             return 0
-        with self._obs_lock:
-            tasks_by_worker = Counter(int(stat["worker"]) for stat in ticket.stats)
-            for stat in ticket.stats:
-                obs.merge(stat["telemetry"])
-                obs.histogram("host.queue_wait_seconds").observe(
-                    max(0.0, stat["started_s"] - ticket.submit_s)
-                )
-            if self.mode == "dynamic" and self.n_workers > 1:
-                even_share = -(-ticket.n_jobs // self.n_workers)  # ceil
-                steals = sum(
-                    max(0, count - even_share) for count in tasks_by_worker.values()
-                )
-                obs.counter("host.steals").inc(steals)
-                return steals
-            return 0
+        tasks_by_worker = Counter(int(stat["worker"]) for stat in ticket.stats)
+        for stat in ticket.stats:
+            obs.merge(stat["telemetry"])
+            obs.histogram("host.queue_wait_seconds").observe(
+                max(0.0, stat["started_s"] - ticket.submit_s)
+            )
+        if self.mode == "dynamic" and self.n_workers > 1:
+            even_share = -(-ticket.n_jobs // self.n_workers)  # ceil
+            steals = sum(
+                max(0, count - even_share) for count in tasks_by_worker.values()
+            )
+            obs.counter("host.steals").inc(steals)
+            return steals
+        return 0
 
     # ------------------------------------------------------------------
     # rebind protocol: versioned ligand bindings
@@ -922,17 +878,15 @@ class ParallelSpotEvaluator:
         """
         self._check_open()
         shape = self.scoring.shape(self.receptor, ligand)
-        with self._lock:
-            self._version += 1
-            binding = _LigandBinding(version=self._version, ligand=ligand, shape=shape)
-            self._bindings[binding.version] = binding
+        self._version += 1
+        binding = _LigandBinding(version=self._version, ligand=ligand, shape=shape)
+        self._bindings[binding.version] = binding
         obs.counter("host.pool.reuses").inc()
         return binding
 
     def release_binding(self, binding: _LigandBinding) -> None:
         """Retire a binding; workers evict its scorer at their next rebind. Idempotent."""
-        with self._lock:
-            self._bindings.pop(binding.version, None)
+        self._bindings.pop(binding.version, None)
 
     def _binding_message(self, binding: _LigandBinding) -> tuple:
         """The versioned rebind message every one of this binding's tasks carries.
@@ -941,18 +895,15 @@ class ParallelSpotEvaluator:
         has not bound this version yet, the live set so workers evict
         scorers of released ligands.
         """
-        with self._lock:
-            live = tuple(sorted(self._bindings))
-        return (binding.version, binding.ligand, live)
+        return (binding.version, binding.ligand, tuple(sorted(self._bindings)))
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close every pipe, so the workers read EOF and exit; reap them. Idempotent."""
-        with self._lock:
-            self._closed = True
-            workers, self._workers = self._workers, []
+        self._closed = True
+        workers, self._workers = self._workers, []
         for worker in workers:
             worker.retire()
 
@@ -969,58 +920,30 @@ class ParallelSpotEvaluator:
             pass
 
 
-class _BindingEvaluator:
-    """Per-ligand Evaluator view over one shared :class:`ParallelSpotEvaluator`.
-
-    What a :class:`LigandLease` hands to ``dock()``: implements the
-    Evaluator protocol (``evaluate`` + ``stats``) by routing every launch
-    through the shared pool with this ligand's binding and its *own*
-    launch-trace stats — so the per-ligand trace is bitwise identical to a
-    run that had the pool to itself. Never closed by dock (the runtime owns
-    the pool); a fresh view per dock attempt gives retries a fresh trace.
-    """
-
-    def __init__(self, evaluator: ParallelSpotEvaluator, binding: _LigandBinding) -> None:
-        self._evaluator = evaluator
-        self._binding = binding
-        self.stats = EvaluationStats()
-
-    def evaluate(
-        self,
-        spot_ids: np.ndarray,
-        translations: np.ndarray,
-        quaternions: np.ndarray,
-        kind: str = "population",
-    ) -> np.ndarray:
-        evaluator = self._evaluator
-        return evaluator.harvest(
-            evaluator.submit(
-                spot_ids,
-                translations,
-                quaternions,
-                kind,
-                binding=self._binding,
-                stats=self.stats,
-            )
-        )
-
-
 class LigandLease:
-    """One ligand's residency on the shared pool (see ``lease()``).
+    """One ligand's residency on the shared pool (see ``lease()``), and its
+    evaluator.
 
     Holds the ligand's :class:`_LigandBinding` between :meth:`PersistentHostRuntime.lease`
-    and :meth:`release`; :meth:`evaluator_factory` is the ``dock()`` seam for
-    this ligand only.
+    and :meth:`release`. It implements the Evaluator protocol (``evaluate``
+    + ``stats``) by routing every launch through the shared pool with this
+    binding and its *own* launch trace, so the ligand's trace is bitwise
+    identical to a run that had the pool to itself; a caller that drives a
+    dock's launches itself submits them with ``binding=lease.binding,
+    stats=lease.stats``. :meth:`evaluator_factory` is the ``dock()`` seam
+    for this ligand only. Never closed by a dock: the runtime owns the pool.
     """
 
     def __init__(self, runtime: "PersistentHostRuntime", ligand, binding) -> None:
         self.runtime = runtime
         self.ligand = ligand
         self.binding = binding
+        self.stats = EvaluationStats()
         self._released = False
 
-    def evaluator_factory(self, receptor, ligand, spots) -> _BindingEvaluator:
-        """Per-lease ``dock(evaluator_factory=...)``: validates, fresh stats per call."""
+    def evaluator_factory(self, receptor, ligand, spots) -> "LigandLease":
+        """Per-lease ``dock(evaluator_factory=...)``: validates, and starts a
+        fresh launch trace, so a retried dock traces only its own attempt."""
         if self._released:
             raise ScoringError("ligand lease was already released")
         self.runtime._validate_receptor(receptor)
@@ -1029,7 +952,23 @@ class LigandLease:
                 "ligand lease was taken for a different ligand "
                 "(one lease per docked ligand)"
             )
-        return _BindingEvaluator(self.runtime.evaluator, self.binding)
+        self.stats = EvaluationStats()
+        return self
+
+    def evaluate(
+        self,
+        spot_ids: np.ndarray,
+        translations: np.ndarray,
+        quaternions: np.ndarray,
+        kind: str = "population",
+    ) -> np.ndarray:
+        pool = self.runtime.evaluator
+        return pool.harvest(
+            pool.submit(
+                spot_ids, translations, quaternions, kind,
+                binding=self.binding, stats=self.stats,
+            )
+        )
 
     def release(self) -> None:
         """Retire this ligand's binding. Idempotent."""
@@ -1055,9 +994,9 @@ class PersistentHostRuntime:
       first call) and get a :class:`LigandLease` whose
       ``evaluator_factory`` scores only that ligand. A lease binds nothing
       in this process: it mints a version the workers bind on first sight.
-      Leases docked on different threads share the pool; their launches
-      interleave freely. How many are live at once is the caller's
-      pipeline depth.
+      Live leases share the pool, and their launches interleave freely on
+      the one thread that drives it. How many are live at once is the
+      caller's pipeline depth.
     * :meth:`hint_next` — a no-op: with nothing bound here, there is
       nothing to stage ahead.
     * :meth:`acquire` / :meth:`evaluator_factory` — the single-resident
@@ -1110,12 +1049,12 @@ class PersistentHostRuntime:
         ahead of it. The perf ledger's tracer still pins this name.
         """
 
-    def acquire(self, ligand) -> _BindingEvaluator:
+    def acquire(self, ligand) -> LigandLease:
         """The single-resident :meth:`lease`: one ligand at a time.
 
         Releases the previous acquire's lease, takes one for ``ligand`` and
-        returns its evaluator with a fresh launch trace. Re-acquiring the
-        resident ligand (a retry) keeps its lease and mints no version.
+        returns it with a fresh launch trace. Re-acquiring the resident
+        ligand (a retry) keeps its lease and mints no version.
         """
         held = self._acquired
         if held is None or held.ligand is not ligand:
@@ -1123,7 +1062,8 @@ class PersistentHostRuntime:
                 self._acquired = None
                 held.release()
             self._acquired = held = self.lease(ligand)
-        return _BindingEvaluator(self._evaluator, held.binding)
+        held.stats = EvaluationStats()
+        return held
 
     def lease(self, ligand) -> "LigandLease":
         """Make ``ligand`` one of the pool's concurrent residents.
@@ -1132,9 +1072,11 @@ class PersistentHostRuntime:
         one ligand's launches fill another's host-side gaps. The first call
         pays the full cost (pool spawn, Eq. 1 warm-up); every later one
         reads the ligand's shape and mints a version the workers bind on
-        first sight. Take leases from the owning (main) thread — the first
-        one forks the worker pool — dock each lease on any thread and
-        :meth:`LigandLease.release` it when the ligand commits.
+        first sight. One thread drives the pool: it takes the leases (the
+        first one forks the workers), submits and harvests every lease's
+        launches, and releases each (:meth:`LigandLease.release`) when its
+        ligand commits. A dock retry's backoff sleeps on that thread, which pauses
+        the loop but not work already sent to the workers.
         """
         if self._closed:
             raise ScoringError("persistent host runtime is closed")
@@ -1163,7 +1105,7 @@ class PersistentHostRuntime:
                 "persistent host runtime was built for a different receptor"
             )
 
-    def evaluator_factory(self, receptor, ligand, spots) -> _BindingEvaluator:
+    def evaluator_factory(self, receptor, ligand, spots) -> LigandLease:
         """The ``dock(evaluator_factory=...)`` seam over :meth:`acquire`.
 
         Validates that dock was called for the receptor this runtime serves.

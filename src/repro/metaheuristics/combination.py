@@ -28,7 +28,12 @@ class Combination(ABC):
         self, ctx: SearchContext, selected: Population, n_offspring: int
     ) -> Population:
         """Return ``n_offspring`` individuals per spot (scores unset unless
-        the combiner passes parents through unchanged)."""
+        the combiner passes parents through unchanged).
+
+        A combiner that scores returns a generator instead, which yields
+        its launches and returns the population (see
+        :class:`~repro.metaheuristics.extra.grasp.GreedyRandomizedConstruction`).
+        """
 
 
 def _parent_pairs(

@@ -26,7 +26,8 @@ class SearchContext:
         The receptor spots this search covers (may be a subset of the full
         spot list when a device owns a spot partition).
     evaluator:
-        Scores flat pose batches; also the accounting seam for the runtime.
+        Keeps the launch trace; :func:`~repro.metaheuristics.template.run_metaheuristic`
+        also scores the search's launches on it.
     rng:
         Per-spot random streams (see :class:`repro.metaheuristics.rng.SpotRngPool`).
     """
@@ -61,28 +62,32 @@ class SearchContext:
         hi = (self.centers + self.radii[:, None])[:, None, :]
         return np.clip(translations, lo, hi)
 
-    def evaluate_population(self, population: Population, kind: str = "population") -> None:
-        """Score every individual in place (one evaluator launch)."""
+    def evaluate_population(self, population: Population, kind: str = "population"):
+        """Score every individual in place: yields one launch, is sent its energies.
+
+        A generator, like every operator step that scores: call it with
+        ``yield from`` (see :func:`repro.metaheuristics.evaluation.drive`).
+        """
         spot_local, translations, quaternions = population.flat()
-        spot_ids = self.global_ids[spot_local]
-        population.set_scores_flat(
-            self.evaluator.evaluate(spot_ids, translations, quaternions, kind=kind)
-        )
+        energies = yield self.global_ids[spot_local], translations, quaternions, kind
+        population.set_scores_flat(energies)
 
     def evaluate_arrays(
         self, translations: np.ndarray, quaternions: np.ndarray, kind: str = "improve"
-    ) -> np.ndarray:
-        """Score ``(n_spots, k, …)`` arrays, returning ``(n_spots, k)`` scores."""
+    ):
+        """Score ``(n_spots, k, …)`` arrays in one launch; returns ``(n_spots, k)`` scores.
+
+        A generator, as :meth:`evaluate_population`.
+        """
         s, k = translations.shape[:2]
         if s != self.n_spots:
             raise MetaheuristicError(
                 f"arrays cover {s} spots, context has {self.n_spots}"
             )
-        spot_ids = np.repeat(self.global_ids, k)
-        scores = self.evaluator.evaluate(
-            spot_ids,
+        energies = yield (
+            np.repeat(self.global_ids, k),
             translations.reshape(s * k, 3),
             quaternions.reshape(s * k, 4),
-            kind=kind,
+            kind,
         )
-        return scores.reshape(s, k)
+        return energies.reshape(s, k)

@@ -1,24 +1,28 @@
 """Evaluators: where candidate solutions meet the scoring function.
 
-The metaheuristic template never calls a scorer directly; it hands flat
-batches to an :class:`Evaluator`. This indirection is the seam the parallel
-runtime plugs into: a :class:`SerialEvaluator` scores on the host, while
-:class:`repro.engine.executor.DeviceBatchEvaluator` additionally charges the
-batch to simulated devices. Every evaluator records a :class:`LaunchRecord`
-per call — the workload trace the hardware model times.
+The metaheuristic template never calls a scorer directly: it yields each
+flat batch as a launch ``(spot_ids, translations, quaternions, kind)`` and
+is sent back its energies. :func:`drive` scores the launches of one search
+on an :class:`Evaluator`, one at a time; a campaign runner instead
+interleaves many ligands' launches on a worker pool. This indirection is the
+seam the parallel runtime plugs into: a :class:`SerialEvaluator` scores on
+the host, while :class:`repro.engine.executor.DeviceBatchEvaluator`
+additionally charges the batch to simulated devices. Every evaluator records
+a :class:`LaunchRecord` per call — the workload trace the hardware model
+times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Generator, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.errors import MetaheuristicError
 from repro.scoring.base import BoundScorer
 
-__all__ = ["Evaluator", "LaunchRecord", "EvaluationStats", "SerialEvaluator"]
+__all__ = ["Evaluator", "LaunchRecord", "EvaluationStats", "SerialEvaluator", "drive"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,3 +123,18 @@ class SerialEvaluator:
         if self.scorer.supports_spot_scoring:
             return self.scorer.score_spots(spot_ids, translations, quaternions)
         return self.scorer.score(translations, quaternions)
+
+
+def drive(steps: Generator, evaluator: Evaluator):
+    """Run ``steps`` to its end, scoring each launch it yields on ``evaluator``.
+
+    The serial driver: ``steps`` yields ``(spot_ids, translations,
+    quaternions, kind)`` and is sent that launch's energies; returns what
+    ``steps`` returns.
+    """
+    try:
+        launch = next(steps)
+        while True:
+            launch = steps.send(evaluator.evaluate(*launch))
+    except StopIteration as stop:
+        return stop.value

@@ -8,6 +8,8 @@ template iterations (state held in the operator, like PSO's velocities).
 
 from __future__ import annotations
 
+from typing import Generator
+
 import numpy as np
 
 from repro.errors import MetaheuristicError
@@ -83,10 +85,10 @@ class AnnealingImprovement(Improvement):
         frac = min(1.0, self._step_count / max(1, self.total_steps - 1))
         return float(self.t_start * (self.t_end / self.t_start) ** frac)
 
-    def improve(self, ctx: SearchContext, population: Population) -> Population:
+    def improve(self, ctx: SearchContext, population: Population) -> Generator:
         result = population.copy()
         if not result.is_evaluated():
-            ctx.evaluate_population(result)
+            yield from ctx.evaluate_population(result)
         k = result.size_per_spot
         for _ in range(self.steps):
             t = self.temperature()
@@ -97,7 +99,7 @@ class AnnealingImprovement(Improvement):
             cand_q = quaternion_multiply(
                 ctx.rng.small_rotations(k, self.rotation_angle), result.quaternions
             )
-            cand_s = ctx.evaluate_arrays(cand_t, cand_q)
+            cand_s = yield from ctx.evaluate_arrays(cand_t, cand_q)
             delta = cand_s - result.scores
             # Metropolis: always accept improvements; accept worsening moves
             # with probability exp(-Δ/T).

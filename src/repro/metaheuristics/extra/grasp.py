@@ -6,10 +6,13 @@ iteration: *construct* greedily-randomised candidate poses (sample a larger
 candidate cloud per spot, keep a random choice among the best α-fraction),
 then *improve* them with hill climbing, then keep the best seen (elitist
 inclusion). The construction lives in the Combine slot, so each iteration is
-one fresh GRASP restart — the canonical multi-start structure.
+one fresh GRASP restart — the canonical multi-start structure. It is the
+one Combine that scores, so it is a generator that yields its launch.
 """
 
 from __future__ import annotations
+
+from typing import Generator
 
 import numpy as np
 
@@ -53,14 +56,15 @@ class GreedyRandomizedConstruction(Combination):
 
     def combine(
         self, ctx: SearchContext, selected: Population, n_offspring: int
-    ) -> Population:
+    ) -> Generator:
+        """Yield the candidate cloud's launch; return the offspring (scored)."""
         if n_offspring < 1:
             raise MetaheuristicError(f"n_offspring must be >= 1, got {n_offspring}")
         cloud = n_offspring * self.oversample
         u = ctx.rng.random((cloud, 3))
         translations = ctx.centers[:, None, :] + (2.0 * u - 1.0) * ctx.radii[:, None, None]
         quaternions = ctx.rng.quaternions(cloud)
-        scores = ctx.evaluate_arrays(translations, quaternions, kind="population")
+        scores = yield from ctx.evaluate_arrays(translations, quaternions, kind="population")
 
         rcl = max(n_offspring, int(round(cloud * self.alpha)))
         order = np.argsort(scores, axis=1, kind="stable")[:, :rcl]

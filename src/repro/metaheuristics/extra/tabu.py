@@ -10,6 +10,7 @@ moves to the best non-tabu candidate — even if worse than the current pose
 from __future__ import annotations
 
 from collections import deque
+from typing import Generator
 
 import numpy as np
 
@@ -80,10 +81,10 @@ class TabuImprovement(Improvement):
         c = np.floor(translation / self.cell_size).astype(int)
         return int(c[0]), int(c[1]), int(c[2])
 
-    def improve(self, ctx: SearchContext, population: Population) -> Population:
+    def improve(self, ctx: SearchContext, population: Population) -> Generator:
         result = population.copy()
         if not result.is_evaluated():
-            ctx.evaluate_population(result)
+            yield from ctx.evaluate_population(result)
         s, k = result.n_spots, result.size_per_spot
         c = self.candidates
 
@@ -97,7 +98,7 @@ class TabuImprovement(Improvement):
         cand_q = quaternion_multiply(
             spins, np.repeat(result.quaternions, c, axis=1)
         )
-        cand_s = ctx.evaluate_arrays(cand_t, cand_q).reshape(s, k, c)
+        cand_s = (yield from ctx.evaluate_arrays(cand_t, cand_q)).reshape(s, k, c)
         cand_t = cand_t.reshape(s, k, c, 3)
         cand_q = cand_q.reshape(s, k, c, 4)
 

@@ -8,6 +8,8 @@ improving move resets ``κ = 1``, a failed one grows it (shake harder), up to
 
 from __future__ import annotations
 
+from typing import Generator
+
 import numpy as np
 
 from repro.errors import MetaheuristicError
@@ -55,10 +57,10 @@ class VnsImprovement(Improvement):
         self.base_angle = float(base_angle)
         self._kappa: np.ndarray | None = None  # (s, k) neighbourhood indices
 
-    def improve(self, ctx: SearchContext, population: Population) -> Population:
+    def improve(self, ctx: SearchContext, population: Population) -> Generator:
         result = population.copy()
         if not result.is_evaluated():
-            ctx.evaluate_population(result)
+            yield from ctx.evaluate_population(result)
         s, k = result.n_spots, result.size_per_spot
         if self._kappa is None or self._kappa.shape != (s, k):
             self._kappa = np.ones((s, k), dtype=np.int64)
@@ -81,7 +83,7 @@ class VnsImprovement(Improvement):
                 )
                 cand_q = np.where(need[:, :, None], spun, cand_q)
                 applied += need.astype(np.int64)
-            cand_s = ctx.evaluate_arrays(cand_t, cand_q)
+            cand_s = yield from ctx.evaluate_arrays(cand_t, cand_q)
             better = cand_s < result.scores
             result.translations = np.where(better[:, :, None], cand_t, result.translations)
             result.quaternions = np.where(better[:, :, None], cand_q, result.quaternions)

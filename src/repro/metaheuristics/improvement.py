@@ -9,11 +9,15 @@ more intensification ⇒ more scoring launches ⇒ higher GPU speed-ups (§5).
 The hill climber is vectorised: each step perturbs every improving
 individual at once, scores the batch in one launch, and keeps the moves that
 helped (first-improvement acceptance, per individual).
+
+``improve`` is a generator: it yields each scoring launch through the
+context (``yield from ctx.evaluate_arrays(...)``) and returns the population.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Generator
 
 import numpy as np
 
@@ -28,12 +32,13 @@ __all__ = ["Improvement", "NoImprovement", "HillClimb"]
 class Improvement(ABC):
     """Local search applied to (a fraction of) ``Scom``.
 
-    Implementations must return a fully evaluated population.
+    Implementations are generators that yield their scoring launches and
+    must return a fully evaluated population.
     """
 
     @abstractmethod
-    def improve(self, ctx: SearchContext, population: Population) -> Population:
-        """Return the improved, fully evaluated population."""
+    def improve(self, ctx: SearchContext, population: Population) -> Generator:
+        """Yield each launch; return the improved, fully evaluated population."""
 
 
 class NoImprovement(Improvement):
@@ -42,10 +47,10 @@ class NoImprovement(Improvement):
     Only guarantees evaluation: unevaluated individuals are scored.
     """
 
-    def improve(self, ctx: SearchContext, population: Population) -> Population:
+    def improve(self, ctx: SearchContext, population: Population) -> Generator:
         result = population.copy()
         if not result.is_evaluated():
-            ctx.evaluate_population(result)
+            yield from ctx.evaluate_population(result)
         return result
 
 
@@ -86,10 +91,10 @@ class HillClimb(Improvement):
         self.rotation_angle = float(rotation_angle)
         self.anneal = bool(anneal)
 
-    def improve(self, ctx: SearchContext, population: Population) -> Population:
+    def improve(self, ctx: SearchContext, population: Population) -> Generator:
         result = population.copy()
         if not result.is_evaluated():
-            ctx.evaluate_population(result)
+            yield from ctx.evaluate_population(result)
 
         k = result.size_per_spot
         m = max(1, min(k, int(round(k * self.fraction))))
@@ -107,7 +112,7 @@ class HillClimb(Improvement):
             cand_t = ctx.clip_to_bounds(cand_t)
             spins = ctx.rng.small_rotations(m, self.rotation_angle * scale)
             cand_q = quaternion_multiply(spins, cur_q)
-            cand_s = ctx.evaluate_arrays(cand_t, cand_q)
+            cand_s = yield from ctx.evaluate_arrays(cand_t, cand_q)
             better = cand_s < cur_s
             cur_t = np.where(better[:, :, None], cand_t, cur_t)
             cur_q = np.where(better[:, :, None], cand_q, cur_q)

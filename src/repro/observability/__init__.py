@@ -63,6 +63,7 @@ __all__ = [
     "gauge",
     "histogram",
     "span",
+    "span_start",
     "snapshot",
     "merge",
     "reset",
@@ -239,6 +240,24 @@ def span(name: str, **tags):
     if not _ENABLED:
         return _null_span()
     return _TELEMETRY.span(name, **tags)
+
+
+def span_start(name: str, tags: dict) -> Callable[[], None]:
+    """Begin a span that may close out of nesting order; returns what ends it.
+
+    Calling the returned function records the span, with ``tags`` as they
+    are then (late annotations land), under whatever span was open here
+    (:meth:`SpanTracer.record`). A no-op while disabled.
+    """
+    if not _ENABLED:
+        return _no_span
+    tracer = _TELEMETRY.tracer
+    start, parent = tracer.clock(), tracer.current
+    return lambda: tracer.record(name, start, parent, **tags)
+
+
+def _no_span() -> None:
+    pass
 
 
 def snapshot() -> dict:

@@ -139,10 +139,11 @@ class MetricsRegistry:
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
-        # Registration and merge are locked: the docking pipeline's threads
-        # register instruments and fold worker snapshots concurrently, and
-        # two racing get-or-creates must never hand out two instruments for
-        # one identity (the loser's counts would silently vanish).
+        # Registration and merge are locked: a fleet coordinator's
+        # connection threads register instruments and fold node snapshots
+        # concurrently, and two racing get-or-creates must never hand out
+        # two instruments for one identity (the loser's counts would
+        # silently vanish).
         self._reg_lock = threading.Lock()
 
     # ------------------------------------------------------------------

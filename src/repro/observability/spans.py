@@ -11,11 +11,17 @@ Like the metrics registry, a tracer never crosses a process boundary live:
 workers snapshot their spans and the parent merges them (ids are offset so
 parent links survive the merge).
 
+Spans that do not close in the reverse order they opened — a launch
+submitted for one ligand and harvested after another's, a pipelined
+ligand's dock, all interleaved on the campaign's one thread — cannot sit on
+that stack: :meth:`SpanTracer.record` stores each as a finished interval
+with an explicit parent.
+
 Thread model: the nesting stack is *thread-local* (each thread nests its
-own spans; a dock-pipeline thread's spans become roots rather than
-mis-parenting under whatever the main thread happens to have open), while
-id allocation and the completed-record buffer are shared under a lock so
-concurrent threads never collide on ids or lose records.
+own spans — a fleet coordinator's connection threads never mis-parent
+under whatever its main thread has open), while id allocation
+and the completed-record buffer are shared under a lock so concurrent
+threads never collide on ids or lose records.
 """
 
 from __future__ import annotations
@@ -85,21 +91,29 @@ class SpanTracer:
         finally:
             duration = self.clock() - start
             stack.pop()
-            with self._lock:
-                if len(self.records) < self.max_spans:
-                    self.records.append(
-                        SpanRecord(
-                            id=span_id,
-                            name=name,
-                            tags=dict(tags),
-                            start_s=start,
-                            duration_s=duration,
-                            parent=parent,
-                            depth=depth,
-                        )
-                    )
-                else:
-                    self.dropped += 1
+            self._keep(SpanRecord(span_id, name, dict(tags), start, duration, parent, depth))
+
+    def record(self, name: str, start_s: float, parent: int | None, **tags) -> None:
+        """Store a span that began at ``start_s`` under ``parent`` and ends now.
+
+        For spans that close out of nesting order: read :attr:`clock` and
+        :attr:`current` where the span begins, call this where it ends. It
+        sits at the depth of the spans open on this thread when it ends.
+        """
+        duration = self.clock() - start_s
+        with self._lock:
+            span_id = self._next_id
+            self._next_id += 1
+        self._keep(
+            SpanRecord(span_id, name, tags, start_s, duration, parent, len(self._stack))
+        )
+
+    def _keep(self, record: SpanRecord) -> None:
+        with self._lock:
+            if len(self.records) < self.max_spans:
+                self.records.append(record)
+            else:
+                self.dropped += 1
 
     @property
     def current(self) -> int | None:

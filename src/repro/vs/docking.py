@@ -3,11 +3,15 @@
 The BINDSURF-style flow of §3.1: find spots → place conformations at every
 spot → run a metaheuristic over all spots simultaneously → report the best
 pose per spot and overall.
+
+:func:`dock_steps` is one dock as a generator of scoring launches (see
+:mod:`repro.metaheuristics.template`); :func:`dock` builds an evaluator and
+drives it serially, and a campaign runner drives many at once on its pool.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 
@@ -15,10 +19,14 @@ from repro import observability as obs
 from repro.engine.host_runtime import ParallelSpotEvaluator
 from repro.errors import ReproError
 from repro.metaheuristics.context import SearchContext
-from repro.metaheuristics.evaluation import SerialEvaluator
+from repro.metaheuristics.evaluation import Evaluator, SerialEvaluator, drive
 from repro.metaheuristics.presets import make_preset
 from repro.metaheuristics.rng import SpotRngPool
-from repro.metaheuristics.template import MetaheuristicSpec, run_metaheuristic
+from repro.metaheuristics.template import MetaheuristicSpec, metaheuristic_steps
+
+# ``run_metaheuristic`` is not called here: the perf harness's traced pass
+# wraps it under this module's name.
+from repro.metaheuristics.template import run_metaheuristic  # noqa: F401
 from repro.molecules.spots import Spot, find_spots
 from repro.molecules.structures import Ligand, Receptor
 from repro.scoring.base import ScoringFunction
@@ -28,7 +36,7 @@ from repro.vs.results import DockingResult
 if TYPE_CHECKING:  # the simulator loads only when a dock is timed on a node
     from repro.hardware.node import NodeSpec
 
-__all__ = ["dock"]
+__all__ = ["dock", "dock_steps"]
 
 
 def _resolve_spec(metaheuristic: str | MetaheuristicSpec, workload_scale: float) -> MetaheuristicSpec:
@@ -124,30 +132,52 @@ def dock(
         else:
             evaluator = SerialEvaluator(scoring.bind(receptor, ligand))
             owns_evaluator = False
+    steps = dock_steps(
+        receptor, ligand, spots=spots, metaheuristic=spec, seed=seed,
+        evaluator=evaluator, node=node, mode=mode,
+    )
+    try:
+        with obs.span("vs.dock", metaheuristic=spec.name, host_workers=host_workers):
+            return drive(steps, evaluator)
+    finally:
+        if owns_evaluator:
+            evaluator.close()
+
+
+def dock_steps(
+    receptor: Receptor,
+    ligand: Ligand,
+    *,
+    spots: list[Spot],
+    metaheuristic: str | MetaheuristicSpec,
+    seed: int,
+    evaluator: Evaluator,
+    workload_scale: float = 1.0,
+    node: NodeSpec | None = None,
+    mode: str = "gpu-heterogeneous",
+) -> Generator:
+    """One :func:`dock` as a generator: yields each scoring launch
+    ``(spot_ids, translations, quaternions, kind)``, is sent its energies,
+    and returns the :class:`DockingResult`.
+
+    ``evaluator`` keeps the launch trace the result reads (evaluations, and
+    the replay on ``node``); whoever drives the generator scores the
+    launches, recording each in that trace. Parameters are :func:`dock`'s.
+    """
+    spec = _resolve_spec(metaheuristic, workload_scale)
     ctx = SearchContext(
         spots=spots,
         evaluator=evaluator,
         rng=SpotRngPool(seed, [s.index for s in spots]),
     )
-    try:
-        with obs.span(
-            "vs.dock", metaheuristic=spec.name, host_workers=host_workers
-        ):
-            result = run_metaheuristic(spec, ctx)
-        # Read the launch trace before the owned evaluator is closed in
-        # the finally below.
-        evaluations = evaluator.stats.n_conformations
-        launches = evaluator.stats.launches
-    finally:
-        if owns_evaluator:
-            evaluator.close()
+    result = yield from metaheuristic_steps(spec, ctx)
 
     simulated = float("nan")
     if node is not None:
         from repro.engine.executor import MultiGpuExecutor
 
         executor = MultiGpuExecutor(node, seed=seed)
-        timing, _ = executor.replay(launches, mode)
+        timing, _ = executor.replay(evaluator.stats.launches, mode)
         simulated = timing.total_s
 
     return DockingResult(
@@ -155,7 +185,7 @@ def dock(
         ligand=ligand,
         best=result.best,
         per_spot=result.best_per_spot,
-        evaluations=evaluations,
+        evaluations=evaluator.stats.n_conformations,
         metaheuristic=spec.name,
         simulated_seconds=simulated,
     )

@@ -18,7 +18,7 @@ import pytest
 
 import repro.campaign.runner as runner_mod
 from repro.campaign import CampaignRunner, SyntheticSource, open_store
-from repro.vs.docking import dock as real_dock
+from repro.vs.docking import dock, dock_steps
 
 SEED = 42
 N_LIGANDS = 6
@@ -30,12 +30,14 @@ sys.path.insert(0, {src!r})
 import repro.campaign.runner as runner_mod
 from repro.campaign import CampaignRunner, SyntheticSource
 from repro.molecules.synthetic import generate_receptor
-from repro.vs.docking import dock as real_dock
+from repro.vs.docking import dock, dock_steps
 
 kill_at, store, workers, depth = (
     int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4]),
 )
 state = {{"calls": 0}}
+# A pooled runner docks each ligand's launches itself, through dock_steps.
+real_dock = dock_steps if workers else dock
 
 def killing_dock(receptor, ligand, **kwargs):
     state["calls"] += 1
@@ -43,7 +45,7 @@ def killing_dock(receptor, ligand, **kwargs):
         os.kill(os.getpid(), signal.SIGKILL)  # the real thing
     return real_dock(receptor, ligand, **kwargs)
 
-runner_mod.dock = killing_dock
+setattr(runner_mod, "dock_steps" if workers else "dock", killing_dock)
 CampaignRunner(
     generate_receptor(80, seed=5),
     SyntheticSource({n_ligands}, atoms_range=(8, 12), seed=52),
@@ -90,12 +92,16 @@ def serial_sqlite():
 
 
 class ResumeSpy:
-    def __init__(self):
+    """Records the ordinals a runner docks: ``dock`` stands in for the
+    serial one, ``dock_steps`` for a pooled runner's pipeline."""
+
+    def __init__(self, real):
         self.ordinals = []
+        self.real = real
 
     def __call__(self, receptor, ligand, **kwargs):
         self.ordinals.append(kwargs["seed"] - SEED)
-        return real_dock(receptor, ligand, **kwargs)
+        return self.real(receptor, ligand, **kwargs)
 
 
 def sigkill_campaign(store_path, kill_at, workers, depth):
@@ -153,8 +159,8 @@ def test_sigkill_mid_shard_resumes_bitwise(
         assert not store.is_complete()
         assert store.counts()["done"] <= kill_at - 1
 
-    spy = ResumeSpy()
-    monkeypatch.setattr(runner_mod, "dock", spy)
+    spy = ResumeSpy(dock_steps if workers else dock)
+    monkeypatch.setattr(runner_mod, "dock_steps" if workers else "dock", spy)
     with make_runner(store_path, workers=workers, depth=depth).resume() as store:
         assert store.is_complete()
         counts = store.counts()

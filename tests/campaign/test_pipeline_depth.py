@@ -9,14 +9,12 @@ pooled loop with one lease in flight: strict ordinal order, non-interleaved
 launch sequence.
 """
 
-import threading
-
 import pytest
 
 import repro.campaign.runner as runner_mod
 from repro import observability as obs
 from repro.campaign import CampaignRunner, SyntheticSource
-from repro.vs.docking import dock as real_dock
+from repro.vs.docking import dock_steps as real_dock_steps
 
 SEED = 11
 N_LIGANDS = 7
@@ -138,9 +136,9 @@ def test_worker_death_parity(
     def sabotage(receptor_arg, ligand, **kwargs):
         if kwargs["seed"] - SEED == 2 and not killed:
             killed.append(kill_a_worker(runner._runtime))
-        return real_dock(receptor_arg, ligand, **kwargs)
+        return real_dock_steps(receptor_arg, ligand, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "dock", sabotage)
+    monkeypatch.setattr(runner_mod, "dock_steps", sabotage)
     with runner.run() as store:
         counts = store.counts()
         assert counts["done"] == N_LIGANDS and counts["failed"] == 0
@@ -152,6 +150,41 @@ def test_worker_death_parity(
     assert obs.counter("host.warmups").value == warmups + 1
 
 
+def test_the_parent_is_single_threaded_at_every_fork(
+    receptor, tmp_path, serial_digest, monkeypatch, kill_a_worker
+):
+    # One loop on the main thread drives every ligand in flight, so each
+    # fork — the pool's two workers and the re-fork of the one SIGKILLed
+    # mid-run — happens beside no thread but those alive before run(): no
+    # child can inherit a lock another thread held as it forked.
+    import threading
+
+    from repro.engine.host_runtime import ParallelSpotEvaluator
+
+    threads_at_fork = []
+    real_fork = ParallelSpotEvaluator._fork
+
+    def fork(self, *args, **kwargs):
+        threads_at_fork.append(set(threading.enumerate()))
+        return real_fork(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParallelSpotEvaluator, "_fork", fork)
+    runner = make_runner(receptor, tmp_path, host_workers=2, pipeline_depth=4)
+    killed = []
+
+    def sabotage(receptor_arg, ligand, **kwargs):
+        if kwargs["seed"] - SEED == 2 and not killed:
+            killed.append(kill_a_worker(runner._runtime))
+        return real_dock_steps(receptor_arg, ligand, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "dock_steps", sabotage)
+    before = set(threading.enumerate())
+    with runner.run() as store:
+        assert store.science_digest() == serial_digest
+    assert killed and len(threads_at_fork) == 3  # two workers, one re-fork
+    assert all(threads <= before for threads in threads_at_fork)
+
+
 def test_kill_mid_shard_then_resume_at_depth_4(
     receptor, tmp_path, serial_digest, monkeypatch
 ):
@@ -160,22 +193,20 @@ def test_kill_mid_shard_then_resume_at_depth_4(
     # stays prefix-consistent (ordinal-ordered commits) and the resumed
     # campaign's science digest is still byte-identical to serial.
     calls = {"n": 0}
-    lock = threading.Lock()
 
     def interrupting(receptor_arg, ligand, **kwargs):
-        with lock:
-            calls["n"] += 1
-            if calls["n"] == 4:
-                raise KeyboardInterrupt  # the simulated SIGKILL
-        return real_dock(receptor_arg, ligand, **kwargs)
+        calls["n"] += 1
+        if calls["n"] == 4:
+            raise KeyboardInterrupt  # the simulated SIGKILL
+        return real_dock_steps(receptor_arg, ligand, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "dock", interrupting)
+    monkeypatch.setattr(runner_mod, "dock_steps", interrupting)
     with pytest.raises(KeyboardInterrupt):
         make_runner(
             receptor, tmp_path, host_workers=2, pipeline_depth=4, shard_size=4
         ).run()
 
-    monkeypatch.setattr(runner_mod, "dock", real_dock)
+    monkeypatch.setattr(runner_mod, "dock_steps", real_dock_steps)
     with make_runner(
         receptor, tmp_path, host_workers=2, pipeline_depth=4, shard_size=4
     ).resume() as store:
@@ -189,9 +220,9 @@ def test_depth_1_runs_exact_legacy_serial_path(receptor, tmp_path, monkeypatch):
 
     def tracing(receptor_arg, ligand, **kwargs):
         order.append(kwargs["seed"] - SEED)
-        return real_dock(receptor_arg, ligand, **kwargs)
+        return real_dock_steps(receptor_arg, ligand, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "dock", tracing)
+    monkeypatch.setattr(runner_mod, "dock_steps", tracing)
     with make_runner(
         receptor, tmp_path, host_workers=2, pipeline_depth=1
     ).run() as store:

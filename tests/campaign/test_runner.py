@@ -1,7 +1,9 @@
 """Campaign orchestration: crash/resume determinism, retries, progress.
 
 The kill-mid-shard tests simulate a SIGKILL via exception injection: a
-monkeypatched ``dock`` raises ``KeyboardInterrupt`` partway through a shard,
+monkeypatched ``dock`` (``dock_steps`` on a pooled runner, whose pipeline
+drives each ligand's launches itself) raises ``KeyboardInterrupt`` partway
+through a shard,
 which the runner must never swallow. The acceptance bar: resume completes
 the *remaining* ligands only (nothing lost, nothing recomputed) and the
 final ranking is bitwise identical to an uninterrupted run — including under
@@ -29,6 +31,7 @@ from repro.campaign import (
 from repro.errors import CampaignError
 from repro.molecules.structures import Receptor
 from repro.vs.docking import dock as real_dock
+from repro.vs.docking import dock_steps as real_dock_steps
 from repro.vs.screening import screen, synthetic_library
 
 SEED = 11
@@ -52,13 +55,16 @@ def make_runner(receptor, tmp_path, name="c.store", **overrides):
 
 
 class DockSpy:
-    """Stand-in for ``runner.dock`` that records ordinals and can blow up."""
+    """Stand-in for ``runner.dock`` (or, with ``real=real_dock_steps``, for
+    the pooled pipeline's ``runner.dock_steps``) that records ordinals and
+    can blow up."""
 
-    def __init__(self, interrupt_before_call=None, poison_ordinal=None):
+    def __init__(self, interrupt_before_call=None, poison_ordinal=None, real=real_dock):
         self.ordinals = []
         self.calls = 0
         self.interrupt_before_call = interrupt_before_call
         self.poison_ordinal = poison_ordinal
+        self.real = real
 
     def __call__(self, receptor, ligand, **kwargs):
         self.calls += 1
@@ -71,7 +77,14 @@ class DockSpy:
         if ordinal == self.poison_ordinal:
             raise ValueError(f"poisoned ligand {ordinal}")
         self.ordinals.append(ordinal)
-        return real_dock(receptor, ligand, **kwargs)
+        return self.real(receptor, ligand, **kwargs)
+
+
+def patch_dock(monkeypatch, spy: DockSpy) -> DockSpy:
+    """Install ``spy`` under the runner's name for what it stands in for."""
+    name = "dock_steps" if spy.real is real_dock_steps else "dock"
+    monkeypatch.setattr(runner_mod, name, spy)
+    return spy
 
 
 def ranking(store, k=N_LIGANDS):
@@ -139,8 +152,8 @@ def test_kill_mid_shard_then_resume_is_bitwise_identical(
         expected = ranking(store)
 
     # Interrupted run: the 4th dock call (ordinal 3, mid-shard-1) dies.
-    spy = DockSpy(interrupt_before_call=4)
-    monkeypatch.setattr(runner_mod, "dock", spy)
+    real = real_dock_steps if host_workers else real_dock
+    spy = patch_dock(monkeypatch, DockSpy(interrupt_before_call=4, real=real))
     with pytest.raises(KeyboardInterrupt):
         make_runner(
             receptor, tmp_path, name="kill.store", host_workers=host_workers
@@ -149,8 +162,7 @@ def test_kill_mid_shard_then_resume_is_bitwise_identical(
 
     # Resume: only the remaining ligands are docked, nothing is recomputed,
     # and no completed result was lost.
-    resume_spy = DockSpy()
-    monkeypatch.setattr(runner_mod, "dock", resume_spy)
+    resume_spy = patch_dock(monkeypatch, DockSpy(real=real))
     with make_runner(
         receptor, tmp_path, name="kill.store", host_workers=host_workers
     ).resume() as store:
@@ -252,8 +264,9 @@ def test_kill_mid_shard_resume_with_pool_matches_serial(
         expected = ranking(store)
 
     # Kill a pooled campaign mid-shard...
-    spy = DockSpy(interrupt_before_call=4)
-    monkeypatch.setattr(runner_mod, "dock", spy)
+    spy = patch_dock(
+        monkeypatch, DockSpy(interrupt_before_call=4, real=real_dock_steps)
+    )
     runner = make_runner(
         receptor, tmp_path, name="kill.store", host_workers=2
     )
@@ -264,8 +277,7 @@ def test_kill_mid_shard_resume_with_pool_matches_serial(
 
     # ...and resume on a new pool: only ordinals 3 and 4 are docked, and
     # the ranking is bitwise identical to the serial run.
-    resume_spy = DockSpy()
-    monkeypatch.setattr(runner_mod, "dock", resume_spy)
+    resume_spy = patch_dock(monkeypatch, DockSpy(real=real_dock_steps))
     with make_runner(
         receptor, tmp_path, name="kill.store", host_workers=2
     ).resume() as store:
@@ -288,10 +300,10 @@ def test_worker_death_recycles_pool_without_restaging(receptor, tmp_path, kill_a
     def sabotage(receptor_arg, ligand, **kwargs):
         if kwargs["seed"] - SEED == 1 and not killed:
             killed.append(kill_a_worker(runner._runtime))
-        return real_dock(receptor_arg, ligand, **kwargs)
+        return real_dock_steps(receptor_arg, ligand, **kwargs)
 
-    original_dock = runner_mod.dock
-    runner_mod.dock = sabotage
+    original_dock_steps = runner_mod.dock_steps
+    runner_mod.dock_steps = sabotage
     try:
         with runner.run() as store:
             counts = store.counts()
@@ -299,7 +311,7 @@ def test_worker_death_recycles_pool_without_restaging(receptor, tmp_path, kill_a
             assert counts["failed"] == 0
             assert store.science_digest() == serial_digest
     finally:
-        runner_mod.dock = original_dock
+        runner_mod.dock_steps = original_dock_steps
     (before,) = killed  # the sabotage fired once
     (after,) = kill_a_worker.at_close
     assert after[0] != before[0] and after[1] == before[1]  # the sibling lives on

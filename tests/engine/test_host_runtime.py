@@ -282,7 +282,7 @@ def test_one_shot_dock_worker_crash_leaves_dev_shm_unchanged(
         seen["evaluator"] = ev
         raise crash.value  # what a real search would have let through
 
-    monkeypatch.setattr(docking_mod, "run_metaheuristic", crashing_search)
+    monkeypatch.setattr(docking_mod, "metaheuristic_steps", crashing_search)
     with pytest.raises(ScoringError, match="retry the launch"):
         docking_mod.dock(receptor, ligand, spots=spots, host_workers=2)
     assert seen["evaluator"]._workers == []  # dock()'s finally closed it
@@ -322,14 +322,13 @@ def test_static_shares_reach_the_worker_they_were_planned_for(
             expected[heaviest] = 30 * 48.0
             assert scored() == expected
             placed = expected.copy()
-            send = ev._send
+            post = ev._post
 
-            def recording_send(posts):
-                for worker, _, task in posts:
-                    placed[worker.index] += task.poses
-                send(posts)
+            def recording_post(worker, task):
+                placed[worker.index] += task.poses
+                post(worker, task)
 
-            monkeypatch.setattr(ev, "_send", recording_send)
+            monkeypatch.setattr(ev, "_post", recording_post)
             for _ in range(30):  # 512 poses: a job per spot group
                 ev.evaluate(*launch(64))
             assert scored() == placed and sum(placed) == 30 * (48 + 512)
@@ -575,8 +574,8 @@ def _good_and_faulty_launches(
         ev = rt.evaluator
 
         def both():
-            ticket_a = ev.submit(spot_ids, t, q, binding=a._binding, stats=a.stats)
-            ticket_b = ev.submit(spot_ids, t, q, binding=b._binding, stats=b.stats)
+            ticket_a = ev.submit(spot_ids, t, q, binding=a.binding, stats=a.stats)
+            ticket_b = ev.submit(spot_ids, t, q, binding=b.binding, stats=b.stats)
             with pytest.raises(expect_raised) as raised:
                 ev.harvest(ticket_b)
             return ev.harvest(ticket_a), raised.value
@@ -788,7 +787,7 @@ def test_persistent_runtime_same_ligand_reacquire_restages_nothing(
         pool, binding = rt.evaluator, rt.evaluator.binding
         again = rt.acquire(ligand)  # a campaign retry of the resident ligand
         # Same pool, same lease, same binding — nothing was rebound...
-        assert rt.evaluator is pool and again._binding is binding
+        assert rt.evaluator is pool and again.binding is binding
         assert obs.counter("host.pool.reuses").value == reuses
         assert again.stats.n_launches == 0  # ...only the trace is fresh
     with pytest.raises(ScoringError, match="closed"):
@@ -871,48 +870,52 @@ def test_harvest_is_idempotent(fast_scorer, launch):
 
 
 @pytest.mark.parametrize("mode", ["static", "dynamic"])
-def test_threads_taking_turns_at_the_pipes_lose_no_answer(
+def test_one_thread_interleaving_leases_loses_no_answer(
     receptor, spots, launch, mode, job_per_spot_group
 ):
-    """Four threads each dock their own lease through three workers on two
-    cores, with the interpreter switching threads every few microseconds.
-    Whichever thread reads the pipes routes every answer, so each launch
-    still gets the serial energies, and once all are harvested no worker
-    owes anything: a lost update would leave a launch hanging or a debt."""
-    import threading
-
+    """Four leases keep a launch each in flight through three workers on
+    two cores, driven from one thread the way the campaign pipeline drives
+    them: pump until a launch is ready, harvest the ready ones lowest lease
+    first, submit each one's next. Every pump routes whichever launch's
+    answers arrived, so each launch still gets the serial energies, and
+    once all are harvested no worker owes anything: a lost answer would
+    leave a launch hanging or a debt."""
     ligands = _ligands((11, 13, 15, 17), base_seed=250)
     spot_ids, t, q = launch
     serial = [
         SerialEvaluator(_cutoff(receptor, lig)).evaluate(spot_ids, t, q)
         for lig in ligands
     ]
-    mismatches, interval = [], sys.getswitchinterval()
+    mismatches, harvested = [], [0] * len(ligands)
     with PersistentHostRuntime(receptor, n_workers=3, mode=mode) as rt:
         leases = [rt.lease(lig) for lig in ligands]
+        for lease, lig in zip(leases, ligands):
+            lease.evaluator_factory(receptor, lig, spots)
+        pool = rt.evaluator
 
-        def dock_one(lease, lig, expected):
-            ev = lease.evaluator_factory(receptor, lig, spots)
-            for _ in range(40):
-                if not np.array_equal(ev.evaluate(spot_ids, t, q), expected):
-                    mismatches.append(lig.title)
+        def submit(i):
+            return pool.submit(
+                spot_ids, t, q, binding=leases[i].binding, stats=leases[i].stats
+            )
 
-        threads = [
-            threading.Thread(target=dock_one, args=args)
-            for args in zip(leases, ligands, serial)
-        ]
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        workers = rt.evaluator._workers
+        def interleave():
+            tickets = {i: submit(i) for i in range(len(leases))}
+            while tickets:
+                ready = [i for i, ticket in tickets.items() if ticket.ready]
+                if not ready:
+                    pool.pump()
+                for i in ready:
+                    if not np.array_equal(pool.harvest(tickets.pop(i)), serial[i]):
+                        mismatches.append(ligands[i].title)
+                    harvested[i] += 1
+                    if harvested[i] < 40:
+                        tickets[i] = submit(i)
+
+        assert "error" not in _finishes(interleave, timeout_s=120)
+        assert [lease.stats.n_launches for lease in leases] == [40] * 4
+        workers = pool._workers
         assert [(w.owed, w.owed_poses) for w in workers] == [({}, 0)] * 3
-        assert not rt.evaluator._backlog
+        assert not pool._backlog
     assert mismatches == []
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import MetaheuristicError
 from repro.metaheuristics.context import SearchContext
-from repro.metaheuristics.evaluation import SerialEvaluator
+from repro.metaheuristics.evaluation import SerialEvaluator, drive
 from repro.metaheuristics.extra import (
     AnnealingImprovement,
     AntColonySampling,
@@ -52,6 +52,38 @@ def test_extension_optimises(name, spots, fast_scorer):
     assert result.spec_name == name
     assert result.best_history[-1] <= result.best_history[0]
     assert result.best_history[-1] < -5.0  # found real binding wells
+
+
+#: ``best_score`` and ``best_history`` at seed 17 of ``_ctx``, taken from
+#: the build whose operators called the evaluator directly: scoring through
+#: yielded launches must not move a float.
+PINNED = {
+    "SA": [
+        -3.130221128463745, -11.856566429138184, -12.197059631347656,
+        -12.197059631347656, -12.310922622680664, -13.10085678100586,
+        -13.10085678100586,
+    ],
+    "TABU": [
+        -5.261326313018799, -10.855621337890625, -10.855621337890625,
+        -11.36413288116455, -12.773517608642578, -14.269268035888672,
+    ],
+    "GRASP": [
+        -3.130221128463745, -24.52621841430664, -24.52621841430664,
+        -24.52621841430664,
+    ],
+    "VNS": [
+        -3.130221128463745, -5.187808990478516, -8.0462007522583,
+        -11.669780731201172, -12.896406173706055, -12.896406173706055,
+        -12.896406173706055,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_extension_matches_its_pinned_history(name, spots, fast_scorer):
+    result = run_metaheuristic(FACTORIES[name](), _ctx(spots, fast_scorer))
+    assert result.best_history == PINNED[name]
+    assert result.best_score == PINNED[name][-1]
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -113,8 +145,9 @@ def test_grasp_construction_beats_uniform(spots, fast_scorer):
     from repro.metaheuristics.initialization import UniformSpotInitializer
 
     uniform = UniformSpotInitializer().initialize(ctx, 16)
-    ctx.evaluate_population(uniform)
-    constructed = GreedyRandomizedConstruction(alpha=0.25).combine(ctx, uniform, 16)
+    drive(ctx.evaluate_population(uniform), ctx.evaluator)
+    construction = GreedyRandomizedConstruction(alpha=0.25).combine(ctx, uniform, 16)
+    constructed = drive(construction, ctx.evaluator)
     assert constructed.is_evaluated()
     assert constructed.scores.mean() < uniform.scores.mean()
 

@@ -11,7 +11,7 @@ from repro.metaheuristics.combination import (
     UniformCrossover,
 )
 from repro.metaheuristics.context import SearchContext
-from repro.metaheuristics.evaluation import SerialEvaluator
+from repro.metaheuristics.evaluation import SerialEvaluator, drive
 from repro.metaheuristics.improvement import HillClimb, NoImprovement
 from repro.metaheuristics.inclusion import (
     ElitistInclusion,
@@ -132,7 +132,7 @@ def test_any_all_combinators():
 # ----------------------------------------------------------------------
 def _scored_population(ctx, k=16):
     pop = UniformSpotInitializer().initialize(ctx, k)
-    ctx.evaluate_population(pop)
+    drive(ctx.evaluate_population(pop), ctx.evaluator)
     return pop
 
 
@@ -223,20 +223,20 @@ def test_no_combination_passthrough(ctx):
 # ----------------------------------------------------------------------
 def test_no_improvement_evaluates(ctx):
     pop = UniformSpotInitializer().initialize(ctx, 8)
-    out = NoImprovement().improve(ctx, pop)
+    out = drive(NoImprovement().improve(ctx, pop), ctx.evaluator)
     assert out.is_evaluated()
 
 
 def test_hill_climb_never_worsens(ctx):
     pop = _scored_population(ctx, k=8)
     before = pop.scores.copy()
-    out = HillClimb(steps=5, fraction=1.0).improve(ctx, pop)
+    out = drive(HillClimb(steps=5, fraction=1.0).improve(ctx, pop), ctx.evaluator)
     assert np.all(out.scores <= before + 1e-9)
 
 
 def test_hill_climb_usually_improves(ctx):
     pop = _scored_population(ctx, k=16)
-    out = HillClimb(steps=10, fraction=1.0).improve(ctx, pop)
+    out = drive(HillClimb(steps=10, fraction=1.0).improve(ctx, pop), ctx.evaluator)
     assert out.scores.min() < pop.scores.min()
 
 
@@ -244,7 +244,7 @@ def test_hill_climb_fraction_limits_work(ctx):
     pop = _scored_population(ctx, k=10)
     evaluator = ctx.evaluator
     launches_before = evaluator.stats.n_launches
-    HillClimb(steps=3, fraction=0.2).improve(ctx, pop)
+    drive(HillClimb(steps=3, fraction=0.2).improve(ctx, pop), evaluator)
     new_launches = evaluator.stats.launches[launches_before:]
     # 3 improve launches of 2 individuals per spot (20% of 10).
     assert len(new_launches) == 3

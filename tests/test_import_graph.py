@@ -132,12 +132,13 @@ def test_a_campaign_runner_built_and_run_loads_no_scipy(tmp_path):
 # ----------------------------------------------------------------------
 #: SQLite, the hardware simulator and ``multiprocessing``: a campaign run to
 #: disk runs none of them (a pooled one forks its workers with the last), and
-#: no campaign loads the process-pool executor.
+#: no campaign loads ``concurrent.futures``: no process-pool executor, and no
+#: thread pool either (one loop on the main thread drives the pipeline).
 OFF_THE_CAMPAIGN = (
     "sqlite3", "repro.campaign.store", "repro.hardware",
     "repro.engine.executor", "repro.engine.scheduler",
     "repro.engine.reporting", "repro.engine.warmup",
-    "multiprocessing", "concurrent.futures.process",
+    "multiprocessing", "concurrent.futures",
 )
 _PERIMETER_REPORT = (
     "import json, sys; print(json.dumps(sorted("
