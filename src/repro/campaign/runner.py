@@ -18,9 +18,10 @@ one, for any shard size or worker count.
 
 Runtime ownership: with ``host_workers > 0`` the campaign owns one
 :class:`repro.engine.host_runtime.PersistentHostRuntime` for its whole
-lifetime — worker pool and Eq. 1 warm-up are paid once, and every ligand
-docks on a lease of that pool (the workers bind it; this process binds
-nothing). ``pipeline_depth`` is how many leases are live at once: that many
+lifetime — the worker pool is forked once, its Eq. 1 weights are fixed once
+from the first tasks it scores, and every ligand docks on a lease of that
+pool (the workers bind it; this process binds nothing). ``pipeline_depth``
+is how many leases are live at once: that many
 ligands' docks are in flight, each a generator of scoring launches
 (:func:`dock_ligand_steps`, with its own seed and launch trace), and one
 loop on the main thread drives them all — it submits each yielded launch
@@ -40,7 +41,7 @@ Failure policy: per-ligand bounded retry with exponential backoff
 (with ``raise_on_failure`` its own exception propagates instead, before
 anything is recorded). A
 pool worker that dies is re-forked in its slot by the runtime — its
-siblings, the bindings and the warm-up weights survive — and the docks
+siblings, the bindings and the Eq. 1 weights survive — and the docks
 whose launches it held are repeated without charging their ligands. A
 retry's backoff sleeps on the main thread: it pauses the loop, not the
 launches already sent to the workers.
@@ -349,8 +350,8 @@ def open_runtime(
     settings: DockSettings, receptor: Receptor
 ) -> PersistentHostRuntime | None:
     """The campaign-owned pool for ``settings`` (``None`` when it docks
-    serially): pool spawn and the Eq. 1 warm-up are paid once, every ligand
-    after the first is a versioned rebind. Caller closes it."""
+    serially): the pool is forked and its Eq. 1 weights fixed once, every
+    ligand after the first is a versioned rebind. Caller closes it."""
     if settings.host_workers == 0:
         return None
     return PersistentHostRuntime(

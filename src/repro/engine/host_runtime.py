@@ -7,15 +7,16 @@ drives them all from one thread, as the dispatcher of the paper's
 Algorithm 2 drives its devices:
 
 * **Binding** — every worker holds its own bound scorer, as each GPU scores
-  from its own device-resident copy of the complex. The scoring factory,
-  the receptor and the first ligand reach the workers through the fork; a
-  worker binds each ligand itself, once. The parent only dispatches: it
-  plans and records launches from the scorer's
+  from its own device-resident copy of the complex. The scoring factory
+  and the receptor reach the workers through the fork, each ligand with
+  the tasks; a worker binds each ligand itself, once. The parent only
+  dispatches: it plans and records launches from the scorer's
   :class:`~repro.scoring.base.ScorerShape` and holds no pair tables.
-* **Warm-up (Eq. 1)** — each worker times a few launches as it starts and
-  sends the mean down its pipe; shares are ∝ 1/Percent with
-  ``Percent = t_worker / t_slowest``, measured once and kept for the
-  pool's lifetime (§3.3).
+* **Warm-up (Eq. 1)** — every answer carries the seconds its worker spent
+  scoring it. The shares are equal (the homogeneous split) until every
+  worker has answered :data:`WARMUP_TASKS` tasks of the real search; then
+  each worker's seconds per modelled pair give ``Percent = t_worker /
+  t_slowest``, shares ∝ 1/Percent, fixed for the pool's lifetime (§3.3).
 * **Scheduling** — ``static`` LPT-packs a launch's jobs into one task per
   worker, each job where it would finish first given the Eq. 1 weights and
   the poses that worker already owes, and sends worker *i*'s task down
@@ -51,8 +52,9 @@ whenever it forks, the re-fork of a dead worker included.
 
 **Lifecycle** — :class:`PersistentHostRuntime` is the campaign's owner:
 :meth:`~PersistentHostRuntime.lease` mints a ligand's version (the first
-call forks the workers) and returns a :class:`LigandLease`, whose
-``evaluator_factory`` is the ``dock()`` seam and whose
+call forks the workers and returns without waiting for them) and returns
+a :class:`LigandLease`, whose ``evaluator_factory`` is the ``dock()`` seam
+and whose
 :meth:`~LigandLease.release` retires the binding. Pipeline depth is how
 many leases are live at once; ``acquire()`` is the single-resident form.
 A one-shot ``dock(host_workers=N)`` builds a bare
@@ -71,11 +73,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import observability as obs
-from repro.constants import DEFAULT_SEED, FLOAT_DTYPE
+from repro.constants import FLOAT_DTYPE
 from repro.engine.partition import eq1_weights
 from repro.errors import ScoringError, WorkerPoolError
 from repro.metaheuristics.evaluation import EvaluationStats, LaunchRecord
-from repro.molecules.transforms import normalize_quaternion
 from repro.scoring.base import BoundScorer, ScorerShape, ScoringFunction, spot_groups
 from repro.scoring.cutoff import CutoffLennardJonesScoring
 
@@ -85,8 +86,7 @@ __all__ = [
     "LigandLease",
     "ParallelSpotEvaluator",
     "PersistentHostRuntime",
-    "DEFAULT_WARMUP_POSES",
-    "DEFAULT_WARMUP_REPEATS",
+    "WARMUP_TASKS",
     "load_pool_stack",
 ]
 
@@ -109,11 +109,14 @@ def load_pool_stack() -> None:
     from multiprocessing.connection import wait
 
 
-#: Poses per warm-up timing launch ("a few candidate solutions", §3.3).
-DEFAULT_WARMUP_POSES: int = 64
-
-#: Timed launches per worker; the mean is the Eq. 1 measurement.
-DEFAULT_WARMUP_REPEATS: int = 3
+#: Answered tasks per worker whose scoring seconds make the Eq. 1
+#: measurement. On two identical workers (1,500 x 24 complex, 8 spots,
+#: BLAS 1 thread, 12 fresh dynamic pools each) worker 0's share over its
+#: first k tasks had an sd of 0.030-0.040 at k = 16-32 and 0.018-0.025 at
+#: k = 64 with 48-pose launches, 0.034-0.059 and 0.028-0.049 with 512-pose
+#: ones; the same pools' later sustained shares had an sd of 0.009-0.052,
+#: so ~0.02 is the floor any per-pool measurement stands on.
+WARMUP_TASKS: int = 64
 
 #: How long :meth:`ParallelSpotEvaluator.close` lets a worker finish its
 #: task and exit before killing it.
@@ -147,18 +150,17 @@ _PARENT_ENDS: set = set()
 _POSE_COUNT_EDGES: tuple[float, ...] = tuple(float(4**k) for k in range(10))
 
 
-def _worker_main(index, conn, inherited, scoring, receptor, ligand, warm) -> None:
-    """One worker's life: bind, time the warm-up, then score until EOF.
+def _worker_main(index, conn, inherited, scoring, receptor) -> None:
+    """One worker's life: score tasks until EOF.
 
-    Everything arrives through the fork. ``ligand`` is version 0's, and the
-    mean warm-up launch time is the first message sent; ``ligand=None`` is
-    a re-forked worker, with no scorer and no warm-up. A task ``(id, jobs,
-    (version, ligand, live_versions))`` is answered ``(id, reply)``: the
-    :func:`_run_tasks` result, or the exception scoring raised, pickled by
-    :func:`_answer`. A version
-    is bound on first sight (the serial path's ``bind`` call, so its tables
-    are bitwise the serial ones) and cached until no longer live. EOF —
-    the parent closed the pipe or died — ends the worker.
+    The scoring factory and the receptor arrive through the fork, the same
+    for a first worker and a re-forked one; ligands arrive with the tasks.
+    A task ``(id, jobs, (version, ligand, live_versions))`` is answered
+    ``(id, reply)``: the :func:`_run_tasks` result, or the exception
+    scoring raised, pickled by :func:`_answer`. A version is bound on first
+    sight (the serial path's ``bind`` call, so its tables are bitwise the
+    serial ones) and cached until no longer live. EOF — the parent closed
+    the pipe or died — ends the worker.
     """
     import signal  # here: loading it costs a process that never forks ~0.2 MB
 
@@ -167,9 +169,6 @@ def _worker_main(index, conn, inherited, scoring, receptor, ligand, warm) -> Non
         end.close()
     scorers: dict[int, BoundScorer] = {}
     try:
-        if ligand is not None:
-            scorers[0] = scoring.bind(receptor, ligand)
-            conn.send((None, _time_warmup(scorers[0], warm)))
         while True:
             task_id, tasks, (version, ligand, live) = conn.recv()
             try:
@@ -208,32 +207,22 @@ def _answer(task_id: int, reply) -> bytes:
         return pickler.dumps((task_id, error))
 
 
-def _time_warmup(scorer: BoundScorer, warm) -> float:
-    """Mean seconds of one warm-up launch: this worker's Eq. 1 measurement."""
-    translations, quaternions, repeats = warm
-    scorer.score(translations, quaternions)  # page in tables, warm BLAS
-    measured = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        scorer.score(translations, quaternions)
-        measured.append(time.perf_counter() - t0)
-    return float(np.mean(measured))
-
-
 def _run_tasks(
     index: int,
     scorer: BoundScorer,
     tasks: list[tuple[np.ndarray | None, np.ndarray, np.ndarray]],
-) -> tuple[list[np.ndarray], dict | None]:
+) -> tuple[list[np.ndarray], float, dict | None]:
     """Score worker ``index``'s share of a launch: a list of (spot ids, t, q).
 
     Jobs of a spot-aware scorer carry their poses' spot ids and go through
     ``score_spots``; plain jobs carry ``None`` and go through ``score``.
 
-    Returns ``(score_arrays, stats)``. ``stats`` is the worker's telemetry
-    for this task — a local snapshot document plus the task's monotonic
-    start time (the parent turns submit→start into the queue-wait metric)
-    — or ``None`` when telemetry was disabled at fork time. Collection
+    Returns ``(score_arrays, seconds, stats)``. ``seconds`` is the time
+    spent scoring (binding is not in it): the parent's Eq. 1 measurement.
+    ``stats`` is the worker's telemetry for this task — a local snapshot
+    document plus the task's monotonic start time (the parent turns
+    submit→start into the queue-wait metric) — or ``None`` when telemetry
+    was disabled at fork time. Collection
     never touches the scoring arithmetic: energies are bitwise identical
     with or without it.
     """
@@ -241,6 +230,7 @@ def _run_tasks(
     local = obs.Telemetry() if obs.enabled() else None
     out = []
     n_poses = 0
+    seconds = 0.0
     # The batch span rides back in the worker's snapshot and is offset-merged
     # into the parent tracer at harvest — it is the worker-lane block the
     # Chrome trace exporter draws. perf_counter shares CLOCK_MONOTONIC with
@@ -257,17 +247,19 @@ def _run_tasks(
                 out.append(scorer.score(translations, quaternions))
             else:
                 out.append(scorer.score_spots(ids, translations, quaternions))
+            elapsed = time.perf_counter() - t0
+            seconds += elapsed
             if local is not None:
                 n_poses += translations.shape[0]
                 local.histogram("host.worker.task_seconds", worker=index).observe(
-                    time.perf_counter() - t0
+                    elapsed
                 )
         batch_tags["tasks"] = len(tasks)
         batch_tags["poses"] = n_poses
     if local is None:
-        return out, None
+        return out, seconds, None
     local.counter("host.worker.poses", worker=index).inc(n_poses)
-    return out, {
+    return out, seconds, {
         "telemetry": local.snapshot(),
         "worker": index,
         "started_s": started_s,
@@ -281,14 +273,15 @@ def _run_tasks(
 class HostWarmupResult:
     """Eq. 1 over real worker processes.
 
-    ``percent[i] = measured_s[i] / measured_s.max()`` (1.0 for the slowest
-    worker); ``weights ∝ 1/percent`` and sum to 1.
+    ``measured_s[i]`` is worker *i*'s scoring seconds per modelled pair
+    (poses x receptor x ligand atoms) over its first :data:`WARMUP_TASKS`
+    answered tasks; ``percent[i] = measured_s[i] / measured_s.max()`` (1.0
+    for the slowest worker); ``weights ∝ 1/percent`` and sum to 1.
     """
 
     measured_s: np.ndarray
     percent: np.ndarray
     weights: np.ndarray
-    elapsed_s: float
 
 
 @dataclass(frozen=True)
@@ -393,13 +386,14 @@ class ParallelSpotEvaluator:
     scoring, receptor, ligand:
         The scoring factory and the complex. The parent reads only
         ``ligand``'s :meth:`~repro.scoring.base.ScoringFunction.shape` (the
-        construction-time :attr:`binding`); the workers inherit all three
-        through the fork and bind ``ligand``, and every later ligand
-        (:meth:`bind_ligand`), themselves.
+        construction-time :attr:`binding`); the workers inherit the factory
+        and the receptor through the fork and bind ``ligand``, and every
+        later ligand (:meth:`bind_ligand`), themselves from its tasks.
     n_workers:
-        Worker processes (≥ 1), each forked once on a pipe of its own; each
-        has reported its Eq. 1 time on :data:`DEFAULT_WARMUP_POSES` x
-        :data:`DEFAULT_WARMUP_REPEATS` before the constructor returns.
+        Worker processes (≥ 1), each forked once on a pipe of its own. The
+        constructor does not wait for them; their shares are equal until
+        each has answered :data:`WARMUP_TASKS` tasks, then fixed by Eq. 1
+        (:attr:`warmup_result`).
     mode:
         ``"static"`` (one task per worker, placed by the Eq. 1 weights and
         the poses each worker owes, scored by that worker) or
@@ -429,7 +423,7 @@ class ParallelSpotEvaluator:
         if "fork" not in mp.get_all_start_methods():  # pragma: no cover
             raise ScoringError(
                 "the parallel host runtime requires the 'fork' start method "
-                "(the complex and the first ligand are inherited, not pickled)"
+                "(the receptor and the scoring factory are inherited, not pickled)"
             )
         self.scoring = scoring
         self.receptor = receptor
@@ -450,52 +444,31 @@ class ParallelSpotEvaluator:
             version=0, ligand=ligand, shape=scoring.shape(receptor, ligand)
         )
         self._bindings[0] = self.binding
+        #: The shares :meth:`_book` plans with: equal until :meth:`_measure`
+        #: fixes them by Eq. 1, then this array for the pool's lifetime.
+        self.weights = np.full(self.n_workers, 1.0 / self.n_workers)
+        #: The fixed Eq. 1 decision; ``None`` until then.
+        self.warmup_result: HostWarmupResult | None = None
+        # Per slot: tasks counted so far, their scoring seconds and pairs.
+        self._timed = np.zeros((3, self.n_workers))
         try:
-            warm = self._warmup_batch()
-            with obs.span("host.warmup", workers=self.n_workers, mode=self.mode):
-                t0 = time.perf_counter()
-                for index in range(self.n_workers):
-                    self._workers.append(self._fork(index, ligand, warm))
-                measured = self._read_warmups()
-                elapsed = time.perf_counter() - t0
-            obs.counter("host.warmups").inc()
-            percent, self.weights = eq1_weights(measured)
-            # The Eq. 1 share decision on the record (doctor and the sampler
-            # compare it with the poses each worker actually scored).
-            for i, weight in enumerate(self.weights):
-                obs.gauge("host.warmup.weight", worker=i).set(float(weight))
-            self.warmup_result = HostWarmupResult(
-                measured_s=measured, percent=percent, weights=self.weights,
-                elapsed_s=elapsed,
-            )
-            self._idle_mark = time.monotonic()
+            for index in range(self.n_workers):
+                self._workers.append(self._fork(index))
         except BaseException:
             self.close()
             raise
+        self._idle_mark = time.monotonic()
 
     # ------------------------------------------------------------------
-    def _warmup_batch(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Deterministic measurement poses spread over the receptor box."""
-        coords = self.receptor.coords
-        rng = np.random.default_rng(DEFAULT_SEED)
-        translations = rng.uniform(
-            coords.min(axis=0), coords.max(axis=0), size=(DEFAULT_WARMUP_POSES, 3)
-        ).astype(FLOAT_DTYPE)
-        quaternions = normalize_quaternion(rng.normal(size=(DEFAULT_WARMUP_POSES, 4)))
-        return translations, quaternions, DEFAULT_WARMUP_REPEATS
-
-    def _fork(self, index: int, ligand=None, warm=None) -> _Worker:
+    def _fork(self, index: int) -> _Worker:
         """Fork worker ``index`` on a new pipe (see :func:`_worker_main`).
 
         It gets every parent-side pipe end alive in this process to close.
         """
         ours, theirs = mp.Pipe()
-        process = mp.get_context("fork").Process(  # the complex is inherited
+        process = mp.get_context("fork").Process(  # the receptor is inherited
             target=_worker_main,
-            args=(
-                index, theirs, (*_PARENT_ENDS, ours),
-                self.scoring, self.receptor, ligand, warm,
-            ),
+            args=(index, theirs, (*_PARENT_ENDS, ours), self.scoring, self.receptor),
             name=f"repro-host-worker-{index}",
             daemon=True,
         )
@@ -505,18 +478,6 @@ class ParallelSpotEvaluator:
             theirs.close()
         _PARENT_ENDS.add(ours)
         return _Worker(index, process, ours)
-
-    def _read_warmups(self) -> np.ndarray:
-        """Every worker's mean warm-up launch time: the first message on its pipe."""
-        measured = np.zeros(self.n_workers)
-        for worker in self._workers:
-            try:
-                _, measured[worker.index] = worker.conn.recv()
-            except (EOFError, OSError) as exc:
-                raise ScoringError(
-                    f"host worker {worker.index} died while starting"
-                ) from exc
-        return measured
 
     # ------------------------------------------------------------------
     # planning
@@ -781,32 +742,60 @@ class ParallelSpotEvaluator:
             self._replace(worker, why)
 
     def _route(self, worker: _Worker, task_id: int, reply) -> None:
-        """File one answer into its launch; in dynamic mode, feed the worker."""
+        """File one answer into its launch and its worker's Eq. 1
+        measurement; in dynamic mode, feed the worker."""
         task = worker.owed.pop(task_id)
         worker.owed_poses -= task.poses
         ticket = task.ticket
         ticket.waiting -= 1
         if isinstance(reply, BaseException):
             ticket.error = ticket.error or reply
-        elif ticket.error is None:
-            scores, stat = reply
-            try:
-                for job, energies in zip(task.jobs, scores):
-                    ticket.out[job.rows] = energies
-            except Exception as exc:  # a scorer's answer of the wrong shape
-                ticket.error = exc
-            if stat is not None:
-                ticket.stats.append(stat)
+        else:
+            scores, seconds, stat = reply
+            if self.warmup_result is None:
+                pairs = task.poses * ticket.binding.shape.n_pairs
+                self._measure(worker.index, seconds, pairs)
+            if ticket.error is None:
+                try:
+                    for job, energies in zip(task.jobs, scores):
+                        ticket.out[job.rows] = energies
+                except Exception as exc:  # a scorer's answer of the wrong shape
+                    ticket.error = exc
+                if stat is not None:
+                    ticket.stats.append(stat)
         if self.mode == "dynamic":
             self._feed()
+
+    def _measure(self, index: int, seconds: float, pairs: int) -> None:
+        """Count one answered task towards worker ``index``'s Eq. 1 time.
+
+        Once every worker has answered :data:`WARMUP_TASKS` tasks, their
+        seconds per modelled pair fix the weights, once: the pool keeps them
+        for every later ligand, and a re-forked worker keeps its slot's.
+        """
+        timed = self._timed
+        if timed[0, index] < WARMUP_TASKS:
+            timed[:, index] += (1, seconds, pairs)
+        if timed[0].min() < WARMUP_TASKS:
+            return
+        measured = timed[1] / timed[2]
+        percent, self.weights = eq1_weights(measured)
+        obs.counter("host.warmups").inc()
+        # The Eq. 1 share decision on the record (doctor and the sampler
+        # compare it with the poses each worker actually scored).
+        for i, weight in enumerate(self.weights):
+            obs.gauge("host.warmup.weight", worker=i).set(float(weight))
+        self.warmup_result = HostWarmupResult(
+            measured_s=measured, percent=percent, weights=self.weights
+        )
 
     def _replace(self, dead: _Worker, why: str | None = None) -> None:
         """Re-fork a dead worker in its slot; fail only the launches it held.
 
-        The new worker has no scorer and no warm-up and binds lazily from the
-        next rebind message; siblings, bindings and Eq. 1 weights stay. A
-        live worker whose pipe went bad (``why``) is retired first: it reads
-        EOF and exits.
+        The new worker starts as every worker does, binding lazily from the
+        next rebind message; siblings, bindings, the Eq. 1 weights and the
+        slot's measurement so far stay. A live worker whose pipe went bad
+        (``why``) is retired first: it reads EOF and exits.
         """
         code = dead.retire()
         if self._closed:
@@ -990,21 +979,21 @@ class PersistentHostRuntime:
     campaign and exposes the pieces the screening layers need:
 
     * :meth:`lease` — make a ligand one of any number of simultaneous
-      residents (lazily creating the pool and its Eq. 1 warm-up on the
-      first call) and get a :class:`LigandLease` whose
-      ``evaluator_factory`` scores only that ligand. A lease binds nothing
-      in this process: it mints a version the workers bind on first sight.
-      Live leases share the pool, and their launches interleave freely on
-      the one thread that drives it. How many are live at once is the
-      caller's pipeline depth.
+      residents (lazily forking the pool on the first call) and get a
+      :class:`LigandLease` whose ``evaluator_factory`` scores only that
+      ligand. A lease binds nothing in this process: it mints a version
+      the workers bind on first sight. Live leases share the pool, and
+      their launches interleave freely on the one thread that drives it.
+      How many are live at once is the caller's pipeline depth.
     * :meth:`hint_next` — a no-op: with nothing bound here, there is
       nothing to stage ahead.
     * :meth:`acquire` / :meth:`evaluator_factory` — the single-resident
       form for callers that dock one ligand at a time: each acquire
       releases the previous one's lease and takes a new one.
 
-    The Eq. 1 measurement from pool start holds for every ligand, as the
-    paper keeps its shares for the whole screening (§3.3). A poisoned
+    The Eq. 1 weights, fixed from the pool's first :data:`WARMUP_TASKS`
+    tasks per worker, hold for every later ligand, as the paper keeps its
+    shares for the whole screening (§3.3). A poisoned
     ligand that kills a worker gets that worker re-forked
     (``host.pool.recycles``) without dropping the bindings or the weights;
     the :class:`~repro.errors.WorkerPoolError` its launches raise flows into
@@ -1070,7 +1059,7 @@ class PersistentHostRuntime:
 
         Every live lease scores through its own :class:`_LigandBinding`, so
         one ligand's launches fill another's host-side gaps. The first call
-        pays the full cost (pool spawn, Eq. 1 warm-up); every later one
+        forks the workers and does not wait for them; every later one
         reads the ligand's shape and mints a version the workers bind on
         first sight. One thread drives the pool: it takes the leases (the
         first one forks the workers), submits and harvests every lease's

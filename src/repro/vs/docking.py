@@ -11,6 +11,7 @@ drives it serially, and a campaign runner drives many at once on its pool.
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Generator
 
 import numpy as np
@@ -40,8 +41,12 @@ __all__ = ["dock", "dock_steps"]
 
 
 def _resolve_spec(metaheuristic: str | MetaheuristicSpec, workload_scale: float) -> MetaheuristicSpec:
+    """The dock's own spec: a preset built afresh, or a deep copy of a custom
+    one. Operators keep state within a search (simulated annealing's step
+    count, VNS's neighbourhood, tabu memory, PSO's bests), so a spec shared
+    by two docks would make the second depend on the first."""
     if isinstance(metaheuristic, MetaheuristicSpec):
-        return metaheuristic
+        return copy.deepcopy(metaheuristic)
     return make_preset(metaheuristic, workload_scale)
 
 
@@ -74,7 +79,8 @@ def dock(
         a known binding site).
     metaheuristic:
         Preset name (``"M1"``–``"M4"``) or a custom
-        :class:`~repro.metaheuristics.template.MetaheuristicSpec`.
+        :class:`~repro.metaheuristics.template.MetaheuristicSpec` (the dock
+        searches with a deep copy of it).
     scoring:
         Scoring function factory; defaults to the float32 cutoff LJ (the
         GPU-precision fast path).
@@ -115,8 +121,6 @@ def dock(
         spots = find_spots(receptor, n_spots)
     if not spots:
         raise ReproError("docking needs at least one spot")
-    spec = _resolve_spec(metaheuristic, workload_scale)
-
     if evaluator_factory is not None:
         evaluator = evaluator_factory(receptor, ligand, spots)
         owns_evaluator = False
@@ -133,11 +137,12 @@ def dock(
             evaluator = SerialEvaluator(scoring.bind(receptor, ligand))
             owns_evaluator = False
     steps = dock_steps(
-        receptor, ligand, spots=spots, metaheuristic=spec, seed=seed,
-        evaluator=evaluator, node=node, mode=mode,
+        receptor, ligand, spots=spots, metaheuristic=metaheuristic, seed=seed,
+        evaluator=evaluator, workload_scale=workload_scale, node=node, mode=mode,
     )
+    name = getattr(metaheuristic, "name", metaheuristic)
     try:
-        with obs.span("vs.dock", metaheuristic=spec.name, host_workers=host_workers):
+        with obs.span("vs.dock", metaheuristic=name, host_workers=host_workers):
             return drive(steps, evaluator)
     finally:
         if owns_evaluator:

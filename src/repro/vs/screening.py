@@ -68,7 +68,7 @@ def screen(
     their finite sum in ``report.simulated_seconds``. ``host_workers``/
     ``parallel_mode`` pass through to :func:`repro.vs.docking.dock` — real
     process-parallel scoring with bitwise-identical rankings. With
-    ``host_workers > 0`` the worker pool and Eq. 1 warm-up persist across
+    ``host_workers > 0`` the worker pool and its Eq. 1 weights persist across
     the whole library: each ligand is a lease on the one pool, not a pool
     spawn.
 

@@ -125,7 +125,7 @@ def test_worker_death_parity(
     # runtime's fault: nobody's max_attempts budget pays for it — not the
     # victim's, not a co-resident ligand's — so even a 2-attempt budget with
     # no backoff ends with nothing failed, at every depth.
-    warmups = obs.counter("host.warmups").value
+    reuses = obs.counter("host.pool.reuses").value
     recycles = obs.counter("host.pool.recycles").value
     runner = make_runner(
         receptor, tmp_path, host_workers=workers, pipeline_depth=depth,
@@ -147,7 +147,70 @@ def test_worker_death_parity(
     (after,) = kill_a_worker.at_close
     assert after[0] != before[0] and after[1:] == before[1:]  # siblings live on
     assert obs.counter("host.pool.recycles").value == recycles + 1
-    assert obs.counter("host.warmups").value == warmups + 1
+    # One pool for the campaign: every ligand after the first was a rebind.
+    assert obs.counter("host.pool.reuses").value == reuses + N_LIGANDS - 1
+
+
+def test_one_custom_spec_gives_the_serial_digest_pooled(tmp_path):
+    # A custom spec object (not a preset name) is shared by every ligand of
+    # the campaign; each dock searches with its own copy, so ligands that
+    # interleave on the pool see the same operator state as in serial order.
+    from repro.campaign import ListSource
+    from repro.metaheuristics.extra import make_vns
+    from repro.molecules.synthetic import generate_ligand, generate_receptor
+
+    receptor = generate_receptor(300, seed=3)
+    ligands = [generate_ligand(12 + i, seed=40 + i) for i in range(4)]
+    spec = make_vns(walkers=4, iterations=3)
+    digests = []
+    for name, knobs in (
+        ("serial", {}),
+        ("pooled", dict(host_workers=2, pipeline_depth=2)),
+    ):
+        runner = CampaignRunner(
+            receptor, ListSource(ligands), store_path=tmp_path / name,
+            n_spots=4, metaheuristic=spec, seed=1, **knobs,
+        )
+        with runner.run() as store:
+            digests.append(store.science_digest())
+    assert digests[0] == digests[1]
+
+
+def test_a_worker_killed_before_its_first_task(
+    receptor, tmp_path, serial_digest, monkeypatch, kill_a_worker
+):
+    # The pool's constructor waits on no worker, so a worker can die before
+    # it is sent anything. Killed right after the first lease forked the
+    # pool, worker 0 is buried like any dead worker: with equal weights the
+    # first one-job launch is placed on it and raises the retryable
+    # WorkerPoolError, only its slot is re-forked, and the campaign reaches
+    # the serial digest without charging any ligand an attempt.
+    launches = obs.counter("host.launches", mode="static")
+    retries = obs.counter("campaign.retries")
+    pool_deaths = obs.counter("campaign.retries.pool_death")
+    recycles = obs.counter("host.pool.recycles").value
+    runner = make_runner(receptor, tmp_path, host_workers=2, max_attempts=2)
+    killed = []
+
+    def sabotage(receptor_arg, ligand, **kwargs):
+        if not killed:
+            assert launches.value == launches_before  # no task sent yet
+            killed.append(kill_a_worker(runner._runtime))
+        return real_dock_steps(receptor_arg, ligand, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "dock_steps", sabotage)
+    launches_before = launches.value
+    retries_before, deaths_before = retries.value, pool_deaths.value
+    with runner.run() as store:
+        counts = store.counts()
+        assert counts["done"] == N_LIGANDS and counts["failed"] == 0
+        assert store.science_digest() == serial_digest
+    (before,) = killed
+    (after,) = kill_a_worker.at_close
+    assert after[0] != before[0] and after[1] == before[1]
+    assert obs.counter("host.pool.recycles").value == recycles + 1
+    # Every retry was a pool death's: nobody's budget paid for one.
+    assert retries.value - retries_before == pool_deaths.value - deaths_before > 0
 
 
 def test_the_parent_is_single_threaded_at_every_fork(
@@ -262,17 +325,22 @@ def test_pipeline_depth_validation(receptor, tmp_path):
 
 
 def test_pipelined_campaign_emits_overlap_telemetry(receptor, tmp_path):
-    # The tracer is session-global: only look at spans this run appends.
-    seen = len(obs.get_telemetry().snapshot()["spans"])
-    with make_runner(
-        receptor, tmp_path, host_workers=2, pipeline_depth=2
-    ).run() as store:
-        assert store.counts()["done"] == N_LIGANDS
-    assert obs.gauge("host.pipeline.depth").value == 2
-    snapshot = obs.get_telemetry().snapshot()
+    # A session of its own: the tracer keeps only its first DEFAULT_MAX_SPANS
+    # spans, so in a long test session this run's would not be recorded.
+    session = obs.get_telemetry()
+    obs.set_telemetry(obs.Telemetry())
+    try:
+        with make_runner(
+            receptor, tmp_path, host_workers=2, pipeline_depth=2
+        ).run() as store:
+            assert store.counts()["done"] == N_LIGANDS
+        assert obs.gauge("host.pipeline.depth").value == 2
+        snapshot = obs.get_telemetry().snapshot()
+    finally:
+        obs.set_telemetry(session)
     lanes = {
         span["tags"].get("pipeline_lane")
-        for span in snapshot["spans"][seen:]
+        for span in snapshot["spans"]
         if span["name"] == "campaign.pipeline.dock"
     }
     assert lanes and lanes <= {0, 1}

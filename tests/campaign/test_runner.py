@@ -244,13 +244,14 @@ def test_resume_builds_no_ligand_of_a_finished_shard(
 def test_pooled_campaign_matches_serial_bitwise(receptor, tmp_path):
     # One pool leased ligand by ligand across the campaign and the plain
     # serial path must agree on every float.
-    warmups = obs.counter("host.warmups").value
+    reuses = obs.counter("host.pool.reuses").value
     with make_runner(
         receptor, tmp_path, name="pooled.store", host_workers=2
     ).run() as store:
         pooled = ranking(store)
-    # The whole campaign paid exactly one pool spawn + receptor staging.
-    assert obs.counter("host.warmups").value == warmups + 1
+    # The whole campaign paid exactly one pool spawn: every ligand after
+    # the first was a rebind on it.
+    assert obs.counter("host.pool.reuses").value == reuses + N_LIGANDS - 1
     with make_runner(receptor, tmp_path, name="serial.store").run() as store:
         serial = ranking(store)
     assert pooled == serial
@@ -292,7 +293,7 @@ def test_worker_death_recycles_pool_without_restaging(receptor, tmp_path, kill_a
     # retries the ligand, and finishes with nothing failed.
     with make_runner(receptor, tmp_path, name="serial.store").run() as store:
         serial_digest = store.science_digest()
-    warmups = obs.counter("host.warmups").value
+    reuses = obs.counter("host.pool.reuses").value
     recycles = obs.counter("host.pool.recycles").value
     runner = make_runner(receptor, tmp_path, host_workers=2, max_attempts=2)
     killed = []
@@ -316,8 +317,9 @@ def test_worker_death_recycles_pool_without_restaging(receptor, tmp_path, kill_a
     (after,) = kill_a_worker.at_close
     assert after[0] != before[0] and after[1] == before[1]  # the sibling lives on
     assert obs.counter("host.pool.recycles").value == recycles + 1
-    # Pool spawn + warm-up happened exactly once despite the crash.
-    assert obs.counter("host.warmups").value == warmups + 1
+    # One pool spawn despite the crash: every ligand after the first was a
+    # rebind on it.
+    assert obs.counter("host.pool.reuses").value == reuses + N_LIGANDS - 1
 
 
 def test_kill_then_resume_without_journal_uses_store(receptor, tmp_path, monkeypatch):

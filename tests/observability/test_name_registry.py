@@ -24,12 +24,10 @@ _READER_MODULES = ("doctor.py", "serve.py", "sampler.py", "trace.py", "export.py
 #: sites and spans that parent other spans. ROADMAP item 7's next slice
 #: gives each a reader or deletes it; nothing may be added here.
 _NEXT_SLICE = {
-    "campaign.retries",
     "campaign.run",
     "campaign.shards.skipped",
     "cluster.fleet",
     "cluster.warmup.partial",
-    "host.warmup",
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.hardware.node import hertz
+from repro.metaheuristics.extra import make_pso, make_simulated_annealing, make_vns
 from repro.metaheuristics.presets import make_preset
 from repro.molecules.pdb import loads_pdb
 from repro.vs.docking import dock
@@ -109,3 +110,25 @@ def test_spot_scores_array(docked):
     scores = docked.spot_scores()
     assert scores.shape == (4,)
     assert scores.min() == pytest.approx(docked.best_score)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_simulated_annealing(walkers=4, iterations=3),
+        lambda: make_vns(walkers=4, iterations=3),
+        lambda: make_pso(swarm_size=4, iterations=3),
+    ],
+    ids=["SA", "VNS", "PSO"],
+)
+def test_one_custom_spec_docks_the_same_every_time(receptor, ligand, make):
+    # SA's step count, VNS's neighbourhood and PSO's bests and velocities
+    # live on the operators; each dock searches with a copy of the spec, so
+    # a second dock with the same object is the first one again.
+    spec = make()
+    knobs = dict(n_spots=2, seed=1)
+    first = dock(receptor, ligand, metaheuristic=spec, **knobs)
+    again = dock(receptor, ligand, metaheuristic=spec, **knobs)
+    fresh = dock(receptor, ligand, metaheuristic=make(), **knobs)
+    assert first.best_score == again.best_score == fresh.best_score
+    assert [p.score for p in again.per_spot] == [p.score for p in fresh.per_spot]
